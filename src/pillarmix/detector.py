@@ -16,13 +16,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calibration import CalibrationStats
-from .metrics import DIFFICULTIES, Detection, EvalResult, ap40, iou_matrix
+from .metrics import Detection, EvalResult, ap40, iou_matrix
 from .model import BatchNorm, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
 from .scenes import CLASS_NAMES, POINT_FEATURES, Scene, pillarize
-from .tensor_ops import ConvParams, PillarSample
+from .tensor_ops import ConvParams, PillarSample, sigmoid, stack_samples
 
 __all__ = [
     "DetectorConfig",
+    "EVAL_CHUNK",
     "build_toy_detector",
     "decode_and_nms",
     "encode_targets",
@@ -30,6 +31,14 @@ __all__ = [
     "make_evaluator",
     "pillarize_dataset",
 ]
+
+
+# Scenes per batched forward in evaluate. Each forward quantizes every weight
+# once for the whole chunk, but the activations and the im2col patch matrices
+# grow with it: over a 96-scene eval set (x86-64, numpy 2.4, OpenBLAS), one
+# unchunked forward raised peak RSS by about 11 MB over per-scene forwards,
+# chunks of 16 scenes by about 1 MB.
+EVAL_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -248,19 +257,17 @@ def encode_targets(scene: Scene, cfg: DetectorConfig):
     return cls_t, reg_t, pos, ignore
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
-
-
-def _local_peaks(score_map: np.ndarray) -> np.ndarray:
-    """Cells that are the maximum of their 3x3 neighborhood (ties keep both)."""
-    padded = np.pad(score_map, 1, constant_values=-np.inf)
-    neighborhood = np.max(
-        [padded[1 + di : padded.shape[0] - 1 + di, 1 + dj : padded.shape[1] - 1 + dj]
-         for di in (-1, 0, 1) for dj in (-1, 0, 1)],
-        axis=0,
-    )
-    return score_map >= neighborhood
+def _local_peaks(score_maps: np.ndarray) -> np.ndarray:
+    """Cells of each [H, W] map in [C, H, W] that are the maximum of their 3x3
+    neighborhood within that map (ties keep both)."""
+    c, h, w = score_maps.shape
+    padded = np.full((c, h + 2, w + 2), -np.inf)
+    padded[:, 1:-1, 1:-1] = score_maps
+    neighborhood = padded[:, :h, :w].copy()
+    for di in range(3):
+        for dj in range(3):
+            np.maximum(neighborhood, padded[:, di : di + h, dj : dj + w], out=neighborhood)
+    return score_maps >= neighborhood
 
 
 def decode_and_nms(
@@ -270,7 +277,15 @@ def decode_and_nms(
     score_thresh: float | None = None,
     iou_thresh: float | None = None,
 ) -> list[Detection]:
-    """Local-peak box decoding followed by per-class greedy NMS."""
+    """Local-peak box decoding followed by per-class greedy NMS.
+
+    cls_map [C, H', W'] (or [1, C, H', W']) holds one scene's class logits,
+    reg_map its 4 box offsets per cell. Per class, the peaks scoring at least
+    score_thresh are visited by descending score (ties in row-major cell
+    order), and each is kept unless its IoU with an already kept box of the
+    class reaches iou_thresh. One IoU matrix over the class's candidates
+    serves the whole greedy pass.
+    """
     score_thresh = cfg.score_thresh if score_thresh is None else score_thresh
     iou_thresh = cfg.nms_iou if iou_thresh is None else iou_thresh
     if not (0.0 <= score_thresh <= 1.0 and 0.0 <= iou_thresh <= 1.0):
@@ -280,30 +295,32 @@ def decode_and_nms(
     n_classes, oh, ow = logits.shape
     cell_h = cfg.field_size / oh
     cell_w = cfg.field_size / ow
-    scores = _sigmoid(logits.astype(np.float64))
+    scores = sigmoid(logits.astype(np.float64))
+    candidates = _local_peaks(scores) & (scores >= score_thresh)
     detections: list[Detection] = []
     for cls in range(n_classes):
-        peaks = _local_peaks(scores[cls])
-        cand: list[Detection] = []
-        for i, j in np.argwhere(peaks):
-            s = float(scores[cls, i, j])
-            if s < score_thresh:
-                continue
-            dx, dy, dw, dh = (float(v) for v in reg[:, i, j])
-            cx = (j + 0.5 + dx) * cell_w
-            cy = (i + 0.5 + dy) * cell_h
-            w = cfg.base_size * math.exp(min(4.0, max(-4.0, dw)))
-            h = cfg.base_size * math.exp(min(4.0, max(-4.0, dh)))
-            cand.append(Detection(box=np.array([cx, cy, w, h]), class_id=cls, score=s))
-        cand.sort(key=lambda d: -d.score)
-        kept: list[Detection] = []
-        for det in cand:
-            if any(
-                iou_matrix(det.box[None, :], k.box[None, :])[0, 0] >= iou_thresh for k in kept
-            ):
-                continue
-            kept.append(det)
-        detections.extend(kept)
+        rows, cols = np.nonzero(candidates[cls])
+        if len(rows) == 0:
+            continue
+        order = np.argsort(-scores[cls, rows, cols], kind="stable")
+        rows, cols = rows[order], cols[order]
+        dx, dy, dw, dh = reg[:, rows, cols].astype(np.float64)
+        # math.exp, not np.exp: the two differ in the last ulp for some inputs
+        boxes = np.stack([
+            (cols + 0.5 + dx) * cell_w,
+            (rows + 0.5 + dy) * cell_h,
+            [cfg.base_size * math.exp(min(4.0, max(-4.0, float(v)))) for v in dw],
+            [cfg.base_size * math.exp(min(4.0, max(-4.0, float(v)))) for v in dh],
+        ], axis=1)
+        overlaps = iou_matrix(boxes, boxes) >= iou_thresh
+        kept: list[int] = []
+        for k in range(len(boxes)):
+            if not overlaps[k, kept].any():
+                kept.append(k)
+        detections.extend(
+            Detection(box=boxes[k], class_id=cls, score=float(scores[cls, rows[k], cols[k]]))
+            for k in kept
+        )
     return detections
 
 
@@ -315,19 +332,24 @@ def evaluate(
     cfg: DetectorConfig | None = None,
     samples: Sequence[PillarSample] | None = None,
 ) -> EvalResult:
-    """Full per-class x per-difficulty AP40 table for the planned model."""
+    """Full per-class x per-difficulty AP40 table for the planned model.
+
+    The scenes run through batched forwards of EVAL_CHUNK scenes each; a
+    scene's head outputs, and so the table, do not depend on the chunking.
+    """
     cfg = cfg or DetectorConfig.from_meta(graph.meta)
     planned = apply_plan(fold_all_bn(graph), plan)
     if samples is None:
         samples = pillarize_dataset(dataset, cfg)
     dets_per_scene = []
-    for sample in samples:
-        cls_map, reg_map = forward(planned, sample, stats=stats)
-        dets_per_scene.append(decode_and_nms(cls_map, reg_map, cfg))
+    for start in range(0, len(samples), EVAL_CHUNK):
+        batch = stack_samples(samples[start : start + EVAL_CHUNK])
+        cls_maps, reg_maps = forward(planned, batch, stats=stats)
+        dets_per_scene.extend(decode_and_nms(c, r, cfg) for c, r in zip(cls_maps, reg_maps))
     ap = {}
     for cls_id, cls_name in enumerate(CLASS_NAMES[: cfg.n_classes]):
-        for diff in DIFFICULTIES:
-            ap[(cls_name, diff)] = ap40(dets_per_scene, dataset, cls_id, diff, cfg.match_iou)
+        for diff, value in ap40(dets_per_scene, dataset, cls_id, cfg.match_iou).items():
+            ap[(cls_name, diff)] = value
     return EvalResult(ap=ap, class_names=CLASS_NAMES[: cfg.n_classes])
 
 

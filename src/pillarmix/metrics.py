@@ -93,47 +93,72 @@ def ap40(
     detections_per_scene: Sequence[Sequence[Detection]],
     gt_per_scene: Sequence,
     class_id: int,
-    difficulty: str,
     iou_match: float = 0.5,
-) -> float | None:
-    """AP over 40 recall positions for one (class, difficulty) slice.
+) -> dict[str, float | None]:
+    """AP over 40 recall positions for one class, at every difficulty.
 
     gt_per_scene holds objects with ``boxes`` [M, 4], ``classes`` [M], and
-    ``difficulty`` [M] (string labels). Returns None when the slice has no
-    ground truth, so it can be excluded from means rather than counted as 0.
+    ``difficulty`` [M] (string labels). The class's detections are matched to
+    ground truth once; each difficulty then counts its own ground truth and
+    ignores hits on boxes of the other difficulties. Returns {difficulty: AP}
+    for every label in DIFFICULTIES, with None where the slice has no ground
+    truth, so it can be excluded from means rather than counted as 0.
     """
     if not 0.0 < iou_match < 1.0:
         raise ValueError(f"iou_match must lie in (0, 1), got {iou_match}")
-    flags: list[tuple[float, bool]] = []  # (score, is_tp) for non-ignored detections
-    n_gt = 0
+    scores: list[float] = []
+    hit_diff: list[str] = []  # difficulty of the matched box; "" for a false positive
+    n_gt = dict.fromkeys(DIFFICULTIES, 0)
     for dets, gt in zip(detections_per_scene, gt_per_scene):
         gt_boxes = np.asarray(gt.boxes, dtype=np.float64).reshape(-1, 4)
         gt_classes = np.asarray(gt.classes, dtype=np.int64)
         gt_diff = np.asarray(gt.difficulty)
-        n_gt += int(np.sum((gt_classes == class_id) & (gt_diff == difficulty)))
+        for diff in DIFFICULTIES:
+            n_gt[diff] += int(np.sum((gt_classes == class_id) & (gt_diff == diff)))
         class_dets = [d for d in dets if d.class_id == class_id]
         matched = _match_scene(class_dets, gt_boxes, gt_classes == class_id, iou_match)
-        for d, gi in zip(class_dets, matched):
-            if gi >= 0 and gt_diff[gi] != difficulty:
-                continue  # hit a real object of another difficulty: ignored
-            flags.append((d.score, gi >= 0))
+        scores.extend(d.score for d in class_dets)
+        hit_diff.extend(str(gt_diff[gi]) if gi >= 0 else "" for gi in matched)
+    # one stable sort by descending score serves every difficulty: dropping
+    # the ignored detections afterwards keeps the order of the rest
+    score_arr = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-score_arr, kind="stable")
+    hits = np.asarray(hit_diff, dtype=str)[order]
+    return {diff: _slice_ap(score_arr[order], hits, diff, n_gt[diff]) for diff in DIFFICULTIES}
+
+
+def _slice_ap(
+    scores: np.ndarray, hits: np.ndarray, difficulty: str, n_gt: int
+) -> float | None:
+    """AP40 of one difficulty slice.
+
+    scores holds every detection of the class by descending score; hits[i]
+    is the difficulty of the box detection i matched, "" for none. Matches
+    of another difficulty are ignored, unmatched detections count as false
+    positives.
+    """
     if n_gt == 0:
         return None
-    if not flags:
+    missed = hits == ""
+    counted = missed | (hits == difficulty)
+    if not counted.any():
         return 0.0
-    flags.sort(key=lambda t: -t[0])
-    scores = np.array([f[0] for f in flags])
-    tps = np.cumsum([1 if f[1] else 0 for f in flags])
-    fps = np.cumsum([0 if f[1] else 1 for f in flags])
+    scores = scores[counted]
+    is_tp = ~missed[counted]
+    tps = np.cumsum(is_tp)
+    fps = np.cumsum(~is_tp)
     # operating points at distinct thresholds: last entry of each tie group
     boundary = np.nonzero(np.diff(scores) != 0)[0]
-    ends = np.concatenate([boundary, [len(flags) - 1]])
+    ends = np.concatenate([boundary, [len(scores) - 1]])
     recall = tps[ends] / n_gt
     precision = tps[ends] / (tps[ends] + fps[ends])
+    # recall never decreases along the operating points, so the best precision
+    # at recall >= r is the running maximum from the first point reaching r
+    best_from = np.maximum.accumulate(precision[::-1])[::-1]
+    first = np.searchsorted(recall, RECALL_POSITIONS, side="left")
     ap = 0.0
-    for r in RECALL_POSITIONS:
-        reachable = precision[recall >= r]
-        ap += float(reachable.max()) if reachable.size else 0.0
+    for i in first:  # summed in recall order, as a Python float
+        ap += float(best_from[i]) if i < len(best_from) else 0.0
     return ap / N_RECALL_POINTS
 
 

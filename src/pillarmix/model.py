@@ -265,24 +265,32 @@ def _layer_quant(layer: LayerSpec, stats):
             "stats supply no quant params for it"
         )
     entry = stats[layer.index]
+    if entry.name != layer.name:
+        raise RuntimeError(
+            f"layer {layer.index} ({layer.name!r}) is tagged int8 but its calibration "
+            f"stats were recorded for layer {entry.name!r}; stats from another model?"
+        )
     return entry.act_qp, entry.weight_qp
 
 
 def _run_weight_layer(layer: LayerSpec, x: np.ndarray, stats, tape: list | None):
     act_qp = weight_qp = None
-    if layer.precision is DType.INT8:
-        act_qp, weight_qp = _layer_quant(layer, stats)
-        x_used = fake_quant(x, act_qp)
-        if isinstance(weight_qp, PerChannelQuantParams):
-            w_used = fake_quant_per_channel(layer.weight, weight_qp)
+    try:
+        if layer.precision is DType.INT8:
+            act_qp, weight_qp = _layer_quant(layer, stats)
+            x_used = fake_quant(x, act_qp)
+            if isinstance(weight_qp, PerChannelQuantParams):
+                w_used = fake_quant_per_channel(layer.weight, weight_qp)
+            else:
+                w_used = fake_quant(layer.weight, weight_qp)
+        elif layer.precision is DType.FP16:
+            x_used = fp16_roundtrip(x)
+            w_used = fp16_roundtrip(layer.weight)
         else:
-            w_used = fake_quant(layer.weight, weight_qp)
-    elif layer.precision is DType.FP16:
-        x_used = fp16_roundtrip(x)
-        w_used = fp16_roundtrip(layer.weight)
-    else:
-        x_used = x
-        w_used = layer.weight
+            x_used = x
+            w_used = layer.weight
+    except ValueError as exc:  # NaN at the precision boundary
+        raise ValueError(f"layer {layer.index} ({layer.name!r}): {exc}") from exc
     if layer.kind == "linear":
         out = linear(x_used, w_used, layer.bias)
     else:
@@ -316,9 +324,19 @@ def forward(
 ):
     """Run the chain on x; returns the final tensor, or a tuple per head.
 
-    stats must cover every INT8-tagged layer (see calibration). observe_fn,
-    when given, receives each indexed layer's input activation before any
-    precision transform. tape, when a list, accumulates TapeEntry records.
+    x is a plain tensor or a PillarSample. A PillarSample may stack B scenes
+    (see ``tensor_ops.stack_samples``); every layer then runs once for the
+    whole batch: the point layers on the [P_total, max_points, C] pillars of
+    all scenes, the scatter into a [B, C, H, W] pseudo-image and the convs on
+    that, so each head output is [B, F, H', W']. A single pillarized scene is
+    a batch of one, with B = 1. Scene b's outputs equal those of a forward on
+    that scene alone, bit for bit.
+
+    stats must cover every INT8-tagged layer under the layer's own name (see
+    calibration). observe_fn, when given, receives each indexed layer's
+    input activation before any precision transform. tape, when a list,
+    accumulates TapeEntry records. A NaN reaching an INT8 or FP16 layer's
+    precision transform raises ValueError naming the layer.
     """
     sample = x if isinstance(x, PillarSample) else None
     current = sample.features if sample is not None else np.asarray(x, dtype=np.float32)
@@ -338,10 +356,10 @@ def forward(
         elif layer.kind == "maxpool":
             if sample is None:
                 raise ValueError(f"maxpool layer {layer.name!r} needs a PillarSample input")
-            masked = np.where(sample.point_mask[:, :, None], source, np.float32(-np.inf))
-            winners = masked.argmax(axis=1) if tape is not None else None
             out = max_over_points(source, sample.point_mask)
             if tape is not None:
+                masked = np.where(sample.point_mask[:, :, None], source, np.float32(-np.inf))
+                winners = masked.argmax(axis=1)
                 tape.append(TapeEntry(layer=layer, x_in=source, argmax=winners, sample=sample))
         elif layer.kind == "scatter":
             if sample is None:
@@ -350,7 +368,9 @@ def forward(
                 raise ValueError(
                     f"scatter grid {layer.grid} does not match sample grid {sample.grid}"
                 )
-            out = scatter_pillars(source, sample.coords, sample.grid)
+            out = scatter_pillars(
+                source, sample.coords, sample.grid, sample.scene_ids, sample.num_scenes
+            )
             if tape is not None:
                 tape.append(TapeEntry(layer=layer, x_in=source, sample=sample))
         else:  # upsample2x

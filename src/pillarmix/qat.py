@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import ModelGraph, PrecisionPlan, TapeEntry, apply_plan, forward
 from .quant import PerChannelQuantParams, QuantParams
-from .tensor_ops import ConvParams, im2col
+from .tensor_ops import ConvParams, im2col, sigmoid
 
 __all__ = [
     "GradState",
@@ -85,10 +85,6 @@ def ste_fake_quant_backward(
     return upstream * _in_range_mask(x, qp)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
-
-
 def detection_loss(outputs, example: TrainExample, cfg: TrainConfig):
     """Weighted BCE on the class map plus MSE on box offsets at positive cells.
 
@@ -104,7 +100,7 @@ def detection_loss(outputs, example: TrainExample, cfg: TrainConfig):
         w = w * ~example.ignore_mask[None, :, :]
     bce = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     cls_loss = float((w * bce).sum() / n_pos)
-    d_cls = (cfg.cls_weight * w * (_sigmoid(z) - t) / n_pos).astype(np.float32)
+    d_cls = (cfg.cls_weight * w * (sigmoid(z) - t) / n_pos).astype(np.float32)
 
     r = reg_map[0].astype(np.float64)
     mask = example.pos_mask[None, :, :]
@@ -189,8 +185,8 @@ def _glue_backward(entry: TapeEntry, dout: np.ndarray) -> np.ndarray:
         np.put_along_axis(dx, entry.argmax[:, None, :], dout[:, None, :], axis=1)
         return dx
     if kind == "scatter":
-        coords = entry.sample.coords
-        return dout[0][:, coords[:, 0], coords[:, 1]].T.copy()
+        sample = entry.sample
+        return dout[sample.scene_ids, :, sample.coords[:, 0], sample.coords[:, 1]]
     # upsample2x: each input cell fans out to a 2x2 block
     n, c, h2, w2 = dout.shape
     return dout.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5)).astype(np.float32)

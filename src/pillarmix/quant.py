@@ -4,6 +4,9 @@ The INT8 scheme maps x to clamp(round_half_even(x / scale), -128, 127) with
 the zero point pinned at 0; the scale comes from the largest magnitude seen
 during calibration, max(|min|, |max|) / 127. FP16 layers are simulated by a
 binary16 round trip that saturates at +-65504 instead of overflowing.
+Infinities saturate in both schemes (to -128/127 codes or to +-65504); a NaN
+has no code in either, so quantize, fake_quant, fake_quant_per_channel and
+fp16_roundtrip raise ValueError on one instead of emitting a garbage number.
 """
 
 from __future__ import annotations
@@ -95,9 +98,21 @@ def compute_scale(x_min: float, x_max: float) -> QuantParams:
     return QuantParams(scale=max_abs / Q_MAX)
 
 
+def _reject_nan(x: np.ndarray) -> None:
+    nan = np.isnan(x)
+    if nan.any():
+        raise ValueError(f"{int(nan.sum())} NaN value(s) in a tensor of shape {np.shape(x)}: "
+                         "NaN has no INT8 or FP16 encoding")
+
+
 def quantize(x, qp: QuantParams):
-    """clamp(round_half_even(x / scale), -128, 127); scalar in, int out."""
-    xq = np.clip(np.rint(np.asarray(x, dtype=np.float64) / qp.scale), qp.q_min, qp.q_max)
+    """clamp(round_half_even(x / scale), -128, 127); scalar in, int out.
+
+    +-inf saturates to the end codes; NaN raises ValueError.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    _reject_nan(x)
+    xq = np.clip(np.rint(x / qp.scale), qp.q_min, qp.q_max)
     if np.ndim(x) == 0:
         return int(xq)
     return xq.astype(np.int32)
@@ -112,8 +127,18 @@ def dequantize(x_q, qp: QuantParams):
 
 
 def fake_quant(t: np.ndarray, qp: QuantParams) -> np.ndarray:
-    """Quantize-then-dequantize in real arithmetic; shape preserved, float32 out."""
-    return dequantize(quantize(t, qp), qp).astype(np.float32)
+    """Quantize-then-dequantize in real arithmetic; shape preserved, float32 out.
+
+    Equal to dequantize(quantize(t, qp), qp), computed in one float64 buffer:
+    the codes are small integers, exact in float64. NaN raises ValueError.
+    """
+    x = np.array(t, dtype=np.float64)
+    _reject_nan(x)
+    np.divide(x, qp.scale, out=x)
+    np.rint(x, out=x)
+    np.clip(x, qp.q_min, qp.q_max, out=x)
+    x *= qp.scale
+    return x.astype(np.float32)
 
 
 def weight_quant_params(weight: np.ndarray, per_channel: bool = False):
@@ -134,16 +159,22 @@ def weight_quant_params(weight: np.ndarray, per_channel: bool = False):
 
 
 def fake_quant_per_channel(weight: np.ndarray, qp: PerChannelQuantParams) -> np.ndarray:
-    """fake_quant with one scale per output channel (axis 0)."""
+    """fake_quant with one scale per output channel (axis 0); NaN raises ValueError."""
     w = np.asarray(weight, dtype=np.float64)
+    _reject_nan(w)
     scales = qp.scales.reshape((-1,) + (1,) * (w.ndim - 1))
     codes = np.clip(np.rint(w / scales), qp.q_min, qp.q_max)
     return (codes * scales).astype(np.float32)
 
 
 def fp16_roundtrip(t: np.ndarray) -> np.ndarray:
-    """Round each value to binary16 and back, saturating at +-65504."""
-    clipped = np.clip(np.asarray(t, dtype=np.float32), -FP16_MAX, FP16_MAX)
+    """Round each value to binary16 and back, saturating at +-65504 (inf included).
+
+    NaN raises ValueError.
+    """
+    t = np.asarray(t, dtype=np.float32)
+    _reject_nan(t)
+    clipped = np.clip(t, -FP16_MAX, FP16_MAX)
     return clipped.astype(np.float16).astype(np.float32)
 
 

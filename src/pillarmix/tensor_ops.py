@@ -2,12 +2,15 @@
 
 All kernels are pure functions over C-contiguous float32 ndarrays (NCHW for
 convolutions) and accumulate in float32. They are small enough to be checked
-against naive loop oracles but fast enough to run the toy detector.
+against naive loop oracles but fast enough to run the toy detector. Every
+kernel takes a batch of scenes: a stacked ``PillarSample`` carries the scene
+of each pillar, and the scatter turns it into a ``[B, C, H, W]`` pseudo-image.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -15,20 +18,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 __all__ = [
     "ConvParams",
     "PillarSample",
-    "as_tensor",
     "conv2d",
     "im2col",
     "linear",
     "max_over_points",
     "relu",
     "scatter_pillars",
+    "sigmoid",
+    "stack_samples",
     "upsample2x",
 ]
-
-
-def as_tensor(values) -> np.ndarray:
-    """Coerce to a C-contiguous float32 ndarray."""
-    return np.ascontiguousarray(values, dtype=np.float32)
 
 
 @dataclass(frozen=True)
@@ -59,22 +58,45 @@ class ConvParams:
 
 @dataclass(frozen=True)
 class PillarSample:
-    """One pillarized scene: padded per-pillar point features plus grid coords.
+    """A batch of pillarized scenes: padded per-pillar point features plus grid coords.
 
     features: [P, max_points, C] float32, zero-padded past each pillar's count
     point_mask: [P, max_points] bool, True where a real point sits
-    coords: [P, 2] int array of (row, col) grid cells, unique per pillar
-    grid: (H, W) pseudo-image extents
+    coords: [P, 2] int array of (row, col) grid cells, unique per pillar within a scene
+    grid: (H, W) pseudo-image extents, shared by every scene
+    scene_ids: [P] int, the batch position of each pillar's scene; defaults
+        to all zeros, so a single pillarized scene is a batch of one
+    num_scenes: batch size B; scenes without pillars still count
     """
 
     features: np.ndarray
     point_mask: np.ndarray
     coords: np.ndarray
     grid: tuple[int, int]
+    scene_ids: np.ndarray | None = None
+    num_scenes: int = 1
 
-    @property
-    def num_pillars(self) -> int:
-        return int(self.features.shape[0])
+    def __post_init__(self):
+        if self.scene_ids is None:
+            object.__setattr__(self, "scene_ids", np.zeros(self.features.shape[0], np.int64))
+
+
+def stack_samples(samples: Sequence[PillarSample]) -> PillarSample:
+    """Concatenate samples into one batch; scenes keep their order."""
+    if not samples:
+        raise ValueError("cannot stack an empty list of samples")
+    grids = {tuple(s.grid) for s in samples}
+    if len(grids) != 1:
+        raise ValueError(f"cannot stack samples with different grids {sorted(grids)}")
+    offsets = np.cumsum([0] + [s.num_scenes for s in samples])
+    return PillarSample(
+        features=np.concatenate([s.features for s in samples]),
+        point_mask=np.concatenate([s.point_mask for s in samples]),
+        coords=np.concatenate([np.asarray(s.coords, np.int64).reshape(-1, 2) for s in samples]),
+        grid=samples[0].grid,
+        scene_ids=np.concatenate([s.scene_ids + off for s, off in zip(samples, offsets)]),
+        num_scenes=int(offsets[-1]),
+    )
 
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -114,7 +136,11 @@ def conv2d(
 ) -> np.ndarray:
     """Cross-correlate x[N,C,H,W] with weight[F,C,kh,kw], add bias[F].
 
-    Returns [N, F, H', W'] with H', W' from ``params.out_size``.
+    Returns [N, F, H', W'] with H', W' from ``params.out_size``. The GEMM is
+    a stacked [N, H'*W', K] @ [K, F] matmul, one BLAS call per image with
+    the same M = H'*W' whatever N is: OpenBLAS sgemm rounding depends on M,
+    so one flattened [N*H'*W', K] GEMM would make an image's output depend
+    on the batch it was run in.
     """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 4 or weight.ndim != 4:
@@ -126,7 +152,7 @@ def conv2d(
     if bias.shape != (f,):
         raise ValueError(f"conv2d bias shape {bias.shape} != ({f},)")
     ho, wo = params.out_size((h, w), (kh, kw))
-    cols = im2col(x, (kh, kw), params)
+    cols = im2col(x, (kh, kw), params).reshape(n, ho * wo, c * kh * kw)
     out = cols @ weight.reshape(f, -1).T + bias
     return np.ascontiguousarray(out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
 
@@ -135,17 +161,33 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, np.float32(0.0))
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated without overflow for large |x|."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+
+
 def scatter_pillars(
-    features: np.ndarray, coords: np.ndarray, grid: tuple[int, int]
+    features: np.ndarray,
+    coords: np.ndarray,
+    grid: tuple[int, int],
+    scene_ids: np.ndarray | None = None,
+    num_scenes: int = 1,
 ) -> np.ndarray:
-    """Write pillar feature columns [P, C] into a zeroed [1, C, H, W] grid."""
+    """Write pillar feature columns [P, C] into a zeroed [B, C, H, W] grid.
+
+    Pillar p lands in scene scene_ids[p] (all scene 0 when omitted) at
+    coords[p]; two pillars may share a cell only in different scenes.
+    """
     h, w = grid
     features = np.asarray(features, dtype=np.float32)
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     p, c = features.shape
     if coords.shape[0] != p:
         raise ValueError(f"scatter got {p} pillars but {coords.shape[0]} coords")
-    out = np.zeros((1, c, h, w), dtype=np.float32)
+    scenes = np.zeros(p, np.int64) if scene_ids is None else np.asarray(scene_ids, dtype=np.int64)
+    if scenes.shape != (p,):
+        raise ValueError(f"scatter got {p} pillars but scene ids of shape {scenes.shape}")
+    out = np.zeros((num_scenes, c, h, w), dtype=np.float32)
     if p == 0:
         return out
     rows, cols = coords[:, 0], coords[:, 1]
@@ -153,10 +195,14 @@ def scatter_pillars(
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"pillar coord {tuple(coords[i])} outside grid {grid}")
-    flat = rows * w + cols
+    bad = (scenes < 0) | (scenes >= num_scenes)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"pillar scene id {scenes[i]} outside batch of {num_scenes}")
+    flat = (scenes * h + rows) * w + cols
     if len(np.unique(flat)) != p:
         raise ValueError("duplicate pillar coords")
-    out[0, :, rows, cols] = features
+    out[scenes, :, rows, cols] = features
     return out
 
 

@@ -1,0 +1,136 @@
+"""Detector: batched forward and evaluate against per-scene runs, NMS against a greedy loop."""
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from pillarmix.calibration import run_calibration
+from pillarmix.detector import (
+    EVAL_CHUNK,
+    DetectorConfig,
+    build_toy_detector,
+    decode_and_nms,
+    evaluate,
+    pillarize_dataset,
+)
+from pillarmix.metrics import DIFFICULTIES, Detection, ap40, iou_matrix
+from pillarmix.model import apply_plan, fold_all_bn, forward, parse_plan_label
+from pillarmix.scenes import CLASS_NAMES, DatasetConfig, Scene, generate_dataset
+from pillarmix.tensor_ops import sigmoid, stack_samples
+
+PLAN_LABELS = ("FP32", "FP16", "INT8", "FP16: 1")
+
+
+def reference_decode_and_nms(cls_map, reg_map, cfg, score_thresh, iou_thresh):
+    """Per-candidate decoding and greedy NMS with one 1x1 IoU per pair."""
+    n_classes, oh, ow = cls_map.shape
+    cell_h = cfg.field_size / oh
+    cell_w = cfg.field_size / ow
+    scores = sigmoid(cls_map.astype(np.float64))
+    detections = []
+    for cls in range(n_classes):
+        padded = np.pad(scores[cls], 1, constant_values=-np.inf)
+        neighborhood = np.max(
+            [padded[1 + di : oh + 1 + di, 1 + dj : ow + 1 + dj] for di in (-1, 0, 1) for dj in (-1, 0, 1)],
+            axis=0,
+        )
+        cand = []
+        for i, j in np.argwhere(scores[cls] >= neighborhood):
+            s = float(scores[cls, i, j])
+            if s < score_thresh:
+                continue
+            dx, dy, dw, dh = (float(v) for v in reg_map[:, i, j])
+            box = np.array([
+                (j + 0.5 + dx) * cell_w,
+                (i + 0.5 + dy) * cell_h,
+                cfg.base_size * math.exp(min(4.0, max(-4.0, dw))),
+                cfg.base_size * math.exp(min(4.0, max(-4.0, dh))),
+            ])
+            cand.append(Detection(box=box, class_id=cls, score=s))
+        cand.sort(key=lambda d: -d.score)
+        kept = []
+        for det in cand:
+            if any(iou_matrix(det.box[None, :], k.box[None, :])[0, 0] >= iou_thresh for k in kept):
+                continue
+            kept.append(det)
+        detections.extend(kept)
+    return detections
+
+
+def assert_same_detections(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.class_id, g.score) == (w.class_id, w.score)
+        np.testing.assert_array_equal(g.box, w.box)
+
+
+class TestDecodeAndNms:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_greedy_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        oh, ow = [(8, 8), (4, 6), (16, 16), (1, 1)][seed % 4]
+        cfg = DetectorConfig(n_classes=3)
+        # logits on a coarse grid give tied scores, both between neighbouring
+        # peaks and across the sort
+        cls_map = (rng.integers(-12, 4, size=(3, oh, ow)) / 4.0).astype(np.float32)
+        reg_map = rng.normal(scale=0.6, size=(4, oh, ow)).astype(np.float32)
+        reg_map[2:, 0, 0] = [9.0, -9.0]  # box sizes clipped at exp(+-4)
+        for score_thresh, iou_thresh in ((0.1, 0.5), (0.0, 0.0), (0.3, 1.0), (0.05, 0.2)):
+            want = reference_decode_and_nms(cls_map, reg_map, cfg, score_thresh, iou_thresh)
+            got = decode_and_nms(cls_map[None], reg_map[None], cfg, score_thresh, iou_thresh)
+            assert_same_detections(got, want)
+
+
+@pytest.fixture(scope="module")
+def batch_setup():
+    """Default detector, calibration, and EVAL_CHUNK + 3 scenes, one of them empty."""
+    cfg = DetectorConfig()
+    graph = fold_all_bn(build_toy_detector(cfg, seed=0))
+    stats = run_calibration(graph, pillarize_dataset(generate_dataset(DatasetConfig(size=4), seed=7), cfg))
+    scenes = generate_dataset(DatasetConfig(size=EVAL_CHUNK + 2), seed=8)
+    empty = Scene(points=np.zeros((0, 3), np.float32), boxes=np.zeros((0, 4), np.float32),
+                  classes=np.zeros(0, np.int64), difficulty=np.zeros(0, dtype=object))
+    scenes.insert(EVAL_CHUNK - 1, empty)
+    samples = pillarize_dataset(scenes, cfg)
+    assert samples[EVAL_CHUNK - 1].features.shape[0] == 0
+    return cfg, graph, stats, samples
+
+
+@pytest.mark.parametrize("label", PLAN_LABELS)
+def test_stacked_forward_equals_per_sample_forward(batch_setup, label):
+    cfg, graph, stats, samples = batch_setup
+    planned = apply_plan(graph, parse_plan_label(label))
+    batched = forward(planned, stack_samples(samples), stats=stats)
+    assert [h.shape[0] for h in batched] == [len(samples)] * 2
+    for i, sample in enumerate(samples):
+        for head, single in zip(batched, forward(planned, sample, stats=stats)):
+            np.testing.assert_array_equal(head[i : i + 1], single)
+
+
+@pytest.mark.parametrize("label", PLAN_LABELS)
+def test_chunked_evaluate_equals_per_scene_evaluation(batch_setup, label):
+    cfg, graph, stats, samples = batch_setup
+    plan = parse_plan_label(label)
+    planned = apply_plan(graph, plan)
+    per_scene = [decode_and_nms(*forward(planned, s, stats=stats), cfg) for s in samples]
+    # ground truth: each scene's FP32 detections, so that FP32 scores 1.0 and
+    # a scene paired with another scene's detections shows
+    fp32 = apply_plan(graph, parse_plan_label("FP32"))
+    gts = []
+    for k, sample in enumerate(samples):
+        dets = decode_and_nms(*forward(fp32, sample), cfg)
+        gts.append(SimpleNamespace(
+            boxes=np.array([d.box for d in dets]).reshape(-1, 4),
+            classes=np.array([d.class_id for d in dets], dtype=np.int64),
+            difficulty=np.array([DIFFICULTIES[(k + j) % 3] for j in range(len(dets))], dtype=object),
+        ))
+    result = evaluate(graph, plan, stats, gts, cfg, samples=samples)
+    want = {}
+    for cls_id, cls_name in enumerate(CLASS_NAMES):
+        for diff, value in ap40(per_scene, gts, cls_id, cfg.match_iou).items():
+            want[(cls_name, diff)] = value
+    assert result.ap == want
+    if label == "FP32":
+        assert set(want.values()) == {1.0}

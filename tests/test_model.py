@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pillarmix.calibration import run_calibration
+from pillarmix.calibration import load_stats, run_calibration, save_stats
 from pillarmix.model import (
     BatchNorm,
     LayerSpec,
@@ -232,6 +232,33 @@ class TestForward:
         q = apply_plan(g, PrecisionPlan(default=DType.INT8))
         with pytest.raises(RuntimeError, match="layer 1 .*'lin1'.* no quant params"):
             forward(q, np.zeros((1, 6), np.float32))
+
+    @pytest.mark.parametrize("precision", [DType.INT8, DType.FP16])
+    def test_nan_at_precision_boundary_names_layer(self, precision):
+        rng = np.random.default_rng(16)
+        g = two_layer_graph(rng)
+        stats = run_calibration(g, [rng.normal(size=(2, 6)).astype(np.float32)])
+        x = np.zeros((2, 6), dtype=np.float32)
+        x[1, 3] = np.nan
+        planned = apply_plan(g, PrecisionPlan(default=precision))
+        with pytest.raises(ValueError, match="layer 1 .*'lin1'.*NaN"):
+            forward(planned, x, stats=stats)
+        # the FP32 path has no precision boundary and stays untouched
+        assert np.isnan(forward(g, x)).any()
+
+    def test_stats_from_another_graph_rejected(self, tmp_path):
+        rng = np.random.default_rng(17)
+        g = two_layer_graph(rng)
+        save_stats(run_calibration(g, [rng.normal(size=(2, 6)).astype(np.float32)]), tmp_path / "s.json")
+        other = ModelGraph(layers=tuple(
+            dataclasses.replace(l, name=f"other.{l.name}") for l in g.layers
+        ))
+        q = apply_plan(other, PrecisionPlan(default=DType.INT8))
+        with pytest.raises(RuntimeError, match="layer 1 .*'other.lin1'.*'lin1'"):
+            forward(q, np.zeros((1, 6), np.float32), stats=load_stats(tmp_path / "s.json"))
+        # the same file drives the graph it was recorded from
+        forward(apply_plan(g, PrecisionPlan(default=DType.INT8)), np.zeros((1, 6), np.float32),
+                stats=load_stats(tmp_path / "s.json"))
 
     def test_quantizing_all_zero_input_layer_changes_nothing(self):
         rng = np.random.default_rng(14)

@@ -9,6 +9,7 @@ from pillarmix.quant import (
     FP16_MAX,
     DType,
     MinMaxObserver,
+    PerChannelQuantParams,
     QuantParams,
     compute_scale,
     dequantize,
@@ -112,6 +113,8 @@ class TestFakeQuant:
         for x, y in zip(t, fq):
             assert y == np.float32(dequantize(quantize(float(x), qp), qp))
         assert np.max(np.abs(fq - t)) <= qp.scale / 2
+        wide = rng.normal(scale=300 * qp.scale, size=256).astype(np.float32)  # saturates too
+        np.testing.assert_array_equal(fake_quant(wide, qp), dequantize(quantize(wide, qp), qp).astype(np.float32))
 
     def test_idempotent(self):
         rng = np.random.default_rng(14)
@@ -168,6 +171,36 @@ class TestFp16Roundtrip:
         out = fp16_roundtrip(t)
         assert np.all(np.isfinite(out))
         np.testing.assert_array_equal(out, [FP16_MAX, -FP16_MAX, FP16_MAX])
+
+
+class TestNanRejected:
+    """NaN has no INT8 code and no meaning after FP16: every transform raises."""
+
+    def test_fake_quant(self):
+        t = np.array([0.5, np.nan, 1.0], dtype=np.float32)
+        with pytest.raises(ValueError, match="1 NaN"):
+            fake_quant(t, QuantParams(scale=0.1))
+        with pytest.raises(ValueError, match="NaN"):
+            quantize(float("nan"), QuantParams(scale=0.1))
+
+    def test_fake_quant_per_channel(self):
+        w = np.ones((2, 3), dtype=np.float32)
+        w[1, 2] = np.nan
+        with pytest.raises(ValueError, match="1 NaN"):
+            fake_quant_per_channel(w, PerChannelQuantParams(scales=np.array([0.1, 0.2])))
+
+    def test_fp16_roundtrip(self):
+        with pytest.raises(ValueError, match="2 NaN"):
+            fp16_roundtrip(np.array([np.nan, 1.0, np.nan], dtype=np.float32))
+
+    def test_inf_still_saturates(self):
+        t = np.array([np.inf, -np.inf], dtype=np.float32)
+        np.testing.assert_array_equal(fake_quant(t, QuantParams(scale=0.5)), [63.5, -64.0])
+        np.testing.assert_array_equal(
+            fake_quant_per_channel(t.reshape(2, 1), PerChannelQuantParams(scales=np.array([0.5, 1.0]))),
+            [[63.5], [-128.0]],
+        )
+        np.testing.assert_array_equal(fp16_roundtrip(t), [FP16_MAX, -FP16_MAX])
 
 
 class TestMinMaxObserver:

@@ -5,11 +5,13 @@ import pytest
 
 from pillarmix.tensor_ops import (
     ConvParams,
+    PillarSample,
     conv2d,
     linear,
     max_over_points,
     relu,
     scatter_pillars,
+    stack_samples,
     upsample2x,
 )
 
@@ -89,6 +91,18 @@ class TestConv2d:
         want = naive_conv2d(x, wt, b, stride=stride, padding=padding)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-6
+
+    @pytest.mark.parametrize("shape", [(16, 16, 16, 3, 1), (16, 16, 8, 3, 2), (24, 32, 4, 3, 1), (5, 24, 8, 1, 1)])
+    def test_batch_equals_per_image_bit_for_bit(self, shape):
+        c, f, hw, k, stride = shape
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(17, c, hw, hw)).astype(np.float32)
+        w = rng.normal(size=(f, c, k, k)).astype(np.float32)
+        b = rng.normal(size=f).astype(np.float32)
+        params = ConvParams(stride=(stride, stride), padding=(k // 2, k // 2))
+        batched = conv2d(x, w, b, params)
+        for i in range(len(x)):
+            np.testing.assert_array_equal(batched[i : i + 1], conv2d(x[i : i + 1], w, b, params))
 
     def test_channel_mismatch_named_in_error(self):
         x = np.zeros((1, 3, 4, 4), dtype=np.float32)
@@ -180,6 +194,63 @@ class TestScatterPillars:
         feats2 = np.ones((2, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="duplicate"):
             scatter_pillars(feats2, np.array([[1, 1], [1, 1]]), (4, 4))
+
+
+    def test_batch_scatters_each_scene_into_its_own_image(self):
+        feats = np.array([[1.0], [2.0], [3.0]], dtype=np.float32)
+        coords = np.array([[0, 1], [0, 1], [1, 0]])
+        out = scatter_pillars(feats, coords, (2, 2), scene_ids=np.array([0, 2, 2]), num_scenes=3)
+        assert out.shape == (3, 1, 2, 2)
+        np.testing.assert_array_equal(out[:, 0], [[[0, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 2], [3, 0]]])
+
+    def test_batch_duplicates_and_scene_range(self):
+        feats = np.ones((2, 1), dtype=np.float32)
+        with pytest.raises(ValueError, match="duplicate"):
+            scatter_pillars(feats, np.array([[1, 1], [1, 1]]), (4, 4), np.array([1, 1]), 2)
+        with pytest.raises(ValueError, match="scene id 2 outside batch of 2"):
+            scatter_pillars(feats, np.array([[1, 1], [0, 1]]), (4, 4), np.array([0, 2]), 2)
+
+
+def _sample(n_pillars, seed, grid=(4, 4)):
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(grid[0] * grid[1], size=n_pillars, replace=False)
+    return PillarSample(
+        features=rng.normal(size=(n_pillars, 3, 2)).astype(np.float32),
+        point_mask=np.ones((n_pillars, 3), bool),
+        coords=np.stack([cells // grid[1], cells % grid[1]], axis=1),
+        grid=grid,
+    )
+
+
+class TestStackSamples:
+    def test_single_sample_is_a_batch_of_one(self):
+        s = _sample(3, 0)
+        assert s.num_scenes == 1
+        np.testing.assert_array_equal(s.scene_ids, [0, 0, 0])
+
+    def test_concatenates_and_tags_scenes(self):
+        parts = [_sample(3, 0), _sample(0, 1), _sample(2, 2)]
+        batch = stack_samples(parts)
+        assert batch.num_scenes == 3
+        np.testing.assert_array_equal(batch.scene_ids, [0, 0, 0, 2, 2])
+        np.testing.assert_array_equal(batch.features, np.concatenate([p.features for p in parts]))
+        np.testing.assert_array_equal(batch.coords, np.concatenate([p.coords for p in parts]))
+        image = scatter_pillars(batch.features[:, 0], batch.coords, batch.grid, batch.scene_ids, 3)
+        for i, part in enumerate(parts):
+            np.testing.assert_array_equal(
+                image[i : i + 1], scatter_pillars(part.features[:, 0], part.coords, part.grid)
+            )
+
+    def test_stacking_batches_offsets_scene_ids(self):
+        batch = stack_samples([stack_samples([_sample(1, 0), _sample(1, 1)]), _sample(2, 2)])
+        assert batch.num_scenes == 3
+        np.testing.assert_array_equal(batch.scene_ids, [0, 1, 2, 2])
+
+    def test_rejects_empty_and_mixed_grids(self):
+        with pytest.raises(ValueError, match="empty"):
+            stack_samples([])
+        with pytest.raises(ValueError, match="different grids"):
+            stack_samples([_sample(1, 0), _sample(1, 1, grid=(4, 8))])
 
 
 class TestGlueKernels:
