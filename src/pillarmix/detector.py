@@ -206,17 +206,7 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
     )
     stages["bbox_head"].append("bbox_head.conv_reg")
 
-    meta = {"stages": stages, "detector": DetectorConfig(  # record resolved geometry
-        grid=cfg.grid,
-        field_size=cfg.field_size,
-        max_points_per_pillar=cfg.max_points_per_pillar,
-        n_classes=cfg.n_classes,
-        base_size=cfg.base_size,
-        score_thresh=cfg.score_thresh,
-        nms_iou=cfg.nms_iou,
-        match_iou=cfg.match_iou,
-    ).to_meta()}
-    return ModelGraph(layers=tuple(layers), meta=meta)
+    return ModelGraph(layers=tuple(layers), meta={"stages": stages, "detector": cfg.to_meta()})
 
 
 def pillarize_dataset(scenes: Sequence[Scene], cfg: DetectorConfig) -> list[PillarSample]:
@@ -336,11 +326,14 @@ def evaluate(
 
     The scenes run through batched forwards of EVAL_CHUNK scenes each; a
     scene's head outputs, and so the table, do not depend on the chunking.
+    samples, when given, are the pillarized scenes of dataset, one per scene.
     """
     cfg = cfg or DetectorConfig.from_meta(graph.meta)
     planned = apply_plan(fold_all_bn(graph), plan)
     if samples is None:
         samples = pillarize_dataset(dataset, cfg)
+    if len(samples) != len(dataset):
+        raise ValueError(f"{len(samples)} pillarized samples for {len(dataset)} scenes")
     dets_per_scene = []
     for start in range(0, len(samples), EVAL_CHUNK):
         batch = stack_samples(samples[start : start + EVAL_CHUNK])

@@ -102,10 +102,15 @@ def ap40(
     ground truth once; each difficulty then counts its own ground truth and
     ignores hits on boxes of the other difficulties. Returns {difficulty: AP}
     for every label in DIFFICULTIES, with None where the slice has no ground
-    truth, so it can be excluded from means rather than counted as 0.
+    truth, so it can be excluded from means rather than counted as 0. Both
+    sequences hold one entry per scene; differing lengths raise ValueError.
     """
     if not 0.0 < iou_match < 1.0:
         raise ValueError(f"iou_match must lie in (0, 1), got {iou_match}")
+    if len(detections_per_scene) != len(gt_per_scene):
+        raise ValueError(
+            f"{len(detections_per_scene)} scenes of detections for {len(gt_per_scene)} scenes of ground truth"
+        )
     scores: list[float] = []
     hit_diff: list[str] = []  # difficulty of the matched box; "" for a false positive
     n_gt = dict.fromkeys(DIFFICULTIES, 0)

@@ -1,11 +1,13 @@
 """Layer-chain model representation with per-layer precision tags.
 
 A model is an ordered list of layers: weight layers (linear, conv2d) carry
-1-based indices and optional fused BN/ReLU; glue layers (scatter, maxpool,
-upsample2x) are precision-free. The chain may end in several head layers
-that all consume the same trunk tensor. Execution is precision-aware: INT8
-layers fake-quantize their input activation and weight, FP16 layers round
-both through binary16, FP32 layers run untouched.
+1-based indices, an optional ReLU and optional BN statistics; glue layers
+(scatter, maxpool, upsample2x) are precision-free. The chain may end in
+several head layers that all consume the same trunk tensor. BN is folded
+into the weights before execution (``fold_all_bn``); ``forward`` rejects a
+layer that still carries it. Execution is precision-aware: INT8 layers
+fake-quantize their input activation and weight, FP16 layers round both
+through binary16, FP32 layers run untouched.
 """
 
 from __future__ import annotations
@@ -236,26 +238,23 @@ def fold_all_bn(graph: ModelGraph) -> ModelGraph:
 
 @dataclass
 class TapeEntry:
-    """Per-layer forward record, enough to drive the training backward pass."""
+    """One layer's forward record, enough to drive the training backward pass.
+
+    Every layer keeps x_in, its input before any precision transform. Glue
+    layers keep the sample (scatter coordinates, maxpool point mask; the
+    maxpool winners are recomputed from x_in). Weight layers keep what the
+    kernel consumed (x_used, w_used), the INT8 (act, weight) quant params
+    (None at FP32 and FP16) and the output after the ReLU, whose positive
+    cells are those of the pre-activation.
+    """
 
     layer: LayerSpec
-    x_in: np.ndarray | None = None      # input before any precision transform
-    x_used: np.ndarray | None = None    # input actually fed to the kernel
-    w_used: np.ndarray | None = None    # weight after precision transform
-    pre_act: np.ndarray | None = None   # kernel output + bias, before ReLU
-    act_qp: QuantParams | None = None
-    weight_qp: QuantParams | PerChannelQuantParams | None = None
-    argmax: np.ndarray | None = None    # maxpool winner indices
+    x_in: np.ndarray
     sample: PillarSample | None = None
-
-
-def _apply_bn(out: np.ndarray, bn: BatchNorm, kind: str) -> np.ndarray:
-    factor = (bn.gamma / np.sqrt(bn.var + np.float32(bn.eps))).astype(np.float32)
-    if kind == "conv2d":
-        shape = (1, -1, 1, 1)
-    else:
-        shape = (1,) * (out.ndim - 1) + (-1,)
-    return (out - bn.mean.reshape(shape)) * factor.reshape(shape) + bn.beta.reshape(shape)
+    x_used: np.ndarray | None = None
+    w_used: np.ndarray | None = None
+    quant: tuple[QuantParams, QuantParams | PerChannelQuantParams] | None = None
+    out: np.ndarray | None = None
 
 
 def _layer_quant(layer: LayerSpec, stats):
@@ -273,46 +272,20 @@ def _layer_quant(layer: LayerSpec, stats):
     return entry.act_qp, entry.weight_qp
 
 
-def _run_weight_layer(layer: LayerSpec, x: np.ndarray, stats, tape: list | None):
-    act_qp = weight_qp = None
+def _kernel_inputs(layer: LayerSpec, x: np.ndarray, stats):
+    """The kernel's input and weight under the layer's precision, plus the
+    INT8 (act, weight) quant params, None at FP32 and FP16."""
     try:
         if layer.precision is DType.INT8:
-            act_qp, weight_qp = _layer_quant(layer, stats)
-            x_used = fake_quant(x, act_qp)
-            if isinstance(weight_qp, PerChannelQuantParams):
-                w_used = fake_quant_per_channel(layer.weight, weight_qp)
-            else:
-                w_used = fake_quant(layer.weight, weight_qp)
-        elif layer.precision is DType.FP16:
-            x_used = fp16_roundtrip(x)
-            w_used = fp16_roundtrip(layer.weight)
-        else:
-            x_used = x
-            w_used = layer.weight
+            act_qp, weight_qp = quant = _layer_quant(layer, stats)
+            per_channel = isinstance(weight_qp, PerChannelQuantParams)
+            quantize_weight = fake_quant_per_channel if per_channel else fake_quant
+            return fake_quant(x, act_qp), quantize_weight(layer.weight, weight_qp), quant
+        if layer.precision is DType.FP16:
+            return fp16_roundtrip(x), fp16_roundtrip(layer.weight), None
+        return x, layer.weight, None
     except ValueError as exc:  # NaN at the precision boundary
         raise ValueError(f"layer {layer.index} ({layer.name!r}): {exc}") from exc
-    if layer.kind == "linear":
-        out = linear(x_used, w_used, layer.bias)
-    else:
-        out = conv2d(x_used, w_used, layer.bias, layer.conv)
-    if layer.bn is not None:
-        out = _apply_bn(out, layer.bn, layer.kind)
-    pre_act = out
-    if layer.relu:
-        out = relu(out)
-    if tape is not None:
-        tape.append(
-            TapeEntry(
-                layer=layer,
-                x_in=x,
-                x_used=x_used,
-                w_used=w_used,
-                pre_act=pre_act,
-                act_qp=act_qp,
-                weight_qp=weight_qp,
-            )
-        )
-    return out
 
 
 def forward(
@@ -332,11 +305,13 @@ def forward(
     a batch of one, with B = 1. Scene b's outputs equal those of a forward on
     that scene alone, bit for bit.
 
-    stats must cover every INT8-tagged layer under the layer's own name (see
-    calibration). observe_fn, when given, receives each indexed layer's
-    input activation before any precision transform. tape, when a list,
-    accumulates TapeEntry records. A NaN reaching an INT8 or FP16 layer's
-    precision transform raises ValueError naming the layer.
+    Batch norm is folded before execution (``fold_all_bn``); a layer that
+    still carries BN raises ValueError naming it. stats must cover every
+    INT8-tagged layer under the layer's own name (see calibration).
+    observe_fn, when given, receives each indexed layer's input activation
+    before any precision transform. tape, when a list, gets one TapeEntry per
+    layer. A NaN reaching an INT8 or FP16 layer's precision transform raises
+    ValueError naming the layer.
     """
     sample = x if isinstance(x, PillarSample) else None
     current = sample.features if sample is not None else np.asarray(x, dtype=np.float32)
@@ -346,37 +321,41 @@ def forward(
     for layer in graph.layers:
         if layer.is_head:
             trunk = current if trunk is None else trunk
-            source = trunk
-        else:
-            source = current
+        source = trunk if layer.is_head else current
         if layer.is_weight_layer:
+            if layer.bn is not None:
+                raise ValueError(
+                    f"layer {layer.index} ({layer.name!r}) still carries batch norm; "
+                    "fold it before execution (fold_all_bn)"
+                )
             if observe_fn is not None:
                 observe_fn(layer, source)
-            out = _run_weight_layer(layer, source, stats, tape)
-        elif layer.kind == "maxpool":
-            if sample is None:
-                raise ValueError(f"maxpool layer {layer.name!r} needs a PillarSample input")
-            out = max_over_points(source, sample.point_mask)
+            x_used, w_used, quant = _kernel_inputs(layer, source, stats)
+            if layer.kind == "linear":
+                out = linear(x_used, w_used, layer.bias)
+            else:
+                out = conv2d(x_used, w_used, layer.bias, layer.conv)
+            if layer.relu:
+                out = relu(out)
             if tape is not None:
-                masked = np.where(sample.point_mask[:, :, None], source, np.float32(-np.inf))
-                winners = masked.argmax(axis=1)
-                tape.append(TapeEntry(layer=layer, x_in=source, argmax=winners, sample=sample))
-        elif layer.kind == "scatter":
-            if sample is None:
-                raise ValueError(f"scatter layer {layer.name!r} needs a PillarSample input")
-            if layer.grid is not None and tuple(layer.grid) != tuple(sample.grid):
-                raise ValueError(
-                    f"scatter grid {layer.grid} does not match sample grid {sample.grid}"
+                tape.append(TapeEntry(layer, source, x_used=x_used, w_used=w_used, quant=quant, out=out))
+        else:
+            if sample is None and layer.kind != "upsample2x":
+                raise ValueError(f"{layer.kind} layer {layer.name!r} needs a PillarSample input")
+            if layer.kind == "maxpool":
+                out = max_over_points(source, sample.point_mask)
+            elif layer.kind == "scatter":
+                if layer.grid is not None and tuple(layer.grid) != tuple(sample.grid):
+                    raise ValueError(
+                        f"scatter grid {layer.grid} does not match sample grid {sample.grid}"
+                    )
+                out = scatter_pillars(
+                    source, sample.coords, sample.grid, sample.scene_ids, sample.num_scenes
                 )
-            out = scatter_pillars(
-                source, sample.coords, sample.grid, sample.scene_ids, sample.num_scenes
-            )
+            else:  # upsample2x
+                out = upsample2x(source)
             if tape is not None:
-                tape.append(TapeEntry(layer=layer, x_in=source, sample=sample))
-        else:  # upsample2x
-            out = upsample2x(source)
-            if tape is not None:
-                tape.append(TapeEntry(layer=layer, x_in=source))
+                tape.append(TapeEntry(layer, source, sample=sample))
         if layer.is_head:
             head_outputs.append(out)
         else:
@@ -442,12 +421,18 @@ def _layer_manifest(layer: LayerSpec, blob: _BlobWriter) -> dict:
     return rec
 
 
+def _encode(graph: ModelGraph) -> tuple[list[dict], bytes]:
+    """Manifest records of the layers and the float32 blob of all their
+    arrays, in layer order: weight, bias, then BN gamma, beta, mean, var."""
+    blob = _BlobWriter()
+    records = [_layer_manifest(l, blob) for l in graph.layers]
+    return records, b"".join(blob.chunks)
+
+
 def save_model(graph: ModelGraph, path) -> Path:
     """Write the graph as <path>.mpq.json + <path>.mpq.bin; returns the manifest path."""
     manifest_path, blob_path = _blob_paths(path)
-    blob = _BlobWriter()
-    layers = [_layer_manifest(l, blob) for l in graph.layers]
-    data = b"".join(blob.chunks)
+    layers, data = _encode(graph)
     manifest = {
         "format_version": FORMAT_VERSION,
         "meta": graph.meta,
@@ -530,49 +515,11 @@ def load_model(path) -> ModelGraph:
     return ModelGraph(layers=tuple(layers), meta=manifest.get("meta", {}))
 
 
-def _arrays_equal(a: np.ndarray | None, b: np.ndarray | None) -> bool:
-    if a is None or b is None:
-        return a is b
-    return a.shape == b.shape and np.array_equal(a, b)
-
-
 def graphs_equal(a: ModelGraph, b: ModelGraph) -> bool:
     """Bit-exact structural equality, weights included."""
-    if len(a.layers) != len(b.layers) or a.meta != b.meta:
-        return False
-    for la, lb in zip(a.layers, b.layers):
-        if (la.name, la.kind, la.index, la.relu, la.is_head, la.precision, la.conv, la.grid) != (
-            lb.name,
-            lb.kind,
-            lb.index,
-            lb.relu,
-            lb.is_head,
-            lb.precision,
-            lb.conv,
-            lb.grid,
-        ):
-            return False
-        if not (_arrays_equal(la.weight, lb.weight) and _arrays_equal(la.bias, lb.bias)):
-            return False
-        if (la.bn is None) != (lb.bn is None):
-            return False
-        if la.bn is not None:
-            if la.bn.eps != lb.bn.eps:
-                return False
-            for fa in ("gamma", "beta", "mean", "var"):
-                if not _arrays_equal(getattr(la.bn, fa), getattr(lb.bn, fa)):
-                    return False
-    return True
+    return a.meta == b.meta and _encode(a) == _encode(b)
 
 
 def weights_digest(graph: ModelGraph) -> str:
-    """sha256 over all parameter bytes, in layer order."""
-    h = hashlib.sha256()
-    for l in graph.layers:
-        for arr in (l.weight, l.bias):
-            if arr is not None:
-                h.update(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        if l.bn is not None:
-            for arr in (l.bn.gamma, l.bn.beta, l.bn.mean, l.bn.var):
-                h.update(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    return h.hexdigest()
+    """sha256 over all parameter bytes, in layer order (the .mpq.bin blob)."""
+    return hashlib.sha256(_encode(graph)[1]).hexdigest()

@@ -1,10 +1,11 @@
 """Quantization-aware fine-tuning with a clipped straight-through estimator.
 
-Forward passes run through the same precision-aware executor as inference,
-recording a tape; the backward pass treats each fake-quant node as identity
-inside its clip range and zero outside (clipped STE), treats the FP16 round
-trip as identity, and descends with plain SGD. Quant scales stay frozen at
-their calibrated values throughout.
+Forward passes run through the same precision-aware executor as inference
+on a BN-folded graph, recording one ``model.TapeEntry`` per layer; the
+backward pass walks that tape in reverse, treats each fake-quant node as
+identity inside its clip range and zero outside (clipped STE), treats the
+FP16 round trip as identity, and descends with plain SGD. Quant scales stay
+frozen at their calibrated values throughout.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "TrainConfig",
     "TrainExample",
     "detection_loss",
-    "mse_loss",
     "ste_fake_quant_backward",
     "train_qat",
 ]
@@ -61,7 +61,6 @@ class TrainExample:
     reg_target: np.ndarray | None = None
     pos_mask: np.ndarray | None = None
     ignore_mask: np.ndarray | None = None
-    target: np.ndarray | None = None
 
 
 GradState = dict[int, tuple[np.ndarray, np.ndarray]]  # index -> (dW, db)
@@ -92,6 +91,10 @@ def detection_loss(outputs, example: TrainExample, cfg: TrainConfig):
     per-object gradient does not vanish as the map grows.
     """
     cls_map, reg_map = outputs
+    if cls_map.shape[0] != 1 or reg_map.shape[0] != 1:
+        raise ValueError(
+            f"detection_loss scores one scene; got head outputs {cls_map.shape} and {reg_map.shape}"
+        )
     z = cls_map[0].astype(np.float64)
     t = example.cls_target
     n_pos = max(1, int(example.pos_mask.sum()))
@@ -112,31 +115,47 @@ def detection_loss(outputs, example: TrainExample, cfg: TrainConfig):
     return loss, (d_cls[None], d_reg[None])
 
 
-def mse_loss(outputs, example: TrainExample, cfg: TrainConfig):
-    """Mean squared error against example.target (single-output graphs)."""
-    out = outputs[0] if isinstance(outputs, tuple) else outputs
-    diff = out.astype(np.float64) - example.target
-    loss = float((diff**2).mean())
-    grad = (2.0 * diff / diff.size).astype(np.float32)
-    return loss, grad
-
-
 # ---------------------------------------------------------------------------
 # Backward pass over a forward tape
 
 
-def _linear_backward(entry: TapeEntry, dout: np.ndarray):
-    x2 = entry.x_used.reshape(-1, entry.x_used.shape[-1])
-    do2 = dout.reshape(-1, dout.shape[-1])
-    dw = do2.T @ x2
-    db = do2.sum(axis=0)
-    dx = dout @ entry.w_used
-    return dx, dw, db
+def _kernel_backward(entry: TapeEntry, cols: np.ndarray, do2: np.ndarray, dx_used: np.ndarray):
+    """Input gradient and (dW, db) of a weight layer whose kernel multiplied the
+    patch rows cols by the weight, given the output gradient rows do2 and the
+    gradient dx_used of the kernel's input. INT8 applies the clipped STE of
+    both fake-quant nodes; FP32 passes through and FP16 is treated as identity."""
+    dx = dx_used
+    dw = (do2.T @ cols).reshape(entry.w_used.shape)
+    if entry.quant is not None:
+        act_qp, weight_qp = entry.quant
+        dx = ste_fake_quant_backward(entry.x_in, act_qp, dx_used)
+        dw = dw * _in_range_mask(entry.layer.weight, weight_qp)
+    return dx, (dw.astype(np.float32), do2.sum(axis=0).astype(np.float32))
 
 
-def _conv2d_backward(entry: TapeEntry, dout: np.ndarray):
+def _layer_backward(entry: TapeEntry, dout: np.ndarray):
+    """Gradient of the layer's input, and (dW, db) for a weight layer (else None)."""
+    layer = entry.layer
+    if layer.kind == "maxpool":  # the winning point of each pillar and channel takes it all
+        x = entry.x_in
+        winners = np.where(entry.sample.point_mask[:, :, None], x, np.float32(-np.inf)).argmax(axis=1)
+        dx = np.zeros_like(x)
+        np.put_along_axis(dx, winners[:, None, :], dout[:, None, :], axis=1)
+        return dx, None
+    if layer.kind == "scatter":
+        sample = entry.sample
+        return dout[sample.scene_ids, :, sample.coords[:, 0], sample.coords[:, 1]], None
+    if layer.kind == "upsample2x":  # each input cell fans out to a 2x2 block
+        n, c, h2, w2 = dout.shape
+        return dout.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5)).astype(np.float32), None
+    if layer.relu:
+        dout = dout * (entry.out > 0)
     x, w = entry.x_used, entry.w_used
-    params: ConvParams = entry.layer.conv
+    if layer.kind == "linear":
+        do2 = dout.reshape(-1, dout.shape[-1])
+        return _kernel_backward(entry, x.reshape(-1, x.shape[-1]), do2, dout @ w)
+    # conv2d: the forward's patch matrix, and the patch gradients added back onto the padded input
+    params: ConvParams = layer.conv
     sh, sw = params.stride
     ph, pw = params.padding
     n, c, h, wd = x.shape
@@ -144,8 +163,6 @@ def _conv2d_backward(entry: TapeEntry, dout: np.ndarray):
     ho, wo = dout.shape[2], dout.shape[3]
     cols = im2col(x, (kh, kw), params)  # [N*H'*W', C*kh*kw]
     do2 = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, f)
-    dw = (do2.T @ cols).reshape(w.shape)
-    db = do2.sum(axis=0)
     dcols = (do2 @ w.reshape(f, -1)).reshape(n, ho, wo, c, kh, kw)
     dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=np.float32)
     for ki in range(kh):
@@ -153,68 +170,28 @@ def _conv2d_backward(entry: TapeEntry, dout: np.ndarray):
             dxp[:, :, ki : ki + sh * ho : sh, kj : kj + sw * wo : sw] += dcols[
                 :, :, :, :, ki, kj
             ].transpose(0, 3, 1, 2)
-    dx = dxp[:, :, ph : ph + h, pw : pw + wd]
-    return dx, dw, db
-
-
-def _weight_layer_backward(entry: TapeEntry, dout: np.ndarray, grads: GradState) -> np.ndarray:
-    layer = entry.layer
-    if layer.bn is not None:
-        raise ValueError(f"layer {layer.name!r} still carries batch norm; fold before training")
-    if layer.relu:
-        dout = dout * (entry.pre_act > 0)
-    if layer.kind == "linear":
-        dx_used, dw_used, db = _linear_backward(entry, dout)
-    else:
-        dx_used, dw_used, db = _conv2d_backward(entry, dout)
-    if entry.act_qp is not None:  # int8: clipped STE through both fake-quant nodes
-        dx = ste_fake_quant_backward(entry.x_in, entry.act_qp, dx_used)
-        dw = dw_used * _in_range_mask(layer.weight, entry.weight_qp)
-    else:  # fp32 passthrough, fp16 treated as identity
-        dx = dx_used
-        dw = dw_used
-    old_w, old_b = grads.get(layer.index, (0.0, 0.0))
-    grads[layer.index] = (old_w + dw.astype(np.float32), old_b + db.astype(np.float32))
-    return dx
-
-
-def _glue_backward(entry: TapeEntry, dout: np.ndarray) -> np.ndarray:
-    kind = entry.layer.kind
-    if kind == "maxpool":
-        dx = np.zeros_like(entry.x_in)
-        np.put_along_axis(dx, entry.argmax[:, None, :], dout[:, None, :], axis=1)
-        return dx
-    if kind == "scatter":
-        sample = entry.sample
-        return dout[sample.scene_ids, :, sample.coords[:, 0], sample.coords[:, 1]]
-    # upsample2x: each input cell fans out to a 2x2 block
-    n, c, h2, w2 = dout.shape
-    return dout.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5)).astype(np.float32)
+    return _kernel_backward(entry, cols, do2, dxp[:, :, ph : ph + h, pw : pw + wd])
 
 
 def backward(tape: list[TapeEntry], d_outputs) -> GradState:
-    """Accumulate weight/bias gradients from output gradients over a tape."""
+    """Weight/bias gradients from the output gradients over a tape.
+
+    With head layers, d_outputs holds one gradient per head, in head order,
+    and the trunk gets their sum; otherwise it is the final output's gradient.
+    """
+    douts = list(d_outputs) if isinstance(d_outputs, (tuple, list)) else [d_outputs]
+    n_heads = sum(1 for entry in tape if entry.layer.is_head)
+    if n_heads and len(douts) != n_heads:
+        raise ValueError(f"{len(douts)} output gradients for {n_heads} heads")
     grads: GradState = {}
-    i = len(tape) - 1
-    if tape and tape[-1].layer.is_head:
-        douts = list(d_outputs) if isinstance(d_outputs, (tuple, list)) else [d_outputs]
-        d_trunk = None
-        while i >= 0 and tape[i].layer.is_head:
-            d_in = _weight_layer_backward(tape[i], douts.pop(), grads)
-            d_trunk = d_in if d_trunk is None else d_trunk + d_in
-            i -= 1
-        if douts:
-            raise ValueError(f"{len(douts)} output gradients left over after heads")
-        current = d_trunk
-    else:
-        current = d_outputs if not isinstance(d_outputs, (tuple, list)) else d_outputs[0]
-    while i >= 0:
-        entry = tape[i]
-        if entry.layer.is_weight_layer:
-            current = _weight_layer_backward(entry, current, grads)
-        else:
-            current = _glue_backward(entry, current)
-        i -= 1
+    current = None if n_heads else douts[0]
+    for entry in reversed(tape):
+        dout = douts.pop() if entry.layer.is_head else current
+        dx, dparams = _layer_backward(entry, dout)
+        if dparams is not None:
+            grads[entry.layer.index] = dparams
+        # the trunk's gradient is the sum over the heads that read it
+        current = current + dx if entry.layer.is_head and current is not None else dx
     return grads
 
 

@@ -134,3 +134,13 @@ def test_chunked_evaluate_equals_per_scene_evaluation(batch_setup, label):
     assert result.ap == want
     if label == "FP32":
         assert set(want.values()) == {1.0}
+
+
+def test_evaluate_rejects_samples_of_another_length(batch_setup):
+    cfg, graph, stats, samples = batch_setup
+    scenes = generate_dataset(DatasetConfig(size=12), seed=9)
+    plan = parse_plan_label("FP32")
+    with pytest.raises(ValueError, match="4 pillarized samples for 12 scenes"):
+        evaluate(graph, plan, stats, scenes, cfg, samples=pillarize_dataset(scenes, cfg)[:4])
+    with pytest.raises(ValueError, match="12 pillarized samples for 4 scenes"):
+        evaluate(graph, plan, stats, scenes[:4], cfg, samples=pillarize_dataset(scenes, cfg))

@@ -99,3 +99,10 @@ class TestAp40:
     def test_rejects_bad_iou(self):
         with pytest.raises(ValueError, match="iou_match"):
             ap40([], [], 0, iou_match=1.0)
+
+    def test_rejects_mismatched_scene_counts(self):
+        dets, gts = random_scenes(np.random.default_rng(11), n_scenes=6)
+        with pytest.raises(ValueError, match="4 scenes of detections for 6"):
+            ap40(dets[:4], gts, 0)
+        with pytest.raises(ValueError, match="6 scenes of detections for 4"):
+            ap40(dets, gts[:4], 0)

@@ -1,6 +1,7 @@
 """Model graph: BN folding, precision plans, forward execution, serialization."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pillarmix.model import (
     UnsupportedVersionError,
     apply_plan,
     dtype_boundaries,
+    fold_all_bn,
     fold_bn,
     forward,
     graphs_equal,
@@ -260,6 +262,13 @@ class TestForward:
         forward(apply_plan(g, PrecisionPlan(default=DType.INT8)), np.zeros((1, 6), np.float32),
                 stats=load_stats(tmp_path / "s.json"))
 
+    def test_unfolded_batch_norm_rejected_naming_the_layer(self):
+        rng = np.random.default_rng(18)
+        g = ModelGraph(layers=(linear_layer(1, 6, 6, rng), linear_layer(2, 6, 4, rng, bn=random_bn(4, rng))))
+        with pytest.raises(ValueError, match="layer 2 .*'lin2'.* batch norm"):
+            forward(g, np.zeros((1, 6), np.float32))
+        forward(fold_all_bn(g), np.zeros((1, 6), np.float32))
+
     def test_quantizing_all_zero_input_layer_changes_nothing(self):
         rng = np.random.default_rng(14)
         g = two_layer_graph(rng)
@@ -297,6 +306,25 @@ class TestSerialization:
         loaded = load_model(tmp_path / "toy")
         assert graphs_equal(g, loaded)
 
+    def test_digest_is_the_blob_checksum(self, tmp_path):
+        g = self.graph()
+        manifest = json.loads(save_model(g, tmp_path / "toy").read_text())
+        assert weights_digest(g) == manifest["checksum_sha256"]
+
+    def test_equality_is_bit_exact(self):
+        g = self.graph()
+        lin = g.layers[0]
+
+        def with_first(layer):
+            return dataclasses.replace(g, layers=(layer,) + g.layers[1:])
+
+        zero = np.zeros_like(lin.bias)
+        assert not graphs_equal(with_first(dataclasses.replace(lin, bias=zero)),
+                                with_first(dataclasses.replace(lin, bias=-zero)))
+        nan_bn = dataclasses.replace(lin.bn, mean=np.full_like(lin.bn.mean, np.nan))
+        with_nan = with_first(dataclasses.replace(lin, bn=nan_bn))
+        assert graphs_equal(with_nan, with_nan)
+
     def test_missing_blob(self, tmp_path):
         save_model(self.graph(), tmp_path / "toy")
         (tmp_path / "toy.mpq.bin").unlink()
@@ -319,8 +347,6 @@ class TestSerialization:
             load_model(tmp_path / "toy")
 
     def test_unknown_version(self, tmp_path):
-        import json
-
         path = save_model(self.graph(), tmp_path / "toy")
         doc = json.loads(path.read_text())
         doc["format_version"] = 99

@@ -1,14 +1,25 @@
-"""QAT backward pass: central differences, the clipped STE, and batched tapes."""
+"""QAT backward pass: central differences, the clipped STE, FP16 and INT8
+gradients, and batched tapes."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from pillarmix.calibration import CalibrationStats, run_calibration
 from pillarmix.detector import DetectorConfig, build_toy_detector, make_train_examples
-from pillarmix.model import PrecisionPlan, apply_plan, fold_all_bn, forward
+from pillarmix.model import LayerSpec, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
 from pillarmix.qat import TrainConfig, backward, detection_loss, ste_fake_quant_backward
-from pillarmix.quant import PerChannelQuantParams, QuantParams
+from pillarmix.quant import (
+    DType,
+    PerChannelQuantParams,
+    QuantParams,
+    fake_quant,
+    fake_quant_per_channel,
+    fp16_roundtrip,
+)
 from pillarmix.scenes import DatasetConfig, generate_dataset
-from pillarmix.tensor_ops import stack_samples
+from pillarmix.tensor_ops import linear, stack_samples
 
 # Largest relative error allowed between the analytic gradient and a central
 # difference with step 1e-3 through float32 forwards; the tiny detector below
@@ -92,3 +103,79 @@ def test_batched_tape_gradient_is_the_sum_over_scenes():
     for index, (dw, db) in batched.items():
         np.testing.assert_allclose(dw, want[index][0], rtol=1e-4, atol=1e-5)
         np.testing.assert_allclose(db, want[index][1], rtol=1e-4, atol=1e-5)
+
+
+def test_detection_loss_rejects_a_batch():
+    scenes = generate_dataset(DatasetConfig(size=3), seed=2)
+    examples = make_train_examples(scenes, TINY)
+    outputs = forward(tiny_graph(), stack_samples([e.sample for e in examples]))
+    with pytest.raises(ValueError, match=r"one scene; got head outputs \(3, 3, 4, 4\)"):
+        detection_loss(outputs, examples[0], TrainConfig())
+
+
+def linear_layer(index, din, dout, rng, relu=False):
+    return LayerSpec(
+        name=f"lin{index}",
+        kind="linear",
+        index=index,
+        weight=rng.normal(size=(dout, din)).astype(np.float32),
+        bias=rng.normal(size=dout).astype(np.float32),
+        relu=relu,
+    )
+
+
+def taped_grads(graph, x, d_out, stats=None):
+    tape = []
+    forward(graph, x, stats=stats, tape=tape)
+    return backward(tape, d_out)
+
+
+def test_fp16_gradients_are_the_fp32_ones_on_rounded_tensors():
+    rng = np.random.default_rng(20)
+    layer = linear_layer(1, 5, 6, rng, relu=True)
+    x = rng.normal(size=(3, 8, 5)).astype(np.float32)
+    d_out = rng.normal(size=(3, 8, 6)).astype(np.float32)
+    got = taped_grads(apply_plan(ModelGraph(layers=(layer,)), PrecisionPlan(default=DType.FP16)), x, d_out)[1]
+    rounded = ModelGraph(layers=(dataclasses.replace(layer, weight=fp16_roundtrip(layer.weight)),))
+    want = taped_grads(rounded, fp16_roundtrip(x), d_out)[1]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.float32
+        assert g.tobytes() == w.tobytes()
+    assert not np.array_equal(got[0], taped_grads(ModelGraph(layers=(layer,)), x, d_out)[1][0])
+
+
+@pytest.mark.parametrize("per_channel", [False, True])
+def test_int8_gradients_are_the_fp32_ones_on_fake_quantized_tensors_inside_the_clip_range(per_channel):
+    rng = np.random.default_rng(21)
+    lin1, lin2 = linear_layer(1, 5, 6, rng), linear_layer(2, 6, 4, rng)
+    graph = ModelGraph(layers=(lin1, lin2))
+    x = rng.normal(size=(16, 5)).astype(np.float32)
+    # calibrated on half-size inputs, so some of layer 2's inputs clip; the
+    # weight scales are shrunk so that the largest weights clip too
+    stats = run_calibration(graph, [0.5 * x], per_channel_weights=per_channel)
+    cal2 = stats[2]
+    if per_channel:
+        weight_qp = PerChannelQuantParams(scales=0.6 * cal2.weight_qp.scales)
+        w_used = fake_quant_per_channel(lin2.weight, weight_qp)
+    else:
+        weight_qp = QuantParams(scale=0.6 * cal2.weight_qp.scale)
+        w_used = fake_quant(lin2.weight, weight_qp)
+    stats = CalibrationStats(layers={1: stats[1], 2: dataclasses.replace(cal2, weight_qp=weight_qp)})
+    d_out = rng.normal(size=(16, 4)).astype(np.float32)
+    grads = taped_grads(apply_plan(graph, PrecisionPlan(overrides={2: DType.INT8})), x, d_out, stats)
+
+    x2 = linear(x, lin1.weight, lin1.bias)  # layer 2's input, before quantization
+    x2_kept = ste_fake_quant_backward(x2, cal2.act_qp, np.ones_like(x2))
+    w_kept = ste_fake_quant_backward(lin2.weight, weight_qp, np.ones_like(lin2.weight))
+    assert 0 < x2_kept.sum() < x2_kept.size and 0 < w_kept.sum() < w_kept.size
+    # layer 2: the FP32 gradients on the fake-quantized input and weight, zero
+    # at the weights outside the clip range
+    dw_fp32, db_fp32 = taped_grads(
+        ModelGraph(layers=(dataclasses.replace(lin2, index=1, weight=w_used),)),
+        fake_quant(x2, cal2.act_qp), d_out,
+    )[1]
+    np.testing.assert_array_equal(grads[2][0], dw_fp32 * w_kept)
+    np.testing.assert_array_equal(grads[2][1], db_fp32)
+    # layer 1 (FP32) sees layer 2's input gradient: d_out through the fake-quantized
+    # weight, zero at the inputs outside the clip range
+    np.testing.assert_array_equal(grads[1][0], ((d_out @ w_used) * x2_kept).T @ x)
