@@ -9,6 +9,7 @@ offsets per cell). All weight layers are indexed 1..L for precision plans.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -66,30 +67,16 @@ class DetectorConfig:
         return (h // down) * 2, (w // down) * 2
 
     def to_meta(self) -> dict:
-        return {
-            "grid": list(self.grid),
-            "field_size": self.field_size,
-            "max_points_per_pillar": self.max_points_per_pillar,
-            "n_classes": self.n_classes,
-            "base_size": self.base_size,
-            "score_thresh": self.score_thresh,
-            "nms_iou": self.nms_iou,
-            "match_iou": self.match_iou,
-        }
+        """Every field by name, tuples as lists, as the JSON model manifest stores it."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(self).items()}
 
     @staticmethod
     def from_meta(meta: dict) -> "DetectorConfig":
         det = meta["detector"]
-        return DetectorConfig(
-            grid=tuple(det["grid"]),
-            field_size=det["field_size"],
-            max_points_per_pillar=det["max_points_per_pillar"],
-            n_classes=det["n_classes"],
-            base_size=det["base_size"],
-            score_thresh=det["score_thresh"],
-            nms_iou=det["nms_iou"],
-            match_iou=det["match_iou"],
-        )
+        return DetectorConfig(**{
+            f.name: tuple(det[f.name]) if isinstance(det[f.name], list) else det[f.name]
+            for f in dataclasses.fields(DetectorConfig)
+        })
 
 
 def _bn(channels: int, rng: np.random.Generator) -> BatchNorm:

@@ -1,25 +1,27 @@
 """Quantization-aware fine-tuning with a clipped straight-through estimator.
 
-Forward passes run through the same precision-aware executor as inference
-on a BN-folded graph, recording one ``model.TapeEntry`` per layer; the
-backward pass walks that tape in reverse, treats each fake-quant node as
-identity inside its clip range and zero outside (clipped STE), treats the
-FP16 round trip as identity, and descends with plain SGD. Quant scales stay
-frozen at their calibrated values throughout.
+Each SGD step makes one pass over its stacked batch of scenes: one forward
+through the same precision-aware executor as inference on a BN-folded graph,
+recording one ``model.TapeEntry`` per layer, one loss, and one backward that
+walks the tape in reverse, treats each fake-quant node as identity inside its
+clip range and zero outside (clipped STE) and the FP16 round trip as
+identity. So weights are quantized once per step. Quant scales stay frozen at
+their calibrated values throughout.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .model import ModelGraph, PrecisionPlan, TapeEntry, apply_plan, forward
 from .quant import PerChannelQuantParams, QuantParams
-from .tensor_ops import ConvParams, im2col, sigmoid
+from .tensor_ops import ConvParams, PillarSample, im2col, sigmoid, stack_samples
 
 __all__ = [
     "GradState",
@@ -44,35 +46,38 @@ class TrainConfig:
     max_grad_norm: float = 0.0  # 0 disables clipping
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not self.max_grad_norm >= 0.0:
+            raise ValueError(f"max_grad_norm must be >= 0 (0 disables clipping), got {self.max_grad_norm}")
 
 
 @dataclass
 class TrainExample:
-    """Forward input plus whichever targets the loss function consumes."""
+    """Pillarized scenes and their ``detector.encode_targets`` targets: one
+    scene's (cls [C, H', W'], reg [4, H', W'], masks [H', W']), or a stacked
+    sample of B scenes and their targets along a leading batch axis."""
 
-    sample: Any
-    cls_target: np.ndarray | None = None
-    reg_target: np.ndarray | None = None
-    pos_mask: np.ndarray | None = None
-    ignore_mask: np.ndarray | None = None
+    sample: PillarSample
+    cls_target: np.ndarray
+    reg_target: np.ndarray
+    pos_mask: np.ndarray
+    ignore_mask: np.ndarray
 
 
 GradState = dict[int, tuple[np.ndarray, np.ndarray]]  # index -> (dW, db)
 
 
 def _in_range_mask(x: np.ndarray, qp: QuantParams | PerChannelQuantParams) -> np.ndarray:
-    if isinstance(qp, PerChannelQuantParams):
-        scales = qp.scales.reshape((-1,) + (1,) * (x.ndim - 1))
-        return ((x >= qp.q_min * scales) & (x <= qp.q_max * scales)).astype(np.float32)
-    lo = qp.q_min * qp.scale
-    hi = qp.q_max * qp.scale
-    return ((x >= lo) & (x <= hi)).astype(np.float32)
+    per_channel = isinstance(qp, PerChannelQuantParams)
+    scale = qp.scales.reshape((-1,) + (1,) * (x.ndim - 1)) if per_channel else qp.scale
+    return ((x >= qp.q_min * scale) & (x <= qp.q_max * scale)).astype(np.float32)
 
 
 def ste_fake_quant_backward(
@@ -87,32 +92,35 @@ def ste_fake_quant_backward(
 def detection_loss(outputs, example: TrainExample, cfg: TrainConfig):
     """Weighted BCE on the class map plus MSE on box offsets at positive cells.
 
-    Both terms are normalized by the number of positive cells, so the
-    per-object gradient does not vanish as the map grows.
+    outputs are the head outputs of B scenes, example their targets (one
+    scene's example is B = 1). Both terms of a scene are normalized by its own
+    number of positive cells, so the per-object gradient does not vanish as
+    the map grows. The loss is the sum over scenes, and scene b's slice of the
+    output gradients is that of the loss on scene b alone.
     """
     cls_map, reg_map = outputs
-    if cls_map.shape[0] != 1 or reg_map.shape[0] != 1:
+    t, reg_t, pos, ignore = example.cls_target, example.reg_target, example.pos_mask, example.ignore_mask
+    if t.ndim < cls_map.ndim:  # one scene's targets
+        t, reg_t, pos, ignore = t[None], reg_t[None], pos[None], ignore[None]
+    if t.shape != cls_map.shape or reg_t.shape != reg_map.shape:
         raise ValueError(
-            f"detection_loss scores one scene; got head outputs {cls_map.shape} and {reg_map.shape}"
+            f"targets {t.shape} and {reg_t.shape} do not match "
+            f"head outputs {cls_map.shape} and {reg_map.shape}"
         )
-    z = cls_map[0].astype(np.float64)
-    t = example.cls_target
-    n_pos = max(1, int(example.pos_mask.sum()))
-    w = np.where(t > 0, cfg.pos_weight, 1.0)
-    if example.ignore_mask is not None:
-        w = w * ~example.ignore_mask[None, :, :]
+    n_pos = np.maximum(1, pos.sum(axis=(1, 2)))[:, None, None, None]
+    z = cls_map.astype(np.float64)
+    w = np.where(t > 0, cfg.pos_weight, 1.0) * ~ignore[:, None]
     bce = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    cls_loss = float((w * bce).sum() / n_pos)
+    cls_loss = (w * bce).sum(axis=(1, 2, 3), keepdims=True) / n_pos
     d_cls = (cfg.cls_weight * w * (sigmoid(z) - t) / n_pos).astype(np.float32)
 
-    r = reg_map[0].astype(np.float64)
-    mask = example.pos_mask[None, :, :]
-    diff = (r - example.reg_target) * mask
-    reg_loss = float((diff**2).sum() / (4.0 * n_pos))
+    r = reg_map.astype(np.float64)
+    diff = (r - reg_t) * pos[:, None]
+    reg_loss = (diff**2).sum(axis=(1, 2, 3), keepdims=True) / (4.0 * n_pos)
     d_reg = (cfg.reg_weight * 2.0 * diff / (4.0 * n_pos)).astype(np.float32)
 
-    loss = cfg.cls_weight * cls_loss + cfg.reg_weight * reg_loss
-    return loss, (d_cls[None], d_reg[None])
+    loss = float((cfg.cls_weight * cls_loss + cfg.reg_weight * reg_loss).sum())
+    return loss, (d_cls, d_reg)
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +207,9 @@ def backward(tape: list[TapeEntry], d_outputs) -> GradState:
 # Training loop
 
 
-def _trainable_copy(graph: ModelGraph) -> ModelGraph:
-    layers = [
-        dataclasses.replace(l, weight=l.weight.copy(), bias=l.bias.copy())
-        if l.is_weight_layer
-        else l
-        for l in graph.layers
-    ]
-    return ModelGraph(layers=tuple(layers), meta=graph.meta)
+def _stack_examples(examples: Sequence[TrainExample]) -> TrainExample:
+    targets = [np.stack([getattr(e, f.name) for e in examples]) for f in dataclasses.fields(TrainExample)[1:]]
+    return TrainExample(stack_samples([e.sample for e in examples]), *targets)
 
 
 def train_qat(
@@ -220,6 +223,11 @@ def train_qat(
 ) -> tuple[ModelGraph, list[dict]]:
     """Fine-tune weights under the plan's precision; scales stay frozen.
 
+    Each SGD step stacks its batch of one-scene examples and runs one taped
+    forward, one loss_fn (which, like detection_loss, sums the losses of B
+    stacked scenes) and one backward over it. The step descends on the summed
+    gradient over len(batch), so a short last batch is scaled by its own size.
+
     Returns the tuned graph and a history of per-epoch mean train loss plus
     the evaluator score (None when no evaluator is given).
     """
@@ -227,7 +235,7 @@ def train_qat(
         raise ValueError("fold batch norm before training")
     if not data:
         raise ValueError("training data is empty")
-    g = _trainable_copy(apply_plan(graph, plan))
+    g = copy.deepcopy(apply_plan(graph, plan))  # SGD writes the weights in place
     velocity: GradState = {}
     history: list[dict] = []
     for epoch in range(cfg.epochs):
@@ -236,43 +244,34 @@ def train_qat(
         epoch_losses = []
         for b_start in range(0, len(order), cfg.batch_size):
             batch = order[b_start : b_start + cfg.batch_size]
-            acc: GradState = {}
-            batch_loss = 0.0
-            for si in batch:
-                example = data[int(si)]
-                tape: list[TapeEntry] = []
-                outputs = forward(g, example.sample, stats=stats, tape=tape)
-                loss, d_outputs = loss_fn(outputs, example, cfg)
-                if not math.isfinite(loss):
-                    raise RuntimeError(
-                        f"non-finite train loss at epoch {epoch}, "
-                        f"batch {b_start // cfg.batch_size}, sample {int(si)}"
-                    )
-                batch_loss += loss
-                for index, (dw, db) in backward(tape, d_outputs).items():
-                    old_w, old_b = acc.get(index, (0.0, 0.0))
-                    acc[index] = (old_w + dw, old_b + db)
+            example = _stack_examples([data[int(si)] for si in batch])
+            tape: list[TapeEntry] = []
+            outputs = forward(g, example.sample, stats=stats, tape=tape)
+            batch_loss, d_outputs = loss_fn(outputs, example, cfg)
+            if not math.isfinite(batch_loss):
+                raise RuntimeError(
+                    f"non-finite train loss at epoch {epoch}, "
+                    f"batch {b_start // cfg.batch_size}, samples {batch.tolist()}"
+                )
+            grads = backward(tape, d_outputs)
             inv = np.float32(1.0 / len(batch))
             if cfg.max_grad_norm > 0.0:
                 total_sq = 0.0
-                for dw, db in acc.values():
+                for dw, db in grads.values():
                     total_sq += float(((inv * dw) ** 2).sum()) + float(((inv * db) ** 2).sum())
                 total = math.sqrt(total_sq)
                 if total > cfg.max_grad_norm:
                     inv = np.float32(inv * cfg.max_grad_norm / total)
             lr = np.float32(cfg.learning_rate)
             mu = np.float32(cfg.momentum)
-            for index, (dw, db) in acc.items():
+            for index, grad in grads.items():
                 layer = g.layer_by_index(index)
-                step_w = inv * dw
-                step_b = inv * db
+                steps = tuple(inv * d for d in grad)
                 if cfg.momentum > 0.0:
-                    vw, vb = velocity.get(index, (np.float32(0.0), np.float32(0.0)))
-                    step_w = mu * vw + step_w
-                    step_b = mu * vb + step_b
-                    velocity[index] = (step_w, step_b)
-                layer.weight[...] -= lr * step_w
-                layer.bias[...] -= lr * step_b
+                    steps = tuple(mu * v + step for v, step in zip(velocity.get(index, (0, 0)), steps))
+                    velocity[index] = steps
+                for param, step in zip((layer.weight, layer.bias), steps):
+                    param -= lr * step
             epoch_losses.append(batch_loss / len(batch))
         score = float(evaluator(g, plan, stats)) if evaluator is not None else None
         history.append({"epoch": epoch, "loss": float(np.mean(epoch_losses)), "score": score})

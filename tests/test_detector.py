@@ -1,4 +1,5 @@
-"""Detector: batched forward and evaluate against per-scene runs, NMS against a greedy loop."""
+"""Detector: batched forward and evaluate against per-scene runs, NMS against a greedy loop,
+the config through the model meta."""
 
 import math
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ from pillarmix.detector import (
     pillarize_dataset,
 )
 from pillarmix.metrics import DIFFICULTIES, Detection, ap40, iou_matrix
-from pillarmix.model import apply_plan, fold_all_bn, forward, parse_plan_label
+from pillarmix.model import apply_plan, fold_all_bn, forward, graphs_equal, load_model, parse_plan_label, save_model
 from pillarmix.scenes import CLASS_NAMES, DatasetConfig, Scene, generate_dataset
 from pillarmix.tensor_ops import sigmoid, stack_samples
 
@@ -144,3 +145,15 @@ def test_evaluate_rejects_samples_of_another_length(batch_setup):
         evaluate(graph, plan, stats, scenes, cfg, samples=pillarize_dataset(scenes, cfg)[:4])
     with pytest.raises(ValueError, match="12 pillarized samples for 4 scenes"):
         evaluate(graph, plan, stats, scenes[:4], cfg, samples=pillarize_dataset(scenes, cfg))
+
+
+@pytest.mark.parametrize("cfg", [
+    DetectorConfig(),
+    DetectorConfig(grid=(8, 8), block_channels=(8, 8, 8), convs_per_block=1, pfn_channels=8, neck_channels=8),
+])
+def test_detector_config_survives_the_model_meta(cfg, tmp_path):
+    assert DetectorConfig.from_meta({"detector": cfg.to_meta()}) == cfg
+    graph = build_toy_detector(cfg, seed=0)
+    loaded = load_model(save_model(graph, tmp_path / "toy"))
+    assert graphs_equal(loaded, graph)
+    assert DetectorConfig.from_meta(loaded.meta) == cfg

@@ -1,5 +1,5 @@
 """QAT backward pass: central differences, the clipped STE, FP16 and INT8
-gradients, and batched tapes."""
+gradients, batched tapes and the detection loss of stacked scenes."""
 
 import dataclasses
 
@@ -9,7 +9,7 @@ import pytest
 from pillarmix.calibration import CalibrationStats, run_calibration
 from pillarmix.detector import DetectorConfig, build_toy_detector, make_train_examples
 from pillarmix.model import LayerSpec, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
-from pillarmix.qat import TrainConfig, backward, detection_loss, ste_fake_quant_backward
+from pillarmix.qat import TrainConfig, TrainExample, backward, detection_loss, ste_fake_quant_backward
 from pillarmix.quant import (
     DType,
     PerChannelQuantParams,
@@ -105,12 +105,35 @@ def test_batched_tape_gradient_is_the_sum_over_scenes():
         np.testing.assert_allclose(db, want[index][1], rtol=1e-4, atol=1e-5)
 
 
-def test_detection_loss_rejects_a_batch():
-    scenes = generate_dataset(DatasetConfig(size=3), seed=2)
+def stack_examples(examples):
+    return TrainExample(
+        sample=stack_samples([e.sample for e in examples]),
+        cls_target=np.stack([e.cls_target for e in examples]),
+        reg_target=np.stack([e.reg_target for e in examples]),
+        pos_mask=np.stack([e.pos_mask for e in examples]),
+        ignore_mask=np.stack([e.ignore_mask for e in examples]),
+    )
+
+
+def test_detection_loss_of_stacked_scenes_is_the_sum_of_their_own_losses():
+    scenes = generate_dataset(DatasetConfig(size=3, boxes_per_scene=(1, 4)), seed=2)
     examples = make_train_examples(scenes, TINY)
-    outputs = forward(tiny_graph(), stack_samples([e.sample for e in examples]))
-    with pytest.raises(ValueError, match=r"one scene; got head outputs \(3, 3, 4, 4\)"):
-        detection_loss(outputs, examples[0], TrainConfig())
+    assert len({int(e.pos_mask.sum()) for e in examples}) > 1  # each scene its own normalization
+    graph, cfg = tiny_graph(), TrainConfig()
+    loss, (d_cls, d_reg) = detection_loss(forward(graph, stack_samples([e.sample for e in examples])),
+                                          stack_examples(examples), cfg)
+    singles = [detection_loss(forward(graph, e.sample), e, cfg) for e in examples]
+    want = sum(l for l, _ in singles)
+    assert abs(loss - want) <= 1e-12 * abs(want)
+    for b, (_, (dc, dr)) in enumerate(singles):
+        assert d_cls[b : b + 1].tobytes() == dc.tobytes()
+        assert d_reg[b : b + 1].tobytes() == dr.tobytes()
+
+    outputs = forward(graph, stack_samples([e.sample for e in examples[:2]]))
+    with pytest.raises(ValueError, match=r"targets \(3, 3, 4, 4\) .* head outputs \(2, 3, 4, 4\)"):
+        detection_loss(outputs, stack_examples(examples), cfg)
+    with pytest.raises(ValueError, match=r"targets \(1, 3, 4, 4\) .* head outputs \(2, 3, 4, 4\)"):
+        detection_loss(outputs, examples[0], cfg)
 
 
 def linear_layer(index, din, dout, rng, relu=False):

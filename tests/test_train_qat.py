@@ -1,0 +1,151 @@
+"""train_qat: batched SGD steps against the per-sample loop, loss descent, and
+its failure on a non-finite loss."""
+
+import copy
+import re
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from pillarmix import qat
+from pillarmix.calibration import run_calibration
+from pillarmix.detector import DetectorConfig, build_toy_detector, make_train_examples
+from pillarmix.model import PrecisionPlan, apply_plan, fold_all_bn, forward, parse_plan_label, weights_digest
+from pillarmix.qat import TrainConfig, backward, detection_loss, train_qat
+from pillarmix.scenes import DatasetConfig, generate_dataset
+
+TINY = DetectorConfig(grid=(8, 8), block_channels=(8, 8, 8), convs_per_block=1, pfn_channels=8, neck_channels=8)
+
+# The batched step sums each weight's gradient over all scenes' rows in one
+# float32 product, the per-sample loop scene by scene, so the tuned weights
+# differ by float32 reassociation: a few units in the last place of each
+# weight (rtol, 8 float32 ulps) plus an absolute 1e-6 times the largest weight
+# change (a relative gradient error of 1e-6 in the steps).
+WEIGHT_RTOL = 8 * np.finfo(np.float32).eps
+STEP_ATOL = 1e-6
+
+
+def train_setup(n_scenes):
+    graph = fold_all_bn(build_toy_detector(TINY, seed=3))
+    data = make_train_examples(generate_dataset(DatasetConfig(size=n_scenes), seed=4), TINY)
+    stats = run_calibration(graph, [e.sample for e in data[:2]], seed=0)
+    return graph, data, stats
+
+
+def batch_orders(cfg, n):
+    """The scenes of each SGD step, epoch by epoch, as train_qat draws them."""
+    for epoch in range(cfg.epochs):
+        order = np.random.default_rng((cfg.seed, epoch)).permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            yield epoch, start // cfg.batch_size, order[start : start + cfg.batch_size]
+
+
+def per_sample_train_qat(graph, plan, stats, data, cfg):
+    """train_qat as one forward, loss and backward per scene, the gradients
+    summed in a dict and the step scaled by 1 / len(batch) (plain SGD)."""
+    g = copy.deepcopy(apply_plan(graph, plan))
+    epoch_losses = [[] for _ in range(cfg.epochs)]
+    for epoch, _, batch in batch_orders(cfg, len(data)):
+        acc, batch_loss = {}, 0.0
+        for i in batch:
+            tape = []
+            loss, d_outputs = detection_loss(forward(g, data[i].sample, stats=stats, tape=tape), data[i], cfg)
+            batch_loss += loss
+            for index, (dw, db) in backward(tape, d_outputs).items():
+                old_w, old_b = acc.get(index, (0.0, 0.0))
+                acc[index] = (old_w + dw, old_b + db)
+        inv, lr = np.float32(1.0 / len(batch)), np.float32(cfg.learning_rate)
+        for index, (dw, db) in acc.items():
+            layer = g.layer_by_index(index)
+            layer.weight[...] -= lr * (inv * dw)
+            layer.bias[...] -= lr * (inv * db)
+        epoch_losses[epoch].append(batch_loss / len(batch))
+    return g, [float(np.mean(losses)) for losses in epoch_losses]
+
+
+@pytest.mark.parametrize("label, n_scenes, batch_size", [
+    ("FP32", 8, 4),
+    ("FP16", 8, 4),
+    ("INT8", 8, 4),
+    ("FP16: 1", 8, 4),
+    pytest.param("FP32", 6, 4, id="FP32-short-last-batch"),
+    pytest.param("INT8", 3, 1, id="INT8-one-scene-steps"),
+])
+def test_batched_steps_match_the_per_sample_loop(monkeypatch, label, n_scenes, batch_size):
+    graph, data, stats = train_setup(n_scenes)
+    plan = parse_plan_label(label)
+    cfg = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=batch_size)
+    input_digest = weights_digest(graph)
+    steps = list(batch_orders(cfg, len(data)))
+    calls = Counter()
+
+    def checked_forward(g, sample, stats=None, tape=None):
+        outputs = forward(g, sample, stats=stats, tape=tape)
+        # scene b's head outputs equal, bit for bit, a forward on that scene alone
+        _, _, batch = steps[calls["forward"]]
+        for b, i in enumerate(batch):
+            for got, want in zip(outputs, forward(g, data[i].sample, stats=stats)):
+                assert got[b : b + 1].tobytes() == want.tobytes()
+        calls["forward"] += 1
+        return outputs
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(qat, "forward", checked_forward)
+    monkeypatch.setattr(qat, "backward", counted("backward", backward))
+    tuned, history = train_qat(graph, plan, stats, data, cfg, loss_fn=counted("loss", detection_loss))
+    monkeypatch.undo()
+
+    assert calls == {"forward": len(steps), "loss": len(steps), "backward": len(steps)}
+    assert weights_digest(graph) == input_digest
+    ref, ref_losses = per_sample_train_qat(graph, plan, stats, data, cfg)
+    np.testing.assert_allclose([h["loss"] for h in history], ref_losses, rtol=1e-6)
+    if batch_size == 1:  # nothing to reassociate
+        assert weights_digest(tuned) == weights_digest(ref) and history[-1]["loss"] == ref_losses[-1]
+    for got, want, start in zip(tuned.weight_layers, ref.weight_layers, graph.weight_layers):
+        for a, b, w0 in ((got.weight, want.weight, start.weight), (got.bias, want.bias, start.bias)):
+            atol = STEP_ATOL * float(np.abs(b - w0).max())
+            np.testing.assert_allclose(a, b, rtol=WEIGHT_RTOL, atol=atol)
+
+
+def test_one_fp32_step_lowers_the_loss_on_its_batch():
+    graph, data, _ = train_setup(4)
+    cfg = TrainConfig(learning_rate=1e-3, batch_size=4)
+
+    def batch_loss(g):
+        return sum(detection_loss(forward(g, e.sample), e, cfg)[0] for e in data) / len(data)
+
+    tuned, history = train_qat(graph, PrecisionPlan(), None, data, cfg)
+    before = batch_loss(graph)
+    assert history[0]["loss"] == pytest.approx(before, rel=1e-12)
+    assert batch_loss(tuned) < before
+
+
+def test_a_non_finite_loss_names_the_epoch_the_batch_and_its_samples():
+    graph, data, _ = train_setup(4)
+    data[2].cls_target[0, 0, 0] = np.nan
+    cfg = TrainConfig(epochs=1, batch_size=2)
+    epoch, k, batch = next(s for s in batch_orders(cfg, len(data)) if 2 in s[2])
+    want = f"epoch {epoch}, batch {k}, samples {batch.tolist()}"
+    with pytest.raises(RuntimeError, match=re.escape(want)):
+        train_qat(graph, PrecisionPlan(), None, data, cfg)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0),
+    ("batch_size", -1),
+    ("learning_rate", 0.0),
+    ("learning_rate", -1e-3),
+    ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")),
+    ("max_grad_norm", -1.0),
+    ("max_grad_norm", float("nan")),
+])
+def test_train_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
