@@ -40,15 +40,13 @@ for h in history:
 from pillarmix.detector import pillarize_dataset
 
 calib_samples_all = pillarize_dataset(calib_pool, det_cfg)
-cs = select_calib_set(len(calib_pool), n=4, seed=0)
-stats4 = run_calibration(trained, [calib_samples_all[i] for i in cs.indices])
+stats4 = run_calibration(trained, [calib_samples_all[i] for i in select_calib_set(len(calib_pool), n=4, seed=0)])
 int8 = PrecisionPlan(default=DType.INT8)
 fp16 = PrecisionPlan(default=DType.FP16)
 print(f"FP32 mAP: {evaluator(trained, fp32, None):.3f}")
 print(f"FP16 mAP: {evaluator(trained, fp16, None):.3f}")
 print(f"INT8(n=4) mAP: {evaluator(trained, int8, stats4):.3f}")
-cs_big = select_calib_set(len(calib_pool), n=1024, seed=0)
-stats1024 = run_calibration(trained, [calib_samples_all[i] for i in cs_big.indices])
+stats1024 = run_calibration(trained, [calib_samples_all[i] for i in select_calib_set(len(calib_pool), n=1024, seed=0)])
 print(f"INT8(n=1024) mAP: {evaluator(trained, int8, stats1024):.3f}")
 int8_keep1 = PrecisionPlan(default=DType.INT8, overrides={1: DType.FP32})
 print(f"INT8 keep-L1-FP32 (n=4): {evaluator(trained, int8_keep1, stats4):.3f}")

@@ -2,13 +2,11 @@
 
 from .quant import (
     DType,
-    MinMaxObserver,
     QuantParams,
     compute_scale,
     dequantize,
     fake_quant,
     fp16_roundtrip,
-    observe,
     quantize,
 )
 from .model import (
@@ -34,7 +32,6 @@ __all__ = [
     "CalibrationStats",
     "DType",
     "LayerSpec",
-    "MinMaxObserver",
     "ModelGraph",
     "PrecisionPlan",
     "QuantParams",
@@ -46,7 +43,6 @@ __all__ = [
     "forward",
     "fp16_roundtrip",
     "load_model",
-    "observe",
     "parse_plan_label",
     "quantize",
     "run_calibration",

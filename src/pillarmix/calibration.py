@@ -2,10 +2,15 @@
 
 Calibration runs the folded model in full precision over a small sample set,
 recording each indexed layer's input-activation min/max (what that layer's
-kernel consumes, post-ReLU of the previous layer). Weight quant params are
-computed once from the folded weights. Per-sample observation merges
-associatively, so subsets of a dataset can be re-calibrated from cached
-per-sample ranges without re-running forwards.
+kernel consumes, post-ReLU of the previous layer). A layer keeps one range,
+(act_min, act_max): the smallest per-sample min and the largest per-sample max,
+so subsets of a dataset can be re-calibrated from cached per-sample ranges
+without re-running forwards. The activation scale is always derived from that
+range; weight quant params are computed once from the folded weights.
+
+calib-stats.json holds per layer only what cannot be recomputed: "index",
+"name", "min", "max", and "weight_scale" (per tensor) or "weight_scales" (per
+output channel).
 """
 
 from __future__ import annotations
@@ -18,17 +23,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
-from .quant import (
-    DType,
-    MinMaxObserver,
-    PerChannelQuantParams,
-    QuantParams,
-    observe,
-    weight_quant_params,
-)
+from .quant import DType, PerChannelQuantParams, QuantParams, compute_scale, weight_quant_params
 
 __all__ = [
-    "CalibSet",
     "CalibrationStats",
     "LayerCalibration",
     "calib_size_sweep",
@@ -43,19 +40,8 @@ __all__ = [
 STATS_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class CalibSet:
-    """Indices of the calibration samples drawn from a dataset."""
-
-    indices: tuple[int, ...]
-    seed: int
-    n: int
-    dataset_size: int
-    nested: bool = False
-
-
-def select_calib_set(dataset_size: int, n: int = 4, seed: int = 0, nested: bool = False) -> CalibSet:
-    """Draw n distinct sample indices, uniformly without replacement.
+def select_calib_set(dataset_size: int, n: int = 4, seed: int = 0, nested: bool = False) -> tuple[int, ...]:
+    """Draw n distinct sample indices of a dataset, uniformly without replacement.
 
     nested=True draws a prefix of a seed-fixed permutation, so the set for a
     smaller n is contained in the set for any larger n under the same seed.
@@ -67,22 +53,22 @@ def select_calib_set(dataset_size: int, n: int = 4, seed: int = 0, nested: bool 
         indices = rng.permutation(dataset_size)[:n]
     else:
         indices = rng.choice(dataset_size, size=n, replace=False)
-    return CalibSet(
-        indices=tuple(int(i) for i in indices),
-        seed=seed,
-        n=n,
-        dataset_size=dataset_size,
-        nested=nested,
-    )
+    return tuple(int(i) for i in indices)
 
 
 @dataclass(frozen=True)
 class LayerCalibration:
+    """One layer's calibrated input range; act_qp is derived from it (compute_scale)."""
+
     index: int
     name: str
-    observer: MinMaxObserver
-    act_qp: QuantParams
+    act_min: float
+    act_max: float
     weight_qp: QuantParams | PerChannelQuantParams
+    act_qp: QuantParams = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "act_qp", compute_scale(self.act_min, self.act_max))
 
 
 @dataclass(frozen=True)
@@ -134,21 +120,18 @@ def stats_from_ranges(
     seed: int = 0,
     per_channel_weights: bool = False,
 ) -> CalibrationStats:
-    """Merge per-sample ranges into observers and derive all quant params."""
+    """Each layer's range over the samples (Python min/max in sample order) and its quant params."""
     if not ranges:
         raise ValueError("calibration needs at least one sample")
     folded = fold_all_bn(graph)
     layers: dict[int, LayerCalibration] = {}
     for layer in folded.weight_layers:
-        obs = MinMaxObserver()
-        for sample_ranges in ranges:
-            lo, hi = sample_ranges[layer.index]
-            obs = obs.merge(MinMaxObserver(running_min=lo, running_max=hi, count=1))
+        layer_ranges = [sample_ranges[layer.index] for sample_ranges in ranges]
         layers[layer.index] = LayerCalibration(
             index=layer.index,
             name=layer.name,
-            observer=obs,
-            act_qp=obs.quant_params(),
+            act_min=min(lo for lo, _ in layer_ranges),
+            act_max=max(hi for _, hi in layer_ranges),
             weight_qp=weight_quant_params(layer.weight, per_channel=per_channel_weights),
         )
     return CalibrationStats(layers=layers, n_samples=len(ranges), seed=seed)
@@ -177,10 +160,8 @@ def save_stats(stats: CalibrationStats, path) -> Path:
         rec = {
             "index": entry.index,
             "name": entry.name,
-            "min": entry.observer.running_min,
-            "max": entry.observer.running_max,
-            "count": entry.observer.count,
-            "scale": entry.act_qp.scale,
+            "min": entry.act_min,
+            "max": entry.act_max,
         }
         if isinstance(entry.weight_qp, PerChannelQuantParams):
             rec["weight_scales"] = [float(s) for s in entry.weight_qp.scales]
@@ -198,26 +179,38 @@ def save_stats(stats: CalibrationStats, path) -> Path:
 
 
 def load_stats(path) -> CalibrationStats:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format_version") != STATS_FORMAT_VERSION:
-        raise ValueError(f"unsupported calibration stats version {doc.get('format_version')!r}")
-    layers: dict[int, LayerCalibration] = {}
-    for rec in doc["layers"]:
-        obs = MinMaxObserver(
-            running_min=rec["min"], running_max=rec["max"], count=rec["count"]
-        )
-        if "weight_scales" in rec:
-            weight_qp = PerChannelQuantParams(scales=np.asarray(rec["weight_scales"]))
-        else:
-            weight_qp = QuantParams(scale=rec["weight_scale"])
-        layers[rec["index"]] = LayerCalibration(
-            index=rec["index"],
-            name=rec["name"],
-            observer=obs,
-            act_qp=QuantParams(scale=rec["scale"]),
-            weight_qp=weight_qp,
-        )
-    return CalibrationStats(layers=layers, n_samples=doc["n_samples"], seed=doc["seed"])
+    """Read a calib-stats.json written by save_stats; act_qp comes from each stored range.
+
+    Malformed JSON, an unknown version, a missing key or a value of the wrong
+    type, and a non-finite or inverted range raise ValueError naming the file
+    (and the layer, for a layer's record). Other keys, such as the "count" and "scale" that files
+    from before the scale was derived hold, are ignored.
+    """
+    path = Path(path)
+    where = ""
+    try:
+        doc = json.loads(path.read_text())
+        if doc.get("format_version") != STATS_FORMAT_VERSION:
+            raise ValueError(f"unsupported format version {doc.get('format_version')!r}")
+        layers: dict[int, LayerCalibration] = {}
+        for rec in doc["layers"]:
+            where = f", layer {rec.get('index')}"
+            if "weight_scales" in rec:
+                weight_qp = PerChannelQuantParams(scales=np.asarray(rec["weight_scales"]))
+            else:
+                weight_qp = QuantParams(scale=rec["weight_scale"])
+            layers[rec["index"]] = LayerCalibration(
+                index=rec["index"],
+                name=rec["name"],
+                act_min=rec["min"],
+                act_max=rec["max"],
+                weight_qp=weight_qp,
+            )
+        where = ""
+        return CalibrationStats(layers=layers, n_samples=doc["n_samples"], seed=doc["seed"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValueError(f"calibration stats {path}{where}: {detail}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +239,13 @@ def calib_size_sweep(
     rows: list[dict] = []
     for seed in seeds:
         for n in sizes:
-            calib = select_calib_set(len(dataset), n=n, seed=seed, nested=nested)
-            missing = [i for i in calib.indices if i not in cache]
+            indices = select_calib_set(len(dataset), n=n, seed=seed, nested=nested)
+            missing = [i for i in indices if i not in cache]
             if missing:
                 for i, ranges in zip(missing, per_sample_ranges(graph, [dataset[i] for i in missing])):
                     cache[i] = ranges
             stats = stats_from_ranges(
-                graph, [cache[i] for i in calib.indices], seed=seed
+                graph, [cache[i] for i in indices], seed=seed
             )
             score = float(evaluator(stats))
             for index in stats.indices():
@@ -261,7 +254,7 @@ def calib_size_sweep(
                         "n": n,
                         "seed": seed,
                         "layer": index,
-                        "max_observed": stats[index].observer.running_max,
+                        "max_observed": stats[index].act_max,
                         "score": score,
                     }
                 )

@@ -58,6 +58,12 @@ class DetectorConfig:
     nms_iou: float = 0.5
     match_iou: float = 0.5
 
+    def __post_init__(self):
+        if not (0.0 <= self.score_thresh <= 1.0 and 0.0 <= self.nms_iou <= 1.0):
+            raise ValueError(
+                f"score_thresh and nms_iou must lie in [0, 1], got {self.score_thresh}, {self.nms_iou}"
+            )
+
     @property
     def out_grid(self) -> tuple[int, int]:
         h, w = self.grid
@@ -93,7 +99,6 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
     """Fresh detector with He-initialized weights and plausible BN stats."""
     rng = np.random.default_rng(seed)
     layers: list[LayerSpec] = []
-    stages: dict[str, list[str]] = {s: [] for s in ("voxel_encoder", "middle_encoder", "backbone", "neck", "bbox_head")}
     index = 1
 
     def he_linear(dout, din):
@@ -120,12 +125,9 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
             relu=True,
         )
     )
-    stages["voxel_encoder"].append(name)
     index += 1
     layers.append(LayerSpec(name="voxel_encoder.maxpool", kind="maxpool"))
-    stages["voxel_encoder"].append("voxel_encoder.maxpool")
     layers.append(LayerSpec(name="middle_encoder.scatter", kind="scatter", grid=cfg.grid))
-    stages["middle_encoder"].append("middle_encoder.scatter")
 
     cin = cfg.pfn_channels
     for b, (cout, stride) in enumerate(zip(cfg.block_channels, cfg.block_strides)):
@@ -143,12 +145,10 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
                     conv=ConvParams(stride=(stride, stride) if c == 0 else (1, 1), padding=(1, 1)),
                 )
             )
-            stages["backbone"].append(name)
             index += 1
             cin = cout
 
     layers.append(LayerSpec(name="neck.upsample", kind="upsample2x"))
-    stages["neck"].append("neck.upsample")
     name = "neck.conv"
     layers.append(
         LayerSpec(
@@ -162,7 +162,6 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
             conv=ConvParams(stride=(1, 1), padding=(1, 1)),
         )
     )
-    stages["neck"].append(name)
     index += 1
     cin = cfg.neck_channels
 
@@ -178,7 +177,6 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
             is_head=True,
         )
     )
-    stages["bbox_head"].append("bbox_head.conv_cls")
     index += 1
     layers.append(
         LayerSpec(
@@ -191,9 +189,8 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
             is_head=True,
         )
     )
-    stages["bbox_head"].append("bbox_head.conv_reg")
 
-    return ModelGraph(layers=tuple(layers), meta={"stages": stages, "detector": cfg.to_meta()})
+    return ModelGraph(layers=tuple(layers), meta={"detector": cfg.to_meta()})
 
 
 def pillarize_dataset(scenes: Sequence[Scene], cfg: DetectorConfig) -> list[PillarSample]:
@@ -247,33 +244,23 @@ def _local_peaks(score_maps: np.ndarray) -> np.ndarray:
     return score_maps >= neighborhood
 
 
-def decode_and_nms(
-    cls_map: np.ndarray,
-    reg_map: np.ndarray,
-    cfg: DetectorConfig,
-    score_thresh: float | None = None,
-    iou_thresh: float | None = None,
-) -> list[Detection]:
+def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig) -> list[Detection]:
     """Local-peak box decoding followed by per-class greedy NMS.
 
     cls_map [C, H', W'] (or [1, C, H', W']) holds one scene's class logits,
     reg_map its 4 box offsets per cell. Per class, the peaks scoring at least
-    score_thresh are visited by descending score (ties in row-major cell
+    cfg.score_thresh are visited by descending score (ties in row-major cell
     order), and each is kept unless its IoU with an already kept box of the
-    class reaches iou_thresh. One IoU matrix over the class's candidates
+    class reaches cfg.nms_iou. One IoU matrix over the class's candidates
     serves the whole greedy pass.
     """
-    score_thresh = cfg.score_thresh if score_thresh is None else score_thresh
-    iou_thresh = cfg.nms_iou if iou_thresh is None else iou_thresh
-    if not (0.0 <= score_thresh <= 1.0 and 0.0 <= iou_thresh <= 1.0):
-        raise ValueError(f"thresholds must lie in [0, 1], got {score_thresh}, {iou_thresh}")
     logits = cls_map[0] if cls_map.ndim == 4 else cls_map
     reg = reg_map[0] if reg_map.ndim == 4 else reg_map
     n_classes, oh, ow = logits.shape
     cell_h = cfg.field_size / oh
     cell_w = cfg.field_size / ow
     scores = sigmoid(logits.astype(np.float64))
-    candidates = _local_peaks(scores) & (scores >= score_thresh)
+    candidates = _local_peaks(scores) & (scores >= cfg.score_thresh)
     detections: list[Detection] = []
     for cls in range(n_classes):
         rows, cols = np.nonzero(candidates[cls])
@@ -289,7 +276,7 @@ def decode_and_nms(
             [cfg.base_size * math.exp(min(4.0, max(-4.0, float(v)))) for v in dw],
             [cfg.base_size * math.exp(min(4.0, max(-4.0, float(v)))) for v in dh],
         ], axis=1)
-        overlaps = iou_matrix(boxes, boxes) >= iou_thresh
+        overlaps = iou_matrix(boxes, boxes) >= cfg.nms_iou
         kept: list[int] = []
         for k in range(len(boxes)):
             if not overlaps[k, kept].any():

@@ -171,15 +171,24 @@ class PrecisionPlan:
 
 
 def parse_plan_label(label: str) -> PrecisionPlan:
-    """Parse 'FP32' / 'FP16' / 'INT8' / 'FP16: 1,22,3' into a plan."""
+    """Parse any label that PrecisionPlan.label() emits back into its plan.
+
+    'FP32' / 'FP16' / 'INT8'; 'FP16: 1,22,3' (INT8 with those layers in FP16);
+    '<DEFAULT> except i=dtype,...', e.g. 'INT8 except 1=fp32'.
+    """
     text = label.strip()
-    upper = text.upper()
-    if upper in ("FP32", "FP16", "INT8"):
-        return PrecisionPlan(default=DType(upper.lower()))
-    if upper.startswith("FP16:"):
-        indices = [int(tok) for tok in text.split(":", 1)[1].split(",") if tok.strip()]
-        return PrecisionPlan(default=DType.INT8, overrides={i: DType.FP16 for i in indices})
-    raise ValueError(f"unrecognized plan label {label!r}")
+    try:
+        if text.upper().startswith("FP16:"):
+            indices = [int(tok) for tok in text.split(":", 1)[1].split(",") if tok.strip()]
+            return PrecisionPlan(default=DType.INT8, overrides={i: DType.FP16 for i in indices})
+        default, sep, rest = text.partition(" except ")
+        overrides = {}
+        for tok in rest.split(",") if sep else ():
+            index, _, dtype = tok.partition("=")
+            overrides[int(index)] = DType(dtype.strip().lower())
+        return PrecisionPlan(default=DType(default.strip().lower()), overrides=overrides)
+    except ValueError as exc:
+        raise ValueError(f"unrecognized plan label {label!r}") from exc
 
 
 def apply_plan(graph: ModelGraph, plan: PrecisionPlan) -> ModelGraph:

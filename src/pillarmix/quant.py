@@ -1,8 +1,9 @@
-"""Symmetric INT8 quantization math, FP16 simulation, and min/max observers.
+"""Symmetric INT8 quantization math and FP16 simulation.
 
 The INT8 scheme maps x to clamp(round_half_even(x / scale), -128, 127) with
-the zero point pinned at 0; the scale comes from the largest magnitude seen
-during calibration, max(|min|, |max|) / 127. FP16 layers are simulated by a
+the zero point pinned at 0; compute_scale derives the scale from a range,
+max(|min|, |max|) / 127 (an activation's range is its calibrated (min, max),
+see calibration.py; a weight's is its own). FP16 layers are simulated by a
 binary16 round trip that saturates at +-65504 instead of overflowing.
 Infinities saturate in both schemes (to -128/127 codes or to +-65504); a NaN
 has no code in either, so quantize, fake_quant, fake_quant_per_channel and
@@ -20,7 +21,6 @@ import numpy as np
 __all__ = [
     "DType",
     "FP16_MAX",
-    "MinMaxObserver",
     "PerChannelQuantParams",
     "Q_MAX",
     "Q_MIN",
@@ -30,7 +30,6 @@ __all__ = [
     "fake_quant",
     "fake_quant_per_channel",
     "fp16_roundtrip",
-    "observe",
     "quantize",
     "weight_quant_params",
 ]
@@ -85,17 +84,16 @@ class PerChannelQuantParams:
 def compute_scale(x_min: float, x_max: float) -> QuantParams:
     """Derive the symmetric scale max(|x_min|, |x_max|) / 127.
 
-    A degenerate all-zero range falls back to scale 1.0; every value of such
-    a tensor quantizes to 0 regardless of the scale chosen.
+    A degenerate all-zero range, or one so small that the scale underflows to
+    0 (max_abs below about 3.2e-322), falls back to scale 1.0; every value of
+    such a tensor quantizes to 0 regardless of the scale chosen.
     """
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise ValueError(f"non-finite calibration range ({x_min}, {x_max})")
     if x_min > x_max:
         raise ValueError(f"calibration range has min {x_min} > max {x_max}")
-    max_abs = max(abs(x_min), abs(x_max))
-    if max_abs == 0.0:
-        return QuantParams(scale=1.0)
-    return QuantParams(scale=max_abs / Q_MAX)
+    scale = max(abs(x_min), abs(x_max)) / Q_MAX
+    return QuantParams(scale=scale if scale > 0.0 else 1.0)
 
 
 def _reject_nan(x: np.ndarray) -> None:
@@ -153,8 +151,8 @@ def weight_quant_params(weight: np.ndarray, per_channel: bool = False):
     if not per_channel:
         return compute_scale(float(w.min(initial=0.0)), float(w.max(initial=0.0)))
     flat = w.reshape(w.shape[0], -1)
-    max_abs = np.abs(flat).max(axis=1)
-    scales = np.where(max_abs == 0.0, 1.0, max_abs / Q_MAX)
+    scales = np.abs(flat).max(axis=1) / Q_MAX
+    scales = np.where(scales > 0.0, scales, 1.0)  # the same fallback as compute_scale
     return PerChannelQuantParams(scales=scales)
 
 
@@ -176,44 +174,3 @@ def fp16_roundtrip(t: np.ndarray) -> np.ndarray:
     _reject_nan(t)
     clipped = np.clip(t, -FP16_MAX, FP16_MAX)
     return clipped.astype(np.float16).astype(np.float32)
-
-
-@dataclass(frozen=True)
-class MinMaxObserver:
-    """Running min/max over observed tensors; count == 0 is the empty sentinel."""
-
-    running_min: float = math.inf
-    running_max: float = -math.inf
-    count: int = 0
-
-    @property
-    def is_empty(self) -> bool:
-        return self.count == 0
-
-    def merge(self, other: "MinMaxObserver") -> "MinMaxObserver":
-        if other.is_empty:
-            return self
-        if self.is_empty:
-            return other
-        return MinMaxObserver(
-            running_min=min(self.running_min, other.running_min),
-            running_max=max(self.running_max, other.running_max),
-            count=self.count + other.count,
-        )
-
-    def quant_params(self) -> QuantParams:
-        if self.is_empty:
-            raise ValueError("cannot derive quant params from an empty observer")
-        return compute_scale(self.running_min, self.running_max)
-
-
-def observe(obs: MinMaxObserver, t: np.ndarray) -> MinMaxObserver:
-    """Widen the observer to cover every element of t; count goes up by one."""
-    t = np.asarray(t)
-    if t.size == 0:
-        return obs
-    t_min = float(t.min())
-    t_max = float(t.max())
-    if not (math.isfinite(t_min) and math.isfinite(t_max)):
-        raise ValueError("observed tensor contains non-finite values")
-    return obs.merge(MinMaxObserver(running_min=t_min, running_max=t_max, count=1))

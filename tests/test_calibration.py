@@ -1,7 +1,12 @@
-"""Calibration-set selection, range collection, and sweep machinery."""
+"""Calibration-set selection, range collection, stats files, and sweep machinery."""
+
+import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pillarmix.calibration import (
     calib_size_sweep,
@@ -13,7 +18,7 @@ from pillarmix.calibration import (
     stats_from_ranges,
 )
 from pillarmix.model import LayerSpec, ModelGraph
-from pillarmix.quant import PerChannelQuantParams
+from pillarmix.quant import PerChannelQuantParams, QuantParams
 
 
 def chain(rng, widths=(6, 6, 4)):
@@ -36,25 +41,23 @@ def chain(rng, widths=(6, 6, 4)):
 
 class TestSelectCalibSet:
     def test_full_set(self):
-        cs = select_calib_set(10, n=10, seed=3)
-        assert sorted(cs.indices) == list(range(10))
+        assert sorted(select_calib_set(10, n=10, seed=3)) == list(range(10))
 
     def test_deterministic(self):
         a = select_calib_set(100, n=4, seed=9)
         b = select_calib_set(100, n=4, seed=9)
-        assert a.indices == b.indices
+        assert a == b
 
     def test_default_n_is_four(self):
-        assert select_calib_set(100).n == 4
+        assert len(select_calib_set(100)) == 4
 
     def test_without_replacement(self):
-        cs = select_calib_set(50, n=20, seed=1)
-        assert len(set(cs.indices)) == 20
+        assert len(set(select_calib_set(50, n=20, seed=1))) == 20
 
     def test_nested_prefix_property(self):
         small = select_calib_set(200, n=4, seed=5, nested=True)
         large = select_calib_set(200, n=64, seed=5, nested=True)
-        assert large.indices[:4] == small.indices
+        assert large[:4] == small
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -83,7 +86,7 @@ class TestRunCalibration:
         ranges = per_sample_ranges(g, [a]) + per_sample_ranges(g, [b])
         merged = stats_from_ranges(g, ranges)
         for i in both.indices():
-            assert both[i].observer == merged[i].observer
+            assert (both[i].act_min, both[i].act_max) == (merged[i].act_min, merged[i].act_max)
             assert both[i].act_qp == merged[i].act_qp
 
     def test_scale_obeys_formula_exactly(self):
@@ -91,8 +94,7 @@ class TestRunCalibration:
         g = chain(rng)
         x = rng.normal(size=(4, 6)).astype(np.float32)
         stats = run_calibration(g, [x])
-        obs = stats[1].observer
-        assert stats[1].act_qp.scale == max(abs(obs.running_min), abs(obs.running_max)) / 127.0
+        assert stats[1].act_qp.scale == max(abs(stats[1].act_min), abs(stats[1].act_max)) / 127.0
 
     def test_non_finite_activation_names_layer_and_sample(self):
         rng = np.random.default_rng(5)
@@ -122,6 +124,55 @@ class TestRunCalibration:
         assert isinstance(stats[1].weight_qp, PerChannelQuantParams)
 
 
+RANGE_GRAPH = chain(np.random.default_rng(20))
+
+
+def per_sample(pairs):
+    """Per-sample ranges of RANGE_GRAPH's two layers from (lo1, hi1, lo2, hi2) tuples."""
+    return [{1: (lo1, hi1), 2: (lo2, hi2)} for lo1, hi1, lo2, hi2 in pairs]
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+sample_range = st.tuples(finite, finite).map(sorted)
+sample_ranges = st.lists(
+    st.tuples(sample_range, sample_range).map(lambda r: (*r[0], *r[1])), min_size=1, max_size=8
+)
+
+
+class TestStatsFromRanges:
+    def test_interior_sample_does_not_widen(self):
+        stats = stats_from_ranges(RANGE_GRAPH, per_sample([(-1.0, 3.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.5)]))
+        assert (stats[1].act_min, stats[1].act_max) == (-1.0, 3.0)
+        assert (stats[2].act_min, stats[2].act_max) == (0.0, 1.0)
+
+    def test_sample_order_decides_signed_zero(self):
+        # -0.0 == 0.0, so the first sample's zero is kept, bit for bit
+        first_pos = stats_from_ranges(RANGE_GRAPH, per_sample([(0.0, 0.0, 0.0, 0.0), (-0.0, -0.0, -0.0, -0.0)]))
+        first_neg = stats_from_ranges(RANGE_GRAPH, per_sample([(-0.0, -0.0, -0.0, -0.0), (0.0, 0.0, 0.0, 0.0)]))
+        assert math.copysign(1.0, first_pos[1].act_min) == math.copysign(1.0, first_pos[1].act_max) == 1.0
+        assert math.copysign(1.0, first_neg[1].act_min) == math.copysign(1.0, first_neg[1].act_max) == -1.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(pairs=sample_ranges, data=st.data())
+    def test_any_sample_order_gives_the_same_stats(self, pairs, data):
+        shuffled = data.draw(st.permutations(pairs))
+        assert stats_from_ranges(RANGE_GRAPH, per_sample(shuffled)) == stats_from_ranges(
+            RANGE_GRAPH, per_sample(pairs)
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(pairs=sample_ranges)
+    def test_range_is_the_elementwise_min_and_max(self, pairs):
+        stats = stats_from_ranges(RANGE_GRAPH, per_sample(pairs))
+        cols = np.array(pairs)
+        for index, (lo_col, hi_col) in ((1, (0, 1)), (2, (2, 3))):
+            assert stats[index].act_min == cols[:, lo_col].min()
+            assert stats[index].act_max == cols[:, hi_col].max()
+            assert stats[index].act_qp == QuantParams(
+                scale=max(abs(stats[index].act_min), abs(stats[index].act_max)) / 127.0 or 1.0
+            )
+
+
 class TestNestedMonotonicity:
     def test_supersets_widen_ranges(self):
         rng = np.random.default_rng(10)
@@ -132,13 +183,42 @@ class TestNestedMonotonicity:
             prev_max = {i: -np.inf for i in (1, 2)}
             prev_min = {i: np.inf for i in (1, 2)}
             for n in (2, 8, 32, 64):
-                cs = select_calib_set(64, n=n, seed=seed, nested=True)
-                stats = stats_from_ranges(g, [ranges[i] for i in cs.indices])
+                chosen = select_calib_set(64, n=n, seed=seed, nested=True)
+                stats = stats_from_ranges(g, [ranges[i] for i in chosen])
                 for i in (1, 2):
-                    assert stats[i].observer.running_max >= prev_max[i]
-                    assert stats[i].observer.running_min <= prev_min[i]
-                    prev_max[i] = stats[i].observer.running_max
-                    prev_min[i] = stats[i].observer.running_min
+                    assert stats[i].act_max >= prev_max[i]
+                    assert stats[i].act_min <= prev_min[i]
+                    prev_max[i] = stats[i].act_max
+                    prev_min[i] = stats[i].act_min
+
+
+# written before the activation scale was derived from the range, with "count" and "scale"
+OLD_STATS_FILE = """{
+  "format_version": 1,
+  "layers": [
+    {
+      "count": 2,
+      "index": 1,
+      "max": 1.4210344552993774,
+      "min": -2.940431833267212,
+      "name": "lin1",
+      "scale": 0.023153006561159147,
+      "weight_scale": 0.008595330508675163
+    },
+    {
+      "count": 2,
+      "index": 2,
+      "max": 2.5669028759002686,
+      "min": 0.0,
+      "name": "lin2",
+      "scale": 0.02021183366850605,
+      "weight_scale": 0.00678373884966993
+    }
+  ],
+  "n_samples": 2,
+  "seed": 4
+}
+"""
 
 
 class TestStatsSerialization:
@@ -151,9 +231,7 @@ class TestStatsSerialization:
         loaded = load_stats(path)
         assert loaded.seed == 5 and loaded.n_samples == 2
         for i in stats.indices():
-            assert loaded[i].observer == stats[i].observer
-            assert loaded[i].act_qp == stats[i].act_qp
-            assert loaded[i].weight_qp == stats[i].weight_qp
+            assert loaded[i] == stats[i]
 
     def test_round_trip_per_channel(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -168,6 +246,50 @@ class TestStatsSerialization:
         p = tmp_path / "s.json"
         p.write_text('{"format_version": 9, "layers": [], "seed": 0, "n_samples": 0}')
         with pytest.raises(ValueError, match="version"):
+            load_stats(p)
+
+    def test_file_holds_only_range_and_weight_scale(self, tmp_path):
+        g = chain(np.random.default_rng(21))
+        stats = run_calibration(g, [np.random.default_rng(22).normal(size=(3, 6)).astype(np.float32)])
+        doc = json.loads(save_stats(stats, tmp_path / "s.json").read_text())
+        assert [sorted(rec) for rec in doc["layers"]] == [["index", "max", "min", "name", "weight_scale"]] * 2
+
+    def test_file_with_count_and_scale_still_loads(self, tmp_path):
+        rng = np.random.default_rng(21)
+        g = chain(rng)
+        stats = run_calibration(g, [rng.normal(size=(3, 6)).astype(np.float32) for _ in range(2)], seed=4)
+        doc = json.loads(OLD_STATS_FILE)
+        p = tmp_path / "old.json"
+        p.write_text(OLD_STATS_FILE)
+        assert load_stats(p) == stats
+        # the stored scale is not used: the range decides
+        doc["layers"][0]["scale"] = 99.0
+        p.write_text(json.dumps(doc))
+        assert load_stats(p)[1].act_qp == stats[1].act_qp
+
+    @pytest.mark.parametrize("text", [OLD_STATS_FILE[:100], "[]"], ids=["truncated", "not_an_object"])
+    def test_malformed_file_names_the_path(self, tmp_path, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="bad.json"):
+            load_stats(p)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rec: rec.pop("max"), "missing key 'max'"),
+            (lambda rec: rec.update(min=math.inf), "non-finite"),
+            (lambda rec: rec.update(min=5.0, max=1.0), "min 5.0 > max 1.0"),
+            (lambda rec: rec.update(min="0"), "must be real number"),
+        ],
+        ids=["missing_max", "non_finite_range", "inverted_range", "min_not_a_number"],
+    )
+    def test_bad_layer_record_names_the_path_and_layer(self, tmp_path, edit, message):
+        doc = json.loads(OLD_STATS_FILE)
+        edit(doc["layers"][1])
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"bad.json, layer 2: .*{message}"):
             load_stats(p)
 
 
@@ -205,8 +327,7 @@ class TestCalibSizeSweep:
         g = chain(rng)
         dataset = [rng.normal(size=(2, 6)).astype(np.float32) for _ in range(16)]
         rows = calib_size_sweep(g, dataset, sizes=[4], seeds=[7], evaluator=lambda s: 0.0)
-        cs = select_calib_set(16, n=4, seed=7)
-        direct = run_calibration(g, [dataset[i] for i in cs.indices])
+        direct = run_calibration(g, [dataset[i] for i in select_calib_set(16, n=4, seed=7)])
         by_layer = {r["layer"]: r["max_observed"] for r in rows}
         for i in (1, 2):
-            assert by_layer[i] == direct[i].observer.running_max
+            assert by_layer[i] == direct[i].act_max

@@ -1,6 +1,7 @@
 """Detector: batched forward and evaluate against per-scene runs, NMS against a greedy loop,
 the config through the model meta."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -72,16 +73,22 @@ class TestDecodeAndNms:
     def test_equals_greedy_reference(self, seed):
         rng = np.random.default_rng(seed)
         oh, ow = [(8, 8), (4, 6), (16, 16), (1, 1)][seed % 4]
-        cfg = DetectorConfig(n_classes=3)
+        base = DetectorConfig(n_classes=3)
         # logits on a coarse grid give tied scores, both between neighbouring
         # peaks and across the sort
         cls_map = (rng.integers(-12, 4, size=(3, oh, ow)) / 4.0).astype(np.float32)
         reg_map = rng.normal(scale=0.6, size=(4, oh, ow)).astype(np.float32)
         reg_map[2:, 0, 0] = [9.0, -9.0]  # box sizes clipped at exp(+-4)
         for score_thresh, iou_thresh in ((0.1, 0.5), (0.0, 0.0), (0.3, 1.0), (0.05, 0.2)):
+            cfg = dataclasses.replace(base, score_thresh=score_thresh, nms_iou=iou_thresh)
             want = reference_decode_and_nms(cls_map, reg_map, cfg, score_thresh, iou_thresh)
-            got = decode_and_nms(cls_map[None], reg_map[None], cfg, score_thresh, iou_thresh)
+            got = decode_and_nms(cls_map[None], reg_map[None], cfg)
             assert_same_detections(got, want)
+
+    @pytest.mark.parametrize("field, value", [("score_thresh", -0.1), ("score_thresh", 1.5), ("nms_iou", 2.0)])
+    def test_config_rejects_thresholds_outside_unit_interval(self, field, value):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            dataclasses.replace(DetectorConfig(), **{field: value})
 
 
 @pytest.fixture(scope="module")

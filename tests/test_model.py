@@ -167,6 +167,21 @@ class TestPrecisionPlan:
         assert list(plan.overrides) == [1, 22, 3]
         assert plan.label() == "FP16: 1,22,3"
 
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            PrecisionPlan(DType.FP32),
+            PrecisionPlan(DType.FP16),
+            PrecisionPlan(DType.INT8),
+            PrecisionPlan(DType.INT8, {1: DType.FP16, 22: DType.FP16, 3: DType.FP16}),
+            PrecisionPlan(DType.INT8, {1: DType.FP32}),
+            PrecisionPlan(DType.FP16, {3: DType.INT8}),
+        ],
+        ids=lambda plan: plan.label(),
+    )
+    def test_parse_reads_back_every_label(self, plan):
+        assert parse_plan_label(plan.label()) == plan
+
     def test_apply_idempotent(self):
         g = two_layer_graph(np.random.default_rng(7))
         plan = PrecisionPlan(default=DType.INT8, overrides={1: DType.FP16})

@@ -1,22 +1,26 @@
-"""Quantization math: scales, rounding, clamping, FP16 simulation, observers."""
+"""Quantization math: scales, rounding, clamping, FP16 simulation."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from pillarmix.calibration import LayerCalibration
 from pillarmix.quant import (
     FP16_MAX,
     DType,
-    MinMaxObserver,
     PerChannelQuantParams,
+    Q_MAX,
+    Q_MIN,
     QuantParams,
     compute_scale,
     dequantize,
     fake_quant,
     fake_quant_per_channel,
     fp16_roundtrip,
-    observe,
     quantize,
     weight_quant_params,
 )
@@ -27,6 +31,11 @@ class TestComputeScale:
         assert compute_scale(-1.0, 2.0).scale == pytest.approx(2.0 / 127.0, abs=1e-12)
         assert compute_scale(-127.0, 127.0).scale == 1.0
         assert compute_scale(0.0, 0.0).scale == 1.0  # degenerate fallback
+        assert compute_scale(0.0, 5e-324).scale == 1.0  # max_abs / 127 underflows to 0.0
+        assert compute_scale(-3e-322, 0.0).scale == 1.0
+        assert compute_scale(0.0, 1e-320).scale == 1e-320 / 127.0
+        per_channel = weight_quant_params(np.array([[0.0], [5e-324], [2.0]]), per_channel=True)
+        assert per_channel.scales.tolist() == [1.0, 1.0, 2.0 / 127.0]
 
     def test_zero_point_pinned(self):
         assert compute_scale(-3.0, 5.0).zero_point == 0
@@ -204,45 +213,36 @@ class TestNanRejected:
 
 
 class TestMinMaxObserver:
-    def test_empty_then_observe(self):
-        obs = MinMaxObserver()
-        assert obs.is_empty
-        obs = observe(obs, np.array([-1.0, 3.0]))
-        assert (obs.running_min, obs.running_max, obs.count) == (-1.0, 3.0, 1)
-
-    def test_no_widening_on_interior_batch(self):
-        obs = observe(MinMaxObserver(), np.array([-1.0, 3.0]))
-        obs = observe(obs, np.array([0.0, 0.0]))
-        assert (obs.running_min, obs.running_max) == (-1.0, 3.0)
-
-    def test_order_independence(self):
-        rng = np.random.default_rng(17)
-        batches = [rng.normal(size=8) for _ in range(6)]
-        a = MinMaxObserver()
-        for b in batches:
-            a = observe(a, b)
-        c = MinMaxObserver()
-        for b in reversed(batches):
-            c = observe(c, b)
-        assert (a.running_min, a.running_max) == (c.running_min, c.running_max)
-
-    def test_merge_counts_and_ranges(self):
-        a = observe(MinMaxObserver(), np.array([1.0, 2.0]))
-        b = observe(MinMaxObserver(), np.array([-4.0, 0.5]))
-        m = a.merge(b)
-        assert (m.running_min, m.running_max, m.count) == (-4.0, 2.0, 2)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            observe(MinMaxObserver(), np.array([1.0, np.nan]))
-
-    def test_empty_observer_has_no_params(self):
-        with pytest.raises(ValueError, match="empty observer"):
-            MinMaxObserver().quant_params()
+    """The observed min/max range now lives on LayerCalibration, which derives act_qp from it."""
 
     def test_params_follow_scale_formula(self):
-        obs = observe(MinMaxObserver(), np.array([-0.5, 2.54]))
-        assert obs.quant_params().scale == 2.54 / 127.0
+        layer = LayerCalibration(
+            index=0, name="conv", act_min=-0.5, act_max=2.54, weight_qp=QuantParams(scale=1.0)
+        )
+        assert layer.act_qp.scale == 2.54 / 127.0
+        assert layer.act_qp.zero_point == 0
+
+
+scales = st.floats(min_value=1e-6, max_value=1e6)
+float32_arrays = arrays(np.float32, st.integers(1, 16), elements=st.floats(width=32, allow_nan=False))
+
+
+class TestFakeQuantProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(t=float32_arrays, scale=scales)
+    def test_output_on_the_grid_and_inside_the_clip_range(self, t, scale):
+        fq = fake_quant(t, QuantParams(scale=scale))
+        codes = np.rint(fq.astype(np.float64) / scale)
+        assert np.all((codes >= Q_MIN) & (codes <= Q_MAX))
+        np.testing.assert_array_equal(fq, (codes * scale).astype(np.float32))
+
+    @settings(max_examples=50, deadline=None)
+    @given(u=arrays(np.float64, st.integers(1, 16), elements=st.floats(Q_MIN, Q_MAX)), scale=scales)
+    def test_inside_the_clip_range_within_half_a_step(self, u, scale):
+        t = (u * scale).astype(np.float32)
+        err = np.abs(fake_quant(t, QuantParams(scale=scale)).astype(np.float64) - t)
+        # half a step, plus float32 rounding of the grid point (at most 128 * scale * eps / 2)
+        assert np.all(err <= scale * (0.5 + 64 * np.finfo(np.float32).eps))
 
 
 def test_dtype_tags_closed():
