@@ -19,7 +19,8 @@ import numpy as np
 from .calibration import CalibrationStats
 from .metrics import Detection, EvalResult, ap40, iou_matrix
 from .model import BatchNorm, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
-from .scenes import CLASS_NAMES, POINT_FEATURES, Scene, pillarize
+from .qat import TrainExample
+from .scenes import CLASS_NAMES, FIELD_SIZE, POINT_FEATURES, Scene, pillarize
 from .tensor_ops import ConvParams, PillarSample, sigmoid, stack_samples
 
 __all__ = [
@@ -45,7 +46,6 @@ EVAL_CHUNK = 16
 @dataclass(frozen=True)
 class DetectorConfig:
     grid: tuple[int, int] = (16, 16)
-    field_size: float = 16.0
     max_points_per_pillar: int = 8
     pfn_channels: int = 16
     block_channels: tuple[int, int, int] = (16, 24, 32)
@@ -110,7 +110,7 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
     # balance the init against the very unequal raw feature ranges; the raw
     # inputs themselves stay unnormalized (that is the whole point of the task)
     feature_scale = np.array(
-        [cfg.field_size / 2, cfg.field_size / 2, 0.5, 0.5, 0.5], dtype=np.float32
+        [FIELD_SIZE / 2, FIELD_SIZE / 2, 0.5, 0.5, 0.5], dtype=np.float32
     )
     pfn_weight = he_linear(cfg.pfn_channels, POINT_FEATURES) / feature_scale[None, :]
     name = "voxel_encoder.pfn.linear"
@@ -194,7 +194,7 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
 
 
 def pillarize_dataset(scenes: Sequence[Scene], cfg: DetectorConfig) -> list[PillarSample]:
-    return [pillarize(s, cfg.grid, cfg.max_points_per_pillar, cfg.field_size) for s in scenes]
+    return [pillarize(s, cfg.grid, cfg.max_points_per_pillar) for s in scenes]
 
 
 def encode_targets(scene: Scene, cfg: DetectorConfig):
@@ -205,8 +205,8 @@ def encode_targets(scene: Scene, cfg: DetectorConfig):
     not penalized for responding to off-center object parts.
     """
     oh, ow = cfg.out_grid
-    cell_h = cfg.field_size / oh
-    cell_w = cfg.field_size / ow
+    cell_h = FIELD_SIZE / oh
+    cell_w = FIELD_SIZE / ow
     cls_t = np.zeros((cfg.n_classes, oh, ow), np.float32)
     reg_t = np.zeros((4, oh, ow), np.float32)
     pos = np.zeros((oh, ow), bool)
@@ -252,14 +252,19 @@ def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig
     cfg.score_thresh are visited by descending score (ties in row-major cell
     order), and each is kept unless its IoU with an already kept box of the
     class reaches cfg.nms_iou. One IoU matrix over the class's candidates
-    serves the whole greedy pass.
+    serves the whole greedy pass. A 4-D map holding more than one scene
+    raises ValueError.
     """
-    logits = cls_map[0] if cls_map.ndim == 4 else cls_map
-    reg = reg_map[0] if reg_map.ndim == 4 else reg_map
-    n_classes, oh, ow = logits.shape
-    cell_h = cfg.field_size / oh
-    cell_w = cfg.field_size / ow
-    scores = sigmoid(logits.astype(np.float64))
+    if cls_map.ndim == 4:
+        if cls_map.shape[0] != 1 or reg_map.shape[0] != 1:
+            raise ValueError(
+                f"decode_and_nms takes one scene; got maps of shape {cls_map.shape} and {reg_map.shape}"
+            )
+        cls_map, reg_map = cls_map[0], reg_map[0]
+    n_classes, oh, ow = cls_map.shape
+    cell_h = FIELD_SIZE / oh
+    cell_w = FIELD_SIZE / ow
+    scores = sigmoid(cls_map.astype(np.float64))
     candidates = _local_peaks(scores) & (scores >= cfg.score_thresh)
     detections: list[Detection] = []
     for cls in range(n_classes):
@@ -268,7 +273,7 @@ def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig
             continue
         order = np.argsort(-scores[cls, rows, cols], kind="stable")
         rows, cols = rows[order], cols[order]
-        dx, dy, dw, dh = reg[:, rows, cols].astype(np.float64)
+        dx, dy, dw, dh = reg_map[:, rows, cols].astype(np.float64)
         # math.exp, not np.exp: the two differ in the last ulp for some inputs
         boxes = np.stack([
             (cols + 0.5 + dx) * cell_w,
@@ -322,8 +327,6 @@ def evaluate(
 
 def make_train_examples(scenes: Sequence[Scene], cfg: DetectorConfig):
     """Pillarize scenes and attach center-cell targets for the detection loss."""
-    from .qat import TrainExample
-
     examples = []
     for scene, sample in zip(scenes, pillarize_dataset(scenes, cfg)):
         cls_t, reg_t, pos, ignore = encode_targets(scene, cfg)
@@ -343,12 +346,9 @@ def make_evaluator(
     dataset: Sequence[Scene], cfg: DetectorConfig
 ) -> Callable[[ModelGraph, PrecisionPlan, CalibrationStats | None], float]:
     """mAP evaluator closure with the eval set pillarized once up front."""
-    samples = None
+    samples = pillarize_dataset(dataset, cfg)
 
     def evaluator(graph, plan, stats):
-        nonlocal samples
-        if samples is None:
-            samples = pillarize_dataset(dataset, cfg)
         return evaluate(graph, plan, stats, dataset, cfg, samples=samples).map
 
     return evaluator

@@ -1,4 +1,4 @@
-"""Axis-aligned detection metrics: IoU, AP at 40 recall points, Pearson r.
+"""Axis-aligned detection metrics: IoU and AP at 40 recall points.
 
 AP follows the 40-point interpolated convention: detections are greedily
 matched to ground truth by descending score (one match per box, IoU at or
@@ -11,6 +11,7 @@ positives, so a perfect detector scores 1.0 at every difficulty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -23,7 +24,6 @@ __all__ = [
     "RECALL_POSITIONS",
     "ap40",
     "iou_matrix",
-    "pearson",
 ]
 
 DIFFICULTIES = ("easy", "moderate", "hard")
@@ -42,8 +42,8 @@ class Detection:
 
     def __post_init__(self):
         box = np.asarray(self.box, dtype=np.float64)
-        if box.shape != (4,) or box[2] <= 0 or box[3] <= 0:
-            raise ValueError(f"detection box must be (cx, cy, w, h) with positive extents, got {box}")
+        if box.shape != (4,) or not all(map(math.isfinite, box.tolist())) or box[2] <= 0 or box[3] <= 0:
+            raise ValueError(f"detection box must be finite (cx, cy, w, h) with positive extents, got {box}")
         if not np.isfinite(self.score):
             raise ValueError(f"detection score must be finite, got {self.score}")
         object.__setattr__(self, "box", box)
@@ -185,25 +185,3 @@ class EvalResult:
     def map(self) -> float:
         value = self.map_at("moderate")
         return 0.0 if value is None else value
-
-    def to_json_dict(self) -> dict:
-        out = {}
-        for (cls, diff), value in sorted(self.ap.items()):
-            out[f"{cls}.{diff}.ap40"] = value
-        out["map"] = self.map
-        return out
-
-
-def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient."""
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
-        raise ValueError("pearson needs two equal-length 1D sequences of length >= 2")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = np.sqrt(np.sum(dx * dx))
-    sy = np.sqrt(np.sum(dy * dy))
-    if sx == 0.0 or sy == 0.0:
-        raise ValueError("pearson is undefined for constant input")
-    return float(np.sum(dx * dy) / (sx * sy))

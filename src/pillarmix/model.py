@@ -209,10 +209,6 @@ def dtype_boundaries(precisions: Sequence[DType]) -> int:
     return sum(1 for a, b in zip(precisions, precisions[1:]) if a is not b)
 
 
-def graph_boundaries(graph: ModelGraph) -> int:
-    return dtype_boundaries([l.precision for l in graph.weight_layers])
-
-
 # ---------------------------------------------------------------------------
 # BN folding
 
@@ -454,7 +450,8 @@ def save_model(graph: ModelGraph, path) -> Path:
     return manifest_path
 
 
-def _read_array(rec: dict | None, data: bytes) -> np.ndarray | None:
+def _read_array(rec: dict | None, data: bytes, what: str) -> np.ndarray | None:
+    """The array at rec's offset in the blob; what names it in errors."""
     if rec is None:
         return None
     shape = tuple(rec["shape"])
@@ -465,7 +462,10 @@ def _read_array(rec: dict | None, data: bytes) -> np.ndarray | None:
         raise ModelFormatError(
             f"weight blob truncated: need bytes [{start}, {end}) of {len(data)}"
         )
-    return np.frombuffer(data[start:end], dtype="<f4").reshape(shape).astype(np.float32)
+    arr = np.frombuffer(data[start:end], dtype="<f4").reshape(shape).astype(np.float32)
+    if not np.all(np.isfinite(arr)):
+        raise ModelFormatError(f"{what} holds NaN or inf")
+    return arr
 
 
 def load_model(path) -> ModelGraph:
@@ -491,14 +491,15 @@ def load_model(path) -> ModelGraph:
         raise ModelFormatError("weight blob checksum mismatch")
     layers = []
     for rec in manifest["layers"]:
+        where = f"{manifest_path}: layer {rec['name']!r}"
         bn = None
         if rec.get("bn") is not None:
             b = rec["bn"]
             bn = BatchNorm(
-                gamma=_read_array(b["gamma"], data),
-                beta=_read_array(b["beta"], data),
-                mean=_read_array(b["mean"], data),
-                var=_read_array(b["var"], data),
+                gamma=_read_array(b["gamma"], data, f"{where} BN gamma"),
+                beta=_read_array(b["beta"], data, f"{where} BN beta"),
+                mean=_read_array(b["mean"], data, f"{where} BN mean"),
+                var=_read_array(b["var"], data, f"{where} BN var"),
                 eps=float(b["eps"]),
             )
         conv = None
@@ -511,8 +512,8 @@ def load_model(path) -> ModelGraph:
                 name=rec["name"],
                 kind=rec["kind"],
                 index=rec["index"],
-                weight=_read_array(rec.get("weight"), data),
-                bias=_read_array(rec.get("bias"), data),
+                weight=_read_array(rec.get("weight"), data, f"{where} weight"),
+                bias=_read_array(rec.get("bias"), data, f"{where} bias"),
                 bn=bn,
                 relu=bool(rec["relu"]),
                 conv=conv,

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import ModelGraph, PrecisionPlan, TapeEntry, apply_plan, forward
-from .quant import PerChannelQuantParams, QuantParams
+from .quant import Q_MAX, Q_MIN, PerChannelQuantParams, QuantParams
 from .tensor_ops import ConvParams, PillarSample, im2col, sigmoid, stack_samples
 
 __all__ = [
@@ -77,7 +77,7 @@ GradState = dict[int, tuple[np.ndarray, np.ndarray]]  # index -> (dW, db)
 def _in_range_mask(x: np.ndarray, qp: QuantParams | PerChannelQuantParams) -> np.ndarray:
     per_channel = isinstance(qp, PerChannelQuantParams)
     scale = qp.scales.reshape((-1,) + (1,) * (x.ndim - 1)) if per_channel else qp.scale
-    return ((x >= qp.q_min * scale) & (x <= qp.q_max * scale)).astype(np.float32)
+    return ((x >= Q_MIN * scale) & (x <= Q_MAX * scale)).astype(np.float32)
 
 
 def ste_fake_quant_backward(

@@ -1,7 +1,8 @@
 """Symmetric INT8 quantization math and FP16 simulation.
 
-The INT8 scheme maps x to clamp(round_half_even(x / scale), -128, 127) with
-the zero point pinned at 0; compute_scale derives the scale from a range,
+The INT8 scheme maps x to clamp(round_half_even(x / scale), Q_MIN, Q_MAX):
+codes always lie in [-128, 127] and the zero point is always 0, so neither
+is a parameter. compute_scale derives the scale from a range,
 max(|min|, |max|) / 127 (an activation's range is its calibrated (min, max),
 see calibration.py; a weight's is its own). FP16 layers are simulated by a
 binary16 round trip that saturates at +-65504 instead of overflowing.
@@ -52,18 +53,13 @@ class DType(str, Enum):
 
 @dataclass(frozen=True)
 class QuantParams:
-    """Symmetric per-tensor quantization parameters (zero point fixed at 0)."""
+    """Symmetric per-tensor quantization parameters: the scale."""
 
     scale: float
-    zero_point: int = 0
-    q_min: int = Q_MIN
-    q_max: int = Q_MAX
 
     def __post_init__(self):
         if not math.isfinite(self.scale) or self.scale <= 0.0:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        if self.zero_point != 0:
-            raise ValueError("symmetric quantization requires zero_point == 0")
 
 
 @dataclass(frozen=True)
@@ -71,8 +67,6 @@ class PerChannelQuantParams:
     """Per-output-channel weight scales (optional mode; axis 0 is the channel)."""
 
     scales: np.ndarray
-    q_min: int = Q_MIN
-    q_max: int = Q_MAX
 
     def __post_init__(self):
         scales = np.asarray(self.scales, dtype=np.float64)
@@ -110,7 +104,7 @@ def quantize(x, qp: QuantParams):
     """
     x = np.asarray(x, dtype=np.float64)
     _reject_nan(x)
-    xq = np.clip(np.rint(x / qp.scale), qp.q_min, qp.q_max)
+    xq = np.clip(np.rint(x / qp.scale), Q_MIN, Q_MAX)
     if np.ndim(x) == 0:
         return int(xq)
     return xq.astype(np.int32)
@@ -134,7 +128,7 @@ def fake_quant(t: np.ndarray, qp: QuantParams) -> np.ndarray:
     _reject_nan(x)
     np.divide(x, qp.scale, out=x)
     np.rint(x, out=x)
-    np.clip(x, qp.q_min, qp.q_max, out=x)
+    np.clip(x, Q_MIN, Q_MAX, out=x)
     x *= qp.scale
     return x.astype(np.float32)
 
@@ -161,7 +155,7 @@ def fake_quant_per_channel(weight: np.ndarray, qp: PerChannelQuantParams) -> np.
     w = np.asarray(weight, dtype=np.float64)
     _reject_nan(w)
     scales = qp.scales.reshape((-1,) + (1,) * (w.ndim - 1))
-    codes = np.clip(np.rint(w / scales), qp.q_min, qp.q_max)
+    codes = np.clip(np.rint(w / scales), Q_MIN, Q_MAX)
     return (codes * scales).astype(np.float32)
 
 

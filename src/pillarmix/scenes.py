@@ -1,42 +1,41 @@
 """Synthetic 2D point-cloud scenes with heavy-tailed intensity outliers.
 
-Each scene is a square field of (x, y, intensity) points plus axis-aligned
-ground-truth boxes in three size classes. Object points carry a
-class-dependent intensity band; background points are dim. With probability
-``outlier_rate`` a scene contains one extreme intensity spike
-(``outlier_magnitude`` times the base scale), so tiny calibration samples
-rarely see a spike while large ones almost surely do.
+Each scene is a square field, FIELD_SIZE units a side, of (x, y, intensity)
+points plus axis-aligned ground-truth boxes in three size classes. Object
+points carry a class-dependent intensity band; background points are dim.
+With probability ``outlier_rate`` a scene contains one extreme intensity
+spike (``outlier_magnitude`` times the base scale), so tiny calibration
+samples rarely see a spike while large ones almost surely do.
 
 Raw point features are (x, y, intensity, dx, dy) where dx, dy are offsets to
 the mean of the points sharing the pillar; absolute coordinates and offsets
 deliberately live on very different scales, which is what makes the first
 weight layer fragile under per-tensor INT8 quantization.
+
+Scenes are not stored: ``generate_dataset`` regenerates the same scenes from
+a (DatasetConfig, seed) pair, so there is no dataset file format.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import DIFFICULTIES
 from .tensor_ops import PillarSample
 
 __all__ = [
     "DatasetConfig",
+    "FIELD_SIZE",
     "POINT_FEATURES",
     "Scene",
     "assign_difficulty",
     "generate_dataset",
-    "load_dataset",
     "pillarize",
-    "save_dataset",
 ]
 
 POINT_FEATURES = 5  # x, y, intensity, dx-to-pillar-mean, dy-to-pillar-mean
+FIELD_SIZE = 16.0  # side of the square scene; pillar grids and output maps tile it
 
 CLASS_NAMES = ("large", "medium", "small")
 # per-class (min side, max side), intensity band (low, high), point density range
@@ -51,8 +50,6 @@ class DatasetConfig:
     """Scene-generation knobs; defaults give the heavy-tailed desk-scale task."""
 
     size: int = 64
-    classes: tuple[str, ...] = CLASS_NAMES
-    field_size: float = 16.0
     outlier_rate: float = 0.02
     outlier_magnitude: float = 50.0
     boxes_per_scene: tuple[int, int] = (2, 3)
@@ -67,8 +64,8 @@ class DatasetConfig:
     def __post_init__(self):
         if not 0.0 <= self.outlier_rate <= 1.0:
             raise ValueError(f"outlier_rate must lie in [0, 1], got {self.outlier_rate}")
-        if self.size < 1 or self.field_size <= 0 or self.outlier_magnitude <= 0:
-            raise ValueError("dataset config must have positive size, field, and magnitude")
+        if self.size < 1 or self.outlier_magnitude <= 0:
+            raise ValueError("dataset config must have positive size and magnitude")
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,7 @@ class Scene:
     points: np.ndarray
     boxes: np.ndarray
     classes: np.ndarray
-    difficulty: np.ndarray  # string labels from DIFFICULTIES
+    difficulty: np.ndarray  # string labels from metrics.DIFFICULTIES
 
 
 def assign_difficulty(area: float, n_points: int, cfg: DatasetConfig) -> str:
@@ -97,12 +94,12 @@ def _overlaps(cx, cy, w, h, boxes, margin=0.5) -> bool:
 
 
 def _generate_scene(rng: np.random.Generator, cfg: DatasetConfig) -> Scene:
-    field = cfg.field_size
+    field = FIELD_SIZE
     n_boxes = int(rng.integers(cfg.boxes_per_scene[0], cfg.boxes_per_scene[1] + 1))
     boxes, classes, difficulties = [], [], []
     point_chunks = []
     for _ in range(n_boxes):
-        cls = int(rng.integers(0, len(cfg.classes)))
+        cls = int(rng.integers(0, len(CLASS_NAMES)))
         lo, hi = CLASS_SIZES[cls]
         w = h = cx = cy = None
         for _attempt in range(20):
@@ -152,10 +149,9 @@ def generate_dataset(cfg: DatasetConfig, seed: int = 0) -> list[Scene]:
     return [_generate_scene(rng, cfg) for _ in range(cfg.size)]
 
 
-def pillarize(
-    scene: Scene, grid: tuple[int, int], max_points_per_pillar: int, field_size: float
-) -> PillarSample:
-    """Bucket points into grid cells and build padded per-pillar features.
+def pillarize(scene: Scene, grid: tuple[int, int], max_points_per_pillar: int) -> PillarSample:
+    """Bucket points into the grid's cells over the field and build padded
+    per-pillar features.
 
     Pillars are emitted in (row, col) order; points keep their scene order
     within a pillar, and pillars holding more than max_points_per_pillar
@@ -172,8 +168,8 @@ def pillarize(
             coords=np.zeros((0, 2), np.int64),
             grid=grid,
         )
-    cell_h = field_size / h
-    cell_w = field_size / w
+    cell_h = FIELD_SIZE / h
+    cell_w = FIELD_SIZE / w
     rows = np.clip((pts[:, 1] / cell_h).astype(np.int64), 0, h - 1)
     cols = np.clip((pts[:, 0] / cell_w).astype(np.int64), 0, w - 1)
     flat = rows * w + cols
@@ -191,51 +187,3 @@ def pillarize(
         features[p, :k, 3:5] = chunk[:, :2] - center
         mask[p, :k] = True
     return PillarSample(features=features, point_mask=mask, coords=coords, grid=grid)
-
-
-# ---------------------------------------------------------------------------
-# JSONL dataset files: one scene per line
-
-
-def _f32_json(v) -> float:
-    # shortest decimal that round-trips to the same float32 bits
-    return float(str(np.float32(v)))
-
-
-def save_dataset(scenes: Sequence[Scene], path, config: DatasetConfig | None = None, seed: int | None = None) -> Path:
-    path = Path(path)
-    with path.open("w") as fh:
-        for scene in scenes:
-            rec = {
-                "points": [[_f32_json(v) for v in row] for row in scene.points],
-                "boxes": [[_f32_json(v) for v in row] for row in scene.boxes],
-                "classes": [int(c) for c in scene.classes],
-                "difficulty": [str(d) for d in scene.difficulty],
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    if config is not None:
-        manifest = {"config": asdict(config), "seed": seed, "n_scenes": len(scenes)}
-        path.with_suffix(path.suffix + ".manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
-    return path
-
-
-def load_dataset(path) -> list[Scene]:
-    scenes = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        for d in rec["difficulty"]:
-            if d not in DIFFICULTIES:
-                raise ValueError(f"unknown difficulty label {d!r}")
-        scenes.append(
-            Scene(
-                points=np.asarray(rec["points"], dtype=np.float32).reshape(-1, 3),
-                boxes=np.asarray(rec["boxes"], dtype=np.float32).reshape(-1, 4),
-                classes=np.asarray(rec["classes"], dtype=np.int64),
-                difficulty=np.asarray(rec["difficulty"], dtype=object),
-            )
-        )
-    return scenes

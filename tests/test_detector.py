@@ -14,12 +14,13 @@ from pillarmix.detector import (
     DetectorConfig,
     build_toy_detector,
     decode_and_nms,
+    encode_targets,
     evaluate,
     pillarize_dataset,
 )
 from pillarmix.metrics import DIFFICULTIES, Detection, ap40, iou_matrix
 from pillarmix.model import apply_plan, fold_all_bn, forward, graphs_equal, load_model, parse_plan_label, save_model
-from pillarmix.scenes import CLASS_NAMES, DatasetConfig, Scene, generate_dataset
+from pillarmix.scenes import CLASS_NAMES, FIELD_SIZE, DatasetConfig, Scene, generate_dataset
 from pillarmix.tensor_ops import sigmoid, stack_samples
 
 PLAN_LABELS = ("FP32", "FP16", "INT8", "FP16: 1")
@@ -28,8 +29,8 @@ PLAN_LABELS = ("FP32", "FP16", "INT8", "FP16: 1")
 def reference_decode_and_nms(cls_map, reg_map, cfg, score_thresh, iou_thresh):
     """Per-candidate decoding and greedy NMS with one 1x1 IoU per pair."""
     n_classes, oh, ow = cls_map.shape
-    cell_h = cfg.field_size / oh
-    cell_w = cfg.field_size / ow
+    cell_h = FIELD_SIZE / oh
+    cell_w = FIELD_SIZE / ow
     scores = sigmoid(cls_map.astype(np.float64))
     detections = []
     for cls in range(n_classes):
@@ -84,6 +85,25 @@ class TestDecodeAndNms:
             want = reference_decode_and_nms(cls_map, reg_map, cfg, score_thresh, iou_thresh)
             got = decode_and_nms(cls_map[None], reg_map[None], cfg)
             assert_same_detections(got, want)
+
+    def test_rejects_a_batch_of_several_scenes(self):
+        cls_map = np.zeros((3, 3, 8, 8), np.float32)
+        reg_map = np.zeros((3, 4, 8, 8), np.float32)
+        with pytest.raises(ValueError, match=r"one scene; got maps of shape \(3, 3, 8, 8\)"):
+            decode_and_nms(cls_map, reg_map, DetectorConfig())
+
+    @pytest.mark.parametrize("block_strides", [(2, 2, 1), (2, 1, 1)])
+    def test_perfect_maps_score_one_in_every_slice(self, block_strides):
+        """encode_targets as +-8 logits through decode_and_nms and ap40: target
+        encoding, decoding, NMS and the metric lose no box."""
+        cfg = DetectorConfig(block_strides=block_strides)
+        scenes = generate_dataset(DatasetConfig(size=64), seed=11)
+        dets = []
+        for scene in scenes:
+            cls_t, reg_t, _, _ = encode_targets(scene, cfg)
+            dets.append(decode_and_nms(np.where(cls_t > 0, 8.0, -8.0).astype(np.float32), reg_t, cfg))
+        aps = [ap40(dets, scenes, c, cfg.match_iou) for c in range(cfg.n_classes)]
+        assert {v for ap in aps for v in ap.values() if v is not None} == {1.0}
 
     @pytest.mark.parametrize("field, value", [("score_thresh", -0.1), ("score_thresh", 1.5), ("nms_iou", 2.0)])
     def test_config_rejects_thresholds_outside_unit_interval(self, field, value):

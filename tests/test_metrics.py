@@ -106,3 +106,11 @@ class TestAp40:
             ap40(dets[:4], gts, 0)
         with pytest.raises(ValueError, match="6 scenes of detections for 4"):
             ap40(dets, gts[:4], 0)
+
+
+class TestDetection:
+    @pytest.mark.parametrize("box", [[np.nan, 1.0, 1.0, 1.0], [1.0, np.inf, 1.0, 1.0], [1.0, 1.0, np.inf, 1.0],
+                                     [1.0, 1.0, 1.0, np.nan], [1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    def test_rejects_non_finite_or_degenerate_box(self, box):
+        with pytest.raises(ValueError, match="detection box"):
+            Detection(box=box, class_id=0, score=0.5)

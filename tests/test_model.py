@@ -375,6 +375,15 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="malformed"):
             load_model(tmp_path / "toy")
 
+    @pytest.mark.parametrize("layer_i, array, value", [(1, "weight", np.nan), (0, "BN gamma", -np.inf)])
+    def test_non_finite_array_rejected_naming_file_and_layer(self, tmp_path, layer_i, array, value):
+        g = self.graph()
+        layer = g.layers[layer_i]
+        (layer.weight if array == "weight" else layer.bn.gamma).flat[1] = value
+        save_model(g, tmp_path / "toy")
+        with pytest.raises(ModelFormatError, match=rf"toy\.mpq\.json: layer '{layer.name}' {array} holds NaN or inf"):
+            load_model(tmp_path / "toy")
+
     def test_precision_tags_persist(self, tmp_path):
         g = apply_plan(
             ModelGraph(layers=(linear_layer(1, 3, 3, np.random.default_rng(17)),)),

@@ -1,16 +1,28 @@
-"""Packaging: the console scripts pyproject.toml declares."""
+"""Packaging: the console scripts pyproject.toml declares, and the names the benchmark traces."""
 
 import importlib
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+def test_every_name_the_benchmark_traces_exists():
+    """perfbench/tracing.py wraps pillarmix names by (module, attribute); a
+    metric whose name is gone silently reads null, so a deletion fails here."""
+    path = ROOT / "perfbench" / "tracing.py"
+    tracing = {"__name__": "perfbench_tracing"}
+    exec(compile(path.read_text(), str(path), "exec"), tracing)  # read only: no bytecode cache written
+    assert tracing["WRAPPED"]
+    missing = [span for span, (module, attr) in tracing["WRAPPED"].items()
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
 
 
 def test_every_console_script_imports_and_is_callable():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     scripts = tomllib.loads(PYPROJECT.read_text())["project"].get("scripts", {})
     for name, target in scripts.items():
         module, _, attr = target.partition(":")

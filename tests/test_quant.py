@@ -37,9 +37,6 @@ class TestComputeScale:
         per_channel = weight_quant_params(np.array([[0.0], [5e-324], [2.0]]), per_channel=True)
         assert per_channel.scales.tolist() == [1.0, 1.0, 2.0 / 127.0]
 
-    def test_zero_point_pinned(self):
-        assert compute_scale(-3.0, 5.0).zero_point == 0
-
     def test_matches_max_abs_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(1000):
@@ -63,8 +60,6 @@ class TestComputeScale:
             compute_scale(2.0, 1.0)
         with pytest.raises(ValueError, match="positive"):
             QuantParams(scale=0.0)
-        with pytest.raises(ValueError, match="zero_point"):
-            QuantParams(scale=1.0, zero_point=3)
 
 
 class TestQuantizeDequantize:
@@ -220,7 +215,6 @@ class TestMinMaxObserver:
             index=0, name="conv", act_min=-0.5, act_max=2.54, weight_qp=QuantParams(scale=1.0)
         )
         assert layer.act_qp.scale == 2.54 / 127.0
-        assert layer.act_qp.zero_point == 0
 
 
 scales = st.floats(min_value=1e-6, max_value=1e6)
@@ -229,12 +223,16 @@ float32_arrays = arrays(np.float32, st.integers(1, 16), elements=st.floats(width
 
 class TestFakeQuantProperties:
     @settings(max_examples=50, deadline=None)
-    @given(t=float32_arrays, scale=scales)
-    def test_output_on_the_grid_and_inside_the_clip_range(self, t, scale):
-        fq = fake_quant(t, QuantParams(scale=scale))
-        codes = np.rint(fq.astype(np.float64) / scale)
-        assert np.all((codes >= Q_MIN) & (codes <= Q_MAX))
-        np.testing.assert_array_equal(fq, (codes * scale).astype(np.float32))
+    @given(t=float32_arrays, scale=scales, channel_scales=arrays(np.float64, 4, elements=scales))
+    def test_output_on_the_grid_and_inside_the_clip_range(self, t, scale, channel_scales):
+        w = np.resize(t, (4, len(t)))  # four channels, each a copy of t under its own scale
+        for fq, s in (
+            (fake_quant(t, QuantParams(scale=scale)), scale),
+            (fake_quant_per_channel(w, PerChannelQuantParams(scales=channel_scales)), channel_scales[:, None]),
+        ):
+            codes = np.rint(fq.astype(np.float64) / s)
+            assert np.all((codes >= Q_MIN) & (codes <= Q_MAX))
+            np.testing.assert_array_equal(fq, (codes * s).astype(np.float32))
 
     @settings(max_examples=50, deadline=None)
     @given(u=arrays(np.float64, st.integers(1, 16), elements=st.floats(Q_MIN, Q_MAX)), scale=scales)

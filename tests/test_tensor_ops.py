@@ -1,5 +1,7 @@
 """Kernel correctness against naive loop oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from pillarmix.tensor_ops import (
     max_over_points,
     relu,
     scatter_pillars,
+    sigmoid,
     stack_samples,
     upsample2x,
 )
@@ -167,6 +170,21 @@ class TestRelu:
         np.testing.assert_array_equal(relu(relu(x)), relu(x))
         lo, hi = np.minimum(x, y), np.maximum(x, y)
         assert np.all(relu(lo) <= relu(hi))
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_two_branch_formula_without_overflow_warnings(self, dtype):
+        x = np.concatenate([np.linspace(-800, 800, 4001), [-745.0, -40.0, -1e-300, 0.0, 1e-300, 40.0, 745.0]])
+        x = x.astype(dtype)
+        with np.errstate(all="ignore"):  # the reference overflows in the unused branch
+            want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = sigmoid(x)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
+        assert sigmoid(np.array([-800.0, 800.0])).tolist() == [0.0, 1.0]
 
 
 class TestScatterPillars:
