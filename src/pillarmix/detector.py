@@ -42,21 +42,20 @@ __all__ = [
 # chunks of 16 scenes by about 1 MB.
 EVAL_CHUNK = 16
 
+BASE_SIZE = 2.5  # box side that a zero size offset decodes to
+MAX_POINTS_PER_PILLAR = 8
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
     grid: tuple[int, int] = (16, 16)
-    max_points_per_pillar: int = 8
     pfn_channels: int = 16
     block_channels: tuple[int, int, int] = (16, 24, 32)
     convs_per_block: int = 3
     block_strides: tuple[int, int, int] = (2, 2, 1)
     neck_channels: int = 24
-    n_classes: int = len(CLASS_NAMES)
-    base_size: float = 2.5
     score_thresh: float = 0.1
     nms_iou: float = 0.5
-    match_iou: float = 0.5
 
     def __post_init__(self):
         if not (0.0 <= self.score_thresh <= 1.0 and 0.0 <= self.nms_iou <= 1.0):
@@ -78,6 +77,7 @@ class DetectorConfig:
 
     @staticmethod
     def from_meta(meta: dict) -> "DetectorConfig":
+        """The config from the fields a manifest holds; keys of removed fields are ignored."""
         det = meta["detector"]
         return DetectorConfig(**{
             f.name: tuple(det[f.name]) if isinstance(det[f.name], list) else det[f.name]
@@ -165,13 +165,13 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
     index += 1
     cin = cfg.neck_channels
 
-    cls_bias = np.full(cfg.n_classes, -2.0, np.float32)  # low-score prior
+    cls_bias = np.full(len(CLASS_NAMES), -2.0, np.float32)  # low-score prior
     layers.append(
         LayerSpec(
             name="bbox_head.conv_cls",
             kind="conv2d",
             index=index,
-            weight=(0.1 * rng.normal(size=(cfg.n_classes, cin, 1, 1))).astype(np.float32),
+            weight=(0.1 * rng.normal(size=(len(CLASS_NAMES), cin, 1, 1))).astype(np.float32),
             bias=cls_bias,
             conv=ConvParams(),
             is_head=True,
@@ -194,7 +194,7 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
 
 
 def pillarize_dataset(scenes: Sequence[Scene], cfg: DetectorConfig) -> list[PillarSample]:
-    return [pillarize(s, cfg.grid, cfg.max_points_per_pillar) for s in scenes]
+    return [pillarize(s, cfg.grid, MAX_POINTS_PER_PILLAR) for s in scenes]
 
 
 def encode_targets(scene: Scene, cfg: DetectorConfig):
@@ -207,7 +207,7 @@ def encode_targets(scene: Scene, cfg: DetectorConfig):
     oh, ow = cfg.out_grid
     cell_h = FIELD_SIZE / oh
     cell_w = FIELD_SIZE / ow
-    cls_t = np.zeros((cfg.n_classes, oh, ow), np.float32)
+    cls_t = np.zeros((len(CLASS_NAMES), oh, ow), np.float32)
     reg_t = np.zeros((4, oh, ow), np.float32)
     pos = np.zeros((oh, ow), bool)
     ignore = np.zeros((oh, ow), bool)
@@ -225,8 +225,8 @@ def encode_targets(scene: Scene, cfg: DetectorConfig):
         cls_t[int(cls), i, j] = 1.0
         reg_t[0, i, j] = cx / cell_w - (j + 0.5)
         reg_t[1, i, j] = cy / cell_h - (i + 0.5)
-        reg_t[2, i, j] = math.log(w / cfg.base_size)
-        reg_t[3, i, j] = math.log(h / cfg.base_size)
+        reg_t[2, i, j] = math.log(w / BASE_SIZE)
+        reg_t[3, i, j] = math.log(h / BASE_SIZE)
     ignore &= ~pos
     return cls_t, reg_t, pos, ignore
 
@@ -278,8 +278,8 @@ def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig
         boxes = np.stack([
             (cols + 0.5 + dx) * cell_w,
             (rows + 0.5 + dy) * cell_h,
-            [cfg.base_size * math.exp(min(4.0, max(-4.0, float(v)))) for v in dw],
-            [cfg.base_size * math.exp(min(4.0, max(-4.0, float(v)))) for v in dh],
+            [BASE_SIZE * math.exp(min(4.0, max(-4.0, float(v)))) for v in dw],
+            [BASE_SIZE * math.exp(min(4.0, max(-4.0, float(v)))) for v in dh],
         ], axis=1)
         overlaps = iou_matrix(boxes, boxes) >= cfg.nms_iou
         kept: list[int] = []
@@ -319,10 +319,10 @@ def evaluate(
         cls_maps, reg_maps = forward(planned, batch, stats=stats)
         dets_per_scene.extend(decode_and_nms(c, r, cfg) for c, r in zip(cls_maps, reg_maps))
     ap = {}
-    for cls_id, cls_name in enumerate(CLASS_NAMES[: cfg.n_classes]):
-        for diff, value in ap40(dets_per_scene, dataset, cls_id, cfg.match_iou).items():
+    for cls_id, cls_name in enumerate(CLASS_NAMES):
+        for diff, value in ap40(dets_per_scene, dataset, cls_id).items():
             ap[(cls_name, diff)] = value
-    return EvalResult(ap=ap, class_names=CLASS_NAMES[: cfg.n_classes])
+    return EvalResult(ap=ap)
 
 
 def make_train_examples(scenes: Sequence[Scene], cfg: DetectorConfig):

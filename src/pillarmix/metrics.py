@@ -2,7 +2,7 @@
 
 AP follows the 40-point interpolated convention: detections are greedily
 matched to ground truth by descending score (one match per box, IoU at or
-above the threshold), precision/recall operating points are formed at every
+above MATCH_IOU), precision/recall operating points are formed at every
 distinct score threshold, and precision is interpolated as the running
 maximum over recall. Detections that match a ground-truth box of the target
 class but a different difficulty are ignored rather than counted as false
@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 DIFFICULTIES = ("easy", "moderate", "hard")
+MATCH_IOU = 0.5  # a detection hits a ground-truth box at IoU >= MATCH_IOU
 
 N_RECALL_POINTS = 40
 RECALL_POSITIONS = np.arange(1, N_RECALL_POINTS + 1) / N_RECALL_POINTS
@@ -66,11 +67,11 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     return np.where(union > 0, inter / union, 0.0)
 
 
-def _match_scene(detections, gt_boxes, gt_class_mask, iou_match):
+def _match_scene(detections, gt_boxes, gt_class_mask):
     """Greedy per-scene matching; returns the matched GT index per detection (-1 = none).
 
     Detections are visited by descending score; each claims the unmatched
-    ground-truth box of its class with the highest IoU >= iou_match.
+    ground-truth box of its class with the highest IoU >= MATCH_IOU.
     """
     matched_gt = np.full(len(detections), -1, dtype=np.int64)
     if len(gt_boxes) == 0 or not detections:
@@ -83,7 +84,7 @@ def _match_scene(detections, gt_boxes, gt_class_mask, iou_match):
         cand = ious[di].copy()
         cand[taken | ~gt_class_mask] = -1.0
         gi = int(np.argmax(cand))
-        if cand[gi] >= iou_match:
+        if cand[gi] >= MATCH_IOU:
             matched_gt[di] = gi
             taken[gi] = True
     return matched_gt
@@ -93,7 +94,6 @@ def ap40(
     detections_per_scene: Sequence[Sequence[Detection]],
     gt_per_scene: Sequence,
     class_id: int,
-    iou_match: float = 0.5,
 ) -> dict[str, float | None]:
     """AP over 40 recall positions for one class, at every difficulty.
 
@@ -105,8 +105,6 @@ def ap40(
     truth, so it can be excluded from means rather than counted as 0. Both
     sequences hold one entry per scene; differing lengths raise ValueError.
     """
-    if not 0.0 < iou_match < 1.0:
-        raise ValueError(f"iou_match must lie in (0, 1), got {iou_match}")
     if len(detections_per_scene) != len(gt_per_scene):
         raise ValueError(
             f"{len(detections_per_scene)} scenes of detections for {len(gt_per_scene)} scenes of ground truth"
@@ -121,7 +119,7 @@ def ap40(
         for diff in DIFFICULTIES:
             n_gt[diff] += int(np.sum((gt_classes == class_id) & (gt_diff == diff)))
         class_dets = [d for d in dets if d.class_id == class_id]
-        matched = _match_scene(class_dets, gt_boxes, gt_classes == class_id, iou_match)
+        matched = _match_scene(class_dets, gt_boxes, gt_classes == class_id)
         scores.extend(d.score for d in class_dets)
         hit_diff.extend(str(gt_diff[gi]) if gi >= 0 else "" for gi in matched)
     # one stable sort by descending score serves every difficulty: dropping
@@ -169,14 +167,12 @@ def _slice_ap(
 
 @dataclass(frozen=True)
 class EvalResult:
-    """AP40 per (class name, difficulty) plus the moderate-difficulty mean."""
+    """AP40 per (class name, difficulty), and means over the classes it holds, in their order."""
 
     ap: dict = field(default_factory=dict)  # (class_name, difficulty) -> float | None
-    class_names: tuple[str, ...] = ()
 
     def map_at(self, difficulty: str) -> float | None:
-        values = [self.ap[(c, difficulty)] for c in self.class_names]
-        present = [v for v in values if v is not None]
+        present = [v for (_, d), v in self.ap.items() if d == difficulty and v is not None]
         if not present:
             return None
         return float(np.mean(present))

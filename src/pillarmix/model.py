@@ -489,9 +489,15 @@ def load_model(path) -> ModelGraph:
     digest = hashlib.sha256(data).hexdigest()
     if digest != manifest.get("checksum_sha256"):
         raise ModelFormatError("weight blob checksum mismatch")
-    layers = []
-    for rec in manifest["layers"]:
-        where = f"{manifest_path}: layer {rec['name']!r}"
+    layers = [_read_layer(rec, data, f"{manifest_path}: layer {rec.get('name')!r}") for rec in manifest["layers"]]
+    graph = ModelGraph(layers=tuple(layers), meta=manifest.get("meta", {}))
+    if _encode(graph)[1] != data:  # e.g. two arrays' offsets swapped: the checksum still matches
+        raise ModelFormatError(f"{manifest_path}: the layers' arrays do not re-encode to the weight blob")
+    return graph
+
+
+def _read_layer(rec: dict, data: bytes, where: str) -> LayerSpec:
+    try:
         bn = None
         if rec.get("bn") is not None:
             b = rec["bn"]
@@ -507,22 +513,24 @@ def load_model(path) -> ModelGraph:
             conv = ConvParams(
                 stride=tuple(rec["conv"]["stride"]), padding=tuple(rec["conv"]["padding"])
             )
-        layers.append(
-            LayerSpec(
-                name=rec["name"],
-                kind=rec["kind"],
-                index=rec["index"],
-                weight=_read_array(rec.get("weight"), data, f"{where} weight"),
-                bias=_read_array(rec.get("bias"), data, f"{where} bias"),
-                bn=bn,
-                relu=bool(rec["relu"]),
-                conv=conv,
-                grid=tuple(rec["grid"]) if rec.get("grid") else None,
-                is_head=bool(rec["is_head"]),
-                precision=DType(rec["precision"]),
-            )
+        return LayerSpec(
+            name=rec["name"],
+            kind=rec["kind"],
+            index=rec["index"],
+            weight=_read_array(rec.get("weight"), data, f"{where} weight"),
+            bias=_read_array(rec.get("bias"), data, f"{where} bias"),
+            bn=bn,
+            relu=bool(rec["relu"]),
+            conv=conv,
+            grid=tuple(rec["grid"]) if rec.get("grid") else None,
+            is_head=bool(rec["is_head"]),
+            precision=DType(rec["precision"]),
         )
-    return ModelGraph(layers=tuple(layers), meta=manifest.get("meta", {}))
+    except ModelFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ModelFormatError(f"{where}: {detail}") from exc
 
 
 def graphs_equal(a: ModelGraph, b: ModelGraph) -> bool:

@@ -6,7 +6,7 @@ recording one ``model.TapeEntry`` per layer, one loss, and one backward that
 walks the tape in reverse, treats each fake-quant node as identity inside its
 clip range and zero outside (clipped STE) and the FP16 round trip as
 identity. So weights are quantized once per step. Quant scales stay frozen at
-their calibrated values throughout.
+their calibrated values throughout; the loss weights are CLS_WEIGHT and REG_WEIGHT.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ __all__ = [
     "train_qat",
 ]
 
+CLS_WEIGHT = 1.0
+REG_WEIGHT = 5.0
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -39,8 +42,6 @@ class TrainConfig:
     epochs: int = 1
     batch_size: int = 4
     seed: int = 0
-    cls_weight: float = 1.0
-    reg_weight: float = 5.0
     pos_weight: float = 4.0  # weight of positive cells inside the BCE term
     momentum: float = 0.0  # fine-tuning stays plain SGD; base training may use this
     max_grad_norm: float = 0.0  # 0 disables clipping
@@ -52,6 +53,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.pos_weight) and self.pos_weight > 0):
+            raise ValueError(f"pos_weight must be positive and finite, got {self.pos_weight}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if not self.max_grad_norm >= 0.0:
@@ -112,14 +115,14 @@ def detection_loss(outputs, example: TrainExample, cfg: TrainConfig):
     w = np.where(t > 0, cfg.pos_weight, 1.0) * ~ignore[:, None]
     bce = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     cls_loss = (w * bce).sum(axis=(1, 2, 3), keepdims=True) / n_pos
-    d_cls = (cfg.cls_weight * w * (sigmoid(z) - t) / n_pos).astype(np.float32)
+    d_cls = (CLS_WEIGHT * w * (sigmoid(z) - t) / n_pos).astype(np.float32)
 
     r = reg_map.astype(np.float64)
     diff = (r - reg_t) * pos[:, None]
     reg_loss = (diff**2).sum(axis=(1, 2, 3), keepdims=True) / (4.0 * n_pos)
-    d_reg = (cfg.reg_weight * 2.0 * diff / (4.0 * n_pos)).astype(np.float32)
+    d_reg = (REG_WEIGHT * 2.0 * diff / (4.0 * n_pos)).astype(np.float32)
 
-    loss = float((cfg.cls_weight * cls_loss + cfg.reg_weight * reg_loss).sum())
+    loss = float((CLS_WEIGHT * cls_loss + REG_WEIGHT * reg_loss).sum())
     return loss, (d_cls, d_reg)
 
 
@@ -219,7 +222,6 @@ def train_qat(
     data: Sequence[TrainExample],
     cfg: TrainConfig,
     loss_fn: Callable = detection_loss,
-    evaluator: Callable | None = None,
 ) -> tuple[ModelGraph, list[dict]]:
     """Fine-tune weights under the plan's precision; scales stay frozen.
 
@@ -228,8 +230,7 @@ def train_qat(
     stacked scenes) and one backward over it. The step descends on the summed
     gradient over len(batch), so a short last batch is scaled by its own size.
 
-    Returns the tuned graph and a history of per-epoch mean train loss plus
-    the evaluator score (None when no evaluator is given).
+    Returns the tuned graph and a history of per-epoch mean train loss.
     """
     if any(l.bn is not None for l in graph.layers):
         raise ValueError("fold batch norm before training")
@@ -273,6 +274,5 @@ def train_qat(
                 for param, step in zip((layer.weight, layer.bias), steps):
                     param -= lr * step
             epoch_losses.append(batch_loss / len(batch))
-        score = float(evaluator(g, plan, stats)) if evaluator is not None else None
-        history.append({"epoch": epoch, "loss": float(np.mean(epoch_losses)), "score": score})
+        history.append({"epoch": epoch, "loss": float(np.mean(epoch_losses))})
     return g, history

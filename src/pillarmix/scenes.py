@@ -4,8 +4,9 @@ Each scene is a square field, FIELD_SIZE units a side, of (x, y, intensity)
 points plus axis-aligned ground-truth boxes in three size classes. Object
 points carry a class-dependent intensity band; background points are dim.
 With probability ``outlier_rate`` a scene contains one extreme intensity
-spike (``outlier_magnitude`` times the base scale), so tiny calibration
-samples rarely see a spike while large ones almost surely do.
+spike (OUTLIER_MAGNITUDE times the base scale), so tiny calibration
+samples rarely see a spike while large ones almost surely do. A box's
+difficulty follows from its area and point count by the EASY_*/HARD_* rule.
 
 Raw point features are (x, y, intensity, dx, dy) where dx, dy are offsets to
 the mean of the points sharing the pillar; absolute coordinates and offsets
@@ -43,6 +44,14 @@ CLASS_SIZES = ((3.0, 4.5), (2.0, 3.0), (1.2, 2.0))
 CLASS_INTENSITY = ((0.12, 0.32), (0.40, 0.62), (0.70, 0.95))
 CLASS_DENSITY = ((2.0, 3.0), (3.0, 4.5), (5.0, 8.0))
 BACKGROUND_INTENSITY = (0.0, 0.08)
+BACKGROUND_POINTS = (12, 24)  # per-scene count range, both ends included
+OUTLIER_MAGNITUDE = 50.0  # spike intensity, times uniform(0.8, 1.2)
+# difficulty rule: easy = area >= EASY_AREA and points >= EASY_POINTS;
+# hard = area < HARD_AREA or points < HARD_POINTS; moderate otherwise
+EASY_AREA = 7.0
+EASY_POINTS = 22
+HARD_AREA = 2.5
+HARD_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -51,21 +60,15 @@ class DatasetConfig:
 
     size: int = 64
     outlier_rate: float = 0.02
-    outlier_magnitude: float = 50.0
-    boxes_per_scene: tuple[int, int] = (2, 3)
-    background_points: tuple[int, int] = (12, 24)
-    # difficulty rule: easy = area >= easy_area and points >= easy_points;
-    # hard = area < hard_area or points < hard_points; moderate otherwise
-    easy_area: float = 7.0
-    easy_points: int = 22
-    hard_area: float = 2.5
-    hard_points: int = 8
+    boxes_per_scene: tuple[int, int] = (2, 3)  # count range, both ends included
 
     def __post_init__(self):
         if not 0.0 <= self.outlier_rate <= 1.0:
             raise ValueError(f"outlier_rate must lie in [0, 1], got {self.outlier_rate}")
-        if self.size < 1 or self.outlier_magnitude <= 0:
-            raise ValueError("dataset config must have positive size and magnitude")
+        if self.size < 1:
+            raise ValueError(f"size must be positive, got {self.size}")
+        if not 0 <= self.boxes_per_scene[0] <= self.boxes_per_scene[1]:
+            raise ValueError(f"boxes_per_scene must be (lo, hi) with 0 <= lo <= hi, got {self.boxes_per_scene}")
 
 
 @dataclass(frozen=True)
@@ -78,10 +81,10 @@ class Scene:
     difficulty: np.ndarray  # string labels from metrics.DIFFICULTIES
 
 
-def assign_difficulty(area: float, n_points: int, cfg: DatasetConfig) -> str:
-    if area < cfg.hard_area or n_points < cfg.hard_points:
+def assign_difficulty(area: float, n_points: int) -> str:
+    if area < HARD_AREA or n_points < HARD_POINTS:
         return "hard"
-    if area >= cfg.easy_area and n_points >= cfg.easy_points:
+    if area >= EASY_AREA and n_points >= EASY_POINTS:
         return "easy"
     return "moderate"
 
@@ -120,8 +123,8 @@ def _generate_scene(rng: np.random.Generator, cfg: DatasetConfig) -> Scene:
         point_chunks.append(np.stack([xs, ys, intensity], axis=1))
         boxes.append((cx, cy, w, h))
         classes.append(cls)
-        difficulties.append(assign_difficulty(w * h, n_pts, cfg))
-    n_bg = int(rng.integers(cfg.background_points[0], cfg.background_points[1] + 1))
+        difficulties.append(assign_difficulty(w * h, n_pts))
+    n_bg = int(rng.integers(BACKGROUND_POINTS[0], BACKGROUND_POINTS[1] + 1))
     bg = np.stack(
         [
             rng.uniform(0, field, size=n_bg),
@@ -134,7 +137,7 @@ def _generate_scene(rng: np.random.Generator, cfg: DatasetConfig) -> Scene:
     points = np.concatenate(point_chunks, axis=0)
     if rng.random() < cfg.outlier_rate:
         spike = int(rng.integers(0, len(points)))
-        points[spike, 2] = cfg.outlier_magnitude * float(rng.uniform(0.8, 1.2))
+        points[spike, 2] = OUTLIER_MAGNITUDE * float(rng.uniform(0.8, 1.2))
     return Scene(
         points=points.astype(np.float32),
         boxes=np.asarray(boxes, dtype=np.float32).reshape(-1, 4),
@@ -155,7 +158,8 @@ def pillarize(scene: Scene, grid: tuple[int, int], max_points_per_pillar: int) -
 
     Pillars are emitted in (row, col) order; points keep their scene order
     within a pillar, and pillars holding more than max_points_per_pillar
-    points are truncated first-come.
+    points are truncated first-come. Points on the field's far edge go into
+    the last cell; a non-finite or out-of-field point raises ValueError.
     """
     h, w = grid
     if h < 1 or w < 1:
@@ -168,10 +172,14 @@ def pillarize(scene: Scene, grid: tuple[int, int], max_points_per_pillar: int) -
             coords=np.zeros((0, 2), np.int64),
             grid=grid,
         )
+    bad = ~np.isfinite(pts).all(axis=1) | (pts[:, :2] < 0).any(axis=1) | (pts[:, :2] > FIELD_SIZE).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"point {i} {pts[i].tolist()} is not finite or lies outside the field [0, {FIELD_SIZE}]")
     cell_h = FIELD_SIZE / h
     cell_w = FIELD_SIZE / w
-    rows = np.clip((pts[:, 1] / cell_h).astype(np.int64), 0, h - 1)
-    cols = np.clip((pts[:, 0] / cell_w).astype(np.int64), 0, w - 1)
+    rows = np.minimum((pts[:, 1] / cell_h).astype(np.int64), h - 1)
+    cols = np.minimum((pts[:, 0] / cell_w).astype(np.int64), w - 1)
     flat = rows * w + cols
     pillar_ids = np.unique(flat)
     features = np.zeros((len(pillar_ids), max_points_per_pillar, POINT_FEATURES), np.float32)

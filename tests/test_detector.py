@@ -19,15 +19,25 @@ from pillarmix.detector import (
     pillarize_dataset,
 )
 from pillarmix.metrics import DIFFICULTIES, Detection, ap40, iou_matrix
-from pillarmix.model import apply_plan, fold_all_bn, forward, graphs_equal, load_model, parse_plan_label, save_model
+from pillarmix.model import (
+    apply_plan,
+    fold_all_bn,
+    forward,
+    graphs_equal,
+    load_model,
+    parse_plan_label,
+    save_model,
+    weights_digest,
+)
 from pillarmix.scenes import CLASS_NAMES, FIELD_SIZE, DatasetConfig, Scene, generate_dataset
 from pillarmix.tensor_ops import sigmoid, stack_samples
 
 PLAN_LABELS = ("FP32", "FP16", "INT8", "FP16: 1")
 
 
-def reference_decode_and_nms(cls_map, reg_map, cfg, score_thresh, iou_thresh):
-    """Per-candidate decoding and greedy NMS with one 1x1 IoU per pair."""
+def reference_decode_and_nms(cls_map, reg_map, score_thresh, iou_thresh):
+    """Per-candidate decoding (a zero size offset is a side of 2.5) and greedy
+    NMS with one 1x1 IoU per pair."""
     n_classes, oh, ow = cls_map.shape
     cell_h = FIELD_SIZE / oh
     cell_w = FIELD_SIZE / ow
@@ -48,8 +58,8 @@ def reference_decode_and_nms(cls_map, reg_map, cfg, score_thresh, iou_thresh):
             box = np.array([
                 (j + 0.5 + dx) * cell_w,
                 (i + 0.5 + dy) * cell_h,
-                cfg.base_size * math.exp(min(4.0, max(-4.0, dw))),
-                cfg.base_size * math.exp(min(4.0, max(-4.0, dh))),
+                2.5 * math.exp(min(4.0, max(-4.0, dw))),
+                2.5 * math.exp(min(4.0, max(-4.0, dh))),
             ])
             cand.append(Detection(box=box, class_id=cls, score=s))
         cand.sort(key=lambda d: -d.score)
@@ -74,7 +84,7 @@ class TestDecodeAndNms:
     def test_equals_greedy_reference(self, seed):
         rng = np.random.default_rng(seed)
         oh, ow = [(8, 8), (4, 6), (16, 16), (1, 1)][seed % 4]
-        base = DetectorConfig(n_classes=3)
+        base = DetectorConfig()
         # logits on a coarse grid give tied scores, both between neighbouring
         # peaks and across the sort
         cls_map = (rng.integers(-12, 4, size=(3, oh, ow)) / 4.0).astype(np.float32)
@@ -82,7 +92,7 @@ class TestDecodeAndNms:
         reg_map[2:, 0, 0] = [9.0, -9.0]  # box sizes clipped at exp(+-4)
         for score_thresh, iou_thresh in ((0.1, 0.5), (0.0, 0.0), (0.3, 1.0), (0.05, 0.2)):
             cfg = dataclasses.replace(base, score_thresh=score_thresh, nms_iou=iou_thresh)
-            want = reference_decode_and_nms(cls_map, reg_map, cfg, score_thresh, iou_thresh)
+            want = reference_decode_and_nms(cls_map, reg_map, score_thresh, iou_thresh)
             got = decode_and_nms(cls_map[None], reg_map[None], cfg)
             assert_same_detections(got, want)
 
@@ -102,7 +112,7 @@ class TestDecodeAndNms:
         for scene in scenes:
             cls_t, reg_t, _, _ = encode_targets(scene, cfg)
             dets.append(decode_and_nms(np.where(cls_t > 0, 8.0, -8.0).astype(np.float32), reg_t, cfg))
-        aps = [ap40(dets, scenes, c, cfg.match_iou) for c in range(cfg.n_classes)]
+        aps = [ap40(dets, scenes, c) for c in range(len(CLASS_NAMES))]
         assert {v for ap in aps for v in ap.values() if v is not None} == {1.0}
 
     @pytest.mark.parametrize("field, value", [("score_thresh", -0.1), ("score_thresh", 1.5), ("nms_iou", 2.0)])
@@ -123,6 +133,7 @@ def batch_setup():
     scenes.insert(EVAL_CHUNK - 1, empty)
     samples = pillarize_dataset(scenes, cfg)
     assert samples[EVAL_CHUNK - 1].features.shape[0] == 0
+    assert {s.features.shape[1] for s in samples} == {8}  # points per pillar
     return cfg, graph, stats, samples
 
 
@@ -157,7 +168,7 @@ def test_chunked_evaluate_equals_per_scene_evaluation(batch_setup, label):
     result = evaluate(graph, plan, stats, gts, cfg, samples=samples)
     want = {}
     for cls_id, cls_name in enumerate(CLASS_NAMES):
-        for diff, value in ap40(per_scene, gts, cls_id, cfg.match_iou).items():
+        for diff, value in ap40(per_scene, gts, cls_id).items():
             want[(cls_name, diff)] = value
     assert result.ap == want
     if label == "FP32":
@@ -174,13 +185,25 @@ def test_evaluate_rejects_samples_of_another_length(batch_setup):
         evaluate(graph, plan, stats, scenes[:4], cfg, samples=pillarize_dataset(scenes, cfg))
 
 
-@pytest.mark.parametrize("cfg", [
-    DetectorConfig(),
-    DetectorConfig(grid=(8, 8), block_channels=(8, 8, 8), convs_per_block=1, pfn_channels=8, neck_channels=8),
-])
-def test_detector_config_survives_the_model_meta(cfg, tmp_path):
-    assert DetectorConfig.from_meta({"detector": cfg.to_meta()}) == cfg
-    graph = build_toy_detector(cfg, seed=0)
+# the keys of fields that became constants, as manifests written before then hold them
+REMOVED_KEYS = {"n_classes": 3, "base_size": 2.5, "match_iou": 0.5, "max_points_per_pillar": 8}
+
+
+@pytest.mark.parametrize("cfg, old_keys", [
+    (DetectorConfig(), {}),
+    (DetectorConfig(grid=(8, 8), block_channels=(8, 8, 8), convs_per_block=1, pfn_channels=8, neck_channels=8), {}),
+    (DetectorConfig(), REMOVED_KEYS),
+], ids=["cfg0", "cfg1", "pre_constants_meta"])
+def test_detector_config_survives_the_model_meta(cfg, old_keys, tmp_path):
+    meta = {"detector": {**cfg.to_meta(), **old_keys}}
+    assert DetectorConfig.from_meta(meta) == cfg
+    graph = dataclasses.replace(build_toy_detector(cfg, seed=0), meta=meta)
     loaded = load_model(save_model(graph, tmp_path / "toy"))
     assert graphs_equal(loaded, graph)
     assert DetectorConfig.from_meta(loaded.meta) == cfg
+
+
+def test_default_detector_weights_are_pinned():
+    graph = build_toy_detector()
+    assert weights_digest(graph) == "9bae18fa093b8e8f75da3144c96ab125d47497be9ff8aa712a9fac24773bbe05"
+    assert weights_digest(fold_all_bn(graph)) == "f7ea26e53f3f12f7407203a7913d71811f0c74120ab5b3713298d5763ac2d8ad"

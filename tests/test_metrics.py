@@ -8,7 +8,7 @@ import pytest
 from pillarmix.metrics import DIFFICULTIES, RECALL_POSITIONS, Detection, _match_scene, ap40
 
 
-def reference_ap40(detections_per_scene, gt_per_scene, class_id, difficulty, iou_match=0.5):
+def reference_ap40(detections_per_scene, gt_per_scene, class_id, difficulty):
     """One (class, difficulty) slice: match, drop the detections that hit boxes
     of other difficulties, sort by score, interpolate at 40 recall points."""
     flags = []
@@ -19,7 +19,7 @@ def reference_ap40(detections_per_scene, gt_per_scene, class_id, difficulty, iou
         gt_diff = np.asarray(gt.difficulty)
         n_gt += int(np.sum((gt_classes == class_id) & (gt_diff == difficulty)))
         class_dets = [d for d in dets if d.class_id == class_id]
-        matched = _match_scene(class_dets, gt_boxes, gt_classes == class_id, iou_match)
+        matched = _match_scene(class_dets, gt_boxes, gt_classes == class_id)
         for d, gi in zip(class_dets, matched):
             if gi >= 0 and gt_diff[gi] != difficulty:
                 continue
@@ -73,10 +73,10 @@ class TestAp40:
         rng = np.random.default_rng(seed)
         dets, gts = random_scenes(rng, n_scenes=int(rng.integers(1, 25)))
         for cls in range(3):
-            got = ap40(dets, gts, cls, iou_match=0.5)
+            got = ap40(dets, gts, cls)
             assert list(got) == list(DIFFICULTIES)
             for diff in DIFFICULTIES:
-                assert got[diff] == reference_ap40(dets, gts, cls, diff, 0.5), (cls, diff)
+                assert got[diff] == reference_ap40(dets, gts, cls, diff), (cls, diff)
 
     def test_perfect_detector_scores_one(self):
         dets, gts = random_scenes(np.random.default_rng(10), n_scenes=20)
@@ -96,9 +96,13 @@ class TestAp40:
         assert ap40(dets, gts, 0) == {"easy": None, "moderate": None, "hard": None}
         assert ap40(dets, gts, 1) == {"easy": 0.0, "moderate": None, "hard": None}
 
-    def test_rejects_bad_iou(self):
-        with pytest.raises(ValueError, match="iou_match"):
-            ap40([], [], 0, iou_match=1.0)
+    @pytest.mark.parametrize("width, want", [(4.0, 1.0), (4.1, 0.0)])
+    def test_a_hit_needs_iou_of_one_half(self, width, want):
+        """A box twice as wide as the ground truth and centred on it has IoU 0.5, a wider one less."""
+        gts = [SimpleNamespace(boxes=np.array([[5.0, 5.0, 2.0, 2.0]]), classes=np.array([0]),
+                               difficulty=np.array(["easy"], dtype=object))]
+        dets = [[Detection(box=np.array([5.0, 5.0, width, 2.0]), class_id=0, score=0.5)]]
+        assert ap40(dets, gts, 0)["easy"] == want
 
     def test_rejects_mismatched_scene_counts(self):
         dets, gts = random_scenes(np.random.default_rng(11), n_scenes=6)

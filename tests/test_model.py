@@ -384,6 +384,21 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match=rf"toy\.mpq\.json: layer '{layer.name}' {array} holds NaN or inf"):
             load_model(tmp_path / "toy")
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda layers: layers[0]["bn"].update(gamma=layers[0]["bn"]["beta"], beta=layers[0]["bn"]["gamma"]),
+         r"toy\.mpq\.json: the layers' arrays do not re-encode to the weight blob"),
+        (lambda layers: layers[0].pop("relu"), r"toy\.mpq\.json: layer 'lin1': missing key 'relu'"),
+        (lambda layers: layers[1].update(precision="int4"), r"toy\.mpq\.json: layer 'conv2': 'int4' is not a valid"),
+        (lambda layers: layers[1]["weight"].update(offset=-8), r"toy\.mpq\.json: layer 'conv2': cannot reshape"),
+    ], ids=["swapped_offsets", "missing_key", "unknown_precision", "negative_offset"])
+    def test_corrupt_layer_record_names_the_manifest(self, tmp_path, corrupt, message):
+        path = save_model(self.graph(), tmp_path / "toy")
+        doc = json.loads(path.read_text())
+        corrupt(doc["layers"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(tmp_path / "toy")
+
     def test_precision_tags_persist(self, tmp_path):
         g = apply_plan(
             ModelGraph(layers=(linear_layer(1, 3, 3, np.random.default_rng(17)),)),

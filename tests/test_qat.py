@@ -18,7 +18,7 @@ from pillarmix.quant import (
     fake_quant_per_channel,
     fp16_roundtrip,
 )
-from pillarmix.scenes import DatasetConfig, generate_dataset
+from pillarmix.scenes import CLASS_NAMES, DatasetConfig, generate_dataset
 from pillarmix.tensor_ops import linear, stack_samples
 
 # Largest relative error allowed between the analytic gradient and a central
@@ -87,7 +87,7 @@ def test_batched_tape_gradient_is_the_sum_over_scenes():
     graph = tiny_graph()
     samples = [e.sample for e in make_train_examples(scenes, TINY)]
     rng = np.random.default_rng(1)
-    d_cls = rng.normal(size=(3, TINY.n_classes) + TINY.out_grid).astype(np.float32)
+    d_cls = rng.normal(size=(3, len(CLASS_NAMES)) + TINY.out_grid).astype(np.float32)
     d_reg = rng.normal(size=(3, 4) + TINY.out_grid).astype(np.float32)
     tape = []
     forward(graph, stack_samples(samples), tape=tape)
@@ -113,6 +113,17 @@ def stack_examples(examples):
         pos_mask=np.stack([e.pos_mask for e in examples]),
         ignore_mask=np.stack([e.ignore_mask for e in examples]),
     )
+
+
+def test_detection_loss_weights_are_pinned():
+    """Zero logits and offsets against one positive cell: the class term is
+    (pos_weight 4 + 2 negatives) * log 2, the box term 1 / 4, weighted 1 and 5."""
+    cls_t = np.zeros((1, 3, 1, 1), np.float32)
+    cls_t[0, 0] = 1.0
+    reg_t = np.array([1.0, 0.0, 0.0, 0.0], np.float32).reshape(1, 4, 1, 1)
+    example = TrainExample(None, cls_t, reg_t, np.ones((1, 1, 1), bool), np.zeros((1, 1, 1), bool))
+    loss, _ = detection_loss((np.zeros_like(cls_t), np.zeros_like(reg_t)), example, TrainConfig())
+    assert loss == pytest.approx(1.0 * 6 * np.log(2) + 5.0 * 0.25, rel=1e-12)
 
 
 def test_detection_loss_of_stacked_scenes_is_the_sum_of_their_own_losses():

@@ -1,9 +1,20 @@
 """Scenes: pillarize invariants against per-point cell membership, and seeded generation."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
-from pillarmix.scenes import FIELD_SIZE, POINT_FEATURES, DatasetConfig, Scene, generate_dataset, pillarize
+from pillarmix.scenes import (
+    FIELD_SIZE,
+    POINT_FEATURES,
+    DatasetConfig,
+    Scene,
+    assign_difficulty,
+    generate_dataset,
+    pillarize,
+)
 
 
 def point_cells(points, grid):
@@ -31,20 +42,21 @@ def test_pillars_partition_the_points_up_to_the_cap(grid, cap):
             assert not sample.features[p, k:].any()
 
 
+def scene_of(points):
+    return Scene(points=np.array(points, np.float32).reshape(-1, 3), boxes=np.zeros((0, 4), np.float32),
+                 classes=np.zeros(0, np.int64), difficulty=np.zeros(0, dtype=object))
+
+
 def test_truncation_keeps_the_first_points_of_a_crowded_pillar():
     points = np.array([[1.0, 1.0, 0.1], [9.0, 9.0, 0.9], [1.5, 1.2, 0.2], [1.2, 1.8, 0.3]], np.float32)
-    scene = Scene(points=points, boxes=np.zeros((0, 4), np.float32), classes=np.zeros(0, np.int64),
-                  difficulty=np.zeros(0, dtype=object))
-    sample = pillarize(scene, (4, 4), 2)
+    sample = pillarize(scene_of(points), (4, 4), 2)
     assert sample.coords.tolist() == [[0, 0], [2, 2]]
     np.testing.assert_array_equal(sample.features[0, :, :3], points[[0, 2]])
     np.testing.assert_allclose(sample.features[0, :, 3:], [[-0.25, -0.1], [0.25, 0.1]], atol=1e-6)
 
 
 def test_empty_scene_gives_no_pillars():
-    scene = Scene(points=np.zeros((0, 3), np.float32), boxes=np.zeros((0, 4), np.float32),
-                  classes=np.zeros(0, np.int64), difficulty=np.zeros(0, dtype=object))
-    sample = pillarize(scene, (16, 16), 8)
+    sample = pillarize(scene_of([]), (16, 16), 8)
     assert sample.features.shape == (0, 8, POINT_FEATURES)
     assert sample.point_mask.shape == (0, 8) and sample.coords.shape == (0, 2)
 
@@ -57,3 +69,36 @@ def test_generation_is_deterministic_per_seed():
             np.testing.assert_array_equal(getattr(sa, field), getattr(sb, field))
     assert not all(np.array_equal(sa.points, so.points) for sa, so in zip(a, other))
     assert all(((s.points[:, :2] >= 0) & (s.points[:, :2] <= FIELD_SIZE)).all() for s in a)
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 1.0, 0.1], [1.0, np.inf, 0.1], [1.0, 1.0, np.nan],
+                                 [40.0, 1.0, 0.1], [-5.0, 1.0, 0.1], [1.0, FIELD_SIZE + 0.01, 0.1]])
+def test_pillarize_rejects_non_finite_and_out_of_field_points(bad):
+    edge = [FIELD_SIZE, FIELD_SIZE, 0.5]  # the far edge belongs to the last cell
+    assert pillarize(scene_of([edge]), (4, 16), 8).coords.tolist() == [[3, 15]]
+    with pytest.raises(ValueError, match=re.escape(f"point 1 {np.float32(bad).tolist()} ")):
+        pillarize(scene_of([edge, bad]), (4, 16), 8)
+
+
+@pytest.mark.parametrize("boxes", [(3, 2), (-1, 2)])
+def test_dataset_config_rejects_bad_box_counts(boxes):
+    with pytest.raises(ValueError, match=rf"boxes_per_scene .* got {re.escape(str(boxes))}"):
+        DatasetConfig(boxes_per_scene=boxes)
+
+
+@pytest.mark.parametrize("area, n_points, want", [
+    (7.0, 22, "easy"), (7.0, 21, "moderate"), (6.99, 99, "moderate"),
+    (2.5, 8, "moderate"), (2.49, 99, "hard"), (99.0, 7, "hard"),
+])
+def test_difficulty_thresholds_are_pinned(area, n_points, want):
+    assert assign_difficulty(area, n_points) == want
+
+
+def test_generated_dataset_is_pinned():
+    """The spike and difficulty constants, on a set with all three difficulties and spikes."""
+    digest = hashlib.sha256()
+    for scene in generate_dataset(DatasetConfig(size=32, outlier_rate=0.5), seed=0):
+        for arr in (scene.points, scene.boxes, scene.classes):
+            digest.update(arr.tobytes())
+        digest.update("|".join(scene.difficulty).encode())
+    assert digest.hexdigest() == "25853512048512dec62a6cd2c6f8d3fcafd4c7fe09444de860518c3b8d1ca5cc"

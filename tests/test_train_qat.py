@@ -145,6 +145,9 @@ def test_a_non_finite_loss_names_the_epoch_the_batch_and_its_samples():
     ("learning_rate", float("inf")),
     ("max_grad_norm", -1.0),
     ("max_grad_norm", float("nan")),
+    ("pos_weight", -1.0),
+    ("pos_weight", 0.0),
+    ("pos_weight", float("nan")),
 ])
 def test_train_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
