@@ -2,7 +2,9 @@
 
 Calibration runs the folded model in full precision over a small sample set,
 recording each indexed layer's input-activation min/max (what that layer's
-kernel consumes, post-ReLU of the previous layer). A layer keeps one range,
+kernel consumes, post-ReLU of the previous layer) per sample. Pillarized
+scenes run EVAL_CHUNK at a time, one stacked forward per chunk, and each
+layer input is split back into per-scene ranges. A layer keeps one range,
 (act_min, act_max): the smallest per-sample min and the largest per-sample max,
 so subsets of a dataset can be re-calibrated from cached per-sample ranges
 without re-running forwards. The activation scale is always derived from that
@@ -22,8 +24,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
+from .model import EVAL_CHUNK, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
 from .quant import DType, PerChannelQuantParams, QuantParams, compute_scale, weight_quant_params
+from .tensor_ops import PillarSample, stack_samples
 
 __all__ = [
     "CalibrationStats",
@@ -89,28 +92,63 @@ class CalibrationStats:
         return sorted(self.layers)
 
 
+def _scene_ranges(x: np.ndarray, pillar_bounds: np.ndarray | None, n: int) -> list[tuple[float, float]]:
+    """(min, max) of each of the n scenes in a stacked layer input, (0.0, 0.0) for an empty one.
+
+    A [B, C, H, W] input, or a plain tensor (pillar_bounds None, n = 1), is
+    reduced per row of x.reshape(n, -1); a point-layer input [P_total, M, C]
+    over each scene's run of pillars, pillar_bounds[b]:pillar_bounds[b + 1].
+    """
+    if pillar_bounds is not None and x.ndim != 4:
+        runs = [x[a:b] for a, b in zip(pillar_bounds[:-1], pillar_bounds[1:])]
+        return [(float(r.min()), float(r.max())) if r.size else (0.0, 0.0) for r in runs]
+    if x.size == 0:
+        return [(0.0, 0.0)] * n
+    flat = x.reshape(n, -1)
+    return list(zip(flat.min(axis=1).tolist(), flat.max(axis=1).tolist()))
+
+
 def per_sample_ranges(
     graph: ModelGraph, samples: Sequence
 ) -> list[dict[int, tuple[float, float]]]:
-    """Per-layer input (min, max) for each sample, from full-precision forwards."""
+    """Per-layer input (min, max) for each sample, from full-precision forwards.
+
+    Single-scene PillarSamples run EVAL_CHUNK at a time, as one stacked
+    forward per chunk; a plain tensor sample is a chunk of one. A sample's
+    ranges equal, bit for bit, those of a forward on it alone. A non-finite
+    range raises RuntimeError naming the layer and the sample's position, and
+    a PillarSample holding several scenes raises ValueError.
+    """
     folded = fold_all_bn(graph)
     fp32 = apply_plan(folded, PrecisionPlan(default=DType.FP32))
+    stacked = len(samples) > 0 and isinstance(samples[0], PillarSample)
+    step = EVAL_CHUNK if stacked else 1
     out: list[dict[int, tuple[float, float]]] = []
-    for pos, sample in enumerate(samples):
-        ranges: dict[int, tuple[float, float]] = {}
+    for start in range(0, len(samples), step):
+        chunk = samples[start : start + step]
+        ranges: list[dict[int, tuple[float, float]]] = [{} for _ in chunk]
+        if stacked:
+            batch = stack_samples(chunk)
+            if batch.num_scenes != len(chunk):
+                raise ValueError(
+                    f"calibration samples {start}..{start + len(chunk) - 1} hold "
+                    f"{batch.num_scenes} scenes; each PillarSample must hold one"
+                )
+            pillar_bounds = np.cumsum([0] + [s.features.shape[0] for s in chunk])
+        else:
+            batch, pillar_bounds = chunk[0], None
 
         def record(layer, x):
-            lo = float(x.min()) if x.size else 0.0
-            hi = float(x.max()) if x.size else 0.0
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise RuntimeError(
-                    f"non-finite activation at layer {layer.index} ({layer.name!r}) "
-                    f"on calibration sample {pos}"
-                )
-            ranges[layer.index] = (lo, hi)
+            for b, (lo, hi) in enumerate(_scene_ranges(x, pillar_bounds, len(chunk))):
+                if not (np.isfinite(lo) and np.isfinite(hi)):
+                    raise RuntimeError(
+                        f"non-finite activation at layer {layer.index} ({layer.name!r}) "
+                        f"on calibration sample {start + b}"
+                    )
+                ranges[b][layer.index] = (lo, hi)
 
-        forward(fp32, sample, observe_fn=record)
-        out.append(ranges)
+        forward(fp32, batch, observe_fn=record)
+        out.extend(ranges)
     return out
 
 
@@ -126,7 +164,14 @@ def stats_from_ranges(
     folded = fold_all_bn(graph)
     layers: dict[int, LayerCalibration] = {}
     for layer in folded.weight_layers:
-        layer_ranges = [sample_ranges[layer.index] for sample_ranges in ranges]
+        try:
+            layer_ranges = [sample_ranges[layer.index] for sample_ranges in ranges]
+        except KeyError:
+            pos = next(p for p, sample_ranges in enumerate(ranges) if layer.index not in sample_ranges)
+            raise ValueError(
+                f"calibration sample {pos} has no range for layer {layer.index} ({layer.name!r}); "
+                "ranges from another model?"
+            ) from None
         layers[layer.index] = LayerCalibration(
             index=layer.index,
             name=layer.name,
@@ -229,8 +274,9 @@ def calib_size_sweep(
 
     Returns one row per (n, seed, layer): the layer's observed input max under
     that calibration set, plus the evaluator score for the set (repeated
-    across the set's layers). Per-sample forwards are cached, so the cost is
-    one forward per distinct dataset sample plus one evaluation per (n, seed).
+    across the set's layers). Per-sample ranges are cached, so the cost is one
+    evaluation per (n, seed) plus, per set, one stacked forward per chunk of
+    up to EVAL_CHUNK samples that no earlier set held.
     """
     sizes = list(sizes)
     if sizes != sorted(sizes):

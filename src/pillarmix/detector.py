@@ -18,7 +18,7 @@ import numpy as np
 
 from .calibration import CalibrationStats
 from .metrics import Detection, EvalResult, ap40, iou_matrix
-from .model import BatchNorm, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
+from .model import EVAL_CHUNK, BatchNorm, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
 from .qat import TrainExample
 from .scenes import CLASS_NAMES, FIELD_SIZE, POINT_FEATURES, Scene, pillarize
 from .tensor_ops import ConvParams, PillarSample, sigmoid, stack_samples
@@ -34,13 +34,6 @@ __all__ = [
     "pillarize_dataset",
 ]
 
-
-# Scenes per batched forward in evaluate. Each forward quantizes every weight
-# once for the whole chunk, but the activations and the im2col patch matrices
-# grow with it: over a 96-scene eval set (x86-64, numpy 2.4, OpenBLAS), one
-# unchunked forward raised peak RSS by about 11 MB over per-scene forwards,
-# chunks of 16 scenes by about 1 MB.
-EVAL_CHUNK = 16
 
 BASE_SIZE = 2.5  # box side that a zero size offset decodes to
 MAX_POINTS_PER_PILLAR = 8
@@ -252,8 +245,9 @@ def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig
     cfg.score_thresh are visited by descending score (ties in row-major cell
     order), and each is kept unless its IoU with an already kept box of the
     class reaches cfg.nms_iou. One IoU matrix over the class's candidates
-    serves the whole greedy pass. A 4-D map holding more than one scene
-    raises ValueError.
+    serves the whole greedy pass. A 4-D map holding more than one scene, or
+    maps with other than len(CLASS_NAMES) class or 4 box channels, raise
+    ValueError.
     """
     if cls_map.ndim == 4:
         if cls_map.shape[0] != 1 or reg_map.shape[0] != 1:
@@ -261,6 +255,11 @@ def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig
                 f"decode_and_nms takes one scene; got maps of shape {cls_map.shape} and {reg_map.shape}"
             )
         cls_map, reg_map = cls_map[0], reg_map[0]
+    if cls_map.shape[0] != len(CLASS_NAMES) or reg_map.shape[0] != 4:
+        raise ValueError(
+            f"decode_and_nms needs {len(CLASS_NAMES)} class channels and 4 box channels; "
+            f"got maps of shape {cls_map.shape} and {reg_map.shape}"
+        )
     n_classes, oh, ow = cls_map.shape
     cell_h = FIELD_SIZE / oh
     cell_w = FIELD_SIZE / ow

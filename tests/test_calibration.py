@@ -1,5 +1,6 @@
 """Calibration-set selection, range collection, stats files, and sweep machinery."""
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pillarmix import calibration
 from pillarmix.calibration import (
     calib_size_sweep,
     load_stats,
@@ -17,8 +19,11 @@ from pillarmix.calibration import (
     select_calib_set,
     stats_from_ranges,
 )
-from pillarmix.model import LayerSpec, ModelGraph
+from pillarmix.detector import DetectorConfig, build_toy_detector, pillarize_dataset
+from pillarmix.model import EVAL_CHUNK, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
 from pillarmix.quant import PerChannelQuantParams, QuantParams
+from pillarmix.scenes import DatasetConfig, Scene, generate_dataset
+from pillarmix.tensor_ops import stack_samples
 
 
 def chain(rng, widths=(6, 6, 4)):
@@ -124,6 +129,91 @@ class TestRunCalibration:
         assert isinstance(stats[1].weight_qp, PerChannelQuantParams)
 
 
+def per_scene_reference(graph, samples):
+    """One FP32 forward per sample, each layer input reduced whole: the loop
+    that per_sample_ranges ran before it stacked scenes."""
+    fp32 = apply_plan(fold_all_bn(graph), PrecisionPlan())
+    out = []
+    for sample in samples:
+        ranges = {}
+
+        def record(layer, x):
+            ranges[layer.index] = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+
+        forward(fp32, sample, observe_fn=record)
+        out.append(ranges)
+    return out
+
+
+@pytest.fixture(scope="module")
+def detector_samples():
+    """Default detector and EVAL_CHUNK + 3 pillarized scenes: an empty one
+    ends the first chunk and an outlier scene opens the second."""
+    cfg = DetectorConfig()
+    graph = build_toy_detector(cfg, seed=0)
+    scenes = generate_dataset(DatasetConfig(size=EVAL_CHUNK + 1, outlier_rate=0.0), seed=3)
+    empty = Scene(points=np.zeros((0, 3), np.float32), boxes=np.zeros((0, 4), np.float32),
+                  classes=np.zeros(0, np.int64), difficulty=np.zeros(0, dtype=object))
+    outlier = generate_dataset(DatasetConfig(size=1, outlier_rate=1.0), seed=4)[0]
+    scenes.insert(EVAL_CHUNK - 1, empty)
+    scenes.insert(EVAL_CHUNK, outlier)
+    samples = pillarize_dataset(scenes, cfg)
+    assert samples[EVAL_CHUNK - 1].features.shape[0] == 0
+    assert samples[EVAL_CHUNK].features.max() > 2 * max(s.features.max() for s in samples[: EVAL_CHUNK - 1])
+    return graph, samples
+
+
+class TestPerSampleRanges:
+    def test_stacked_chunks_equal_per_scene_forwards(self, detector_samples):
+        graph, samples = detector_samples
+        ranges = per_sample_ranges(graph, samples)
+        # repr tells -0.0 from 0.0
+        assert repr(ranges) == repr(per_scene_reference(graph, samples))
+        assert ranges[EVAL_CHUNK - 1][1] == (0.0, 0.0)  # the empty scene's point layer
+
+    def test_non_finite_names_the_global_sample_position(self, detector_samples):
+        graph, samples = detector_samples
+        bad = EVAL_CHUNK + 1
+        features = samples[bad].features.copy()
+        features[0, 0, 0] = np.nan
+        broken = list(samples)
+        broken[bad] = dataclasses.replace(samples[bad], features=features)
+        with pytest.raises(RuntimeError, match=rf"layer 1 \('voxel_encoder.pfn.linear'\) on calibration sample {bad}$"):
+            per_sample_ranges(graph, broken)
+
+    def test_plain_tensor_samples_are_reduced_whole(self):
+        rng = np.random.default_rng(23)
+        g = chain(rng)
+        xs = [rng.normal(size=(3, 6)).astype(np.float32), np.zeros((0, 6), np.float32),
+              rng.normal(size=(5, 6)).astype(np.float32)]
+        ranges = per_sample_ranges(g, xs)
+        assert repr(ranges) == repr(per_scene_reference(g, xs))
+        assert ranges[0][1] == (float(xs[0].min()), float(xs[0].max()))
+        assert ranges[1] == {1: (0.0, 0.0), 2: (0.0, 0.0)}
+
+    def test_rejects_a_sample_of_several_scenes(self, detector_samples):
+        graph, samples = detector_samples
+        with pytest.raises(ValueError, match="samples 0..1 hold 3 scenes; each PillarSample must hold one"):
+            per_sample_ranges(graph, [samples[0], stack_samples(samples[1:3])])
+
+    @pytest.mark.parametrize("n", [1, EVAL_CHUNK, EVAL_CHUNK + 3])
+    def test_one_forward_per_chunk(self, detector_samples, monkeypatch, n):
+        graph, samples = detector_samples
+        calls = []
+
+        def counting_forward(*args, **kwargs):
+            calls.append(args[1])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "forward", counting_forward)
+        per_sample_ranges(graph, samples[:n])
+        assert len(calls) == math.ceil(n / EVAL_CHUNK)
+        rng = np.random.default_rng(24)
+        calls.clear()
+        per_sample_ranges(chain(rng), [rng.normal(size=(2, 6)).astype(np.float32) for _ in range(3)])
+        assert len(calls) == 3
+
+
 RANGE_GRAPH = chain(np.random.default_rng(20))
 
 
@@ -151,6 +241,12 @@ class TestStatsFromRanges:
         first_neg = stats_from_ranges(RANGE_GRAPH, per_sample([(-0.0, -0.0, -0.0, -0.0), (0.0, 0.0, 0.0, 0.0)]))
         assert math.copysign(1.0, first_pos[1].act_min) == math.copysign(1.0, first_pos[1].act_max) == 1.0
         assert math.copysign(1.0, first_neg[1].act_min) == math.copysign(1.0, first_neg[1].act_max) == -1.0
+
+    def test_missing_layer_names_the_layer_and_sample(self):
+        ranges = per_sample([(0.0, 1.0, 0.0, 1.0), (0.0, 2.0, 0.0, 2.0)])
+        del ranges[1][2]
+        with pytest.raises(ValueError, match=r"sample 1 has no range for layer 2 \('lin2'\)"):
+            stats_from_ranges(RANGE_GRAPH, ranges)
 
     @settings(max_examples=50, deadline=None)
     @given(pairs=sample_ranges, data=st.data())

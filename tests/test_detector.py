@@ -3,6 +3,7 @@ the config through the model meta."""
 
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -183,6 +184,25 @@ def test_evaluate_rejects_samples_of_another_length(batch_setup):
         evaluate(graph, plan, stats, scenes, cfg, samples=pillarize_dataset(scenes, cfg)[:4])
     with pytest.raises(ValueError, match="12 pillarized samples for 4 scenes"):
         evaluate(graph, plan, stats, scenes[:4], cfg, samples=pillarize_dataset(scenes, cfg))
+
+
+@pytest.mark.parametrize("head, shapes", [
+    ("bbox_head.conv_cls", "(4, 8, 8) and (4, 8, 8)"),
+    ("bbox_head.conv_reg", "(3, 8, 8) and (5, 8, 8)"),
+])
+def test_evaluate_rejects_a_head_of_the_wrong_width(head, shapes):
+    """A fifth channel on either head fails loudly instead of going unscored."""
+    cfg = DetectorConfig()
+    graph = build_toy_detector(cfg, seed=0)
+    layers = [
+        dataclasses.replace(l, weight=np.concatenate([l.weight, l.weight[:1]]),
+                            bias=np.concatenate([l.bias, [5.0]]).astype(np.float32))
+        if l.name == head else l
+        for l in graph.layers
+    ]
+    wide = dataclasses.replace(graph, layers=tuple(layers))
+    with pytest.raises(ValueError, match=re.escape(f"got maps of shape {shapes}")):
+        evaluate(wide, parse_plan_label("FP32"), None, generate_dataset(DatasetConfig(size=2), seed=1), cfg)
 
 
 # the keys of fields that became constants, as manifests written before then hold them

@@ -390,7 +390,9 @@ class TestSerialization:
         (lambda layers: layers[0].pop("relu"), r"toy\.mpq\.json: layer 'lin1': missing key 'relu'"),
         (lambda layers: layers[1].update(precision="int4"), r"toy\.mpq\.json: layer 'conv2': 'int4' is not a valid"),
         (lambda layers: layers[1]["weight"].update(offset=-8), r"toy\.mpq\.json: layer 'conv2': cannot reshape"),
-    ], ids=["swapped_offsets", "missing_key", "unknown_precision", "negative_offset"])
+        (lambda layers: layers[1].update(index=1),
+         r"toy\.mpq\.json: weight layer 'conv2' has index 1, expected 2"),
+    ], ids=["swapped_offsets", "missing_key", "unknown_precision", "negative_offset", "repeated_index"])
     def test_corrupt_layer_record_names_the_manifest(self, tmp_path, corrupt, message):
         path = save_model(self.graph(), tmp_path / "toy")
         doc = json.loads(path.read_text())
