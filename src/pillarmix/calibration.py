@@ -227,9 +227,10 @@ def load_stats(path) -> CalibrationStats:
     """Read a calib-stats.json written by save_stats; act_qp comes from each stored range.
 
     Malformed JSON, an unknown version, a missing key or a value of the wrong
-    type, and a non-finite or inverted range raise ValueError naming the file
-    (and the layer, for a layer's record). Other keys, such as the "count" and "scale" that files
-    from before the scale was derived hold, are ignored.
+    type, a non-integer or repeated layer index, and a non-finite or inverted
+    range raise ValueError naming the file (and the layer, for a layer's
+    record). Other keys, such as the "count" and "scale" that files from
+    before the scale was derived hold, are ignored.
     """
     path = Path(path)
     where = ""
@@ -239,7 +240,11 @@ def load_stats(path) -> CalibrationStats:
             raise ValueError(f"unsupported format version {doc.get('format_version')!r}")
         layers: dict[int, LayerCalibration] = {}
         for rec in doc["layers"]:
-            where = f", layer {rec.get('index')}"
+            where = f", layer {rec.get('index')!r}"
+            if type(rec["index"]) is not int:
+                raise ValueError("the index is not an integer")
+            if rec["index"] in layers:
+                raise ValueError("a second record for this index")
             if "weight_scales" in rec:
                 weight_qp = PerChannelQuantParams(scales=np.asarray(rec["weight_scales"]))
             else:

@@ -70,12 +70,16 @@ class DetectorConfig:
 
     @staticmethod
     def from_meta(meta: dict) -> "DetectorConfig":
-        """The config from the fields a manifest holds; keys of removed fields are ignored."""
-        det = meta["detector"]
-        return DetectorConfig(**{
-            f.name: tuple(det[f.name]) if isinstance(det[f.name], list) else det[f.name]
-            for f in dataclasses.fields(DetectorConfig)
-        })
+        """The config from the fields a manifest holds; keys of removed fields are
+        ignored, and a missing "detector" entry or field raises ValueError naming it."""
+        try:
+            det = meta["detector"]
+            return DetectorConfig(**{
+                f.name: tuple(det[f.name]) if isinstance(det[f.name], list) else det[f.name]
+                for f in dataclasses.fields(DetectorConfig)
+            })
+        except KeyError as exc:
+            raise ValueError(f"model meta has no detector config key {exc}; pass cfg") from exc
 
 
 def _bn(channels: int, rng: np.random.Generator) -> BatchNorm:

@@ -8,6 +8,10 @@ into the weights before execution (``fold_all_bn``); ``forward`` rejects a
 layer that still carries it. Execution is precision-aware: INT8 layers
 fake-quantize their input activation and weight, FP16 layers round both
 through binary16, FP32 layers run untouched.
+
+A saved model is one ``<name>.npz``: a JSON ``manifest`` member and one
+float32 member per parameter array, keyed by layer position and field
+('3.weight', '0.bn.gamma'); see ``save_model``.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -62,7 +67,7 @@ EVAL_CHUNK = 16
 WEIGHT_KINDS = ("linear", "conv2d")
 GLUE_KINDS = ("scatter", "maxpool", "upsample2x")
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -182,12 +187,14 @@ def parse_plan_label(label: str) -> PrecisionPlan:
     """Parse any label that PrecisionPlan.label() emits back into its plan.
 
     'FP32' / 'FP16' / 'INT8'; 'FP16: 1,22,3' (INT8 with those layers in FP16);
-    '<DEFAULT> except i=dtype,...', e.g. 'INT8 except 1=fp32'.
+    '<DEFAULT> except i=dtype,...', e.g. 'INT8 except 1=fp32'. Anything else,
+    such as 'FP16:' with no indices or an empty one in 'FP16: 1,,3', raises
+    ValueError naming the label.
     """
     text = label.strip()
     try:
         if text.upper().startswith("FP16:"):
-            indices = [int(tok) for tok in text.split(":", 1)[1].split(",") if tok.strip()]
+            indices = [int(tok) for tok in text.split(":", 1)[1].split(",")]
             return PrecisionPlan(default=DType.INT8, overrides={i: DType.FP16 for i in indices})
         default, sep, rest = text.partition(" except ")
         overrides = {}
@@ -380,156 +387,129 @@ def forward(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: <name>.mpq.json manifest + <name>.mpq.bin float32 blob
+# Serialization: one <name>.npz, a JSON manifest plus one float32 array per parameter
+
+_BN_FIELDS = ("gamma", "beta", "mean", "var")
 
 
-def _blob_paths(path) -> tuple[Path, Path]:
+def _npz_path(path) -> Path:
     p = Path(path)
-    name = p.name
-    for suffix in (".mpq.json", ".mpq.bin", ".mpq"):
-        if name.endswith(suffix):
-            name = name[: -len(suffix)]
-            break
-    stem = p.with_name(name)
-    return stem.with_name(stem.name + ".mpq.json"), stem.with_name(stem.name + ".mpq.bin")
+    return p if p.suffix == ".npz" else p.with_name(p.name + ".npz")
 
 
-class _BlobWriter:
-    def __init__(self):
-        self.chunks: list[bytes] = []
-        self.offset = 0
-
-    def add(self, arr: np.ndarray) -> dict:
-        data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        rec = {"shape": list(arr.shape), "offset": self.offset}
-        self.chunks.append(data)
-        self.offset += len(data)
-        return rec
-
-
-def _layer_manifest(layer: LayerSpec, blob: _BlobWriter) -> dict:
-    rec = {
+def _layer_record(layer: LayerSpec) -> dict:
+    """A layer's manifest record: everything but its arrays, and BN's eps."""
+    return {
         "name": layer.name,
         "kind": layer.kind,
         "index": layer.index,
         "relu": layer.relu,
         "is_head": layer.is_head,
         "precision": layer.precision.value,
-        "conv": None,
+        "conv": {"stride": list(layer.conv.stride), "padding": list(layer.conv.padding)} if layer.conv else None,
         "grid": list(layer.grid) if layer.grid is not None else None,
-        "weight": blob.add(layer.weight) if layer.weight is not None else None,
-        "bias": blob.add(layer.bias) if layer.bias is not None else None,
-        "bn": None,
+        "bn": {"eps": layer.bn.eps} if layer.bn is not None else None,
     }
-    if layer.conv is not None:
-        rec["conv"] = {"stride": list(layer.conv.stride), "padding": list(layer.conv.padding)}
-    if layer.bn is not None:
-        rec["bn"] = {
-            "eps": layer.bn.eps,
-            "gamma": blob.add(layer.bn.gamma),
-            "beta": blob.add(layer.bn.beta),
-            "mean": blob.add(layer.bn.mean),
-            "var": blob.add(layer.bn.var),
-        }
-    return rec
 
 
-def _encode(graph: ModelGraph) -> tuple[list[dict], bytes]:
-    """Manifest records of the layers and the float32 blob of all their
-    arrays, in layer order: weight, bias, then BN gamma, beta, mean, var."""
-    blob = _BlobWriter()
-    records = [_layer_manifest(l, blob) for l in graph.layers]
-    return records, b"".join(blob.chunks)
+def _arrays(graph: ModelGraph) -> dict[str, np.ndarray]:
+    """Every parameter array as little-endian float32, keyed '<layer position>.<field>',
+    in layer order: weight, bias, then BN gamma, beta, mean, var (e.g. '0.bn.gamma')."""
+    fields = {}
+    for pos, l in enumerate(graph.layers):
+        fields.update({f"{pos}.weight": l.weight, f"{pos}.bias": l.bias})
+        if l.bn is not None:
+            fields.update({f"{pos}.bn.{f}": getattr(l.bn, f) for f in _BN_FIELDS})
+    return {key: np.ascontiguousarray(a, dtype="<f4") for key, a in fields.items() if a is not None}
 
 
 def save_model(graph: ModelGraph, path) -> Path:
-    """Write the graph as <path>.mpq.json + <path>.mpq.bin; returns the manifest path."""
-    manifest_path, blob_path = _blob_paths(path)
-    layers, data = _encode(graph)
+    """Write the graph as one uncompressed <path>.npz; returns its path.
+
+    Its 'manifest' member is a JSON string: "format_version", "meta", one record
+    per layer (no arrays; BN keeps its "eps") and "weights_sha256", the graph's
+    weights_digest. Each parameter array is a member such as '3.weight'.
+    """
+    path = _npz_path(path)
     manifest = {
         "format_version": FORMAT_VERSION,
         "meta": graph.meta,
-        "blob_size": len(data),
-        "checksum_sha256": hashlib.sha256(data).hexdigest(),
-        "layers": layers,
+        "layers": [_layer_record(l) for l in graph.layers],
+        "weights_sha256": weights_digest(graph),
     }
-    blob_path.write_bytes(data)
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest_path
-
-
-def _read_array(rec: dict | None, data: bytes, what: str) -> np.ndarray | None:
-    """The array at rec's offset in the blob; what names it in errors."""
-    if rec is None:
-        return None
-    shape = tuple(rec["shape"])
-    count = int(np.prod(shape)) if shape else 1
-    start = rec["offset"]
-    end = start + 4 * count
-    if end > len(data):
-        raise ModelFormatError(
-            f"weight blob truncated: need bytes [{start}, {end}) of {len(data)}"
-        )
-    arr = np.frombuffer(data[start:end], dtype="<f4").reshape(shape).astype(np.float32)
-    if not np.all(np.isfinite(arr)):
-        raise ModelFormatError(f"{what} holds NaN or inf")
-    return arr
+    np.savez(path, manifest=np.array(json.dumps(manifest, sort_keys=True)), **_arrays(graph))
+    return path
 
 
 def load_model(path) -> ModelGraph:
-    manifest_path, blob_path = _blob_paths(path)
+    """Read a model written by save_model; never unpickles.
+
+    An unreadable file (the zip's CRC-32 catches a flipped byte), a malformed
+    manifest or layer record, an array that is not finite float32 or belongs to
+    no layer, an invalid chain and arrays whose digest is not "weights_sha256"
+    (e.g. two swapped) raise ModelFormatError naming the file, and the layer
+    where there is one; an unknown version raises UnsupportedVersionError.
+    """
+    path = _npz_path(path)
     try:
-        manifest = json.loads(manifest_path.read_text())
+        # np.load leaks a file it opens itself when the zip is unreadable
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as npz:
+            arrays = {key: npz[key] for key in npz.files}
+        manifest = json.loads(str(arrays.pop("manifest", "")))
     except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"malformed manifest {manifest_path}: {exc}") from exc
+        raise ModelFormatError(f"{path}: malformed manifest: {exc}") from exc
+    except (OSError, ValueError, EOFError, TypeError, zipfile.BadZipFile) as exc:
+        raise ModelFormatError(f"{path}: not a readable model file: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ModelFormatError(f"{path}: malformed manifest: not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(
-            f"model format version {version!r} is not supported (expected {FORMAT_VERSION})"
+            f"{path}: model format version {version!r} is not supported (expected {FORMAT_VERSION})"
         )
-    if not blob_path.exists():
-        raise ModelFormatError(f"manifest references missing weight blob {blob_path}")
-    data = blob_path.read_bytes()
-    if len(data) != manifest.get("blob_size"):
-        raise ModelFormatError(
-            f"weight blob size {len(data)} != manifest blob_size {manifest.get('blob_size')}"
-        )
-    digest = hashlib.sha256(data).hexdigest()
-    if digest != manifest.get("checksum_sha256"):
-        raise ModelFormatError("weight blob checksum mismatch")
-    layers = [_read_layer(rec, data, f"{manifest_path}: layer {rec.get('name')!r}") for rec in manifest["layers"]]
+    meta, records = manifest.get("meta"), manifest.get("layers")
+    if not isinstance(meta, dict) or not isinstance(records, list):
+        raise ModelFormatError(f"{path}: malformed manifest: needs a 'meta' object and a 'layers' list")
+    layers = [_read_layer(rec, pos, arrays, path) for pos, rec in enumerate(records)]
+    if arrays:  # _read_layer took every array that belongs to a layer
+        raise ModelFormatError(f"{path}: arrays {sorted(arrays)} belong to no layer")
     try:
-        graph = ModelGraph(layers=tuple(layers), meta=manifest.get("meta", {}))
+        graph = ModelGraph(layers=tuple(layers), meta=meta)
     except ValueError as exc:  # the layer chain itself is invalid, e.g. indices out of order
-        raise ModelFormatError(f"{manifest_path}: {exc}") from exc
-    if _encode(graph)[1] != data:  # e.g. two arrays' offsets swapped: the checksum still matches
-        raise ModelFormatError(f"{manifest_path}: the layers' arrays do not re-encode to the weight blob")
+        raise ModelFormatError(f"{path}: {exc}") from exc
+    if weights_digest(graph) != manifest.get("weights_sha256"):  # e.g. two same-shape arrays swapped
+        raise ModelFormatError(f"{path}: the arrays' digest is not the manifest's weights_sha256")
     return graph
 
 
-def _read_layer(rec: dict, data: bytes, where: str) -> LayerSpec:
+def _read_layer(rec, pos: int, arrays: dict, path: Path) -> LayerSpec:
+    """The layer at position pos; takes its arrays out of arrays."""
+    if not isinstance(rec, dict):
+        raise ModelFormatError(f"{path}: layer record {pos} is not an object")
+    where = f"{path}: layer {rec.get('name')!r}"
+
+    def take(field: str, required: bool) -> np.ndarray | None:
+        key = f"{pos}.{field}"
+        if not required and key not in arrays:
+            return None
+        arr = arrays.pop(key)  # a missing BN array is a KeyError
+        dtype = getattr(arr, "dtype", None)
+        if dtype != np.float32:
+            raise ValueError(f"{field} is {dtype}, not float32")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{field} holds NaN or inf")
+        return arr
+
     try:
-        bn = None
-        if rec.get("bn") is not None:
-            b = rec["bn"]
-            bn = BatchNorm(
-                gamma=_read_array(b["gamma"], data, f"{where} BN gamma"),
-                beta=_read_array(b["beta"], data, f"{where} BN beta"),
-                mean=_read_array(b["mean"], data, f"{where} BN mean"),
-                var=_read_array(b["var"], data, f"{where} BN var"),
-                eps=float(b["eps"]),
-            )
-        conv = None
-        if rec.get("conv") is not None:
-            conv = ConvParams(
-                stride=tuple(rec["conv"]["stride"]), padding=tuple(rec["conv"]["padding"])
-            )
+        bn, conv = rec.get("bn"), rec.get("conv")
+        bn = None if bn is None else BatchNorm(*(take(f"bn.{f}", True) for f in _BN_FIELDS), eps=float(bn["eps"]))
+        conv = None if conv is None else ConvParams(tuple(conv["stride"]), tuple(conv["padding"]))
         return LayerSpec(
             name=rec["name"],
             kind=rec["kind"],
             index=rec["index"],
-            weight=_read_array(rec.get("weight"), data, f"{where} weight"),
-            bias=_read_array(rec.get("bias"), data, f"{where} bias"),
+            weight=take("weight", False),
+            bias=take("bias", False),
             bn=bn,
             relu=bool(rec["relu"]),
             conv=conv,
@@ -537,8 +517,6 @@ def _read_layer(rec: dict, data: bytes, where: str) -> LayerSpec:
             is_head=bool(rec["is_head"]),
             precision=DType(rec["precision"]),
         )
-    except ModelFormatError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ModelFormatError(f"{where}: {detail}") from exc
@@ -546,9 +524,17 @@ def _read_layer(rec: dict, data: bytes, where: str) -> LayerSpec:
 
 def graphs_equal(a: ModelGraph, b: ModelGraph) -> bool:
     """Bit-exact structural equality, weights included."""
-    return a.meta == b.meta and _encode(a) == _encode(b)
+    def parts(g: ModelGraph):
+        arrays = [(key, arr.shape, arr.tobytes()) for key, arr in _arrays(g).items()]
+        return g.meta, [_layer_record(l) for l in g.layers], arrays
+
+    return parts(a) == parts(b)
 
 
 def weights_digest(graph: ModelGraph) -> str:
-    """sha256 over all parameter bytes, in layer order (the .mpq.bin blob)."""
-    return hashlib.sha256(_encode(graph)[1]).hexdigest()
+    """sha256 over all parameter arrays' little-endian float32 bytes, in layer
+    order: weight, bias, then BN gamma, beta, mean, var."""
+    digest = hashlib.sha256()
+    for arr in _arrays(graph).values():
+        digest.update(arr.tobytes())
+    return digest.hexdigest()

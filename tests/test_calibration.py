@@ -388,6 +388,22 @@ class TestStatsSerialization:
         with pytest.raises(ValueError, match=f"bad.json, layer 2: .*{message}"):
             load_stats(p)
 
+    def test_repeated_index_names_the_path_and_layer(self, tmp_path):
+        doc = json.loads(OLD_STATS_FILE)
+        doc["layers"].append(dict(doc["layers"][0], max=999.0))
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="bad.json, layer 1: a second record for this index"):
+            load_stats(p)
+
+    def test_non_integer_index_names_the_path_and_layer(self, tmp_path):
+        doc = json.loads(OLD_STATS_FILE)
+        doc["layers"][0]["index"] = "1"
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="bad.json, layer '1': the index is not an integer"):
+            load_stats(p)
+
 
 class TestCalibSizeSweep:
     def test_single_row_case(self):

@@ -223,6 +223,27 @@ def test_detector_config_survives_the_model_meta(cfg, old_keys, tmp_path):
     assert DetectorConfig.from_meta(loaded.meta) == cfg
 
 
+def test_meta_without_the_config_names_the_missing_key():
+    graph = dataclasses.replace(build_toy_detector(), meta={})
+    scenes = generate_dataset(DatasetConfig(size=2), seed=1)
+    with pytest.raises(ValueError, match="no detector config key 'detector'; pass cfg"):
+        evaluate(graph, parse_plan_label("FP32"), None, scenes)
+    evaluate(graph, parse_plan_label("FP32"), None, scenes, DetectorConfig())
+    det = DetectorConfig().to_meta()
+    del det["grid"]
+    with pytest.raises(ValueError, match="no detector config key 'grid'; pass cfg"):
+        DetectorConfig.from_meta({"detector": det})
+
+
+@pytest.mark.parametrize("fold", [False, True], ids=["raw", "folded"])
+def test_default_detector_round_trips_through_one_file(fold, tmp_path):
+    graph = build_toy_detector()
+    graph = fold_all_bn(graph) if fold else graph
+    path = save_model(graph, tmp_path / "toy")
+    assert list(tmp_path.iterdir()) == [path]
+    assert graphs_equal(load_model(path), graph)
+
+
 def test_default_detector_weights_are_pinned():
     graph = build_toy_detector()
     assert weights_digest(graph) == "9bae18fa093b8e8f75da3144c96ab125d47497be9ff8aa712a9fac24773bbe05"

@@ -182,6 +182,11 @@ class TestPrecisionPlan:
     def test_parse_reads_back_every_label(self, plan):
         assert parse_plan_label(plan.label()) == plan
 
+    @pytest.mark.parametrize("label", ["FP16:", "FP16: ", "FP16: 1,,3", "FP16: 1,"])
+    def test_parse_rejects_an_empty_index(self, label):
+        with pytest.raises(ValueError, match=f"unrecognized plan label {label!r}"):
+            parse_plan_label(label)
+
     def test_apply_idempotent(self):
         g = two_layer_graph(np.random.default_rng(7))
         plan = PrecisionPlan(default=DType.INT8, overrides={1: DType.FP16})
@@ -304,6 +309,17 @@ class TestForward:
             ModelGraph(layers=(head, tail))
 
 
+def rewrite(path, edit=None, text=None):
+    """Re-save the model file at path after edit(manifest, arrays) changed its
+    members in place; text, when given, replaces the manifest's JSON text."""
+    with np.load(path) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    doc = json.loads(str(arrays.pop("manifest")))
+    if edit is not None:
+        edit(doc, arrays)
+    np.savez(path, manifest=np.array(json.dumps(doc) if text is None else text), **arrays)
+
+
 class TestSerialization:
     def graph(self):
         rng = np.random.default_rng(16)
@@ -321,10 +337,21 @@ class TestSerialization:
         loaded = load_model(tmp_path / "toy")
         assert graphs_equal(g, loaded)
 
-    def test_digest_is_the_blob_checksum(self, tmp_path):
+    def test_one_file_holds_the_manifest_and_one_member_per_array(self, tmp_path):
         g = self.graph()
-        manifest = json.loads(save_model(g, tmp_path / "toy").read_text())
-        assert weights_digest(g) == manifest["checksum_sha256"]
+        path = save_model(g, tmp_path / "toy")
+        assert list(tmp_path.iterdir()) == [path] and path.name == "toy.npz"
+        with np.load(path, allow_pickle=False) as npz:
+            assert sorted(npz.files) == sorted(
+                ["manifest", "0.weight", "0.bias", "0.bn.gamma", "0.bn.beta", "0.bn.mean", "0.bn.var",
+                 "1.weight", "1.bias"]
+            )
+            np.testing.assert_array_equal(npz["0.bn.var"], g.layers[0].bn.var)
+            doc = json.loads(str(npz["manifest"]))
+        assert doc["format_version"] == 2 and doc["meta"] == g.meta
+        assert weights_digest(g) == doc["weights_sha256"]
+        assert doc["layers"][0]["bn"] == {"eps": 1e-5}
+        assert not any({"shape", "offset", "weight", "bias"} & set(rec) for rec in doc["layers"])
 
     def test_equality_is_bit_exact(self):
         g = self.graph()
@@ -339,41 +366,65 @@ class TestSerialization:
         nan_bn = dataclasses.replace(lin.bn, mean=np.full_like(lin.bn.mean, np.nan))
         with_nan = with_first(dataclasses.replace(lin, bn=nan_bn))
         assert graphs_equal(with_nan, with_nan)
+        assert not graphs_equal(g, with_first(dataclasses.replace(lin, weight=lin.weight.reshape(5, 6))))
+        assert not graphs_equal(g, with_first(dataclasses.replace(lin, bn=dataclasses.replace(lin.bn, eps=1e-3))))
 
     def test_missing_blob(self, tmp_path):
-        save_model(self.graph(), tmp_path / "toy")
-        (tmp_path / "toy.mpq.bin").unlink()
-        with pytest.raises(ModelFormatError, match="missing weight blob"):
+        """No model file at the path."""
+        with pytest.raises(ModelFormatError, match=r"toy\.npz: not a readable model file: .*No such file"):
             load_model(tmp_path / "toy")
 
     def test_truncated_blob(self, tmp_path):
-        save_model(self.graph(), tmp_path / "toy")
-        blob = (tmp_path / "toy.mpq.bin").read_bytes()
-        (tmp_path / "toy.mpq.bin").write_bytes(blob[:-8])
-        with pytest.raises(ModelFormatError, match="size"):
-            load_model(tmp_path / "toy")
+        """A model file cut short."""
+        path = save_model(self.graph(), tmp_path / "toy")
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ModelFormatError, match=r"toy\.npz: not a readable model file"):
+            load_model(path)
+
+    def test_npy_file_is_not_a_model(self, tmp_path):
+        np.save(tmp_path / "toy.npy", np.ones(3, np.float32))
+        (tmp_path / "toy.npy").rename(tmp_path / "toy.npz")
+        with pytest.raises(ModelFormatError, match=r"toy\.npz: not a readable model file"):
+            load_model(tmp_path / "toy.npz")
 
     def test_checksum_mismatch(self, tmp_path):
-        save_model(self.graph(), tmp_path / "toy")
-        blob = bytearray((tmp_path / "toy.mpq.bin").read_bytes())
-        blob[0] ^= 0xFF
-        (tmp_path / "toy.mpq.bin").write_bytes(bytes(blob))
-        with pytest.raises(ModelFormatError, match="checksum"):
-            load_model(tmp_path / "toy")
+        """A flipped byte inside an array fails the zip member's CRC-32."""
+        g = self.graph()
+        path = save_model(g, tmp_path / "toy")
+        data = bytearray(path.read_bytes())
+        data[data.index(g.layers[1].weight.tobytes()) + 5] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match=r"toy\.npz: .*CRC-32 for file '1\.weight\.npy'"):
+            load_model(path)
 
     def test_unknown_version(self, tmp_path):
         path = save_model(self.graph(), tmp_path / "toy")
-        doc = json.loads(path.read_text())
-        doc["format_version"] = 99
-        path.write_text(json.dumps(doc))
-        with pytest.raises(UnsupportedVersionError, match="99"):
-            load_model(tmp_path / "toy")
+        rewrite(path, lambda doc, arrays: doc.update(format_version=99))
+        with pytest.raises(UnsupportedVersionError, match=r"toy\.npz: model format version 99"):
+            load_model(path)
 
     def test_malformed_manifest(self, tmp_path):
-        save_model(self.graph(), tmp_path / "toy")
-        (tmp_path / "toy.mpq.json").write_text("{not json")
-        with pytest.raises(ModelFormatError, match="malformed"):
-            load_model(tmp_path / "toy")
+        path = save_model(self.graph(), tmp_path / "toy")
+        rewrite(path, text="{not json")
+        with pytest.raises(ModelFormatError, match=r"toy\.npz: malformed manifest"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, text, message", [
+        (None, "[]", "malformed manifest: not a JSON object"),
+        (lambda doc, arrays: doc.pop("layers"), None, "malformed manifest: needs a 'meta' object and a 'layers' list"),
+        (lambda doc, arrays: doc.update(meta=["lin1"]), None, "malformed manifest: needs a 'meta' object"),
+        (lambda doc, arrays: doc["layers"].__setitem__(0, "lin1"), None, "layer record 0 is not an object"),
+    ], ids=["not_an_object", "no_layers", "meta_not_an_object", "layer_not_an_object"])
+    def test_manifest_of_the_wrong_shape_names_the_file(self, tmp_path, edit, text, message):
+        path = save_model(self.graph(), tmp_path / "toy")
+        rewrite(path, edit, text)
+        with pytest.raises(ModelFormatError, match=rf"toy\.npz: {message}"):
+            load_model(path)
+
+    def test_file_without_manifest_names_the_file(self, tmp_path):
+        np.savez(tmp_path / "toy.npz", **{"0.weight": np.ones(2, np.float32)})
+        with pytest.raises(ModelFormatError, match=r"toy\.npz: malformed manifest"):
+            load_model(tmp_path / "toy.npz")
 
     @pytest.mark.parametrize("layer_i, array, value", [(1, "weight", np.nan), (0, "BN gamma", -np.inf)])
     def test_non_finite_array_rejected_naming_file_and_layer(self, tmp_path, layer_i, array, value):
@@ -381,25 +432,31 @@ class TestSerialization:
         layer = g.layers[layer_i]
         (layer.weight if array == "weight" else layer.bn.gamma).flat[1] = value
         save_model(g, tmp_path / "toy")
-        with pytest.raises(ModelFormatError, match=rf"toy\.mpq\.json: layer '{layer.name}' {array} holds NaN or inf"):
+        field = {"weight": "weight", "BN gamma": r"bn\.gamma"}[array]
+        with pytest.raises(ModelFormatError, match=rf"toy\.npz: layer '{layer.name}': {field} holds NaN or inf"):
             load_model(tmp_path / "toy")
 
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda layers: layers[0]["bn"].update(gamma=layers[0]["bn"]["beta"], beta=layers[0]["bn"]["gamma"]),
-         r"toy\.mpq\.json: the layers' arrays do not re-encode to the weight blob"),
-        (lambda layers: layers[0].pop("relu"), r"toy\.mpq\.json: layer 'lin1': missing key 'relu'"),
-        (lambda layers: layers[1].update(precision="int4"), r"toy\.mpq\.json: layer 'conv2': 'int4' is not a valid"),
-        (lambda layers: layers[1]["weight"].update(offset=-8), r"toy\.mpq\.json: layer 'conv2': cannot reshape"),
-        (lambda layers: layers[1].update(index=1),
-         r"toy\.mpq\.json: weight layer 'conv2' has index 1, expected 2"),
-    ], ids=["swapped_offsets", "missing_key", "unknown_precision", "negative_offset", "repeated_index"])
+        (lambda layers, arrays: arrays.update({"0.bn.gamma": arrays["0.bn.beta"], "0.bn.beta": arrays["0.bn.gamma"]}),
+         r"toy\.npz: the arrays' digest is not the manifest's weights_sha256"),
+        (lambda layers, arrays: layers[0].pop("relu"), r"toy\.npz: layer 'lin1': missing key 'relu'"),
+        (lambda layers, arrays: layers[1].update(precision="int4"), r"toy\.npz: layer 'conv2': 'int4' is not a valid"),
+        (lambda layers, arrays: layers[1].update(index=1),
+         r"toy\.npz: weight layer 'conv2' has index 1, expected 2"),
+        (lambda layers, arrays: arrays.pop("0.bn.var"), r"toy\.npz: layer 'lin1': missing key '0\.bn\.var'"),
+        (lambda layers, arrays: arrays.update({"1.weight": arrays["1.weight"].astype(np.float64)}),
+         r"toy\.npz: layer 'conv2': weight is float64, not float32"),
+        (lambda layers, arrays: arrays.update({"2.weight": np.ones(3, np.float32)}),
+         r"toy\.npz: arrays \['2\.weight'\] belong to no layer"),
+        (lambda layers, arrays: arrays.update({"1.bias": np.array([None, 1.0])}),
+         r"toy\.npz: not a readable model file: Object arrays cannot be loaded"),
+    ], ids=["swapped_arrays", "missing_key", "unknown_precision", "repeated_index", "missing_bn_array",
+            "float64_array", "array_of_no_layer", "pickled_array"])
     def test_corrupt_layer_record_names_the_manifest(self, tmp_path, corrupt, message):
         path = save_model(self.graph(), tmp_path / "toy")
-        doc = json.loads(path.read_text())
-        corrupt(doc["layers"])
-        path.write_text(json.dumps(doc))
+        rewrite(path, lambda doc, arrays: corrupt(doc["layers"], arrays))
         with pytest.raises(ModelFormatError, match=message):
-            load_model(tmp_path / "toy")
+            load_model(path)
 
     def test_precision_tags_persist(self, tmp_path):
         g = apply_plan(
