@@ -31,6 +31,7 @@ __all__ = [
     "encode_targets",
     "evaluate",
     "make_evaluator",
+    "make_train_examples",
     "pillarize_dataset",
 ]
 
@@ -82,111 +83,58 @@ class DetectorConfig:
             raise ValueError(f"model meta has no detector config key {exc}; pass cfg") from exc
 
 
-def _bn(channels: int, rng: np.random.Generator) -> BatchNorm:
-    return BatchNorm(
-        gamma=rng.uniform(0.8, 1.2, size=channels).astype(np.float32),
-        beta=rng.normal(scale=0.05, size=channels).astype(np.float32),
-        mean=rng.normal(scale=0.1, size=channels).astype(np.float32),
-        var=rng.uniform(0.8, 1.4, size=channels).astype(np.float32),
-        eps=1e-5,
-    )
-
-
 def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) -> ModelGraph:
-    """Fresh detector with He-initialized weights and plausible BN stats."""
+    """Fresh detector with He-initialized weights and plausible BN stats.
+
+    Every weight layer goes through weight_layer, which numbers it 1..L in
+    chain order and draws from the seeded generator in turn: its weight (He,
+    or std 0.1 for the two heads), then its BN gamma, beta, mean and var (the
+    heads have no BN). That fixed draw order is what keeps a (cfg, seed)
+    pair's weights, and so the pinned weights_digest values, the same.
+    """
     rng = np.random.default_rng(seed)
     layers: list[LayerSpec] = []
-    index = 1
 
-    def he_linear(dout, din):
-        return rng.normal(scale=math.sqrt(2.0 / din), size=(dout, din)).astype(np.float32)
-
-    def he_conv(cout, cin, k):
-        return rng.normal(scale=math.sqrt(2.0 / (cin * k * k)), size=(cout, cin, k, k)).astype(np.float32)
+    def weight_layer(name, shape, conv=None, head=False, bias=0.0, input_scale=1.0):
+        cout = shape[0]
+        std = 0.1 if head else math.sqrt(2.0 / math.prod(shape[1:]))
+        weight = rng.normal(scale=std, size=shape).astype(np.float32) / input_scale
+        bn = None if head else BatchNorm(
+            gamma=rng.uniform(0.8, 1.2, size=cout).astype(np.float32),
+            beta=rng.normal(scale=0.05, size=cout).astype(np.float32),
+            mean=rng.normal(scale=0.1, size=cout).astype(np.float32),
+            var=rng.uniform(0.8, 1.4, size=cout).astype(np.float32),
+        )
+        layers.append(LayerSpec(
+            name=name,
+            kind="linear" if conv is None else "conv2d",
+            index=1 + sum(l.is_weight_layer for l in layers),
+            weight=weight,
+            bias=np.full(cout, bias, np.float32),
+            bn=bn,
+            relu=not head,
+            conv=conv,
+            is_head=head,
+        ))
 
     # balance the init against the very unequal raw feature ranges; the raw
     # inputs themselves stay unnormalized (that is the whole point of the task)
-    feature_scale = np.array(
-        [FIELD_SIZE / 2, FIELD_SIZE / 2, 0.5, 0.5, 0.5], dtype=np.float32
-    )
-    pfn_weight = he_linear(cfg.pfn_channels, POINT_FEATURES) / feature_scale[None, :]
-    name = "voxel_encoder.pfn.linear"
-    layers.append(
-        LayerSpec(
-            name=name,
-            kind="linear",
-            index=index,
-            weight=pfn_weight.astype(np.float32),
-            bias=np.zeros(cfg.pfn_channels, np.float32),
-            bn=_bn(cfg.pfn_channels, rng),
-            relu=True,
-        )
-    )
-    index += 1
+    feature_scale = np.array([FIELD_SIZE / 2, FIELD_SIZE / 2, 0.5, 0.5, 0.5], dtype=np.float32)
+    weight_layer("voxel_encoder.pfn.linear", (cfg.pfn_channels, POINT_FEATURES), input_scale=feature_scale)
     layers.append(LayerSpec(name="voxel_encoder.maxpool", kind="maxpool"))
     layers.append(LayerSpec(name="middle_encoder.scatter", kind="scatter", grid=cfg.grid))
-
     cin = cfg.pfn_channels
     for b, (cout, stride) in enumerate(zip(cfg.block_channels, cfg.block_strides)):
         for c in range(cfg.convs_per_block):
-            name = f"backbone.block{b}.conv{c}"
-            layers.append(
-                LayerSpec(
-                    name=name,
-                    kind="conv2d",
-                    index=index,
-                    weight=he_conv(cout, cin, 3),
-                    bias=np.zeros(cout, np.float32),
-                    bn=_bn(cout, rng),
-                    relu=True,
-                    conv=ConvParams(stride=(stride, stride) if c == 0 else (1, 1), padding=(1, 1)),
-                )
-            )
-            index += 1
+            s = stride if c == 0 else 1
+            weight_layer(f"backbone.block{b}.conv{c}", (cout, cin, 3, 3), ConvParams((s, s), (1, 1)))
             cin = cout
-
     layers.append(LayerSpec(name="neck.upsample", kind="upsample2x"))
-    name = "neck.conv"
-    layers.append(
-        LayerSpec(
-            name=name,
-            kind="conv2d",
-            index=index,
-            weight=he_conv(cfg.neck_channels, cin, 3),
-            bias=np.zeros(cfg.neck_channels, np.float32),
-            bn=_bn(cfg.neck_channels, rng),
-            relu=True,
-            conv=ConvParams(stride=(1, 1), padding=(1, 1)),
-        )
-    )
-    index += 1
-    cin = cfg.neck_channels
-
-    cls_bias = np.full(len(CLASS_NAMES), -2.0, np.float32)  # low-score prior
-    layers.append(
-        LayerSpec(
-            name="bbox_head.conv_cls",
-            kind="conv2d",
-            index=index,
-            weight=(0.1 * rng.normal(size=(len(CLASS_NAMES), cin, 1, 1))).astype(np.float32),
-            bias=cls_bias,
-            conv=ConvParams(),
-            is_head=True,
-        )
-    )
-    index += 1
-    layers.append(
-        LayerSpec(
-            name="bbox_head.conv_reg",
-            kind="conv2d",
-            index=index,
-            weight=(0.1 * rng.normal(size=(4, cin, 1, 1))).astype(np.float32),
-            bias=np.zeros(4, np.float32),
-            conv=ConvParams(),
-            is_head=True,
-        )
-    )
-
+    weight_layer("neck.conv", (cfg.neck_channels, cin, 3, 3), ConvParams(padding=(1, 1)))
+    head_in = (cfg.neck_channels, 1, 1)
+    # the class head's bias of -2 is a low-score prior
+    weight_layer("bbox_head.conv_cls", (len(CLASS_NAMES), *head_in), ConvParams(), head=True, bias=-2.0)
+    weight_layer("bbox_head.conv_reg", (4, *head_in), ConvParams(), head=True)
     return ModelGraph(layers=tuple(layers), meta={"detector": cfg.to_meta()})
 
 
@@ -249,9 +197,9 @@ def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig
     cfg.score_thresh are visited by descending score (ties in row-major cell
     order), and each is kept unless its IoU with an already kept box of the
     class reaches cfg.nms_iou. One IoU matrix over the class's candidates
-    serves the whole greedy pass. A 4-D map holding more than one scene, or
-    maps with other than len(CLASS_NAMES) class or 4 box channels, raise
-    ValueError.
+    serves the whole greedy pass. A 4-D map holding more than one scene, maps
+    with other than len(CLASS_NAMES) class or 4 box channels, or a box map on
+    another grid than the class map raise ValueError.
     """
     if cls_map.ndim == 4:
         if cls_map.shape[0] != 1 or reg_map.shape[0] != 1:
@@ -259,9 +207,9 @@ def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig
                 f"decode_and_nms takes one scene; got maps of shape {cls_map.shape} and {reg_map.shape}"
             )
         cls_map, reg_map = cls_map[0], reg_map[0]
-    if cls_map.shape[0] != len(CLASS_NAMES) or reg_map.shape[0] != 4:
+    if cls_map.shape[0] != len(CLASS_NAMES) or reg_map.shape != (4, *cls_map.shape[1:]):
         raise ValueError(
-            f"decode_and_nms needs {len(CLASS_NAMES)} class channels and 4 box channels; "
+            f"decode_and_nms needs {len(CLASS_NAMES)} class channels and 4 box channels on one grid; "
             f"got maps of shape {cls_map.shape} and {reg_map.shape}"
         )
     n_classes, oh, ow = cls_map.shape

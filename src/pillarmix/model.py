@@ -2,9 +2,10 @@
 
 A model is an ordered list of layers: weight layers (linear, conv2d) carry
 1-based indices, an optional ReLU and optional BN statistics; glue layers
-(scatter, maxpool, upsample2x) are precision-free. The chain may end in
-several head layers that all consume the same trunk tensor. BN is folded
-into the weights before execution (``fold_all_bn``); ``forward`` rejects a
+(scatter, maxpool, upsample2x) are precision-free. A layer sets only the
+fields its kind reads (``KIND_FIELDS``). The chain may end in several head
+layers that all consume the same trunk tensor. BN is folded into the
+weights before execution (``fold_all_bn``); ``forward`` rejects a
 layer that still carries it. Execution is precision-aware: INT8 layers
 fake-quantize their input activation and weight, FP16 layers round both
 through binary16, FP32 layers run untouched.
@@ -65,7 +66,16 @@ __all__ = [
 EVAL_CHUNK = 16
 
 WEIGHT_KINDS = ("linear", "conv2d")
-GLUE_KINDS = ("scatter", "maxpool", "upsample2x")
+# The LayerSpec fields besides name and kind that each kind reads; a layer
+# leaves the others at their defaults (see _validate_layers).
+_WEIGHT_FIELDS = ("index", "weight", "bias", "bn", "relu", "is_head", "precision")
+KIND_FIELDS = {
+    "linear": _WEIGHT_FIELDS,
+    "conv2d": _WEIGHT_FIELDS + ("conv",),
+    "scatter": ("grid",),
+    "maxpool": (),
+    "upsample2x": (),
+}
 
 FORMAT_VERSION = 2
 
@@ -135,11 +145,19 @@ class ModelGraph:
 
 
 def _validate_layers(layers: Sequence[LayerSpec]) -> None:
+    """Each layer sets only the fields its kind reads (KIND_FIELDS) and leaves
+    the rest at their defaults; weight layers have weight and bias, conv2d has
+    conv, indices run 1..L in chain order, and heads end the chain."""
     expected = 1
     seen_head = False
     for l in layers:
-        if l.kind not in WEIGHT_KINDS + GLUE_KINDS:
+        if l.kind not in KIND_FIELDS:
             raise ValueError(f"layer {l.name!r} has unknown kind {l.kind!r}")
+        for f in dataclasses.fields(LayerSpec)[2:]:
+            value = getattr(l, f.name)
+            is_set = value is not None if f.default is None else value != f.default
+            if is_set and f.name not in KIND_FIELDS[l.kind]:
+                raise ValueError(f"{l.kind} layer {l.name!r} sets {f.name}, which its kind does not read")
         if l.is_weight_layer:
             if l.weight is None or l.bias is None:
                 raise ValueError(f"weight layer {l.name!r} is missing weight or bias")
@@ -151,13 +169,6 @@ def _validate_layers(layers: Sequence[LayerSpec]) -> None:
             expected += 1
             if l.kind == "conv2d" and l.conv is None:
                 raise ValueError(f"conv layer {l.name!r} is missing conv params")
-        else:
-            if l.bn is not None:
-                raise ValueError(f"non-weight layer {l.name!r} cannot carry batch norm")
-            if l.index is not None:
-                raise ValueError(f"glue layer {l.name!r} must not carry an index")
-            if l.is_head:
-                raise ValueError(f"glue layer {l.name!r} cannot be a head")
         if seen_head and not l.is_head:
             raise ValueError(f"layer {l.name!r} follows a head layer but is not a head")
         seen_head = seen_head or l.is_head
@@ -337,11 +348,7 @@ def forward(
     current = sample.features if sample is not None else np.asarray(x, dtype=np.float32)
 
     head_outputs: list[np.ndarray] = []
-    trunk: np.ndarray | None = None
     for layer in graph.layers:
-        if layer.is_head:
-            trunk = current if trunk is None else trunk
-        source = trunk if layer.is_head else current
         if layer.is_weight_layer:
             if layer.bn is not None:
                 raise ValueError(
@@ -349,8 +356,8 @@ def forward(
                     "fold it before execution (fold_all_bn)"
                 )
             if observe_fn is not None:
-                observe_fn(layer, source)
-            x_used, w_used, quant = _kernel_inputs(layer, source, stats)
+                observe_fn(layer, current)
+            x_used, w_used, quant = _kernel_inputs(layer, current, stats)
             if layer.kind == "linear":
                 out = linear(x_used, w_used, layer.bias)
             else:
@@ -358,25 +365,25 @@ def forward(
             if layer.relu:
                 out = relu(out)
             if tape is not None:
-                tape.append(TapeEntry(layer, source, x_used=x_used, w_used=w_used, quant=quant, out=out))
+                tape.append(TapeEntry(layer, current, x_used=x_used, w_used=w_used, quant=quant, out=out))
         else:
             if sample is None and layer.kind != "upsample2x":
                 raise ValueError(f"{layer.kind} layer {layer.name!r} needs a PillarSample input")
             if layer.kind == "maxpool":
-                out = max_over_points(source, sample.point_mask)
+                out = max_over_points(current, sample.point_mask)
             elif layer.kind == "scatter":
                 if layer.grid is not None and tuple(layer.grid) != tuple(sample.grid):
                     raise ValueError(
                         f"scatter grid {layer.grid} does not match sample grid {sample.grid}"
                     )
                 out = scatter_pillars(
-                    source, sample.coords, sample.grid, sample.scene_ids, sample.num_scenes
+                    current, sample.coords, sample.grid, sample.scene_ids, sample.num_scenes
                 )
             else:  # upsample2x
-                out = upsample2x(source)
+                out = upsample2x(current)
             if tape is not None:
-                tape.append(TapeEntry(layer, source, sample=sample))
-        if layer.is_head:
+                tape.append(TapeEntry(layer, current, sample=sample))
+        if layer.is_head:  # never becomes current, so every head reads the trunk
             head_outputs.append(out)
         else:
             current = out
@@ -500,6 +507,11 @@ def _read_layer(rec, pos: int, arrays: dict, path: Path) -> LayerSpec:
             raise ValueError(f"{field} holds NaN or inf")
         return arr
 
+    def flag(key: str) -> bool:
+        if not isinstance(rec[key], bool):
+            raise ValueError(f"{key} is {rec[key]!r}, not true or false")
+        return rec[key]
+
     try:
         bn, conv = rec.get("bn"), rec.get("conv")
         bn = None if bn is None else BatchNorm(*(take(f"bn.{f}", True) for f in _BN_FIELDS), eps=float(bn["eps"]))
@@ -511,10 +523,10 @@ def _read_layer(rec, pos: int, arrays: dict, path: Path) -> LayerSpec:
             weight=take("weight", False),
             bias=take("bias", False),
             bn=bn,
-            relu=bool(rec["relu"]),
+            relu=flag("relu"),
             conv=conv,
             grid=tuple(rec["grid"]) if rec.get("grid") else None,
-            is_head=bool(rec["is_head"]),
+            is_head=flag("is_head"),
             precision=DType(rec["precision"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

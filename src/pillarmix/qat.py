@@ -27,6 +27,7 @@ __all__ = [
     "GradState",
     "TrainConfig",
     "TrainExample",
+    "backward",
     "detection_loss",
     "ste_fake_quant_backward",
     "train_qat",
@@ -229,11 +230,10 @@ def train_qat(
     forward, one loss_fn (which, like detection_loss, sums the losses of B
     stacked scenes) and one backward over it. The step descends on the summed
     gradient over len(batch), so a short last batch is scaled by its own size.
+    The graph must be BN-folded: the first forward names a layer that is not.
 
     Returns the tuned graph and a history of per-epoch mean train loss.
     """
-    if any(l.bn is not None for l in graph.layers):
-        raise ValueError("fold batch norm before training")
     if not data:
         raise ValueError("training data is empty")
     g = copy.deepcopy(apply_plan(graph, plan))  # SGD writes the weights in place

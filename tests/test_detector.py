@@ -34,6 +34,7 @@ from pillarmix.scenes import CLASS_NAMES, FIELD_SIZE, DatasetConfig, Scene, gene
 from pillarmix.tensor_ops import sigmoid, stack_samples
 
 PLAN_LABELS = ("FP32", "FP16", "INT8", "FP16: 1")
+TINY = DetectorConfig(grid=(8, 8), block_channels=(8, 8, 8), convs_per_block=1, pfn_channels=8, neck_channels=8)
 
 
 def reference_decode_and_nms(cls_map, reg_map, score_thresh, iou_thresh):
@@ -101,6 +102,15 @@ class TestDecodeAndNms:
         cls_map = np.zeros((3, 3, 8, 8), np.float32)
         reg_map = np.zeros((3, 4, 8, 8), np.float32)
         with pytest.raises(ValueError, match=r"one scene; got maps of shape \(3, 3, 8, 8\)"):
+            decode_and_nms(cls_map, reg_map, DetectorConfig())
+
+    @pytest.mark.parametrize("reg_grid", [(16, 16), (4, 4)])
+    def test_rejects_a_box_map_on_another_grid(self, reg_grid):
+        """A box map must cover the class map's cells, or boxes decode from the wrong cell."""
+        cls_map = np.full((3, 8, 8), 4.0, np.float32)
+        reg_map = np.zeros((4, *reg_grid), np.float32)
+        shapes = f"(3, 8, 8) and (4, {reg_grid[0]}, {reg_grid[1]})"
+        with pytest.raises(ValueError, match=re.escape(f"on one grid; got maps of shape {shapes}")):
             decode_and_nms(cls_map, reg_map, DetectorConfig())
 
     @pytest.mark.parametrize("block_strides", [(2, 2, 1), (2, 1, 1)])
@@ -211,7 +221,7 @@ REMOVED_KEYS = {"n_classes": 3, "base_size": 2.5, "match_iou": 0.5, "max_points_
 
 @pytest.mark.parametrize("cfg, old_keys", [
     (DetectorConfig(), {}),
-    (DetectorConfig(grid=(8, 8), block_channels=(8, 8, 8), convs_per_block=1, pfn_channels=8, neck_channels=8), {}),
+    (TINY, {}),
     (DetectorConfig(), REMOVED_KEYS),
 ], ids=["cfg0", "cfg1", "pre_constants_meta"])
 def test_detector_config_survives_the_model_meta(cfg, old_keys, tmp_path):
@@ -245,6 +255,39 @@ def test_default_detector_round_trips_through_one_file(fold, tmp_path):
 
 
 def test_default_detector_weights_are_pinned():
-    graph = build_toy_detector()
-    assert weights_digest(graph) == "9bae18fa093b8e8f75da3144c96ab125d47497be9ff8aa712a9fac24773bbe05"
-    assert weights_digest(fold_all_bn(graph)) == "f7ea26e53f3f12f7407203a7913d71811f0c74120ab5b3713298d5763ac2d8ad"
+    """Raw and folded digests of the default and the tiny config; a change in
+    the builder's draw order or layer numbering changes them."""
+    pins = [
+        (DetectorConfig(), 0, "9bae18fa093b8e8f75da3144c96ab125d47497be9ff8aa712a9fac24773bbe05",
+         "f7ea26e53f3f12f7407203a7913d71811f0c74120ab5b3713298d5763ac2d8ad"),
+        (TINY, 0, "62398272897ad181a87e593b29379ef4bd9745f22a290a34290651107e069204",
+         "a0697501599173af163af45b21fc0e0522573c760d2718d0b75d6f3d77cb41ac"),
+        (TINY, 3, "81cbd3fa4246c2d2bed1763be55729f503c796071920c8febdd3e40ae6cd37fd",
+         "dcbed2eb359260c65e7676a9bde97c99b9ec7421d2ff6eda0030ce4ed9000d16"),
+    ]
+    for cfg, seed, raw, folded in pins:
+        graph = build_toy_detector(cfg, seed=seed)
+        assert (weights_digest(graph), weights_digest(fold_all_bn(graph))) == (raw, folded), (cfg, seed)
+
+
+def test_tiny_detector_layer_table_is_pinned():
+    """Weight layers numbered in chain order, glue layers unnumbered, ReLU on all but the heads."""
+    table = [
+        (l.name, l.kind, l.index, l.relu, l.is_head, l.conv.stride if l.conv else None)
+        for l in build_toy_detector(TINY).layers
+    ]
+    assert table == [
+        ("voxel_encoder.pfn.linear", "linear", 1, True, False, None),
+        ("voxel_encoder.maxpool", "maxpool", None, False, False, None),
+        ("middle_encoder.scatter", "scatter", None, False, False, None),
+        ("backbone.block0.conv0", "conv2d", 2, True, False, (2, 2)),
+        ("backbone.block1.conv0", "conv2d", 3, True, False, (2, 2)),
+        ("backbone.block2.conv0", "conv2d", 4, True, False, (1, 1)),
+        ("neck.upsample", "upsample2x", None, False, False, None),
+        ("neck.conv", "conv2d", 5, True, False, (1, 1)),
+        ("bbox_head.conv_cls", "conv2d", 6, False, True, (1, 1)),
+        ("bbox_head.conv_reg", "conv2d", 7, False, True, (1, 1)),
+    ]
+    # with three convs a block, only each block's first conv takes the block's stride
+    strides = [l.conv.stride[0] for l in build_toy_detector().layers if l.conv]
+    assert strides == [2, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1]

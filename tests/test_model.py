@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pillarmix.calibration import load_stats, run_calibration, save_stats
+from pillarmix.detector import build_toy_detector
 from pillarmix.model import (
     BatchNorm,
     LayerSpec,
@@ -308,6 +309,27 @@ class TestForward:
         with pytest.raises(ValueError, match="follows a head"):
             ModelGraph(layers=(head, tail))
 
+    @pytest.mark.parametrize("name, change, field", [
+        ("voxel_encoder.maxpool", {"weight": np.ones(3, np.float32)}, "weight"),
+        ("voxel_encoder.maxpool", {"relu": True}, "relu"),
+        ("voxel_encoder.maxpool", {"bn": random_bn(3, np.random.default_rng(0))}, "bn"),
+        ("voxel_encoder.maxpool", {"precision": DType.FP16}, "precision"),
+        ("middle_encoder.scatter", {"bias": np.zeros(3, np.float32)}, "bias"),
+        ("middle_encoder.scatter", {"conv": ConvParams()}, "conv"),
+        ("neck.upsample", {"index": 5}, "index"),
+        ("neck.upsample", {"is_head": True}, "is_head"),
+        ("neck.upsample", {"grid": (16, 16)}, "grid"),
+        ("voxel_encoder.pfn.linear", {"conv": ConvParams()}, "conv"),
+        ("neck.conv", {"grid": (16, 16)}, "grid"),
+    ])
+    def test_a_layer_sets_only_the_fields_its_kind_reads(self, name, change, field):
+        """Glue layers take no weight-layer field, only conv2d has conv and only
+        scatter has grid; each breach names the layer and the field."""
+        layers = [dataclasses.replace(l, **change) if l.name == name else l for l in build_toy_detector().layers]
+        kind = next(l.kind for l in layers if l.name == name)
+        with pytest.raises(ValueError, match=rf"{kind} layer '{name}' sets {field}, which its kind does not read"):
+            ModelGraph(layers=tuple(layers))
+
 
 def rewrite(path, edit=None, text=None):
     """Re-save the model file at path after edit(manifest, arrays) changed its
@@ -441,6 +463,10 @@ class TestSerialization:
          r"toy\.npz: the arrays' digest is not the manifest's weights_sha256"),
         (lambda layers, arrays: layers[0].pop("relu"), r"toy\.npz: layer 'lin1': missing key 'relu'"),
         (lambda layers, arrays: layers[1].update(precision="int4"), r"toy\.npz: layer 'conv2': 'int4' is not a valid"),
+        (lambda layers, arrays: layers[0].update(relu="false"),
+         r"toy\.npz: layer 'lin1': relu is 'false', not true or false"),
+        (lambda layers, arrays: layers[1].update(is_head=1),
+         r"toy\.npz: layer 'conv2': is_head is 1, not true or false"),
         (lambda layers, arrays: layers[1].update(index=1),
          r"toy\.npz: weight layer 'conv2' has index 1, expected 2"),
         (lambda layers, arrays: arrays.pop("0.bn.var"), r"toy\.npz: layer 'lin1': missing key '0\.bn\.var'"),
@@ -450,12 +476,18 @@ class TestSerialization:
          r"toy\.npz: arrays \['2\.weight'\] belong to no layer"),
         (lambda layers, arrays: arrays.update({"1.bias": np.array([None, 1.0])}),
          r"toy\.npz: not a readable model file: Object arrays cannot be loaded"),
-    ], ids=["swapped_arrays", "missing_key", "unknown_precision", "repeated_index", "missing_bn_array",
-            "float64_array", "array_of_no_layer", "pickled_array"])
+    ], ids=["swapped_arrays", "missing_key", "unknown_precision", "relu_as_string", "head_flag_as_number",
+            "repeated_index", "missing_bn_array", "float64_array", "array_of_no_layer", "pickled_array"])
     def test_corrupt_layer_record_names_the_manifest(self, tmp_path, corrupt, message):
         path = save_model(self.graph(), tmp_path / "toy")
         rewrite(path, lambda doc, arrays: corrupt(doc["layers"], arrays))
         with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    def test_glue_layer_with_a_weight_is_rejected_naming_the_file(self, tmp_path):
+        path = save_model(build_toy_detector(), tmp_path / "toy")
+        rewrite(path, lambda doc, arrays: arrays.update({"1.weight": np.ones(3, np.float32)}))
+        with pytest.raises(ModelFormatError, match=r"toy\.npz: maxpool layer 'voxel_encoder\.maxpool' sets weight"):
             load_model(path)
 
     def test_precision_tags_persist(self, tmp_path):

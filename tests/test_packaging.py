@@ -1,12 +1,17 @@
-"""Packaging: the console scripts pyproject.toml declares, and the names the benchmark traces."""
+"""Packaging: the console scripts pyproject.toml declares, the names the benchmark
+traces, and every module's __all__."""
 
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+MODULES = ["pillarmix"] + sorted(
+    f"pillarmix.{p.stem}" for p in (ROOT / "src" / "pillarmix").glob("*.py") if p.stem != "__init__"
+)
 
 
 def test_every_name_the_benchmark_traces_exists():
@@ -27,3 +32,14 @@ def test_every_console_script_imports_and_is_callable():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_exist_and_cover_every_public_function_and_class(name):
+    module = importlib.import_module(name)
+    public = {
+        attr for attr, obj in vars(module).items()
+        if not attr.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == name
+    }
+    assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+    assert sorted(public - set(module.__all__)) == []

@@ -1,5 +1,5 @@
 """train_qat: batched SGD steps against the per-sample loop, loss descent, and
-its failure on a non-finite loss."""
+its failure on a non-finite loss or an unfolded graph."""
 
 import copy
 import re
@@ -134,6 +134,13 @@ def test_a_non_finite_loss_names_the_epoch_the_batch_and_its_samples():
     want = f"epoch {epoch}, batch {k}, samples {batch.tolist()}"
     with pytest.raises(RuntimeError, match=re.escape(want)):
         train_qat(graph, PrecisionPlan(), None, data, cfg)
+
+
+def test_an_unfolded_graph_is_rejected_naming_its_first_bn_layer():
+    data = make_train_examples(generate_dataset(DatasetConfig(size=2), seed=4), DetectorConfig())
+    want = "layer 1 ('voxel_encoder.pfn.linear') still carries batch norm"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        train_qat(build_toy_detector(), PrecisionPlan(), None, data, TrainConfig())
 
 
 @pytest.mark.parametrize("field, value", [
