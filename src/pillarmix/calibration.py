@@ -9,17 +9,12 @@ layer input is split back into per-scene ranges. A layer keeps one range,
 so subsets of a dataset can be re-calibrated from cached per-sample ranges
 without re-running forwards. The activation scale is always derived from that
 range; weight quant params are computed once from the folded weights.
-
-calib-stats.json holds per layer only what cannot be recomputed: "index",
-"name", "min", "max", and "weight_scale" (per tensor) or "weight_scales" (per
-output channel).
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,15 +27,11 @@ __all__ = [
     "CalibrationStats",
     "LayerCalibration",
     "calib_size_sweep",
-    "load_stats",
     "per_sample_ranges",
     "run_calibration",
-    "save_stats",
     "select_calib_set",
     "stats_from_ranges",
 ]
-
-STATS_FORMAT_VERSION = 1
 
 
 def select_calib_set(dataset_size: int, n: int = 4, seed: int = 0, nested: bool = False) -> tuple[int, ...]:
@@ -76,10 +67,9 @@ class LayerCalibration:
 
 @dataclass(frozen=True)
 class CalibrationStats:
-    """Per-layer calibration results plus (seed, n) provenance."""
+    """Per-layer calibration results plus the seed that drew the calibration set."""
 
     layers: dict[int, LayerCalibration] = field(default_factory=dict)
-    n_samples: int = 0
     seed: int = 0
 
     def __contains__(self, index: int) -> bool:
@@ -158,20 +148,30 @@ def stats_from_ranges(
     seed: int = 0,
     per_channel_weights: bool = False,
 ) -> CalibrationStats:
-    """Each layer's range over the samples (Python min/max in sample order) and its quant params."""
+    """Each layer's range over the samples (Python min/max in sample order) and its quant params.
+
+    A sample without a range for a layer, or with a non-finite or inverted
+    (min > max) one, raises ValueError naming the sample's position and the layer.
+    """
     if not ranges:
         raise ValueError("calibration needs at least one sample")
     folded = fold_all_bn(graph)
     layers: dict[int, LayerCalibration] = {}
     for layer in folded.weight_layers:
-        try:
-            layer_ranges = [sample_ranges[layer.index] for sample_ranges in ranges]
-        except KeyError:
-            pos = next(p for p, sample_ranges in enumerate(ranges) if layer.index not in sample_ranges)
-            raise ValueError(
-                f"calibration sample {pos} has no range for layer {layer.index} ({layer.name!r}); "
-                "ranges from another model?"
-            ) from None
+        where = f"layer {layer.index} ({layer.name!r})"
+        layer_ranges = []
+        for pos, sample_ranges in enumerate(ranges):
+            if layer.index not in sample_ranges:
+                raise ValueError(
+                    f"calibration sample {pos} has no range for {where}; ranges from another model?"
+                )
+            lo, hi = sample_ranges[layer.index]
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValueError(
+                    f"calibration sample {pos} has range ({lo}, {hi}) for {where}; "
+                    "a range must be finite with min <= max"
+                )
+            layer_ranges.append((lo, hi))
         layers[layer.index] = LayerCalibration(
             index=layer.index,
             name=layer.name,
@@ -179,7 +179,7 @@ def stats_from_ranges(
             act_max=max(hi for _, hi in layer_ranges),
             weight_qp=weight_quant_params(layer.weight, per_channel=per_channel_weights),
         )
-    return CalibrationStats(layers=layers, n_samples=len(ranges), seed=seed)
+    return CalibrationStats(layers=layers, seed=seed)
 
 
 def run_calibration(
@@ -191,76 +191,6 @@ def run_calibration(
     """Calibrate every indexed layer of the (folded) graph on the samples."""
     ranges = per_sample_ranges(graph, samples)
     return stats_from_ranges(graph, ranges, seed=seed, per_channel_weights=per_channel_weights)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: calib-stats.json
-
-
-def save_stats(stats: CalibrationStats, path) -> Path:
-    path = Path(path)
-    layers = []
-    for index in stats.indices():
-        entry = stats[index]
-        rec = {
-            "index": entry.index,
-            "name": entry.name,
-            "min": entry.act_min,
-            "max": entry.act_max,
-        }
-        if isinstance(entry.weight_qp, PerChannelQuantParams):
-            rec["weight_scales"] = [float(s) for s in entry.weight_qp.scales]
-        else:
-            rec["weight_scale"] = entry.weight_qp.scale
-        layers.append(rec)
-    doc = {
-        "format_version": STATS_FORMAT_VERSION,
-        "seed": stats.seed,
-        "n_samples": stats.n_samples,
-        "layers": layers,
-    }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_stats(path) -> CalibrationStats:
-    """Read a calib-stats.json written by save_stats; act_qp comes from each stored range.
-
-    Malformed JSON, an unknown version, a missing key or a value of the wrong
-    type, a non-integer or repeated layer index, and a non-finite or inverted
-    range raise ValueError naming the file (and the layer, for a layer's
-    record). Other keys, such as the "count" and "scale" that files from
-    before the scale was derived hold, are ignored.
-    """
-    path = Path(path)
-    where = ""
-    try:
-        doc = json.loads(path.read_text())
-        if doc.get("format_version") != STATS_FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {doc.get('format_version')!r}")
-        layers: dict[int, LayerCalibration] = {}
-        for rec in doc["layers"]:
-            where = f", layer {rec.get('index')!r}"
-            if type(rec["index"]) is not int:
-                raise ValueError("the index is not an integer")
-            if rec["index"] in layers:
-                raise ValueError("a second record for this index")
-            if "weight_scales" in rec:
-                weight_qp = PerChannelQuantParams(scales=np.asarray(rec["weight_scales"]))
-            else:
-                weight_qp = QuantParams(scale=rec["weight_scale"])
-            layers[rec["index"]] = LayerCalibration(
-                index=rec["index"],
-                name=rec["name"],
-                act_min=rec["min"],
-                act_max=rec["max"],
-                weight_qp=weight_qp,
-            )
-        where = ""
-        return CalibrationStats(layers=layers, n_samples=doc["n_samples"], seed=doc["seed"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise ValueError(f"calibration stats {path}{where}: {detail}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,11 @@ class DetectorConfig:
             raise ValueError(
                 f"score_thresh and nms_iou must lie in [0, 1], got {self.score_thresh}, {self.nms_iou}"
             )
+        if len(self.block_channels) != len(self.block_strides):
+            raise ValueError(
+                f"block_channels {self.block_channels} and block_strides {self.block_strides} "
+                "must have one entry per block"
+            )
 
     @property
     def out_grid(self) -> tuple[int, int]:

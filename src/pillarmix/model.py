@@ -12,7 +12,8 @@ through binary16, FP32 layers run untouched.
 
 A saved model is one ``<name>.npz``: a JSON ``manifest`` member and one
 float32 member per parameter array, keyed by layer position and field
-('3.weight', '0.bn.gamma'); see ``save_model``.
+('3.weight', '0.bn.gamma'); see ``save_model``. The file holds weights and
+structure, no precision plan: a plan is applied at execution (``apply_plan``).
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ KIND_FIELDS = {
     "upsample2x": (),
 }
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class ModelFormatError(ValueError):
@@ -176,10 +177,18 @@ def _validate_layers(layers: Sequence[LayerSpec]) -> None:
 
 @dataclass(frozen=True)
 class PrecisionPlan:
-    """Default datatype plus per-layer-index overrides."""
+    """Default datatype plus per-layer-index overrides.
+
+    Each datatype goes through DType(...), so 'int8' means DType.INT8 and an
+    unknown name such as 'int4' raises ValueError.
+    """
 
     default: DType = DType.FP32
     overrides: dict[int, DType] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "default", DType(self.default))
+        object.__setattr__(self, "overrides", {i: DType(d) for i, d in self.overrides.items()})
 
     def resolve(self, index: int) -> DType:
         return self.overrides.get(index, self.default)
@@ -211,8 +220,8 @@ def parse_plan_label(label: str) -> PrecisionPlan:
         overrides = {}
         for tok in rest.split(",") if sep else ():
             index, _, dtype = tok.partition("=")
-            overrides[int(index)] = DType(dtype.strip().lower())
-        return PrecisionPlan(default=DType(default.strip().lower()), overrides=overrides)
+            overrides[int(index)] = dtype.strip().lower()
+        return PrecisionPlan(default=default.strip().lower(), overrides=overrides)
     except ValueError as exc:
         raise ValueError(f"unrecognized plan label {label!r}") from exc
 
@@ -412,7 +421,6 @@ def _layer_record(layer: LayerSpec) -> dict:
         "index": layer.index,
         "relu": layer.relu,
         "is_head": layer.is_head,
-        "precision": layer.precision.value,
         "conv": {"stride": list(layer.conv.stride), "padding": list(layer.conv.padding)} if layer.conv else None,
         "grid": list(layer.grid) if layer.grid is not None else None,
         "bn": {"eps": layer.bn.eps} if layer.bn is not None else None,
@@ -435,7 +443,8 @@ def save_model(graph: ModelGraph, path) -> Path:
 
     Its 'manifest' member is a JSON string: "format_version", "meta", one record
     per layer (no arrays; BN keeps its "eps") and "weights_sha256", the graph's
-    weights_digest. Each parameter array is a member such as '3.weight'.
+    weights_digest. Each parameter array is a member such as '3.weight'. The
+    layers' precision tags are not saved: a plan is applied at execution.
     """
     path = _npz_path(path)
     manifest = {
@@ -455,7 +464,8 @@ def load_model(path) -> ModelGraph:
     manifest or layer record, an array that is not finite float32 or belongs to
     no layer, an invalid chain and arrays whose digest is not "weights_sha256"
     (e.g. two swapped) raise ModelFormatError naming the file, and the layer
-    where there is one; an unknown version raises UnsupportedVersionError.
+    where there is one; an unknown version raises UnsupportedVersionError. Every
+    layer loads at FP32: apply a plan to it before execution.
     """
     path = _npz_path(path)
     try:
@@ -527,7 +537,6 @@ def _read_layer(rec, pos: int, arrays: dict, path: Path) -> LayerSpec:
             conv=conv,
             grid=tuple(rec["grid"]) if rec.get("grid") else None,
             is_head=flag("is_head"),
-            precision=DType(rec["precision"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
@@ -535,7 +544,7 @@ def _read_layer(rec, pos: int, arrays: dict, path: Path) -> LayerSpec:
 
 
 def graphs_equal(a: ModelGraph, b: ModelGraph) -> bool:
-    """Bit-exact structural equality, weights included."""
+    """Bit-exact equality of meta, structure and weights; precision tags are not compared."""
     def parts(g: ModelGraph):
         arrays = [(key, arr.shape, arr.tobytes()) for key, arr in _arrays(g).items()]
         return g.meta, [_layer_record(l) for l in g.layers], arrays

@@ -1,7 +1,6 @@
-"""Calibration-set selection, range collection, stats files, and sweep machinery."""
+"""Calibration-set selection, range collection, per-layer stats, and sweep machinery."""
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -12,10 +11,8 @@ from hypothesis import strategies as st
 from pillarmix import calibration
 from pillarmix.calibration import (
     calib_size_sweep,
-    load_stats,
     per_sample_ranges,
     run_calibration,
-    save_stats,
     select_calib_set,
     stats_from_ranges,
 )
@@ -248,6 +245,15 @@ class TestStatsFromRanges:
         with pytest.raises(ValueError, match=r"sample 1 has no range for layer 2 \('lin2'\)"):
             stats_from_ranges(RANGE_GRAPH, ranges)
 
+    @pytest.mark.parametrize("pos", [0, 1])
+    @pytest.mark.parametrize("bad", [(math.nan, 1.0), (0.0, math.inf), (5.0, 1.0)], ids=["nan", "inf", "inverted"])
+    def test_non_finite_or_inverted_range_names_the_layer_and_sample(self, bad, pos):
+        """Python min/max would drop a NaN after the first sample and keep an inverted range."""
+        ranges = per_sample([(0.0, 1.0, 0.0, 1.0), (0.0, 2.0, 0.0, 2.0)])
+        ranges[pos][2] = bad
+        with pytest.raises(ValueError, match=rf"sample {pos} has range \(.*\) for layer 2 \('lin2'\); .*finite"):
+            stats_from_ranges(RANGE_GRAPH, ranges)
+
     @settings(max_examples=50, deadline=None)
     @given(pairs=sample_ranges, data=st.data())
     def test_any_sample_order_gives_the_same_stats(self, pairs, data):
@@ -286,123 +292,6 @@ class TestNestedMonotonicity:
                     assert stats[i].act_min <= prev_min[i]
                     prev_max[i] = stats[i].act_max
                     prev_min[i] = stats[i].act_min
-
-
-# written before the activation scale was derived from the range, with "count" and "scale"
-OLD_STATS_FILE = """{
-  "format_version": 1,
-  "layers": [
-    {
-      "count": 2,
-      "index": 1,
-      "max": 1.4210344552993774,
-      "min": -2.940431833267212,
-      "name": "lin1",
-      "scale": 0.023153006561159147,
-      "weight_scale": 0.008595330508675163
-    },
-    {
-      "count": 2,
-      "index": 2,
-      "max": 2.5669028759002686,
-      "min": 0.0,
-      "name": "lin2",
-      "scale": 0.02021183366850605,
-      "weight_scale": 0.00678373884966993
-    }
-  ],
-  "n_samples": 2,
-  "seed": 4
-}
-"""
-
-
-class TestStatsSerialization:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(11)
-        g = chain(rng)
-        xs = [rng.normal(size=(3, 6)).astype(np.float32) for _ in range(2)]
-        stats = run_calibration(g, xs, seed=5)
-        path = save_stats(stats, tmp_path / "calib-stats.json")
-        loaded = load_stats(path)
-        assert loaded.seed == 5 and loaded.n_samples == 2
-        for i in stats.indices():
-            assert loaded[i] == stats[i]
-
-    def test_round_trip_per_channel(self, tmp_path):
-        rng = np.random.default_rng(12)
-        g = chain(rng)
-        stats = run_calibration(
-            g, [rng.normal(size=(3, 6)).astype(np.float32)], per_channel_weights=True
-        )
-        loaded = load_stats(save_stats(stats, tmp_path / "s.json"))
-        np.testing.assert_array_equal(loaded[1].weight_qp.scales, stats[1].weight_qp.scales)
-
-    def test_version_check(self, tmp_path):
-        p = tmp_path / "s.json"
-        p.write_text('{"format_version": 9, "layers": [], "seed": 0, "n_samples": 0}')
-        with pytest.raises(ValueError, match="version"):
-            load_stats(p)
-
-    def test_file_holds_only_range_and_weight_scale(self, tmp_path):
-        g = chain(np.random.default_rng(21))
-        stats = run_calibration(g, [np.random.default_rng(22).normal(size=(3, 6)).astype(np.float32)])
-        doc = json.loads(save_stats(stats, tmp_path / "s.json").read_text())
-        assert [sorted(rec) for rec in doc["layers"]] == [["index", "max", "min", "name", "weight_scale"]] * 2
-
-    def test_file_with_count_and_scale_still_loads(self, tmp_path):
-        rng = np.random.default_rng(21)
-        g = chain(rng)
-        stats = run_calibration(g, [rng.normal(size=(3, 6)).astype(np.float32) for _ in range(2)], seed=4)
-        doc = json.loads(OLD_STATS_FILE)
-        p = tmp_path / "old.json"
-        p.write_text(OLD_STATS_FILE)
-        assert load_stats(p) == stats
-        # the stored scale is not used: the range decides
-        doc["layers"][0]["scale"] = 99.0
-        p.write_text(json.dumps(doc))
-        assert load_stats(p)[1].act_qp == stats[1].act_qp
-
-    @pytest.mark.parametrize("text", [OLD_STATS_FILE[:100], "[]"], ids=["truncated", "not_an_object"])
-    def test_malformed_file_names_the_path(self, tmp_path, text):
-        p = tmp_path / "bad.json"
-        p.write_text(text)
-        with pytest.raises(ValueError, match="bad.json"):
-            load_stats(p)
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda rec: rec.pop("max"), "missing key 'max'"),
-            (lambda rec: rec.update(min=math.inf), "non-finite"),
-            (lambda rec: rec.update(min=5.0, max=1.0), "min 5.0 > max 1.0"),
-            (lambda rec: rec.update(min="0"), "must be real number"),
-        ],
-        ids=["missing_max", "non_finite_range", "inverted_range", "min_not_a_number"],
-    )
-    def test_bad_layer_record_names_the_path_and_layer(self, tmp_path, edit, message):
-        doc = json.loads(OLD_STATS_FILE)
-        edit(doc["layers"][1])
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"bad.json, layer 2: .*{message}"):
-            load_stats(p)
-
-    def test_repeated_index_names_the_path_and_layer(self, tmp_path):
-        doc = json.loads(OLD_STATS_FILE)
-        doc["layers"].append(dict(doc["layers"][0], max=999.0))
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="bad.json, layer 1: a second record for this index"):
-            load_stats(p)
-
-    def test_non_integer_index_names_the_path_and_layer(self, tmp_path):
-        doc = json.loads(OLD_STATS_FILE)
-        doc["layers"][0]["index"] = "1"
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="bad.json, layer '1': the index is not an integer"):
-            load_stats(p)
 
 
 class TestCalibSizeSweep:

@@ -131,6 +131,11 @@ class TestDecodeAndNms:
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             dataclasses.replace(DetectorConfig(), **{field: value})
 
+    def test_config_rejects_block_channels_and_strides_of_different_lengths(self):
+        # zip would build two blocks while out_grid divides by all three strides
+        with pytest.raises(ValueError, match=r"block_channels \(8, 8\) and block_strides \(2, 2, 2\)"):
+            DetectorConfig(block_channels=(8, 8), block_strides=(2, 2, 2))
+
 
 @pytest.fixture(scope="module")
 def batch_setup():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from pillarmix.calibration import load_stats, run_calibration, save_stats
+from pillarmix.calibration import run_calibration
 from pillarmix.detector import build_toy_detector
 from pillarmix.model import (
     BatchNorm,
@@ -194,6 +194,27 @@ class TestPrecisionPlan:
         once = apply_plan(g, plan)
         twice = apply_plan(once, plan)
         assert graphs_equal(once, twice)
+        assert [l.precision for l in once.layers] == [l.precision for l in twice.layers]
+
+    def test_dtype_names_mean_their_dtype(self):
+        """'int8' runs INT8, bit for bit; an unknown name raises instead of running FP32."""
+        rng = np.random.default_rng(19)
+        g = two_layer_graph(rng)
+        x = rng.normal(size=(3, 6)).astype(np.float32)
+        stats = run_calibration(g, [x])
+        for by_name, by_dtype in [
+            (PrecisionPlan(default="int8"), PrecisionPlan(default=DType.INT8)),
+            (PrecisionPlan(overrides={1: "fp16"}), PrecisionPlan(overrides={1: DType.FP16})),
+        ]:
+            assert by_name == by_dtype and by_name.label() == by_dtype.label()
+            np.testing.assert_array_equal(forward(apply_plan(g, by_name), x, stats=stats),
+                                          forward(apply_plan(g, by_dtype), x, stats=stats))
+        assert not np.array_equal(forward(apply_plan(g, PrecisionPlan(default="int8")), x, stats=stats),
+                                  forward(g, x))
+        with pytest.raises(ValueError, match="'int4' is not a valid DType"):
+            PrecisionPlan(default="int4")
+        with pytest.raises(ValueError, match="'int4' is not a valid DType"):
+            PrecisionPlan(overrides={1: "int4"})
 
     def test_unknown_index_rejected(self):
         g = two_layer_graph(np.random.default_rng(8))
@@ -269,19 +290,18 @@ class TestForward:
         # the FP32 path has no precision boundary and stays untouched
         assert np.isnan(forward(g, x)).any()
 
-    def test_stats_from_another_graph_rejected(self, tmp_path):
+    def test_stats_from_another_graph_rejected(self):
         rng = np.random.default_rng(17)
         g = two_layer_graph(rng)
-        save_stats(run_calibration(g, [rng.normal(size=(2, 6)).astype(np.float32)]), tmp_path / "s.json")
+        stats = run_calibration(g, [rng.normal(size=(2, 6)).astype(np.float32)])
         other = ModelGraph(layers=tuple(
             dataclasses.replace(l, name=f"other.{l.name}") for l in g.layers
         ))
         q = apply_plan(other, PrecisionPlan(default=DType.INT8))
         with pytest.raises(RuntimeError, match="layer 1 .*'other.lin1'.*'lin1'"):
-            forward(q, np.zeros((1, 6), np.float32), stats=load_stats(tmp_path / "s.json"))
-        # the same file drives the graph it was recorded from
-        forward(apply_plan(g, PrecisionPlan(default=DType.INT8)), np.zeros((1, 6), np.float32),
-                stats=load_stats(tmp_path / "s.json"))
+            forward(q, np.zeros((1, 6), np.float32), stats=stats)
+        # the same stats drive the graph they were recorded from
+        forward(apply_plan(g, PrecisionPlan(default=DType.INT8)), np.zeros((1, 6), np.float32), stats=stats)
 
     def test_unfolded_batch_norm_rejected_naming_the_layer(self):
         rng = np.random.default_rng(18)
@@ -370,10 +390,10 @@ class TestSerialization:
             )
             np.testing.assert_array_equal(npz["0.bn.var"], g.layers[0].bn.var)
             doc = json.loads(str(npz["manifest"]))
-        assert doc["format_version"] == 2 and doc["meta"] == g.meta
+        assert doc["format_version"] == 3 and doc["meta"] == g.meta
         assert weights_digest(g) == doc["weights_sha256"]
         assert doc["layers"][0]["bn"] == {"eps": 1e-5}
-        assert not any({"shape", "offset", "weight", "bias"} & set(rec) for rec in doc["layers"])
+        assert not any({"shape", "offset", "weight", "bias", "precision"} & set(rec) for rec in doc["layers"])
 
     def test_equality_is_bit_exact(self):
         g = self.graph()
@@ -419,10 +439,12 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match=r"toy\.npz: .*CRC-32 for file '1\.weight\.npy'"):
             load_model(path)
 
-    def test_unknown_version(self, tmp_path):
+    @pytest.mark.parametrize("version", [2, 99])
+    def test_unknown_version(self, tmp_path, version):
+        """Format 2 stored a precision tag per layer; format 3 stores none."""
         path = save_model(self.graph(), tmp_path / "toy")
-        rewrite(path, lambda doc, arrays: doc.update(format_version=99))
-        with pytest.raises(UnsupportedVersionError, match=r"toy\.npz: model format version 99"):
+        rewrite(path, lambda doc, arrays: doc.update(format_version=version))
+        with pytest.raises(UnsupportedVersionError, match=rf"toy\.npz: model format version {version} "):
             load_model(path)
 
     def test_malformed_manifest(self, tmp_path):
@@ -462,7 +484,6 @@ class TestSerialization:
         (lambda layers, arrays: arrays.update({"0.bn.gamma": arrays["0.bn.beta"], "0.bn.beta": arrays["0.bn.gamma"]}),
          r"toy\.npz: the arrays' digest is not the manifest's weights_sha256"),
         (lambda layers, arrays: layers[0].pop("relu"), r"toy\.npz: layer 'lin1': missing key 'relu'"),
-        (lambda layers, arrays: layers[1].update(precision="int4"), r"toy\.npz: layer 'conv2': 'int4' is not a valid"),
         (lambda layers, arrays: layers[0].update(relu="false"),
          r"toy\.npz: layer 'lin1': relu is 'false', not true or false"),
         (lambda layers, arrays: layers[1].update(is_head=1),
@@ -476,7 +497,7 @@ class TestSerialization:
          r"toy\.npz: arrays \['2\.weight'\] belong to no layer"),
         (lambda layers, arrays: arrays.update({"1.bias": np.array([None, 1.0])}),
          r"toy\.npz: not a readable model file: Object arrays cannot be loaded"),
-    ], ids=["swapped_arrays", "missing_key", "unknown_precision", "relu_as_string", "head_flag_as_number",
+    ], ids=["swapped_arrays", "missing_key", "relu_as_string", "head_flag_as_number",
             "repeated_index", "missing_bn_array", "float64_array", "array_of_no_layer", "pickled_array"])
     def test_corrupt_layer_record_names_the_manifest(self, tmp_path, corrupt, message):
         path = save_model(self.graph(), tmp_path / "toy")
@@ -490,10 +511,9 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match=r"toy\.npz: maxpool layer 'voxel_encoder\.maxpool' sets weight"):
             load_model(path)
 
-    def test_precision_tags_persist(self, tmp_path):
-        g = apply_plan(
-            ModelGraph(layers=(linear_layer(1, 3, 3, np.random.default_rng(17)),)),
-            PrecisionPlan(default=DType.INT8),
-        )
-        save_model(g, tmp_path / "tagged")
-        assert load_model(tmp_path / "tagged").layers[0].precision is DType.INT8
+    def test_a_plan_is_not_saved(self, tmp_path):
+        """The file keeps weights, not the plan a graph was last tagged with."""
+        g = apply_plan(self.graph(), PrecisionPlan(default=DType.INT8))
+        loaded = load_model(save_model(g, tmp_path / "tagged"))
+        assert graphs_equal(loaded, g)
+        assert [l.precision for l in loaded.layers] == [DType.FP32] * 2
