@@ -54,7 +54,6 @@ def select_calib_set(dataset_size: int, n: int = 4, seed: int = 0, nested: bool 
 class LayerCalibration:
     """One layer's calibrated input range; act_qp is derived from it (compute_scale)."""
 
-    index: int
     name: str
     act_min: float
     act_max: float
@@ -67,7 +66,7 @@ class LayerCalibration:
 
 @dataclass(frozen=True)
 class CalibrationStats:
-    """Per-layer calibration results plus the seed that drew the calibration set."""
+    """Per-layer calibration results, keyed by layer index, plus the seed that drew the calibration set."""
 
     layers: dict[int, LayerCalibration] = field(default_factory=dict)
     seed: int = 0
@@ -173,7 +172,6 @@ def stats_from_ranges(
                 )
             layer_ranges.append((lo, hi))
         layers[layer.index] = LayerCalibration(
-            index=layer.index,
             name=layer.name,
             act_min=min(lo for lo, _ in layer_ranges),
             act_max=max(hi for _, hi in layer_ranges),

@@ -12,11 +12,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .calibration import CalibrationStats
 from .metrics import Detection, EvalResult, ap40, iou_matrix
 from .model import EVAL_CHUNK, BatchNorm, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
 from .qat import TrainExample
@@ -25,7 +24,6 @@ from .tensor_ops import ConvParams, PillarSample, sigmoid, stack_samples
 
 __all__ = [
     "DetectorConfig",
-    "EVAL_CHUNK",
     "build_toy_detector",
     "decode_and_nms",
     "encode_targets",
@@ -38,6 +36,10 @@ __all__ = [
 
 BASE_SIZE = 2.5  # box side that a zero size offset decodes to
 MAX_POINTS_PER_PILLAR = 8
+
+
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and value > 0
 
 
 @dataclass(frozen=True)
@@ -56,19 +58,29 @@ class DetectorConfig:
             raise ValueError(
                 f"score_thresh and nms_iou must lie in [0, 1], got {self.score_thresh}, {self.nms_iou}"
             )
+        if not (isinstance(self.block_strides, tuple) and all(map(_positive_int, self.block_strides))):
+            raise ValueError(f"block_strides must be positive integers, got {self.block_strides!r}")
         if len(self.block_channels) != len(self.block_strides):
             raise ValueError(
                 f"block_channels {self.block_channels} and block_strides {self.block_strides} "
                 "must have one entry per block"
             )
+        if not _positive_int(self.convs_per_block):
+            raise ValueError(f"convs_per_block must be an integer of at least 1, got {self.convs_per_block!r}")
+        # a stride-s conv (3x3, padding 1) rounds an odd side up, so the heads
+        # land on out_grid only when the strides' product divides the grid
+        down = math.prod(self.block_strides)
+        if not (isinstance(self.grid, tuple) and len(self.grid) == 2
+                and all(_positive_int(g) and g % down == 0 for g in self.grid)):
+            raise ValueError(
+                f"grid must be two positive integers divisible by {down} (the product of block_strides), "
+                f"got {self.grid!r}"
+            )
 
     @property
     def out_grid(self) -> tuple[int, int]:
-        h, w = self.grid
-        down = 1
-        for s in self.block_strides:
-            down *= s
-        return (h // down) * 2, (w // down) * 2
+        down = math.prod(self.block_strides)
+        return tuple(g // down * 2 for g in self.grid)
 
     def to_meta(self) -> dict:
         """Every field by name, tuples as lists, as the JSON model manifest stores it."""
@@ -203,8 +215,9 @@ def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig
     order), and each is kept unless its IoU with an already kept box of the
     class reaches cfg.nms_iou. One IoU matrix over the class's candidates
     serves the whole greedy pass. A 4-D map holding more than one scene, maps
-    with other than len(CLASS_NAMES) class or 4 box channels, or a box map on
-    another grid than the class map raise ValueError.
+    with other than len(CLASS_NAMES) class or 4 box channels, a box map on
+    another grid than the class map, or a NaN in either map raise ValueError
+    (an infinite logit is a legal score of 0 or 1).
     """
     if cls_map.ndim == 4:
         if cls_map.shape[0] != 1 or reg_map.shape[0] != 1:
@@ -217,6 +230,11 @@ def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig
             f"decode_and_nms needs {len(CLASS_NAMES)} class channels and 4 box channels on one grid; "
             f"got maps of shape {cls_map.shape} and {reg_map.shape}"
         )
+    # a NaN logit never passes the score threshold and wipes out its
+    # neighbours' peaks, and a NaN size offset clips to the smallest box
+    for what, values in (("class", cls_map), ("box", reg_map)):
+        if np.isnan(values).any():
+            raise ValueError(f"decode_and_nms got a NaN in the {what} map")
     n_classes, oh, ow = cls_map.shape
     cell_h = FIELD_SIZE / oh
     cell_w = FIELD_SIZE / ow
@@ -252,7 +270,7 @@ def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig
 def evaluate(
     graph: ModelGraph,
     plan: PrecisionPlan,
-    stats: CalibrationStats | None,
+    stats: Mapping | None,
     dataset: Sequence[Scene],
     cfg: DetectorConfig | None = None,
     samples: Sequence[PillarSample] | None = None,
@@ -300,7 +318,7 @@ def make_train_examples(scenes: Sequence[Scene], cfg: DetectorConfig):
 
 def make_evaluator(
     dataset: Sequence[Scene], cfg: DetectorConfig
-) -> Callable[[ModelGraph, PrecisionPlan, CalibrationStats | None], float]:
+) -> Callable[[ModelGraph, PrecisionPlan, Mapping | None], float]:
     """mAP evaluator closure with the eval set pillarized once up front."""
     samples = pillarize_dataset(dataset, cfg)
 

@@ -258,8 +258,8 @@ def fold_bn(layer: LayerSpec) -> LayerSpec:
         raise ValueError(f"layer {layer.name!r} has no batch norm to fold")
     bn = layer.bn
     denom_sq = bn.var.astype(np.float64) + bn.eps
-    if np.any(denom_sq <= 0):
-        raise ValueError(f"layer {layer.name!r} has non-positive var + eps")
+    if not np.all(denom_sq > 0):  # also catches a NaN var
+        raise ValueError(f"layer {layer.name!r} has non-positive or NaN var + eps")
     factor = (bn.gamma.astype(np.float64) / np.sqrt(denom_sq)).astype(np.float32)
     shape = (-1,) + (1,) * (layer.weight.ndim - 1)
     weight = (layer.weight * factor.reshape(shape)).astype(np.float32)

@@ -9,18 +9,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from pillarmix import detector
 from pillarmix.calibration import run_calibration
 from pillarmix.detector import (
-    EVAL_CHUNK,
     DetectorConfig,
     build_toy_detector,
     decode_and_nms,
     encode_targets,
     evaluate,
+    make_evaluator,
     pillarize_dataset,
 )
 from pillarmix.metrics import DIFFICULTIES, Detection, ap40, iou_matrix
 from pillarmix.model import (
+    EVAL_CHUNK,
     apply_plan,
     fold_all_bn,
     forward,
@@ -113,6 +115,19 @@ class TestDecodeAndNms:
         with pytest.raises(ValueError, match=re.escape(f"on one grid; got maps of shape {shapes}")):
             decode_and_nms(cls_map, reg_map, DetectorConfig())
 
+    @pytest.mark.parametrize("head, cell", [("class", (1, 4, 4)), ("box", (0, 4, 4)), ("box", (3, 4, 5))])
+    def test_rejects_a_nan_in_either_map(self, head, cell):
+        """A NaN logit would drop its own peak and its neighbours', a NaN size
+        offset would decode to the smallest box; both fail instead."""
+        cls_map = np.full((3, 8, 8), -4.0, np.float32)
+        cls_map[1, 4, 4:6] = 4.0  # two tied neighbouring peaks
+        cls_map[0, 0, 0] = np.inf  # an infinite logit is a score of 1
+        reg_map = np.zeros((4, 8, 8), np.float32)
+        assert len(decode_and_nms(cls_map, reg_map, DetectorConfig())) == 3
+        (cls_map if head == "class" else reg_map)[cell] = np.nan
+        with pytest.raises(ValueError, match=f"NaN in the {head} map"):
+            decode_and_nms(cls_map, reg_map, DetectorConfig())
+
     @pytest.mark.parametrize("block_strides", [(2, 2, 1), (2, 1, 1)])
     def test_perfect_maps_score_one_in_every_slice(self, block_strides):
         """encode_targets as +-8 logits through decode_and_nms and ap40: target
@@ -131,10 +146,26 @@ class TestDecodeAndNms:
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             dataclasses.replace(DetectorConfig(), **{field: value})
 
-    def test_config_rejects_block_channels_and_strides_of_different_lengths(self):
+    @pytest.mark.parametrize("fields, match", [
         # zip would build two blocks while out_grid divides by all three strides
-        with pytest.raises(ValueError, match=r"block_channels \(8, 8\) and block_strides \(2, 2, 2\)"):
-            DetectorConfig(block_channels=(8, 8), block_strides=(2, 2, 2))
+        ({"block_channels": (8, 8), "block_strides": (2, 2, 2)},
+         r"block_channels \(8, 8\) and block_strides \(2, 2, 2\)"),
+        # the stride-2 convs round 10 -> 5 -> 3, so the heads would be 6x6 against out_grid's 4x4
+        ({"grid": (10, 10)}, r"grid must be two positive integers divisible by 4 .*got \(10, 10\)"),
+        ({"grid": (16, 18)}, r"grid .*got \(16, 18\)"),
+        ({"grid": (16, 0)}, r"grid .*got \(16, 0\)"),
+        # manifest meta values that from_meta passes through
+        ({"grid": "16"}, r"grid .*got '16'"),
+        ({"grid": (16, 16, 16)}, r"grid .*got \(16, 16, 16\)"),
+        ({"block_strides": (2, 0, 1)}, r"block_strides must be positive integers, got \(2, 0, 1\)"),
+        ({"block_strides": (2, 2.0, 1)}, r"block_strides .*got \(2, 2.0, 1\)"),
+        # no conv would downsample, so the heads would be 32x32 against out_grid's 8x8
+        ({"convs_per_block": 0}, r"convs_per_block must be an integer of at least 1, got 0"),
+    ], ids=["lengths", "grid_10", "grid_16x18", "grid_zero", "grid_str", "grid_3d", "stride_0", "stride_float",
+            "no_convs"])
+    def test_config_rejects_an_architecture_its_layers_contradict(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            DetectorConfig(**fields)
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +220,29 @@ def test_chunked_evaluate_equals_per_scene_evaluation(batch_setup, label):
     assert result.ap == want
     if label == "FP32":
         assert set(want.values()) == {1.0}
+
+
+def test_make_evaluator_pillarizes_once_and_returns_the_map(batch_setup, monkeypatch):
+    """Ground truth: each scene's own FP32 detections, all moderate, so FP32 reads 1.0."""
+    cfg, graph, stats, _ = batch_setup
+    fp32 = apply_plan(graph, parse_plan_label("FP32"))
+    scenes = []
+    for scene in generate_dataset(DatasetConfig(size=6), seed=12):
+        dets = decode_and_nms(*forward(fp32, pillarize_dataset([scene], cfg)[0]), cfg)
+        scenes.append(dataclasses.replace(
+            scene, boxes=np.array([d.box for d in dets]).reshape(-1, 4),
+            classes=np.array([d.class_id for d in dets], dtype=np.int64),
+            difficulty=np.full(len(dets), "moderate", dtype=object),
+        ))
+    calls = []
+    real_pillarize = detector.pillarize
+    monkeypatch.setattr(detector, "pillarize", lambda *args: calls.append(args) or real_pillarize(*args))
+    evaluator = make_evaluator(scenes, cfg)
+    got = {label: evaluator(graph, parse_plan_label(label), stats) for label in ("FP32", "INT8")}
+    assert len(calls) == len(scenes)
+    monkeypatch.undo()
+    assert got == {label: evaluate(graph, parse_plan_label(label), stats, scenes, cfg).map for label in got}
+    assert got["FP32"] == 1.0 > got["INT8"]
 
 
 def test_evaluate_rejects_samples_of_another_length(batch_setup):

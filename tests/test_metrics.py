@@ -1,11 +1,11 @@
-"""AP40: the one-pass-per-class ap40 against a per-slice reference."""
+"""AP40: the one-pass-per-class ap40 against a per-slice reference; EvalResult's means."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pillarmix.metrics import DIFFICULTIES, RECALL_POSITIONS, Detection, _match_scene, ap40
+from pillarmix.metrics import DIFFICULTIES, RECALL_POSITIONS, Detection, EvalResult, _match_scene, ap40
 
 
 def reference_ap40(detections_per_scene, gt_per_scene, class_id, difficulty):
@@ -118,3 +118,17 @@ class TestDetection:
     def test_rejects_non_finite_or_degenerate_box(self, box):
         with pytest.raises(ValueError, match="detection box"):
             Detection(box=box, class_id=0, score=0.5)
+
+
+class TestEvalResult:
+    def test_means_skip_classes_without_ground_truth(self):
+        """None marks a slice without ground truth; 0.0 is a class that was missed and counts."""
+        ap = {("large", "easy"): 0.5, ("medium", "easy"): None, ("small", "easy"): 1.0,
+              ("large", "moderate"): 0.25, ("medium", "moderate"): 0.0, ("small", "moderate"): None,
+              ("large", "hard"): None, ("medium", "hard"): None, ("small", "hard"): None}
+        result = EvalResult(ap=ap)
+        assert (result.map_at("easy"), result.map_at("moderate"), result.map_at("hard")) == (0.75, 0.125, None)
+        assert result.map == 0.125
+        no_moderate = EvalResult(ap={**ap, ("large", "moderate"): None, ("medium", "moderate"): None})
+        assert no_moderate.map_at("moderate") is None
+        assert no_moderate.map == 0.0

@@ -123,12 +123,13 @@ class TestFoldBn:
                 got = conv2d(x, folded.weight, folded.bias, folded.conv)
             assert np.max(np.abs(got - two_step)) < 1e-5
 
-    def test_rejects_bad_variance(self):
+    @pytest.mark.parametrize("bad_var", [-1.0, np.nan])
+    def test_rejects_bad_variance(self, bad_var):
         rng = np.random.default_rng(3)
         bn = random_bn(3, rng, eps=0.0)
-        bn = dataclasses.replace(bn, var=np.array([-1.0, 1.0, 1.0], np.float32))
+        bn = dataclasses.replace(bn, var=np.array([bad_var, 1.0, 1.0], np.float32))
         layer = linear_layer(1, 4, 3, rng, bn=bn)
-        with pytest.raises(ValueError, match="non-positive"):
+        with pytest.raises(ValueError, match=f"layer {layer.name!r} has non-positive"):
             fold_bn(layer)
 
     def test_rejects_missing_bn(self):

@@ -1,8 +1,11 @@
 """Packaging: the console scripts pyproject.toml declares, the names the benchmark
-traces, and every module's __all__."""
+traces, every module's __all__, and which modules each module's import loads."""
 
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,33 @@ def test_all_names_exist_and_cover_every_public_function_and_class(name):
     }
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
     assert sorted(public - set(module.__all__)) == []
+
+
+# the script imports each module from a clean sys.modules and prints the
+# pillarmix modules that import loaded, by module
+IMPORT_GRAPH_SCRIPT = """
+import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+loaded = {}
+for name in sys.argv[2:]:
+    for mod in [m for m in sys.modules if m.split(".")[0] == "pillarmix"]:
+        del sys.modules[mod]
+    importlib.import_module(name)
+    loaded[name] = sorted(m for m in sys.modules if m.startswith("pillarmix."))
+print(json.dumps(loaded))
+"""
+
+
+def test_each_module_loads_only_what_it_uses():
+    """The package root re-exports nothing, so a leaf module imports alone and
+    the detector runs without the calibration module."""
+    modules = MODULES[1:]
+    out = subprocess.run([sys.executable, "-c", IMPORT_GRAPH_SCRIPT, str(ROOT / "src"), *modules],
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    loaded = {name.removeprefix("pillarmix."): {m.removeprefix("pillarmix.") for m in mods}
+              for name, mods in json.loads(out).items()}
+    assert loaded["metrics"] == {"metrics"}
+    assert loaded["quant"] == {"quant"}
+    for leaf in ("scenes", "tensor_ops"):
+        assert loaded[leaf].isdisjoint({"model", "calibration", "qat", "detector"}), leaf
+    assert "calibration" not in loaded["detector"]

@@ -211,9 +211,7 @@ class TestMinMaxObserver:
     """The observed min/max range now lives on LayerCalibration, which derives act_qp from it."""
 
     def test_params_follow_scale_formula(self):
-        layer = LayerCalibration(
-            index=0, name="conv", act_min=-0.5, act_max=2.54, weight_qp=QuantParams(scale=1.0)
-        )
+        layer = LayerCalibration(name="conv", act_min=-0.5, act_max=2.54, weight_qp=QuantParams(scale=1.0))
         assert layer.act_qp.scale == 2.54 / 127.0
 
 
