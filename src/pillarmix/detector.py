@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -39,7 +40,7 @@ MAX_POINTS_PER_PILLAR = 8
 
 
 def _positive_int(value) -> bool:
-    return isinstance(value, int) and value > 0
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,15 @@ class DetectorConfig:
     nms_iou: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 <= self.score_thresh <= 1.0 and 0.0 <= self.nms_iou <= 1.0):
-            raise ValueError(
-                f"score_thresh and nms_iou must lie in [0, 1], got {self.score_thresh}, {self.nms_iou}"
-            )
+        for name in ("score_thresh", "nms_iou"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1] and be a number, not a bool; got {value!r}")
+        for name in ("pfn_channels", "neck_channels"):
+            if not _positive_int(getattr(self, name)):
+                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
+        if not (isinstance(self.block_channels, tuple) and all(map(_positive_int, self.block_channels))):
+            raise ValueError(f"block_channels must be positive integers, got {self.block_channels!r}")
         if not (isinstance(self.block_strides, tuple) and all(map(_positive_int, self.block_strides))):
             raise ValueError(f"block_strides must be positive integers, got {self.block_strides!r}")
         if len(self.block_channels) != len(self.block_strides):

@@ -8,7 +8,10 @@ layers that all consume the same trunk tensor. BN is folded into the
 weights before execution (``fold_all_bn``); ``forward`` rejects a
 layer that still carries it. Execution is precision-aware: INT8 layers
 fake-quantize their input activation and weight, FP16 layers round both
-through binary16, FP32 layers run untouched.
+through binary16, FP32 layers run untouched. Inside ``forward`` images are
+channels-last ``[B, H, W, C]``, the layout of the ``tensor_ops`` kernels;
+NCHW appears only at its edges: a plain 4-D input, what ``observe_fn``
+sees, and the outputs.
 
 A saved model is one ``<name>.npz``: a JSON ``manifest`` member and one
 float32 member per parameter array, keyed by layer position and field
@@ -280,12 +283,14 @@ def fold_all_bn(graph: ModelGraph) -> ModelGraph:
 class TapeEntry:
     """One layer's forward record, enough to drive the training backward pass.
 
-    Every layer keeps x_in, its input before any precision transform. Glue
-    layers keep the sample (scatter coordinates, maxpool point mask; the
-    maxpool winners are recomputed from x_in). Weight layers keep what the
-    kernel consumed (x_used, w_used), the INT8 (act, weight) quant params
-    (None at FP32 and FP16) and the output after the ReLU, whose positive
-    cells are those of the pre-activation.
+    Every layer keeps x_in, its input before any precision transform (an
+    image channels-last). Glue layers keep the sample (scatter coordinates,
+    maxpool point mask; the maxpool winners are recomputed from x_in). Weight
+    layers keep what the kernel consumed (x_used, w_used), the INT8 (act,
+    weight) quant params (None at FP32 and FP16) and the output after the
+    ReLU, whose positive cells are those of the pre-activation. For a conv
+    layer x_used is the patch matrix its GEMM consumed (``tensor_ops.im2col``
+    of the transformed input), so the backward builds no patches of its own.
     """
 
     layer: LayerSpec
@@ -340,10 +345,15 @@ def forward(
     x is a plain tensor or a PillarSample. A PillarSample may stack B scenes
     (see ``tensor_ops.stack_samples``); every layer then runs once for the
     whole batch: the point layers on the [P_total, max_points, C] pillars of
-    all scenes, the scatter into a [B, C, H, W] pseudo-image and the convs on
-    that, so each head output is [B, F, H', W']. A single pillarized scene is
-    a batch of one, with B = 1. Scene b's outputs equal those of a forward on
-    that scene alone, bit for bit.
+    all scenes, the scatter into a pseudo-image and the convs on that, so
+    each head output is [B, F, H', W']. A single pillarized scene is a batch
+    of one, with B = 1. Scene b's outputs equal those of a forward on that
+    scene alone, bit for bit.
+
+    Images run channels-last, [B, H, W, C], from the scatter (or the input)
+    to the outputs. NCHW exists only at the edges: a plain 4-D input is an
+    NCHW image, observe_fn sees a 4-D layer input as an NCHW view, and a 4-D
+    output comes back as a C-contiguous [B, C, H, W] array.
 
     Batch norm is folded before execution (``fold_all_bn``); a layer that
     still carries BN raises ValueError naming it. stats must cover every
@@ -355,6 +365,8 @@ def forward(
     """
     sample = x if isinstance(x, PillarSample) else None
     current = sample.features if sample is not None else np.asarray(x, dtype=np.float32)
+    if current.ndim == 4:
+        current = current.transpose(0, 2, 3, 1)
 
     head_outputs: list[np.ndarray] = []
     for layer in graph.layers:
@@ -365,12 +377,12 @@ def forward(
                     "fold it before execution (fold_all_bn)"
                 )
             if observe_fn is not None:
-                observe_fn(layer, current)
+                observe_fn(layer, _nchw(current))
             x_used, w_used, quant = _kernel_inputs(layer, current, stats)
             if layer.kind == "linear":
                 out = linear(x_used, w_used, layer.bias)
             else:
-                out = conv2d(x_used, w_used, layer.bias, layer.conv)
+                out, x_used = conv2d(x_used, w_used, layer.bias, layer.conv)
             if layer.relu:
                 out = relu(out)
             if tape is not None:
@@ -393,13 +405,18 @@ def forward(
             if tape is not None:
                 tape.append(TapeEntry(layer, current, sample=sample))
         if layer.is_head:  # never becomes current, so every head reads the trunk
-            head_outputs.append(out)
+            head_outputs.append(np.ascontiguousarray(_nchw(out)))
         else:
             current = out
 
     if head_outputs:
         return tuple(head_outputs)
-    return current
+    return np.ascontiguousarray(_nchw(current))
+
+
+def _nchw(x: np.ndarray) -> np.ndarray:
+    """An NCHW view of a channels-last image; any other tensor as it is."""
+    return x.transpose(0, 3, 1, 2) if x.ndim == 4 else x
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ walks the tape in reverse, treats each fake-quant node as identity inside its
 clip range and zero outside (clipped STE) and the FP16 round trip as
 identity. So weights are quantized once per step. Quant scales stay frozen at
 their calibrated values throughout; the loss weights are CLS_WEIGHT and REG_WEIGHT.
+
+The backward runs channels-last, like the forward: the head gradients arrive
+NCHW, as the heads return, and are transposed once. A conv layer's weight
+gradient multiplies the output gradient rows by the patch matrix on its tape
+entry, and its input gradient adds the patch gradients back onto the padded
+input, so the backward builds no patch matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ import numpy as np
 
 from .model import ModelGraph, PrecisionPlan, TapeEntry, apply_plan, forward
 from .quant import Q_MAX, Q_MIN, PerChannelQuantParams, QuantParams
-from .tensor_ops import ConvParams, PillarSample, im2col, sigmoid, stack_samples
+from .tensor_ops import ConvParams, PillarSample, sigmoid, stack_samples
+from .tensor_ops import im2col  # noqa: F401  unused: perfbench/tracing.py counts backward patch builds as qat.im2col calls
 
 __all__ = [
     "GradState",
@@ -156,33 +163,32 @@ def _layer_backward(entry: TapeEntry, dout: np.ndarray):
         return dx, None
     if layer.kind == "scatter":
         sample = entry.sample
-        return dout[sample.scene_ids, :, sample.coords[:, 0], sample.coords[:, 1]], None
+        return dout[sample.scene_ids, sample.coords[:, 0], sample.coords[:, 1]], None
     if layer.kind == "upsample2x":  # each input cell fans out to a 2x2 block
-        n, c, h2, w2 = dout.shape
-        return dout.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5)).astype(np.float32), None
+        n, h2, w2, c = dout.shape
+        d = dout.reshape(n, h2 // 2, 2, w2 // 2, 2, c)
+        # (d00 + d01) + (d10 + d11); sum(axis=(2, 4)) would add the four in another order and round differently
+        return (d[:, :, 0, :, 0] + d[:, :, 0, :, 1]) + (d[:, :, 1, :, 0] + d[:, :, 1, :, 1]), None
     if layer.relu:
         dout = dout * (entry.out > 0)
     x, w = entry.x_used, entry.w_used
     if layer.kind == "linear":
         do2 = dout.reshape(-1, dout.shape[-1])
         return _kernel_backward(entry, x.reshape(-1, x.shape[-1]), do2, dout @ w)
-    # conv2d: the forward's patch matrix, and the patch gradients added back onto the padded input
+    # conv2d: x is the forward's patch matrix; the patch gradients are added back onto the padded input
     params: ConvParams = layer.conv
     sh, sw = params.stride
     ph, pw = params.padding
-    n, c, h, wd = x.shape
+    n, h, wd, c = entry.x_in.shape
     f, _, kh, kw = w.shape
-    ho, wo = dout.shape[2], dout.shape[3]
-    cols = im2col(x, (kh, kw), params)  # [N*H'*W', C*kh*kw]
-    do2 = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, f)
+    ho, wo = dout.shape[1], dout.shape[2]
+    do2 = dout.reshape(-1, f)
     dcols = (do2 @ w.reshape(f, -1)).reshape(n, ho, wo, c, kh, kw)
-    dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=np.float32)
+    dxp = np.zeros((n, h + 2 * ph, wd + 2 * pw, c), dtype=np.float32)
     for ki in range(kh):
         for kj in range(kw):
-            dxp[:, :, ki : ki + sh * ho : sh, kj : kj + sw * wo : sw] += dcols[
-                :, :, :, :, ki, kj
-            ].transpose(0, 3, 1, 2)
-    return _kernel_backward(entry, cols, do2, dxp[:, :, ph : ph + h, pw : pw + wd])
+            dxp[:, ki : ki + sh * ho : sh, kj : kj + sw * wo : sw] += dcols[..., ki, kj]
+    return _kernel_backward(entry, x, do2, dxp[:, ph : ph + h, pw : pw + wd])
 
 
 def backward(tape: list[TapeEntry], d_outputs) -> GradState:
@@ -192,6 +198,7 @@ def backward(tape: list[TapeEntry], d_outputs) -> GradState:
     and the trunk gets their sum; otherwise it is the final output's gradient.
     """
     douts = list(d_outputs) if isinstance(d_outputs, (tuple, list)) else [d_outputs]
+    douts = [d.transpose(0, 2, 3, 1) if d.ndim == 4 else d for d in douts]  # NCHW, as forward returns
     n_heads = sum(1 for entry in tape if entry.layer.is_head)
     if n_heads and len(douts) != n_heads:
         raise ValueError(f"{len(douts)} output gradients for {n_heads} heads")

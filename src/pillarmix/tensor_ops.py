@@ -1,10 +1,13 @@
 """Dense float32 tensor kernels: linear, 2D convolution, ReLU, pillar scatter.
 
-All kernels are pure functions over C-contiguous float32 ndarrays (NCHW for
-convolutions) and accumulate in float32. They are small enough to be checked
-against naive loop oracles but fast enough to run the toy detector. Every
-kernel takes a batch of scenes: a stacked ``PillarSample`` carries the scene
-of each pillar, and the scatter turns it into a ``[B, C, H, W]`` pseudo-image.
+All kernels are pure functions over float32 ndarrays and accumulate in
+float32. They are small enough to be checked against naive loop oracles but
+fast enough to run the toy detector. Images are channels-last,
+``[N, H, W, C]``: the scatter, the convolution and the upsample take and
+return that layout, so a convolution's GEMM output rows are already the
+pixels of its output image. Every kernel takes a batch of scenes: a stacked
+``PillarSample`` carries the scene of each pillar, and the scatter turns it
+into a ``[B, H, W, C]`` pseudo-image.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "ConvParams",
@@ -114,18 +117,25 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 
 def im2col(x: np.ndarray, k_hw: tuple[int, int], params: ConvParams) -> np.ndarray:
-    """Patch matrix [N*H'*W', C*kh*kw] of the padded input, row-major over (n, h', w')."""
+    """Patch matrix [N*H'*W', C*kh*kw] of the zero-padded input x[N, H, W, C].
+
+    Rows run over (n, h', w') and columns over (c, kh, kw), the order of
+    ``weight.reshape(F, -1)``. The patches are one strided view of the padded
+    input, copied once; an unpadded 1x1 stride-1 kernel's patches are the
+    pixels themselves, so its matrix is a reshape of a contiguous x.
+    """
     kh, kw = k_hw
     ph, pw = params.padding
     sh, sw = params.stride
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     ho, wo = params.out_size((h, w), (kh, kw))
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    windows = windows[:, :, :ho, :wo]  # [N, C, H', W', kh, kw]
-    return np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n * ho * wo, c * kh * kw
-    )
+    xp = x
+    if ph or pw:
+        xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+        xp[:, ph : ph + h, pw : pw + w] = x
+    sn, sy, sx, sc = xp.strides
+    windows = as_strided(xp, (n, ho, wo, c, kh, kw), (sn, sh * sy, sw * sx, sc, sy, sx), writeable=False)
+    return windows.reshape(n * ho * wo, c * kh * kw)
 
 
 def conv2d(
@@ -133,28 +143,30 @@ def conv2d(
     weight: np.ndarray,
     bias: np.ndarray,
     params: ConvParams = ConvParams(),
-) -> np.ndarray:
-    """Cross-correlate x[N,C,H,W] with weight[F,C,kh,kw], add bias[F].
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-correlate x[N, H, W, C] with weight[F, C, kh, kw], add bias[F].
 
-    Returns [N, F, H', W'] with H', W' from ``params.out_size``. The GEMM is
-    a stacked [N, H'*W', K] @ [K, F] matmul, one BLAS call per image with
-    the same M = H'*W' whatever N is: OpenBLAS sgemm rounding depends on M,
-    so one flattened [N*H'*W', K] GEMM would make an image's output depend
-    on the batch it was run in.
+    Returns (out, cols): out is [N, H', W', F] with H', W' from
+    ``params.out_size``, and cols the [N*H'*W', C*kh*kw] patch matrix (see
+    ``im2col``) that the GEMM consumed, which the training backward reuses.
+    The GEMM is a stacked [N, H'*W', K] @ [K, F] matmul, one BLAS call per
+    image with the same M = H'*W' whatever N is: OpenBLAS sgemm rounding
+    depends on M, so one flattened [N*H'*W', K] GEMM would make an image's
+    output depend on the batch it was run in.
     """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError(f"conv2d expects 4D input/weight, got {x.shape} and {weight.shape}")
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     f, cw, kh, kw = weight.shape
     if c != cw:
         raise ValueError(f"conv2d input channels {c} != weight channels {cw}")
     if bias.shape != (f,):
         raise ValueError(f"conv2d bias shape {bias.shape} != ({f},)")
     ho, wo = params.out_size((h, w), (kh, kw))
-    cols = im2col(x, (kh, kw), params).reshape(n, ho * wo, c * kh * kw)
-    out = cols @ weight.reshape(f, -1).T + bias
-    return np.ascontiguousarray(out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
+    cols = im2col(x, (kh, kw), params)
+    out = cols.reshape(n, ho * wo, c * kh * kw) @ weight.reshape(f, -1).T + bias
+    return out.reshape(n, ho, wo, f), cols
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -174,7 +186,7 @@ def scatter_pillars(
     scene_ids: np.ndarray | None = None,
     num_scenes: int = 1,
 ) -> np.ndarray:
-    """Write pillar feature columns [P, C] into a zeroed [B, C, H, W] grid.
+    """Write pillar feature rows [P, C] into a zeroed [B, H, W, C] grid.
 
     Pillar p lands in scene scene_ids[p] (all scene 0 when omitted) at
     coords[p]; two pillars may share a cell only in different scenes.
@@ -188,7 +200,7 @@ def scatter_pillars(
     scenes = np.zeros(p, np.int64) if scene_ids is None else np.asarray(scene_ids, dtype=np.int64)
     if scenes.shape != (p,):
         raise ValueError(f"scatter got {p} pillars but scene ids of shape {scenes.shape}")
-    out = np.zeros((num_scenes, c, h, w), dtype=np.float32)
+    out = np.zeros((num_scenes, h, w, c), dtype=np.float32)
     if p == 0:
         return out
     rows, cols = coords[:, 0], coords[:, 1]
@@ -203,7 +215,7 @@ def scatter_pillars(
     flat = (scenes * h + rows) * w + cols
     if len(np.unique(flat)) != p:
         raise ValueError("duplicate pillar coords")
-    out[scenes, :, rows, cols] = features
+    out[scenes, rows, cols] = features
     return out
 
 
@@ -221,5 +233,5 @@ def max_over_points(features: np.ndarray, point_mask: np.ndarray) -> np.ndarray:
 
 
 def upsample2x(x: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor 2x spatial upsample of [N, C, H, W]."""
-    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+    """Nearest-neighbor 2x spatial upsample of [N, H, W, C]."""
+    return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)

@@ -23,6 +23,7 @@ from pillarmix.detector import (
 from pillarmix.metrics import DIFFICULTIES, Detection, ap40, iou_matrix
 from pillarmix.model import (
     EVAL_CHUNK,
+    ModelGraph,
     apply_plan,
     fold_all_bn,
     forward,
@@ -33,7 +34,7 @@ from pillarmix.model import (
     weights_digest,
 )
 from pillarmix.scenes import CLASS_NAMES, FIELD_SIZE, DatasetConfig, Scene, generate_dataset
-from pillarmix.tensor_ops import sigmoid, stack_samples
+from pillarmix.tensor_ops import linear, max_over_points, relu, sigmoid, stack_samples
 
 PLAN_LABELS = ("FP32", "FP16", "INT8", "FP16: 1")
 TINY = DetectorConfig(grid=(8, 8), block_channels=(8, 8, 8), convs_per_block=1, pfn_channels=8, neck_channels=8)
@@ -161,11 +162,25 @@ class TestDecodeAndNms:
         ({"block_strides": (2, 2.0, 1)}, r"block_strides .*got \(2, 2.0, 1\)"),
         # no conv would downsample, so the heads would be 32x32 against out_grid's 8x8
         ({"convs_per_block": 0}, r"convs_per_block must be an integer of at least 1, got 0"),
+        # a layer without channels: He init divides by a fan-in of 0, or the heads reshape an empty map
+        ({"pfn_channels": 0}, r"pfn_channels must be a positive integer, got 0"),
+        ({"neck_channels": 0}, r"neck_channels must be a positive integer, got 0"),
+        ({"neck_channels": 8.0}, r"neck_channels .*got 8.0"),
+        ({"pfn_channels": True}, r"pfn_channels .*got True"),
+        ({"block_channels": (16, 0, 32)}, r"block_channels must be positive integers, got \(16, 0, 32\)"),
+        ({"block_channels": (16, "24", 32)}, r"block_channels .*got \(16, '24', 32\)"),
+        # thresholds that only compare as numbers by accident, or not at all
+        ({"score_thresh": "0.1"}, r"score_thresh must lie in \[0, 1\] and be a number, not a bool; got '0.1'"),
+        ({"nms_iou": True}, r"nms_iou .*got True"),
+        ({"nms_iou": None}, r"nms_iou .*got None"),
     ], ids=["lengths", "grid_10", "grid_16x18", "grid_zero", "grid_str", "grid_3d", "stride_0", "stride_float",
-            "no_convs"])
+            "no_convs", "pfn_0", "neck_0", "neck_float", "pfn_bool", "block_0", "block_str", "score_str",
+            "iou_bool", "iou_none"])
     def test_config_rejects_an_architecture_its_layers_contradict(self, fields, match):
         with pytest.raises(ValueError, match=match):
             DetectorConfig(**fields)
+        with pytest.raises(ValueError, match=match):  # the same values read back from a model manifest
+            DetectorConfig.from_meta({"detector": {**DetectorConfig().to_meta(), **fields}})
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +208,29 @@ def test_stacked_forward_equals_per_sample_forward(batch_setup, label):
     for i, sample in enumerate(samples):
         for head, single in zip(batched, forward(planned, sample, stats=stats)):
             np.testing.assert_array_equal(head[i : i + 1], single)
+
+
+def test_images_are_nchw_at_the_edges_of_forward(batch_setup):
+    """observe_fn sees every conv input as [B, C, H, W], with each pillar at its
+    scene and cell, and the heads come back as C-contiguous [B, F, H', W'];
+    the convs run from the first one's observed input, given as a plain 4-D
+    input, reproduce the heads."""
+    cfg, graph, _, samples = batch_setup
+    batch = stack_samples(samples[:3])
+    observed = {}
+    heads = forward(graph, batch, observe_fn=lambda layer, x: observed.__setitem__(layer.index, x))
+    for layer in graph.weight_layers[1:]:
+        assert observed[layer.index].shape[:2] == (3, layer.weight.shape[1])
+    image = observed[2]
+    assert image.shape == (3, cfg.pfn_channels, *cfg.grid)
+    pfn = graph.layers[0]
+    pillars = max_over_points(relu(linear(batch.features, pfn.weight, pfn.bias)), batch.point_mask)
+    np.testing.assert_array_equal(image[batch.scene_ids, :, batch.coords[:, 0], batch.coords[:, 1]], pillars)
+    for head, channels in zip(heads, (len(CLASS_NAMES), 4)):
+        assert head.flags.c_contiguous and head.shape == (3, channels, *cfg.out_grid)
+    convs = [dataclasses.replace(l, index=l.index - 1) if l.is_weight_layer else l for l in graph.layers[3:]]
+    for head, again in zip(heads, forward(ModelGraph(layers=tuple(convs)), image.copy())):
+        np.testing.assert_array_equal(again, head)
 
 
 @pytest.mark.parametrize("label", PLAN_LABELS)

@@ -110,9 +110,9 @@ class TestFoldBn:
                 shape = (1, -1)
             else:
                 layer = conv_layer(1, 2, 3, 3, rng, padding=(1, 1), bn=bn)
-                x = rng.normal(size=(1, 2, 6, 6)).astype(np.float32)
-                raw = conv2d(x, layer.weight, layer.bias, layer.conv)
-                shape = (1, -1, 1, 1)
+                x = rng.normal(size=(1, 6, 6, 2)).astype(np.float32)  # channels-last
+                raw, _ = conv2d(x, layer.weight, layer.bias, layer.conv)
+                shape = (1, 1, 1, -1)
             two_step = (raw - bn.mean.reshape(shape)) * (
                 bn.gamma.reshape(shape) / np.sqrt(bn.var.reshape(shape) + bn.eps)
             ) + bn.beta.reshape(shape)
@@ -120,7 +120,7 @@ class TestFoldBn:
             if kind == "linear":
                 got = linear(x, folded.weight, folded.bias)
             else:
-                got = conv2d(x, folded.weight, folded.bias, folded.conv)
+                got, _ = conv2d(x, folded.weight, folded.bias, folded.conv)
             assert np.max(np.abs(got - two_step)) < 1e-5
 
     @pytest.mark.parametrize("bad_var", [-1.0, np.nan])

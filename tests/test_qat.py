@@ -1,15 +1,26 @@
 """QAT backward pass: central differences, the clipped STE, FP16 and INT8
-gradients, batched tapes and the detection loss of stacked scenes."""
+gradients, batched tapes, the detection loss of stacked scenes, and the
+channels-last backward against an NCHW reference."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from pillarmix import qat, tensor_ops
 from pillarmix.calibration import CalibrationStats, run_calibration
 from pillarmix.detector import DetectorConfig, build_toy_detector, make_train_examples
-from pillarmix.model import LayerSpec, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
-from pillarmix.qat import TrainConfig, TrainExample, backward, detection_loss, ste_fake_quant_backward
+from pillarmix.model import (
+    LayerSpec,
+    ModelGraph,
+    PrecisionPlan,
+    apply_plan,
+    fold_all_bn,
+    forward,
+    parse_plan_label,
+)
+from pillarmix.qat import TrainConfig, TrainExample, backward, detection_loss, ste_fake_quant_backward, train_qat
 from pillarmix.quant import (
     DType,
     PerChannelQuantParams,
@@ -213,3 +224,118 @@ def test_int8_gradients_are_the_fp32_ones_on_fake_quantized_tensors_inside_the_c
     # layer 1 (FP32) sees layer 2's input gradient: d_out through the fake-quantized
     # weight, zero at the inputs outside the clip range
     np.testing.assert_array_equal(grads[1][0], ((d_out @ w_used) * x2_kept).T @ x)
+
+
+# ---------------------------------------------------------------------------
+# The channels-last backward against an NCHW reference
+
+
+def nchw_im2col(x, k_hw, params):
+    """Patch matrix [N*H'*W', C*kh*kw] of an NCHW input, rows over (n, h', w')."""
+    kh, kw = k_hw
+    (ph, pw), (sh, sw) = params.padding, params.stride
+    n, c, h, w = x.shape
+    ho, wo = params.out_size((h, w), (kh, kw))
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw][:, :, :ho, :wo]
+    return np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
+
+
+def nchw_conv_backward(entry, dout):
+    """A conv layer's input gradient and (dW, db) with its images NCHW: the patch
+    matrix rebuilt from the layer's transformed input, the output gradient
+    rows transposed out of dout, and the nine patch-gradient slices
+    transposed back onto the padded input."""
+    layer, w = entry.layer, entry.w_used
+    x_in = entry.x_in.transpose(0, 3, 1, 2)
+    if entry.quant is not None:
+        x = fake_quant(x_in, entry.quant[0])
+    elif layer.precision is DType.FP16:
+        x = fp16_roundtrip(x_in)
+    else:
+        x = x_in
+    if layer.relu:
+        dout = dout * (entry.out.transpose(0, 3, 1, 2) > 0)
+    (sh, sw), (ph, pw) = layer.conv.stride, layer.conv.padding
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    ho, wo = dout.shape[2], dout.shape[3]
+    cols = nchw_im2col(x, (kh, kw), layer.conv)
+    do2 = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, f)
+    dcols = (do2 @ w.reshape(f, -1)).reshape(n, ho, wo, c, kh, kw)
+    dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=np.float32)
+    for ki in range(kh):
+        for kj in range(kw):
+            dxp[:, :, ki : ki + sh * ho : sh, kj : kj + sw * wo : sw] += dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
+    dx = dxp[:, :, ph : ph + h, pw : pw + wd]
+    dw = (do2.T @ cols).reshape(w.shape)
+    if entry.quant is not None:
+        act_qp, weight_qp = entry.quant
+        dx = ste_fake_quant_backward(x_in, act_qp, dx)
+        dw = ste_fake_quant_backward(layer.weight, weight_qp, dw)
+    return dx, (dw.astype(np.float32), do2.sum(axis=0).astype(np.float32))
+
+
+def nchw_backward(tape, d_outputs):
+    """qat.backward's walk over the tape with every image gradient NCHW; the
+    point layers (linear, maxpool) have no image layout and use qat's step."""
+    douts = list(d_outputs)
+    grads, current = {}, None
+    for entry in reversed(tape):
+        layer = entry.layer
+        dout = douts.pop() if layer.is_head else current
+        if layer.kind == "conv2d":
+            dx, dparams = nchw_conv_backward(entry, dout)
+        elif layer.kind == "scatter":
+            s = entry.sample
+            dx, dparams = dout[s.scene_ids, :, s.coords[:, 0], s.coords[:, 1]], None
+        elif layer.kind == "upsample2x":
+            n, c, h2, w2 = dout.shape
+            dx, dparams = dout.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5)).astype(np.float32), None
+        else:
+            dx, dparams = qat._layer_backward(entry, dout)
+        if dparams is not None:
+            grads[layer.index] = dparams
+        current = current + dx if layer.is_head and current is not None else dx
+    return grads
+
+
+@pytest.fixture(scope="module")
+def default_batch():
+    """Default detector, its calibration and a stacked 3-scene training batch."""
+    cfg = DetectorConfig()
+    graph = fold_all_bn(build_toy_detector(cfg, seed=0))
+    examples = make_train_examples(generate_dataset(DatasetConfig(size=5), seed=12), cfg)
+    stats = run_calibration(graph, [e.sample for e in examples[3:]])
+    return graph, stats, examples[:3]
+
+
+@pytest.mark.parametrize("label", ["FP32", "FP16", "INT8", "FP16: 1"])
+def test_backward_equals_the_nchw_reference_bit_for_bit(default_batch, label):
+    graph, stats, examples = default_batch
+    planned = apply_plan(graph, parse_plan_label(label))
+    batch = stack_examples(examples)
+    tape = []
+    outputs = forward(planned, batch.sample, stats=stats, tape=tape)
+    assert all(o.flags.c_contiguous and o.shape[:2] == (3, c) for o, c in zip(outputs, (len(CLASS_NAMES), 4)))
+    d_outputs = detection_loss(outputs, batch, TrainConfig())[1]
+    got, want = backward(tape, d_outputs), nchw_backward(tape, d_outputs)
+    assert sorted(got) == sorted(want) == list(range(1, graph.num_indexed + 1))
+    for index in want:
+        for g, w in zip(got[index], want[index]):
+            assert g.dtype == w.dtype == np.float32
+            assert g.tobytes() == w.tobytes(), f"layer {index}"
+
+
+def test_a_train_step_builds_one_patch_matrix_per_conv_layer(default_batch, monkeypatch):
+    graph, stats, examples = default_batch
+    calls = []
+    for module in (tensor_ops, qat):
+        def counted(*args, build=module.im2col, name=module.__name__):
+            calls.append(name)
+            return build(*args)
+
+        monkeypatch.setattr(module, "im2col", counted)
+    train_qat(graph, parse_plan_label("FP16: 1"), stats, examples, TrainConfig(batch_size=len(examples)))
+    n_convs = sum(layer.kind == "conv2d" for layer in graph.layers)
+    assert calls == ["pillarmix.tensor_ops"] * n_convs

@@ -1,14 +1,21 @@
-"""Kernel correctness against naive loop oracles."""
+"""Kernel correctness against naive loop oracles.
+
+The oracles and the hand-written cases are NCHW; the channels-last image
+kernels are checked through the *_nchw wrappers, which only transpose.
+"""
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pillarmix.tensor_ops import (
     ConvParams,
     PillarSample,
     conv2d,
+    im2col,
     linear,
     max_over_points,
     relu,
@@ -42,6 +49,47 @@ def naive_conv2d(x, w, b, stride=(1, 1), padding=(0, 0)):
     return out
 
 
+def nhwc(x):
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+
+
+def nchw(x):
+    return x.transpose(0, 3, 1, 2)
+
+
+def conv2d_nchw(x, w, b, params=ConvParams()):
+    out, _ = conv2d(nhwc(x), w, b, params)
+    return nchw(out)
+
+
+def scatter_pillars_nchw(*args, **kwargs):
+    return nchw(scatter_pillars(*args, **kwargs))
+
+
+def upsample2x_nchw(x):
+    return nchw(upsample2x(nhwc(x)))
+
+
+def gather_im2col(x, k, stride, padding):
+    """Per-patch gather oracle of im2col on x[N, H, W, C]: one row per output
+    pixel (n, h', w'), its entries over (c, ki, kj), zero outside the input."""
+    n, h, w, c = x.shape
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (w + 2 * padding - k) // stride + 1
+    rows = []
+    for ni in range(n):
+        for i in range(ho):
+            for j in range(wo):
+                row = []
+                for ci in range(c):
+                    for ki in range(k):
+                        for kj in range(k):
+                            y, xx = i * stride + ki - padding, j * stride + kj - padding
+                            row.append(x[ni, y, xx, ci] if 0 <= y < h and 0 <= xx < w else 0.0)
+                rows.append(row)
+    return np.array(rows, dtype=np.float32).reshape(n * ho * wo, c * k * k)
+
+
 def naive_linear(x, w, b):
     n, din = x.shape
     dout = w.shape[0]
@@ -55,19 +103,51 @@ def naive_linear(x, w, b):
     return out
 
 
+class TestIm2col:
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 2), h=st.integers(1, 6), extra=st.integers(1, 3), wide=st.booleans(),
+           c=st.integers(1, 3), k=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
+           padding=st.sampled_from([0, 1]), seed=st.integers(0, 2**16))
+    def test_equals_the_per_patch_gather(self, n, h, extra, wide, c, k, stride, padding, seed):
+        hw = (h, h + extra) if wide else (h + extra, h)
+        if min(hw) + 2 * padding < k:
+            hw = (hw[0] + k, hw[1] + k)
+        x = np.random.default_rng(seed).normal(size=(n, *hw, c)).astype(np.float32)
+        got = im2col(x, (k, k), ConvParams((stride, stride), (padding, padding)))
+        np.testing.assert_array_equal(got, gather_im2col(x, k, stride, padding))
+
+    def test_unpadded_1x1_patches_are_a_reshape_of_the_input(self):
+        x = np.random.default_rng(8).normal(size=(2, 3, 5, 4)).astype(np.float32)
+        cols = im2col(x, (1, 1), ConvParams())
+        assert np.shares_memory(cols, x)
+        np.testing.assert_array_equal(cols, x.reshape(-1, 4))
+
+
 class TestConv2d:
+    def test_returns_the_patch_matrix_its_gemm_consumed(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 6, 5, 4)).astype(np.float32)
+        w = rng.normal(size=(7, 4, 3, 3)).astype(np.float32)
+        b = rng.normal(size=7).astype(np.float32)
+        params = ConvParams(stride=(2, 2), padding=(1, 1))
+        out, cols = conv2d(x, w, b, params)
+        np.testing.assert_array_equal(cols, im2col(x, (3, 3), params))
+        per_image = cols.reshape(3, -1, 4 * 9)
+        for i in range(3):
+            np.testing.assert_array_equal(out[i].reshape(-1, 7), per_image[i] @ w.reshape(7, -1).T + b)
+
     def test_identity_1x1(self):
         x = np.full((1, 1, 1, 1), 3.25, dtype=np.float32)
         w = np.ones((1, 1, 1, 1), dtype=np.float32)
         b = np.zeros(1, dtype=np.float32)
-        assert conv2d(x, w, b)[0, 0, 0, 0] == np.float32(3.25)
+        assert conv2d_nchw(x, w, b)[0, 0, 0, 0] == np.float32(3.25)
 
     def test_zero_weight_gives_bias(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)
         w = np.zeros((4, 3, 3, 3), dtype=np.float32)
         b = np.array([1.5, -2.0, 0.0, 7.0], dtype=np.float32)
-        out = conv2d(x, w, b)
+        out = conv2d_nchw(x, w, b)
         for fi, bv in enumerate(b):
             assert np.all(out[:, fi] == bv)
 
@@ -75,7 +155,7 @@ class TestConv2d:
         x = np.arange(1, 10, dtype=np.float32).reshape(1, 1, 3, 3)
         w = np.ones((1, 1, 2, 2), dtype=np.float32)
         b = np.zeros(1, dtype=np.float32)
-        out = conv2d(x, w, b)
+        out = conv2d_nchw(x, w, b)
         np.testing.assert_array_equal(out[0, 0], [[12.0, 16.0], [24.0, 28.0]])
 
     @pytest.mark.parametrize("case", range(12))
@@ -90,7 +170,7 @@ class TestConv2d:
         x = rng.normal(scale=0.4, size=(2, c, h, w)).astype(np.float32)
         wt = rng.normal(scale=0.4, size=(f, c, kh, kw)).astype(np.float32)
         b = rng.normal(size=f).astype(np.float32)
-        got = conv2d(x, wt, b, ConvParams(stride=stride, padding=padding))
+        got = conv2d_nchw(x, wt, b, ConvParams(stride=stride, padding=padding))
         want = naive_conv2d(x, wt, b, stride=stride, padding=padding)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-6
@@ -103,21 +183,21 @@ class TestConv2d:
         w = rng.normal(size=(f, c, k, k)).astype(np.float32)
         b = rng.normal(size=f).astype(np.float32)
         params = ConvParams(stride=(stride, stride), padding=(k // 2, k // 2))
-        batched = conv2d(x, w, b, params)
+        batched = conv2d_nchw(x, w, b, params)
         for i in range(len(x)):
-            np.testing.assert_array_equal(batched[i : i + 1], conv2d(x[i : i + 1], w, b, params))
+            np.testing.assert_array_equal(batched[i : i + 1], conv2d_nchw(x[i : i + 1], w, b, params))
 
     def test_channel_mismatch_named_in_error(self):
         x = np.zeros((1, 3, 4, 4), dtype=np.float32)
         w = np.zeros((2, 5, 3, 3), dtype=np.float32)
         with pytest.raises(ValueError, match="3 != weight channels 5"):
-            conv2d(x, w, np.zeros(2, dtype=np.float32))
+            conv2d_nchw(x, w, np.zeros(2, dtype=np.float32))
 
     def test_output_smaller_than_one_rejected(self):
         x = np.zeros((1, 1, 2, 2), dtype=np.float32)
         w = np.zeros((1, 1, 3, 3), dtype=np.float32)
         with pytest.raises(ValueError, match="< 1"):
-            conv2d(x, w, np.zeros(1, dtype=np.float32))
+            conv2d_nchw(x, w, np.zeros(1, dtype=np.float32))
 
 
 class TestLinear:
@@ -189,12 +269,12 @@ class TestSigmoid:
 
 class TestScatterPillars:
     def test_empty(self):
-        out = scatter_pillars(np.zeros((0, 3), dtype=np.float32), np.zeros((0, 2), int), (4, 4))
+        out = scatter_pillars_nchw(np.zeros((0, 3), dtype=np.float32), np.zeros((0, 2), int), (4, 4))
         assert out.shape == (1, 3, 4, 4)
         assert np.all(out == 0.0)
 
     def test_single_pillar(self):
-        out = scatter_pillars(np.array([[7.0]], dtype=np.float32), np.array([[0, 0]]), (2, 2))
+        out = scatter_pillars_nchw(np.array([[7.0]], dtype=np.float32), np.array([[0, 0]]), (2, 2))
         np.testing.assert_array_equal(out[0, 0], [[7.0, 0.0], [0.0, 0.0]])
 
     def test_conserves_sum(self):
@@ -202,7 +282,7 @@ class TestScatterPillars:
         feats = rng.normal(size=(10, 6)).astype(np.float32)
         cells = rng.choice(8 * 8, size=10, replace=False)
         coords = np.stack([cells // 8, cells % 8], axis=1)
-        out = scatter_pillars(feats, coords, (8, 8))
+        out = scatter_pillars_nchw(feats, coords, (8, 8))
         np.testing.assert_allclose(out.sum(), feats.sum(), rtol=1e-6)
 
     def test_out_of_range_and_duplicate(self):
@@ -217,7 +297,7 @@ class TestScatterPillars:
     def test_batch_scatters_each_scene_into_its_own_image(self):
         feats = np.array([[1.0], [2.0], [3.0]], dtype=np.float32)
         coords = np.array([[0, 1], [0, 1], [1, 0]])
-        out = scatter_pillars(feats, coords, (2, 2), scene_ids=np.array([0, 2, 2]), num_scenes=3)
+        out = scatter_pillars_nchw(feats, coords, (2, 2), scene_ids=np.array([0, 2, 2]), num_scenes=3)
         assert out.shape == (3, 1, 2, 2)
         np.testing.assert_array_equal(out[:, 0], [[[0, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 2], [3, 0]]])
 
@@ -286,7 +366,7 @@ class TestGlueKernels:
 
     def test_upsample2x(self):
         x = np.arange(4, dtype=np.float32).reshape(1, 1, 2, 2)
-        out = upsample2x(x)
+        out = upsample2x_nchw(x)
         np.testing.assert_array_equal(
             out[0, 0],
             [[0, 0, 1, 1], [0, 0, 1, 1], [2, 2, 3, 3], [2, 2, 3, 3]],
