@@ -109,11 +109,11 @@ class DetectorConfig:
 def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) -> ModelGraph:
     """Fresh detector with He-initialized weights and plausible BN stats.
 
-    Every weight layer goes through weight_layer, which numbers it 1..L in
-    chain order and draws from the seeded generator in turn: its weight (He,
-    or std 0.1 for the two heads), then its BN gamma, beta, mean and var (the
-    heads have no BN). That fixed draw order is what keeps a (cfg, seed)
-    pair's weights, and so the pinned weights_digest values, the same.
+    Every weight layer goes through weight_layer, which draws from the seeded
+    generator in turn: its weight (He, or std 0.1 for the two heads), then its
+    BN gamma, beta, mean and var (the heads have no BN). That fixed draw order
+    is what keeps a (cfg, seed) pair's weights, and so the pinned
+    weights_digest values, the same.
     """
     rng = np.random.default_rng(seed)
     layers: list[LayerSpec] = []
@@ -131,7 +131,6 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
         layers.append(LayerSpec(
             name=name,
             kind="linear" if conv is None else "conv2d",
-            index=1 + sum(l.is_weight_layer for l in layers),
             weight=weight,
             bias=np.full(cout, bias, np.float32),
             bn=bn,

@@ -21,6 +21,7 @@ structure, no precision plan: a plan is applied at execution (``apply_plan``).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -72,7 +73,7 @@ EVAL_CHUNK = 16
 WEIGHT_KINDS = ("linear", "conv2d")
 # The LayerSpec fields besides name and kind that each kind reads; a layer
 # leaves the others at their defaults (see _validate_layers).
-_WEIGHT_FIELDS = ("index", "weight", "bias", "bn", "relu", "is_head", "precision")
+_WEIGHT_FIELDS = ("weight", "bias", "bn", "relu", "is_head", "precision")
 KIND_FIELDS = {
     "linear": _WEIGHT_FIELDS,
     "conv2d": _WEIGHT_FIELDS + ("conv",),
@@ -107,7 +108,7 @@ class BatchNorm:
 class LayerSpec:
     name: str
     kind: str
-    index: int | None = None
+    index: int | None = field(default=None, init=False)
     weight: np.ndarray | None = None
     bias: np.ndarray | None = None
     bn: BatchNorm | None = None
@@ -130,8 +131,11 @@ class ModelGraph:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        _validate_layers(self.layers)
+        layers = tuple(copy.copy(l) if l.is_weight_layer else l for l in self.layers)
+        _validate_layers(layers)
+        for index, l in enumerate((l for l in layers if l.is_weight_layer), start=1):
+            object.__setattr__(l, "index", index)
+        object.__setattr__(self, "layers", layers)
 
     @property
     def weight_layers(self) -> tuple[LayerSpec, ...]:
@@ -141,23 +145,18 @@ class ModelGraph:
     def num_indexed(self) -> int:
         return len(self.weight_layers)
 
-    def layer_by_index(self, index: int) -> LayerSpec:
-        for l in self.layers:
-            if l.index == index:
-                return l
-        raise KeyError(f"no weight layer with index {index}")
-
 
 def _validate_layers(layers: Sequence[LayerSpec]) -> None:
     """Each layer sets only the fields its kind reads (KIND_FIELDS) and leaves
     the rest at their defaults; weight layers have weight and bias, conv2d has
-    conv, indices run 1..L in chain order, and heads end the chain."""
-    expected = 1
+    conv, and heads end the chain. The index is derived, so it is not checked."""
     seen_head = False
     for l in layers:
         if l.kind not in KIND_FIELDS:
             raise ValueError(f"layer {l.name!r} has unknown kind {l.kind!r}")
         for f in dataclasses.fields(LayerSpec)[2:]:
+            if not f.init:
+                continue
             value = getattr(l, f.name)
             is_set = value is not None if f.default is None else value != f.default
             if is_set and f.name not in KIND_FIELDS[l.kind]:
@@ -165,12 +164,6 @@ def _validate_layers(layers: Sequence[LayerSpec]) -> None:
         if l.is_weight_layer:
             if l.weight is None or l.bias is None:
                 raise ValueError(f"weight layer {l.name!r} is missing weight or bias")
-            if l.index != expected:
-                raise ValueError(
-                    f"weight layer {l.name!r} has index {l.index}, expected {expected} "
-                    "(indices must be contiguous from 1 in chain order)"
-                )
-            expected += 1
             if l.kind == "conv2d" and l.conv is None:
                 raise ValueError(f"conv layer {l.name!r} is missing conv params")
         if seen_head and not l.is_head:
@@ -435,7 +428,6 @@ def _layer_record(layer: LayerSpec) -> dict:
     return {
         "name": layer.name,
         "kind": layer.kind,
-        "index": layer.index,
         "relu": layer.relu,
         "is_head": layer.is_head,
         "conv": {"stride": list(layer.conv.stride), "padding": list(layer.conv.padding)} if layer.conv else None,
@@ -509,7 +501,7 @@ def load_model(path) -> ModelGraph:
         raise ModelFormatError(f"{path}: arrays {sorted(arrays)} belong to no layer")
     try:
         graph = ModelGraph(layers=tuple(layers), meta=meta)
-    except ValueError as exc:  # the layer chain itself is invalid, e.g. indices out of order
+    except ValueError as exc:  # the layer chain itself is invalid, e.g. a layer after a head
         raise ModelFormatError(f"{path}: {exc}") from exc
     if weights_digest(graph) != manifest.get("weights_sha256"):  # e.g. two same-shape arrays swapped
         raise ModelFormatError(f"{path}: the arrays' digest is not the manifest's weights_sha256")
@@ -546,7 +538,6 @@ def _read_layer(rec, pos: int, arrays: dict, path: Path) -> LayerSpec:
         return LayerSpec(
             name=rec["name"],
             kind=rec["kind"],
-            index=rec["index"],
             weight=take("weight", False),
             bias=take("bias", False),
             bn=bn,

@@ -272,8 +272,9 @@ def train_qat(
                     inv = np.float32(inv * cfg.max_grad_norm / total)
             lr = np.float32(cfg.learning_rate)
             mu = np.float32(cfg.momentum)
+            weight_layers = g.weight_layers
             for index, grad in grads.items():
-                layer = g.layer_by_index(index)
+                layer = weight_layers[index - 1]
                 steps = tuple(inv * d for d in grad)
                 if cfg.momentum > 0.0:
                     steps = tuple(mu * v + step for v, step in zip(velocity.get(index, (0, 0)), steps))

@@ -31,7 +31,6 @@ def chain(rng, widths=(6, 6, 4)):
             LayerSpec(
                 name=f"lin{i}",
                 kind="linear",
-                index=i,
                 weight=rng.normal(scale=0.5, size=(dout, din)).astype(np.float32),
                 bias=rng.normal(scale=0.1, size=dout).astype(np.float32),
                 relu=True,

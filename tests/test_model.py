@@ -34,7 +34,6 @@ def linear_layer(index, din, dout, rng, name=None, relu_flag=False, bn=None):
     return LayerSpec(
         name=name or f"lin{index}",
         kind="linear",
-        index=index,
         weight=rng.normal(scale=0.5, size=(dout, din)).astype(np.float32),
         bias=rng.normal(scale=0.1, size=dout).astype(np.float32),
         relu=relu_flag,
@@ -46,7 +45,6 @@ def conv_layer(index, cin, cout, k, rng, stride=(1, 1), padding=(0, 0), relu_fla
     return LayerSpec(
         name=f"conv{index}",
         kind="conv2d",
-        index=index,
         weight=rng.normal(scale=0.3, size=(cout, cin, k, k)).astype(np.float32),
         bias=rng.normal(scale=0.1, size=cout).astype(np.float32),
         conv=ConvParams(stride=stride, padding=padding),
@@ -92,7 +90,7 @@ class TestFoldBn:
             eps=0.0,
         )
         layer = LayerSpec(
-            name="l", kind="linear", index=1, weight=w, bias=np.zeros(2, np.float32), bn=bn
+            name="l", kind="linear", weight=w, bias=np.zeros(2, np.float32), bn=bn
         )
         folded = fold_bn(layer)
         np.testing.assert_allclose(folded.weight, 2.0 * w, rtol=1e-7)
@@ -250,7 +248,6 @@ class TestForward:
         layer = LayerSpec(
             name="id",
             kind="linear",
-            index=1,
             weight=np.eye(8, dtype=np.float32),
             bias=np.zeros(8, np.float32),
         )
@@ -265,7 +262,7 @@ class TestForward:
     def test_fp16_fixed_points_match_fp32(self):
         rng = np.random.default_rng(12)
         w = rng.integers(-8, 9, size=(4, 4)).astype(np.float32) / 4.0
-        layer = LayerSpec(name="h", kind="linear", index=1, weight=w, bias=np.zeros(4, np.float32))
+        layer = LayerSpec(name="h", kind="linear", weight=w, bias=np.zeros(4, np.float32))
         g = ModelGraph(layers=(layer,))
         x = (rng.integers(-32, 33, size=(2, 4)) / 8.0).astype(np.float32)
         fp32_out = forward(g, x)
@@ -321,8 +318,6 @@ class TestForward:
 
     def test_graph_validation(self):
         rng = np.random.default_rng(15)
-        with pytest.raises(ValueError, match="expected 1"):
-            ModelGraph(layers=(linear_layer(2, 3, 3, rng),))
         with pytest.raises(ValueError, match="unknown kind"):
             ModelGraph(layers=(LayerSpec(name="x", kind="softmax"),))
         head = dataclasses.replace(linear_layer(1, 3, 3, rng), is_head=True)
@@ -337,7 +332,6 @@ class TestForward:
         ("voxel_encoder.maxpool", {"precision": DType.FP16}, "precision"),
         ("middle_encoder.scatter", {"bias": np.zeros(3, np.float32)}, "bias"),
         ("middle_encoder.scatter", {"conv": ConvParams()}, "conv"),
-        ("neck.upsample", {"index": 5}, "index"),
         ("neck.upsample", {"is_head": True}, "is_head"),
         ("neck.upsample", {"grid": (16, 16)}, "grid"),
         ("voxel_encoder.pfn.linear", {"conv": ConvParams()}, "conv"),
@@ -394,7 +388,7 @@ class TestSerialization:
         assert doc["format_version"] == 3 and doc["meta"] == g.meta
         assert weights_digest(g) == doc["weights_sha256"]
         assert doc["layers"][0]["bn"] == {"eps": 1e-5}
-        assert not any({"shape", "offset", "weight", "bias", "precision"} & set(rec) for rec in doc["layers"])
+        assert not any({"index", "shape", "offset", "weight", "bias", "precision"} & set(rec) for rec in doc["layers"])
 
     def test_equality_is_bit_exact(self):
         g = self.graph()
@@ -489,8 +483,8 @@ class TestSerialization:
          r"toy\.npz: layer 'lin1': relu is 'false', not true or false"),
         (lambda layers, arrays: layers[1].update(is_head=1),
          r"toy\.npz: layer 'conv2': is_head is 1, not true or false"),
-        (lambda layers, arrays: layers[1].update(index=1),
-         r"toy\.npz: weight layer 'conv2' has index 1, expected 2"),
+        (lambda layers, arrays: layers[0].update(is_head=True),
+         r"toy\.npz: layer 'conv2' follows a head layer but is not a head"),
         (lambda layers, arrays: arrays.pop("0.bn.var"), r"toy\.npz: layer 'lin1': missing key '0\.bn\.var'"),
         (lambda layers, arrays: arrays.update({"1.weight": arrays["1.weight"].astype(np.float64)}),
          r"toy\.npz: layer 'conv2': weight is float64, not float32"),
@@ -499,7 +493,7 @@ class TestSerialization:
         (lambda layers, arrays: arrays.update({"1.bias": np.array([None, 1.0])}),
          r"toy\.npz: not a readable model file: Object arrays cannot be loaded"),
     ], ids=["swapped_arrays", "missing_key", "relu_as_string", "head_flag_as_number",
-            "repeated_index", "missing_bn_array", "float64_array", "array_of_no_layer", "pickled_array"])
+            "layer_after_a_head", "missing_bn_array", "float64_array", "array_of_no_layer", "pickled_array"])
     def test_corrupt_layer_record_names_the_manifest(self, tmp_path, corrupt, message):
         path = save_model(self.graph(), tmp_path / "toy")
         rewrite(path, lambda doc, arrays: corrupt(doc["layers"], arrays))

@@ -162,7 +162,6 @@ def linear_layer(index, din, dout, rng, relu=False):
     return LayerSpec(
         name=f"lin{index}",
         kind="linear",
-        index=index,
         weight=rng.normal(size=(dout, din)).astype(np.float32),
         bias=rng.normal(size=dout).astype(np.float32),
         relu=relu,
@@ -216,7 +215,7 @@ def test_int8_gradients_are_the_fp32_ones_on_fake_quantized_tensors_inside_the_c
     # layer 2: the FP32 gradients on the fake-quantized input and weight, zero
     # at the weights outside the clip range
     dw_fp32, db_fp32 = taped_grads(
-        ModelGraph(layers=(dataclasses.replace(lin2, index=1, weight=w_used),)),
+        ModelGraph(layers=(dataclasses.replace(lin2, weight=w_used),)),
         fake_quant(x2, cal2.act_qp), d_out,
     )[1]
     np.testing.assert_array_equal(grads[2][0], dw_fp32 * w_kept)

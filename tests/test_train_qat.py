@@ -56,8 +56,9 @@ def per_sample_train_qat(graph, plan, stats, data, cfg):
                 old_w, old_b = acc.get(index, (0.0, 0.0))
                 acc[index] = (old_w + dw, old_b + db)
         inv, lr = np.float32(1.0 / len(batch)), np.float32(cfg.learning_rate)
+        weight_layers = g.weight_layers
         for index, (dw, db) in acc.items():
-            layer = g.layer_by_index(index)
+            layer = weight_layers[index - 1]
             layer.weight[...] -= lr * (inv * dw)
             layer.bias[...] -= lr * (inv * db)
         epoch_losses[epoch].append(batch_loss / len(batch))
