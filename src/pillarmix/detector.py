@@ -4,7 +4,7 @@ The network follows the usual five-stage pillar pipeline at miniature scale:
 a per-point linear encoder with masked max over points, a scatter into a
 pseudo-image, three conv blocks (the first two downsample by 2), a 2x
 upsample + conv neck, and two 1x1 conv heads (per-class logits and 4 box
-offsets per cell). All weight layers are indexed 1..L for precision plans.
+offsets per cell). ModelGraph numbers the weight layers 1..L for precision plans.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .metrics import Detection, EvalResult, ap40, iou_matrix
 from .model import EVAL_CHUNK, BatchNorm, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
 from .qat import TrainExample
 from .scenes import CLASS_NAMES, FIELD_SIZE, POINT_FEATURES, Scene, pillarize
-from .tensor_ops import ConvParams, PillarSample, sigmoid, stack_samples
+from .tensor_ops import ConvParams, PillarSample, int_at_least, int_pair_at_least, sigmoid, stack_samples
 
 __all__ = [
     "DetectorConfig",
@@ -37,10 +37,6 @@ __all__ = [
 
 BASE_SIZE = 2.5  # box side that a zero size offset decodes to
 MAX_POINTS_PER_PILLAR = 8
-
-
-def _positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value > 0
 
 
 @dataclass(frozen=True)
@@ -60,24 +56,23 @@ class DetectorConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1] and be a number, not a bool; got {value!r}")
         for name in ("pfn_channels", "neck_channels"):
-            if not _positive_int(getattr(self, name)):
+            if not int_at_least(getattr(self, name), 1):
                 raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
-        if not (isinstance(self.block_channels, tuple) and all(map(_positive_int, self.block_channels))):
+        if not (isinstance(self.block_channels, tuple) and all(int_at_least(c, 1) for c in self.block_channels)):
             raise ValueError(f"block_channels must be positive integers, got {self.block_channels!r}")
-        if not (isinstance(self.block_strides, tuple) and all(map(_positive_int, self.block_strides))):
+        if not (isinstance(self.block_strides, tuple) and all(int_at_least(s, 1) for s in self.block_strides)):
             raise ValueError(f"block_strides must be positive integers, got {self.block_strides!r}")
         if len(self.block_channels) != len(self.block_strides):
             raise ValueError(
                 f"block_channels {self.block_channels} and block_strides {self.block_strides} "
                 "must have one entry per block"
             )
-        if not _positive_int(self.convs_per_block):
+        if not int_at_least(self.convs_per_block, 1):
             raise ValueError(f"convs_per_block must be an integer of at least 1, got {self.convs_per_block!r}")
         # a stride-s conv (3x3, padding 1) rounds an odd side up, so the heads
         # land on out_grid only when the strides' product divides the grid
         down = math.prod(self.block_strides)
-        if not (isinstance(self.grid, tuple) and len(self.grid) == 2
-                and all(_positive_int(g) and g % down == 0 for g in self.grid)):
+        if not (int_pair_at_least(self.grid, 1) and all(g % down == 0 for g in self.grid)):
             raise ValueError(
                 f"grid must be two positive integers divisible by {down} (the product of block_strides), "
                 f"got {self.grid!r}"
@@ -113,7 +108,7 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
     generator in turn: its weight (He, or std 0.1 for the two heads), then its
     BN gamma, beta, mean and var (the heads have no BN). That fixed draw order
     is what keeps a (cfg, seed) pair's weights, and so the pinned
-    weights_digest values, the same.
+    weights_digest values, the same. ModelGraph numbers the weight layers 1..L.
     """
     rng = np.random.default_rng(seed)
     layers: list[LayerSpec] = []

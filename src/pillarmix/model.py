@@ -1,8 +1,10 @@
 """Layer-chain model representation with per-layer precision tags.
 
 A model is an ordered list of layers: weight layers (linear, conv2d) carry
-1-based indices, an optional ReLU and optional BN statistics; glue layers
-(scatter, maxpool, upsample2x) are precision-free. A layer sets only the
+an optional ReLU and optional BN statistics; glue layers (scatter, maxpool,
+upsample2x) are precision-free. A weight layer's index, which plans,
+calibration stats and gradients are keyed by, is its place among the weight
+layers: ``ModelGraph`` numbers them 1..L in chain order. A layer sets only the
 fields its kind reads (``KIND_FIELDS``). The chain may end in several head
 layers that all consume the same trunk tensor. BN is folded into the
 weights before execution (``fold_all_bn``); ``forward`` rejects a
@@ -40,7 +42,8 @@ from .quant import (
     fake_quant_per_channel,
     fp16_roundtrip,
 )
-from .tensor_ops import ConvParams, PillarSample, conv2d, linear, max_over_points, relu, scatter_pillars, upsample2x
+from .tensor_ops import (ConvParams, PillarSample, conv2d, int_at_least, int_pair_at_least, linear, max_over_points,
+                         relu, scatter_pillars, upsample2x)
 
 __all__ = [
     "BatchNorm",
@@ -106,6 +109,9 @@ class BatchNorm:
 
 @dataclass(frozen=True)
 class LayerSpec:
+    """One layer. index is derived: a ModelGraph numbers its weight layers, and
+    a layer outside a graph (e.g. what fold_bn returns) or a glue layer has None."""
+
     name: str
     kind: str
     index: int | None = field(default=None, init=False)
@@ -125,7 +131,8 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class ModelGraph:
-    """Ordered layer chain; list order is the topological order."""
+    """Ordered layer chain; list order is the topological order. It numbers
+    its weight layers 1..L in chain order, each on a copy of the layer given."""
 
     layers: tuple[LayerSpec, ...]
     meta: dict = field(default_factory=dict)
@@ -148,10 +155,13 @@ class ModelGraph:
 
 def _validate_layers(layers: Sequence[LayerSpec]) -> None:
     """Each layer sets only the fields its kind reads (KIND_FIELDS) and leaves
-    the rest at their defaults; weight layers have weight and bias, conv2d has
-    conv, and heads end the chain. The index is derived, so it is not checked."""
+    the rest at their defaults; names are strings, weight layers have weight
+    and bias, conv2d has conv, a scatter's grid is two positive integers, and
+    heads end the chain. The index is derived, so it is not checked."""
     seen_head = False
     for l in layers:
+        if not isinstance(l.name, str):
+            raise ValueError(f"layer name {l.name!r} is not a string")
         if l.kind not in KIND_FIELDS:
             raise ValueError(f"layer {l.name!r} has unknown kind {l.kind!r}")
         for f in dataclasses.fields(LayerSpec)[2:]:
@@ -166,6 +176,8 @@ def _validate_layers(layers: Sequence[LayerSpec]) -> None:
                 raise ValueError(f"weight layer {l.name!r} is missing weight or bias")
             if l.kind == "conv2d" and l.conv is None:
                 raise ValueError(f"conv layer {l.name!r} is missing conv params")
+        if l.grid is not None and not int_pair_at_least(l.grid, 1):
+            raise ValueError(f"{l.kind} layer {l.name!r} has grid {l.grid!r}, not two integers >= 1")
         if seen_head and not l.is_head:
             raise ValueError(f"layer {l.name!r} follows a head layer but is not a head")
         seen_head = seen_head or l.is_head
@@ -176,13 +188,17 @@ class PrecisionPlan:
     """Default datatype plus per-layer-index overrides.
 
     Each datatype goes through DType(...), so 'int8' means DType.INT8 and an
-    unknown name such as 'int4' raises ValueError.
+    unknown name such as 'int4' raises ValueError, as does an override key
+    that is not a layer index (an int >= 1; 1.0 and True are not).
     """
 
     default: DType = DType.FP32
     overrides: dict[int, DType] = field(default_factory=dict)
 
     def __post_init__(self):
+        for index in self.overrides:
+            if not int_at_least(index, 1):
+                raise ValueError(f"plan override key {index!r} is not a layer index (an integer >= 1)")
         object.__setattr__(self, "default", DType(self.default))
         object.__setattr__(self, "overrides", {i: DType(d) for i, d in self.overrides.items()})
 
@@ -205,18 +221,18 @@ def parse_plan_label(label: str) -> PrecisionPlan:
     'FP32' / 'FP16' / 'INT8'; 'FP16: 1,22,3' (INT8 with those layers in FP16);
     '<DEFAULT> except i=dtype,...', e.g. 'INT8 except 1=fp32'. Anything else,
     such as 'FP16:' with no indices or an empty one in 'FP16: 1,,3', raises
-    ValueError naming the label.
+    ValueError naming the label, as does a repeated index ('FP16: 1,3,1').
     """
     text = label.strip()
     try:
         if text.upper().startswith("FP16:"):
-            indices = [int(tok) for tok in text.split(":", 1)[1].split(",")]
-            return PrecisionPlan(default=DType.INT8, overrides={i: DType.FP16 for i in indices})
-        default, sep, rest = text.partition(" except ")
-        overrides = {}
-        for tok in rest.split(",") if sep else ():
-            index, _, dtype = tok.partition("=")
-            overrides[int(index)] = dtype.strip().lower()
+            default, pairs = "int8", [(tok, "fp16") for tok in text.split(":", 1)[1].split(",")]
+        else:
+            default, sep, rest = text.partition(" except ")
+            pairs = [tok.split("=", 1) for tok in rest.split(",")] if sep else []
+        overrides = {int(index): dtype.strip().lower() for index, dtype in pairs}
+        if len(overrides) < len(pairs):
+            raise ValueError("a layer index repeats")
         return PrecisionPlan(default=default.strip().lower(), overrides=overrides)
     except ValueError as exc:
         raise ValueError(f"unrecognized plan label {label!r}") from exc

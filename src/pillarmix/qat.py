@@ -27,7 +27,7 @@ import numpy as np
 
 from .model import ModelGraph, PrecisionPlan, TapeEntry, apply_plan, forward
 from .quant import Q_MAX, Q_MIN, PerChannelQuantParams, QuantParams
-from .tensor_ops import ConvParams, PillarSample, sigmoid, stack_samples
+from .tensor_ops import ConvParams, PillarSample, int_at_least, sigmoid, stack_samples
 from .tensor_ops import im2col  # noqa: F401  unused: perfbench/tracing.py counts backward patch builds as qat.im2col calls
 
 __all__ = [
@@ -57,10 +57,9 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("epochs", "batch_size"):
+            if not int_at_least(getattr(self, name), 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if not (math.isfinite(self.pos_weight) and self.pos_weight > 0):
             raise ValueError(f"pos_weight must be positive and finite, got {self.pos_weight}")
         if not 0.0 <= self.momentum < 1.0:

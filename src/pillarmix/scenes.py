@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import PillarSample
+from .tensor_ops import PillarSample, int_at_least, int_pair_at_least
 
 __all__ = [
     "DatasetConfig",
@@ -65,10 +65,11 @@ class DatasetConfig:
     def __post_init__(self):
         if not 0.0 <= self.outlier_rate <= 1.0:
             raise ValueError(f"outlier_rate must lie in [0, 1], got {self.outlier_rate}")
-        if self.size < 1:
-            raise ValueError(f"size must be positive, got {self.size}")
-        if not 0 <= self.boxes_per_scene[0] <= self.boxes_per_scene[1]:
-            raise ValueError(f"boxes_per_scene must be (lo, hi) with 0 <= lo <= hi, got {self.boxes_per_scene}")
+        if not int_at_least(self.size, 1):
+            raise ValueError(f"size must be an integer >= 1, got {self.size!r}")
+        boxes = self.boxes_per_scene
+        if not (int_pair_at_least(boxes, 0) and boxes[0] <= boxes[1]):
+            raise ValueError(f"boxes_per_scene must be two integers (lo, hi) with 0 <= lo <= hi, got {boxes!r}")
 
 
 @dataclass(frozen=True)
@@ -161,9 +162,11 @@ def pillarize(scene: Scene, grid: tuple[int, int], max_points_per_pillar: int) -
     points are truncated first-come. Points on the field's far edge go into
     the last cell; a non-finite or out-of-field point raises ValueError.
     """
+    if not int_pair_at_least(grid, 1):
+        raise ValueError(f"grid must be two integers >= 1, got {grid!r}")
+    if not int_at_least(max_points_per_pillar, 1):
+        raise ValueError(f"max_points_per_pillar must be an integer >= 1, got {max_points_per_pillar!r}")
     h, w = grid
-    if h < 1 or w < 1:
-        raise ValueError(f"grid extents must be positive, got {grid}")
     pts = scene.points
     if len(pts) == 0:
         return PillarSample(

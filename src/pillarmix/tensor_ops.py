@@ -23,6 +23,8 @@ __all__ = [
     "PillarSample",
     "conv2d",
     "im2col",
+    "int_at_least",
+    "int_pair_at_least",
     "linear",
     "max_over_points",
     "relu",
@@ -33,6 +35,16 @@ __all__ = [
 ]
 
 
+def int_at_least(value, low: int) -> bool:
+    """Whether value is an int of at least low; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def int_pair_at_least(value, low: int) -> bool:
+    """Whether value is a tuple of two ints of at least low."""
+    return isinstance(value, tuple) and len(value) == 2 and all(int_at_least(v, low) for v in value)
+
+
 @dataclass(frozen=True)
 class ConvParams:
     """Stride/padding for a 2D convolution, per spatial axis."""
@@ -41,10 +53,9 @@ class ConvParams:
     padding: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        if any(s < 1 for s in self.stride):
-            raise ValueError(f"stride must be positive, got {self.stride}")
-        if any(p < 0 for p in self.padding):
-            raise ValueError(f"padding must be non-negative, got {self.padding}")
+        for name, low in (("stride", 1), ("padding", 0)):
+            if not int_pair_at_least(getattr(self, name), low):
+                raise ValueError(f"{name} must be two integers >= {low}, got {getattr(self, name)!r}")
 
     def out_size(self, in_hw: tuple[int, int], k_hw: tuple[int, int]) -> tuple[int, int]:
         out = []

@@ -387,3 +387,14 @@ def test_tiny_detector_layer_table_is_pinned():
     # with three convs a block, only each block's first conv takes the block's stride
     strides = [l.conv.stride[0] for l in build_toy_detector().layers if l.conv]
     assert strides == [2, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("cfg", [DetectorConfig(), TINY], ids=["default", "tiny"])
+def test_weight_layers_are_numbered_by_their_place_in_the_chain(cfg):
+    """Weight layers read 1..L in chain order and glue layers None, in the
+    built graph and in a graph of its layers from the scatter on."""
+    graph = build_toy_detector(cfg)
+    for g in (graph, ModelGraph(layers=graph.layers[3:])):
+        assert [l.index for l in g.weight_layers] == list(range(1, g.num_indexed + 1))
+        assert all(l.index is None for l in g.layers if not l.is_weight_layer)
+    assert graph.num_indexed == 3 * cfg.convs_per_block + 4

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,28 @@ def two_layer_graph(rng):
     )
 
 
+class TestLayerIndex:
+    """A weight layer's index is its place among the graph's weight layers."""
+
+    def test_one_layer_object_carries_the_index_of_its_place_in_each_graph(self):
+        rng = np.random.default_rng(30)
+        shared, other = linear_layer(1, 4, 4, rng), linear_layer(2, 4, 4, rng)
+        first, second = ModelGraph(layers=(shared, other)), ModelGraph(layers=(other, shared))
+        assert [(l.name, l.index) for l in first.layers] == [("lin1", 1), ("lin2", 2)]
+        assert [(l.name, l.index) for l in second.layers] == [("lin2", 1), ("lin1", 2)]
+        assert second.layers[1].weight is shared.weight  # a copy of the layer, not of its arrays
+        assert shared.index is None and other.index is None
+
+    def test_the_index_is_not_settable(self):
+        rng = np.random.default_rng(31)
+        layer = linear_layer(1, 4, 4, rng, bn=random_bn(4, rng))
+        with pytest.raises(TypeError, match="index"):
+            LayerSpec(name="l", kind="linear", index=1, weight=layer.weight, bias=layer.bias)
+        with pytest.raises(ValueError, match="index"):
+            dataclasses.replace(layer, index=1)
+        assert fold_bn(ModelGraph(layers=(layer,)).layers[0]).index is None  # outside a graph
+
+
 class TestPrecisionPlan:
     def test_apply_default_fp32(self):
         g = two_layer_graph(np.random.default_rng(5))
@@ -186,6 +209,16 @@ class TestPrecisionPlan:
     def test_parse_rejects_an_empty_index(self, label):
         with pytest.raises(ValueError, match=f"unrecognized plan label {label!r}"):
             parse_plan_label(label)
+
+    @pytest.mark.parametrize("label", ["FP16: 1,13,3,13", "INT8 except 1=fp16,1=fp32"])
+    def test_parse_rejects_a_repeated_index(self, label):
+        with pytest.raises(ValueError, match=f"unrecognized plan label {label!r}"):
+            parse_plan_label(label)
+
+    @pytest.mark.parametrize("key", [1.0, True, 0, -2, "1"])
+    def test_override_keys_must_be_layer_indices(self, key):
+        with pytest.raises(ValueError, match=rf"plan override key {re.escape(repr(key))} is not a layer index"):
+            PrecisionPlan(overrides={key: DType.FP16})
 
     def test_apply_idempotent(self):
         g = two_layer_graph(np.random.default_rng(7))
@@ -346,6 +379,11 @@ class TestForward:
             ModelGraph(layers=tuple(layers))
 
 
+def scatter_record(grid):
+    return {"name": "scatter", "kind": "scatter", "relu": False, "is_head": False, "conv": None, "bn": None,
+            "grid": grid}
+
+
 def rewrite(path, edit=None, text=None):
     """Re-save the model file at path after edit(manifest, arrays) changed its
     members in place; text, when given, replaces the manifest's JSON text."""
@@ -492,8 +530,20 @@ class TestSerialization:
          r"toy\.npz: arrays \['2\.weight'\] belong to no layer"),
         (lambda layers, arrays: arrays.update({"1.bias": np.array([None, 1.0])}),
          r"toy\.npz: not a readable model file: Object arrays cannot be loaded"),
+        (lambda layers, arrays: layers[1]["conv"].update(stride=[1.5, 1]),
+         r"toy\.npz: layer 'conv2': stride must be two integers >= 1, got \(1\.5, 1\)"),
+        (lambda layers, arrays: layers[1]["conv"].update(stride=[2]),
+         r"toy\.npz: layer 'conv2': stride must be two integers >= 1, got \(2,\)"),
+        (lambda layers, arrays: layers[1]["conv"].update(padding=[True, True]),
+         r"toy\.npz: layer 'conv2': padding must be two integers >= 0, got \(True, True\)"),
+        (lambda layers, arrays: layers.append(scatter_record([16.0, 16])),
+         r"toy\.npz: scatter layer 'scatter' has grid \(16\.0, 16\), not two integers >= 1"),
+        (lambda layers, arrays: layers.append(scatter_record([16])),
+         r"toy\.npz: scatter layer 'scatter' has grid \(16,\), not two integers >= 1"),
+        (lambda layers, arrays: layers[0].update(name=5), r"toy\.npz: layer name 5 is not a string"),
     ], ids=["swapped_arrays", "missing_key", "relu_as_string", "head_flag_as_number",
-            "layer_after_a_head", "missing_bn_array", "float64_array", "array_of_no_layer", "pickled_array"])
+            "layer_after_a_head", "missing_bn_array", "float64_array", "array_of_no_layer", "pickled_array",
+            "float_stride", "one_stride", "bool_padding", "float_grid", "one_grid", "name_not_a_string"])
     def test_corrupt_layer_record_names_the_manifest(self, tmp_path, corrupt, message):
         path = save_model(self.graph(), tmp_path / "toy")
         rewrite(path, lambda doc, arrays: corrupt(doc["layers"], arrays))

@@ -1,6 +1,8 @@
 """Packaging: the console scripts pyproject.toml declares, the names the benchmark
-traces, every module's __all__, and which modules each module's import loads."""
+traces, every module's __all__, which modules each module's import loads, and
+that every imported name is used."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -76,3 +78,23 @@ def test_each_module_loads_only_what_it_uses():
     for leaf in ("scenes", "tensor_ops"):
         assert loaded[leaf].isdisjoint({"model", "calibration", "qat", "detector"}), leaf
     assert "calibration" not in loaded["detector"]
+
+
+# (module, name) imports that the module itself never uses, each with its reason
+UNUSED_IMPORTS_ALLOWED = {
+    ("qat", "im2col"): "perfbench/tracing.py wraps qat.im2col to count backward patch builds",
+}
+
+
+def test_every_imported_name_is_used():
+    """A name a module imports is read somewhere in it (an annotation counts),
+    so a deletion leaves no dead import behind."""
+    unused = []
+    for path in sorted((ROOT / "src" / "pillarmix").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused += [(path.stem, name) for name in bound if name not in used]
+    assert sorted(unused) == sorted(UNUSED_IMPORTS_ALLOWED)

@@ -80,10 +80,28 @@ def test_pillarize_rejects_non_finite_and_out_of_field_points(bad):
         pillarize(scene_of([edge, bad]), (4, 16), 8)
 
 
-@pytest.mark.parametrize("boxes", [(3, 2), (-1, 2)])
+@pytest.mark.parametrize("grid, cap, match", [
+    ((2.5, 4), 8, r"grid must be two integers >= 1, got \(2\.5, 4\)"),
+    ((True, 4), 8, r"grid must be two integers >= 1, got \(True, 4\)"),
+    ((4,), 8, r"grid must be two integers >= 1, got \(4,\)"),
+    ((4, 4), 0, r"max_points_per_pillar must be an integer >= 1, got 0"),
+    ((4, 4), 2.0, r"max_points_per_pillar must be an integer >= 1, got 2\.0"),
+])
+def test_pillarize_rejects_a_grid_or_cap_that_is_not_positive_integers(grid, cap, match):
+    with pytest.raises(ValueError, match=match):
+        pillarize(scene_of([[1.0, 1.0, 0.1]]), grid, cap)
+
+
+@pytest.mark.parametrize("boxes", [(3, 2), (-1, 2), (1.5, 3), (2,), (True, 2)])
 def test_dataset_config_rejects_bad_box_counts(boxes):
     with pytest.raises(ValueError, match=rf"boxes_per_scene .* got {re.escape(str(boxes))}"):
         DatasetConfig(boxes_per_scene=boxes)
+
+
+@pytest.mark.parametrize("size", [2.5, True])
+def test_dataset_config_rejects_a_size_that_is_not_a_positive_integer(size):
+    with pytest.raises(ValueError, match=rf"size must be an integer >= 1, got {size!r}"):
+        DatasetConfig(size=size)
 
 
 @pytest.mark.parametrize("area, n_points, want", [

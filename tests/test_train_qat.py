@@ -147,6 +147,10 @@ def test_an_unfolded_graph_is_rejected_naming_its_first_bn_layer():
 @pytest.mark.parametrize("field, value", [
     ("batch_size", 0),
     ("batch_size", -1),
+    ("batch_size", 2.5),
+    ("batch_size", True),
+    ("epochs", 1.5),
+    ("epochs", True),
     ("learning_rate", 0.0),
     ("learning_rate", -1e-3),
     ("learning_rate", float("nan")),
