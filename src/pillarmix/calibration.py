@@ -21,7 +21,7 @@ import numpy as np
 
 from .model import EVAL_CHUNK, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
 from .quant import DType, PerChannelQuantParams, QuantParams, compute_scale, weight_quant_params
-from .tensor_ops import PillarSample, stack_samples
+from .tensor_ops import PillarSample, int_at_least, stack_samples
 
 __all__ = [
     "CalibrationStats",
@@ -40,8 +40,8 @@ def select_calib_set(dataset_size: int, n: int = 4, seed: int = 0, nested: bool 
     nested=True draws a prefix of a seed-fixed permutation, so the set for a
     smaller n is contained in the set for any larger n under the same seed.
     """
-    if not 1 <= n <= dataset_size:
-        raise ValueError(f"calibration size {n} out of range [1, {dataset_size}]")
+    if not (int_at_least(n, 1) and n <= dataset_size):
+        raise ValueError(f"calibration size {n!r} out of range: it must be an integer in [1, {dataset_size}]")
     rng = np.random.default_rng(seed)
     if nested:
         indices = rng.permutation(dataset_size)[:n]
@@ -203,7 +203,7 @@ def calib_size_sweep(
     evaluator: Callable[[CalibrationStats], float],
     nested: bool = False,
 ) -> list[dict]:
-    """Score the model once per (calibration size, seed).
+    """Score the model once per (calibration size, seed); sizes ascend strictly.
 
     Returns one row per (n, seed, layer): the layer's observed input max under
     that calibration set, plus the evaluator score for the set (repeated
@@ -212,8 +212,8 @@ def calib_size_sweep(
     up to EVAL_CHUNK samples that no earlier set held.
     """
     sizes = list(sizes)
-    if sizes != sorted(sizes):
-        raise ValueError(f"sizes must be ascending, got {sizes}")
+    if sizes != sorted(set(sizes)):
+        raise ValueError(f"sizes must be strictly ascending, got {sizes}")
     cache: dict[int, dict[int, tuple[float, float]]] = {}
     rows: list[dict] = []
     for seed in seeds:

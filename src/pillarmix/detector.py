@@ -5,38 +5,59 @@ a per-point linear encoder with masked max over points, a scatter into a
 pseudo-image, three conv blocks (the first two downsample by 2), a 2x
 upsample + conv neck, and two 1x1 conv heads (per-class logits and 4 box
 offsets per cell). ModelGraph numbers the weight layers 1..L for precision plans.
+
+A model file holds a detector config and its folded weights, nothing else
+about the layers: ``load_model`` rebuilds them from the config, and
+``save_model`` gives the layout.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
-import numbers
+import zipfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .metrics import Detection, EvalResult, ap40, iou_matrix
-from .model import EVAL_CHUNK, BatchNorm, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
+from .model import (EVAL_CHUNK, BatchNorm, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward,
+                    graphs_equal, param_arrays, weights_digest)
 from .qat import TrainExample
 from .scenes import CLASS_NAMES, FIELD_SIZE, POINT_FEATURES, Scene, pillarize
-from .tensor_ops import ConvParams, PillarSample, int_at_least, int_pair_at_least, sigmoid, stack_samples
+from .tensor_ops import ConvParams, PillarSample, int_at_least, int_pair_at_least, is_real, sigmoid, stack_samples
 
 __all__ = [
     "DetectorConfig",
+    "ModelFormatError",
+    "UnsupportedVersionError",
     "build_toy_detector",
     "decode_and_nms",
     "encode_targets",
     "evaluate",
+    "load_model",
     "make_evaluator",
     "make_train_examples",
     "pillarize_dataset",
+    "save_model",
 ]
 
 
 BASE_SIZE = 2.5  # box side that a zero size offset decodes to
 MAX_POINTS_PER_PILLAR = 8
+FORMAT_VERSION = 4
+MANIFEST_KEYS = {"format_version", "meta", "weights_sha256"}
+
+
+class ModelFormatError(ValueError):
+    """Malformed or inconsistent model file."""
+
+
+class UnsupportedVersionError(ModelFormatError):
+    """Model file written with an unknown format version."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +74,7 @@ class DetectorConfig:
     def __post_init__(self):
         for name in ("score_thresh", "nms_iou"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
+            if not (is_real(value) and 0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1] and be a number, not a bool; got {value!r}")
         for name in ("pfn_channels", "neck_channels"):
             if not int_at_least(getattr(self, name), 1):
@@ -90,9 +111,14 @@ class DetectorConfig:
     @staticmethod
     def from_meta(meta: dict) -> "DetectorConfig":
         """The config from the fields a manifest holds; keys of removed fields are
-        ignored, and a missing "detector" entry or field raises ValueError naming it."""
+        ignored, and a meta or "detector" entry that is not an object, or a
+        missing "detector" entry or field, raises ValueError naming it."""
+        if not isinstance(meta, dict):
+            raise ValueError(f"model meta is {type(meta).__name__}, not an object; pass cfg")
         try:
             det = meta["detector"]
+            if not isinstance(det, dict):
+                raise ValueError(f"model meta entry 'detector' is {type(det).__name__}, not an object; pass cfg")
             return DetectorConfig(**{
                 f.name: tuple(det[f.name]) if isinstance(det[f.name], list) else det[f.name]
                 for f in dataclasses.fields(DetectorConfig)
@@ -153,6 +179,107 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
     weight_layer("bbox_head.conv_cls", (len(CLASS_NAMES), *head_in), ConvParams(), head=True, bias=-2.0)
     weight_layer("bbox_head.conv_reg", (4, *head_in), ConvParams(), head=True)
     return ModelGraph(layers=tuple(layers), meta={"detector": cfg.to_meta()})
+
+
+# ---------------------------------------------------------------------------
+# Model files: one <name>.npz, a JSON manifest plus each weight layer's weight and bias
+
+
+def _from_arrays(meta: dict, arrays: Mapping[str, np.ndarray]) -> ModelGraph:
+    """The folded detector that meta's config builds, holding arrays, keyed
+    '<pos>.weight' and '<pos>.bias' as in param_arrays, in place of its drawn weights.
+
+    A malformed config, or an array that is missing, extra, not float32, not
+    the built layer's shape or not finite, raises ValueError naming the layer
+    where there is one.
+    """
+    built = fold_all_bn(build_toy_detector(DetectorConfig.from_meta(meta)))
+    extra = sorted(set(arrays) - set(param_arrays(built)))
+    if extra:
+        raise ValueError(f"arrays {extra} belong to no weight layer of the folded detector the config builds")
+    layers = []
+    for pos, layer in enumerate(built.layers):
+        if layer.is_weight_layer:
+            params = {name: arrays.get(f"{pos}.{name}") for name in ("weight", "bias")}
+            for name, arr in params.items():
+                want = getattr(layer, name).shape
+                if arr is None:
+                    problem = f"is missing (member '{pos}.{name}')"
+                elif arr.dtype != np.float32:
+                    problem = f"is {arr.dtype}, not float32"
+                elif arr.shape != want:
+                    problem = f"has shape {arr.shape}, but the config builds {want}"
+                elif not np.all(np.isfinite(arr)):
+                    problem = "holds NaN or inf"
+                else:
+                    continue
+                raise ValueError(f"layer {layer.name!r}: {name} {problem}")
+            layer = dataclasses.replace(layer, **params)
+        layers.append(layer)
+    return ModelGraph(layers=tuple(layers), meta=meta)
+
+
+def _npz_path(path) -> Path:
+    p = Path(path)
+    return p if p.suffix == ".npz" else p.with_name(p.name + ".npz")
+
+
+def save_model(graph: ModelGraph, path) -> Path:
+    """Write a folded detector as one uncompressed <path>.npz; returns its path.
+
+    The 'manifest' member is a JSON string with exactly "format_version" (4),
+    "meta" (holding the DetectorConfig) and "weights_sha256" (weights_digest).
+    The other members are param_arrays: '<pos>.weight' and '<pos>.bias' for the
+    weight layer at position pos. load_model rebuilds the layers from the
+    config, so a graph that is not the folded detector its meta builds raises
+    ValueError. Precision tags are not saved: a plan is applied at execution.
+    """
+    arrays = param_arrays(graph)
+    if not graphs_equal(_from_arrays(graph.meta, arrays), graph):
+        raise ValueError("the graph's layers are not those of the folded detector its meta's config builds")
+    path = _npz_path(path)
+    manifest = {"format_version": FORMAT_VERSION, "meta": graph.meta, "weights_sha256": weights_digest(graph)}
+    np.savez(path, manifest=np.array(json.dumps(manifest, sort_keys=True)), **arrays)
+    return path
+
+
+def load_model(path) -> ModelGraph:
+    """Read a model written by save_model; never unpickles.
+
+    An unreadable file (the zip's CRC-32 catches a flipped byte), a malformed
+    manifest or config, an array that is missing, extra, not float32, not
+    finite or not the shape of the layer the config builds, and arrays whose
+    digest is not "weights_sha256" (e.g. two swapped) raise ModelFormatError
+    naming the file, and the layer where there is one; another version raises
+    UnsupportedVersionError. Every layer loads at FP32: apply a plan to it
+    before execution.
+    """
+    path = _npz_path(path)
+    try:
+        # np.load leaks a file it opens itself when the zip is unreadable
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as npz:
+            arrays = {key: npz[key] for key in npz.files}
+        manifest = json.loads(str(arrays.pop("manifest", "")))
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"{path}: malformed manifest: {exc}") from exc
+    except (OSError, ValueError, EOFError, TypeError, zipfile.BadZipFile) as exc:
+        raise ModelFormatError(f"{path}: not a readable model file: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ModelFormatError(f"{path}: malformed manifest: not a JSON object")
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise UnsupportedVersionError(
+            f"{path}: model format version {version!r} is not supported (expected {FORMAT_VERSION})"
+        )
+    if set(manifest) != MANIFEST_KEYS:
+        raise ModelFormatError(f"{path}: malformed manifest: keys {sorted(manifest)}, not {sorted(MANIFEST_KEYS)}")
+    try:
+        graph = _from_arrays(manifest["meta"], arrays)
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
+    if weights_digest(graph) != manifest["weights_sha256"]:  # e.g. two same-shape arrays swapped
+        raise ModelFormatError(f"{path}: the arrays' digest is not the manifest's weights_sha256")
+    return graph
 
 
 def pillarize_dataset(scenes: Sequence[Scene], cfg: DetectorConfig) -> list[PillarSample]:

@@ -15,10 +15,10 @@ channels-last ``[B, H, W, C]``, the layout of the ``tensor_ops`` kernels;
 NCHW appears only at its edges: a plain 4-D input, what ``observe_fn``
 sees, and the outputs.
 
-A saved model is one ``<name>.npz``: a JSON ``manifest`` member and one
-float32 member per parameter array, keyed by layer position and field
-('3.weight', '0.bn.gamma'); see ``save_model``. The file holds weights and
-structure, no precision plan: a plan is applied at execution (``apply_plan``).
+This module knows no file format: a model file is a detector config plus
+its folded weights, written and read by ``detector.save_model`` and
+``detector.load_model``, which rebuild the layer chain from the config. A
+plan is applied at execution (``apply_plan``).
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
-import json
-import zipfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -49,20 +46,17 @@ __all__ = [
     "BatchNorm",
     "EVAL_CHUNK",
     "LayerSpec",
-    "ModelFormatError",
     "ModelGraph",
     "PrecisionPlan",
     "TapeEntry",
-    "UnsupportedVersionError",
     "apply_plan",
     "dtype_boundaries",
     "fold_all_bn",
     "fold_bn",
     "forward",
     "graphs_equal",
-    "load_model",
+    "param_arrays",
     "parse_plan_label",
-    "save_model",
     "weights_digest",
 ]
 
@@ -84,17 +78,6 @@ KIND_FIELDS = {
     "maxpool": (),
     "upsample2x": (),
 }
-
-FORMAT_VERSION = 3
-
-
-class ModelFormatError(ValueError):
-    """Malformed or inconsistent model file."""
-
-
-class UnsupportedVersionError(ModelFormatError):
-    """Model file written with an unknown format version."""
-
 
 @dataclass(frozen=True)
 class BatchNorm:
@@ -429,30 +412,12 @@ def _nchw(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one <name>.npz, a JSON manifest plus one float32 array per parameter
+# Parameter arrays, equality and digest (detector.save_model writes the arrays as a file)
 
 _BN_FIELDS = ("gamma", "beta", "mean", "var")
 
 
-def _npz_path(path) -> Path:
-    p = Path(path)
-    return p if p.suffix == ".npz" else p.with_name(p.name + ".npz")
-
-
-def _layer_record(layer: LayerSpec) -> dict:
-    """A layer's manifest record: everything but its arrays, and BN's eps."""
-    return {
-        "name": layer.name,
-        "kind": layer.kind,
-        "relu": layer.relu,
-        "is_head": layer.is_head,
-        "conv": {"stride": list(layer.conv.stride), "padding": list(layer.conv.padding)} if layer.conv else None,
-        "grid": list(layer.grid) if layer.grid is not None else None,
-        "bn": {"eps": layer.bn.eps} if layer.bn is not None else None,
-    }
-
-
-def _arrays(graph: ModelGraph) -> dict[str, np.ndarray]:
+def param_arrays(graph: ModelGraph) -> dict[str, np.ndarray]:
     """Every parameter array as little-endian float32, keyed '<layer position>.<field>',
     in layer order: weight, bias, then BN gamma, beta, mean, var (e.g. '0.bn.gamma')."""
     fields = {}
@@ -463,115 +428,12 @@ def _arrays(graph: ModelGraph) -> dict[str, np.ndarray]:
     return {key: np.ascontiguousarray(a, dtype="<f4") for key, a in fields.items() if a is not None}
 
 
-def save_model(graph: ModelGraph, path) -> Path:
-    """Write the graph as one uncompressed <path>.npz; returns its path.
-
-    Its 'manifest' member is a JSON string: "format_version", "meta", one record
-    per layer (no arrays; BN keeps its "eps") and "weights_sha256", the graph's
-    weights_digest. Each parameter array is a member such as '3.weight'. The
-    layers' precision tags are not saved: a plan is applied at execution.
-    """
-    path = _npz_path(path)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "meta": graph.meta,
-        "layers": [_layer_record(l) for l in graph.layers],
-        "weights_sha256": weights_digest(graph),
-    }
-    np.savez(path, manifest=np.array(json.dumps(manifest, sort_keys=True)), **_arrays(graph))
-    return path
-
-
-def load_model(path) -> ModelGraph:
-    """Read a model written by save_model; never unpickles.
-
-    An unreadable file (the zip's CRC-32 catches a flipped byte), a malformed
-    manifest or layer record, an array that is not finite float32 or belongs to
-    no layer, an invalid chain and arrays whose digest is not "weights_sha256"
-    (e.g. two swapped) raise ModelFormatError naming the file, and the layer
-    where there is one; an unknown version raises UnsupportedVersionError. Every
-    layer loads at FP32: apply a plan to it before execution.
-    """
-    path = _npz_path(path)
-    try:
-        # np.load leaks a file it opens itself when the zip is unreadable
-        with open(path, "rb") as f, np.load(f, allow_pickle=False) as npz:
-            arrays = {key: npz[key] for key in npz.files}
-        manifest = json.loads(str(arrays.pop("manifest", "")))
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: malformed manifest: {exc}") from exc
-    except (OSError, ValueError, EOFError, TypeError, zipfile.BadZipFile) as exc:
-        raise ModelFormatError(f"{path}: not a readable model file: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ModelFormatError(f"{path}: malformed manifest: not a JSON object")
-    version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: model format version {version!r} is not supported (expected {FORMAT_VERSION})"
-        )
-    meta, records = manifest.get("meta"), manifest.get("layers")
-    if not isinstance(meta, dict) or not isinstance(records, list):
-        raise ModelFormatError(f"{path}: malformed manifest: needs a 'meta' object and a 'layers' list")
-    layers = [_read_layer(rec, pos, arrays, path) for pos, rec in enumerate(records)]
-    if arrays:  # _read_layer took every array that belongs to a layer
-        raise ModelFormatError(f"{path}: arrays {sorted(arrays)} belong to no layer")
-    try:
-        graph = ModelGraph(layers=tuple(layers), meta=meta)
-    except ValueError as exc:  # the layer chain itself is invalid, e.g. a layer after a head
-        raise ModelFormatError(f"{path}: {exc}") from exc
-    if weights_digest(graph) != manifest.get("weights_sha256"):  # e.g. two same-shape arrays swapped
-        raise ModelFormatError(f"{path}: the arrays' digest is not the manifest's weights_sha256")
-    return graph
-
-
-def _read_layer(rec, pos: int, arrays: dict, path: Path) -> LayerSpec:
-    """The layer at position pos; takes its arrays out of arrays."""
-    if not isinstance(rec, dict):
-        raise ModelFormatError(f"{path}: layer record {pos} is not an object")
-    where = f"{path}: layer {rec.get('name')!r}"
-
-    def take(field: str, required: bool) -> np.ndarray | None:
-        key = f"{pos}.{field}"
-        if not required and key not in arrays:
-            return None
-        arr = arrays.pop(key)  # a missing BN array is a KeyError
-        dtype = getattr(arr, "dtype", None)
-        if dtype != np.float32:
-            raise ValueError(f"{field} is {dtype}, not float32")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{field} holds NaN or inf")
-        return arr
-
-    def flag(key: str) -> bool:
-        if not isinstance(rec[key], bool):
-            raise ValueError(f"{key} is {rec[key]!r}, not true or false")
-        return rec[key]
-
-    try:
-        bn, conv = rec.get("bn"), rec.get("conv")
-        bn = None if bn is None else BatchNorm(*(take(f"bn.{f}", True) for f in _BN_FIELDS), eps=float(bn["eps"]))
-        conv = None if conv is None else ConvParams(tuple(conv["stride"]), tuple(conv["padding"]))
-        return LayerSpec(
-            name=rec["name"],
-            kind=rec["kind"],
-            weight=take("weight", False),
-            bias=take("bias", False),
-            bn=bn,
-            relu=flag("relu"),
-            conv=conv,
-            grid=tuple(rec["grid"]) if rec.get("grid") else None,
-            is_head=flag("is_head"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise ModelFormatError(f"{where}: {detail}") from exc
-
-
 def graphs_equal(a: ModelGraph, b: ModelGraph) -> bool:
     """Bit-exact equality of meta, structure and weights; precision tags are not compared."""
     def parts(g: ModelGraph):
-        arrays = [(key, arr.shape, arr.tobytes()) for key, arr in _arrays(g).items()]
-        return g.meta, [_layer_record(l) for l in g.layers], arrays
+        layers = [(l.name, l.kind, l.relu, l.is_head, l.conv, l.grid, l.bn.eps if l.bn else None) for l in g.layers]
+        arrays = [(key, arr.shape, arr.tobytes()) for key, arr in param_arrays(g).items()]
+        return g.meta, layers, arrays
 
     return parts(a) == parts(b)
 
@@ -580,6 +442,6 @@ def weights_digest(graph: ModelGraph) -> str:
     """sha256 over all parameter arrays' little-endian float32 bytes, in layer
     order: weight, bias, then BN gamma, beta, mean, var."""
     digest = hashlib.sha256()
-    for arr in _arrays(graph).values():
+    for arr in param_arrays(graph).values():
         digest.update(arr.tobytes())
     return digest.hexdigest()

@@ -27,7 +27,7 @@ import numpy as np
 
 from .model import ModelGraph, PrecisionPlan, TapeEntry, apply_plan, forward
 from .quant import Q_MAX, Q_MIN, PerChannelQuantParams, QuantParams
-from .tensor_ops import ConvParams, PillarSample, int_at_least, sigmoid, stack_samples
+from .tensor_ops import ConvParams, PillarSample, int_at_least, is_real, sigmoid, stack_samples
 from .tensor_ops import im2col  # noqa: F401  unused: perfbench/tracing.py counts backward patch builds as qat.im2col calls
 
 __all__ = [
@@ -55,17 +55,17 @@ class TrainConfig:
     max_grad_norm: float = 0.0  # 0 disables clipping
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        for name in ("learning_rate", "pos_weight"):
+            value = getattr(self, name)
+            if not (is_real(value) and 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         for name in ("epochs", "batch_size"):
             if not int_at_least(getattr(self, name), 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
-        if not (math.isfinite(self.pos_weight) and self.pos_weight > 0):
-            raise ValueError(f"pos_weight must be positive and finite, got {self.pos_weight}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not self.max_grad_norm >= 0.0:
-            raise ValueError(f"max_grad_norm must be >= 0 (0 disables clipping), got {self.max_grad_norm}")
+        if not (is_real(self.momentum) and 0.0 <= self.momentum < 1.0):
+            raise ValueError(f"momentum must be a number in [0, 1), got {self.momentum!r}")
+        if not (is_real(self.max_grad_norm) and self.max_grad_norm >= 0.0):
+            raise ValueError(f"max_grad_norm must be a number >= 0 (0 disables clipping), got {self.max_grad_norm!r}")
 
 
 @dataclass

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import PillarSample, int_at_least, int_pair_at_least
+from .tensor_ops import PillarSample, int_at_least, int_pair_at_least, is_real
 
 __all__ = [
     "DatasetConfig",
@@ -63,8 +63,8 @@ class DatasetConfig:
     boxes_per_scene: tuple[int, int] = (2, 3)  # count range, both ends included
 
     def __post_init__(self):
-        if not 0.0 <= self.outlier_rate <= 1.0:
-            raise ValueError(f"outlier_rate must lie in [0, 1], got {self.outlier_rate}")
+        if not (is_real(self.outlier_rate) and 0.0 <= self.outlier_rate <= 1.0):
+            raise ValueError(f"outlier_rate must be a number in [0, 1], got {self.outlier_rate!r}")
         if not int_at_least(self.size, 1):
             raise ValueError(f"size must be an integer >= 1, got {self.size!r}")
         boxes = self.boxes_per_scene
@@ -168,13 +168,6 @@ def pillarize(scene: Scene, grid: tuple[int, int], max_points_per_pillar: int) -
         raise ValueError(f"max_points_per_pillar must be an integer >= 1, got {max_points_per_pillar!r}")
     h, w = grid
     pts = scene.points
-    if len(pts) == 0:
-        return PillarSample(
-            features=np.zeros((0, max_points_per_pillar, POINT_FEATURES), np.float32),
-            point_mask=np.zeros((0, max_points_per_pillar), bool),
-            coords=np.zeros((0, 2), np.int64),
-            grid=grid,
-        )
     bad = ~np.isfinite(pts).all(axis=1) | (pts[:, :2] < 0).any(axis=1) | (pts[:, :2] > FIELD_SIZE).any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))

@@ -12,6 +12,7 @@ into a ``[B, H, W, C]`` pseudo-image.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +26,7 @@ __all__ = [
     "im2col",
     "int_at_least",
     "int_pair_at_least",
+    "is_real",
     "linear",
     "max_over_points",
     "relu",
@@ -43,6 +45,11 @@ def int_at_least(value, low: int) -> bool:
 def int_pair_at_least(value, low: int) -> bool:
     """Whether value is a tuple of two ints of at least low."""
     return isinstance(value, tuple) and len(value) == 2 and all(int_at_least(v, low) for v in value)
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number (an int or a float, NaN included); a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,11 +61,10 @@ class TestSelectCalibSet:
         large = select_calib_set(200, n=64, seed=5, nested=True)
         assert large[:4] == small
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            select_calib_set(10, n=0, seed=0)
-        with pytest.raises(ValueError, match="out of range"):
-            select_calib_set(10, n=11, seed=0)
+    @pytest.mark.parametrize("n", [0, 11, True, 2.0])
+    def test_out_of_range(self, n):
+        with pytest.raises(ValueError, match=rf"calibration size {n!r} out of range: it must be an integer in \[1, 10\]"):
+            select_calib_set(10, n=n, seed=0)
 
 
 class TestRunCalibration:
@@ -303,10 +303,12 @@ class TestCalibSizeSweep:
         assert {r["layer"] for r in rows} == {1, 2}
         assert all(r["n"] == 4 and r["seed"] == 0 and r["score"] == 1.0 for r in rows)
 
-    def test_rejects_unsorted_sizes(self):
+    @pytest.mark.parametrize("sizes", [[8, 4], [2, 2], [2, 4, 4]])
+    def test_rejects_unsorted_or_repeated_sizes(self, sizes):
+        """A repeated size would emit its rows twice."""
         g = chain(np.random.default_rng(14))
-        with pytest.raises(ValueError, match="ascending"):
-            calib_size_sweep(g, [np.zeros((1, 6), np.float32)], [8, 4], [0], lambda s: 0.0)
+        with pytest.raises(ValueError, match=rf"sizes must be strictly ascending, got {re.escape(str(sizes))}"):
+            calib_size_sweep(g, [np.zeros((1, 6), np.float32)] * 8, sizes, [0], lambda s: 0.0)
 
     def test_nested_mode_max_column_monotone(self):
         rng = np.random.default_rng(15)

@@ -1,7 +1,8 @@
 """Detector: batched forward and evaluate against per-scene runs, NMS against a greedy loop,
-the config through the model meta."""
+the config through the model meta, and the model file."""
 
 import dataclasses
+import json
 import math
 import re
 from types import SimpleNamespace
@@ -13,26 +14,30 @@ from pillarmix import detector
 from pillarmix.calibration import run_calibration
 from pillarmix.detector import (
     DetectorConfig,
+    ModelFormatError,
+    UnsupportedVersionError,
     build_toy_detector,
     decode_and_nms,
     encode_targets,
     evaluate,
+    load_model,
     make_evaluator,
     pillarize_dataset,
+    save_model,
 )
 from pillarmix.metrics import DIFFICULTIES, Detection, ap40, iou_matrix
 from pillarmix.model import (
     EVAL_CHUNK,
     ModelGraph,
+    PrecisionPlan,
     apply_plan,
     fold_all_bn,
     forward,
     graphs_equal,
-    load_model,
     parse_plan_label,
-    save_model,
     weights_digest,
 )
+from pillarmix.quant import DType
 from pillarmix.scenes import CLASS_NAMES, FIELD_SIZE, DatasetConfig, Scene, generate_dataset
 from pillarmix.tensor_ops import linear, max_over_points, relu, sigmoid, stack_samples
 
@@ -292,21 +297,28 @@ def test_evaluate_rejects_samples_of_another_length(batch_setup):
         evaluate(graph, plan, stats, scenes[:4], cfg, samples=pillarize_dataset(scenes, cfg))
 
 
-@pytest.mark.parametrize("head, shapes", [
+WIDE_HEADS = [
     ("bbox_head.conv_cls", "(4, 8, 8) and (4, 8, 8)"),
     ("bbox_head.conv_reg", "(3, 8, 8) and (5, 8, 8)"),
-])
-def test_evaluate_rejects_a_head_of_the_wrong_width(head, shapes):
-    """A fifth channel on either head fails loudly instead of going unscored."""
-    cfg = DetectorConfig()
-    graph = build_toy_detector(cfg, seed=0)
+]
+
+
+def widen(graph, head):
+    """The graph with a fifth output channel on the named head."""
     layers = [
         dataclasses.replace(l, weight=np.concatenate([l.weight, l.weight[:1]]),
                             bias=np.concatenate([l.bias, [5.0]]).astype(np.float32))
         if l.name == head else l
         for l in graph.layers
     ]
-    wide = dataclasses.replace(graph, layers=tuple(layers))
+    return dataclasses.replace(graph, layers=tuple(layers))
+
+
+@pytest.mark.parametrize("head, shapes", WIDE_HEADS)
+def test_evaluate_rejects_a_head_of_the_wrong_width(head, shapes):
+    """A fifth channel on either head fails loudly instead of going unscored."""
+    cfg = DetectorConfig()
+    wide = widen(build_toy_detector(cfg, seed=0), head)
     with pytest.raises(ValueError, match=re.escape(f"got maps of shape {shapes}")):
         evaluate(wide, parse_plan_label("FP32"), None, generate_dataset(DatasetConfig(size=2), seed=1), cfg)
 
@@ -323,13 +335,14 @@ REMOVED_KEYS = {"n_classes": 3, "base_size": 2.5, "match_iou": 0.5, "max_points_
 def test_detector_config_survives_the_model_meta(cfg, old_keys, tmp_path):
     meta = {"detector": {**cfg.to_meta(), **old_keys}}
     assert DetectorConfig.from_meta(meta) == cfg
-    graph = dataclasses.replace(build_toy_detector(cfg, seed=0), meta=meta)
+    graph = dataclasses.replace(fold_all_bn(build_toy_detector(cfg, seed=0)), meta=meta)
     loaded = load_model(save_model(graph, tmp_path / "toy"))
     assert graphs_equal(loaded, graph)
     assert DetectorConfig.from_meta(loaded.meta) == cfg
 
 
 def test_meta_without_the_config_names_the_missing_key():
+    """Or the entry that is not an object."""
     graph = dataclasses.replace(build_toy_detector(), meta={})
     scenes = generate_dataset(DatasetConfig(size=2), seed=1)
     with pytest.raises(ValueError, match="no detector config key 'detector'; pass cfg"):
@@ -339,15 +352,11 @@ def test_meta_without_the_config_names_the_missing_key():
     del det["grid"]
     with pytest.raises(ValueError, match="no detector config key 'grid'; pass cfg"):
         DetectorConfig.from_meta({"detector": det})
-
-
-@pytest.mark.parametrize("fold", [False, True], ids=["raw", "folded"])
-def test_default_detector_round_trips_through_one_file(fold, tmp_path):
-    graph = build_toy_detector()
-    graph = fold_all_bn(graph) if fold else graph
-    path = save_model(graph, tmp_path / "toy")
-    assert list(tmp_path.iterdir()) == [path]
-    assert graphs_equal(load_model(path), graph)
+    for meta, what in [(["detector"], "model meta is list"), (None, "model meta is NoneType"),
+                       ({"detector": None}, "model meta entry 'detector' is NoneType"),
+                       ({"detector": [det]}, "model meta entry 'detector' is list")]:
+        with pytest.raises(ValueError, match=f"{what}, not an object; pass cfg"):
+            evaluate(dataclasses.replace(graph, meta=meta), parse_plan_label("FP32"), None, scenes)
 
 
 def test_default_detector_weights_are_pinned():
@@ -398,3 +407,184 @@ def test_weight_layers_are_numbered_by_their_place_in_the_chain(cfg):
         assert [l.index for l in g.weight_layers] == list(range(1, g.num_indexed + 1))
         assert all(l.index is None for l in g.layers if not l.is_weight_layer)
     assert graph.num_indexed == 3 * cfg.convs_per_block + 4
+
+
+def rewrite(path, edit=None, text=None):
+    """Re-save the model file at path after edit(manifest, arrays) changed its
+    members in place; text, when given, replaces the manifest's JSON text."""
+    with np.load(path) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    doc = json.loads(str(arrays.pop("manifest")))
+    if edit is not None:
+        edit(doc, arrays)
+    np.savez(path, manifest=np.array(json.dumps(doc) if text is None else text), **arrays)
+
+
+class TestSerialization:
+    """The model file: a detector config and its folded weights, the layers rebuilt from the config."""
+
+    def graph(self):
+        return fold_all_bn(build_toy_detector(TINY, seed=0))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("cfg", [DetectorConfig(), TINY, DetectorConfig(block_strides=(2, 1, 1))],
+                             ids=["default", "tiny", "strides_211"])
+    def test_a_folded_detector_round_trips_through_one_file(self, tmp_path, cfg, seed):
+        graph = fold_all_bn(build_toy_detector(cfg, seed=seed))
+        path = save_model(graph, tmp_path / "toy")
+        assert list(tmp_path.iterdir()) == [path] and path.name == "toy.npz"
+        assert graphs_equal(load_model(path), graph)
+
+    def test_one_file_holds_the_manifest_and_each_weight_layers_weight_and_bias(self, tmp_path):
+        g = self.graph()
+        path = save_model(g, tmp_path / "toy")
+        positions = [pos for pos, l in enumerate(g.layers) if l.is_weight_layer]
+        assert positions == [0, 3, 4, 5, 7, 8, 9]
+        with np.load(path, allow_pickle=False) as npz:
+            assert sorted(npz.files) == sorted(["manifest"] + [f"{p}.{f}" for p in positions for f in ("weight", "bias")])
+            np.testing.assert_array_equal(npz["3.weight"], g.layers[3].weight)
+            doc = json.loads(str(npz["manifest"]))
+        assert doc == {"format_version": 4, "meta": g.meta, "weights_sha256": weights_digest(g)}
+
+    def test_missing_blob(self, tmp_path):
+        """No model file at the path."""
+        with pytest.raises(ModelFormatError, match=r"toy\.npz: not a readable model file: .*No such file"):
+            load_model(tmp_path / "toy")
+
+    def test_truncated_blob(self, tmp_path):
+        """A model file cut short."""
+        path = save_model(self.graph(), tmp_path / "toy")
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ModelFormatError, match=r"toy\.npz: not a readable model file"):
+            load_model(path)
+
+    def test_npy_file_is_not_a_model(self, tmp_path):
+        np.save(tmp_path / "toy.npy", np.ones(3, np.float32))
+        (tmp_path / "toy.npy").rename(tmp_path / "toy.npz")
+        with pytest.raises(ModelFormatError, match=r"toy\.npz: not a readable model file"):
+            load_model(tmp_path / "toy.npz")
+
+    def test_checksum_mismatch(self, tmp_path):
+        """A flipped byte inside an array fails the zip member's CRC-32."""
+        g = self.graph()
+        path = save_model(g, tmp_path / "toy")
+        data = bytearray(path.read_bytes())
+        data[data.index(g.layers[3].weight.tobytes()) + 5] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match=r"toy\.npz: .*CRC-32 for file '3\.weight\.npy'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", [2, 3, 99])
+    def test_unknown_version(self, tmp_path, version):
+        """Format 2 stored a precision tag per layer, format 3 a record per layer; format 4 stores neither."""
+        path = save_model(self.graph(), tmp_path / "toy")
+        rewrite(path, lambda doc, arrays: doc.update(format_version=version))
+        with pytest.raises(UnsupportedVersionError, match=rf"toy\.npz: model format version {version} "):
+            load_model(path)
+
+    def test_malformed_manifest(self, tmp_path):
+        path = save_model(self.graph(), tmp_path / "toy")
+        rewrite(path, text="{not json")
+        with pytest.raises(ModelFormatError, match=r"toy\.npz: malformed manifest"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, text, message", [
+        (None, "[]", "malformed manifest: not a JSON object"),
+        (lambda doc, arrays: doc.update(meta=["lin1"]), None, "model meta is list, not an object"),
+        (lambda doc, arrays: doc.update(meta={"detector": None}), None,
+         "model meta entry 'detector' is NoneType, not an object"),
+        (lambda doc, arrays: doc["meta"]["detector"].pop("grid"), None, "model meta has no detector config key 'grid'"),
+        (lambda doc, arrays: doc["meta"]["detector"].update(convs_per_block=0), None,
+         "convs_per_block must be an integer of at least 1, got 0"),
+        (lambda doc, arrays: doc.update(layers=[]), None,
+         r"malformed manifest: keys \['format_version', 'layers', 'meta', 'weights_sha256'\], not "),
+        (lambda doc, arrays: doc.pop("weights_sha256"), None, r"malformed manifest: keys \['format_version', 'meta'\]"),
+    ], ids=["not_an_object", "meta_not_an_object", "detector_not_an_object", "config_key_missing", "bad_config",
+            "extra_key", "no_digest"])
+    def test_manifest_of_the_wrong_shape_names_the_file(self, tmp_path, edit, text, message):
+        path = save_model(self.graph(), tmp_path / "toy")
+        rewrite(path, edit, text)
+        with pytest.raises(ModelFormatError, match=rf"toy\.npz: {message}"):
+            load_model(path)
+
+    def test_file_without_manifest_names_the_file(self, tmp_path):
+        np.savez(tmp_path / "toy.npz", **{"0.weight": np.ones(2, np.float32)})
+        with pytest.raises(ModelFormatError, match=r"toy\.npz: malformed manifest"):
+            load_model(tmp_path / "toy.npz")
+
+    @pytest.mark.parametrize("pos, field, value", [(3, "weight", np.nan), (0, "bias", -np.inf)])
+    def test_non_finite_array_rejected_naming_file_and_layer(self, tmp_path, pos, field, value):
+        g = self.graph()
+        path = save_model(g, tmp_path / "toy")
+
+        def poison(doc, arrays):
+            arrays[f"{pos}.{field}"].flat[1] = value
+
+        rewrite(path, poison)
+        want = rf"layer '{g.layers[pos].name}': {field} holds NaN or inf"
+        with pytest.raises(ModelFormatError, match=rf"toy\.npz: {want}"):
+            load_model(path)
+        getattr(g.layers[pos], field).flat[1] = value
+        with pytest.raises(ValueError, match=want):  # and no such file is written
+            save_model(g, tmp_path / "poisoned")
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda arrays: arrays.update({"3.bias": arrays["4.bias"], "4.bias": arrays["3.bias"]}),
+         r"the arrays' digest is not the manifest's weights_sha256"),
+        (lambda arrays: arrays.update({"3.weight": arrays["3.weight"].astype(np.float64)}),
+         r"layer 'backbone\.block0\.conv0': weight is float64, not float32"),
+        (lambda arrays: arrays.update({"3.weight": arrays["3.weight"].reshape(8, 4, 6, 3)}),
+         r"layer 'backbone\.block0\.conv0': weight has shape \(8, 4, 6, 3\), but the config builds \(8, 8, 3, 3\)"),
+        (lambda arrays: arrays.pop("5.bias"), r"layer 'backbone\.block2\.conv0': bias is missing \(member '5\.bias'\)"),
+        (lambda arrays: arrays.update({"1.weight": np.ones(3, np.float32)}),
+         r"arrays \['1\.weight'\] belong to no weight layer"),
+        (lambda arrays: arrays.update({"10.weight": np.ones(3, np.float32)}),
+         r"arrays \['10\.weight'\] belong to no weight layer"),
+        (lambda arrays: arrays.update({"3.bias": np.array([None, 1.0])}),
+         r"not a readable model file: Object arrays cannot be loaded"),
+    ], ids=["swapped_arrays", "float64_array", "misshapen_array", "missing_array", "glue_layer_array",
+            "array_past_the_chain", "pickled_array"])
+    def test_corrupt_array_names_the_file(self, tmp_path, corrupt, message):
+        path = save_model(self.graph(), tmp_path / "toy")
+        rewrite(path, lambda doc, arrays: corrupt(arrays))
+        with pytest.raises(ModelFormatError, match=rf"toy\.npz: {message}"):
+            load_model(path)
+
+    def test_the_config_is_the_only_description_of_the_layers(self, tmp_path):
+        """A meta edited to another width no longer matches the arrays and fails
+        on load; one edited to other strides loads as the network it describes."""
+        path = save_model(fold_all_bn(build_toy_detector()), tmp_path / "toy")
+        rewrite(path, lambda doc, arrays: doc["meta"]["detector"].update(pfn_channels=8, block_strides=[2, 1, 1]))
+        with pytest.raises(ModelFormatError, match=r"toy\.npz: layer 'voxel_encoder\.pfn\.linear': weight has shape "
+                                                   r"\(16, 5\), but the config builds \(8, 5\)"):
+            load_model(path)
+        graph = fold_all_bn(build_toy_detector())
+        path = save_model(graph, tmp_path / "toy")
+        rewrite(path, lambda doc, arrays: doc["meta"]["detector"].update(block_strides=[2, 1, 1]))
+        loaded = load_model(path)
+        strided = build_toy_detector(DetectorConfig(block_strides=(2, 1, 1)))
+        assert [l.conv for l in loaded.layers] == [l.conv for l in strided.layers] != [l.conv for l in graph.layers]
+        assert weights_digest(loaded) == weights_digest(graph)
+
+    @pytest.mark.parametrize("graph, match", [
+        (build_toy_detector(), r"arrays \['0\.bn\.beta', .*\] belong to no weight layer of the folded detector"),
+        (dataclasses.replace(fold_all_bn(build_toy_detector()),
+                             meta={"detector": DetectorConfig(block_strides=(2, 1, 1)).to_meta()}),
+         "the graph's layers are not those of the folded detector its meta's config builds"),
+        (fold_all_bn(widen(build_toy_detector(), WIDE_HEADS[0][0])),
+         r"layer 'bbox_head\.conv_cls': weight has shape \(4, 24, 1, 1\), but the config builds \(3, 24, 1, 1\)"),
+        (fold_all_bn(widen(build_toy_detector(), WIDE_HEADS[1][0])),
+         r"layer 'bbox_head\.conv_reg': weight has shape \(5, 24, 1, 1\), but the config builds \(4, 24, 1, 1\)"),
+        (dataclasses.replace(fold_all_bn(build_toy_detector()), meta={}), "no detector config key 'detector'"),
+    ], ids=["unfolded", "meta_of_other_strides", "wide_cls_head", "wide_reg_head", "no_config"])
+    def test_save_rejects_a_graph_its_meta_does_not_build(self, tmp_path, graph, match):
+        with pytest.raises(ValueError, match=match):
+            save_model(graph, tmp_path / "toy")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_plan_is_not_saved(self, tmp_path):
+        """The file keeps weights, not the plan a graph was last tagged with."""
+        g = apply_plan(self.graph(), PrecisionPlan(default=DType.INT8))
+        loaded = load_model(save_model(g, tmp_path / "tagged"))
+        assert graphs_equal(loaded, g)
+        assert {l.precision for l in loaded.weight_layers} == {DType.FP32}

@@ -1,7 +1,6 @@
-"""Model graph: BN folding, precision plans, forward execution, serialization."""
+"""Model graph: BN folding, precision plans, forward execution, structure checks, equality."""
 
 import dataclasses
-import json
 import re
 
 import numpy as np
@@ -12,19 +11,15 @@ from pillarmix.detector import build_toy_detector
 from pillarmix.model import (
     BatchNorm,
     LayerSpec,
-    ModelFormatError,
     ModelGraph,
     PrecisionPlan,
-    UnsupportedVersionError,
     apply_plan,
     dtype_boundaries,
     fold_all_bn,
     fold_bn,
     forward,
     graphs_equal,
-    load_model,
     parse_plan_label,
-    save_model,
     weights_digest,
 )
 from pillarmix.quant import DType
@@ -357,6 +352,16 @@ class TestForward:
         tail = linear_layer(2, 3, 3, rng)
         with pytest.raises(ValueError, match="follows a head"):
             ModelGraph(layers=(head, tail))
+        for stride, padding, match in [((1.5, 1), (0, 0), r"stride must be two integers >= 1, got \(1\.5, 1\)"),
+                                       ((2,), (0, 0), r"stride must be two integers >= 1, got \(2,\)"),
+                                       ((1, 1), (True, True), r"padding .* >= 0, got \(True, True\)")]:
+            with pytest.raises(ValueError, match=match):
+                conv_layer(3, 1, 2, 3, rng, stride=stride, padding=padding)
+        for grid in [(16.0, 16), (16,)]:
+            with pytest.raises(ValueError, match=rf"scatter layer 'scatter' has grid {re.escape(repr(grid))}, not two"):
+                ModelGraph(layers=(LayerSpec(name="scatter", kind="scatter", grid=grid),))
+        with pytest.raises(ValueError, match="layer name 5 is not a string"):
+            ModelGraph(layers=(dataclasses.replace(tail, name=5),))
 
     @pytest.mark.parametrize("name, change, field", [
         ("voxel_encoder.maxpool", {"weight": np.ones(3, np.float32)}, "weight"),
@@ -379,57 +384,11 @@ class TestForward:
             ModelGraph(layers=tuple(layers))
 
 
-def scatter_record(grid):
-    return {"name": "scatter", "kind": "scatter", "relu": False, "is_head": False, "conv": None, "bn": None,
-            "grid": grid}
-
-
-def rewrite(path, edit=None, text=None):
-    """Re-save the model file at path after edit(manifest, arrays) changed its
-    members in place; text, when given, replaces the manifest's JSON text."""
-    with np.load(path) as npz:
-        arrays = {key: npz[key] for key in npz.files}
-    doc = json.loads(str(arrays.pop("manifest")))
-    if edit is not None:
-        edit(doc, arrays)
-    np.savez(path, manifest=np.array(json.dumps(doc) if text is None else text), **arrays)
-
-
-class TestSerialization:
-    def graph(self):
-        rng = np.random.default_rng(16)
-        return ModelGraph(
-            layers=(
-                linear_layer(1, 5, 6, rng, relu_flag=True, bn=random_bn(6, rng)),
-                conv_layer(2, 1, 2, 3, rng, stride=(2, 2), padding=(1, 1)),
-            ),
-            meta={"stages": {"backbone": ["lin1", "conv2"]}},
-        )
-
-    def test_round_trip_identity(self, tmp_path):
-        g = self.graph()
-        save_model(g, tmp_path / "toy")
-        loaded = load_model(tmp_path / "toy")
-        assert graphs_equal(g, loaded)
-
-    def test_one_file_holds_the_manifest_and_one_member_per_array(self, tmp_path):
-        g = self.graph()
-        path = save_model(g, tmp_path / "toy")
-        assert list(tmp_path.iterdir()) == [path] and path.name == "toy.npz"
-        with np.load(path, allow_pickle=False) as npz:
-            assert sorted(npz.files) == sorted(
-                ["manifest", "0.weight", "0.bias", "0.bn.gamma", "0.bn.beta", "0.bn.mean", "0.bn.var",
-                 "1.weight", "1.bias"]
-            )
-            np.testing.assert_array_equal(npz["0.bn.var"], g.layers[0].bn.var)
-            doc = json.loads(str(npz["manifest"]))
-        assert doc["format_version"] == 3 and doc["meta"] == g.meta
-        assert weights_digest(g) == doc["weights_sha256"]
-        assert doc["layers"][0]["bn"] == {"eps": 1e-5}
-        assert not any({"index", "shape", "offset", "weight", "bias", "precision"} & set(rec) for rec in doc["layers"])
-
+class TestGraphsEqual:
     def test_equality_is_bit_exact(self):
-        g = self.graph()
+        rng = np.random.default_rng(16)
+        g = ModelGraph(layers=(linear_layer(1, 5, 6, rng, relu_flag=True, bn=random_bn(6, rng)),
+                               conv_layer(2, 1, 2, 3, rng, stride=(2, 2), padding=(1, 1))))
         lin = g.layers[0]
 
         def with_first(layer):
@@ -443,122 +402,5 @@ class TestSerialization:
         assert graphs_equal(with_nan, with_nan)
         assert not graphs_equal(g, with_first(dataclasses.replace(lin, weight=lin.weight.reshape(5, 6))))
         assert not graphs_equal(g, with_first(dataclasses.replace(lin, bn=dataclasses.replace(lin.bn, eps=1e-3))))
-
-    def test_missing_blob(self, tmp_path):
-        """No model file at the path."""
-        with pytest.raises(ModelFormatError, match=r"toy\.npz: not a readable model file: .*No such file"):
-            load_model(tmp_path / "toy")
-
-    def test_truncated_blob(self, tmp_path):
-        """A model file cut short."""
-        path = save_model(self.graph(), tmp_path / "toy")
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ModelFormatError, match=r"toy\.npz: not a readable model file"):
-            load_model(path)
-
-    def test_npy_file_is_not_a_model(self, tmp_path):
-        np.save(tmp_path / "toy.npy", np.ones(3, np.float32))
-        (tmp_path / "toy.npy").rename(tmp_path / "toy.npz")
-        with pytest.raises(ModelFormatError, match=r"toy\.npz: not a readable model file"):
-            load_model(tmp_path / "toy.npz")
-
-    def test_checksum_mismatch(self, tmp_path):
-        """A flipped byte inside an array fails the zip member's CRC-32."""
-        g = self.graph()
-        path = save_model(g, tmp_path / "toy")
-        data = bytearray(path.read_bytes())
-        data[data.index(g.layers[1].weight.tobytes()) + 5] ^= 0xFF
-        path.write_bytes(bytes(data))
-        with pytest.raises(ModelFormatError, match=r"toy\.npz: .*CRC-32 for file '1\.weight\.npy'"):
-            load_model(path)
-
-    @pytest.mark.parametrize("version", [2, 99])
-    def test_unknown_version(self, tmp_path, version):
-        """Format 2 stored a precision tag per layer; format 3 stores none."""
-        path = save_model(self.graph(), tmp_path / "toy")
-        rewrite(path, lambda doc, arrays: doc.update(format_version=version))
-        with pytest.raises(UnsupportedVersionError, match=rf"toy\.npz: model format version {version} "):
-            load_model(path)
-
-    def test_malformed_manifest(self, tmp_path):
-        path = save_model(self.graph(), tmp_path / "toy")
-        rewrite(path, text="{not json")
-        with pytest.raises(ModelFormatError, match=r"toy\.npz: malformed manifest"):
-            load_model(path)
-
-    @pytest.mark.parametrize("edit, text, message", [
-        (None, "[]", "malformed manifest: not a JSON object"),
-        (lambda doc, arrays: doc.pop("layers"), None, "malformed manifest: needs a 'meta' object and a 'layers' list"),
-        (lambda doc, arrays: doc.update(meta=["lin1"]), None, "malformed manifest: needs a 'meta' object"),
-        (lambda doc, arrays: doc["layers"].__setitem__(0, "lin1"), None, "layer record 0 is not an object"),
-    ], ids=["not_an_object", "no_layers", "meta_not_an_object", "layer_not_an_object"])
-    def test_manifest_of_the_wrong_shape_names_the_file(self, tmp_path, edit, text, message):
-        path = save_model(self.graph(), tmp_path / "toy")
-        rewrite(path, edit, text)
-        with pytest.raises(ModelFormatError, match=rf"toy\.npz: {message}"):
-            load_model(path)
-
-    def test_file_without_manifest_names_the_file(self, tmp_path):
-        np.savez(tmp_path / "toy.npz", **{"0.weight": np.ones(2, np.float32)})
-        with pytest.raises(ModelFormatError, match=r"toy\.npz: malformed manifest"):
-            load_model(tmp_path / "toy.npz")
-
-    @pytest.mark.parametrize("layer_i, array, value", [(1, "weight", np.nan), (0, "BN gamma", -np.inf)])
-    def test_non_finite_array_rejected_naming_file_and_layer(self, tmp_path, layer_i, array, value):
-        g = self.graph()
-        layer = g.layers[layer_i]
-        (layer.weight if array == "weight" else layer.bn.gamma).flat[1] = value
-        save_model(g, tmp_path / "toy")
-        field = {"weight": "weight", "BN gamma": r"bn\.gamma"}[array]
-        with pytest.raises(ModelFormatError, match=rf"toy\.npz: layer '{layer.name}': {field} holds NaN or inf"):
-            load_model(tmp_path / "toy")
-
-    @pytest.mark.parametrize("corrupt, message", [
-        (lambda layers, arrays: arrays.update({"0.bn.gamma": arrays["0.bn.beta"], "0.bn.beta": arrays["0.bn.gamma"]}),
-         r"toy\.npz: the arrays' digest is not the manifest's weights_sha256"),
-        (lambda layers, arrays: layers[0].pop("relu"), r"toy\.npz: layer 'lin1': missing key 'relu'"),
-        (lambda layers, arrays: layers[0].update(relu="false"),
-         r"toy\.npz: layer 'lin1': relu is 'false', not true or false"),
-        (lambda layers, arrays: layers[1].update(is_head=1),
-         r"toy\.npz: layer 'conv2': is_head is 1, not true or false"),
-        (lambda layers, arrays: layers[0].update(is_head=True),
-         r"toy\.npz: layer 'conv2' follows a head layer but is not a head"),
-        (lambda layers, arrays: arrays.pop("0.bn.var"), r"toy\.npz: layer 'lin1': missing key '0\.bn\.var'"),
-        (lambda layers, arrays: arrays.update({"1.weight": arrays["1.weight"].astype(np.float64)}),
-         r"toy\.npz: layer 'conv2': weight is float64, not float32"),
-        (lambda layers, arrays: arrays.update({"2.weight": np.ones(3, np.float32)}),
-         r"toy\.npz: arrays \['2\.weight'\] belong to no layer"),
-        (lambda layers, arrays: arrays.update({"1.bias": np.array([None, 1.0])}),
-         r"toy\.npz: not a readable model file: Object arrays cannot be loaded"),
-        (lambda layers, arrays: layers[1]["conv"].update(stride=[1.5, 1]),
-         r"toy\.npz: layer 'conv2': stride must be two integers >= 1, got \(1\.5, 1\)"),
-        (lambda layers, arrays: layers[1]["conv"].update(stride=[2]),
-         r"toy\.npz: layer 'conv2': stride must be two integers >= 1, got \(2,\)"),
-        (lambda layers, arrays: layers[1]["conv"].update(padding=[True, True]),
-         r"toy\.npz: layer 'conv2': padding must be two integers >= 0, got \(True, True\)"),
-        (lambda layers, arrays: layers.append(scatter_record([16.0, 16])),
-         r"toy\.npz: scatter layer 'scatter' has grid \(16\.0, 16\), not two integers >= 1"),
-        (lambda layers, arrays: layers.append(scatter_record([16])),
-         r"toy\.npz: scatter layer 'scatter' has grid \(16,\), not two integers >= 1"),
-        (lambda layers, arrays: layers[0].update(name=5), r"toy\.npz: layer name 5 is not a string"),
-    ], ids=["swapped_arrays", "missing_key", "relu_as_string", "head_flag_as_number",
-            "layer_after_a_head", "missing_bn_array", "float64_array", "array_of_no_layer", "pickled_array",
-            "float_stride", "one_stride", "bool_padding", "float_grid", "one_grid", "name_not_a_string"])
-    def test_corrupt_layer_record_names_the_manifest(self, tmp_path, corrupt, message):
-        path = save_model(self.graph(), tmp_path / "toy")
-        rewrite(path, lambda doc, arrays: corrupt(doc["layers"], arrays))
-        with pytest.raises(ModelFormatError, match=message):
-            load_model(path)
-
-    def test_glue_layer_with_a_weight_is_rejected_naming_the_file(self, tmp_path):
-        path = save_model(build_toy_detector(), tmp_path / "toy")
-        rewrite(path, lambda doc, arrays: arrays.update({"1.weight": np.ones(3, np.float32)}))
-        with pytest.raises(ModelFormatError, match=r"toy\.npz: maxpool layer 'voxel_encoder\.maxpool' sets weight"):
-            load_model(path)
-
-    def test_a_plan_is_not_saved(self, tmp_path):
-        """The file keeps weights, not the plan a graph was last tagged with."""
-        g = apply_plan(self.graph(), PrecisionPlan(default=DType.INT8))
-        loaded = load_model(save_model(g, tmp_path / "tagged"))
-        assert graphs_equal(loaded, g)
-        assert [l.precision for l in loaded.layers] == [DType.FP32] * 2
+        assert not graphs_equal(g, with_first(dataclasses.replace(lin, relu=False)))
+        assert not graphs_equal(g, dataclasses.replace(g, meta={"detector": {}}))

@@ -80,17 +80,17 @@ def test_each_module_loads_only_what_it_uses():
     assert "calibration" not in loaded["detector"]
 
 
-# (module, name) imports that the module itself never uses, each with its reason
+# (module or test file, name) imports that the file itself never uses, each with its reason
 UNUSED_IMPORTS_ALLOWED = {
     ("qat", "im2col"): "perfbench/tracing.py wraps qat.im2col to count backward patch builds",
 }
 
 
 def test_every_imported_name_is_used():
-    """A name a module imports is read somewhere in it (an annotation counts),
-    so a deletion leaves no dead import behind."""
+    """A name a module or a test file imports is read somewhere in it (an
+    annotation counts), so a deletion leaves no dead import behind."""
     unused = []
-    for path in sorted((ROOT / "src" / "pillarmix").glob("*.py")):
+    for path in sorted([*(ROOT / "src" / "pillarmix").glob("*.py"), *(ROOT / "tests").glob("*.py")]):
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):

@@ -57,8 +57,10 @@ def test_truncation_keeps_the_first_points_of_a_crowded_pillar():
 
 def test_empty_scene_gives_no_pillars():
     sample = pillarize(scene_of([]), (16, 16), 8)
-    assert sample.features.shape == (0, 8, POINT_FEATURES)
-    assert sample.point_mask.shape == (0, 8) and sample.coords.shape == (0, 2)
+    assert (sample.features.shape, sample.features.dtype) == ((0, 8, POINT_FEATURES), np.float32)
+    assert (sample.point_mask.shape, sample.point_mask.dtype) == ((0, 8), bool)
+    assert (sample.coords.shape, sample.coords.dtype) == ((0, 2), np.int64)
+    assert sample.grid == (16, 16) and sample.scene_ids.shape == (0,)
 
 
 def test_generation_is_deterministic_per_seed():
@@ -96,6 +98,12 @@ def test_pillarize_rejects_a_grid_or_cap_that_is_not_positive_integers(grid, cap
 def test_dataset_config_rejects_bad_box_counts(boxes):
     with pytest.raises(ValueError, match=rf"boxes_per_scene .* got {re.escape(str(boxes))}"):
         DatasetConfig(boxes_per_scene=boxes)
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan"), True, "0.02", None])
+def test_dataset_config_rejects_an_outlier_rate_that_is_not_a_number_in_the_unit_interval(rate):
+    with pytest.raises(ValueError, match=rf"outlier_rate must be a number in \[0, 1\], got {re.escape(repr(rate))}"):
+        DatasetConfig(outlier_rate=rate)
 
 
 @pytest.mark.parametrize("size", [2.5, True])

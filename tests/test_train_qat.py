@@ -160,7 +160,19 @@ def test_an_unfolded_graph_is_rejected_naming_its_first_bn_layer():
     ("pos_weight", -1.0),
     ("pos_weight", 0.0),
     ("pos_weight", float("nan")),
+    ("pos_weight", float("inf")),
+    # a string, None or a bool is not a number, even where it would compare as one
+    ("learning_rate", "0.001"),
+    ("learning_rate", None),
+    ("pos_weight", True),
+    ("pos_weight", "4.0"),
+    ("momentum", 1.0),
+    ("momentum", -0.1),
+    ("momentum", "0.9"),
+    ("momentum", None),
+    ("max_grad_norm", "10"),
+    ("max_grad_norm", None),
 ])
 def test_train_config_rejects_bad_values(field, value):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=rf"{field} must be .*, got {re.escape(repr(value))}$"):
         TrainConfig(**{field: value})
