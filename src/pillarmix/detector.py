@@ -6,6 +6,11 @@ pseudo-image, three conv blocks (the first two downsample by 2), a 2x
 upsample + conv neck, and two 1x1 conv heads (per-class logits and 4 box
 offsets per cell). ModelGraph numbers the weight layers 1..L for precision plans.
 
+``detect`` runs the scenes through the network EVAL_CHUNK at a time and
+decodes each chunk's head maps at once: local peaks, one sort by (scene,
+class, score) and a greedy NMS over one padded IoU, vectorized across every
+(scene, class) pair. ``evaluate`` scores its detections with ``ap40``.
+
 A model file holds a detector config and its folded weights, nothing else
 about the layers: ``load_model`` rebuilds them from the config, and
 ``save_model`` gives the layout.
@@ -23,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import Detection, EvalResult, ap40, iou_matrix
+from .metrics import Detection, EvalResult, _padded, _slots, ap40, iou_matrix
 from .model import (EVAL_CHUNK, BatchNorm, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward,
                     graphs_equal, param_arrays, weights_digest)
 from .qat import TrainExample
@@ -36,6 +41,7 @@ __all__ = [
     "UnsupportedVersionError",
     "build_toy_detector",
     "decode_and_nms",
+    "detect",
     "encode_targets",
     "evaluate",
     "load_model",
@@ -247,10 +253,12 @@ def load_model(path) -> ModelGraph:
     """Read a model written by save_model; never unpickles.
 
     An unreadable file (the zip's CRC-32 catches a flipped byte), a malformed
-    manifest or config, an array that is missing, extra, not float32, not
-    finite or not the shape of the layer the config builds, and arrays whose
-    digest is not "weights_sha256" (e.g. two swapped) raise ModelFormatError
-    naming the file, and the layer where there is one; another version raises
+    manifest or config, another number of arrays than two per weight layer
+    of the config (counted before the network is built), an array that
+    belongs to no weight layer, is not float32, not finite or not the shape
+    of the layer the config builds, and arrays whose digest is not
+    "weights_sha256" (e.g. two swapped) raise ModelFormatError naming the
+    file, and the layer where there is one; another version raises
     UnsupportedVersionError. Every layer loads at FP32: apply a plan to it
     before execution.
     """
@@ -274,6 +282,13 @@ def load_model(path) -> ModelGraph:
     if set(manifest) != MANIFEST_KEYS:
         raise ModelFormatError(f"{path}: malformed manifest: keys {sorted(manifest)}, not {sorted(MANIFEST_KEYS)}")
     try:
+        cfg = DetectorConfig.from_meta(manifest["meta"])
+        # counted before the build, whose work grows with the config, not the
+        # file: the PFN, the neck, two heads and the block convs
+        n_layers = 4 + len(cfg.block_channels) * cfg.convs_per_block
+        if len(arrays) != 2 * n_layers:
+            raise ValueError(f"{len(arrays)} arrays, but the config builds {n_layers} weight layers, "
+                             f"a weight and a bias each")
         graph = _from_arrays(manifest["meta"], arrays)
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
@@ -321,30 +336,84 @@ def encode_targets(scene: Scene, cfg: DetectorConfig):
 
 
 def _local_peaks(score_maps: np.ndarray) -> np.ndarray:
-    """Cells of each [H, W] map in [C, H, W] that are the maximum of their 3x3
+    """Cells of each [H, W] map in [..., H, W] that are the maximum of their 3x3
     neighborhood within that map (ties keep both)."""
-    c, h, w = score_maps.shape
-    padded = np.full((c, h + 2, w + 2), -np.inf)
-    padded[:, 1:-1, 1:-1] = score_maps
-    neighborhood = padded[:, :h, :w].copy()
+    *lead, h, w = score_maps.shape
+    padded = np.full((*lead, h + 2, w + 2), -np.inf)
+    padded[..., 1:-1, 1:-1] = score_maps
+    neighborhood = padded[..., :h, :w].copy()
     for di in range(3):
         for dj in range(3):
-            np.maximum(neighborhood, padded[:, di : di + h, dj : dj + w], out=neighborhood)
+            np.maximum(neighborhood, padded[..., di : di + h, dj : dj + w], out=neighborhood)
     return score_maps >= neighborhood
 
 
+def _decode_batch(cls_maps: np.ndarray, reg_maps: np.ndarray, cfg: DetectorConfig,
+                  first: int | None = None) -> list[list[Detection]]:
+    """decode_and_nms of each scene of [B, C, H', W'] class and [B, 4, H', W']
+    box maps, all scenes and classes at once.
+
+    One stable sort orders the peaks by (scene, class, descending score), ties
+    in row-major cell order; one padded IoU [B * C, K, K] over each (scene,
+    class) group's K candidates serves a greedy pass over rank that runs for
+    all groups together. first, when given, is the position of the batch's
+    first scene in its dataset, and a NaN error names the scene by it.
+    """
+    if cls_maps.shape[1] != len(CLASS_NAMES) or reg_maps.shape != (len(cls_maps), 4, *cls_maps.shape[2:]):
+        raise ValueError(
+            f"decode_and_nms needs {len(CLASS_NAMES)} class channels and 4 box channels on one grid; "
+            f"got maps of shape {cls_maps.shape[1:]} and {reg_maps.shape[1:]}"
+        )
+    # a NaN logit never passes the score threshold and wipes out its
+    # neighbours' peaks, and a NaN size offset clips to the smallest box
+    for what, values in (("class", cls_maps), ("box", reg_maps)):
+        bad = np.isnan(values).any(axis=(1, 2, 3))
+        if bad.any():
+            where = "" if first is None else f" of scene {first + int(np.argmax(bad))}"
+            raise ValueError(f"decode_and_nms got a NaN in the {what} map{where}")
+    n_scenes, n_classes, oh, ow = cls_maps.shape
+    cell_h = FIELD_SIZE / oh
+    cell_w = FIELD_SIZE / ow
+    scores = sigmoid(cls_maps.astype(np.float64))
+    scene, cls, rows, cols = np.nonzero(_local_peaks(scores) & (scores >= cfg.score_thresh))
+    peak_scores = scores[scene, cls, rows, cols]
+    order = np.lexsort((-peak_scores, cls, scene))  # stable: ties keep row-major cell order
+    scene, cls, rows, cols, peak_scores = scene[order], cls[order], rows[order], cols[order], peak_scores[order]
+    dx, dy, dw, dh = reg_maps[scene, :, rows, cols].T.astype(np.float64)
+    # math.exp, not np.exp: the two differ in the last ulp for some inputs
+    boxes = np.stack([
+        (cols + 0.5 + dx) * cell_w,
+        (rows + 0.5 + dy) * cell_h,
+        [BASE_SIZE * math.exp(min(4.0, max(-4.0, v))) for v in dw.tolist()],
+        [BASE_SIZE * math.exp(min(4.0, max(-4.0, v))) for v in dh.tolist()],
+    ], axis=1).reshape(-1, 4)
+    group = scene * n_classes + cls
+    rank = _slots(group)
+    n_groups = n_scenes * n_classes
+    padded = _padded(boxes, group, rank, n_groups, 1.0)
+    overlaps = iou_matrix(padded, padded) >= cfg.nms_iou
+    kept = _padded(np.ones(len(group), bool), group, rank, n_groups, False)  # candidates, then survivors
+    for k in range(1, kept.shape[1]):
+        kept[:, k] &= ~(overlaps[:, k, :k] & kept[:, :k]).any(axis=1)
+    detections: list[list[Detection]] = [[] for _ in range(n_scenes)]
+    keep = kept[group, rank]
+    for b, c, box, score in zip(scene[keep].tolist(), cls[keep].tolist(), boxes[keep], peak_scores[keep].tolist()):
+        detections[b].append(Detection(box=box, class_id=c, score=score))
+    return detections
+
+
 def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig) -> list[Detection]:
-    """Local-peak box decoding followed by per-class greedy NMS.
+    """Local-peak box decoding followed by per-class greedy NMS, for one scene.
 
     cls_map [C, H', W'] (or [1, C, H', W']) holds one scene's class logits,
     reg_map its 4 box offsets per cell. Per class, the peaks scoring at least
     cfg.score_thresh are visited by descending score (ties in row-major cell
     order), and each is kept unless its IoU with an already kept box of the
-    class reaches cfg.nms_iou. One IoU matrix over the class's candidates
-    serves the whole greedy pass. A 4-D map holding more than one scene, maps
+    class reaches cfg.nms_iou. A 4-D map holding more than one scene, maps
     with other than len(CLASS_NAMES) class or 4 box channels, a box map on
     another grid than the class map, or a NaN in either map raise ValueError
-    (an infinite logit is a legal score of 0 or 1).
+    (an infinite logit is a legal score of 0 or 1). detect decodes a whole
+    batch of scenes this way at once.
     """
     if cls_map.ndim == 4:
         if cls_map.shape[0] != 1 or reg_map.shape[0] != 1:
@@ -352,46 +421,36 @@ def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig
                 f"decode_and_nms takes one scene; got maps of shape {cls_map.shape} and {reg_map.shape}"
             )
         cls_map, reg_map = cls_map[0], reg_map[0]
-    if cls_map.shape[0] != len(CLASS_NAMES) or reg_map.shape != (4, *cls_map.shape[1:]):
-        raise ValueError(
-            f"decode_and_nms needs {len(CLASS_NAMES)} class channels and 4 box channels on one grid; "
-            f"got maps of shape {cls_map.shape} and {reg_map.shape}"
-        )
-    # a NaN logit never passes the score threshold and wipes out its
-    # neighbours' peaks, and a NaN size offset clips to the smallest box
-    for what, values in (("class", cls_map), ("box", reg_map)):
-        if np.isnan(values).any():
-            raise ValueError(f"decode_and_nms got a NaN in the {what} map")
-    n_classes, oh, ow = cls_map.shape
-    cell_h = FIELD_SIZE / oh
-    cell_w = FIELD_SIZE / ow
-    scores = sigmoid(cls_map.astype(np.float64))
-    candidates = _local_peaks(scores) & (scores >= cfg.score_thresh)
-    detections: list[Detection] = []
-    for cls in range(n_classes):
-        rows, cols = np.nonzero(candidates[cls])
-        if len(rows) == 0:
-            continue
-        order = np.argsort(-scores[cls, rows, cols], kind="stable")
-        rows, cols = rows[order], cols[order]
-        dx, dy, dw, dh = reg_map[:, rows, cols].astype(np.float64)
-        # math.exp, not np.exp: the two differ in the last ulp for some inputs
-        boxes = np.stack([
-            (cols + 0.5 + dx) * cell_w,
-            (rows + 0.5 + dy) * cell_h,
-            [BASE_SIZE * math.exp(min(4.0, max(-4.0, float(v)))) for v in dw],
-            [BASE_SIZE * math.exp(min(4.0, max(-4.0, float(v)))) for v in dh],
-        ], axis=1)
-        overlaps = iou_matrix(boxes, boxes) >= cfg.nms_iou
-        kept: list[int] = []
-        for k in range(len(boxes)):
-            if not overlaps[k, kept].any():
-                kept.append(k)
-        detections.extend(
-            Detection(box=boxes[k], class_id=cls, score=float(scores[cls, rows[k], cols[k]]))
-            for k in kept
-        )
-    return detections
+    return _decode_batch(cls_map[None], reg_map[None], cfg)[0]
+
+
+def detect(
+    graph: ModelGraph,
+    plan: PrecisionPlan,
+    stats: Mapping | None,
+    dataset: Sequence[Scene],
+    cfg: DetectorConfig | None = None,
+    samples: Sequence[PillarSample] | None = None,
+) -> list[list[Detection]]:
+    """Each scene's detections under the planned model, as decode_and_nms gives them.
+
+    The scenes run through batched forwards of EVAL_CHUNK scenes each, and
+    each chunk's head maps are decoded at once; a scene's detections do not
+    depend on the chunking. samples, when given, are the pillarized scenes of
+    dataset, one per scene. A NaN in a scene's head maps raises ValueError
+    naming the scene's position in dataset and the map.
+    """
+    cfg = cfg or DetectorConfig.from_meta(graph.meta)
+    planned = apply_plan(fold_all_bn(graph), plan)
+    if samples is None:
+        samples = pillarize_dataset(dataset, cfg)
+    if len(samples) != len(dataset):
+        raise ValueError(f"{len(samples)} pillarized samples for {len(dataset)} scenes")
+    dets_per_scene = []
+    for start in range(0, len(samples), EVAL_CHUNK):
+        batch = stack_samples(samples[start : start + EVAL_CHUNK])
+        dets_per_scene.extend(_decode_batch(*forward(planned, batch, stats=stats), cfg, first=start))
+    return dets_per_scene
 
 
 def evaluate(
@@ -404,21 +463,10 @@ def evaluate(
 ) -> EvalResult:
     """Full per-class x per-difficulty AP40 table for the planned model.
 
-    The scenes run through batched forwards of EVAL_CHUNK scenes each; a
-    scene's head outputs, and so the table, do not depend on the chunking.
-    samples, when given, are the pillarized scenes of dataset, one per scene.
+    The table scores detect's detections with one ap40 per class, so it does
+    not depend on the chunking either.
     """
-    cfg = cfg or DetectorConfig.from_meta(graph.meta)
-    planned = apply_plan(fold_all_bn(graph), plan)
-    if samples is None:
-        samples = pillarize_dataset(dataset, cfg)
-    if len(samples) != len(dataset):
-        raise ValueError(f"{len(samples)} pillarized samples for {len(dataset)} scenes")
-    dets_per_scene = []
-    for start in range(0, len(samples), EVAL_CHUNK):
-        batch = stack_samples(samples[start : start + EVAL_CHUNK])
-        cls_maps, reg_maps = forward(planned, batch, stats=stats)
-        dets_per_scene.extend(decode_and_nms(c, r, cfg) for c, r in zip(cls_maps, reg_maps))
+    dets_per_scene = detect(graph, plan, stats, dataset, cfg, samples)
     ap = {}
     for cls_id, cls_name in enumerate(CLASS_NAMES):
         for diff, value in ap40(dets_per_scene, dataset, cls_id).items():

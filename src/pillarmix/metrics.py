@@ -7,6 +7,12 @@ distinct score threshold, and precision is interpolated as the running
 maximum over recall. Detections that match a ground-truth box of the target
 class but a different difficulty are ignored rather than counted as false
 positives, so a perfect detector scores 1.0 at every difficulty.
+
+Each scene is matched on its own, but ``ap40`` matches all scenes in one
+pass: the class's detections and the ground truth are laid out padded per
+scene, one ``iou_matrix`` call takes every scene's IoU (it broadcasts over
+leading dims), and a loop over detection rank claims boxes in every scene
+at once. The detector's NMS shares that IoU.
 """
 
 from __future__ import annotations
@@ -51,43 +57,35 @@ class Detection:
 
 
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of axis-aligned (cx, cy, w, h) boxes: [len(a), len(b)]."""
-    a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
-    ax1, ay1 = a[:, 0] - a[:, 2] / 2, a[:, 1] - a[:, 3] / 2
-    ax2, ay2 = a[:, 0] + a[:, 2] / 2, a[:, 1] + a[:, 3] / 2
-    bx1, by1 = b[:, 0] - b[:, 2] / 2, b[:, 1] - b[:, 3] / 2
-    bx2, by2 = b[:, 0] + b[:, 2] / 2, b[:, 1] + b[:, 3] / 2
-    iw = np.maximum(0.0, np.minimum(ax2[:, None], bx2[None, :]) - np.maximum(ax1[:, None], bx1[None, :]))
-    ih = np.maximum(0.0, np.minimum(ay2[:, None], by2[None, :]) - np.maximum(ay1[:, None], by1[None, :]))
+    """Pairwise IoU of axis-aligned (cx, cy, w, h) boxes: [..., N, 4] x [..., M, 4] -> [..., N, M].
+
+    Leading dims broadcast, and each slice holds the values a 2-D call on it
+    gives, bit for bit: every entry comes from the same elementwise formula.
+    """
+    a = np.asarray(boxes_a, dtype=np.float64)[..., :, None, :]
+    b = np.asarray(boxes_b, dtype=np.float64)[..., None, :, :]
+    ax1, ay1 = a[..., 0] - a[..., 2] / 2, a[..., 1] - a[..., 3] / 2
+    ax2, ay2 = a[..., 0] + a[..., 2] / 2, a[..., 1] + a[..., 3] / 2
+    bx1, by1 = b[..., 0] - b[..., 2] / 2, b[..., 1] - b[..., 3] / 2
+    bx2, by2 = b[..., 0] + b[..., 2] / 2, b[..., 1] + b[..., 3] / 2
+    iw = np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
+    ih = np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1))
     inter = iw * ih
-    area_a = (a[:, 2] * a[:, 3])[:, None]
-    area_b = (b[:, 2] * b[:, 3])[None, :]
-    union = area_a + area_b - inter
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
     return np.where(union > 0, inter / union, 0.0)
 
 
-def _match_scene(detections, gt_boxes, gt_class_mask):
-    """Greedy per-scene matching; returns the matched GT index per detection (-1 = none).
+def _padded(values: np.ndarray, group: np.ndarray, slot: np.ndarray, n_groups: int, fill) -> np.ndarray:
+    """values [N, ...] laid out as [n_groups, max slot + 1, ...]: value i at
+    (group[i], slot[i]), fill elsewhere."""
+    out = np.full((n_groups, int(slot.max(initial=-1)) + 1, *values.shape[1:]), fill, dtype=values.dtype)
+    out[group, slot] = values
+    return out
 
-    Detections are visited by descending score; each claims the unmatched
-    ground-truth box of its class with the highest IoU >= MATCH_IOU.
-    """
-    matched_gt = np.full(len(detections), -1, dtype=np.int64)
-    if len(gt_boxes) == 0 or not detections:
-        return matched_gt
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-    det_boxes = np.stack([d.box for d in detections])
-    ious = iou_matrix(det_boxes, gt_boxes)
-    taken = np.zeros(len(gt_boxes), dtype=bool)
-    for di in order:
-        cand = ious[di].copy()
-        cand[taken | ~gt_class_mask] = -1.0
-        gi = int(np.argmax(cand))
-        if cand[gi] >= MATCH_IOU:
-            matched_gt[di] = gi
-            taken[gi] = True
-    return matched_gt
+
+def _slots(group: np.ndarray) -> np.ndarray:
+    """Each entry's place within its run of equal values of the sorted group."""
+    return np.arange(len(group)) - np.searchsorted(group, group)
 
 
 def ap40(
@@ -99,35 +97,58 @@ def ap40(
 
     gt_per_scene holds objects with ``boxes`` [M, 4], ``classes`` [M], and
     ``difficulty`` [M] (string labels). The class's detections are matched to
-    ground truth once; each difficulty then counts its own ground truth and
-    ignores hits on boxes of the other difficulties. Returns {difficulty: AP}
-    for every label in DIFFICULTIES, with None where the slice has no ground
-    truth, so it can be excluded from means rather than counted as 0. Both
-    sequences hold one entry per scene; differing lengths raise ValueError.
+    their scene's ground truth once, all scenes together: one padded
+    [scenes, detections, boxes] IoU, and a loop over detection rank in which
+    each scene's detection of that rank, by descending score (ties in the
+    order given), claims the unmatched box of the class with the highest IoU
+    >= MATCH_IOU (ties: the first box). Each difficulty then counts its own
+    ground truth and ignores hits on boxes of the other difficulties. Returns
+    {difficulty: AP} for every label in DIFFICULTIES, with None where the
+    slice has no ground truth, so it can be excluded from means rather than
+    counted as 0. Both sequences hold one entry per scene; differing lengths
+    raise ValueError.
     """
-    if len(detections_per_scene) != len(gt_per_scene):
-        raise ValueError(
-            f"{len(detections_per_scene)} scenes of detections for {len(gt_per_scene)} scenes of ground truth"
-        )
-    scores: list[float] = []
-    hit_diff: list[str] = []  # difficulty of the matched box; "" for a false positive
-    n_gt = dict.fromkeys(DIFFICULTIES, 0)
-    for dets, gt in zip(detections_per_scene, gt_per_scene):
-        gt_boxes = np.asarray(gt.boxes, dtype=np.float64).reshape(-1, 4)
-        gt_classes = np.asarray(gt.classes, dtype=np.int64)
-        gt_diff = np.asarray(gt.difficulty)
-        for diff in DIFFICULTIES:
-            n_gt[diff] += int(np.sum((gt_classes == class_id) & (gt_diff == diff)))
-        class_dets = [d for d in dets if d.class_id == class_id]
-        matched = _match_scene(class_dets, gt_boxes, gt_classes == class_id)
-        scores.extend(d.score for d in class_dets)
-        hit_diff.extend(str(gt_diff[gi]) if gi >= 0 else "" for gi in matched)
+    n_scenes = len(gt_per_scene)
+    if len(detections_per_scene) != n_scenes:
+        raise ValueError(f"{len(detections_per_scene)} scenes of detections for {n_scenes} scenes of ground truth")
+    # the class's detections and all ground truth, flattened scene after scene
+    dets = [(s, d) for s, scene_dets in enumerate(detections_per_scene) for d in scene_dets if d.class_id == class_id]
+    det_scene = np.array([s for s, _ in dets], dtype=np.int64)
+    scores = np.array([d.score for _, d in dets], dtype=np.float64)
+    gt_boxes = [np.asarray(gt.boxes, dtype=np.float64).reshape(-1, 4) for gt in gt_per_scene]
+    gt_scene = np.repeat(np.arange(n_scenes), [len(b) for b in gt_boxes])
+    gt_class = np.concatenate([np.asarray(gt.classes, dtype=np.int64).reshape(-1) for gt in gt_per_scene]
+                              or [np.zeros(0, np.int64)])
+    gt_diff = np.concatenate([np.asarray(gt.difficulty, dtype=str).reshape(-1) for gt in gt_per_scene]
+                             or [np.zeros(0, str)])
+    of_class = gt_class == class_id
+    n_gt = {diff: int(np.sum(of_class & (gt_diff == diff))) for diff in DIFFICULTIES}
+    hit_diff = np.full(len(dets), "", dtype=gt_diff.dtype)  # difficulty of the matched box; "" for none
+    if dets and of_class.any():
+        by_rank = np.lexsort((-scores, det_scene))  # within each scene, by descending score
+        rank = _slots(det_scene)  # det_scene[by_rank] == det_scene: the sort stays inside each scene
+        gt_slot = _slots(gt_scene)
+        det_boxes = np.stack([dets[i][1].box for i in by_rank])
+        ious = iou_matrix(_padded(det_boxes, det_scene, rank, n_scenes, 1.0),
+                          _padded(np.concatenate(gt_boxes), gt_scene, gt_slot, n_scenes, 1.0))
+        free = _padded(of_class, gt_scene, gt_slot, n_scenes, False)
+        present = _padded(np.ones(len(dets), bool), det_scene, rank, n_scenes, False)
+        claimed = np.full(present.shape, -1, dtype=np.int64)  # GT slot matched at (scene, rank)
+        scene = np.arange(n_scenes)
+        for r in range(present.shape[1]):
+            cand = np.where(free, ious[:, r], -1.0)
+            best = np.argmax(cand, axis=1)
+            hit = present[:, r] & (cand[scene, best] >= MATCH_IOU)
+            claimed[hit, r] = best[hit]
+            free[scene[hit], best[hit]] = False
+        slot = claimed[det_scene, rank]
+        matched = slot >= 0
+        first_gt = np.searchsorted(gt_scene, det_scene)
+        hit_diff[by_rank[matched]] = gt_diff[first_gt[matched] + slot[matched]]
     # one stable sort by descending score serves every difficulty: dropping
     # the ignored detections afterwards keeps the order of the rest
-    score_arr = np.asarray(scores, dtype=np.float64)
-    order = np.argsort(-score_arr, kind="stable")
-    hits = np.asarray(hit_diff, dtype=str)[order]
-    return {diff: _slice_ap(score_arr[order], hits, diff, n_gt[diff]) for diff in DIFFICULTIES}
+    order = np.argsort(-scores, kind="stable")
+    return {diff: _slice_ap(scores[order], hit_diff[order], diff, n_gt[diff]) for diff in DIFFICULTIES}
 
 
 def _slice_ap(

@@ -1,5 +1,6 @@
-"""Detector: batched forward and evaluate against per-scene runs, NMS against a greedy loop,
-the config through the model meta, and the model file."""
+"""Detector: batched forward, decode and evaluate against per-scene runs of a greedy
+reference decode and the per-slice reference AP, the config through the model meta, and
+the model file."""
 
 import dataclasses
 import json
@@ -18,6 +19,7 @@ from pillarmix.detector import (
     UnsupportedVersionError,
     build_toy_detector,
     decode_and_nms,
+    detect,
     encode_targets,
     evaluate,
     load_model,
@@ -40,6 +42,7 @@ from pillarmix.model import (
 from pillarmix.quant import DType
 from pillarmix.scenes import CLASS_NAMES, FIELD_SIZE, DatasetConfig, Scene, generate_dataset
 from pillarmix.tensor_ops import linear, max_over_points, relu, sigmoid, stack_samples
+from test_metrics import reference_ap40
 
 PLAN_LABELS = ("FP32", "FP16", "INT8", "FP16: 1")
 TINY = DetectorConfig(grid=(8, 8), block_channels=(8, 8, 8), convs_per_block=1, pfn_channels=8, neck_channels=8)
@@ -147,6 +150,27 @@ class TestDecodeAndNms:
         aps = [ap40(dets, scenes, c) for c in range(len(CLASS_NAMES))]
         assert {v for ap in aps for v in ap.values() if v is not None} == {1.0}
 
+    @pytest.mark.parametrize("score_thresh, nms_iou", [(0.0, 0.0), (0.3, 1.0), (0.1, 0.5)])
+    def test_a_batch_decodes_as_its_scenes_do_one_by_one(self, score_thresh, nms_iou):
+        """All scenes and classes of a chunk at once, against the greedy reference per scene."""
+        rng = np.random.default_rng(5)
+        cfg = dataclasses.replace(DetectorConfig(), score_thresh=score_thresh, nms_iou=nms_iou)
+        cls_maps = (rng.integers(-12, 4, size=(7, 3, 8, 8)) / 4.0).astype(np.float32)
+        reg_maps = rng.normal(scale=0.6, size=(7, 4, 8, 8)).astype(np.float32)
+        # a scene without pillars: the heads emit their biases, so every cell is a tied peak
+        cls_maps[1], reg_maps[1] = -2.0, 0.0
+        cls_maps[2] = -6.0  # no score reaches 0.1
+        cls_maps[3], reg_maps[3] = cls_maps[0], reg_maps[0]  # tied scores across scenes
+        cls_maps[4, 2] = cls_maps[4, 0]  # and across classes
+        reg_maps[5, 2:, 0, 0] = [9.0, -9.0]  # box sizes clipped at exp(+-4)
+        cls_maps[6, 1] = -np.inf  # scores of exactly 0, peaks at a threshold of 0
+        got = detector._decode_batch(cls_maps, reg_maps, cfg)
+        assert len(got) == len(cls_maps)
+        for k, dets in enumerate(got):
+            assert_same_detections(dets, reference_decode_and_nms(cls_maps[k], reg_maps[k], score_thresh, nms_iou))
+        assert (bool(got[1]), bool(got[2])) == (score_thresh <= 0.1, score_thresh == 0.0)  # sigmoid(-2) = 0.12
+        assert_same_detections(got[3], got[0])
+
     @pytest.mark.parametrize("field, value", [("score_thresh", -0.1), ("score_thresh", 1.5), ("nms_iou", 2.0)])
     def test_config_rejects_thresholds_outside_unit_interval(self, field, value):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
@@ -239,29 +263,56 @@ def test_images_are_nchw_at_the_edges_of_forward(batch_setup):
 
 @pytest.mark.parametrize("label", PLAN_LABELS)
 def test_chunked_evaluate_equals_per_scene_evaluation(batch_setup, label):
+    """detect and evaluate against one forward per scene, the greedy reference
+    decode and the per-slice reference AP."""
     cfg, graph, stats, samples = batch_setup
     plan = parse_plan_label(label)
-    planned = apply_plan(graph, plan)
-    per_scene = [decode_and_nms(*forward(planned, s, stats=stats), cfg) for s in samples]
+
+    def reference_detect(planned):
+        return [reference_decode_and_nms(*(head[0] for head in forward(planned, s, stats=stats)),
+                                         cfg.score_thresh, cfg.nms_iou) for s in samples]
+
+    per_scene = reference_detect(apply_plan(graph, plan))
     # ground truth: each scene's FP32 detections, so that FP32 scores 1.0 and
     # a scene paired with another scene's detections shows
-    fp32 = apply_plan(graph, parse_plan_label("FP32"))
     gts = []
-    for k, sample in enumerate(samples):
-        dets = decode_and_nms(*forward(fp32, sample), cfg)
+    for k, dets in enumerate(reference_detect(apply_plan(graph, parse_plan_label("FP32")))):
         gts.append(SimpleNamespace(
             boxes=np.array([d.box for d in dets]).reshape(-1, 4),
             classes=np.array([d.class_id for d in dets], dtype=np.int64),
             difficulty=np.array([DIFFICULTIES[(k + j) % 3] for j in range(len(dets))], dtype=object),
         ))
+    detected = detect(graph, plan, stats, gts, cfg, samples=samples)
+    assert len(detected) == len(per_scene)
+    for got, want in zip(detected, per_scene):
+        assert_same_detections(got, want)
     result = evaluate(graph, plan, stats, gts, cfg, samples=samples)
-    want = {}
-    for cls_id, cls_name in enumerate(CLASS_NAMES):
-        for diff, value in ap40(per_scene, gts, cls_id).items():
-            want[(cls_name, diff)] = value
+    want = {(cls_name, diff): reference_ap40(per_scene, gts, cls_id, diff)
+            for cls_id, cls_name in enumerate(CLASS_NAMES) for diff in DIFFICULTIES}
     assert result.ap == want
     if label == "FP32":
         assert set(want.values()) == {1.0}
+
+
+@pytest.mark.parametrize("head", [0, 1], ids=["class", "box"])
+def test_a_nan_in_a_chunk_names_the_scene_and_the_map(batch_setup, head, monkeypatch):
+    """A NaN in one scene's head map of the second chunk names that scene's place in the dataset."""
+    cfg, graph, stats, samples = batch_setup
+    real_forward = detector.forward
+    chunks = []
+
+    def poisoned(*args, **kwargs):
+        heads = real_forward(*args, **kwargs)
+        chunks.append(len(heads[0]))
+        if len(chunks) == 2:
+            heads[head][1, head, 2, 3] = np.nan
+        return heads
+
+    monkeypatch.setattr(detector, "forward", poisoned)
+    what = ("class", "box")[head]
+    with pytest.raises(ValueError, match=f"decode_and_nms got a NaN in the {what} map of scene {EVAL_CHUNK + 1}$"):
+        evaluate(graph, parse_plan_label("FP32"), stats, [None] * len(samples), cfg, samples=samples)
+    assert chunks == [EVAL_CHUNK, 3]
 
 
 def test_make_evaluator_pillarizes_once_and_returns_the_map(batch_setup, monkeypatch):
@@ -535,10 +586,10 @@ class TestSerialization:
          r"layer 'backbone\.block0\.conv0': weight is float64, not float32"),
         (lambda arrays: arrays.update({"3.weight": arrays["3.weight"].reshape(8, 4, 6, 3)}),
          r"layer 'backbone\.block0\.conv0': weight has shape \(8, 4, 6, 3\), but the config builds \(8, 8, 3, 3\)"),
-        (lambda arrays: arrays.pop("5.bias"), r"layer 'backbone\.block2\.conv0': bias is missing \(member '5\.bias'\)"),
-        (lambda arrays: arrays.update({"1.weight": np.ones(3, np.float32)}),
+        (lambda arrays: arrays.pop("5.bias"), r"13 arrays, but the config builds 7 weight layers, a weight and a bias"),
+        (lambda arrays: arrays.update({"1.weight": arrays.pop("3.weight")}),
          r"arrays \['1\.weight'\] belong to no weight layer"),
-        (lambda arrays: arrays.update({"10.weight": np.ones(3, np.float32)}),
+        (lambda arrays: arrays.update({"10.weight": arrays.pop("9.weight")}),
          r"arrays \['10\.weight'\] belong to no weight layer"),
         (lambda arrays: arrays.update({"3.bias": np.array([None, 1.0])}),
          r"not a readable model file: Object arrays cannot be loaded"),
@@ -548,6 +599,14 @@ class TestSerialization:
         path = save_model(self.graph(), tmp_path / "toy")
         rewrite(path, lambda doc, arrays: corrupt(arrays))
         with pytest.raises(ModelFormatError, match=rf"toy\.npz: {message}"):
+            load_model(path)
+
+    def test_a_config_of_another_layer_count_fails_before_the_build(self, tmp_path, monkeypatch):
+        """The arrays are counted against the config before any layer of it is built."""
+        path = save_model(fold_all_bn(build_toy_detector()), tmp_path / "toy")
+        rewrite(path, lambda doc, arrays: doc["meta"]["detector"].update(convs_per_block=100))
+        monkeypatch.setattr(detector, "build_toy_detector", lambda *args: pytest.fail("built the network"))
+        with pytest.raises(ModelFormatError, match=r"toy\.npz: 26 arrays, but the config builds 304 weight layers"):
             load_model(path)
 
     def test_the_config_is_the_only_description_of_the_layers(self, tmp_path):
@@ -576,7 +635,9 @@ class TestSerialization:
         (fold_all_bn(widen(build_toy_detector(), WIDE_HEADS[1][0])),
          r"layer 'bbox_head\.conv_reg': weight has shape \(5, 24, 1, 1\), but the config builds \(4, 24, 1, 1\)"),
         (dataclasses.replace(fold_all_bn(build_toy_detector()), meta={}), "no detector config key 'detector'"),
-    ], ids=["unfolded", "meta_of_other_strides", "wide_cls_head", "wide_reg_head", "no_config"])
+        (ModelGraph(layers=fold_all_bn(build_toy_detector()).layers[:-1], meta=build_toy_detector().meta),
+         r"layer 'bbox_head\.conv_reg': weight is missing \(member '15\.weight'\)"),
+    ], ids=["unfolded", "meta_of_other_strides", "wide_cls_head", "wide_reg_head", "no_config", "no_box_head"])
     def test_save_rejects_a_graph_its_meta_does_not_build(self, tmp_path, graph, match):
         with pytest.raises(ValueError, match=match):
             save_model(graph, tmp_path / "toy")

@@ -1,16 +1,33 @@
-"""AP40: the one-pass-per-class ap40 against a per-slice reference; EvalResult's means."""
+"""AP40: the scene-vectorized ap40 against a per-scene, per-slice reference; IoU; EvalResult's means."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pillarmix.metrics import DIFFICULTIES, RECALL_POSITIONS, Detection, EvalResult, _match_scene, ap40
+from pillarmix.metrics import DIFFICULTIES, MATCH_IOU, RECALL_POSITIONS, Detection, EvalResult, ap40, iou_matrix
+
+
+def reference_iou(a, b):
+    """IoU of two (cx, cy, w, h) boxes in Python floats, the formula of iou_matrix."""
+    ax, ay, aw, ah = (float(v) for v in a)
+    bx, by, bw, bh = (float(v) for v in b)
+    iw = max(0.0, min(ax + aw / 2, bx + bw / 2) - max(ax - aw / 2, bx - bw / 2))
+    ih = max(0.0, min(ay + ah / 2, by + bh / 2) - max(ay - ah / 2, by - bh / 2))
+    inter = iw * ih
+    union = aw * ah + bw * bh - inter
+    return inter / union if union > 0 else 0.0
 
 
 def reference_ap40(detections_per_scene, gt_per_scene, class_id, difficulty):
-    """One (class, difficulty) slice: match, drop the detections that hit boxes
-    of other difficulties, sort by score, interpolate at 40 recall points."""
+    """One (class, difficulty) slice: match each scene on its own, drop the
+    detections that hit boxes of other difficulties, sort by score,
+    interpolate at 40 recall points.
+
+    The matching visits a scene's detections of the class by descending score
+    (ties in list order); each claims the unmatched box of the class with the
+    highest IoU >= MATCH_IOU, the first of equal ones.
+    """
     flags = []
     n_gt = 0
     for dets, gt in zip(detections_per_scene, gt_per_scene):
@@ -19,8 +36,19 @@ def reference_ap40(detections_per_scene, gt_per_scene, class_id, difficulty):
         gt_diff = np.asarray(gt.difficulty)
         n_gt += int(np.sum((gt_classes == class_id) & (gt_diff == difficulty)))
         class_dets = [d for d in dets if d.class_id == class_id]
-        matched = _match_scene(class_dets, gt_boxes, gt_classes == class_id)
-        for d, gi in zip(class_dets, matched):
+        taken = set()
+        for i in sorted(range(len(class_dets)), key=lambda i: (-class_dets[i].score, i)):
+            best, best_iou = -1, -1.0
+            for j, box in enumerate(gt_boxes):
+                if gt_classes[j] == class_id and j not in taken:
+                    iou = reference_iou(class_dets[i].box, box)
+                    if iou > best_iou:
+                        best, best_iou = j, iou
+            gi = best if best_iou >= MATCH_IOU else -1
+            if gi >= 0:
+                taken.add(gi)
+            class_dets[i] = (class_dets[i], gi)
+        for d, gi in class_dets:
             if gi >= 0 and gt_diff[gi] != difficulty:
                 continue
             flags.append((d.score, gi >= 0))
@@ -110,6 +138,60 @@ class TestAp40:
             ap40(dets[:4], gts, 0)
         with pytest.raises(ValueError, match="6 scenes of detections for 4"):
             ap40(dets, gts[:4], 0)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scenes_without_ground_truth_count_their_detections_as_false_positives(self, seed):
+        """Interleaved scenes with detections but no ground truth at all."""
+        dets, gts = random_scenes(np.random.default_rng(20 + seed), n_scenes=12)
+        empty = SimpleNamespace(boxes=np.zeros((0, 4)), classes=np.zeros(0, np.int64),
+                                difficulty=np.zeros(0, dtype=object))
+        extra = random_scenes(np.random.default_rng(40 + seed), n_scenes=6)[0]
+        dets = [d for pair in zip(dets[:6], extra) for d in pair] + dets[6:]
+        gts = [g for pair in zip(gts[:6], [empty] * 6) for g in pair] + gts[6:]
+        for cls in range(3):
+            got = ap40(dets, gts, cls)
+            assert got == {diff: reference_ap40(dets, gts, cls, diff) for diff in DIFFICULTIES}
+        assert ap40(extra, [empty] * 6, 0) == dict.fromkeys(DIFFICULTIES)
+
+    def test_scenes_without_detections_miss_their_ground_truth(self):
+        dets, gts = random_scenes(np.random.default_rng(30), n_scenes=10)
+        dets[3:7] = [[], [], [], []]
+        for cls in range(3):
+            assert ap40(dets, gts, cls) == {diff: reference_ap40(dets, gts, cls, diff) for diff in DIFFICULTIES}
+            none = ap40([[] for _ in gts], gts, cls)
+            assert none == {diff: reference_ap40([[]] * len(gts), gts, cls, diff) for diff in DIFFICULTIES}
+            assert set(none.values()) <= {0.0, None}
+        assert ap40([], [], 0) == dict.fromkeys(DIFFICULTIES)
+
+
+def random_boxes(rng, shape):
+    return np.concatenate([rng.uniform(0, 8, size=(*shape, 2)), rng.uniform(0.5, 4, size=(*shape, 2))], axis=-1)
+
+
+class TestIouMatrix:
+    def test_equals_the_scalar_formula(self):
+        rng = np.random.default_rng(0)
+        a, b = random_boxes(rng, (7,)), random_boxes(rng, (5,))
+        b[0] = a[0]
+        b[1] = [20.0, 20.0, 1.0, 1.0]  # disjoint from every box of a
+        got = iou_matrix(a, b)
+        assert got.shape == (7, 5) and got[0, 0] > 0.999 and not got[:, 1].any()
+        assert got.tolist() == [[reference_iou(x, y) for y in b] for x in a]
+
+    @pytest.mark.parametrize("shape_a, shape_b", [((4, 6), (4, 3)), ((2, 3, 5), (1, 3, 2)), ((3, 0), (3, 4))],
+                             ids=["one_lead_dim", "broadcast", "empty"])
+    def test_batched_equals_each_slice(self, shape_a, shape_b):
+        """Leading dims broadcast, and each slice is the 2-D call on it, bit for bit."""
+        rng = np.random.default_rng(1)
+        a, b = random_boxes(rng, shape_a), random_boxes(rng, shape_b)
+        got = iou_matrix(a, b)
+        lead = np.broadcast_shapes(shape_a[:-1], shape_b[:-1])
+        assert got.shape == (*lead, shape_a[-1], shape_b[-1])
+        for idx in np.ndindex(*lead):
+            ia = tuple(i if n > 1 else 0 for i, n in zip(idx, shape_a[:-1]))
+            ib = tuple(i if n > 1 else 0 for i, n in zip(idx, shape_b[:-1]))
+            np.testing.assert_array_equal(got[idx], iou_matrix(a[ia], b[ib]))
 
 
 class TestDetection:
