@@ -149,33 +149,40 @@ def stats_from_ranges(
 ) -> CalibrationStats:
     """Each layer's range over the samples (Python min/max in sample order) and its quant params.
 
-    A sample without a range for a layer, or with a non-finite or inverted
-    (min > max) one, raises ValueError naming the sample's position and the layer.
+    A sample whose ranges are not keyed by the layer indices 1..L raises
+    ValueError naming its position and the missing or extra indices; a
+    non-finite or inverted (min > max) range, or a non-finite weight, raises
+    ValueError naming the layer (and the sample's position).
     """
     if not ranges:
         raise ValueError("calibration needs at least one sample")
     folded = fold_all_bn(graph)
+    indices = set(range(1, folded.num_indexed + 1))
+    for pos, keys in enumerate(r.keys() for r in ranges):
+        if keys != indices:
+            raise ValueError(
+                f"calibration sample {pos} has ranges for other layers than the model's 1..{len(indices)}: "
+                f"missing {sorted(indices - keys)}, extra {sorted(keys - indices)}; ranges from another model?"
+            )
     layers: dict[int, LayerCalibration] = {}
     for layer in folded.weight_layers:
         where = f"layer {layer.index} ({layer.name!r})"
-        layer_ranges = []
-        for pos, sample_ranges in enumerate(ranges):
-            if layer.index not in sample_ranges:
-                raise ValueError(
-                    f"calibration sample {pos} has no range for {where}; ranges from another model?"
-                )
-            lo, hi = sample_ranges[layer.index]
+        layer_ranges = [sample_ranges[layer.index] for sample_ranges in ranges]
+        for pos, (lo, hi) in enumerate(layer_ranges):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValueError(
                     f"calibration sample {pos} has range ({lo}, {hi}) for {where}; "
                     "a range must be finite with min <= max"
                 )
-            layer_ranges.append((lo, hi))
+        try:
+            weight_qp = weight_quant_params(layer.weight, per_channel=per_channel_weights)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
         layers[layer.index] = LayerCalibration(
             name=layer.name,
             act_min=min(lo for lo, _ in layer_ranges),
             act_max=max(hi for _, hi in layer_ranges),
-            weight_qp=weight_quant_params(layer.weight, per_channel=per_channel_weights),
+            weight_qp=weight_qp,
         )
     return CalibrationStats(layers=layers, seed=seed)
 

@@ -11,9 +11,9 @@ decodes each chunk's head maps at once: local peaks, one sort by (scene,
 class, score) and a greedy NMS over one padded IoU, vectorized across every
 (scene, class) pair. ``evaluate`` scores its detections with ``ap40``.
 
-A model file holds a detector config and its folded weights, nothing else
-about the layers: ``load_model`` rebuilds them from the config, and
-``save_model`` gives the layout.
+``_layer_chain`` is the one description of the layers: ``build_toy_detector``
+walks it drawing weights, and ``load_model`` walks it reading a model file,
+which holds a detector config and its folded weights (``save_model``).
 """
 
 from __future__ import annotations
@@ -116,55 +116,36 @@ class DetectorConfig:
 
     @staticmethod
     def from_meta(meta: dict) -> "DetectorConfig":
-        """The config from the fields a manifest holds; keys of removed fields are
-        ignored, and a meta or "detector" entry that is not an object, or a
-        missing "detector" entry or field, raises ValueError naming it."""
+        """The config from the fields a manifest holds; a meta or "detector"
+        entry that is not an object, a missing "detector" entry or field, or a
+        key that is no field raises ValueError naming it."""
         if not isinstance(meta, dict):
             raise ValueError(f"model meta is {type(meta).__name__}, not an object; pass cfg")
         try:
             det = meta["detector"]
             if not isinstance(det, dict):
                 raise ValueError(f"model meta entry 'detector' is {type(det).__name__}, not an object; pass cfg")
+            names = [f.name for f in dataclasses.fields(DetectorConfig)]
+            unknown = sorted(set(det) - set(names), key=str)
+            if unknown:
+                raise ValueError(f"model meta's detector config has unknown keys {unknown}; pass cfg")
             return DetectorConfig(**{
-                f.name: tuple(det[f.name]) if isinstance(det[f.name], list) else det[f.name]
-                for f in dataclasses.fields(DetectorConfig)
+                name: tuple(det[name]) if isinstance(det[name], list) else det[name] for name in names
             })
         except KeyError as exc:
             raise ValueError(f"model meta has no detector config key {exc}; pass cfg") from exc
 
 
-def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) -> ModelGraph:
-    """Fresh detector with He-initialized weights and plausible BN stats.
-
-    Every weight layer goes through weight_layer, which draws from the seeded
-    generator in turn: its weight (He, or std 0.1 for the two heads), then its
-    BN gamma, beta, mean and var (the heads have no BN). That fixed draw order
-    is what keeps a (cfg, seed) pair's weights, and so the pinned
-    weights_digest values, the same. ModelGraph numbers the weight layers 1..L.
-    """
-    rng = np.random.default_rng(seed)
+def _layer_chain(cfg: DetectorConfig, meta: dict, make) -> ModelGraph:
+    """The detector's layers in chain order. make(pos, name, shape, head, **init)
+    gives each weight layer's (weight, bias, bn) as the walk reaches it, pos
+    being its place in the chain; init holds hints only a draw reads."""
     layers: list[LayerSpec] = []
 
-    def weight_layer(name, shape, conv=None, head=False, bias=0.0, input_scale=1.0):
-        cout = shape[0]
-        std = 0.1 if head else math.sqrt(2.0 / math.prod(shape[1:]))
-        weight = rng.normal(scale=std, size=shape).astype(np.float32) / input_scale
-        bn = None if head else BatchNorm(
-            gamma=rng.uniform(0.8, 1.2, size=cout).astype(np.float32),
-            beta=rng.normal(scale=0.05, size=cout).astype(np.float32),
-            mean=rng.normal(scale=0.1, size=cout).astype(np.float32),
-            var=rng.uniform(0.8, 1.4, size=cout).astype(np.float32),
-        )
-        layers.append(LayerSpec(
-            name=name,
-            kind="linear" if conv is None else "conv2d",
-            weight=weight,
-            bias=np.full(cout, bias, np.float32),
-            bn=bn,
-            relu=not head,
-            conv=conv,
-            is_head=head,
-        ))
+    def weight_layer(name, shape, conv=None, head=False, **init):
+        weight, bias, bn = make(len(layers), name, shape, head, **init)
+        layers.append(LayerSpec(name=name, kind="linear" if conv is None else "conv2d", weight=weight, bias=bias,
+                                bn=bn, relu=not head, conv=conv, is_head=head))
 
     # balance the init against the very unequal raw feature ranges; the raw
     # inputs themselves stay unnormalized (that is the whole point of the task)
@@ -184,7 +165,33 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
     # the class head's bias of -2 is a low-score prior
     weight_layer("bbox_head.conv_cls", (len(CLASS_NAMES), *head_in), ConvParams(), head=True, bias=-2.0)
     weight_layer("bbox_head.conv_reg", (4, *head_in), ConvParams(), head=True)
-    return ModelGraph(layers=tuple(layers), meta={"detector": cfg.to_meta()})
+    return ModelGraph(layers=tuple(layers), meta=meta)
+
+
+def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) -> ModelGraph:
+    """Fresh detector with He-initialized weights and plausible BN stats.
+
+    The layer chain asks for each weight layer in turn, and draw takes from
+    the seeded generator: its weight (He, or std 0.1 for the two heads), then
+    its BN gamma, beta, mean and var (the heads have no BN). That fixed draw
+    order is what keeps a (cfg, seed) pair's weights, and so the pinned
+    weights_digest values, the same. ModelGraph numbers the weight layers 1..L.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(pos, name, shape, head, bias=0.0, input_scale=1.0):
+        cout = shape[0]
+        std = 0.1 if head else math.sqrt(2.0 / math.prod(shape[1:]))
+        weight = rng.normal(scale=std, size=shape).astype(np.float32) / input_scale
+        bn = None if head else BatchNorm(
+            gamma=rng.uniform(0.8, 1.2, size=cout).astype(np.float32),
+            beta=rng.normal(scale=0.05, size=cout).astype(np.float32),
+            mean=rng.normal(scale=0.1, size=cout).astype(np.float32),
+            var=rng.uniform(0.8, 1.4, size=cout).astype(np.float32),
+        )
+        return weight, np.full(cout, bias, np.float32), bn
+
+    return _layer_chain(cfg, {"detector": cfg.to_meta()}, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -192,37 +199,34 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
 
 
 def _from_arrays(meta: dict, arrays: Mapping[str, np.ndarray]) -> ModelGraph:
-    """The folded detector that meta's config builds, holding arrays, keyed
-    '<pos>.weight' and '<pos>.bias' as in param_arrays, in place of its drawn weights.
+    """The folded detector meta's config describes, holding arrays keyed as in
+    param_arrays; nothing is drawn or folded. The chain's walk checks each
+    weight layer's arrays as it reaches them: one that is missing, not float32,
+    not the layer's shape or not finite raises ValueError naming the layer, as
+    does a malformed config and, after the walk, an array of no weight layer."""
+    def read(pos, name, shape, head, **init):
+        params = []
+        for field, want in (("weight", shape), ("bias", shape[:1])):
+            arr = arrays.get(f"{pos}.{field}")
+            if arr is None:
+                problem = f"is missing (member '{pos}.{field}')"
+            elif arr.dtype != np.float32:
+                problem = f"is {arr.dtype}, not float32"
+            elif arr.shape != want:
+                problem = f"has shape {arr.shape}, but the config builds {want}"
+            elif not np.all(np.isfinite(arr)):
+                problem = "holds NaN or inf"
+            else:
+                params.append(arr)
+                continue
+            raise ValueError(f"layer {name!r}: {field} {problem}")
+        return (*params, None)
 
-    A malformed config, or an array that is missing, extra, not float32, not
-    the built layer's shape or not finite, raises ValueError naming the layer
-    where there is one.
-    """
-    built = fold_all_bn(build_toy_detector(DetectorConfig.from_meta(meta)))
-    extra = sorted(set(arrays) - set(param_arrays(built)))
+    graph = _layer_chain(DetectorConfig.from_meta(meta), meta, read)
+    extra = sorted(set(arrays) - set(param_arrays(graph)))
     if extra:
         raise ValueError(f"arrays {extra} belong to no weight layer of the folded detector the config builds")
-    layers = []
-    for pos, layer in enumerate(built.layers):
-        if layer.is_weight_layer:
-            params = {name: arrays.get(f"{pos}.{name}") for name in ("weight", "bias")}
-            for name, arr in params.items():
-                want = getattr(layer, name).shape
-                if arr is None:
-                    problem = f"is missing (member '{pos}.{name}')"
-                elif arr.dtype != np.float32:
-                    problem = f"is {arr.dtype}, not float32"
-                elif arr.shape != want:
-                    problem = f"has shape {arr.shape}, but the config builds {want}"
-                elif not np.all(np.isfinite(arr)):
-                    problem = "holds NaN or inf"
-                else:
-                    continue
-                raise ValueError(f"layer {layer.name!r}: {name} {problem}")
-            layer = dataclasses.replace(layer, **params)
-        layers.append(layer)
-    return ModelGraph(layers=tuple(layers), meta=meta)
+    return graph
 
 
 def _npz_path(path) -> Path:
@@ -236,9 +240,9 @@ def save_model(graph: ModelGraph, path) -> Path:
     The 'manifest' member is a JSON string with exactly "format_version" (4),
     "meta" (holding the DetectorConfig) and "weights_sha256" (weights_digest).
     The other members are param_arrays: '<pos>.weight' and '<pos>.bias' for the
-    weight layer at position pos. load_model rebuilds the layers from the
-    config, so a graph that is not the folded detector its meta builds raises
-    ValueError. Precision tags are not saved: a plan is applied at execution.
+    weight layer at position pos. A graph that is not the folded detector its
+    meta describes, as load_model reads it, raises ValueError. Precision tags
+    are not saved: a plan is applied at execution.
     """
     arrays = param_arrays(graph)
     if not graphs_equal(_from_arrays(graph.meta, arrays), graph):
@@ -252,15 +256,14 @@ def save_model(graph: ModelGraph, path) -> Path:
 def load_model(path) -> ModelGraph:
     """Read a model written by save_model; never unpickles.
 
-    An unreadable file (the zip's CRC-32 catches a flipped byte), a malformed
-    manifest or config, another number of arrays than two per weight layer
-    of the config (counted before the network is built), an array that
-    belongs to no weight layer, is not float32, not finite or not the shape
-    of the layer the config builds, and arrays whose digest is not
-    "weights_sha256" (e.g. two swapped) raise ModelFormatError naming the
-    file, and the layer where there is one; another version raises
-    UnsupportedVersionError. Every layer loads at FP32: apply a plan to it
-    before execution.
+    The walk along the config's layer chain stops at the first array that
+    disagrees with it, so the work is bounded by the file. An unreadable
+    file (the zip's CRC-32 catches a flipped byte), a malformed manifest or
+    config, a layer's array that is missing, not float32, not finite or not
+    the config's shape, an array of no weight layer, and arrays whose digest
+    is not "weights_sha256" (e.g. two swapped) raise ModelFormatError naming
+    the file, and the layer where there is one; another version raises
+    UnsupportedVersionError. Every layer loads at FP32: apply a plan first.
     """
     path = _npz_path(path)
     try:
@@ -282,13 +285,6 @@ def load_model(path) -> ModelGraph:
     if set(manifest) != MANIFEST_KEYS:
         raise ModelFormatError(f"{path}: malformed manifest: keys {sorted(manifest)}, not {sorted(MANIFEST_KEYS)}")
     try:
-        cfg = DetectorConfig.from_meta(manifest["meta"])
-        # counted before the build, whose work grows with the config, not the
-        # file: the PFN, the neck, two heads and the block convs
-        n_layers = 4 + len(cfg.block_channels) * cfg.convs_per_block
-        if len(arrays) != 2 * n_layers:
-            raise ValueError(f"{len(arrays)} arrays, but the config builds {n_layers} weight layers, "
-                             f"a weight and a bias each")
         graph = _from_arrays(manifest["meta"], arrays)
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc

@@ -241,8 +241,30 @@ class TestStatsFromRanges:
     def test_missing_layer_names_the_layer_and_sample(self):
         ranges = per_sample([(0.0, 1.0, 0.0, 1.0), (0.0, 2.0, 0.0, 2.0)])
         del ranges[1][2]
-        with pytest.raises(ValueError, match=r"sample 1 has no range for layer 2 \('lin2'\)"):
+        with pytest.raises(ValueError, match=r"sample 1 has ranges for other layers than the model's 1\.\.2: "
+                                             r"missing \[2\], extra \[\]; ranges from another model\?"):
             stats_from_ranges(RANGE_GRAPH, ranges)
+
+    def test_ranges_of_a_deeper_model_are_rejected(self):
+        """A detector of four convs a block has 16 layers; their ranges would land
+        on the wrong layers of the 13-layer default, not fail on a missing index."""
+        cfg = DetectorConfig(grid=(8, 8), pfn_channels=4, block_channels=(4, 4, 4), neck_channels=4)
+        deeper = dataclasses.replace(cfg, convs_per_block=4)
+        ranges = [{i: (0.0, 1.0) for i in range(1, build_toy_detector(deeper).num_indexed + 1)}] * 2
+        stats_from_ranges(build_toy_detector(deeper), ranges)
+        with pytest.raises(ValueError, match=r"sample 0 has ranges for other layers than the model's 1\.\.13: "
+                                             r"missing \[\], extra \[14, 15, 16\]"):
+            stats_from_ranges(build_toy_detector(cfg), ranges)
+
+    @pytest.mark.parametrize("per_channel", [False, True])
+    def test_a_non_finite_weight_names_the_layer(self, per_channel):
+        """A NaN in a head weight reaches no observed activation, so only the weight's quant params see it."""
+        cfg = DetectorConfig(grid=(8, 8), pfn_channels=4, block_channels=(4, 4, 4), convs_per_block=1, neck_channels=4)
+        graph = fold_all_bn(build_toy_detector(cfg))
+        graph.layers[-2].weight[1, 0, 0, 0] = np.nan
+        samples = pillarize_dataset(generate_dataset(DatasetConfig(size=2), seed=3), cfg)
+        with pytest.raises(ValueError, match=r"^layer 6 \('bbox_head\.conv_cls'\): weight tensor contains non-finite"):
+            run_calibration(graph, samples, per_channel_weights=per_channel)
 
     @pytest.mark.parametrize("pos", [0, 1])
     @pytest.mark.parametrize("bad", [(math.nan, 1.0), (0.0, math.inf), (5.0, 1.0)], ids=["nan", "inf", "inverted"])

@@ -6,10 +6,13 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pillarmix import detector
 from pillarmix.calibration import run_calibration
@@ -374,22 +377,32 @@ def test_evaluate_rejects_a_head_of_the_wrong_width(head, shapes):
         evaluate(wide, parse_plan_label("FP32"), None, generate_dataset(DatasetConfig(size=2), seed=1), cfg)
 
 
-# the keys of fields that became constants, as manifests written before then hold them
-REMOVED_KEYS = {"n_classes": 3, "base_size": 2.5, "match_iou": 0.5, "max_points_per_pillar": 8}
-
-
-@pytest.mark.parametrize("cfg, old_keys", [
-    (DetectorConfig(), {}),
-    (TINY, {}),
-    (DetectorConfig(), REMOVED_KEYS),
-], ids=["cfg0", "cfg1", "pre_constants_meta"])
-def test_detector_config_survives_the_model_meta(cfg, old_keys, tmp_path):
-    meta = {"detector": {**cfg.to_meta(), **old_keys}}
+@pytest.mark.parametrize("cfg", [DetectorConfig(), TINY], ids=["cfg0", "cfg1"])
+def test_detector_config_survives_the_model_meta(cfg, tmp_path):
+    meta = {"detector": cfg.to_meta()}
     assert DetectorConfig.from_meta(meta) == cfg
-    graph = dataclasses.replace(fold_all_bn(build_toy_detector(cfg, seed=0)), meta=meta)
+    graph = fold_all_bn(build_toy_detector(cfg, seed=0))
+    assert graph.meta == meta
     loaded = load_model(save_model(graph, tmp_path / "toy"))
     assert graphs_equal(loaded, graph)
     assert DetectorConfig.from_meta(loaded.meta) == cfg
+
+
+@pytest.mark.parametrize("extra_keys", [
+    # the keys of fields that became constants, as no format-4 file holds them
+    {"n_classes": 3, "base_size": 2.5, "match_iou": 0.5, "max_points_per_pillar": 8},
+    {"n_classes": 4},
+], ids=["pre_constants_meta", "n_classes"])
+def test_a_meta_key_that_is_no_config_field_is_rejected(extra_keys, tmp_path):
+    """A key the config does not read would ride along in the loaded meta, unchecked."""
+    meta = {"detector": {**DetectorConfig().to_meta(), **extra_keys}}
+    names = re.escape(str(sorted(extra_keys)))
+    with pytest.raises(ValueError, match=rf"model meta's detector config has unknown keys {names}; pass cfg"):
+        DetectorConfig.from_meta(meta)
+    path = save_model(fold_all_bn(build_toy_detector()), tmp_path / "toy")
+    rewrite(path, lambda doc, arrays: doc["meta"]["detector"].update(extra_keys))
+    with pytest.raises(ModelFormatError, match=rf"toy\.npz: model meta's detector config has unknown keys {names}"):
+        load_model(path)
 
 
 def test_meta_without_the_config_names_the_missing_key():
@@ -586,15 +599,17 @@ class TestSerialization:
          r"layer 'backbone\.block0\.conv0': weight is float64, not float32"),
         (lambda arrays: arrays.update({"3.weight": arrays["3.weight"].reshape(8, 4, 6, 3)}),
          r"layer 'backbone\.block0\.conv0': weight has shape \(8, 4, 6, 3\), but the config builds \(8, 8, 3, 3\)"),
-        (lambda arrays: arrays.pop("5.bias"), r"13 arrays, but the config builds 7 weight layers, a weight and a bias"),
+        (lambda arrays: arrays.pop("5.bias"), r"layer 'backbone\.block2\.conv0': bias is missing \(member '5\.bias'\)"),
         (lambda arrays: arrays.update({"1.weight": arrays.pop("3.weight")}),
-         r"arrays \['1\.weight'\] belong to no weight layer"),
+         r"layer 'backbone\.block0\.conv0': weight is missing \(member '3\.weight'\)"),
         (lambda arrays: arrays.update({"10.weight": arrays.pop("9.weight")}),
-         r"arrays \['10\.weight'\] belong to no weight layer"),
+         r"layer 'bbox_head\.conv_reg': weight is missing \(member '9\.weight'\)"),
+        (lambda arrays: arrays.update({"1.weight": arrays["3.weight"]}),
+         r"arrays \['1\.weight'\] belong to no weight layer"),
         (lambda arrays: arrays.update({"3.bias": np.array([None, 1.0])}),
          r"not a readable model file: Object arrays cannot be loaded"),
     ], ids=["swapped_arrays", "float64_array", "misshapen_array", "missing_array", "glue_layer_array",
-            "array_past_the_chain", "pickled_array"])
+            "array_past_the_chain", "extra_array", "pickled_array"])
     def test_corrupt_array_names_the_file(self, tmp_path, corrupt, message):
         path = save_model(self.graph(), tmp_path / "toy")
         rewrite(path, lambda doc, arrays: corrupt(arrays))
@@ -602,12 +617,40 @@ class TestSerialization:
             load_model(path)
 
     def test_a_config_of_another_layer_count_fails_before_the_build(self, tmp_path, monkeypatch):
-        """The arrays are counted against the config before any layer of it is built."""
+        """The walk along the config's chain stops at the first layer the file
+        does not hold as the config describes it; no network is built."""
         path = save_model(fold_all_bn(build_toy_detector()), tmp_path / "toy")
         rewrite(path, lambda doc, arrays: doc["meta"]["detector"].update(convs_per_block=100))
         monkeypatch.setattr(detector, "build_toy_detector", lambda *args: pytest.fail("built the network"))
-        with pytest.raises(ModelFormatError, match=r"toy\.npz: 26 arrays, but the config builds 304 weight layers"):
+        with pytest.raises(ModelFormatError, match=r"toy\.npz: layer 'backbone\.block0\.conv3': weight has shape "
+                                                   r"\(24, 16, 3, 3\), but the config builds \(16, 16, 3, 3\)"):
             load_model(path)
+
+    @pytest.mark.parametrize("field, value, layer, shapes", [
+        ("pfn_channels", 16000, "voxel_encoder.pfn.linear", r"\(16, 5\), but the config builds \(16000, 5\)"),
+        ("neck_channels", 20000, "neck.conv", r"\(24, 32, 3, 3\), but the config builds \(20000, 32, 3, 3\)"),
+    ], ids=["pfn_16000", "neck_20000"])
+    def test_a_failing_load_costs_what_the_file_holds(self, tmp_path, field, value, layer, shapes):
+        """A meta edited to a huge width fails at the first layer it changes,
+        without allocating that width (building it peaks at about 30 and 70 MB)."""
+        path = save_model(fold_all_bn(build_toy_detector()), tmp_path / "toy")
+        rewrite(path, lambda doc, arrays: doc["meta"]["detector"].update({field: value}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match=rf"layer '{re.escape(layer)}': weight has shape {shapes}"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_a_load_draws_builds_and_folds_nothing(self, tmp_path, monkeypatch):
+        graph = fold_all_bn(build_toy_detector())
+        path = save_model(graph, tmp_path / "toy")
+        for module, name in ((detector, "build_toy_detector"), (detector, "fold_all_bn"), (np.random, "default_rng")):
+            monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: pytest.fail(f"called {name}"))
+        assert graphs_equal(load_model(path), graph)
+        save_model(graph, tmp_path / "again")  # nor does the save's check
 
     def test_the_config_is_the_only_description_of_the_layers(self, tmp_path):
         """A meta edited to another width no longer matches the arrays and fails
@@ -642,6 +685,42 @@ class TestSerialization:
         with pytest.raises(ValueError, match=match):
             save_model(graph, tmp_path / "toy")
         assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_any_small_config_round_trips_and_a_width_edit_fails_at_its_first_layer(self, tmp_path_factory, data):
+        """The file loads to the graph it was saved from; a meta edited to
+        another width fails naming the first layer whose weight it reshapes, or
+        loads unchanged when the width is the same."""
+        n_blocks = data.draw(st.integers(1, 3))
+        width = st.integers(1, 8)
+        strides = data.draw(st.tuples(*[st.integers(1, 2)] * n_blocks))
+        cfg = DetectorConfig(
+            grid=tuple(math.prod(strides) * data.draw(st.integers(1, 2)) for _ in range(2)),
+            pfn_channels=data.draw(width), block_channels=data.draw(st.tuples(*[width] * n_blocks)),
+            convs_per_block=data.draw(st.integers(1, 2)), block_strides=strides, neck_channels=data.draw(width),
+        )
+        graph = fold_all_bn(build_toy_detector(cfg, seed=data.draw(st.integers(0, 3))))
+        path = save_model(graph, tmp_path_factory.mktemp("model") / "toy")
+        loaded = load_model(path)
+        assert graphs_equal(loaded, graph) and weights_digest(loaded) == weights_digest(graph)
+
+        # a width's first weight layer: the PFN, a block's first conv, the neck
+        first = {"pfn_channels": "voxel_encoder.pfn.linear", "neck_channels": "neck.conv",
+                 **{b: f"backbone.block{b}.conv0" for b in range(n_blocks)}}
+        field, value = data.draw(st.sampled_from(sorted(first, key=str))), data.draw(width)
+        if isinstance(field, str):
+            edited, old = dataclasses.replace(cfg, **{field: value}), getattr(cfg, field)
+        else:
+            channels = list(cfg.block_channels)
+            old, channels[field] = channels[field], value
+            edited = dataclasses.replace(cfg, block_channels=tuple(channels))
+        rewrite(path, lambda doc, arrays: doc["meta"].update(detector=edited.to_meta()))
+        if value == old:
+            assert graphs_equal(load_model(path), graph)
+            return
+        with pytest.raises(ModelFormatError, match=rf"toy\.npz: layer '{re.escape(first[field])}': weight has shape"):
+            load_model(path)
 
     def test_a_plan_is_not_saved(self, tmp_path):
         """The file keeps weights, not the plan a graph was last tagged with."""
