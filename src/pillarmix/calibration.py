@@ -19,9 +19,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import EVAL_CHUNK, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
+from .model import ModelGraph, PrecisionPlan, apply_plan, eval_chunks, fold_all_bn, forward
 from .quant import DType, PerChannelQuantParams, QuantParams, compute_scale, weight_quant_params
-from .tensor_ops import PillarSample, int_at_least, stack_samples
+from .tensor_ops import PillarSample, int_at_least
 
 __all__ = [
     "CalibrationStats",
@@ -81,54 +81,40 @@ class CalibrationStats:
         return sorted(self.layers)
 
 
-def _scene_ranges(x: np.ndarray, pillar_bounds: np.ndarray | None, n: int) -> list[tuple[float, float]]:
-    """(min, max) of each of the n scenes in a stacked layer input, (0.0, 0.0) for an empty one.
+def _scene_ranges(x: np.ndarray, pillar_bounds: np.ndarray) -> list[tuple[float, float]]:
+    """(min, max) of each scene in a stacked layer input, (0.0, 0.0) for an empty one.
 
-    A [B, C, H, W] input, or a plain tensor (pillar_bounds None, n = 1), is
-    reduced per row of x.reshape(n, -1); a point-layer input [P_total, M, C]
+    A [B, C, H, W] image is reduced per scene; a point-layer input [P_total, M, C]
     over each scene's run of pillars, pillar_bounds[b]:pillar_bounds[b + 1].
     """
-    if pillar_bounds is not None and x.ndim != 4:
-        runs = [x[a:b] for a, b in zip(pillar_bounds[:-1], pillar_bounds[1:])]
-        return [(float(r.min()), float(r.max())) if r.size else (0.0, 0.0) for r in runs]
-    if x.size == 0:
-        return [(0.0, 0.0)] * n
-    flat = x.reshape(n, -1)
-    return list(zip(flat.min(axis=1).tolist(), flat.max(axis=1).tolist()))
+    if x.ndim == 4:
+        flat = x.reshape(len(x), -1)
+        return list(zip(flat.min(axis=1).tolist(), flat.max(axis=1).tolist()))
+    runs = [x[a:b] for a, b in zip(pillar_bounds[:-1], pillar_bounds[1:])]
+    return [(float(r.min()), float(r.max())) if r.size else (0.0, 0.0) for r in runs]
 
 
 def per_sample_ranges(
-    graph: ModelGraph, samples: Sequence
+    graph: ModelGraph, samples: Sequence[PillarSample]
 ) -> list[dict[int, tuple[float, float]]]:
-    """Per-layer input (min, max) for each sample, from full-precision forwards.
+    """Per-layer input (min, max) for each single-scene sample, from full-precision forwards.
 
-    Single-scene PillarSamples run EVAL_CHUNK at a time, as one stacked
-    forward per chunk; a plain tensor sample is a chunk of one. A sample's
-    ranges equal, bit for bit, those of a forward on it alone. A non-finite
-    range raises RuntimeError naming the layer and the sample's position, and
-    a PillarSample holding several scenes raises ValueError.
+    The samples run EVAL_CHUNK at a time (``model.eval_chunks``), as one
+    stacked forward per chunk. A sample's ranges equal, bit for bit, those of
+    a forward on it alone. A non-finite range raises RuntimeError naming the
+    layer and the sample's position, and a sample holding several scenes
+    raises ValueError.
     """
     folded = fold_all_bn(graph)
     fp32 = apply_plan(folded, PrecisionPlan(default=DType.FP32))
-    stacked = len(samples) > 0 and isinstance(samples[0], PillarSample)
-    step = EVAL_CHUNK if stacked else 1
     out: list[dict[int, tuple[float, float]]] = []
-    for start in range(0, len(samples), step):
-        chunk = samples[start : start + step]
-        ranges: list[dict[int, tuple[float, float]]] = [{} for _ in chunk]
-        if stacked:
-            batch = stack_samples(chunk)
-            if batch.num_scenes != len(chunk):
-                raise ValueError(
-                    f"calibration samples {start}..{start + len(chunk) - 1} hold "
-                    f"{batch.num_scenes} scenes; each PillarSample must hold one"
-                )
-            pillar_bounds = np.cumsum([0] + [s.features.shape[0] for s in chunk])
-        else:
-            batch, pillar_bounds = chunk[0], None
+    for start, batch in eval_chunks(samples):
+        ranges: list[dict[int, tuple[float, float]]] = [{} for _ in range(batch.num_scenes)]
+        # the batch holds its scenes' pillars in scene order
+        pillar_bounds = np.searchsorted(batch.scene_ids, np.arange(batch.num_scenes + 1))
 
         def record(layer, x):
-            for b, (lo, hi) in enumerate(_scene_ranges(x, pillar_bounds, len(chunk))):
+            for b, (lo, hi) in enumerate(_scene_ranges(x, pillar_bounds)):
                 if not (np.isfinite(lo) and np.isfinite(hi)):
                     raise RuntimeError(
                         f"non-finite activation at layer {layer.index} ({layer.name!r}) "

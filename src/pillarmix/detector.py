@@ -29,11 +29,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .metrics import Detection, EvalResult, _padded, _slots, ap40, iou_matrix
-from .model import (EVAL_CHUNK, BatchNorm, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward,
+from .model import (BatchNorm, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, eval_chunks, fold_all_bn, forward,
                     graphs_equal, param_arrays, weights_digest)
 from .qat import TrainExample
 from .scenes import CLASS_NAMES, FIELD_SIZE, POINT_FEATURES, Scene, pillarize
-from .tensor_ops import ConvParams, PillarSample, int_at_least, int_pair_at_least, is_real, sigmoid, stack_samples
+from .tensor_ops import ConvParams, PillarSample, int_at_least, int_pair_at_least, is_real, sigmoid
 
 __all__ = [
     "DetectorConfig",
@@ -117,10 +117,14 @@ class DetectorConfig:
     @staticmethod
     def from_meta(meta: dict) -> "DetectorConfig":
         """The config from the fields a manifest holds; a meta or "detector"
-        entry that is not an object, a missing "detector" entry or field, or a
-        key that is no field raises ValueError naming it."""
+        entry that is not an object, a meta key other than "detector", a
+        missing "detector" entry or field, or a key that is no field raises
+        ValueError naming it."""
         if not isinstance(meta, dict):
             raise ValueError(f"model meta is {type(meta).__name__}, not an object; pass cfg")
+        extra = sorted(set(meta) - {"detector"}, key=str)
+        if extra:
+            raise ValueError(f"model meta has keys {extra} besides 'detector'; pass cfg")
         try:
             det = meta["detector"]
             if not isinstance(det, dict):
@@ -345,15 +349,15 @@ def _local_peaks(score_maps: np.ndarray) -> np.ndarray:
 
 
 def _decode_batch(cls_maps: np.ndarray, reg_maps: np.ndarray, cfg: DetectorConfig,
-                  first: int | None = None) -> list[list[Detection]]:
+                  first: int = 0) -> list[list[Detection]]:
     """decode_and_nms of each scene of [B, C, H', W'] class and [B, 4, H', W']
     box maps, all scenes and classes at once.
 
     One stable sort orders the peaks by (scene, class, descending score), ties
     in row-major cell order; one padded IoU [B * C, K, K] over each (scene,
     class) group's K candidates serves a greedy pass over rank that runs for
-    all groups together. first, when given, is the position of the batch's
-    first scene in its dataset, and a NaN error names the scene by it.
+    all groups together. first is the position of the batch's first scene in
+    its dataset, and a NaN error names the scene by it.
     """
     if cls_maps.shape[1] != len(CLASS_NAMES) or reg_maps.shape != (len(cls_maps), 4, *cls_maps.shape[2:]):
         raise ValueError(
@@ -365,8 +369,7 @@ def _decode_batch(cls_maps: np.ndarray, reg_maps: np.ndarray, cfg: DetectorConfi
     for what, values in (("class", cls_maps), ("box", reg_maps)):
         bad = np.isnan(values).any(axis=(1, 2, 3))
         if bad.any():
-            where = "" if first is None else f" of scene {first + int(np.argmax(bad))}"
-            raise ValueError(f"decode_and_nms got a NaN in the {what} map{where}")
+            raise ValueError(f"decode_and_nms got a NaN in the {what} map of scene {first + int(np.argmax(bad))}")
     n_scenes, n_classes, oh, ow = cls_maps.shape
     cell_h = FIELD_SIZE / oh
     cell_w = FIELD_SIZE / ow
@@ -401,23 +404,20 @@ def _decode_batch(cls_maps: np.ndarray, reg_maps: np.ndarray, cfg: DetectorConfi
 def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig) -> list[Detection]:
     """Local-peak box decoding followed by per-class greedy NMS, for one scene.
 
-    cls_map [C, H', W'] (or [1, C, H', W']) holds one scene's class logits,
-    reg_map its 4 box offsets per cell. Per class, the peaks scoring at least
-    cfg.score_thresh are visited by descending score (ties in row-major cell
-    order), and each is kept unless its IoU with an already kept box of the
-    class reaches cfg.nms_iou. A 4-D map holding more than one scene, maps
-    with other than len(CLASS_NAMES) class or 4 box channels, a box map on
-    another grid than the class map, or a NaN in either map raise ValueError
-    (an infinite logit is a legal score of 0 or 1). detect decodes a whole
-    batch of scenes this way at once.
+    cls_map [1, C, H', W'] and reg_map [1, 4, H', W'] are one scene's class
+    logits and box offsets, as forward returns the heads of a batch of one.
+    Per class, the peaks scoring at least cfg.score_thresh are visited by
+    descending score (ties in row-major cell order), and each is kept unless
+    its IoU with an already kept box of the class reaches cfg.nms_iou. Maps
+    of another shape (not one scene, or not len(CLASS_NAMES) class and 4 box
+    channels on one grid) or a NaN in either map raise ValueError; an
+    infinite logit is a legal score of 0 or 1. detect decodes a whole batch
+    of scenes this way at once.
     """
-    if cls_map.ndim == 4:
-        if cls_map.shape[0] != 1 or reg_map.shape[0] != 1:
-            raise ValueError(
-                f"decode_and_nms takes one scene; got maps of shape {cls_map.shape} and {reg_map.shape}"
-            )
-        cls_map, reg_map = cls_map[0], reg_map[0]
-    return _decode_batch(cls_map[None], reg_map[None], cfg)[0]
+    if cls_map.ndim != 4 or len(cls_map) != 1:
+        raise ValueError(f"decode_and_nms takes one scene's [1, C, H', W'] maps; "
+                         f"got {cls_map.shape} and {reg_map.shape}")
+    return _decode_batch(cls_map, reg_map, cfg)[0]
 
 
 def detect(
@@ -433,8 +433,9 @@ def detect(
     The scenes run through batched forwards of EVAL_CHUNK scenes each, and
     each chunk's head maps are decoded at once; a scene's detections do not
     depend on the chunking. samples, when given, are the pillarized scenes of
-    dataset, one per scene. A NaN in a scene's head maps raises ValueError
-    naming the scene's position in dataset and the map.
+    dataset, one single-scene sample per scene; a sample holding several
+    scenes raises ValueError naming its position. A NaN in a scene's head
+    maps raises ValueError naming the scene's position in dataset and the map.
     """
     cfg = cfg or DetectorConfig.from_meta(graph.meta)
     planned = apply_plan(fold_all_bn(graph), plan)
@@ -443,8 +444,7 @@ def detect(
     if len(samples) != len(dataset):
         raise ValueError(f"{len(samples)} pillarized samples for {len(dataset)} scenes")
     dets_per_scene = []
-    for start in range(0, len(samples), EVAL_CHUNK):
-        batch = stack_samples(samples[start : start + EVAL_CHUNK])
+    for start, batch in eval_chunks(samples):
         dets_per_scene.extend(_decode_batch(*forward(planned, batch, stats=stats), cfg, first=start))
     return dets_per_scene
 
@@ -471,19 +471,11 @@ def evaluate(
 
 
 def make_train_examples(scenes: Sequence[Scene], cfg: DetectorConfig):
-    """Pillarize scenes and attach center-cell targets for the detection loss."""
+    """Pillarize scenes and attach center-cell targets for the detection loss,
+    each scene a TrainExample of one."""
     examples = []
     for scene, sample in zip(scenes, pillarize_dataset(scenes, cfg)):
-        cls_t, reg_t, pos, ignore = encode_targets(scene, cfg)
-        examples.append(
-            TrainExample(
-                sample=sample,
-                cls_target=cls_t,
-                reg_target=reg_t,
-                pos_mask=pos,
-                ignore_mask=ignore,
-            )
-        )
+        examples.append(TrainExample(sample, *(t[None] for t in encode_targets(scene, cfg))))
     return examples
 
 

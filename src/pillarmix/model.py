@@ -10,10 +10,10 @@ layers that all consume the same trunk tensor. BN is folded into the
 weights before execution (``fold_all_bn``); ``forward`` rejects a
 layer that still carries it. Execution is precision-aware: INT8 layers
 fake-quantize their input activation and weight, FP16 layers round both
-through binary16, FP32 layers run untouched. Inside ``forward`` images are
-channels-last ``[B, H, W, C]``, the layout of the ``tensor_ops`` kernels;
-NCHW appears only at its edges: a plain 4-D input, what ``observe_fn``
-sees, and the outputs.
+through binary16, FP32 layers run untouched. ``forward`` maps a batch of
+pillarized scenes to one output per head. Inside it images are channels-last
+``[B, H, W, C]``, the layout of the ``tensor_ops`` kernels; NCHW appears only
+at its edges: what ``observe_fn`` sees, and the head outputs.
 
 This module knows no file format: a model file is a detector config plus
 its folded weights, written and read by ``detector.save_model`` and
@@ -27,7 +27,7 @@ import copy
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .quant import (
     fp16_roundtrip,
 )
 from .tensor_ops import (ConvParams, PillarSample, conv2d, int_at_least, int_pair_at_least, linear, max_over_points,
-                         relu, scatter_pillars, upsample2x)
+                         relu, scatter_pillars, stack_samples, upsample2x)
 
 __all__ = [
     "BatchNorm",
@@ -51,6 +51,7 @@ __all__ = [
     "TapeEntry",
     "apply_plan",
     "dtype_boundaries",
+    "eval_chunks",
     "fold_all_bn",
     "fold_bn",
     "forward",
@@ -66,6 +67,19 @@ __all__ = [
 # set (x86-64, numpy 2.4, OpenBLAS), one unchunked forward raised peak RSS by
 # about 11 MB over per-scene forwards, chunks of 16 scenes by about 1 MB.
 EVAL_CHUNK = 16
+
+
+def eval_chunks(samples: Sequence[PillarSample]) -> Iterator[tuple[int, PillarSample]]:
+    """(start, batch) for each run of EVAL_CHUNK samples from position start,
+    stacked. Each sample must hold one scene, so that scene b of a batch is
+    sample start + b; else ValueError names the samples' positions."""
+    several = {i: s.num_scenes for i, s in enumerate(samples) if s.num_scenes != 1}
+    if several:
+        raise ValueError(f"samples at positions {list(several)} hold {list(several.values())} scenes; "
+                         "each PillarSample must hold one")
+    for start in range(0, len(samples), EVAL_CHUNK):
+        yield start, stack_samples(samples[start : start + EVAL_CHUNK])
+
 
 WEIGHT_KINDS = ("linear", "conv2d")
 # The LayerSpec fields besides name and kind that each kind reads; a layer
@@ -327,25 +341,20 @@ def _kernel_inputs(layer: LayerSpec, x: np.ndarray, stats):
 
 def forward(
     graph: ModelGraph,
-    x: np.ndarray | PillarSample,
+    sample: PillarSample,
     stats: Mapping | None = None,
     observe_fn: Callable[[LayerSpec, np.ndarray], None] | None = None,
     tape: list | None = None,
-):
-    """Run the chain on x; returns the final tensor, or a tuple per head.
+) -> tuple[np.ndarray, ...]:
+    """Run the chain on a batch of pillarized scenes; returns a tuple of head outputs.
 
-    x is a plain tensor or a PillarSample. A PillarSample may stack B scenes
-    (see ``tensor_ops.stack_samples``); every layer then runs once for the
-    whole batch: the point layers on the [P_total, max_points, C] pillars of
-    all scenes, the scatter into a pseudo-image and the convs on that, so
-    each head output is [B, F, H', W']. A single pillarized scene is a batch
-    of one, with B = 1. Scene b's outputs equal those of a forward on that
-    scene alone, bit for bit.
-
-    Images run channels-last, [B, H, W, C], from the scatter (or the input)
-    to the outputs. NCHW exists only at the edges: a plain 4-D input is an
-    NCHW image, observe_fn sees a 4-D layer input as an NCHW view, and a 4-D
-    output comes back as a C-contiguous [B, C, H, W] array.
+    sample stacks B scenes (``tensor_ops.stack_samples``); a single scene is
+    a batch of one. Every layer runs once for the whole batch, so each head
+    output is [B, F, H', W'], and scene b's outputs equal those of a forward
+    on that scene alone, bit for bit. A chain with no head raises ValueError.
+    Images run channels-last, [B, H, W, C], from the scatter to the heads;
+    NCHW exists only at the edges: observe_fn sees a 4-D layer input as an
+    NCHW view, and each head output is a C-contiguous [B, C, H, W] array.
 
     Batch norm is folded before execution (``fold_all_bn``); a layer that
     still carries BN raises ValueError naming it. stats must cover every
@@ -355,11 +364,9 @@ def forward(
     layer. A NaN reaching an INT8 or FP16 layer's precision transform raises
     ValueError naming the layer.
     """
-    sample = x if isinstance(x, PillarSample) else None
-    current = sample.features if sample is not None else np.asarray(x, dtype=np.float32)
-    if current.ndim == 4:
-        current = current.transpose(0, 2, 3, 1)
-
+    if not any(layer.is_head for layer in graph.layers):
+        raise ValueError("the chain has no head layer; forward returns the head outputs")
+    current = sample.features
     head_outputs: list[np.ndarray] = []
     for layer in graph.layers:
         if layer.is_weight_layer:
@@ -380,8 +387,6 @@ def forward(
             if tape is not None:
                 tape.append(TapeEntry(layer, current, x_used=x_used, w_used=w_used, quant=quant, out=out))
         else:
-            if sample is None and layer.kind != "upsample2x":
-                raise ValueError(f"{layer.kind} layer {layer.name!r} needs a PillarSample input")
             if layer.kind == "maxpool":
                 out = max_over_points(current, sample.point_mask)
             elif layer.kind == "scatter":
@@ -400,10 +405,7 @@ def forward(
             head_outputs.append(np.ascontiguousarray(_nchw(out)))
         else:
             current = out
-
-    if head_outputs:
-        return tuple(head_outputs)
-    return np.ascontiguousarray(_nchw(current))
+    return tuple(head_outputs)
 
 
 def _nchw(x: np.ndarray) -> np.ndarray:

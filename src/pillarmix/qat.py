@@ -59,9 +59,9 @@ class TrainConfig:
             value = getattr(self, name)
             if not (is_real(value) and 0.0 < value < math.inf):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        for name in ("epochs", "batch_size"):
-            if not int_at_least(getattr(self, name), 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            if not int_at_least(getattr(self, name), low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
         if not (is_real(self.momentum) and 0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must be a number in [0, 1), got {self.momentum!r}")
         if not (is_real(self.max_grad_norm) and self.max_grad_norm >= 0.0):
@@ -70,9 +70,9 @@ class TrainConfig:
 
 @dataclass
 class TrainExample:
-    """Pillarized scenes and their ``detector.encode_targets`` targets: one
-    scene's (cls [C, H', W'], reg [4, H', W'], masks [H', W']), or a stacked
-    sample of B scenes and their targets along a leading batch axis."""
+    """A batch of B pillarized scenes and their ``detector.encode_targets``
+    targets along a leading batch axis: cls [B, C, H', W'], reg [B, 4, H', W']
+    and the masks [B, H', W']. One scene's example is a batch of one."""
 
     sample: PillarSample
     cls_target: np.ndarray
@@ -102,16 +102,14 @@ def ste_fake_quant_backward(
 def detection_loss(outputs, example: TrainExample, cfg: TrainConfig):
     """Weighted BCE on the class map plus MSE on box offsets at positive cells.
 
-    outputs are the head outputs of B scenes, example their targets (one
-    scene's example is B = 1). Both terms of a scene are normalized by its own
+    outputs are the head outputs of B scenes, example their targets, with the
+    same leading batch axis. Both terms of a scene are normalized by its own
     number of positive cells, so the per-object gradient does not vanish as
     the map grows. The loss is the sum over scenes, and scene b's slice of the
     output gradients is that of the loss on scene b alone.
     """
     cls_map, reg_map = outputs
     t, reg_t, pos, ignore = example.cls_target, example.reg_target, example.pos_mask, example.ignore_mask
-    if t.ndim < cls_map.ndim:  # one scene's targets
-        t, reg_t, pos, ignore = t[None], reg_t[None], pos[None], ignore[None]
     if t.shape != cls_map.shape or reg_t.shape != reg_map.shape:
         raise ValueError(
             f"targets {t.shape} and {reg_t.shape} do not match "
@@ -190,19 +188,19 @@ def _layer_backward(entry: TapeEntry, dout: np.ndarray):
     return _kernel_backward(entry, x, do2, dxp[:, ph : ph + h, pw : pw + wd])
 
 
-def backward(tape: list[TapeEntry], d_outputs) -> GradState:
-    """Weight/bias gradients from the output gradients over a tape.
+def backward(tape: list[TapeEntry], d_outputs: Sequence[np.ndarray]) -> GradState:
+    """Weight/bias gradients from the head output gradients over a tape.
 
-    With head layers, d_outputs holds one gradient per head, in head order,
-    and the trunk gets their sum; otherwise it is the final output's gradient.
+    d_outputs holds one gradient per head, in head order, each shaped as
+    forward returned its head (an image NCHW); another count raises
+    ValueError. The trunk gets the sum of the heads' input gradients.
     """
-    douts = list(d_outputs) if isinstance(d_outputs, (tuple, list)) else [d_outputs]
-    douts = [d.transpose(0, 2, 3, 1) if d.ndim == 4 else d for d in douts]  # NCHW, as forward returns
+    douts = [d.transpose(0, 2, 3, 1) if d.ndim == 4 else d for d in d_outputs]
     n_heads = sum(1 for entry in tape if entry.layer.is_head)
-    if n_heads and len(douts) != n_heads:
+    if len(douts) != n_heads:
         raise ValueError(f"{len(douts)} output gradients for {n_heads} heads")
     grads: GradState = {}
-    current = None if n_heads else douts[0]
+    current = None
     for entry in reversed(tape):
         dout = douts.pop() if entry.layer.is_head else current
         dx, dparams = _layer_backward(entry, dout)
@@ -218,7 +216,7 @@ def backward(tape: list[TapeEntry], d_outputs) -> GradState:
 
 
 def _stack_examples(examples: Sequence[TrainExample]) -> TrainExample:
-    targets = [np.stack([getattr(e, f.name) for e in examples]) for f in dataclasses.fields(TrainExample)[1:]]
+    targets = [np.concatenate([getattr(e, f.name) for e in examples]) for f in dataclasses.fields(TrainExample)[1:]]
     return TrainExample(stack_samples([e.sample for e in examples]), *targets)
 
 

@@ -219,8 +219,6 @@ def scatter_pillars(
     if scenes.shape != (p,):
         raise ValueError(f"scatter got {p} pillars but scene ids of shape {scenes.shape}")
     out = np.zeros((num_scenes, h, w, c), dtype=np.float32)
-    if p == 0:
-        return out
     rows, cols = coords[:, 0], coords[:, 1]
     bad = (rows < 0) | (rows >= h) | (cols < 0) | (cols >= w)
     if bad.any():
@@ -242,8 +240,6 @@ def max_over_points(features: np.ndarray, point_mask: np.ndarray) -> np.ndarray:
 
     Padding rows are excluded; every pillar must hold at least one real point.
     """
-    if features.shape[0] == 0:
-        return np.zeros((0, features.shape[2]), dtype=np.float32)
     if not point_mask.any(axis=1).all():
         raise ValueError("pillar with no real points cannot be max-pooled")
     masked = np.where(point_mask[:, :, None], features, np.float32(-np.inf))

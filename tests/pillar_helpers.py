@@ -1,0 +1,18 @@
+"""Test helper: an [N, C] array as a one-scene PillarSample, the only input
+that model.forward, calibration and qat take."""
+
+import numpy as np
+
+from pillarmix.tensor_ops import PillarSample
+
+GRID = (16, 16)
+
+
+def one_scene(points) -> PillarSample:
+    """points [N, C] as a scene of N pillars holding one point each, in the
+    first N cells of a GRID in row-major order. A chain of linear layers maps
+    it to [N, 1, C']; an empty array is a scene without pillars."""
+    points = np.asarray(points, dtype=np.float32)
+    coords = np.stack(np.divmod(np.arange(len(points)), GRID[1]), axis=1)
+    return PillarSample(features=points[:, None], point_mask=np.ones((len(points), 1), bool),
+                        coords=coords, grid=GRID)

@@ -23,6 +23,8 @@ from pillarmix.quant import PerChannelQuantParams, QuantParams
 from pillarmix.scenes import DatasetConfig, Scene, generate_dataset
 from pillarmix.tensor_ops import stack_samples
 
+from pillar_helpers import one_scene
+
 
 def chain(rng, widths=(6, 6, 4)):
     layers = []
@@ -35,6 +37,7 @@ def chain(rng, widths=(6, 6, 4)):
                 weight=rng.normal(scale=0.5, size=(dout, din)).astype(np.float32),
                 bias=rng.normal(scale=0.1, size=dout).astype(np.float32),
                 relu=True,
+                is_head=i == len(widths) - 1,
             )
         )
         din = dout
@@ -70,19 +73,19 @@ class TestSelectCalibSet:
 class TestRunCalibration:
     def test_all_zero_sample_degenerate_scales(self):
         g = chain(np.random.default_rng(0))
-        stats = run_calibration(g, [np.zeros((3, 6), np.float32)])
+        stats = run_calibration(g, [one_scene(np.zeros((3, 6)))])
         assert stats[1].act_qp.scale == 1.0  # degenerate fallback
 
     def test_every_indexed_layer_covered(self):
         g = chain(np.random.default_rng(1))
-        stats = run_calibration(g, [np.random.default_rng(2).normal(size=(3, 6)).astype(np.float32)])
+        stats = run_calibration(g, [one_scene(np.random.default_rng(2).normal(size=(3, 6)))])
         assert stats.indices() == [1, 2]
 
     def test_sequential_equals_merged(self):
         rng = np.random.default_rng(3)
         g = chain(rng)
-        a = rng.normal(size=(2, 6)).astype(np.float32)
-        b = rng.normal(size=(5, 6)).astype(np.float32)
+        a = one_scene(rng.normal(size=(2, 6)))
+        b = one_scene(rng.normal(size=(5, 6)))
         both = run_calibration(g, [a, b])
         ranges = per_sample_ranges(g, [a]) + per_sample_ranges(g, [b])
         merged = stats_from_ranges(g, ranges)
@@ -93,15 +96,14 @@ class TestRunCalibration:
     def test_scale_obeys_formula_exactly(self):
         rng = np.random.default_rng(4)
         g = chain(rng)
-        x = rng.normal(size=(4, 6)).astype(np.float32)
-        stats = run_calibration(g, [x])
+        stats = run_calibration(g, [one_scene(rng.normal(size=(4, 6)))])
         assert stats[1].act_qp.scale == max(abs(stats[1].act_min), abs(stats[1].act_max)) / 127.0
 
     def test_non_finite_activation_names_layer_and_sample(self):
         rng = np.random.default_rng(5)
         g = chain(rng)
-        bad = np.full((1, 6), np.inf, dtype=np.float32)
-        good = rng.normal(size=(1, 6)).astype(np.float32)
+        bad = one_scene(np.full((1, 6), np.inf))
+        good = one_scene(rng.normal(size=(1, 6)))
         with pytest.raises(RuntimeError, match="layer 1 .* sample 1"):
             run_calibration(g, [good, bad])
 
@@ -113,14 +115,14 @@ class TestRunCalibration:
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(7)
         g = chain(rng)
-        xs = [rng.normal(size=(3, 6)).astype(np.float32) for _ in range(3)]
+        xs = [one_scene(rng.normal(size=(3, 6))) for _ in range(3)]
         a = run_calibration(g, xs, seed=1)
         b = run_calibration(g, xs, seed=1)
         assert a == b
 
     def test_per_channel_weight_mode(self):
         g = chain(np.random.default_rng(8))
-        x = np.random.default_rng(9).normal(size=(3, 6)).astype(np.float32)
+        x = one_scene(np.random.default_rng(9).normal(size=(3, 6)))
         stats = run_calibration(g, [x], per_channel_weights=True)
         assert isinstance(stats[1].weight_qp, PerChannelQuantParams)
 
@@ -177,19 +179,19 @@ class TestPerSampleRanges:
         with pytest.raises(RuntimeError, match=rf"layer 1 \('voxel_encoder.pfn.linear'\) on calibration sample {bad}$"):
             per_sample_ranges(graph, broken)
 
-    def test_plain_tensor_samples_are_reduced_whole(self):
+    def test_a_scene_of_a_point_layer_chain_is_reduced_whole(self):
         rng = np.random.default_rng(23)
         g = chain(rng)
-        xs = [rng.normal(size=(3, 6)).astype(np.float32), np.zeros((0, 6), np.float32),
-              rng.normal(size=(5, 6)).astype(np.float32)]
+        points = [rng.normal(size=(3, 6)), np.zeros((0, 6)), rng.normal(size=(5, 6))]
+        xs = [one_scene(p) for p in points]
         ranges = per_sample_ranges(g, xs)
         assert repr(ranges) == repr(per_scene_reference(g, xs))
-        assert ranges[0][1] == (float(xs[0].min()), float(xs[0].max()))
+        assert ranges[0][1] == (float(xs[0].features.min()), float(xs[0].features.max()))
         assert ranges[1] == {1: (0.0, 0.0), 2: (0.0, 0.0)}
 
     def test_rejects_a_sample_of_several_scenes(self, detector_samples):
         graph, samples = detector_samples
-        with pytest.raises(ValueError, match="samples 0..1 hold 3 scenes; each PillarSample must hold one"):
+        with pytest.raises(ValueError, match=r"positions \[1\] hold \[2\] scenes; each PillarSample must hold one"):
             per_sample_ranges(graph, [samples[0], stack_samples(samples[1:3])])
 
     @pytest.mark.parametrize("n", [1, EVAL_CHUNK, EVAL_CHUNK + 3])
@@ -204,10 +206,6 @@ class TestPerSampleRanges:
         monkeypatch.setattr(calibration, "forward", counting_forward)
         per_sample_ranges(graph, samples[:n])
         assert len(calls) == math.ceil(n / EVAL_CHUNK)
-        rng = np.random.default_rng(24)
-        calls.clear()
-        per_sample_ranges(chain(rng), [rng.normal(size=(2, 6)).astype(np.float32) for _ in range(3)])
-        assert len(calls) == 3
 
 
 RANGE_GRAPH = chain(np.random.default_rng(20))
@@ -300,7 +298,7 @@ class TestNestedMonotonicity:
     def test_supersets_widen_ranges(self):
         rng = np.random.default_rng(10)
         g = chain(rng)
-        dataset = [rng.normal(scale=1 + i % 5, size=(3, 6)).astype(np.float32) for i in range(64)]
+        dataset = [one_scene(rng.normal(scale=1 + i % 5, size=(3, 6))) for i in range(64)]
         ranges = per_sample_ranges(g, dataset)
         for seed in range(3):
             prev_max = {i: -np.inf for i in (1, 2)}
@@ -319,7 +317,7 @@ class TestCalibSizeSweep:
     def test_single_row_case(self):
         rng = np.random.default_rng(13)
         g = chain(rng)
-        dataset = [rng.normal(size=(3, 6)).astype(np.float32) for _ in range(8)]
+        dataset = [one_scene(rng.normal(size=(3, 6))) for _ in range(8)]
         rows = calib_size_sweep(g, dataset, sizes=[4], seeds=[0], evaluator=lambda s: 1.0)
         assert len(rows) == 2  # one per indexed layer
         assert {r["layer"] for r in rows} == {1, 2}
@@ -330,12 +328,12 @@ class TestCalibSizeSweep:
         """A repeated size would emit its rows twice."""
         g = chain(np.random.default_rng(14))
         with pytest.raises(ValueError, match=rf"sizes must be strictly ascending, got {re.escape(str(sizes))}"):
-            calib_size_sweep(g, [np.zeros((1, 6), np.float32)] * 8, sizes, [0], lambda s: 0.0)
+            calib_size_sweep(g, [one_scene(np.zeros((1, 6)))] * 8, sizes, [0], lambda s: 0.0)
 
     def test_nested_mode_max_column_monotone(self):
         rng = np.random.default_rng(15)
         g = chain(rng)
-        dataset = [rng.normal(scale=1 + (i % 7), size=(2, 6)).astype(np.float32) for i in range(32)]
+        dataset = [one_scene(rng.normal(scale=1 + (i % 7), size=(2, 6))) for i in range(32)]
         rows = calib_size_sweep(
             g, dataset, sizes=[2, 8, 32], seeds=[0, 1], evaluator=lambda s: 0.0, nested=True
         )
@@ -349,7 +347,7 @@ class TestCalibSizeSweep:
     def test_matches_direct_calibration(self):
         rng = np.random.default_rng(16)
         g = chain(rng)
-        dataset = [rng.normal(size=(2, 6)).astype(np.float32) for _ in range(16)]
+        dataset = [one_scene(rng.normal(size=(2, 6))) for _ in range(16)]
         rows = calib_size_sweep(g, dataset, sizes=[4], seeds=[7], evaluator=lambda s: 0.0)
         direct = run_calibration(g, [dataset[i] for i in select_calib_set(16, n=4, seed=7)])
         by_layer = {r["layer"]: r["max_observed"] for r in rows}

@@ -25,8 +25,10 @@ from pillarmix.model import (
 from pillarmix.quant import DType
 from pillarmix.tensor_ops import ConvParams, conv2d, linear, relu
 
+from pillar_helpers import one_scene
 
-def linear_layer(index, din, dout, rng, name=None, relu_flag=False, bn=None):
+
+def linear_layer(index, din, dout, rng, name=None, relu_flag=False, bn=None, head=False):
     return LayerSpec(
         name=name or f"lin{index}",
         kind="linear",
@@ -34,6 +36,7 @@ def linear_layer(index, din, dout, rng, name=None, relu_flag=False, bn=None):
         bias=rng.normal(scale=0.1, size=dout).astype(np.float32),
         relu=relu_flag,
         bn=bn,
+        is_head=head,
     )
 
 
@@ -136,7 +139,7 @@ def two_layer_graph(rng):
     return ModelGraph(
         layers=(
             linear_layer(1, 6, 6, rng, relu_flag=True),
-            linear_layer(2, 6, 4, rng),
+            linear_layer(2, 6, 4, rng, head=True),
         )
     )
 
@@ -227,7 +230,7 @@ class TestPrecisionPlan:
         """'int8' runs INT8, bit for bit; an unknown name raises instead of running FP32."""
         rng = np.random.default_rng(19)
         g = two_layer_graph(rng)
-        x = rng.normal(size=(3, 6)).astype(np.float32)
+        x = one_scene(rng.normal(size=(3, 6)))
         stats = run_calibration(g, [x])
         for by_name, by_dtype in [
             (PrecisionPlan(default="int8"), PrecisionPlan(default=DType.INT8)),
@@ -266,9 +269,10 @@ class TestForward:
     def test_all_fp32_equals_plain_kernel_chain(self):
         rng = np.random.default_rng(10)
         g = two_layer_graph(rng)
-        x = rng.normal(size=(3, 6)).astype(np.float32)
-        got = forward(g, x)
-        want = linear(relu(linear(x, g.layers[0].weight, g.layers[0].bias)), g.layers[1].weight, g.layers[1].bias)
+        sample = one_scene(rng.normal(size=(3, 6)))
+        (got,) = forward(g, sample)
+        lin1, lin2 = g.layers
+        want = linear(relu(linear(sample.features, lin1.weight, lin1.bias)), lin2.weight, lin2.bias)
         np.testing.assert_array_equal(got, want)
 
     def test_int8_identity_linear_error_bound(self):
@@ -278,71 +282,80 @@ class TestForward:
             kind="linear",
             weight=np.eye(8, dtype=np.float32),
             bias=np.zeros(8, np.float32),
+            is_head=True,
         )
         g = ModelGraph(layers=(layer,))
         x = rng.uniform(-2.0, 2.0, size=(4, 8)).astype(np.float32)
-        stats = run_calibration(g, [x])
+        stats = run_calibration(g, [one_scene(x)])
         q = apply_plan(g, PrecisionPlan(default=DType.INT8))
-        out = forward(q, x, stats=stats)
+        (out,) = forward(q, one_scene(x), stats=stats)
         scale = stats[1].act_qp.scale
-        assert np.max(np.abs(out - x)) <= scale / 2 + 1e-6
+        assert np.max(np.abs(out[:, 0] - x)) <= scale / 2 + 1e-6
 
     def test_fp16_fixed_points_match_fp32(self):
         rng = np.random.default_rng(12)
         w = rng.integers(-8, 9, size=(4, 4)).astype(np.float32) / 4.0
-        layer = LayerSpec(name="h", kind="linear", weight=w, bias=np.zeros(4, np.float32))
+        layer = LayerSpec(name="h", kind="linear", weight=w, bias=np.zeros(4, np.float32), is_head=True)
         g = ModelGraph(layers=(layer,))
-        x = (rng.integers(-32, 33, size=(2, 4)) / 8.0).astype(np.float32)
-        fp32_out = forward(g, x)
+        x = one_scene(rng.integers(-32, 33, size=(2, 4)) / 8.0)
+        (fp32_out,) = forward(g, x)
         h = apply_plan(g, PrecisionPlan(default=DType.FP16))
-        np.testing.assert_array_equal(forward(h, x), fp32_out)
+        np.testing.assert_array_equal(forward(h, x)[0], fp32_out)
 
     def test_missing_quant_params_names_layer(self):
         g = two_layer_graph(np.random.default_rng(13))
         q = apply_plan(g, PrecisionPlan(default=DType.INT8))
         with pytest.raises(RuntimeError, match="layer 1 .*'lin1'.* no quant params"):
-            forward(q, np.zeros((1, 6), np.float32))
+            forward(q, one_scene(np.zeros((1, 6))))
 
     @pytest.mark.parametrize("precision", [DType.INT8, DType.FP16])
     def test_nan_at_precision_boundary_names_layer(self, precision):
         rng = np.random.default_rng(16)
         g = two_layer_graph(rng)
-        stats = run_calibration(g, [rng.normal(size=(2, 6)).astype(np.float32)])
+        stats = run_calibration(g, [one_scene(rng.normal(size=(2, 6)))])
         x = np.zeros((2, 6), dtype=np.float32)
         x[1, 3] = np.nan
+        x = one_scene(x)
         planned = apply_plan(g, PrecisionPlan(default=precision))
         with pytest.raises(ValueError, match="layer 1 .*'lin1'.*NaN"):
             forward(planned, x, stats=stats)
         # the FP32 path has no precision boundary and stays untouched
-        assert np.isnan(forward(g, x)).any()
+        assert np.isnan(forward(g, x)[0]).any()
 
     def test_stats_from_another_graph_rejected(self):
         rng = np.random.default_rng(17)
         g = two_layer_graph(rng)
-        stats = run_calibration(g, [rng.normal(size=(2, 6)).astype(np.float32)])
+        stats = run_calibration(g, [one_scene(rng.normal(size=(2, 6)))])
         other = ModelGraph(layers=tuple(
             dataclasses.replace(l, name=f"other.{l.name}") for l in g.layers
         ))
         q = apply_plan(other, PrecisionPlan(default=DType.INT8))
         with pytest.raises(RuntimeError, match="layer 1 .*'other.lin1'.*'lin1'"):
-            forward(q, np.zeros((1, 6), np.float32), stats=stats)
+            forward(q, one_scene(np.zeros((1, 6))), stats=stats)
         # the same stats drive the graph they were recorded from
-        forward(apply_plan(g, PrecisionPlan(default=DType.INT8)), np.zeros((1, 6), np.float32), stats=stats)
+        forward(apply_plan(g, PrecisionPlan(default=DType.INT8)), one_scene(np.zeros((1, 6))), stats=stats)
 
     def test_unfolded_batch_norm_rejected_naming_the_layer(self):
         rng = np.random.default_rng(18)
-        g = ModelGraph(layers=(linear_layer(1, 6, 6, rng), linear_layer(2, 6, 4, rng, bn=random_bn(4, rng))))
+        g = ModelGraph(layers=(linear_layer(1, 6, 6, rng),
+                               linear_layer(2, 6, 4, rng, bn=random_bn(4, rng), head=True)))
         with pytest.raises(ValueError, match="layer 2 .*'lin2'.* batch norm"):
-            forward(g, np.zeros((1, 6), np.float32))
-        forward(fold_all_bn(g), np.zeros((1, 6), np.float32))
+            forward(g, one_scene(np.zeros((1, 6))))
+        forward(fold_all_bn(g), one_scene(np.zeros((1, 6))))
 
     def test_quantizing_all_zero_input_layer_changes_nothing(self):
         rng = np.random.default_rng(14)
         g = two_layer_graph(rng)
-        x = np.zeros((2, 6), dtype=np.float32)
+        x = one_scene(np.zeros((2, 6)))
         stats = run_calibration(g, [x])
         q = apply_plan(g, PrecisionPlan(overrides={1: DType.INT8}))
         np.testing.assert_array_equal(forward(q, x, stats=stats), forward(g, x))
+
+    def test_a_chain_without_a_head_is_rejected(self):
+        rng = np.random.default_rng(19)
+        g = ModelGraph(layers=(linear_layer(1, 6, 6, rng), linear_layer(2, 6, 4, rng)))
+        with pytest.raises(ValueError, match="no head layer"):
+            forward(g, one_scene(np.zeros((1, 6))))
 
     def test_graph_validation(self):
         rng = np.random.default_rng(15)

@@ -32,6 +32,8 @@ from pillarmix.quant import (
 from pillarmix.scenes import CLASS_NAMES, DatasetConfig, generate_dataset
 from pillarmix.tensor_ops import linear, stack_samples
 
+from pillar_helpers import one_scene
+
 # Largest relative error allowed between the analytic gradient and a central
 # difference with step 1e-3 through float32 forwards; the tiny detector below
 # reaches 3.7e-3.
@@ -116,16 +118,6 @@ def test_batched_tape_gradient_is_the_sum_over_scenes():
         np.testing.assert_allclose(db, want[index][1], rtol=1e-4, atol=1e-5)
 
 
-def stack_examples(examples):
-    return TrainExample(
-        sample=stack_samples([e.sample for e in examples]),
-        cls_target=np.stack([e.cls_target for e in examples]),
-        reg_target=np.stack([e.reg_target for e in examples]),
-        pos_mask=np.stack([e.pos_mask for e in examples]),
-        ignore_mask=np.stack([e.ignore_mask for e in examples]),
-    )
-
-
 def test_detection_loss_weights_are_pinned():
     """Zero logits and offsets against one positive cell: the class term is
     (pos_weight 4 + 2 negatives) * log 2, the box term 1 / 4, weighted 1 and 5."""
@@ -143,7 +135,7 @@ def test_detection_loss_of_stacked_scenes_is_the_sum_of_their_own_losses():
     assert len({int(e.pos_mask.sum()) for e in examples}) > 1  # each scene its own normalization
     graph, cfg = tiny_graph(), TrainConfig()
     loss, (d_cls, d_reg) = detection_loss(forward(graph, stack_samples([e.sample for e in examples])),
-                                          stack_examples(examples), cfg)
+                                          qat._stack_examples(examples), cfg)
     singles = [detection_loss(forward(graph, e.sample), e, cfg) for e in examples]
     want = sum(l for l, _ in singles)
     assert abs(loss - want) <= 1e-12 * abs(want)
@@ -153,50 +145,71 @@ def test_detection_loss_of_stacked_scenes_is_the_sum_of_their_own_losses():
 
     outputs = forward(graph, stack_samples([e.sample for e in examples[:2]]))
     with pytest.raises(ValueError, match=r"targets \(3, 3, 4, 4\) .* head outputs \(2, 3, 4, 4\)"):
-        detection_loss(outputs, stack_examples(examples), cfg)
+        detection_loss(outputs, qat._stack_examples(examples), cfg)
     with pytest.raises(ValueError, match=r"targets \(1, 3, 4, 4\) .* head outputs \(2, 3, 4, 4\)"):
         detection_loss(outputs, examples[0], cfg)
+    # one scene's targets carry the batch axis too
+    single = dataclasses.replace(examples[0], cls_target=examples[0].cls_target[0])
+    with pytest.raises(ValueError, match=r"targets \(3, 4, 4\) .* head outputs \(1, 3, 4, 4\)"):
+        detection_loss(forward(graph, single.sample), single, cfg)
 
 
-def linear_layer(index, din, dout, rng, relu=False):
+def linear_layer(index, din, dout, rng, relu=False, head=False):
     return LayerSpec(
         name=f"lin{index}",
         kind="linear",
         weight=rng.normal(size=(dout, din)).astype(np.float32),
         bias=rng.normal(size=dout).astype(np.float32),
         relu=relu,
+        is_head=head,
     )
 
 
-def taped_grads(graph, x, d_out, stats=None):
+def taped_grads(graph, sample, d_out, stats=None):
+    """Gradients of a chain whose one head is its last layer."""
     tape = []
-    forward(graph, x, stats=stats, tape=tape)
-    return backward(tape, d_out)
+    forward(graph, sample, stats=stats, tape=tape)
+    return backward(tape, (d_out,))
 
 
 def test_fp16_gradients_are_the_fp32_ones_on_rounded_tensors():
     rng = np.random.default_rng(20)
-    layer = linear_layer(1, 5, 6, rng, relu=True)
-    x = rng.normal(size=(3, 8, 5)).astype(np.float32)
-    d_out = rng.normal(size=(3, 8, 6)).astype(np.float32)
-    got = taped_grads(apply_plan(ModelGraph(layers=(layer,)), PrecisionPlan(default=DType.FP16)), x, d_out)[1]
+    layer = linear_layer(1, 5, 6, rng, relu=True, head=True)
+    x = rng.normal(size=(24, 5)).astype(np.float32)
+    d_out = rng.normal(size=(24, 1, 6)).astype(np.float32)
+    fp16 = apply_plan(ModelGraph(layers=(layer,)), PrecisionPlan(default=DType.FP16))
+    got = taped_grads(fp16, one_scene(x), d_out)[1]
     rounded = ModelGraph(layers=(dataclasses.replace(layer, weight=fp16_roundtrip(layer.weight)),))
-    want = taped_grads(rounded, fp16_roundtrip(x), d_out)[1]
+    want = taped_grads(rounded, one_scene(fp16_roundtrip(x)), d_out)[1]
     for g, w in zip(got, want):
         assert g.dtype == w.dtype == np.float32
         assert g.tobytes() == w.tobytes()
-    assert not np.array_equal(got[0], taped_grads(ModelGraph(layers=(layer,)), x, d_out)[1][0])
+    assert not np.array_equal(got[0], taped_grads(ModelGraph(layers=(layer,)), one_scene(x), d_out)[1][0])
+
+
+def test_backward_takes_one_gradient_per_head():
+    rng = np.random.default_rng(22)
+    graph = ModelGraph(layers=(linear_layer(1, 5, 6, rng), linear_layer(2, 6, 4, rng, head=True)))
+    tape = []
+    forward(graph, one_scene(rng.normal(size=(3, 5))), tape=tape)
+    d_out = np.ones((3, 1, 4), np.float32)
+    assert sorted(backward(tape, (d_out,))) == [1, 2]
+    with pytest.raises(ValueError, match="2 output gradients for 1 heads"):
+        backward(tape, (d_out, d_out))
+    with pytest.raises(ValueError, match="1 output gradients for 0 heads"):
+        backward(tape[:1], (np.ones((3, 1, 6), np.float32),))
 
 
 @pytest.mark.parametrize("per_channel", [False, True])
 def test_int8_gradients_are_the_fp32_ones_on_fake_quantized_tensors_inside_the_clip_range(per_channel):
     rng = np.random.default_rng(21)
-    lin1, lin2 = linear_layer(1, 5, 6, rng), linear_layer(2, 6, 4, rng)
+    lin1, lin2 = linear_layer(1, 5, 6, rng), linear_layer(2, 6, 4, rng, head=True)
     graph = ModelGraph(layers=(lin1, lin2))
-    x = rng.normal(size=(16, 5)).astype(np.float32)
+    sample = one_scene(rng.normal(size=(16, 5)))
+    x = sample.features  # [16, 1, 5]
     # calibrated on half-size inputs, so some of layer 2's inputs clip; the
     # weight scales are shrunk so that the largest weights clip too
-    stats = run_calibration(graph, [0.5 * x], per_channel_weights=per_channel)
+    stats = run_calibration(graph, [one_scene(0.5 * x[:, 0])], per_channel_weights=per_channel)
     cal2 = stats[2]
     if per_channel:
         weight_qp = PerChannelQuantParams(scales=0.6 * cal2.weight_qp.scales)
@@ -205,8 +218,8 @@ def test_int8_gradients_are_the_fp32_ones_on_fake_quantized_tensors_inside_the_c
         weight_qp = QuantParams(scale=0.6 * cal2.weight_qp.scale)
         w_used = fake_quant(lin2.weight, weight_qp)
     stats = CalibrationStats(layers={1: stats[1], 2: dataclasses.replace(cal2, weight_qp=weight_qp)})
-    d_out = rng.normal(size=(16, 4)).astype(np.float32)
-    grads = taped_grads(apply_plan(graph, PrecisionPlan(overrides={2: DType.INT8})), x, d_out, stats)
+    d_out = rng.normal(size=(16, 1, 4)).astype(np.float32)
+    grads = taped_grads(apply_plan(graph, PrecisionPlan(overrides={2: DType.INT8})), sample, d_out, stats)
 
     x2 = linear(x, lin1.weight, lin1.bias)  # layer 2's input, before quantization
     x2_kept = ste_fake_quant_backward(x2, cal2.act_qp, np.ones_like(x2))
@@ -216,13 +229,13 @@ def test_int8_gradients_are_the_fp32_ones_on_fake_quantized_tensors_inside_the_c
     # at the weights outside the clip range
     dw_fp32, db_fp32 = taped_grads(
         ModelGraph(layers=(dataclasses.replace(lin2, weight=w_used),)),
-        fake_quant(x2, cal2.act_qp), d_out,
+        one_scene(fake_quant(x2, cal2.act_qp)[:, 0]), d_out,
     )[1]
     np.testing.assert_array_equal(grads[2][0], dw_fp32 * w_kept)
     np.testing.assert_array_equal(grads[2][1], db_fp32)
     # layer 1 (FP32) sees layer 2's input gradient: d_out through the fake-quantized
     # weight, zero at the inputs outside the clip range
-    np.testing.assert_array_equal(grads[1][0], ((d_out @ w_used) * x2_kept).T @ x)
+    np.testing.assert_array_equal(grads[1][0], ((d_out @ w_used) * x2_kept)[:, 0].T @ x[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +326,7 @@ def default_batch():
 def test_backward_equals_the_nchw_reference_bit_for_bit(default_batch, label):
     graph, stats, examples = default_batch
     planned = apply_plan(graph, parse_plan_label(label))
-    batch = stack_examples(examples)
+    batch = qat._stack_examples(examples)
     tape = []
     outputs = forward(planned, batch.sample, stats=stats, tape=tape)
     assert all(o.flags.c_contiguous and o.shape[:2] == (3, c) for o, c in zip(outputs, (len(CLASS_NAMES), 4)))

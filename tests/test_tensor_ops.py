@@ -270,7 +270,7 @@ class TestSigmoid:
 class TestScatterPillars:
     def test_empty(self):
         out = scatter_pillars_nchw(np.zeros((0, 3), dtype=np.float32), np.zeros((0, 2), int), (4, 4))
-        assert out.shape == (1, 3, 4, 4)
+        assert out.shape == (1, 3, 4, 4) and out.dtype == np.float32
         assert np.all(out == 0.0)
 
     def test_single_pillar(self):
@@ -359,6 +359,10 @@ class TestGlueKernels:
         mask = np.array([[True, False], [True, True]])
         out = max_over_points(feats, mask)
         np.testing.assert_array_equal(out, [[1.0, -5.0], [2.0, 0.5]])
+
+    def test_max_over_points_of_no_pillars(self):
+        out = max_over_points(np.zeros((0, 2, 3), dtype=np.float32), np.zeros((0, 2), bool))
+        assert out.shape == (0, 3) and out.dtype == np.float32
 
     def test_max_over_points_requires_real_point(self):
         with pytest.raises(ValueError, match="no real points"):

@@ -172,6 +172,11 @@ def test_an_unfolded_graph_is_rejected_naming_its_first_bn_layer():
     ("momentum", None),
     ("max_grad_norm", "10"),
     ("max_grad_norm", None),
+    # the seed keys the shuffle's generator, so it is an integer >= 0 like every other count
+    ("seed", 1.5),
+    ("seed", -1),
+    ("seed", "x"),
+    ("seed", True),
 ])
 def test_train_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=rf"{field} must be .*, got {re.escape(repr(value))}$"):
