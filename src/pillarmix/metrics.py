@@ -49,9 +49,10 @@ class Detection:
 
     def __post_init__(self):
         box = np.asarray(self.box, dtype=np.float64)
-        if box.shape != (4,) or not all(map(math.isfinite, box.tolist())) or box[2] <= 0 or box[3] <= 0:
+        values = box.tolist()
+        if box.shape != (4,) or not all(map(math.isfinite, values)) or values[2] <= 0 or values[3] <= 0:
             raise ValueError(f"detection box must be finite (cx, cy, w, h) with positive extents, got {box}")
-        if not np.isfinite(self.score):
+        if not math.isfinite(self.score):
             raise ValueError(f"detection score must be finite, got {self.score}")
         object.__setattr__(self, "box", box)
 

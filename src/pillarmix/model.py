@@ -351,7 +351,8 @@ def forward(
     sample stacks B scenes (``tensor_ops.stack_samples``); a single scene is
     a batch of one. Every layer runs once for the whole batch, so each head
     output is [B, F, H', W'], and scene b's outputs equal those of a forward
-    on that scene alone, bit for bit. A chain with no head raises ValueError.
+    on that scene alone, bit for bit. A sample that is not a PillarSample
+    raises TypeError, and a chain with no head ValueError.
     Images run channels-last, [B, H, W, C], from the scatter to the heads;
     NCHW exists only at the edges: observe_fn sees a 4-D layer input as an
     NCHW view, and each head output is a C-contiguous [B, C, H, W] array.
@@ -364,6 +365,10 @@ def forward(
     layer. A NaN reaching an INT8 or FP16 layer's precision transform raises
     ValueError naming the layer.
     """
+    if not isinstance(sample, PillarSample):
+        raise TypeError(
+            f"forward takes a PillarSample (a batch of pillarized scenes), got {type(sample).__name__}"
+        )
     if not any(layer.is_head for layer in graph.layers):
         raise ValueError("the chain has no head layer; forward returns the head outputs")
     current = sample.features

@@ -192,13 +192,23 @@ def backward(tape: list[TapeEntry], d_outputs: Sequence[np.ndarray]) -> GradStat
     """Weight/bias gradients from the head output gradients over a tape.
 
     d_outputs holds one gradient per head, in head order, each shaped as
-    forward returned its head (an image NCHW); another count raises
-    ValueError. The trunk gets the sum of the heads' input gradients.
+    forward returned its head (an image NCHW); another count, or a gradient
+    of another shape, raises ValueError. The trunk gets the sum of the heads'
+    input gradients.
     """
+    d_outputs = list(d_outputs)
+    heads = [entry for entry in tape if entry.layer.is_head]
+    if len(d_outputs) != len(heads):
+        raise ValueError(f"{len(d_outputs)} output gradients for {len(heads)} heads")
+    for entry, d in zip(heads, d_outputs):
+        out = entry.out  # channels-last on the tape; forward returned an image NCHW
+        expected = out.transpose(0, 3, 1, 2).shape if out.ndim == 4 else out.shape
+        if np.shape(d) != expected:
+            raise ValueError(
+                f"output gradient of shape {np.shape(d)} for head layer {entry.layer.index} "
+                f"({entry.layer.name!r}), whose output has shape {expected}"
+            )
     douts = [d.transpose(0, 2, 3, 1) if d.ndim == 4 else d for d in d_outputs]
-    n_heads = sum(1 for entry in tape if entry.layer.is_head)
-    if len(douts) != n_heads:
-        raise ValueError(f"{len(douts)} output gradients for {n_heads} heads")
     grads: GradState = {}
     current = None
     for entry in reversed(tape):

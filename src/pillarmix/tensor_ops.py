@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "ConvParams",
@@ -138,22 +137,29 @@ def im2col(x: np.ndarray, k_hw: tuple[int, int], params: ConvParams) -> np.ndarr
     """Patch matrix [N*H'*W', C*kh*kw] of the zero-padded input x[N, H, W, C].
 
     Rows run over (n, h', w') and columns over (c, kh, kw), the order of
-    ``weight.reshape(F, -1)``. The patches are one strided view of the padded
-    input, copied once; an unpadded 1x1 stride-1 kernel's patches are the
-    pixels themselves, so its matrix is a reshape of a contiguous x.
+    ``weight.reshape(F, -1)``. The matrix is filled with one slab copy per
+    kernel offset (ki, kj): the [N, H', W', C] input pixels that the offset
+    meets, strided by the conv stride, land in column (c, ki, kj) of every
+    row, so each copy reads runs of C contiguous floats. An unpadded 1x1
+    stride-1 kernel's patches are the pixels themselves, so its matrix is a
+    reshape of x, a view when x is contiguous.
     """
     kh, kw = k_hw
     ph, pw = params.padding
     sh, sw = params.stride
     n, h, w, c = x.shape
     ho, wo = params.out_size((h, w), (kh, kw))
+    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
+        return x.reshape(n * h * w, c)
     xp = x
     if ph or pw:
         xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
         xp[:, ph : ph + h, pw : pw + w] = x
-    sn, sy, sx, sc = xp.strides
-    windows = as_strided(xp, (n, ho, wo, c, kh, kw), (sn, sh * sy, sw * sx, sc, sy, sx), writeable=False)
-    return windows.reshape(n * ho * wo, c * kh * kw)
+    cols = np.empty((n, ho, wo, c, kh, kw), dtype=x.dtype)
+    for ki in range(kh):
+        for kj in range(kw):
+            cols[..., ki, kj] = xp[:, ki : ki + sh * ho : sh, kj : kj + sw * wo : sw]
+    return cols.reshape(n * ho * wo, c * kh * kw)
 
 
 def conv2d(

@@ -201,6 +201,11 @@ class TestDetection:
         with pytest.raises(ValueError, match="detection box"):
             Detection(box=box, class_id=0, score=0.5)
 
+    @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf, np.float32(np.nan)])
+    def test_rejects_a_non_finite_score(self, score):
+        with pytest.raises(ValueError, match="detection score must be finite"):
+            Detection(box=[1.0, 1.0, 1.0, 1.0], class_id=0, score=score)
+
 
 class TestEvalResult:
     def test_means_skip_classes_without_ground_truth(self):

@@ -357,6 +357,11 @@ class TestForward:
         with pytest.raises(ValueError, match="no head layer"):
             forward(g, one_scene(np.zeros((1, 6))))
 
+    def test_an_image_instead_of_a_pillar_sample_is_rejected_naming_both(self):
+        graph = fold_all_bn(build_toy_detector())
+        with pytest.raises(TypeError, match=r"takes a PillarSample \(a batch of pillarized scenes\), got ndarray"):
+            forward(graph, np.zeros((1, 16, 16, 16), np.float32))
+
     def test_graph_validation(self):
         rng = np.random.default_rng(15)
         with pytest.raises(ValueError, match="unknown kind"):

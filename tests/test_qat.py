@@ -3,6 +3,7 @@ gradients, batched tapes, the detection loss of stacked scenes, and the
 channels-last backward against an NCHW reference."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -198,6 +199,22 @@ def test_backward_takes_one_gradient_per_head():
         backward(tape, (d_out, d_out))
     with pytest.raises(ValueError, match="1 output gradients for 0 heads"):
         backward(tape[:1], (np.ones((3, 1, 6), np.float32),))
+
+
+def test_backward_rejects_a_head_gradient_of_another_shape_naming_the_head():
+    scenes = generate_dataset(DatasetConfig(size=2), seed=2)
+    graph, tape = tiny_graph(), []
+    forward(graph, stack_samples([e.sample for e in make_train_examples(scenes, TINY)]), tape=tape)
+    cls_head, reg_head = (entry.layer for entry in tape if entry.layer.is_head)
+    d_cls = np.ones((2, len(CLASS_NAMES)) + TINY.out_grid, np.float32)
+    d_reg = np.ones((2, 4) + TINY.out_grid, np.float32)
+    assert sorted(backward(tape, (d_cls, d_reg))) == sorted(l.index for l in graph.weight_layers)
+    # a bare array passes the count check: it iterates as one [C, H', W'] gradient per scene
+    with pytest.raises(ValueError, match=re.escape(f"shape {d_cls.shape[1:]} for head layer {cls_head.index} ")):
+        backward(tape, d_cls)
+    wrong_grid = np.ones((2, 4, 2, 2), np.float32)
+    with pytest.raises(ValueError, match=re.escape(f"shape (2, 4, 2, 2) for head layer {reg_head.index} ({reg_head.name!r})")):
+        backward(tape, (d_cls, wrong_grid))
 
 
 @pytest.mark.parametrize("per_channel", [False, True])

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pillarmix.tensor_ops import (
@@ -70,24 +70,25 @@ def upsample2x_nchw(x):
     return nchw(upsample2x(nhwc(x)))
 
 
-def gather_im2col(x, k, stride, padding):
+def gather_im2col(x, k_hw, stride, padding):
     """Per-patch gather oracle of im2col on x[N, H, W, C]: one row per output
     pixel (n, h', w'), its entries over (c, ki, kj), zero outside the input."""
     n, h, w, c = x.shape
-    ho = (h + 2 * padding - k) // stride + 1
-    wo = (w + 2 * padding - k) // stride + 1
+    (kh, kw), (sh, sw), (ph, pw) = k_hw, stride, padding
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (w + 2 * pw - kw) // sw + 1
     rows = []
     for ni in range(n):
         for i in range(ho):
             for j in range(wo):
                 row = []
                 for ci in range(c):
-                    for ki in range(k):
-                        for kj in range(k):
-                            y, xx = i * stride + ki - padding, j * stride + kj - padding
+                    for ki in range(kh):
+                        for kj in range(kw):
+                            y, xx = i * sh + ki - ph, j * sw + kj - pw
                             row.append(x[ni, y, xx, ci] if 0 <= y < h and 0 <= xx < w else 0.0)
                 rows.append(row)
-    return np.array(rows, dtype=np.float32).reshape(n * ho * wo, c * k * k)
+    return np.array(rows, dtype=np.float32).reshape(n * ho * wo, c * kh * kw)
 
 
 def naive_linear(x, w, b):
@@ -104,17 +105,25 @@ def naive_linear(x, w, b):
 
 
 class TestIm2col:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 2), h=st.integers(1, 6), extra=st.integers(1, 3), wide=st.booleans(),
-           c=st.integers(1, 3), k=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
-           padding=st.sampled_from([0, 1]), seed=st.integers(0, 2**16))
-    def test_equals_the_per_patch_gather(self, n, h, extra, wide, c, k, stride, padding, seed):
+           c=st.integers(1, 3), k_hw=st.tuples(st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3])),
+           stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           padding=st.tuples(st.integers(0, 2), st.integers(0, 2)), seed=st.integers(0, 2**16))
+    @example(n=2, h=5, extra=2, wide=True, c=3, k_hw=(1, 3), stride=(2, 1), padding=(0, 2), seed=7)
+    @example(n=2, h=5, extra=2, wide=False, c=3, k_hw=(3, 1), stride=(1, 3), padding=(2, 0), seed=7)
+    @example(n=1, h=4, extra=3, wide=True, c=2, k_hw=(2, 3), stride=(1, 2), padding=(1, 0), seed=7)
+    def test_equals_the_per_patch_gather(self, n, h, extra, wide, c, k_hw, stride, padding, seed):
+        """Non-square kernels and per-axis strides and padding: a mix-up of the
+        two spatial axes anywhere in the patch build changes the matrix."""
         hw = (h, h + extra) if wide else (h + extra, h)
-        if min(hw) + 2 * padding < k:
-            hw = (hw[0] + k, hw[1] + k)
+        hw = tuple(max(size, k - 2 * p) for size, k, p in zip(hw, k_hw, padding))
         x = np.random.default_rng(seed).normal(size=(n, *hw, c)).astype(np.float32)
-        got = im2col(x, (k, k), ConvParams((stride, stride), (padding, padding)))
-        np.testing.assert_array_equal(got, gather_im2col(x, k, stride, padding))
+        got = im2col(x, k_hw, ConvParams(stride, padding))
+        np.testing.assert_array_equal(got, gather_im2col(x, k_hw, stride, padding))
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        if (k_hw, stride, padding) != ((1, 1), (1, 1), (0, 0)):
+            assert not np.shares_memory(got, x)
 
     def test_unpadded_1x1_patches_are_a_reshape_of_the_input(self):
         x = np.random.default_rng(8).normal(size=(2, 3, 5, 4)).astype(np.float32)
