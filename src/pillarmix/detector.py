@@ -9,7 +9,9 @@ offsets per cell). ModelGraph numbers the weight layers 1..L for precision plans
 ``detect`` runs the scenes through the network EVAL_CHUNK at a time and
 decodes each chunk's head maps at once: local peaks, one sort by (scene,
 class, score) and a greedy NMS over one padded IoU, vectorized across every
-(scene, class) pair. ``evaluate`` scores its detections with ``ap40``.
+(scene, class) pair. The kept boxes are one ``metrics.DETECTION`` record
+array per chunk, viewed per scene, and ``evaluate`` scores them with one
+``ap40`` call.
 
 ``_layer_chain`` is the one description of the layers: ``build_toy_detector``
 walks it drawing weights, and ``load_model`` walks it reading a model file,
@@ -28,7 +30,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import Detection, EvalResult, _padded, _slots, ap40, iou_matrix
+from .metrics import DETECTION, EvalResult, _padded, _slots, ap40, iou_matrix
 from .model import (BatchNorm, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, eval_chunks, fold_all_bn, forward,
                     graphs_equal, param_arrays, weights_digest)
 from .qat import TrainExample
@@ -349,27 +351,28 @@ def _local_peaks(score_maps: np.ndarray) -> np.ndarray:
 
 
 def _decode_batch(cls_maps: np.ndarray, reg_maps: np.ndarray, cfg: DetectorConfig,
-                  first: int = 0) -> list[list[Detection]]:
+                  first: int = 0) -> list[np.recarray]:
     """decode_and_nms of each scene of [B, C, H', W'] class and [B, 4, H', W']
     box maps, all scenes and classes at once.
 
     One stable sort orders the peaks by (scene, class, descending score), ties
     in row-major cell order; one padded IoU [B * C, K, K] over each (scene,
     class) group's K candidates serves a greedy pass over rank that runs for
-    all groups together. first is the position of the batch's first scene in
-    its dataset, and a NaN error names the scene by it.
+    all groups together; the kept boxes are one DETECTION record array, split
+    into per-scene views. first is the position of the batch's first scene
+    in its dataset, and a NaN or inf error names the scene by it.
     """
     if cls_maps.shape[1] != len(CLASS_NAMES) or reg_maps.shape != (len(cls_maps), 4, *cls_maps.shape[2:]):
         raise ValueError(
             f"decode_and_nms needs {len(CLASS_NAMES)} class channels and 4 box channels on one grid; "
             f"got maps of shape {cls_maps.shape[1:]} and {reg_maps.shape[1:]}"
         )
-    # a NaN logit never passes the score threshold and wipes out its
-    # neighbours' peaks, and a NaN size offset clips to the smallest box
-    for what, values in (("class", cls_maps), ("box", reg_maps)):
-        bad = np.isnan(values).any(axis=(1, 2, 3))
+    # a NaN logit never passes the score threshold and wipes out its neighbours'
+    # peaks; a NaN or inf offset decodes to a box without a place or clips its size
+    for what, bad in (("a NaN in the class", np.isnan(cls_maps)), ("a NaN or inf in the box", ~np.isfinite(reg_maps))):
+        bad = bad.any(axis=(1, 2, 3))
         if bad.any():
-            raise ValueError(f"decode_and_nms got a NaN in the {what} map of scene {first + int(np.argmax(bad))}")
+            raise ValueError(f"decode_and_nms got {what} map of scene {first + int(np.argmax(bad))}")
     n_scenes, n_classes, oh, ow = cls_maps.shape
     cell_h = FIELD_SIZE / oh
     cell_w = FIELD_SIZE / ow
@@ -394,25 +397,24 @@ def _decode_batch(cls_maps: np.ndarray, reg_maps: np.ndarray, cfg: DetectorConfi
     kept = _padded(np.ones(len(group), bool), group, rank, n_groups, False)  # candidates, then survivors
     for k in range(1, kept.shape[1]):
         kept[:, k] &= ~(overlaps[:, k, :k] & kept[:, :k]).any(axis=1)
-    detections: list[list[Detection]] = [[] for _ in range(n_scenes)]
     keep = kept[group, rank]
-    for b, c, box, score in zip(scene[keep].tolist(), cls[keep].tolist(), boxes[keep], peak_scores[keep].tolist()):
-        detections[b].append(Detection(box=box, class_id=c, score=score))
-    return detections
+    detections = np.rec.fromarrays([boxes[keep], cls[keep], peak_scores[keep]], dtype=DETECTION)
+    return np.split(detections, np.searchsorted(scene[keep], np.arange(1, n_scenes)))
 
 
-def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig) -> list[Detection]:
+def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig) -> np.recarray:
     """Local-peak box decoding followed by per-class greedy NMS, for one scene.
 
     cls_map [1, C, H', W'] and reg_map [1, 4, H', W'] are one scene's class
     logits and box offsets, as forward returns the heads of a batch of one.
     Per class, the peaks scoring at least cfg.score_thresh are visited by
     descending score (ties in row-major cell order), and each is kept unless
-    its IoU with an already kept box of the class reaches cfg.nms_iou. Maps
-    of another shape (not one scene, or not len(CLASS_NAMES) class and 4 box
-    channels on one grid) or a NaN in either map raise ValueError; an
-    infinite logit is a legal score of 0 or 1. detect decodes a whole batch
-    of scenes this way at once.
+    its IoU with an already kept box of the class reaches cfg.nms_iou; the
+    kept boxes are one DETECTION record array, class by class. Maps of
+    another shape (not one scene, or not len(CLASS_NAMES) class and 4 box
+    channels on one grid), a NaN in either map or an inf in the box map
+    raise ValueError; an infinite logit is a legal score of 0 or 1. detect
+    decodes a whole batch of scenes this way at once.
     """
     if cls_map.ndim != 4 or len(cls_map) != 1:
         raise ValueError(f"decode_and_nms takes one scene's [1, C, H', W'] maps; "
@@ -427,15 +429,16 @@ def detect(
     dataset: Sequence[Scene],
     cfg: DetectorConfig | None = None,
     samples: Sequence[PillarSample] | None = None,
-) -> list[list[Detection]]:
+) -> list[np.recarray]:
     """Each scene's detections under the planned model, as decode_and_nms gives them.
 
     The scenes run through batched forwards of EVAL_CHUNK scenes each, and
-    each chunk's head maps are decoded at once; a scene's detections do not
-    depend on the chunking. samples, when given, are the pillarized scenes of
-    dataset, one single-scene sample per scene; a sample holding several
-    scenes raises ValueError naming its position. A NaN in a scene's head
-    maps raises ValueError naming the scene's position in dataset and the map.
+    each chunk's head maps are decoded at once; a scene's detections (a view
+    of its chunk's record array) do not depend on the chunking. samples, when
+    given, are the pillarized scenes of dataset, one single-scene sample per
+    scene; a sample holding several scenes raises ValueError naming its
+    position. A NaN or inf that decode_and_nms rejects raises ValueError
+    naming the scene's position in dataset and the map.
     """
     cfg = cfg or DetectorConfig.from_meta(graph.meta)
     planned = apply_plan(fold_all_bn(graph), plan)
@@ -459,15 +462,11 @@ def evaluate(
 ) -> EvalResult:
     """Full per-class x per-difficulty AP40 table for the planned model.
 
-    The table scores detect's detections with one ap40 per class, so it does
-    not depend on the chunking either.
+    One ap40 call scores detect's detections, so the table does not depend
+    on the chunking either; it holds (class name, difficulty) keys.
     """
-    dets_per_scene = detect(graph, plan, stats, dataset, cfg, samples)
-    ap = {}
-    for cls_id, cls_name in enumerate(CLASS_NAMES):
-        for diff, value in ap40(dets_per_scene, dataset, cls_id).items():
-            ap[(cls_name, diff)] = value
-    return EvalResult(ap=ap)
+    ap = ap40(detect(graph, plan, stats, dataset, cfg, samples), dataset, len(CLASS_NAMES))
+    return EvalResult(ap={(CLASS_NAMES[c], diff): value for (c, diff), value in ap.items()})
 
 
 def make_train_examples(scenes: Sequence[Scene], cfg: DetectorConfig):

@@ -8,53 +8,35 @@ maximum over recall. Detections that match a ground-truth box of the target
 class but a different difficulty are ignored rather than counted as false
 positives, so a perfect detector scores 1.0 at every difficulty.
 
-Each scene is matched on its own, but ``ap40`` matches all scenes in one
-pass: the class's detections and the ground truth are laid out padded per
-scene, one ``iou_matrix`` call takes every scene's IoU (it broadcasts over
-leading dims), and a loop over detection rank claims boxes in every scene
-at once. The detector's NMS shares that IoU.
+A scene's detections are one record array of DETECTION rows (box, class_id,
+score). ``ap40`` matches all (scene, class) groups at once, padded per
+``scene * n_classes + class``: one ``iou_matrix`` call takes every group's
+IoU (it broadcasts over leading dims), and a loop over detection rank claims
+boxes in every group at once. The detector's NMS shares that layout and IoU.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
+    "DETECTION",
     "DIFFICULTIES",
-    "Detection",
     "EvalResult",
     "RECALL_POSITIONS",
     "ap40",
     "iou_matrix",
 ]
 
+DETECTION = np.dtype([("box", "<f8", (4,)), ("class_id", "<i8"), ("score", "<f8")])
 DIFFICULTIES = ("easy", "moderate", "hard")
 MATCH_IOU = 0.5  # a detection hits a ground-truth box at IoU >= MATCH_IOU
 
 N_RECALL_POINTS = 40
 RECALL_POSITIONS = np.arange(1, N_RECALL_POINTS + 1) / N_RECALL_POINTS
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One predicted box (cx, cy, w, h) with class id and confidence."""
-
-    box: np.ndarray
-    class_id: int
-    score: float
-
-    def __post_init__(self):
-        box = np.asarray(self.box, dtype=np.float64)
-        values = box.tolist()
-        if box.shape != (4,) or not all(map(math.isfinite, values)) or values[2] <= 0 or values[3] <= 0:
-            raise ValueError(f"detection box must be finite (cx, cy, w, h) with positive extents, got {box}")
-        if not math.isfinite(self.score):
-            raise ValueError(f"detection score must be finite, got {self.score}")
-        object.__setattr__(self, "box", box)
 
 
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
@@ -90,66 +72,84 @@ def _slots(group: np.ndarray) -> np.ndarray:
 
 
 def ap40(
-    detections_per_scene: Sequence[Sequence[Detection]],
+    detections_per_scene: Sequence[np.recarray],
     gt_per_scene: Sequence,
-    class_id: int,
-) -> dict[str, float | None]:
-    """AP over 40 recall positions for one class, at every difficulty.
+    n_classes: int,
+) -> dict[tuple[int, str], float | None]:
+    """AP over 40 recall positions of every class id in [0, n_classes), at every difficulty.
 
-    gt_per_scene holds objects with ``boxes`` [M, 4], ``classes`` [M], and
-    ``difficulty`` [M] (string labels). The class's detections are matched to
-    their scene's ground truth once, all scenes together: one padded
-    [scenes, detections, boxes] IoU, and a loop over detection rank in which
-    each scene's detection of that rank, by descending score (ties in the
-    order given), claims the unmatched box of the class with the highest IoU
-    >= MATCH_IOU (ties: the first box). Each difficulty then counts its own
-    ground truth and ignores hits on boxes of the other difficulties. Returns
-    {difficulty: AP} for every label in DIFFICULTIES, with None where the
-    slice has no ground truth, so it can be excluded from means rather than
-    counted as 0. Both sequences hold one entry per scene; differing lengths
-    raise ValueError.
+    detections_per_scene holds one DETECTION record array per scene, and
+    gt_per_scene objects with ``boxes`` [M, 4], ``classes`` [M] and
+    ``difficulty`` [M] (string labels). All (scene, class) groups are matched
+    in one pass: one padded [groups, detections, boxes] IoU, and a loop over
+    detection rank in which each group's detection of that rank, by
+    descending score (ties in the order given), claims the group's unmatched
+    box with the highest IoU >= MATCH_IOU (ties: the first box). Each
+    difficulty then counts its own ground truth and ignores hits on boxes of
+    the other difficulties. Returns {(class_id, difficulty): AP}, with None
+    where the slice has no ground truth, so it can be excluded from means
+    rather than counted as 0. Differing scene counts, a detection box that is
+    not finite with positive extents, a non-finite score, and a class id
+    outside [0, n_classes) raise ValueError; the last three name the scene.
     """
     n_scenes = len(gt_per_scene)
     if len(detections_per_scene) != n_scenes:
         raise ValueError(f"{len(detections_per_scene)} scenes of detections for {n_scenes} scenes of ground truth")
-    # the class's detections and all ground truth, flattened scene after scene
-    dets = [(s, d) for s, scene_dets in enumerate(detections_per_scene) for d in scene_dets if d.class_id == class_id]
-    det_scene = np.array([s for s, _ in dets], dtype=np.int64)
-    scores = np.array([d.score for _, d in dets], dtype=np.float64)
+    # detections and ground truth, flattened scene after scene
+    dets = np.concatenate([np.zeros(0, DETECTION), *detections_per_scene])
+    boxes, det_class, scores = dets["box"], dets["class_id"], dets["score"]
+    det_scene = np.repeat(np.arange(n_scenes), [len(d) for d in detections_per_scene])
     gt_boxes = [np.asarray(gt.boxes, dtype=np.float64).reshape(-1, 4) for gt in gt_per_scene]
     gt_scene = np.repeat(np.arange(n_scenes), [len(b) for b in gt_boxes])
-    gt_class = np.concatenate([np.asarray(gt.classes, dtype=np.int64).reshape(-1) for gt in gt_per_scene]
-                              or [np.zeros(0, np.int64)])
-    gt_diff = np.concatenate([np.asarray(gt.difficulty, dtype=str).reshape(-1) for gt in gt_per_scene]
-                             or [np.zeros(0, str)])
-    of_class = gt_class == class_id
-    n_gt = {diff: int(np.sum(of_class & (gt_diff == diff))) for diff in DIFFICULTIES}
+    gt_class = np.concatenate([np.zeros(0, np.int64), *(np.asarray(gt.classes, dtype=np.int64).reshape(-1)
+                                                        for gt in gt_per_scene)])
+    gt_diff = np.concatenate([np.zeros(0, str), *(np.asarray(gt.difficulty, dtype=str).reshape(-1)
+                                                  for gt in gt_per_scene)])
+    # a class id outside [0, n_classes) would land in another (scene, class) group
+    for rule, values, bad, scene in (
+        ("detection box must be finite (cx, cy, w, h) with positive extents", boxes,
+         ~(np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > 0).all(axis=1)), det_scene),
+        ("detection score must be finite", scores, ~np.isfinite(scores), det_scene),
+        (f"detection class id must lie in [0, {n_classes})", det_class,
+         (det_class < 0) | (det_class >= n_classes), det_scene),
+        (f"ground-truth class id must lie in [0, {n_classes})", gt_class,
+         (gt_class < 0) | (gt_class >= n_classes), gt_scene),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{rule}, got {values[i]} in scene {scene[i]}")
+    n_groups = n_scenes * n_classes
     hit_diff = np.full(len(dets), "", dtype=gt_diff.dtype)  # difficulty of the matched box; "" for none
-    if dets and of_class.any():
-        by_rank = np.lexsort((-scores, det_scene))  # within each scene, by descending score
-        rank = _slots(det_scene)  # det_scene[by_rank] == det_scene: the sort stays inside each scene
-        gt_slot = _slots(gt_scene)
-        det_boxes = np.stack([dets[i][1].box for i in by_rank])
-        ious = iou_matrix(_padded(det_boxes, det_scene, rank, n_scenes, 1.0),
-                          _padded(np.concatenate(gt_boxes), gt_scene, gt_slot, n_scenes, 1.0))
-        free = _padded(of_class, gt_scene, gt_slot, n_scenes, False)
-        present = _padded(np.ones(len(dets), bool), det_scene, rank, n_scenes, False)
-        claimed = np.full(present.shape, -1, dtype=np.int64)  # GT slot matched at (scene, rank)
-        scene = np.arange(n_scenes)
+    if len(gt_class):
+        group = det_scene * n_classes + det_class
+        by_rank = np.lexsort((-scores, group))  # within each group, by descending score
+        group = group[by_rank]
+        rank = _slots(group)
+        gt_group = gt_scene * n_classes + gt_class
+        gt_order = np.argsort(gt_group, kind="stable")  # ties keep the given order
+        gt_group = gt_group[gt_order]
+        gt_slot = _slots(gt_group)
+        ious = iou_matrix(_padded(boxes[by_rank], group, rank, n_groups, 1.0),
+                          _padded(np.concatenate(gt_boxes)[gt_order], gt_group, gt_slot, n_groups, 1.0))
+        free = _padded(np.ones(len(gt_group), bool), gt_group, gt_slot, n_groups, False)
+        gt_diffs = _padded(gt_diff[gt_order], gt_group, gt_slot, n_groups, "")
+        present = _padded(np.ones(len(group), bool), group, rank, n_groups, False)
+        claimed = np.full(present.shape, "", dtype=gt_diff.dtype)  # difficulty of the box hit at (group, rank)
+        groups = np.arange(n_groups)
         for r in range(present.shape[1]):
             cand = np.where(free, ious[:, r], -1.0)
             best = np.argmax(cand, axis=1)
-            hit = present[:, r] & (cand[scene, best] >= MATCH_IOU)
-            claimed[hit, r] = best[hit]
-            free[scene[hit], best[hit]] = False
-        slot = claimed[det_scene, rank]
-        matched = slot >= 0
-        first_gt = np.searchsorted(gt_scene, det_scene)
-        hit_diff[by_rank[matched]] = gt_diff[first_gt[matched] + slot[matched]]
-    # one stable sort by descending score serves every difficulty: dropping
-    # the ignored detections afterwards keeps the order of the rest
-    order = np.argsort(-scores, kind="stable")
-    return {diff: _slice_ap(scores[order], hit_diff[order], diff, n_gt[diff]) for diff in DIFFICULTIES}
+            hit = present[:, r] & (cand[groups, best] >= MATCH_IOU)
+            claimed[hit, r] = gt_diffs[groups[hit], best[hit]]
+            free[groups[hit], best[hit]] = False
+        hit_diff[by_rank] = claimed[group, rank]
+    n_gt = {diff: np.bincount(gt_class[gt_diff == diff], minlength=n_classes) for diff in DIFFICULTIES}
+    # one stable sort by class and descending score serves every difficulty:
+    # dropping the ignored detections afterwards keeps the order of the rest
+    order = np.lexsort((-scores, det_class))
+    by_class = np.split(order, np.searchsorted(det_class[order], np.arange(1, n_classes)))
+    return {(c, diff): _slice_ap(scores[rows], hit_diff[rows], diff, int(n_gt[diff][c]))
+            for c, rows in zip(range(n_classes), by_class) for diff in DIFFICULTIES}
 
 
 def _slice_ap(

@@ -153,8 +153,8 @@ class ModelGraph:
 def _validate_layers(layers: Sequence[LayerSpec]) -> None:
     """Each layer sets only the fields its kind reads (KIND_FIELDS) and leaves
     the rest at their defaults; names are strings, weight layers have weight
-    and bias, conv2d has conv, a scatter's grid is two positive integers, and
-    heads end the chain. The index is derived, so it is not checked."""
+    and bias, conv2d has conv, a scatter has a grid of two positive integers,
+    and heads end the chain. The index is derived, so it is not checked."""
     seen_head = False
     for l in layers:
         if not isinstance(l.name, str):
@@ -173,7 +173,7 @@ def _validate_layers(layers: Sequence[LayerSpec]) -> None:
                 raise ValueError(f"weight layer {l.name!r} is missing weight or bias")
             if l.kind == "conv2d" and l.conv is None:
                 raise ValueError(f"conv layer {l.name!r} is missing conv params")
-        if l.grid is not None and not int_pair_at_least(l.grid, 1):
+        if l.kind == "scatter" and not int_pair_at_least(l.grid, 1):
             raise ValueError(f"{l.kind} layer {l.name!r} has grid {l.grid!r}, not two integers >= 1")
         if seen_head and not l.is_head:
             raise ValueError(f"layer {l.name!r} follows a head layer but is not a head")
@@ -395,7 +395,7 @@ def forward(
             if layer.kind == "maxpool":
                 out = max_over_points(current, sample.point_mask)
             elif layer.kind == "scatter":
-                if layer.grid is not None and tuple(layer.grid) != tuple(sample.grid):
+                if layer.grid != tuple(sample.grid):
                     raise ValueError(
                         f"scatter grid {layer.grid} does not match sample grid {sample.grid}"
                     )

@@ -207,13 +207,13 @@ def scatter_pillars(
     features: np.ndarray,
     coords: np.ndarray,
     grid: tuple[int, int],
-    scene_ids: np.ndarray | None = None,
-    num_scenes: int = 1,
+    scene_ids: np.ndarray,
+    num_scenes: int,
 ) -> np.ndarray:
-    """Write pillar feature rows [P, C] into a zeroed [B, H, W, C] grid.
+    """Write pillar feature rows [P, C] into a zeroed [num_scenes, H, W, C] grid.
 
-    Pillar p lands in scene scene_ids[p] (all scene 0 when omitted) at
-    coords[p]; two pillars may share a cell only in different scenes.
+    Pillar p lands in scene scene_ids[p] at coords[p]; two pillars may share
+    a cell only in different scenes.
     """
     h, w = grid
     features = np.asarray(features, dtype=np.float32)
@@ -221,7 +221,7 @@ def scatter_pillars(
     p, c = features.shape
     if coords.shape[0] != p:
         raise ValueError(f"scatter got {p} pillars but {coords.shape[0]} coords")
-    scenes = np.zeros(p, np.int64) if scene_ids is None else np.asarray(scene_ids, dtype=np.int64)
+    scenes = np.asarray(scene_ids, dtype=np.int64)
     if scenes.shape != (p,):
         raise ValueError(f"scatter got {p} pillars but scene ids of shape {scenes.shape}")
     out = np.zeros((num_scenes, h, w, c), dtype=np.float32)

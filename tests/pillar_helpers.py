@@ -1,8 +1,11 @@
-"""Test helper: an [N, C] array as a one-scene PillarSample, the only input
-that model.forward, calibration and qat take."""
+"""Test helpers: an [N, C] array as a one-scene PillarSample, the only input
+that model.forward, calibration and qat take, and (box, class_id, score)
+rows as one scene's detections, as decode_and_nms gives them and ap40 takes
+them."""
 
 import numpy as np
 
+from pillarmix.metrics import DETECTION
 from pillarmix.tensor_ops import PillarSample
 
 GRID = (16, 16)
@@ -16,3 +19,9 @@ def one_scene(points) -> PillarSample:
     coords = np.stack(np.divmod(np.arange(len(points)), GRID[1]), axis=1)
     return PillarSample(features=points[:, None], point_mask=np.ones((len(points), 1), bool),
                         coords=coords, grid=GRID)
+
+
+def scene_detections(rows=()) -> np.recarray:
+    """(box, class_id, score) rows as one scene's DETECTION record array; no
+    rows is a scene without detections."""
+    return np.rec.fromrecords(list(rows), dtype=DETECTION)

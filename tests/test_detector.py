@@ -30,7 +30,7 @@ from pillarmix.detector import (
     pillarize_dataset,
     save_model,
 )
-from pillarmix.metrics import DIFFICULTIES, Detection, ap40, iou_matrix
+from pillarmix.metrics import DETECTION, DIFFICULTIES, ap40, iou_matrix
 from pillarmix.model import (
     EVAL_CHUNK,
     ModelGraph,
@@ -45,7 +45,8 @@ from pillarmix.model import (
 from pillarmix.quant import DType
 from pillarmix.scenes import CLASS_NAMES, FIELD_SIZE, DatasetConfig, Scene, generate_dataset
 from pillarmix.tensor_ops import linear, max_over_points, relu, sigmoid, stack_samples
-from test_metrics import reference_ap40
+from pillar_helpers import scene_detections
+from test_metrics import reference_table
 
 PLAN_LABELS = ("FP32", "FP16", "INT8", "FP16: 1")
 TINY = DetectorConfig(grid=(8, 8), block_channels=(8, 8, 8), convs_per_block=1, pfn_channels=8, neck_channels=8)
@@ -58,7 +59,7 @@ def reference_decode_and_nms(cls_map, reg_map, score_thresh, iou_thresh):
     cell_h = FIELD_SIZE / oh
     cell_w = FIELD_SIZE / ow
     scores = sigmoid(cls_map.astype(np.float64))
-    detections = []
+    rows = []
     for cls in range(n_classes):
         padded = np.pad(scores[cls], 1, constant_values=-np.inf)
         neighborhood = np.max(
@@ -77,18 +78,20 @@ def reference_decode_and_nms(cls_map, reg_map, score_thresh, iou_thresh):
                 2.5 * math.exp(min(4.0, max(-4.0, dw))),
                 2.5 * math.exp(min(4.0, max(-4.0, dh))),
             ])
-            cand.append(Detection(box=box, class_id=cls, score=s))
-        cand.sort(key=lambda d: -d.score)
+            cand.append((box, cls, s))
+        cand.sort(key=lambda row: -row[2])
         kept = []
-        for det in cand:
-            if any(iou_matrix(det.box[None, :], k.box[None, :])[0, 0] >= iou_thresh for k in kept):
+        for row in cand:
+            if any(iou_matrix(row[0][None, :], k[0][None, :])[0, 0] >= iou_thresh for k in kept):
                 continue
-            kept.append(det)
-        detections.extend(kept)
-    return detections
+            kept.append(row)
+        rows.extend(kept)
+    return scene_detections(rows)
 
 
 def assert_same_detections(got, want):
+    """got is a DETECTION record array whose rows read by attribute, and holds want's rows."""
+    assert isinstance(got, np.recarray) and got.dtype == DETECTION
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (g.class_id, g.score) == (w.class_id, w.score)
@@ -134,17 +137,22 @@ class TestDecodeAndNms:
         with pytest.raises(ValueError, match=re.escape(f"on one grid; got maps of shape {shapes}")):
             decode_and_nms(cls_map[None], reg_map[None], DetectorConfig())
 
-    @pytest.mark.parametrize("head, cell", [("class", (1, 4, 4)), ("box", (0, 4, 4)), ("box", (3, 4, 5))])
-    def test_rejects_a_nan_in_either_map(self, head, cell):
-        """A NaN logit would drop its own peak and its neighbours', a NaN size
-        offset would decode to the smallest box; both fail instead."""
+    @pytest.mark.parametrize("head, cell, value", [
+        ("class", (1, 4, 4), np.nan), ("box", (0, 4, 4), np.nan), ("box", (3, 4, 5), np.nan),
+        ("box", (0, 4, 4), np.inf), ("box", (2, 4, 5), -np.inf), ("box", (3, 7, 7), np.inf),
+    ])
+    def test_rejects_a_nan_in_either_map_or_an_inf_in_the_box_map(self, head, cell, value):
+        """A NaN logit would drop its own peak and its neighbours', an infinite
+        centre offset would decode to a box at infinity and a NaN or infinite
+        size offset to a clipped size; all fail instead."""
         cls_map = np.full((3, 8, 8), -4.0, np.float32)
         cls_map[1, 4, 4:6] = 4.0  # two tied neighbouring peaks
         cls_map[0, 0, 0] = np.inf  # an infinite logit is a score of 1
         reg_map = np.zeros((4, 8, 8), np.float32)
         assert len(decode_and_nms(cls_map[None], reg_map[None], DetectorConfig())) == 3
-        (cls_map if head == "class" else reg_map)[cell] = np.nan
-        with pytest.raises(ValueError, match=f"NaN in the {head} map"):
+        (cls_map if head == "class" else reg_map)[cell] = value
+        what = "a NaN in the class" if head == "class" else "a NaN or inf in the box"
+        with pytest.raises(ValueError, match=f"^decode_and_nms got {what} map of scene 0$"):
             decode_and_nms(cls_map[None], reg_map[None], DetectorConfig())
 
     @pytest.mark.parametrize("block_strides", [(2, 2, 1), (2, 1, 1)])
@@ -157,8 +165,7 @@ class TestDecodeAndNms:
         for scene in scenes:
             cls_t, reg_t, _, _ = encode_targets(scene, cfg)
             dets.append(decode_and_nms(np.where(cls_t > 0, 8.0, -8.0).astype(np.float32)[None], reg_t[None], cfg))
-        aps = [ap40(dets, scenes, c) for c in range(len(CLASS_NAMES))]
-        assert {v for ap in aps for v in ap.values() if v is not None} == {1.0}
+        assert {v for v in ap40(dets, scenes, len(CLASS_NAMES)).values() if v is not None} == {1.0}
 
     @pytest.mark.parametrize("score_thresh, nms_iou", [(0.0, 0.0), (0.3, 1.0), (0.1, 0.5)])
     def test_a_batch_decodes_as_its_scenes_do_one_by_one(self, score_thresh, nms_iou):
@@ -178,7 +185,7 @@ class TestDecodeAndNms:
         assert len(got) == len(cls_maps)
         for k, dets in enumerate(got):
             assert_same_detections(dets, reference_decode_and_nms(cls_maps[k], reg_maps[k], score_thresh, nms_iou))
-        assert (bool(got[1]), bool(got[2])) == (score_thresh <= 0.1, score_thresh == 0.0)  # sigmoid(-2) = 0.12
+        assert (len(got[1]) > 0, len(got[2]) > 0) == (score_thresh <= 0.1, score_thresh == 0.0)  # sigmoid(-2) = 0.12
         assert_same_detections(got[3], got[0])
 
     @pytest.mark.parametrize("field, value", [("score_thresh", -0.1), ("score_thresh", 1.5), ("nms_iou", 2.0)])
@@ -293,16 +300,18 @@ def test_chunked_evaluate_equals_per_scene_evaluation(batch_setup, label):
     for got, want in zip(detected, per_scene):
         assert_same_detections(got, want)
     result = evaluate(graph, plan, stats, gts, cfg, samples=samples)
-    want = {(cls_name, diff): reference_ap40(per_scene, gts, cls_id, diff)
-            for cls_id, cls_name in enumerate(CLASS_NAMES) for diff in DIFFICULTIES}
-    assert result.ap == want
+    want = {(CLASS_NAMES[c], diff): v for (c, diff), v in reference_table(per_scene, gts, len(CLASS_NAMES)).items()}
+    assert list(result.ap.items()) == list(want.items())  # class by class, in CLASS_NAMES order
     if label == "FP32":
         assert set(want.values()) == {1.0}
 
 
-@pytest.mark.parametrize("head", [0, 1], ids=["class", "box"])
-def test_a_nan_in_a_chunk_names_the_scene_and_the_map(batch_setup, head, monkeypatch):
-    """A NaN in one scene's head map of the second chunk names that scene's place in the dataset."""
+@pytest.mark.parametrize("head, value, what", [
+    (0, np.nan, "a NaN in the class"), (1, np.nan, "a NaN or inf in the box"), (1, np.inf, "a NaN or inf in the box"),
+], ids=["class", "box", "box_inf"])
+def test_a_nan_in_a_chunk_names_the_scene_and_the_map(batch_setup, head, value, what, monkeypatch):
+    """A NaN in one scene's head map of the second chunk, or an inf centre offset
+    in its box map, names that scene's place in the dataset."""
     cfg, graph, stats, samples = batch_setup
     real_forward = detector.forward
     chunks = []
@@ -311,12 +320,11 @@ def test_a_nan_in_a_chunk_names_the_scene_and_the_map(batch_setup, head, monkeyp
         heads = real_forward(*args, **kwargs)
         chunks.append(len(heads[0]))
         if len(chunks) == 2:
-            heads[head][1, head, 2, 3] = np.nan
+            heads[head][1, head, 2, 3] = value
         return heads
 
     monkeypatch.setattr(detector, "forward", poisoned)
-    what = ("class", "box")[head]
-    with pytest.raises(ValueError, match=f"decode_and_nms got a NaN in the {what} map of scene {EVAL_CHUNK + 1}$"):
+    with pytest.raises(ValueError, match=f"decode_and_nms got {what} map of scene {EVAL_CHUNK + 1}$"):
         evaluate(graph, parse_plan_label("FP32"), stats, [None] * len(samples), cfg, samples=samples)
     assert chunks == [EVAL_CHUNK, 3]
 

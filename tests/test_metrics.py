@@ -1,11 +1,15 @@
-"""AP40: the scene-vectorized ap40 against a per-scene, per-slice reference; IoU; EvalResult's means."""
+"""AP40: the one-pass ap40 against a per-scene, per-slice reference; its input checks; IoU;
+EvalResult's means."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pillarmix.metrics import DIFFICULTIES, MATCH_IOU, RECALL_POSITIONS, Detection, EvalResult, ap40, iou_matrix
+from pillar_helpers import scene_detections
+from pillarmix.metrics import DIFFICULTIES, MATCH_IOU, RECALL_POSITIONS, EvalResult, ap40, iou_matrix
+
+N_CLASSES = 3
 
 
 def reference_iou(a, b):
@@ -25,8 +29,9 @@ def reference_ap40(detections_per_scene, gt_per_scene, class_id, difficulty):
     interpolate at 40 recall points.
 
     The matching visits a scene's detections of the class by descending score
-    (ties in list order); each claims the unmatched box of the class with the
-    highest IoU >= MATCH_IOU, the first of equal ones.
+    (ties in row order), reading each row by attribute; each claims the
+    unmatched box of the class with the highest IoU >= MATCH_IOU, the first
+    of equal ones.
     """
     flags = []
     n_gt = 0
@@ -71,7 +76,13 @@ def reference_ap40(detections_per_scene, gt_per_scene, class_id, difficulty):
     return ap / len(RECALL_POSITIONS)
 
 
-def random_scenes(rng, n_scenes, n_classes=3):
+def reference_table(detections_per_scene, gt_per_scene, n_classes=N_CLASSES):
+    """reference_ap40 of every (class, difficulty), keyed and ordered as ap40 returns them."""
+    return {(c, diff): reference_ap40(detections_per_scene, gt_per_scene, c, diff)
+            for c in range(n_classes) for diff in DIFFICULTIES}
+
+
+def random_scenes(rng, n_scenes, n_classes=N_CLASSES):
     """GT scenes plus noisy detections: jittered hits, misses, false positives,
     duplicates, and scores drawn from a coarse grid so that ties occur."""
     gts, dets = [], []
@@ -81,17 +92,16 @@ def random_scenes(rng, n_scenes, n_classes=3):
         classes = rng.integers(0, n_classes, size=m)
         diffs = rng.choice(DIFFICULTIES, size=m).astype(object)
         gts.append(SimpleNamespace(boxes=boxes, classes=classes, difficulty=diffs))
-        scene_dets = []
+        rows = []
         for box, cls in zip(boxes, classes):
             for _ in range(int(rng.integers(0, 3))):  # 0 = missed, 2 = a duplicate
                 jitter = box + rng.normal(scale=0.3, size=4) * [1, 1, 0.2, 0.2]
                 jitter[2:] = np.maximum(jitter[2:], 0.2)
-                scene_dets.append(Detection(box=jitter, class_id=int(cls), score=float(rng.integers(1, 8)) / 8))
+                rows.append((jitter, cls, rng.integers(1, 8) / 8))
         for _ in range(int(rng.integers(0, 4))):
             box = [*rng.uniform(1, 15, size=2), *rng.uniform(1, 4, size=2)]
-            scene_dets.append(Detection(box=np.array(box), class_id=int(rng.integers(0, n_classes)),
-                                        score=float(rng.integers(1, 8)) / 8))
-        dets.append(scene_dets)
+            rows.append((box, rng.integers(0, n_classes), rng.integers(1, 8) / 8))
+        dets.append(scene_detections(rows))
     return dets, gts
 
 
@@ -100,45 +110,60 @@ class TestAp40:
     def test_equals_per_slice_reference(self, seed):
         rng = np.random.default_rng(seed)
         dets, gts = random_scenes(rng, n_scenes=int(rng.integers(1, 25)))
-        for cls in range(3):
-            got = ap40(dets, gts, cls)
-            assert list(got) == list(DIFFICULTIES)
-            for diff in DIFFICULTIES:
-                assert got[diff] == reference_ap40(dets, gts, cls, diff), (cls, diff)
+        got = ap40(dets, gts, N_CLASSES)
+        want = reference_table(dets, gts)
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key] == want[key], key
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_classes_are_matched_apart_in_one_pass(self, seed):
+        """Class 2 has detections but no ground truth: a decoy on every box of
+        the other classes, first in its scene and, in every other scene, at
+        the score that all the scene's classes share. Class 1 has ground truth
+        but no detections, and some scenes have no detections at all."""
+        dets, gts = random_scenes(np.random.default_rng(50 + seed), n_scenes=16)
+        for k, (scene, gt) in enumerate(zip(dets, gts)):
+            keep = gt.classes != 2
+            gts[k] = SimpleNamespace(boxes=gt.boxes[keep], classes=gt.classes[keep], difficulty=gt.difficulty[keep])
+            rows = [(box, 2, 1.0) for box in gts[k].boxes] + [(d.box, 0, d.score) for d in scene if d.class_id == 0]
+            dets[k] = scene_detections([] if k % 5 == 3 else rows)
+            if k % 2:
+                dets[k].score = 0.5
+        got = ap40(dets, gts, N_CLASSES)
+        assert got == reference_table(dets, gts)
+        assert {got[(2, diff)] for diff in DIFFICULTIES} == {None}
+        assert {got[(1, diff)] for diff in DIFFICULTIES} <= {0.0, None}
+        assert any(got[(0, diff)] for diff in DIFFICULTIES)
 
     def test_perfect_detector_scores_one(self):
-        dets, gts = random_scenes(np.random.default_rng(10), n_scenes=20)
-        perfect = [
-            [Detection(box=b, class_id=int(c), score=0.9) for b, c in zip(gt.boxes, gt.classes)]
-            for gt in gts
-        ]
-        for cls in range(3):
-            for diff, value in ap40(perfect, gts, cls).items():
-                has_gt = any(np.any((gt.classes == cls) & (gt.difficulty == diff)) for gt in gts)
-                assert value == (1.0 if has_gt else None)
+        _, gts = random_scenes(np.random.default_rng(10), n_scenes=20)
+        perfect = [scene_detections((b, c, 0.9) for b, c in zip(gt.boxes, gt.classes)) for gt in gts]
+        for (cls, diff), value in ap40(perfect, gts, N_CLASSES).items():
+            has_gt = any(np.any((gt.classes == cls) & (gt.difficulty == diff)) for gt in gts)
+            assert value == (1.0 if has_gt else None)
 
     def test_slice_without_ground_truth_is_none(self):
         gts = [SimpleNamespace(boxes=np.array([[5.0, 5.0, 2.0, 2.0]]), classes=np.array([1]),
                                difficulty=np.array(["easy"], dtype=object))]
-        dets = [[Detection(box=np.array([5.0, 5.0, 2.0, 2.0]), class_id=0, score=0.5)]]
-        assert ap40(dets, gts, 0) == {"easy": None, "moderate": None, "hard": None}
-        assert ap40(dets, gts, 1) == {"easy": 0.0, "moderate": None, "hard": None}
+        dets = [scene_detections([([5.0, 5.0, 2.0, 2.0], 0, 0.5)])]
+        assert ap40(dets, gts, 2) == {(0, "easy"): None, (0, "moderate"): None, (0, "hard"): None,
+                                      (1, "easy"): 0.0, (1, "moderate"): None, (1, "hard"): None}
 
     @pytest.mark.parametrize("width, want", [(4.0, 1.0), (4.1, 0.0)])
     def test_a_hit_needs_iou_of_one_half(self, width, want):
         """A box twice as wide as the ground truth and centred on it has IoU 0.5, a wider one less."""
         gts = [SimpleNamespace(boxes=np.array([[5.0, 5.0, 2.0, 2.0]]), classes=np.array([0]),
                                difficulty=np.array(["easy"], dtype=object))]
-        dets = [[Detection(box=np.array([5.0, 5.0, width, 2.0]), class_id=0, score=0.5)]]
-        assert ap40(dets, gts, 0)["easy"] == want
+        dets = [scene_detections([([5.0, 5.0, width, 2.0], 0, 0.5)])]
+        assert ap40(dets, gts, 1)[(0, "easy")] == want
 
     def test_rejects_mismatched_scene_counts(self):
         dets, gts = random_scenes(np.random.default_rng(11), n_scenes=6)
         with pytest.raises(ValueError, match="4 scenes of detections for 6"):
-            ap40(dets[:4], gts, 0)
+            ap40(dets[:4], gts, N_CLASSES)
         with pytest.raises(ValueError, match="6 scenes of detections for 4"):
-            ap40(dets, gts[:4], 0)
-
+            ap40(dets, gts[:4], N_CLASSES)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_scenes_without_ground_truth_count_their_detections_as_false_positives(self, seed):
@@ -149,20 +174,55 @@ class TestAp40:
         extra = random_scenes(np.random.default_rng(40 + seed), n_scenes=6)[0]
         dets = [d for pair in zip(dets[:6], extra) for d in pair] + dets[6:]
         gts = [g for pair in zip(gts[:6], [empty] * 6) for g in pair] + gts[6:]
-        for cls in range(3):
-            got = ap40(dets, gts, cls)
-            assert got == {diff: reference_ap40(dets, gts, cls, diff) for diff in DIFFICULTIES}
-        assert ap40(extra, [empty] * 6, 0) == dict.fromkeys(DIFFICULTIES)
+        assert ap40(dets, gts, N_CLASSES) == reference_table(dets, gts)
+        assert ap40(extra, [empty] * 6, N_CLASSES) == dict.fromkeys(reference_table([], []))
 
     def test_scenes_without_detections_miss_their_ground_truth(self):
         dets, gts = random_scenes(np.random.default_rng(30), n_scenes=10)
-        dets[3:7] = [[], [], [], []]
-        for cls in range(3):
-            assert ap40(dets, gts, cls) == {diff: reference_ap40(dets, gts, cls, diff) for diff in DIFFICULTIES}
-            none = ap40([[] for _ in gts], gts, cls)
-            assert none == {diff: reference_ap40([[]] * len(gts), gts, cls, diff) for diff in DIFFICULTIES}
-            assert set(none.values()) <= {0.0, None}
-        assert ap40([], [], 0) == dict.fromkeys(DIFFICULTIES)
+        dets[3:7] = [scene_detections() for _ in range(4)]
+        assert ap40(dets, gts, N_CLASSES) == reference_table(dets, gts)
+        none = ap40([scene_detections() for _ in gts], gts, N_CLASSES)
+        assert none == reference_table([scene_detections()] * len(gts), gts)
+        assert set(none.values()) <= {0.0, None}
+        assert ap40([], [], N_CLASSES) == dict.fromkeys(reference_table([], []))
+
+
+class TestAp40Inputs:
+    """Outside input is checked once, for every scene: a bad row raises
+    ValueError naming its scene."""
+
+    def scenes(self):
+        gts = [SimpleNamespace(boxes=np.array([[5.0, 5.0, 2.0, 2.0]] * k), classes=np.arange(k),
+                               difficulty=np.array(["easy"] * k, dtype=object)) for k in (2, 3)]
+        dets = [scene_detections(((5.0, 5.0, 2.0, 2.0), c, 0.5) for c in range(k)) for k in (2, 3)]
+        assert ap40(dets, gts, N_CLASSES)[(0, "easy")] == 1.0
+        return dets, gts
+
+    @pytest.mark.parametrize("box", [[np.nan, 1.0, 1.0, 1.0], [1.0, np.inf, 1.0, 1.0], [1.0, 1.0, np.inf, 1.0],
+                                     [1.0, 1.0, 1.0, np.nan], [1.0, 1.0, -np.inf, 1.0], [1.0, 1.0, 0.0, 1.0],
+                                     [1.0, 1.0, 1.0, -2.0]])
+    def test_rejects_a_non_finite_or_degenerate_box(self, box):
+        dets, gts = self.scenes()
+        dets[1].box[2] = box
+        with pytest.raises(ValueError, match=r"detection box must be finite \(cx, cy, w, h\) with positive "
+                                             r"extents, got .* in scene 1$"):
+            ap40(dets, gts, N_CLASSES)
+
+    @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_score(self, score):
+        dets, gts = self.scenes()
+        dets[1].score[0] = score
+        with pytest.raises(ValueError, match=rf"detection score must be finite, got {score} in scene 1$"):
+            ap40(dets, gts, N_CLASSES)
+
+    @pytest.mark.parametrize("who", ["detection", "ground-truth"])
+    @pytest.mark.parametrize("class_id", [-1, N_CLASSES])
+    def test_rejects_a_class_id_outside_the_classes(self, who, class_id):
+        """An id of -1 or n_classes would land in the previous or the next scene's group."""
+        dets, gts = self.scenes()
+        (dets[1].class_id if who == "detection" else gts[1].classes)[1] = class_id
+        with pytest.raises(ValueError, match=rf"^{who} class id must lie in \[0, 3\), got {class_id} in scene 1$"):
+            ap40(dets, gts, N_CLASSES)
 
 
 def random_boxes(rng, shape):
@@ -192,19 +252,6 @@ class TestIouMatrix:
             ia = tuple(i if n > 1 else 0 for i, n in zip(idx, shape_a[:-1]))
             ib = tuple(i if n > 1 else 0 for i, n in zip(idx, shape_b[:-1]))
             np.testing.assert_array_equal(got[idx], iou_matrix(a[ia], b[ib]))
-
-
-class TestDetection:
-    @pytest.mark.parametrize("box", [[np.nan, 1.0, 1.0, 1.0], [1.0, np.inf, 1.0, 1.0], [1.0, 1.0, np.inf, 1.0],
-                                     [1.0, 1.0, 1.0, np.nan], [1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
-    def test_rejects_non_finite_or_degenerate_box(self, box):
-        with pytest.raises(ValueError, match="detection box"):
-            Detection(box=box, class_id=0, score=0.5)
-
-    @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf, np.float32(np.nan)])
-    def test_rejects_a_non_finite_score(self, score):
-        with pytest.raises(ValueError, match="detection score must be finite"):
-            Detection(box=[1.0, 1.0, 1.0, 1.0], class_id=0, score=score)
 
 
 class TestEvalResult:

@@ -375,7 +375,7 @@ class TestForward:
                                        ((1, 1), (True, True), r"padding .* >= 0, got \(True, True\)")]:
             with pytest.raises(ValueError, match=match):
                 conv_layer(3, 1, 2, 3, rng, stride=stride, padding=padding)
-        for grid in [(16.0, 16), (16,)]:
+        for grid in [(16.0, 16), (16,), None]:  # a scatter always carries its grid
             with pytest.raises(ValueError, match=rf"scatter layer 'scatter' has grid {re.escape(repr(grid))}, not two"):
                 ModelGraph(layers=(LayerSpec(name="scatter", kind="scatter", grid=grid),))
         with pytest.raises(ValueError, match="layer name 5 is not a string"):

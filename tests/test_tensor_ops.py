@@ -278,12 +278,14 @@ class TestSigmoid:
 
 class TestScatterPillars:
     def test_empty(self):
-        out = scatter_pillars_nchw(np.zeros((0, 3), dtype=np.float32), np.zeros((0, 2), int), (4, 4))
+        out = scatter_pillars_nchw(np.zeros((0, 3), dtype=np.float32), np.zeros((0, 2), int), (4, 4),
+                                   np.zeros(0, np.int64), 1)
         assert out.shape == (1, 3, 4, 4) and out.dtype == np.float32
         assert np.all(out == 0.0)
 
     def test_single_pillar(self):
-        out = scatter_pillars_nchw(np.array([[7.0]], dtype=np.float32), np.array([[0, 0]]), (2, 2))
+        out = scatter_pillars_nchw(np.array([[7.0]], dtype=np.float32), np.array([[0, 0]]), (2, 2),
+                                   np.zeros(1, np.int64), 1)
         np.testing.assert_array_equal(out[0, 0], [[7.0, 0.0], [0.0, 0.0]])
 
     def test_conserves_sum(self):
@@ -291,16 +293,16 @@ class TestScatterPillars:
         feats = rng.normal(size=(10, 6)).astype(np.float32)
         cells = rng.choice(8 * 8, size=10, replace=False)
         coords = np.stack([cells // 8, cells % 8], axis=1)
-        out = scatter_pillars_nchw(feats, coords, (8, 8))
+        out = scatter_pillars_nchw(feats, coords, (8, 8), np.zeros(10, np.int64), 1)
         np.testing.assert_allclose(out.sum(), feats.sum(), rtol=1e-6)
 
     def test_out_of_range_and_duplicate(self):
         feats = np.ones((1, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="outside grid"):
-            scatter_pillars(feats, np.array([[5, 0]]), (4, 4))
+            scatter_pillars(feats, np.array([[5, 0]]), (4, 4), np.zeros(1, np.int64), 1)
         feats2 = np.ones((2, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="duplicate"):
-            scatter_pillars(feats2, np.array([[1, 1], [1, 1]]), (4, 4))
+            scatter_pillars(feats2, np.array([[1, 1], [1, 1]]), (4, 4), np.zeros(2, np.int64), 1)
 
 
     def test_batch_scatters_each_scene_into_its_own_image(self):
@@ -345,7 +347,8 @@ class TestStackSamples:
         image = scatter_pillars(batch.features[:, 0], batch.coords, batch.grid, batch.scene_ids, 3)
         for i, part in enumerate(parts):
             np.testing.assert_array_equal(
-                image[i : i + 1], scatter_pillars(part.features[:, 0], part.coords, part.grid)
+                image[i : i + 1],
+                scatter_pillars(part.features[:, 0], part.coords, part.grid, np.zeros(len(part.coords), np.int64), 1),
             )
 
     def test_stacking_batches_offsets_scene_ids(self):
