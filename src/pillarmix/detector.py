@@ -6,12 +6,12 @@ pseudo-image, three conv blocks (the first two downsample by 2), a 2x
 upsample + conv neck, and two 1x1 conv heads (per-class logits and 4 box
 offsets per cell). ModelGraph numbers the weight layers 1..L for precision plans.
 
-``detect`` runs the scenes through the network EVAL_CHUNK at a time and
-decodes each chunk's head maps at once: local peaks, one sort by (scene,
-class, score) and a greedy NMS over one padded IoU, vectorized across every
-(scene, class) pair. The kept boxes are one ``metrics.DETECTION`` record
-array per chunk, viewed per scene, and ``evaluate`` scores them with one
-``ap40`` call.
+``detect`` and ``evaluate`` take the detector config and pillarized scenes.
+``detect`` runs them through the network EVAL_CHUNK at a time and decodes
+each chunk's head maps at once: local peaks, one sort by (scene, class,
+score) and a greedy NMS over one padded IoU, vectorized across every (scene,
+class) pair. The kept boxes are one ``metrics.DETECTION`` record array per
+chunk, viewed per scene, and ``evaluate`` scores them with one ``ap40`` call.
 
 ``_layer_chain`` is the one description of the layers: ``build_toy_detector``
 walks it drawing weights, and ``load_model`` walks it reading a model file,
@@ -123,23 +123,23 @@ class DetectorConfig:
         missing "detector" entry or field, or a key that is no field raises
         ValueError naming it."""
         if not isinstance(meta, dict):
-            raise ValueError(f"model meta is {type(meta).__name__}, not an object; pass cfg")
+            raise ValueError(f"model meta is {type(meta).__name__}, not an object")
         extra = sorted(set(meta) - {"detector"}, key=str)
         if extra:
-            raise ValueError(f"model meta has keys {extra} besides 'detector'; pass cfg")
+            raise ValueError(f"model meta has keys {extra} besides 'detector'")
         try:
             det = meta["detector"]
             if not isinstance(det, dict):
-                raise ValueError(f"model meta entry 'detector' is {type(det).__name__}, not an object; pass cfg")
+                raise ValueError(f"model meta entry 'detector' is {type(det).__name__}, not an object")
             names = [f.name for f in dataclasses.fields(DetectorConfig)]
             unknown = sorted(set(det) - set(names), key=str)
             if unknown:
-                raise ValueError(f"model meta's detector config has unknown keys {unknown}; pass cfg")
+                raise ValueError(f"model meta's detector config has unknown keys {unknown}")
             return DetectorConfig(**{
                 name: tuple(det[name]) if isinstance(det[name], list) else det[name] for name in names
             })
         except KeyError as exc:
-            raise ValueError(f"model meta has no detector config key {exc}; pass cfg") from exc
+            raise ValueError(f"model meta has no detector config key {exc}") from exc
 
 
 def _layer_chain(cfg: DetectorConfig, meta: dict, make) -> ModelGraph:
@@ -426,26 +426,20 @@ def detect(
     graph: ModelGraph,
     plan: PrecisionPlan,
     stats: Mapping | None,
-    dataset: Sequence[Scene],
-    cfg: DetectorConfig | None = None,
-    samples: Sequence[PillarSample] | None = None,
+    cfg: DetectorConfig,
+    samples: Sequence[PillarSample],
 ) -> list[np.recarray]:
-    """Each scene's detections under the planned model, as decode_and_nms gives them.
+    """Each pillarized scene's detections under the planned model, as decode_and_nms gives them.
 
-    The scenes run through batched forwards of EVAL_CHUNK scenes each, and
-    each chunk's head maps are decoded at once; a scene's detections (a view
-    of its chunk's record array) do not depend on the chunking. samples, when
-    given, are the pillarized scenes of dataset, one single-scene sample per
-    scene; a sample holding several scenes raises ValueError naming its
-    position. A NaN or inf that decode_and_nms rejects raises ValueError
-    naming the scene's position in dataset and the map.
+    samples holds one single-scene sample per scene (pillarize_dataset); a
+    sample holding several scenes raises ValueError naming its position. The
+    scenes run through batched forwards of EVAL_CHUNK scenes each, and each
+    chunk's head maps are decoded at once; a scene's detections (a view of
+    its chunk's record array) do not depend on the chunking. A NaN or inf
+    that decode_and_nms rejects raises ValueError naming the scene's
+    position in samples and the map.
     """
-    cfg = cfg or DetectorConfig.from_meta(graph.meta)
     planned = apply_plan(fold_all_bn(graph), plan)
-    if samples is None:
-        samples = pillarize_dataset(dataset, cfg)
-    if len(samples) != len(dataset):
-        raise ValueError(f"{len(samples)} pillarized samples for {len(dataset)} scenes")
     dets_per_scene = []
     for start, batch in eval_chunks(samples):
         dets_per_scene.extend(_decode_batch(*forward(planned, batch, stats=stats), cfg, first=start))
@@ -457,15 +451,17 @@ def evaluate(
     plan: PrecisionPlan,
     stats: Mapping | None,
     dataset: Sequence[Scene],
-    cfg: DetectorConfig | None = None,
-    samples: Sequence[PillarSample] | None = None,
+    cfg: DetectorConfig,
+    samples: Sequence[PillarSample],
 ) -> EvalResult:
-    """Full per-class x per-difficulty AP40 table for the planned model.
-
-    One ap40 call scores detect's detections, so the table does not depend
-    on the chunking either; it holds (class name, difficulty) keys.
+    """Full per-class x per-difficulty AP40 table for the planned model on
+    dataset, whose pillarized scenes are samples (another count raises
+    ValueError). One ap40 call scores detect's detections, so the table does
+    not depend on the chunking either; it holds (class name, difficulty) keys.
     """
-    ap = ap40(detect(graph, plan, stats, dataset, cfg, samples), dataset, len(CLASS_NAMES))
+    if len(samples) != len(dataset):
+        raise ValueError(f"{len(samples)} pillarized samples for {len(dataset)} scenes")
+    ap = ap40(detect(graph, plan, stats, cfg, samples), dataset, len(CLASS_NAMES))
     return EvalResult(ap={(CLASS_NAMES[c], diff): value for (c, diff), value in ap.items()})
 
 

@@ -88,9 +88,10 @@ def ap40(
     difficulty then counts its own ground truth and ignores hits on boxes of
     the other difficulties. Returns {(class_id, difficulty): AP}, with None
     where the slice has no ground truth, so it can be excluded from means
-    rather than counted as 0. Differing scene counts, a detection box that is
-    not finite with positive extents, a non-finite score, and a class id
-    outside [0, n_classes) raise ValueError; the last three name the scene.
+    rather than counted as 0. Differing scene counts, a detection or
+    ground-truth box that is not finite with positive extents, a non-finite
+    score, and a class id outside [0, n_classes) raise ValueError; all but
+    the first name the scene.
     """
     n_scenes = len(gt_per_scene)
     if len(detections_per_scene) != n_scenes:
@@ -99,16 +100,18 @@ def ap40(
     dets = np.concatenate([np.zeros(0, DETECTION), *detections_per_scene])
     boxes, det_class, scores = dets["box"], dets["class_id"], dets["score"]
     det_scene = np.repeat(np.arange(n_scenes), [len(d) for d in detections_per_scene])
-    gt_boxes = [np.asarray(gt.boxes, dtype=np.float64).reshape(-1, 4) for gt in gt_per_scene]
-    gt_scene = np.repeat(np.arange(n_scenes), [len(b) for b in gt_boxes])
+    boxes_per_scene = [np.asarray(gt.boxes, dtype=np.float64).reshape(-1, 4) for gt in gt_per_scene]
+    gt_scene = np.repeat(np.arange(n_scenes), [len(b) for b in boxes_per_scene])
+    gt_boxes = np.concatenate([np.zeros((0, 4)), *boxes_per_scene])
     gt_class = np.concatenate([np.zeros(0, np.int64), *(np.asarray(gt.classes, dtype=np.int64).reshape(-1)
                                                         for gt in gt_per_scene)])
     gt_diff = np.concatenate([np.zeros(0, str), *(np.asarray(gt.difficulty, dtype=str).reshape(-1)
                                                   for gt in gt_per_scene)])
     # a class id outside [0, n_classes) would land in another (scene, class) group
     for rule, values, bad, scene in (
-        ("detection box must be finite (cx, cy, w, h) with positive extents", boxes,
-         ~(np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > 0).all(axis=1)), det_scene),
+        *((f"{who} box must be finite (cx, cy, w, h) with positive extents", b,
+           ~(np.isfinite(b).all(axis=1) & (b[:, 2:] > 0).all(axis=1)), where)
+          for who, b, where in (("detection", boxes, det_scene), ("ground-truth", gt_boxes, gt_scene))),
         ("detection score must be finite", scores, ~np.isfinite(scores), det_scene),
         (f"detection class id must lie in [0, {n_classes})", det_class,
          (det_class < 0) | (det_class >= n_classes), det_scene),
@@ -130,7 +133,7 @@ def ap40(
         gt_group = gt_group[gt_order]
         gt_slot = _slots(gt_group)
         ious = iou_matrix(_padded(boxes[by_rank], group, rank, n_groups, 1.0),
-                          _padded(np.concatenate(gt_boxes)[gt_order], gt_group, gt_slot, n_groups, 1.0))
+                          _padded(gt_boxes[gt_order], gt_group, gt_slot, n_groups, 1.0))
         free = _padded(np.ones(len(gt_group), bool), gt_group, gt_slot, n_groups, False)
         gt_diffs = _padded(gt_diff[gt_order], gt_group, gt_slot, n_groups, "")
         present = _padded(np.ones(len(group), bool), group, rank, n_groups, False)

@@ -3,10 +3,11 @@
 Each SGD step makes one pass over its stacked batch of scenes: one forward
 through the same precision-aware executor as inference on a BN-folded graph,
 recording one ``model.TapeEntry`` per layer, one loss, and one backward that
-walks the tape in reverse, treats each fake-quant node as identity inside its
-clip range and zero outside (clipped STE) and the FP16 round trip as
-identity. So weights are quantized once per step. Quant scales stay frozen at
-their calibrated values throughout; the loss weights are CLS_WEIGHT and REG_WEIGHT.
+walks the tape in reverse and treats the FP16 round trip as identity. The
+clipped STE is one mask on both gradients of an INT8 layer: each passes where
+its fake-quantized tensor lies inside the clip range and is zero outside. So
+weights are quantized once per step. Quant scales stay frozen at their
+calibrated values throughout; the loss weights are CLS_WEIGHT and REG_WEIGHT.
 
 The backward runs channels-last, like the forward: the head gradients arrive
 NCHW, as the heads return, and are transposed once. A conv layer's weight
@@ -36,7 +37,6 @@ __all__ = [
     "TrainExample",
     "backward",
     "detection_loss",
-    "ste_fake_quant_backward",
     "train_qat",
 ]
 
@@ -85,18 +85,9 @@ GradState = dict[int, tuple[np.ndarray, np.ndarray]]  # index -> (dW, db)
 
 
 def _in_range_mask(x: np.ndarray, qp: QuantParams | PerChannelQuantParams) -> np.ndarray:
-    per_channel = isinstance(qp, PerChannelQuantParams)
-    scale = qp.scales.reshape((-1,) + (1,) * (x.ndim - 1)) if per_channel else qp.scale
+    """1 where x lies inside the clip range of qp (per channel along axis 0), else 0: the clipped STE."""
+    scale = qp.along_axis0(x.ndim) if isinstance(qp, PerChannelQuantParams) else qp.scale
     return ((x >= Q_MIN * scale) & (x <= Q_MAX * scale)).astype(np.float32)
-
-
-def ste_fake_quant_backward(
-    x: np.ndarray, qp: QuantParams | PerChannelQuantParams, upstream: np.ndarray
-) -> np.ndarray:
-    """Clipped STE: pass upstream through where x sits inside the clip range."""
-    if x.shape != upstream.shape:
-        raise ValueError(f"STE shape mismatch: x {x.shape} vs upstream {upstream.shape}")
-    return upstream * _in_range_mask(x, qp)
 
 
 def detection_loss(outputs, example: TrainExample, cfg: TrainConfig):
@@ -144,7 +135,7 @@ def _kernel_backward(entry: TapeEntry, cols: np.ndarray, do2: np.ndarray, dx_use
     dw = (do2.T @ cols).reshape(entry.w_used.shape)
     if entry.quant is not None:
         act_qp, weight_qp = entry.quant
-        dx = ste_fake_quant_backward(entry.x_in, act_qp, dx_used)
+        dx = dx * _in_range_mask(entry.x_in, act_qp)
         dw = dw * _in_range_mask(entry.layer.weight, weight_qp)
     return dx, (dw.astype(np.float32), do2.sum(axis=0).astype(np.float32))
 

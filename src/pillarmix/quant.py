@@ -1,14 +1,13 @@
-"""Symmetric INT8 quantization math and FP16 simulation.
+"""Symmetric INT8 fake quantization and FP16 simulation.
 
-The INT8 scheme maps x to clamp(round_half_even(x / scale), Q_MIN, Q_MAX):
-codes always lie in [-128, 127] and the zero point is always 0, so neither
-is a parameter. compute_scale derives the scale from a range,
-max(|min|, |max|) / 127 (an activation's range is its calibrated (min, max),
-see calibration.py; a weight's is its own). FP16 layers are simulated by a
-binary16 round trip that saturates at +-65504 instead of overflowing.
-Infinities saturate in both schemes (to -128/127 codes or to +-65504); a NaN
-has no code in either, so quantize, fake_quant, fake_quant_per_channel and
-fp16_roundtrip raise ValueError on one instead of emitting a garbage number.
+One rounding rule serves every INT8 tensor: clamp(round_half_even(x / scale),
+Q_MIN, Q_MAX) * scale (zero point 0) in one float64 buffer, with one scale per
+tensor (fake_quant) or per output channel (fake_quant_per_channel).
+compute_scale derives the scale from a range, max(|min|, |max|) / 127 (an
+activation's range is its calibrated (min, max), see calibration.py; a
+weight's is its own). FP16 layers are simulated by a binary16 round trip that
+saturates at +-65504 instead of overflowing. Infinities saturate in both
+schemes; a NaN has no code in either, so all three transforms raise ValueError.
 """
 
 from __future__ import annotations
@@ -27,11 +26,9 @@ __all__ = [
     "Q_MIN",
     "QuantParams",
     "compute_scale",
-    "dequantize",
     "fake_quant",
     "fake_quant_per_channel",
     "fp16_roundtrip",
-    "quantize",
     "weight_quant_params",
 ]
 
@@ -74,6 +71,10 @@ class PerChannelQuantParams:
             raise ValueError("per-channel scales must be a 1D positive finite array")
         object.__setattr__(self, "scales", scales)
 
+    def along_axis0(self, ndim: int) -> np.ndarray:
+        """The scales shaped to broadcast along axis 0 of an ndim-dimensional tensor."""
+        return self.scales.reshape((-1,) + (1,) * (ndim - 1))
+
 
 def compute_scale(x_min: float, x_max: float) -> QuantParams:
     """Derive the symmetric scale max(|x_min|, |x_max|) / 127.
@@ -97,40 +98,21 @@ def _reject_nan(x: np.ndarray) -> None:
                          "NaN has no INT8 or FP16 encoding")
 
 
-def quantize(x, qp: QuantParams):
-    """clamp(round_half_even(x / scale), -128, 127); scalar in, int out.
-
-    +-inf saturates to the end codes; NaN raises ValueError.
-    """
-    x = np.asarray(x, dtype=np.float64)
+def _fake_quant(t: np.ndarray, scale) -> np.ndarray:
+    """clamp(round_half_even(t / scale), Q_MIN, Q_MAX) * scale in one float64
+    buffer, float32 out; scale is a float or an array that broadcasts against t."""
+    x = np.array(t, dtype=np.float64)
     _reject_nan(x)
-    xq = np.clip(np.rint(x / qp.scale), Q_MIN, Q_MAX)
-    if np.ndim(x) == 0:
-        return int(xq)
-    return xq.astype(np.int32)
-
-
-def dequantize(x_q, qp: QuantParams):
-    """Map integer codes back to reals: x_q * scale."""
-    out = np.asarray(x_q, dtype=np.float64) * qp.scale
-    if np.ndim(x_q) == 0:
-        return float(out)
-    return out
+    np.divide(x, scale, out=x)
+    np.rint(x, out=x)
+    np.clip(x, Q_MIN, Q_MAX, out=x)
+    x *= scale
+    return x.astype(np.float32)
 
 
 def fake_quant(t: np.ndarray, qp: QuantParams) -> np.ndarray:
-    """Quantize-then-dequantize in real arithmetic; shape preserved, float32 out.
-
-    Equal to dequantize(quantize(t, qp), qp), computed in one float64 buffer:
-    the codes are small integers, exact in float64. NaN raises ValueError.
-    """
-    x = np.array(t, dtype=np.float64)
-    _reject_nan(x)
-    np.divide(x, qp.scale, out=x)
-    np.rint(x, out=x)
-    np.clip(x, Q_MIN, Q_MAX, out=x)
-    x *= qp.scale
-    return x.astype(np.float32)
+    """Quantize-then-dequantize with one scale; shape preserved, float32 out. NaN raises ValueError."""
+    return _fake_quant(t, qp.scale)
 
 
 def weight_quant_params(weight: np.ndarray, per_channel: bool = False):
@@ -152,11 +134,7 @@ def weight_quant_params(weight: np.ndarray, per_channel: bool = False):
 
 def fake_quant_per_channel(weight: np.ndarray, qp: PerChannelQuantParams) -> np.ndarray:
     """fake_quant with one scale per output channel (axis 0); NaN raises ValueError."""
-    w = np.asarray(weight, dtype=np.float64)
-    _reject_nan(w)
-    scales = qp.scales.reshape((-1,) + (1,) * (w.ndim - 1))
-    codes = np.clip(np.rint(w / scales), Q_MIN, Q_MAX)
-    return (codes * scales).astype(np.float32)
+    return _fake_quant(weight, qp.along_axis0(np.ndim(weight)))
 
 
 def fp16_roundtrip(t: np.ndarray) -> np.ndarray:

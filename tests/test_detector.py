@@ -295,7 +295,7 @@ def test_chunked_evaluate_equals_per_scene_evaluation(batch_setup, label):
             classes=np.array([d.class_id for d in dets], dtype=np.int64),
             difficulty=np.array([DIFFICULTIES[(k + j) % 3] for j in range(len(dets))], dtype=object),
         ))
-    detected = detect(graph, plan, stats, gts, cfg, samples=samples)
+    detected = detect(graph, plan, stats, cfg, samples)
     assert len(detected) == len(per_scene)
     for got, want in zip(detected, per_scene):
         assert_same_detections(got, want)
@@ -311,7 +311,7 @@ def test_chunked_evaluate_equals_per_scene_evaluation(batch_setup, label):
 ], ids=["class", "box", "box_inf"])
 def test_a_nan_in_a_chunk_names_the_scene_and_the_map(batch_setup, head, value, what, monkeypatch):
     """A NaN in one scene's head map of the second chunk, or an inf centre offset
-    in its box map, names that scene's place in the dataset."""
+    in its box map, names that scene's place in the samples."""
     cfg, graph, stats, samples = batch_setup
     real_forward = detector.forward
     chunks = []
@@ -325,7 +325,7 @@ def test_a_nan_in_a_chunk_names_the_scene_and_the_map(batch_setup, head, value, 
 
     monkeypatch.setattr(detector, "forward", poisoned)
     with pytest.raises(ValueError, match=f"decode_and_nms got {what} map of scene {EVAL_CHUNK + 1}$"):
-        evaluate(graph, parse_plan_label("FP32"), stats, [None] * len(samples), cfg, samples=samples)
+        detect(graph, parse_plan_label("FP32"), stats, cfg, samples)
     assert chunks == [EVAL_CHUNK, 3]
 
 
@@ -348,7 +348,8 @@ def test_make_evaluator_pillarizes_once_and_returns_the_map(batch_setup, monkeyp
     got = {label: evaluator(graph, parse_plan_label(label), stats) for label in ("FP32", "INT8")}
     assert len(calls) == len(scenes)
     monkeypatch.undo()
-    assert got == {label: evaluate(graph, parse_plan_label(label), stats, scenes, cfg).map for label in got}
+    samples = pillarize_dataset(scenes, cfg)
+    assert got == {label: evaluate(graph, parse_plan_label(label), stats, scenes, cfg, samples).map for label in got}
     assert got["FP32"] == 1.0 > got["INT8"]
 
 
@@ -368,7 +369,7 @@ def test_detect_rejects_a_sample_of_several_scenes(batch_setup):
     cfg, graph, stats, samples = batch_setup
     several = [stack_samples(samples[:2]), *samples[2:4], stack_samples(samples[4:7])]
     with pytest.raises(ValueError, match=r"positions \[0, 3\] hold \[2, 3\] scenes; each PillarSample must hold one"):
-        detect(graph, parse_plan_label("FP32"), stats, [None] * len(several), cfg, samples=several)
+        detect(graph, parse_plan_label("FP32"), stats, cfg, several)
 
 
 WIDE_HEADS = [
@@ -393,8 +394,9 @@ def test_evaluate_rejects_a_head_of_the_wrong_width(head, shapes):
     """A fifth channel on either head fails loudly instead of going unscored."""
     cfg = DetectorConfig()
     wide = widen(build_toy_detector(cfg, seed=0), head)
+    scenes = generate_dataset(DatasetConfig(size=2), seed=1)
     with pytest.raises(ValueError, match=re.escape(f"got maps of shape {shapes}")):
-        evaluate(wide, parse_plan_label("FP32"), None, generate_dataset(DatasetConfig(size=2), seed=1), cfg)
+        evaluate(wide, parse_plan_label("FP32"), None, scenes, cfg, pillarize_dataset(scenes, cfg))
 
 
 @pytest.mark.parametrize("cfg", [DetectorConfig(), TINY], ids=["cfg0", "cfg1"])
@@ -417,7 +419,7 @@ def test_a_meta_key_that_is_no_config_field_is_rejected(extra_keys, tmp_path):
     """A key the config does not read would ride along in the loaded meta, unchecked."""
     meta = {"detector": {**DetectorConfig().to_meta(), **extra_keys}}
     names = re.escape(str(sorted(extra_keys)))
-    with pytest.raises(ValueError, match=rf"model meta's detector config has unknown keys {names}; pass cfg"):
+    with pytest.raises(ValueError, match=rf"model meta's detector config has unknown keys {names}$"):
         DetectorConfig.from_meta(meta)
     path = save_model(fold_all_bn(build_toy_detector()), tmp_path / "toy")
     rewrite(path, lambda doc, arrays: doc["meta"]["detector"].update(extra_keys))
@@ -428,7 +430,7 @@ def test_a_meta_key_that_is_no_config_field_is_rejected(extra_keys, tmp_path):
 def test_a_meta_key_besides_the_config_is_rejected(tmp_path):
     """A top-level key other than "detector" would ride along in the loaded meta, unchecked."""
     meta = {"detector": DetectorConfig().to_meta(), "n_classes": 4}
-    match = r"model meta has keys \['n_classes'\] besides 'detector'; pass cfg"
+    match = r"model meta has keys \['n_classes'\] besides 'detector'$"
     with pytest.raises(ValueError, match=match):
         DetectorConfig.from_meta(meta)
     graph = fold_all_bn(build_toy_detector())
@@ -441,21 +443,22 @@ def test_a_meta_key_besides_the_config_is_rejected(tmp_path):
 
 
 def test_meta_without_the_config_names_the_missing_key():
-    """Or the entry that is not an object."""
+    """Or the entry that is not an object. evaluate reads no meta: a graph
+    without one evaluates given the config and the pillarized scenes."""
     graph = dataclasses.replace(build_toy_detector(), meta={})
-    scenes = generate_dataset(DatasetConfig(size=2), seed=1)
-    with pytest.raises(ValueError, match="no detector config key 'detector'; pass cfg"):
-        evaluate(graph, parse_plan_label("FP32"), None, scenes)
-    evaluate(graph, parse_plan_label("FP32"), None, scenes, DetectorConfig())
-    det = DetectorConfig().to_meta()
+    with pytest.raises(ValueError, match="no detector config key 'detector'$"):
+        DetectorConfig.from_meta(graph.meta)
+    cfg, scenes = DetectorConfig(), generate_dataset(DatasetConfig(size=2), seed=1)
+    evaluate(graph, parse_plan_label("FP32"), None, scenes, cfg, pillarize_dataset(scenes, cfg))
+    det = cfg.to_meta()
     del det["grid"]
-    with pytest.raises(ValueError, match="no detector config key 'grid'; pass cfg"):
+    with pytest.raises(ValueError, match="no detector config key 'grid'$"):
         DetectorConfig.from_meta({"detector": det})
     for meta, what in [(["detector"], "model meta is list"), (None, "model meta is NoneType"),
                        ({"detector": None}, "model meta entry 'detector' is NoneType"),
                        ({"detector": [det]}, "model meta entry 'detector' is list")]:
-        with pytest.raises(ValueError, match=f"{what}, not an object; pass cfg"):
-            evaluate(dataclasses.replace(graph, meta=meta), parse_plan_label("FP32"), None, scenes)
+        with pytest.raises(ValueError, match=f"{what}, not an object$"):
+            DetectorConfig.from_meta(meta)
 
 
 def test_default_detector_weights_are_pinned():

@@ -208,6 +208,17 @@ class TestAp40Inputs:
                                              r"extents, got .* in scene 1$"):
             ap40(dets, gts, N_CLASSES)
 
+    @pytest.mark.parametrize("box", [[5.0, 5.0, np.nan, 2.0], [5.0, 5.0, 0.0, 2.0], [np.inf, 5.0, 2.0, 2.0],
+                                     [5.0, 5.0, 2.0, -1.0]])
+    def test_rejects_a_non_finite_or_degenerate_ground_truth_box(self, box):
+        """Beside perfectly detected boxes, a [5, 5, nan, 2] box would count as
+        one missed object instead of failing."""
+        dets, gts = self.scenes()
+        gts[1].boxes[2] = box
+        with pytest.raises(ValueError, match=r"^ground-truth box must be finite \(cx, cy, w, h\) with positive "
+                                             r"extents, got .* in scene 1$"):
+            ap40(dets, gts, N_CLASSES)
+
     @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
     def test_rejects_a_non_finite_score(self, score):
         dets, gts = self.scenes()

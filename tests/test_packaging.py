@@ -1,6 +1,7 @@
 """Packaging: the console scripts pyproject.toml declares, the names the benchmark
-traces, every module's __all__, which modules each module's import loads, and
-that every imported name is used."""
+traces, every module's __all__ and that the package or the benchmark reads each
+function and class in it, which modules each module's import loads, and that
+every imported name is used."""
 
 import ast
 import importlib
@@ -48,6 +49,37 @@ def test_all_names_exist_and_cover_every_public_function_and_class(name):
     }
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
     assert sorted(public - set(module.__all__)) == []
+
+
+# (module, name) exports that no file of the package or the benchmark reads, each with its reason
+KEPT = {
+    ("detector", "save_model"): "the model-file API waits for the shipped reference fixture and its CLI",
+    ("detector", "load_model"): "the model-file API waits for the shipped reference fixture and its CLI",
+    ("model", "dtype_boundaries"): "the per-layer precision search ranks its plans by dtype boundaries",
+}
+
+
+def test_every_exported_function_and_class_is_read_outside_the_tests():
+    """Each function or class in a module's __all__ is read, as a Name or an
+    Attribute, somewhere in src/pillarmix or the benchmark's non-test files
+    other than its own definition; one that only tests reach is dead API
+    unless KEPT says why it stays."""
+    files = [*(ROOT / "src" / "pillarmix").glob("*.py"),
+             *(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))]
+    read = set()
+    for path in files:
+        for stmt in ast.parse(path.read_text()).body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+            read |= names - {getattr(stmt, "name", None)}  # a definition does not read itself
+    unread = []
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) and attr not in read:
+                unread.append((name.removeprefix("pillarmix."), attr))
+    assert sorted(unread) == sorted(KEPT)
 
 
 # the script imports each module from a clean sys.modules and prints the

@@ -21,10 +21,12 @@ from pillarmix.model import (
     forward,
     parse_plan_label,
 )
-from pillarmix.qat import TrainConfig, TrainExample, backward, detection_loss, ste_fake_quant_backward, train_qat
+from pillarmix.qat import TrainConfig, TrainExample, backward, detection_loss, train_qat
 from pillarmix.quant import (
     DType,
     PerChannelQuantParams,
+    Q_MAX,
+    Q_MIN,
     QuantParams,
     fake_quant,
     fake_quant_per_channel,
@@ -41,6 +43,13 @@ from pillar_helpers import one_scene
 GRADCHECK_MAX_REL = 1e-2
 
 TINY = DetectorConfig(grid=(8, 8), block_channels=(8, 8, 8), convs_per_block=1, pfn_channels=8, neck_channels=8)
+
+
+def clip_range_mask(x, qp):
+    """The clipped STE's mask, written from the clip range: 1 where
+    Q_MIN * s <= x <= Q_MAX * s, s along axis 0 for per-channel scales."""
+    s = qp.scales.reshape(-1, *[1] * (x.ndim - 1)) if isinstance(qp, PerChannelQuantParams) else qp.scale
+    return ((Q_MIN * s <= x) & (x <= Q_MAX * s)).astype(np.float32)
 
 
 def tiny_graph():
@@ -82,18 +91,12 @@ class TestSteMask:
     def test_per_tensor_passes_inside_clip_range_only(self):
         qp = QuantParams(scale=0.5)  # clip range [-64, 63.5]
         x = np.array([-64.5, -64.0, 0.0, 63.5, 63.6, np.inf], dtype=np.float32)
-        up = np.arange(1, 7, dtype=np.float32)
-        np.testing.assert_array_equal(ste_fake_quant_backward(x, qp, up), [0, 2, 3, 4, 0, 0])
+        np.testing.assert_array_equal(qat._in_range_mask(x, qp), [0, 1, 1, 1, 0, 0])
 
     def test_per_channel_uses_each_channels_range(self):
         qp = PerChannelQuantParams(scales=np.array([1.0, 0.125]))  # [-128, 127] and [-16, 15.875]
         x = np.array([[127.0, -128.0, 128.0], [15.875, -16.0, 16.0]], dtype=np.float32)
-        got = ste_fake_quant_backward(x, qp, np.ones_like(x))
-        np.testing.assert_array_equal(got, [[1, 1, 0], [1, 1, 0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            ste_fake_quant_backward(np.zeros(3), QuantParams(scale=1.0), np.zeros(4))
+        np.testing.assert_array_equal(qat._in_range_mask(x, qp), [[1, 1, 0], [1, 1, 0]])
 
 
 def test_batched_tape_gradient_is_the_sum_over_scenes():
@@ -239,8 +242,8 @@ def test_int8_gradients_are_the_fp32_ones_on_fake_quantized_tensors_inside_the_c
     grads = taped_grads(apply_plan(graph, PrecisionPlan(overrides={2: DType.INT8})), sample, d_out, stats)
 
     x2 = linear(x, lin1.weight, lin1.bias)  # layer 2's input, before quantization
-    x2_kept = ste_fake_quant_backward(x2, cal2.act_qp, np.ones_like(x2))
-    w_kept = ste_fake_quant_backward(lin2.weight, weight_qp, np.ones_like(lin2.weight))
+    x2_kept = clip_range_mask(x2, cal2.act_qp)
+    w_kept = clip_range_mask(lin2.weight, weight_qp)
     assert 0 < x2_kept.sum() < x2_kept.size and 0 < w_kept.sum() < w_kept.size
     # layer 2: the FP32 gradients on the fake-quantized input and weight, zero
     # at the weights outside the clip range
@@ -300,8 +303,8 @@ def nchw_conv_backward(entry, dout):
     dw = (do2.T @ cols).reshape(w.shape)
     if entry.quant is not None:
         act_qp, weight_qp = entry.quant
-        dx = ste_fake_quant_backward(x_in, act_qp, dx)
-        dw = ste_fake_quant_backward(layer.weight, weight_qp, dw)
+        dx = dx * clip_range_mask(x_in, act_qp)
+        dw = dw * clip_range_mask(layer.weight, weight_qp)
     return dx, (dw.astype(np.float32), do2.sum(axis=0).astype(np.float32))
 
 

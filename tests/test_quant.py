@@ -1,4 +1,4 @@
-"""Quantization math: scales, rounding, clamping, FP16 simulation."""
+"""Quantization math: scales, the one INT8 rounding rule, clamping, FP16 simulation."""
 
 import math
 
@@ -17,11 +17,9 @@ from pillarmix.quant import (
     Q_MIN,
     QuantParams,
     compute_scale,
-    dequantize,
     fake_quant,
     fake_quant_per_channel,
     fp16_roundtrip,
-    quantize,
     weight_quant_params,
 )
 
@@ -62,40 +60,33 @@ class TestComputeScale:
             QuantParams(scale=0.0)
 
 
-class TestQuantizeDequantize:
+class TestRounding:
+    """fake_quant's rounding rule on scalars: round half to even, then clamp to the codes."""
+
     def test_zero_maps_to_zero(self):
         for s in (0.001, 1.0, 42.0):
-            assert quantize(0.0, QuantParams(scale=s)) == 0
+            assert fake_quant(np.float32(0.0), QuantParams(scale=s)) == 0.0
 
     def test_round_half_to_even(self):
-        qp = QuantParams(scale=1.0)
-        assert quantize(2.5, qp) == 2
-        assert quantize(3.5, qp) == 4
-        assert quantize(-2.5, qp) == -2
+        fq = fake_quant(np.array([2.5, 3.5, -2.5], dtype=np.float32), QuantParams(scale=1.0))
+        np.testing.assert_array_equal(fq, [2.0, 4.0, -2.0])
 
     def test_clamp_saturates(self):
-        qp = QuantParams(scale=1.0)
-        assert quantize(1000.0, qp) == 127
-        assert quantize(-1000.0, qp) == -128
-
-    def test_dequantize_examples(self):
-        qp = QuantParams(scale=1.0)
-        assert dequantize(0, qp) == 0.0
-        assert dequantize(127, qp) == 127.0
+        fq = fake_quant(np.array([1000.0, -1000.0], dtype=np.float32), QuantParams(scale=1.0))
+        np.testing.assert_array_equal(fq, [127.0, -128.0])
 
     def test_round_trip_bound(self):
         rng = np.random.default_rng(11)
         for _ in range(500):
             s = float(rng.uniform(1e-3, 10))
-            qp = QuantParams(scale=s)
-            x = float(rng.uniform(-128 * s, 127 * s))
-            assert abs(dequantize(quantize(x, qp), qp) - x) <= s / 2
+            x = np.float32(rng.uniform(-128 * s, 127 * s))
+            err = abs(float(fake_quant(x, QuantParams(scale=s))) - float(x))
+            assert err <= s * (0.5 + 64 * np.finfo(np.float32).eps)  # half a step, plus float32 rounding
 
     def test_monotone_in_x(self):
         qp = QuantParams(scale=0.37)
-        xs = np.sort(np.random.default_rng(12).uniform(-100, 100, size=1000))
-        qs = quantize(xs, qp)
-        assert np.all(np.diff(qs) >= 0)
+        xs = np.sort(np.random.default_rng(12).uniform(-100, 100, size=1000)).astype(np.float32)
+        assert np.all(np.diff(fake_quant(xs, qp)) >= 0)
 
 
 class TestFakeQuant:
@@ -111,14 +102,18 @@ class TestFakeQuant:
 
     def test_matches_scalar_oracle_and_bound(self):
         rng = np.random.default_rng(13)
-        qp = QuantParams(scale=float(rng.uniform(0.01, 1.0)))
-        t = rng.uniform(-128 * qp.scale, 127 * qp.scale, size=256).astype(np.float32)
+        s = float(rng.uniform(0.01, 1.0))
+        qp = QuantParams(scale=s)
+
+        def oracle(x):  # Python's round is half to even
+            return np.float32(min(Q_MAX, max(Q_MIN, round(float(x) / s))) * s)
+
+        t = rng.uniform(-128 * s, 127 * s, size=256).astype(np.float32)
         fq = fake_quant(t, qp)
-        for x, y in zip(t, fq):
-            assert y == np.float32(dequantize(quantize(float(x), qp), qp))
-        assert np.max(np.abs(fq - t)) <= qp.scale / 2
-        wide = rng.normal(scale=300 * qp.scale, size=256).astype(np.float32)  # saturates too
-        np.testing.assert_array_equal(fake_quant(wide, qp), dequantize(quantize(wide, qp), qp).astype(np.float32))
+        np.testing.assert_array_equal(fq, [oracle(x) for x in t])
+        assert np.max(np.abs(fq - t)) <= s / 2
+        wide = rng.normal(scale=300 * s, size=256).astype(np.float32)  # saturates too
+        np.testing.assert_array_equal(fake_quant(wide, qp), [oracle(x) for x in wide])
 
     def test_idempotent(self):
         rng = np.random.default_rng(14)
@@ -184,8 +179,6 @@ class TestNanRejected:
         t = np.array([0.5, np.nan, 1.0], dtype=np.float32)
         with pytest.raises(ValueError, match="1 NaN"):
             fake_quant(t, QuantParams(scale=0.1))
-        with pytest.raises(ValueError, match="NaN"):
-            quantize(float("nan"), QuantParams(scale=0.1))
 
     def test_fake_quant_per_channel(self):
         w = np.ones((2, 3), dtype=np.float32)
@@ -231,6 +224,9 @@ class TestFakeQuantProperties:
             codes = np.rint(fq.astype(np.float64) / s)
             assert np.all((codes >= Q_MIN) & (codes <= Q_MAX))
             np.testing.assert_array_equal(fq, (codes * s).astype(np.float32))
+        # one rounding rule: every channel at the same scale is per-tensor fake_quant
+        same = PerChannelQuantParams(scales=np.full(4, scale))
+        np.testing.assert_array_equal(fake_quant_per_channel(w, same), fake_quant(w, QuantParams(scale=scale)))
 
     @settings(max_examples=50, deadline=None)
     @given(u=arrays(np.float64, st.integers(1, 16), elements=st.floats(Q_MIN, Q_MAX)), scale=scales)
