@@ -90,8 +90,8 @@ def ap40(
     where the slice has no ground truth, so it can be excluded from means
     rather than counted as 0. Differing scene counts, a detection or
     ground-truth box that is not finite with positive extents, a non-finite
-    score, and a class id outside [0, n_classes) raise ValueError; all but
-    the first name the scene.
+    score, a class id outside [0, n_classes) and a difficulty label not in
+    DIFFICULTIES raise ValueError; all but the first name the scene.
     """
     n_scenes = len(gt_per_scene)
     if len(detections_per_scene) != n_scenes:
@@ -117,10 +117,12 @@ def ap40(
          (det_class < 0) | (det_class >= n_classes), det_scene),
         (f"ground-truth class id must lie in [0, {n_classes})", gt_class,
          (gt_class < 0) | (gt_class >= n_classes), gt_scene),
+        # "" is also the no-match sentinel of hit_diff and claimed below
+        (f"ground-truth difficulty must be one of {DIFFICULTIES}", gt_diff, ~np.isin(gt_diff, DIFFICULTIES), gt_scene),
     ):
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(f"{rule}, got {values[i]} in scene {scene[i]}")
+            raise ValueError(f"{rule}, got {values[i].tolist()!r} in scene {scene[i]}")
     n_groups = n_scenes * n_classes
     hit_diff = np.full(len(dets), "", dtype=gt_diff.dtype)  # difficulty of the matched box; "" for none
     if len(gt_class):

@@ -290,22 +290,22 @@ class TapeEntry:
     """One layer's forward record, enough to drive the training backward pass.
 
     Every layer keeps x_in, its input before any precision transform (an
-    image channels-last). Glue layers keep the sample (scatter coordinates,
-    maxpool point mask; the maxpool winners are recomputed from x_in). Weight
-    layers keep what the kernel consumed (x_used, w_used), the INT8 (act,
-    weight) quant params (None at FP32 and FP16) and the output after the
-    ReLU, whose positive cells are those of the pre-activation. For a conv
-    layer x_used is the patch matrix its GEMM consumed (``tensor_ops.im2col``
-    of the transformed input), so the backward builds no patches of its own.
+    image channels-last), the batch's sample (scatter coordinates, maxpool
+    point mask; the maxpool winners are recomputed from x_in) and out, the
+    array the next layer reads (after a weight layer's ReLU, so its positive
+    cells are those of the pre-activation); none of them is a copy. Weight
+    layers also keep what the kernel consumed (x_used, w_used) and the INT8
+    (act, weight) quant params (None at FP32 and FP16). A conv's x_used is the
+    fresh patch matrix its GEMM consumed (``tensor_ops.im2col``).
     """
 
     layer: LayerSpec
     x_in: np.ndarray
-    sample: PillarSample | None = None
-    x_used: np.ndarray | None = None
-    w_used: np.ndarray | None = None
-    quant: tuple[QuantParams, QuantParams | PerChannelQuantParams] | None = None
-    out: np.ndarray | None = None
+    sample: PillarSample
+    x_used: np.ndarray | None
+    w_used: np.ndarray | None
+    quant: tuple[QuantParams, QuantParams | PerChannelQuantParams] | None
+    out: np.ndarray
 
 
 def _layer_quant(layer: LayerSpec, stats):
@@ -374,6 +374,7 @@ def forward(
     current = sample.features
     head_outputs: list[np.ndarray] = []
     for layer in graph.layers:
+        x_used = w_used = quant = None
         if layer.is_weight_layer:
             if layer.bn is not None:
                 raise ValueError(
@@ -389,23 +390,18 @@ def forward(
                 out, x_used = conv2d(x_used, w_used, layer.bias, layer.conv)
             if layer.relu:
                 out = relu(out)
-            if tape is not None:
-                tape.append(TapeEntry(layer, current, x_used=x_used, w_used=w_used, quant=quant, out=out))
-        else:
-            if layer.kind == "maxpool":
-                out = max_over_points(current, sample.point_mask)
-            elif layer.kind == "scatter":
-                if layer.grid != tuple(sample.grid):
-                    raise ValueError(
-                        f"scatter grid {layer.grid} does not match sample grid {sample.grid}"
-                    )
-                out = scatter_pillars(
-                    current, sample.coords, sample.grid, sample.scene_ids, sample.num_scenes
+        elif layer.kind == "maxpool":
+            out = max_over_points(current, sample.point_mask)
+        elif layer.kind == "scatter":
+            if layer.grid != tuple(sample.grid):
+                raise ValueError(
+                    f"scatter layer {layer.name!r} has grid {layer.grid}, but the sample's grid is {sample.grid}"
                 )
-            else:  # upsample2x
-                out = upsample2x(current)
-            if tape is not None:
-                tape.append(TapeEntry(layer, current, sample=sample))
+            out = scatter_pillars(current, sample.coords, sample.grid, sample.scene_ids, sample.num_scenes)
+        else:  # upsample2x
+            out = upsample2x(current)
+        if tape is not None:
+            tape.append(TapeEntry(layer, current, sample, x_used, w_used, quant, out))
         if layer.is_head:  # never becomes current, so every head reads the trunk
             head_outputs.append(np.ascontiguousarray(_nchw(out)))
         else:

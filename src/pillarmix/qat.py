@@ -4,16 +4,15 @@ Each SGD step makes one pass over its stacked batch of scenes: one forward
 through the same precision-aware executor as inference on a BN-folded graph,
 recording one ``model.TapeEntry`` per layer, one loss, and one backward that
 walks the tape in reverse and treats the FP16 round trip as identity. The
-clipped STE is one mask on both gradients of an INT8 layer: each passes where
-its fake-quantized tensor lies inside the clip range and is zero outside. So
-weights are quantized once per step. Quant scales stay frozen at their
-calibrated values throughout; the loss weights are CLS_WEIGHT and REG_WEIGHT.
+clipped STE is one mask (``quant.in_clip_range``) on both gradients of an INT8
+layer, so weights are quantized once per step. Quant scales stay frozen at
+their calibrated values throughout; the loss weights are CLS_WEIGHT and
+REG_WEIGHT.
 
 The backward runs channels-last, like the forward: the head gradients arrive
-NCHW, as the heads return, and are transposed once. A conv layer's weight
-gradient multiplies the output gradient rows by the patch matrix on its tape
-entry, and its input gradient adds the patch gradients back onto the padded
-input, so the backward builds no patch matrix.
+NCHW, as the heads return, and are transposed once. A conv layer's patch rows
+are the patch matrix on its tape entry, and its input gradient adds the patch
+gradients back onto the padded input, so the backward builds no patch matrix.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import ModelGraph, PrecisionPlan, TapeEntry, apply_plan, forward
-from .quant import Q_MAX, Q_MIN, PerChannelQuantParams, QuantParams
-from .tensor_ops import ConvParams, PillarSample, int_at_least, is_real, sigmoid, stack_samples
+from .quant import in_clip_range
+from .tensor_ops import PillarSample, int_at_least, is_real, sigmoid, stack_samples
 from .tensor_ops import im2col  # noqa: F401  unused: perfbench/tracing.py counts backward patch builds as qat.im2col calls
 
 __all__ = [
@@ -84,12 +83,6 @@ class TrainExample:
 GradState = dict[int, tuple[np.ndarray, np.ndarray]]  # index -> (dW, db)
 
 
-def _in_range_mask(x: np.ndarray, qp: QuantParams | PerChannelQuantParams) -> np.ndarray:
-    """1 where x lies inside the clip range of qp (per channel along axis 0), else 0: the clipped STE."""
-    scale = qp.along_axis0(x.ndim) if isinstance(qp, PerChannelQuantParams) else qp.scale
-    return ((x >= Q_MIN * scale) & (x <= Q_MAX * scale)).astype(np.float32)
-
-
 def detection_loss(outputs, example: TrainExample, cfg: TrainConfig):
     """Weighted BCE on the class map plus MSE on box offsets at positive cells.
 
@@ -126,22 +119,11 @@ def detection_loss(outputs, example: TrainExample, cfg: TrainConfig):
 # Backward pass over a forward tape
 
 
-def _kernel_backward(entry: TapeEntry, cols: np.ndarray, do2: np.ndarray, dx_used: np.ndarray):
-    """Input gradient and (dW, db) of a weight layer whose kernel multiplied the
-    patch rows cols by the weight, given the output gradient rows do2 and the
-    gradient dx_used of the kernel's input. INT8 applies the clipped STE of
-    both fake-quant nodes; FP32 passes through and FP16 is treated as identity."""
-    dx = dx_used
-    dw = (do2.T @ cols).reshape(entry.w_used.shape)
-    if entry.quant is not None:
-        act_qp, weight_qp = entry.quant
-        dx = dx * _in_range_mask(entry.x_in, act_qp)
-        dw = dw * _in_range_mask(entry.layer.weight, weight_qp)
-    return dx, (dw.astype(np.float32), do2.sum(axis=0).astype(np.float32))
-
-
 def _layer_backward(entry: TapeEntry, dout: np.ndarray):
-    """Gradient of the layer's input, and (dW, db) for a weight layer (else None)."""
+    """Gradient of the layer's input, and (dW, db) for a weight layer (else None).
+    A weight layer's kind gives only its patch rows and input gradient; one tail
+    forms dW and db and, at INT8, applies the clipped STE of both fake-quant
+    nodes. FP32 passes through and FP16 is treated as identity."""
     layer = entry.layer
     if layer.kind == "maxpool":  # the winning point of each pillar and channel takes it all
         x = entry.x_in
@@ -159,24 +141,29 @@ def _layer_backward(entry: TapeEntry, dout: np.ndarray):
         return (d[:, :, 0, :, 0] + d[:, :, 0, :, 1]) + (d[:, :, 1, :, 0] + d[:, :, 1, :, 1]), None
     if layer.relu:
         dout = dout * (entry.out > 0)
-    x, w = entry.x_used, entry.w_used
+    w = entry.w_used
+    do2 = dout.reshape(-1, dout.shape[-1])
     if layer.kind == "linear":
-        do2 = dout.reshape(-1, dout.shape[-1])
-        return _kernel_backward(entry, x.reshape(-1, x.shape[-1]), do2, dout @ w)
-    # conv2d: x is the forward's patch matrix; the patch gradients are added back onto the padded input
-    params: ConvParams = layer.conv
-    sh, sw = params.stride
-    ph, pw = params.padding
-    n, h, wd, c = entry.x_in.shape
-    f, _, kh, kw = w.shape
-    ho, wo = dout.shape[1], dout.shape[2]
-    do2 = dout.reshape(-1, f)
-    dcols = (do2 @ w.reshape(f, -1)).reshape(n, ho, wo, c, kh, kw)
-    dxp = np.zeros((n, h + 2 * ph, wd + 2 * pw, c), dtype=np.float32)
-    for ki in range(kh):
-        for kj in range(kw):
-            dxp[:, ki : ki + sh * ho : sh, kj : kj + sw * wo : sw] += dcols[..., ki, kj]
-    return _kernel_backward(entry, x, do2, dxp[:, ph : ph + h, pw : pw + wd])
+        cols = entry.x_used.reshape(-1, w.shape[1])
+        dx = dout @ w
+    else:  # conv2d: the patch matrix is on the tape; the patch gradients are added back onto the padded input
+        cols = entry.x_used
+        (sh, sw), (ph, pw) = layer.conv.stride, layer.conv.padding
+        n, h, wd, c = entry.x_in.shape
+        f, _, kh, kw = w.shape
+        ho, wo = dout.shape[1], dout.shape[2]
+        dcols = (do2 @ w.reshape(f, -1)).reshape(n, ho, wo, c, kh, kw)
+        dxp = np.zeros((n, h + 2 * ph, wd + 2 * pw, c), dtype=np.float32)
+        for ki in range(kh):
+            for kj in range(kw):
+                dxp[:, ki : ki + sh * ho : sh, kj : kj + sw * wo : sw] += dcols[..., ki, kj]
+        dx = dxp[:, ph : ph + h, pw : pw + wd]
+    dw = (do2.T @ cols).reshape(w.shape)
+    if entry.quant is not None:
+        act_qp, weight_qp = entry.quant
+        dx = dx * in_clip_range(entry.x_in, act_qp)
+        dw = dw * in_clip_range(layer.weight, weight_qp)
+    return dx, (dw.astype(np.float32), do2.sum(axis=0).astype(np.float32))
 
 
 def backward(tape: list[TapeEntry], d_outputs: Sequence[np.ndarray]) -> GradState:

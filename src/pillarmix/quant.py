@@ -2,7 +2,9 @@
 
 One rounding rule serves every INT8 tensor: clamp(round_half_even(x / scale),
 Q_MIN, Q_MAX) * scale (zero point 0) in one float64 buffer, with one scale per
-tensor (fake_quant) or per output channel (fake_quant_per_channel).
+tensor (fake_quant) or per output channel (fake_quant_per_channel). The clip
+range [Q_MIN * scale, Q_MAX * scale] is written here once: in_clip_range masks
+the values the clamp leaves alone, the clipped STE of QAT (qat.py).
 compute_scale derives the scale from a range, max(|min|, |max|) / 127 (an
 activation's range is its calibrated (min, max), see calibration.py; a
 weight's is its own). FP16 layers are simulated by a binary16 round trip that
@@ -29,6 +31,7 @@ __all__ = [
     "fake_quant",
     "fake_quant_per_channel",
     "fp16_roundtrip",
+    "in_clip_range",
     "weight_quant_params",
 ]
 
@@ -108,6 +111,13 @@ def _fake_quant(t: np.ndarray, scale) -> np.ndarray:
     np.clip(x, Q_MIN, Q_MAX, out=x)
     x *= scale
     return x.astype(np.float32)
+
+
+def in_clip_range(t: np.ndarray, qp: QuantParams | PerChannelQuantParams) -> np.ndarray:
+    """float32 mask, 1 where Q_MIN * s <= t <= Q_MAX * s and 0 elsewhere (NaN
+    included): s is qp's scale, or each channel's along axis 0 if per-channel."""
+    scale = qp.along_axis0(np.ndim(t)) if isinstance(qp, PerChannelQuantParams) else qp.scale
+    return ((t >= Q_MIN * scale) & (t <= Q_MAX * scale)).astype(np.float32)
 
 
 def fake_quant(t: np.ndarray, qp: QuantParams) -> np.ndarray:

@@ -140,17 +140,14 @@ def im2col(x: np.ndarray, k_hw: tuple[int, int], params: ConvParams) -> np.ndarr
     ``weight.reshape(F, -1)``. The matrix is filled with one slab copy per
     kernel offset (ki, kj): the [N, H', W', C] input pixels that the offset
     meets, strided by the conv stride, land in column (c, ki, kj) of every
-    row, so each copy reads runs of C contiguous floats. An unpadded 1x1
-    stride-1 kernel's patches are the pixels themselves, so its matrix is a
-    reshape of x, a view when x is contiguous.
+    row, so each copy reads runs of C contiguous floats. The matrix is always
+    a fresh C-contiguous array, even for a 1x1 kernel, never a view of x.
     """
     kh, kw = k_hw
     ph, pw = params.padding
     sh, sw = params.stride
     n, h, w, c = x.shape
     ho, wo = params.out_size((h, w), (kh, kw))
-    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
-        return x.reshape(n * h * w, c)
     xp = x
     if ph or pw:
         xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
@@ -172,7 +169,7 @@ def conv2d(
 
     Returns (out, cols): out is [N, H', W', F] with H', W' from
     ``params.out_size``, and cols the [N*H'*W', C*kh*kw] patch matrix (see
-    ``im2col``) that the GEMM consumed, which the training backward reuses.
+    ``im2col``) that the GEMM consumed, a fresh array the training backward reuses.
     The GEMM is a stacked [N, H'*W', K] @ [K, F] matmul, one BLAS call per
     image with the same M = H'*W' whatever N is: OpenBLAS sgemm rounding
     depends on M, so one flattened [N*H'*W', K] GEMM would make an image's

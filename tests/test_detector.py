@@ -229,6 +229,28 @@ class TestDecodeAndNms:
             DetectorConfig.from_meta({"detector": {**DetectorConfig().to_meta(), **fields}})
 
 
+def test_encode_targets_gives_a_shared_centre_cell_to_the_first_box():
+    """Two centres in output cell (2, 2): the cell's class and offsets are
+    the first box's alone, whichever box comes first."""
+    cfg = DetectorConfig()
+    boxes = np.array([[5.0, 5.0, 3.0, 3.0], [5.5, 4.5, 1.5, 1.5]])
+    classes = np.array([0, 2])
+
+    def targets(order):
+        scene = Scene(points=np.zeros((0, 3)), boxes=boxes[order], classes=classes[order],
+                      difficulty=np.array(["easy"] * len(order)))
+        return encode_targets(scene, cfg)
+
+    for first, second in ((0, 1), (1, 0)):
+        cls_t, reg_t, pos, _ = targets([first, second])
+        assert np.argwhere(pos).tolist() == [[2, 2]]
+        assert cls_t[:, 2, 2].tolist() == [float(c == classes[first]) for c in range(len(CLASS_NAMES))]
+        assert cls_t[classes[second]].sum() == 0
+        alone = targets([first])
+        for got, want in zip((cls_t, reg_t, pos), alone[:3]):
+            np.testing.assert_array_equal(got, want)
+
+
 @pytest.fixture(scope="module")
 def batch_setup():
     """Default detector, calibration, and EVAL_CHUNK + 3 scenes, one of them empty."""

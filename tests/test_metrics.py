@@ -1,6 +1,7 @@
 """AP40: the one-pass ap40 against a per-scene, per-slice reference; its input checks; IoU;
 EvalResult's means."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -233,6 +234,17 @@ class TestAp40Inputs:
         dets, gts = self.scenes()
         (dets[1].class_id if who == "detection" else gts[1].classes)[1] = class_id
         with pytest.raises(ValueError, match=rf"^{who} class id must lie in \[0, 3\), got {class_id} in scene 1$"):
+            ap40(dets, gts, N_CLASSES)
+
+    @pytest.mark.parametrize("label", ["medum", ""])
+    def test_rejects_a_difficulty_label_outside_the_difficulties(self, label):
+        """Beside perfectly detected boxes, a "medum" box and its hit would
+        vanish from every slice; "" is the mark of a detection that matched
+        nothing."""
+        dets, gts = self.scenes()
+        gts[1].difficulty[2] = label
+        want = f"ground-truth difficulty must be one of ('easy', 'moderate', 'hard'), got {label!r} in scene 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             ap40(dets, gts, N_CLASSES)
 
 

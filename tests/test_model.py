@@ -23,6 +23,7 @@ from pillarmix.model import (
     weights_digest,
 )
 from pillarmix.quant import DType
+from pillarmix.scenes import DatasetConfig, generate_dataset, pillarize
 from pillarmix.tensor_ops import ConvParams, conv2d, linear, relu
 
 from pillar_helpers import one_scene
@@ -357,6 +358,13 @@ class TestForward:
         with pytest.raises(ValueError, match="no head layer"):
             forward(g, one_scene(np.zeros((1, 6))))
 
+    def test_a_sample_on_another_grid_is_rejected_naming_the_scatter_and_both_grids(self):
+        graph = fold_all_bn(build_toy_detector())
+        sample = pillarize(generate_dataset(DatasetConfig(size=1), seed=0)[0], (8, 8), 8)
+        want = "scatter layer 'middle_encoder.scatter' has grid (16, 16), but the sample's grid is (8, 8)"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            forward(graph, sample)
+
     def test_an_image_instead_of_a_pillar_sample_is_rejected_naming_both(self):
         graph = fold_all_bn(build_toy_detector())
         with pytest.raises(TypeError, match=r"takes a PillarSample \(a batch of pillarized scenes\), got ndarray"):
@@ -380,6 +388,18 @@ class TestForward:
                 ModelGraph(layers=(LayerSpec(name="scatter", kind="scatter", grid=grid),))
         with pytest.raises(ValueError, match="layer name 5 is not a string"):
             ModelGraph(layers=(dataclasses.replace(tail, name=5),))
+
+    @pytest.mark.parametrize("kind, change, want", [
+        ("linear", {"weight": None}, "weight layer {!r} is missing weight or bias"),
+        ("conv2d", {"bias": None}, "weight layer {!r} is missing weight or bias"),
+        ("conv2d", {"conv": None}, "conv layer {!r} is missing conv params"),
+    ])
+    def test_a_weight_layer_without_its_arrays_or_conv_params_is_rejected_naming_it(self, kind, change, want):
+        layers = list(build_toy_detector().layers)
+        k = next(k for k, l in enumerate(layers) if l.kind == kind)
+        layers[k] = dataclasses.replace(layers[k], **change)
+        with pytest.raises(ValueError, match=re.escape(want.format(layers[k].name))):
+            ModelGraph(layers=tuple(layers))
 
     @pytest.mark.parametrize("name, change, field", [
         ("voxel_encoder.maxpool", {"weight": np.ones(3, np.float32)}, "weight"),

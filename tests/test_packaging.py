@@ -32,6 +32,40 @@ def test_every_name_the_benchmark_traces_exists():
     assert missing == []
 
 
+def perfbench_module(name, monkeypatch):
+    """A perfbench module, imported as perfbench/test_smoke.py imports it; no
+    bytecode cache is written for it."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    return importlib.import_module(name)
+
+
+# every metric that the kernels, the precision transforms and AP40 feed in a
+# traced ptq_eval run, and that training feeds in a traced qat_finetune run
+TRACED_BY_WORKLOAD = {
+    "ptq_eval": [
+        *(f"tensor_ops.{m}" for m in ("conv2d.self_ms", "linear.ms", "im2col.ms", "scatter_pillars.ms",
+                                      "max_over_points.ms", "upsample2x.ms")),
+        "quant.fake_quant.calls", "quant.fake_quant.weight_calls", "quant.fp16_roundtrip.calls",
+        "metrics.ap40.calls",
+        *(f"model.layer.{i}.{p}.ms" for i in range(1, 14) for p in ("fp32", "fp16", "int8")),
+    ],
+    "qat_finetune": ["model.forward.ms.taped", "qat.backward.ms_per_sample", "qat.detection_loss.ms_per_sample"],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TRACED_BY_WORKLOAD))
+def test_the_benchmark_tracer_sees_every_kernel(workload, monkeypatch):
+    """perfbench wraps the names the executor calls through its module
+    globals; a call that bypassed one (a kernel bound at import, say) would
+    make its metric read 0, not null, and the smoke test would still pass."""
+    run = perfbench_module("run", monkeypatch)
+    workloads = perfbench_module("workloads", monkeypatch)
+    _, result = run.run_workload(workload, seed=3, seconds=0.05, trace=True, sizes=workloads.SMOKE)
+    zero = [name for name in TRACED_BY_WORKLOAD[workload] if not result["metrics"][name]["value"] > 0]
+    assert zero == []
+
+
 def test_every_console_script_imports_and_is_callable():
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     scripts = tomllib.loads(PYPROJECT.read_text())["project"].get("scripts", {})

@@ -87,18 +87,6 @@ def test_backward_matches_central_differences():
     assert worst <= GRADCHECK_MAX_REL
 
 
-class TestSteMask:
-    def test_per_tensor_passes_inside_clip_range_only(self):
-        qp = QuantParams(scale=0.5)  # clip range [-64, 63.5]
-        x = np.array([-64.5, -64.0, 0.0, 63.5, 63.6, np.inf], dtype=np.float32)
-        np.testing.assert_array_equal(qat._in_range_mask(x, qp), [0, 1, 1, 1, 0, 0])
-
-    def test_per_channel_uses_each_channels_range(self):
-        qp = PerChannelQuantParams(scales=np.array([1.0, 0.125]))  # [-128, 127] and [-16, 15.875]
-        x = np.array([[127.0, -128.0, 128.0], [15.875, -16.0, 16.0]], dtype=np.float32)
-        np.testing.assert_array_equal(qat._in_range_mask(x, qp), [[1, 1, 0], [1, 1, 0]])
-
-
 def test_batched_tape_gradient_is_the_sum_over_scenes():
     scenes = generate_dataset(DatasetConfig(size=3), seed=2)
     graph = tiny_graph()

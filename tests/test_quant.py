@@ -1,4 +1,4 @@
-"""Quantization math: scales, the one INT8 rounding rule, clamping, FP16 simulation."""
+"""Quantization math: scales, the one INT8 rounding rule, clamping, the clip-range mask, FP16 simulation."""
 
 import math
 
@@ -20,6 +20,7 @@ from pillarmix.quant import (
     fake_quant,
     fake_quant_per_channel,
     fp16_roundtrip,
+    in_clip_range,
     weight_quant_params,
 )
 
@@ -149,6 +150,33 @@ class TestFakeQuant:
             assert np.abs(fq[ch] - w[ch]).max() <= qp.scales[ch] / 2
 
 
+class TestInClipRange:
+    """The clipped STE's mask: 1 inside [Q_MIN * s, Q_MAX * s], else 0."""
+
+    def test_per_tensor_passes_inside_clip_range_only(self):
+        qp = QuantParams(scale=0.5)  # clip range [-64, 63.5]
+        x = np.array([-64.5, -64.0, 0.0, 63.5, 63.6, np.inf, np.nan], dtype=np.float32)
+        mask = in_clip_range(x, qp)
+        assert mask.dtype == np.float32
+        np.testing.assert_array_equal(mask, [0, 1, 1, 1, 0, 0, 0])
+
+    def test_per_channel_uses_each_channels_range(self):
+        qp = PerChannelQuantParams(scales=np.array([1.0, 0.125]))  # [-128, 127] and [-16, 15.875]
+        x = np.array([[127.0, -128.0, 128.0], [15.875, -16.0, 16.0]], dtype=np.float32)
+        np.testing.assert_array_equal(in_clip_range(x, qp), [[1, 1, 0], [1, 1, 0]])
+
+    def test_marks_the_values_fake_quant_does_not_saturate(self):
+        """Inside the mask fake_quant rounds to within half a step; outside it
+        returns a grid edge, Q_MIN * s or Q_MAX * s."""
+        qp = QuantParams(scale=0.25)
+        t = np.random.default_rng(16).normal(scale=40.0, size=512).astype(np.float32)
+        inside = in_clip_range(t, qp) == 1
+        assert 0 < inside.sum() < t.size
+        fq = fake_quant(t, qp)
+        assert np.all(np.abs(fq[inside] - t[inside]) <= qp.scale / 2)
+        np.testing.assert_array_equal(fq[~inside], np.where(t[~inside] > 0, Q_MAX, Q_MIN) * qp.scale)
+
+
 class TestFp16Roundtrip:
     def test_exact_cases(self):
         assert fp16_roundtrip(np.float32(1.0)) == 1.0
@@ -198,6 +226,12 @@ class TestNanRejected:
             [[63.5], [-128.0]],
         )
         np.testing.assert_array_equal(fp16_roundtrip(t), [FP16_MAX, -FP16_MAX])
+
+
+@pytest.mark.parametrize("scales", [[[0.1, 0.2]], [0.1, 0.0], [0.1, -0.2], [0.1, np.nan], [np.inf, 0.2]])
+def test_per_channel_scales_must_be_1d_positive_and_finite(scales):
+    with pytest.raises(ValueError, match="per-channel scales must be a 1D positive finite array"):
+        PerChannelQuantParams(scales=np.array(scales))
 
 
 class TestMinMaxObserver:

@@ -120,6 +120,23 @@ def test_difficulty_thresholds_are_pinned(area, n_points, want):
     assert assign_difficulty(area, n_points) == want
 
 
+def test_a_crowded_field_drops_boxes_and_keeps_the_rest_apart():
+    """40 boxes do not fit the field: after 20 placements that overlap those
+    already placed, a box is dropped. The kept boxes keep a gap of 0.5 on at
+    least one axis, and each keeps its class, difficulty and points."""
+    scenes = generate_dataset(DatasetConfig(size=4, boxes_per_scene=(40, 40)), seed=5)
+    for scene in scenes:
+        m = len(scene.boxes)
+        assert 0 < m < 40 and len(scene.classes) == len(scene.difficulty) == m
+        cx, cy, w, h = scene.boxes.T
+        apart = ((np.abs(cx[:, None] - cx) >= (w[:, None] + w) / 2 + 0.5)
+                 | (np.abs(cy[:, None] - cy) >= (h[:, None] + h) / 2 + 0.5))
+        assert (apart | np.eye(m, dtype=bool)).all()
+        for x, y, bw, bh in scene.boxes:
+            inside = (np.abs(scene.points[:, 0] - x) <= bw / 2) & (np.abs(scene.points[:, 1] - y) <= bh / 2)
+            assert inside.sum() >= 3
+
+
 def test_generated_dataset_is_pinned():
     """The spike and difficulty constants, on a set with all three difficulties and spikes."""
     digest = hashlib.sha256()

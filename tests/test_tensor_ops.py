@@ -4,6 +4,7 @@ The oracles and the hand-written cases are NCHW; the channels-last image
 kernels are checked through the *_nchw wrappers, which only transpose.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -113,23 +114,18 @@ class TestIm2col:
     @example(n=2, h=5, extra=2, wide=True, c=3, k_hw=(1, 3), stride=(2, 1), padding=(0, 2), seed=7)
     @example(n=2, h=5, extra=2, wide=False, c=3, k_hw=(3, 1), stride=(1, 3), padding=(2, 0), seed=7)
     @example(n=1, h=4, extra=3, wide=True, c=2, k_hw=(2, 3), stride=(1, 2), padding=(1, 0), seed=7)
+    @example(n=2, h=3, extra=2, wide=True, c=3, k_hw=(1, 1), stride=(1, 1), padding=(0, 0), seed=8)
     def test_equals_the_per_patch_gather(self, n, h, extra, wide, c, k_hw, stride, padding, seed):
         """Non-square kernels and per-axis strides and padding: a mix-up of the
-        two spatial axes anywhere in the patch build changes the matrix."""
+        two spatial axes anywhere in the patch build changes the matrix. The
+        matrix is a fresh array, even for an unpadded 1x1 stride-1 kernel."""
         hw = (h, h + extra) if wide else (h + extra, h)
         hw = tuple(max(size, k - 2 * p) for size, k, p in zip(hw, k_hw, padding))
         x = np.random.default_rng(seed).normal(size=(n, *hw, c)).astype(np.float32)
         got = im2col(x, k_hw, ConvParams(stride, padding))
         np.testing.assert_array_equal(got, gather_im2col(x, k_hw, stride, padding))
         assert got.dtype == np.float32 and got.flags.c_contiguous
-        if (k_hw, stride, padding) != ((1, 1), (1, 1), (0, 0)):
-            assert not np.shares_memory(got, x)
-
-    def test_unpadded_1x1_patches_are_a_reshape_of_the_input(self):
-        x = np.random.default_rng(8).normal(size=(2, 3, 5, 4)).astype(np.float32)
-        cols = im2col(x, (1, 1), ConvParams())
-        assert np.shares_memory(cols, x)
-        np.testing.assert_array_equal(cols, x.reshape(-1, 4))
+        assert not np.shares_memory(got, x)
 
 
 class TestConv2d:
@@ -202,6 +198,17 @@ class TestConv2d:
         with pytest.raises(ValueError, match="3 != weight channels 5"):
             conv2d_nchw(x, w, np.zeros(2, dtype=np.float32))
 
+    @pytest.mark.parametrize("x_shape, w_shape", [((4, 4, 3), (2, 3, 1, 1)), ((1, 4, 4, 3), (2, 3))])
+    def test_an_input_or_weight_that_is_not_4d_is_rejected_naming_both_shapes(self, x_shape, w_shape):
+        x, w = np.zeros(x_shape, np.float32), np.zeros(w_shape, np.float32)
+        with pytest.raises(ValueError, match=re.escape(f"conv2d expects 4D input/weight, got {x_shape} and {w_shape}")):
+            conv2d(x, w, np.zeros(2, np.float32))
+
+    def test_bias_shape_named_in_error(self):
+        x, w = np.zeros((1, 4, 4, 3), np.float32), np.zeros((2, 3, 1, 1), np.float32)
+        with pytest.raises(ValueError, match=re.escape("conv2d bias shape (3,) != (2,)")):
+            conv2d(x, w, np.zeros(3, np.float32))
+
     def test_output_smaller_than_one_rejected(self):
         x = np.zeros((1, 1, 2, 2), dtype=np.float32)
         w = np.zeros((1, 1, 3, 3), dtype=np.float32)
@@ -243,6 +250,10 @@ class TestLinear:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="features 3 != weight in-features 4"):
             linear(np.zeros((1, 3), dtype=np.float32), np.zeros((2, 4), dtype=np.float32), np.zeros(2, dtype=np.float32))
+
+    def test_bias_shape_named_in_error(self):
+        with pytest.raises(ValueError, match=re.escape("linear bias shape (3,) != (out-features,) = (2,)")):
+            linear(np.zeros((1, 4), np.float32), np.zeros((2, 4), np.float32), np.zeros(3, np.float32))
 
 
 class TestRelu:
@@ -318,6 +329,15 @@ class TestScatterPillars:
             scatter_pillars(feats, np.array([[1, 1], [1, 1]]), (4, 4), np.array([1, 1]), 2)
         with pytest.raises(ValueError, match="scene id 2 outside batch of 2"):
             scatter_pillars(feats, np.array([[1, 1], [0, 1]]), (4, 4), np.array([0, 2]), 2)
+
+    def test_coords_and_scene_ids_must_match_the_pillars(self):
+        feats = np.ones((2, 1), dtype=np.float32)
+        with pytest.raises(ValueError, match=re.escape("scatter got 2 pillars but 1 coords")):
+            scatter_pillars(feats, np.array([[1, 1]]), (4, 4), np.zeros(2, np.int64), 1)
+        with pytest.raises(ValueError, match=re.escape("scatter got 2 pillars but scene ids of shape (1,)")):
+            scatter_pillars(feats, np.array([[1, 1], [0, 1]]), (4, 4), np.zeros(1, np.int64), 1)
+        with pytest.raises(ValueError, match=re.escape("scatter got 2 pillars but scene ids of shape (2, 1)")):
+            scatter_pillars(feats, np.array([[1, 1], [0, 1]]), (4, 4), np.zeros((2, 1), np.int64), 1)
 
 
 def _sample(n_pillars, seed, grid=(4, 4)):

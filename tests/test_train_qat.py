@@ -1,7 +1,10 @@
-"""train_qat: batched SGD steps against the per-sample loop, loss descent, and
-its failure on a non-finite loss or an unfolded graph."""
+"""train_qat: batched SGD steps against the per-sample loop, with and without
+momentum, gradient clipping, loss descent, and its failure on empty data, a
+non-finite loss or an unfolded graph."""
 
 import copy
+import dataclasses
+import math
 import re
 from collections import Counter
 
@@ -42,10 +45,13 @@ def batch_orders(cfg, n):
 
 
 def per_sample_train_qat(graph, plan, stats, data, cfg):
-    """train_qat as one forward, loss and backward per scene, the gradients
-    summed in a dict and the step scaled by 1 / len(batch) (plain SGD)."""
+    """train_qat as one forward, loss and backward per scene, the gradients g
+    summed in a dict over the B scenes of a step. Plain SGD steps by g / B;
+    with momentum mu, heavy-ball SGD keeps a velocity v <- mu * v + g / B per
+    parameter and steps by v. Each parameter moves by -lr times its step."""
     g = copy.deepcopy(apply_plan(graph, plan))
     epoch_losses = [[] for _ in range(cfg.epochs)]
+    velocity = {}
     for epoch, _, batch in batch_orders(cfg, len(data)):
         acc, batch_loss = {}, 0.0
         for i in batch:
@@ -55,12 +61,16 @@ def per_sample_train_qat(graph, plan, stats, data, cfg):
             for index, (dw, db) in backward(tape, d_outputs).items():
                 old_w, old_b = acc.get(index, (0.0, 0.0))
                 acc[index] = (old_w + dw, old_b + db)
-        inv, lr = np.float32(1.0 / len(batch)), np.float32(cfg.learning_rate)
+        inv, lr, mu = np.float32(1.0 / len(batch)), np.float32(cfg.learning_rate), np.float32(cfg.momentum)
         weight_layers = g.weight_layers
         for index, (dw, db) in acc.items():
             layer = weight_layers[index - 1]
-            layer.weight[...] -= lr * (inv * dw)
-            layer.bias[...] -= lr * (inv * db)
+            step_w, step_b = inv * dw, inv * db
+            if cfg.momentum:
+                v_w, v_b = velocity.get(index, (0.0, 0.0))
+                step_w, step_b = velocity[index] = (mu * v_w + step_w, mu * v_b + step_b)
+            layer.weight[...] -= lr * step_w
+            layer.bias[...] -= lr * step_b
         epoch_losses[epoch].append(batch_loss / len(batch))
     return g, [float(np.mean(losses)) for losses in epoch_losses]
 
@@ -108,10 +118,68 @@ def test_batched_steps_match_the_per_sample_loop(monkeypatch, label, n_scenes, b
     np.testing.assert_allclose([h["loss"] for h in history], ref_losses, rtol=1e-6)
     if batch_size == 1:  # nothing to reassociate
         assert weights_digest(tuned) == weights_digest(ref) and history[-1]["loss"] == ref_losses[-1]
-    for got, want, start in zip(tuned.weight_layers, ref.weight_layers, graph.weight_layers):
-        for a, b, w0 in ((got.weight, want.weight, start.weight), (got.bias, want.bias, start.bias)):
+    assert_weights_close(tuned, ref, graph)
+
+
+def assert_weights_close(tuned, ref, start):
+    """tuned's weights equal ref's within WEIGHT_RTOL and STEP_ATOL times the
+    largest change of each array from start."""
+    for got, want, first in zip(tuned.weight_layers, ref.weight_layers, start.weight_layers):
+        for a, b, w0 in ((got.weight, want.weight, first.weight), (got.bias, want.bias, first.bias)):
             atol = STEP_ATOL * float(np.abs(b - w0).max())
             np.testing.assert_allclose(a, b, rtol=WEIGHT_RTOL, atol=atol)
+
+
+@pytest.mark.parametrize("label", ["FP32", "INT8"])
+def test_momentum_steps_match_the_per_sample_heavy_ball_loop(label):
+    graph, data, stats = train_setup(8)
+    plan = parse_plan_label(label)
+    cfg = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=4, momentum=0.9)
+    tuned, history = train_qat(graph, plan, stats, data, cfg)
+    ref, ref_losses = per_sample_train_qat(graph, plan, stats, data, cfg)
+    np.testing.assert_allclose([h["loss"] for h in history], ref_losses, rtol=1e-6)
+    assert_weights_close(tuned, ref, graph)
+    plain, _ = train_qat(graph, plan, stats, data, dataclasses.replace(cfg, momentum=0.0))
+    assert weights_digest(plain) != weights_digest(tuned)
+
+
+def full_batch_grad_norm(graph, data):
+    """L2 norm of the FP32 gradient of every weight and bias, summed over data
+    and divided by len(data): the size of one full-batch step per unit lr."""
+    tape = []
+    example = qat._stack_examples(data)
+    outputs = forward(graph, example.sample, tape=tape)
+    grads = backward(tape, detection_loss(outputs, example, TrainConfig())[1])
+    return math.sqrt(sum(float((d.astype(np.float64) ** 2).sum()) for pair in grads.values() for d in pair)) / len(data)
+
+
+def step_length(tuned, start):
+    return math.sqrt(sum(float(((a.astype(np.float64) - b) ** 2).sum())
+                         for t, s in zip(tuned.weight_layers, start.weight_layers)
+                         for a, b in ((t.weight, s.weight), (t.bias, s.bias))))
+
+
+def test_clipping_scales_a_full_batch_step_to_max_grad_norm():
+    graph, data, _ = train_setup(4)
+    norm = full_batch_grad_norm(graph, data)
+    cfg = TrainConfig(learning_rate=0.1, batch_size=len(data), max_grad_norm=norm / 2)
+    tuned, _ = train_qat(graph, PrecisionPlan(), None, data, cfg)
+    assert step_length(tuned, graph) == pytest.approx(cfg.learning_rate * cfg.max_grad_norm, rel=1e-5)
+
+
+def test_a_max_grad_norm_above_the_gradient_norm_changes_nothing():
+    graph, data, _ = train_setup(4)
+    cfg = TrainConfig(learning_rate=0.1, batch_size=len(data))
+    clipped, _ = train_qat(graph, PrecisionPlan(), None, data,
+                           dataclasses.replace(cfg, max_grad_norm=2 * full_batch_grad_norm(graph, data)))
+    unclipped, _ = train_qat(graph, PrecisionPlan(), None, data, cfg)
+    assert weights_digest(clipped) == weights_digest(unclipped)
+
+
+def test_empty_training_data_is_rejected():
+    graph, _, _ = train_setup(1)
+    with pytest.raises(ValueError, match="^training data is empty$"):
+        train_qat(graph, PrecisionPlan(), None, [], TrainConfig())
 
 
 def test_one_fp32_step_lowers_the_loss_on_its_batch():
