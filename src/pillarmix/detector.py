@@ -382,12 +382,12 @@ def _decode_batch(cls_maps: np.ndarray, reg_maps: np.ndarray, cfg: DetectorConfi
     order = np.lexsort((-peak_scores, cls, scene))  # stable: ties keep row-major cell order
     scene, cls, rows, cols, peak_scores = scene[order], cls[order], rows[order], cols[order], peak_scores[order]
     dx, dy, dw, dh = reg_maps[scene, :, rows, cols].T.astype(np.float64)
-    # math.exp, not np.exp: the two differ in the last ulp for some inputs
+    # math.exp (libm), not np.exp: the two differ in the last ulp for some
+    # inputs, and the box sizes are libm's
     boxes = np.stack([
         (cols + 0.5 + dx) * cell_w,
         (rows + 0.5 + dy) * cell_h,
-        [BASE_SIZE * math.exp(min(4.0, max(-4.0, v))) for v in dw.tolist()],
-        [BASE_SIZE * math.exp(min(4.0, max(-4.0, v))) for v in dh.tolist()],
+        *(BASE_SIZE * np.fromiter(map(math.exp, np.clip(d, -4.0, 4.0).tolist()), np.float64, len(d)) for d in (dw, dh)),
     ], axis=1).reshape(-1, 4)
     group = scene * n_classes + cls
     rank = _slots(group)

@@ -323,18 +323,25 @@ def _layer_quant(layer: LayerSpec, stats):
     return entry.act_qp, entry.weight_qp
 
 
-def _kernel_inputs(layer: LayerSpec, x: np.ndarray, stats):
+def _transform(t: np.ndarray, precision: DType, qp):
+    """t under a precision; qp is t's INT8 quant params, per tensor or per channel."""
+    if precision is DType.INT8:
+        return fake_quant_per_channel(t, qp) if isinstance(qp, PerChannelQuantParams) else fake_quant(t, qp)
+    return fp16_roundtrip(t) if precision is DType.FP16 else t
+
+
+def _kernel_inputs(layer: LayerSpec, x: np.ndarray, stats, transformed: dict):
     """The kernel's input and weight under the layer's precision, plus the
-    INT8 (act, weight) quant params, None at FP32 and FP16."""
+    INT8 (act, weight) quant params, None at FP32 and FP16. transformed holds
+    x's transforms by (precision, INT8 act params): a layer takes the one
+    another layer reading x made under its key, or makes it and adds it."""
     try:
-        if layer.precision is DType.INT8:
-            act_qp, weight_qp = quant = _layer_quant(layer, stats)
-            per_channel = isinstance(weight_qp, PerChannelQuantParams)
-            quantize_weight = fake_quant_per_channel if per_channel else fake_quant
-            return fake_quant(x, act_qp), quantize_weight(layer.weight, weight_qp), quant
-        if layer.precision is DType.FP16:
-            return fp16_roundtrip(x), fp16_roundtrip(layer.weight), None
-        return x, layer.weight, None
+        quant = _layer_quant(layer, stats) if layer.precision is DType.INT8 else None
+        act_qp, weight_qp = quant or (None, None)
+        key = (layer.precision, act_qp)
+        if key not in transformed:
+            transformed[key] = _transform(x, layer.precision, act_qp)
+        return transformed[key], _transform(layer.weight, layer.precision, weight_qp), quant
     except ValueError as exc:  # NaN at the precision boundary
         raise ValueError(f"layer {layer.index} ({layer.name!r}): {exc}") from exc
 
@@ -361,9 +368,12 @@ def forward(
     still carries BN raises ValueError naming it. stats must cover every
     INT8-tagged layer under the layer's own name (see calibration).
     observe_fn, when given, receives each indexed layer's input activation
-    before any precision transform. tape, when a list, gets one TapeEntry per
-    layer. A NaN reaching an INT8 or FP16 layer's precision transform raises
-    ValueError naming the layer.
+    before any precision transform. The heads all read the trunk tensor, and
+    they share one transform of it per (dtype, INT8 act scale): at INT8 their
+    calibrated ranges are equal, so it is made once, and the heads' tape
+    entries may hold one x_used array. tape, when a list, gets one TapeEntry
+    per layer. A NaN reaching an INT8 or FP16 layer's precision transform
+    raises ValueError naming the layer.
     """
     if not isinstance(sample, PillarSample):
         raise TypeError(
@@ -372,6 +382,7 @@ def forward(
     if not any(layer.is_head for layer in graph.layers):
         raise ValueError("the chain has no head layer; forward returns the head outputs")
     current = sample.features
+    transformed: dict = {}  # current's precision transforms, shared by the heads that read it
     head_outputs: list[np.ndarray] = []
     for layer in graph.layers:
         x_used = w_used = quant = None
@@ -383,7 +394,7 @@ def forward(
                 )
             if observe_fn is not None:
                 observe_fn(layer, _nchw(current))
-            x_used, w_used, quant = _kernel_inputs(layer, current, stats)
+            x_used, w_used, quant = _kernel_inputs(layer, current, stats, transformed)
             if layer.kind == "linear":
                 out = linear(x_used, w_used, layer.bias)
             else:
@@ -405,7 +416,7 @@ def forward(
         if layer.is_head:  # never becomes current, so every head reads the trunk
             head_outputs.append(np.ascontiguousarray(_nchw(out)))
         else:
-            current = out
+            current, transformed = out, {}
     return tuple(head_outputs)
 
 

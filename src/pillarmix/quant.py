@@ -8,8 +8,12 @@ the values the clamp leaves alone, the clipped STE of QAT (qat.py).
 compute_scale derives the scale from a range, max(|min|, |max|) / 127 (an
 activation's range is its calibrated (min, max), see calibration.py; a
 weight's is its own). FP16 layers are simulated by a binary16 round trip that
-saturates at +-65504 instead of overflowing. Infinities saturate in both
-schemes; a NaN has no code in either, so all three transforms raise ValueError.
+saturates at +-65504 instead of overflowing, computed on the float32 bits:
+round half to even at 10 mantissa bits, saturate at FP16_MAX's bits
+0x477FE000, and take the binary16 subnormals (nonzero |x| < 2**-14) through
+float32's own rounding at a 2**-24 step (fp16_roundtrip). Infinities saturate
+in both schemes; a NaN has no code in either, so all three transforms raise
+ValueError.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ __all__ = [
 Q_MIN = -128
 Q_MAX = 127
 FP16_MAX = 65504.0
+_FP16_MAX_BITS = 0x477FE000  # FP16_MAX as float32 bits
+_FP16_MIN_NORMAL_BITS = 0x38800000  # 2**-14, binary16's smallest normal, as float32 bits
 
 
 class DType(str, Enum):
@@ -150,9 +156,30 @@ def fake_quant_per_channel(weight: np.ndarray, qp: PerChannelQuantParams) -> np.
 def fp16_roundtrip(t: np.ndarray) -> np.ndarray:
     """Round each value to binary16 and back, saturating at +-65504 (inf included).
 
+    The rounding works on the float32 bits, in two fresh uint32 buffers, so t
+    is neither written nor aliased. With a = |bits|, a + 0xFFF + (bit 13 of a)
+    masked to 0xFFFFE000 rounds half to even at binary16's 10 mantissa bits,
+    an exponent carry included; min(., _FP16_MAX_BITS) saturates everything
+    above 65504, inf too; the sign is OR'ed back. A nonzero |x| below 2**-14
+    is a binary16 subnormal, whose step is 2**-24: (|x| + 0.5) - 0.5 in
+    float32 rounds it there, half to even, as float32's step at 0.5 is 2**-24.
+    Zeros take the first rule, which keeps them and their sign. The result is
+    bit for bit that of clipping to +-65504 and casting through np.float16.
     NaN raises ValueError.
     """
     t = np.asarray(t, dtype=np.float32)
     _reject_nan(t)
-    clipped = np.clip(t, -FP16_MAX, FP16_MAX)
-    return clipped.astype(np.float16).astype(np.float32)
+    bits = t.view(np.uint32)
+    mag = np.bitwise_and(bits, 0x7FFFFFFF, out=np.empty(t.shape, np.uint32))
+    out = np.right_shift(mag, 13, out=np.empty(t.shape, np.uint32))
+    out &= 1
+    out += mag
+    out += 0xFFF
+    out &= 0xFFFFE000
+    np.minimum(out, _FP16_MAX_BITS, out=out)
+    subnormal = (mag != 0) & (mag < _FP16_MIN_NORMAL_BITS)
+    if subnormal.any():
+        half = np.float32(0.5)
+        out.view(np.float32)[subnormal] = (mag.view(np.float32)[subnormal] + half) - half
+    out |= np.bitwise_and(bits, 0x80000000, out=mag)
+    return out.view(np.float32)

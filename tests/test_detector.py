@@ -188,6 +188,28 @@ class TestDecodeAndNms:
         assert (len(got[1]) > 0, len(got[2]) > 0) == (score_thresh <= 0.1, score_thresh == 0.0)  # sigmoid(-2) = 0.12
         assert_same_detections(got[3], got[0])
 
+    def test_box_sides_are_libm_exp_of_the_clipped_size_offsets(self):
+        """Each side is BASE_SIZE * math.exp of its offset clipped to [-4, 4], bit
+        for bit, for offsets inside, on and beyond the clip; a chunk without a
+        peak decodes to empty record arrays."""
+        rng = np.random.default_rng(6)
+        cfg = dataclasses.replace(DetectorConfig(), score_thresh=0.0, nms_iou=1.0)
+        cls_maps = np.zeros((2, 3, 8, 8), np.float32)  # every cell a tied peak of every class
+        reg_maps = np.zeros((2, 4, 8, 8), np.float32)  # centre offsets 0: a box's centre names its cell
+        reg_maps[:, 2:] = rng.uniform(-6.0, 6.0, size=(2, 2, 8, 8))
+        reg_maps[:, 2:, 0, :4] = [4.0, -4.0, np.nextafter(np.float32(4.0), np.float32(0)), -0.0]
+        chunk = detector._decode_batch(cls_maps, reg_maps, cfg)
+        assert [len(d) for d in chunk] == [3 * 64] * 2
+        for scene, dets in enumerate(chunk):
+            rows = np.rint(dets.box[:, 1] * 8 / FIELD_SIZE - 0.5).astype(int)
+            cols = np.rint(dets.box[:, 0] * 8 / FIELD_SIZE - 0.5).astype(int)
+            for side, channel in ((2, 2), (3, 3)):
+                offsets = reg_maps[scene, channel, rows, cols].tolist()
+                want = [detector.BASE_SIZE * math.exp(min(4.0, max(-4.0, v))) for v in offsets]
+                assert dets.box[:, side].tolist() == want
+        empty = detector._decode_batch(np.full((2, 3, 8, 8), -9.0, np.float32), reg_maps, DetectorConfig())
+        assert [(len(d), d.dtype) for d in empty] == [(0, DETECTION)] * 2
+
     @pytest.mark.parametrize("field, value", [("score_thresh", -0.1), ("score_thresh", 1.5), ("nms_iou", 2.0)])
     def test_config_rejects_thresholds_outside_unit_interval(self, field, value):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):

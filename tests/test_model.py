@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from pillarmix.calibration import run_calibration
-from pillarmix.detector import build_toy_detector
+from pillarmix import model
+from pillarmix.calibration import CalibrationStats, run_calibration
+from pillarmix.detector import DetectorConfig, build_toy_detector, pillarize_dataset
 from pillarmix.model import (
     BatchNorm,
     LayerSpec,
@@ -24,7 +25,7 @@ from pillarmix.model import (
 )
 from pillarmix.quant import DType
 from pillarmix.scenes import DatasetConfig, generate_dataset, pillarize
-from pillarmix.tensor_ops import ConvParams, conv2d, linear, relu
+from pillarmix.tensor_ops import ConvParams, conv2d, linear, relu, stack_samples
 
 from pillar_helpers import one_scene
 
@@ -420,6 +421,86 @@ class TestForward:
         kind = next(l.kind for l in layers if l.name == name)
         with pytest.raises(ValueError, match=rf"{kind} layer '{name}' sets {field}, which its kind does not read"):
             ModelGraph(layers=tuple(layers))
+
+
+@pytest.fixture(scope="module")
+def default_detector():
+    """The default detector, calibrated on 4 scenes, and a batch of 3 others."""
+    cfg = DetectorConfig()
+    graph = fold_all_bn(build_toy_detector(cfg, seed=0))
+    stats = run_calibration(graph, pillarize_dataset(generate_dataset(DatasetConfig(size=4), seed=7), cfg))
+    batch = stack_samples(pillarize_dataset(generate_dataset(DatasetConfig(size=3), seed=8), cfg))
+    return graph, stats, batch
+
+
+def record_calls(monkeypatch, name):
+    """Patch model.<name> to record the tensor each call transforms."""
+    calls = []
+    transform = getattr(model, name)
+
+    def recorded(t, *args):
+        calls.append(t)
+        return transform(t, *args)
+
+    monkeypatch.setattr(model, name, recorded)
+    return calls
+
+
+def forward_transforming_per_head(monkeypatch, graph, batch, stats):
+    """forward with every layer transforming its input afresh, heads included."""
+    kernel_inputs = model._kernel_inputs
+    with monkeypatch.context() as m:
+        m.setattr(model, "_kernel_inputs", lambda layer, x, stats, _: kernel_inputs(layer, x, stats, {}))
+        return forward(graph, batch, stats=stats)
+
+
+def assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+class TestHeadsShareTheTrunkTransform:
+    """Both heads of the default detector read one trunk tensor; each (dtype,
+    INT8 act scale) among them transforms it once."""
+
+    @pytest.mark.parametrize("label, transform", [("FP16", "fp16_roundtrip"), ("INT8", "fake_quant")])
+    def test_one_transform_serves_both_heads(self, default_detector, monkeypatch, label, transform):
+        graph, stats, batch = default_detector
+        planned = apply_plan(graph, parse_plan_label(label))
+        calls = record_calls(monkeypatch, transform)
+        tape = []
+        heads = forward(planned, batch, stats=stats, tape=tape)
+        trunk = tape[-1].x_in
+        assert [e.layer.is_head for e in tape[-3:]] == [False, True, True] and tape[-2].x_in is trunk
+        assert sum(t is trunk for t in calls) == 1
+        assert len(calls) == 2 * graph.num_indexed - 1  # every weight, every input but one
+        assert_bit_identical(heads, forward_transforming_per_head(monkeypatch, planned, batch, stats))
+
+    def test_heads_of_two_dtypes_each_get_their_own(self, default_detector, monkeypatch):
+        graph, stats, batch = default_detector
+        second = [l.index for l in graph.weight_layers if l.is_head][1]
+        planned = apply_plan(graph, parse_plan_label(f"INT8 except {second}=fp16"))
+        int8_calls = record_calls(monkeypatch, "fake_quant")
+        fp16_calls = record_calls(monkeypatch, "fp16_roundtrip")
+        tape = []
+        heads = forward(planned, batch, stats=stats, tape=tape)
+        trunk = tape[-1].x_in
+        assert [sum(t is trunk for t in calls) for calls in (int8_calls, fp16_calls)] == [1, 1]
+        assert_bit_identical(heads, forward_transforming_per_head(monkeypatch, planned, batch, stats))
+
+    def test_int8_heads_of_two_act_scales_each_get_their_own(self, default_detector, monkeypatch):
+        graph, stats, batch = default_detector
+        first, second = (l.index for l in graph.weight_layers if l.is_head)
+        assert stats[first].act_qp == stats[second].act_qp  # calibrated on one tensor
+        wider = dataclasses.replace(stats[second], act_max=2 * stats[second].act_max)
+        stats = CalibrationStats(layers={**stats.layers, second: wider})
+        planned = apply_plan(graph, PrecisionPlan(default=DType.INT8))
+        calls = record_calls(monkeypatch, "fake_quant")
+        tape = []
+        heads = forward(planned, batch, stats=stats, tape=tape)
+        assert sum(t is tape[-1].x_in for t in calls) == 2
+        assert_bit_identical(heads, forward_transforming_per_head(monkeypatch, planned, batch, stats))
 
 
 class TestGraphsEqual:

@@ -200,6 +200,72 @@ class TestFp16Roundtrip:
         np.testing.assert_array_equal(out, [FP16_MAX, -FP16_MAX, FP16_MAX])
 
 
+
+def fp16_oracle(t):
+    """The binary16 round trip by numpy's own cast, saturating at +-65504."""
+    return np.clip(t, -FP16_MAX, FP16_MAX).astype(np.float16).astype(np.float32)
+
+
+class TestFp16RoundtripBits:
+    """fp16_roundtrip rounds on the float32 bits; each case is compared with
+    numpy's cast bit for bit, the signs of zeros included."""
+
+    @staticmethod
+    def assert_matches_the_cast(t):
+        t = np.asarray(t, dtype=np.float32)
+        before = t.copy()
+        got = fp16_roundtrip(t)
+        assert got.shape == t.shape and got.dtype == np.float32
+        np.testing.assert_array_equal(got.view(np.uint32), fp16_oracle(t).view(np.uint32))
+        np.testing.assert_array_equal(t.view(np.uint32), before.view(np.uint32))  # t untouched
+        assert not np.shares_memory(got, t)
+
+    def test_every_binary16_value(self):
+        every = np.arange(1 << 16, dtype=np.uint16).view(np.float16)
+        self.assert_matches_the_cast(every[~np.isnan(every)].astype(np.float32))  # +-inf included
+
+    def test_both_neighbours_of_every_midpoint(self):
+        """Each midpoint between adjacent binary16 values, 65504 and 65536 too,
+        is a tie that rounds to the even one; its float32 neighbours round away from it."""
+        finite = np.arange(0x7C00, dtype=np.uint16).view(np.float16)  # every finite binary16 >= 0, ascending
+        ups = np.append(finite.astype(np.float64), 65536.0)
+        mid = ((ups[:-1] + ups[1:]) / 2).astype(np.float32)  # exact: 12 significant bits
+        for t in (mid, np.nextafter(mid, np.float32(0)), np.nextafter(mid, np.float32(np.inf))):
+            self.assert_matches_the_cast(np.concatenate([t, -t]))
+
+    def test_a_dense_draw_over_the_subnormals(self):
+        rng = np.random.default_rng(17)
+        below = rng.integers(1, 0x38800000, size=1 << 16, dtype=np.uint32)  # 0 < |x| < 2**-14
+        uniform = rng.uniform(-(2.0**-14), 2.0**-14, size=1 << 16).astype(np.float32).view(np.uint32)
+        signs = rng.integers(0, 2, size=1 << 17, dtype=np.uint32) << np.uint32(31)
+        self.assert_matches_the_cast((np.concatenate([below, uniform]) | signs).view(np.float32))
+
+    def test_signed_zeros_keep_their_sign(self):
+        self.assert_matches_the_cast([0.0, -0.0])
+        assert fp16_roundtrip(np.float32(-0.0)).view(np.uint32) == 0x80000000
+
+    def test_saturation_edges(self):
+        edges = np.array([np.inf, FP16_MAX, 65519.0, 65520.0], dtype=np.float32)
+        self.assert_matches_the_cast(np.concatenate([edges, -edges]))
+        np.testing.assert_array_equal(fp16_roundtrip(edges), FP16_MAX)
+
+    def test_a_scalar_stays_zero_dimensional(self):
+        for x in (np.float32(2049.0), np.float32(1e-7), np.float32(-np.inf)):
+            self.assert_matches_the_cast(x)
+        assert fp16_roundtrip(np.float32(3e-8)).shape == ()
+
+    def test_a_non_contiguous_view(self):
+        base = np.random.default_rng(18).normal(scale=1e3, size=(6, 40)).astype(np.float32)
+        view = base[::2, 1::3].T
+        assert not view.flags.c_contiguous
+        self.assert_matches_the_cast(view)
+
+    def test_a_random_normal_draw(self):
+        rng = np.random.default_rng(19)
+        scales = 10.0 ** rng.integers(-9, 6, size=(1 << 16, 1))
+        self.assert_matches_the_cast((rng.normal(size=(1 << 16, 1)) * scales).astype(np.float32))
+
+
 class TestNanRejected:
     """NaN has no INT8 code and no meaning after FP16: every transform raises."""
 
