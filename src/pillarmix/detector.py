@@ -55,7 +55,6 @@ __all__ = [
 
 
 BASE_SIZE = 2.5  # box side that a zero size offset decodes to
-MAX_POINTS_PER_PILLAR = 8
 FORMAT_VERSION = 4
 MANIFEST_KEYS = {"format_version", "meta", "weights_sha256"}
 
@@ -300,7 +299,7 @@ def load_model(path) -> ModelGraph:
 
 
 def pillarize_dataset(scenes: Sequence[Scene], cfg: DetectorConfig) -> list[PillarSample]:
-    return [pillarize(s, cfg.grid, MAX_POINTS_PER_PILLAR) for s in scenes]
+    return [pillarize(s, cfg.grid) for s in scenes]
 
 
 def encode_targets(scene: Scene, cfg: DetectorConfig):

@@ -8,10 +8,10 @@ spike (OUTLIER_MAGNITUDE times the base scale), so tiny calibration
 samples rarely see a spike while large ones almost surely do. A box's
 difficulty follows from its area and point count by the EASY_*/HARD_* rule.
 
-Raw point features are (x, y, intensity, dx, dy) where dx, dy are offsets to
-the mean of the points sharing the pillar; absolute coordinates and offsets
-deliberately live on very different scales, which is what makes the first
-weight layer fragile under per-tensor INT8 quantization.
+``pillarize`` puts each cell's first MAX_POINTS_PER_PILLAR points, by one stable
+sort, into features (x, y, intensity, dx, dy), dx, dy the offsets to the pillar's
+mean; coordinates and offsets deliberately live on very different scales, which
+makes the first weight layer fragile under per-tensor INT8 quantization.
 
 Scenes are not stored: ``generate_dataset`` regenerates the same scenes from
 a (DatasetConfig, seed) pair, so there is no dataset file format.
@@ -23,11 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import _slots
 from .tensor_ops import PillarSample, int_at_least, int_pair_at_least, is_real
 
 __all__ = [
     "DatasetConfig",
     "FIELD_SIZE",
+    "MAX_POINTS_PER_PILLAR",
     "POINT_FEATURES",
     "Scene",
     "assign_difficulty",
@@ -37,6 +39,7 @@ __all__ = [
 
 POINT_FEATURES = 5  # x, y, intensity, dx-to-pillar-mean, dy-to-pillar-mean
 FIELD_SIZE = 16.0  # side of the square scene; pillar grids and output maps tile it
+MAX_POINTS_PER_PILLAR = 8  # the one pillar capacity; a crowded pillar keeps its first points
 
 CLASS_NAMES = ("large", "medium", "small")
 # per-class (min side, max side), intensity band (low, high), point density range
@@ -56,7 +59,9 @@ HARD_POINTS = 8
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """Scene-generation knobs; defaults give the heavy-tailed desk-scale task."""
+    """Scene-generation knobs; defaults give the heavy-tailed desk-scale task.
+    A box that 20 draws cannot place 0.5 clear of the others is dropped, so a
+    scene may hold fewer than ``boxes_per_scene[0]`` boxes."""
 
     size: int = 64
     outlier_rate: float = 0.02
@@ -98,6 +103,8 @@ def _overlaps(cx, cy, w, h, boxes, margin=0.5) -> bool:
 
 
 def _generate_scene(rng: np.random.Generator, cfg: DatasetConfig) -> Scene:
+    """One scene; a box that 20 draws cannot place 0.5 clear of the others is
+    dropped, so it may hold fewer than ``boxes_per_scene[0]`` boxes."""
     field = FIELD_SIZE
     n_boxes = int(rng.integers(cfg.boxes_per_scene[0], cfg.boxes_per_scene[1] + 1))
     boxes, classes, difficulties = [], [], []
@@ -105,7 +112,6 @@ def _generate_scene(rng: np.random.Generator, cfg: DatasetConfig) -> Scene:
     for _ in range(n_boxes):
         cls = int(rng.integers(0, len(CLASS_NAMES)))
         lo, hi = CLASS_SIZES[cls]
-        w = h = cx = cy = None
         for _attempt in range(20):
             w = float(rng.uniform(lo, hi))
             h = float(rng.uniform(lo, hi))
@@ -153,41 +159,34 @@ def generate_dataset(cfg: DatasetConfig, seed: int = 0) -> list[Scene]:
     return [_generate_scene(rng, cfg) for _ in range(cfg.size)]
 
 
-def pillarize(scene: Scene, grid: tuple[int, int], max_points_per_pillar: int) -> PillarSample:
-    """Bucket points into the grid's cells over the field and build padded
-    per-pillar features.
+def pillarize(scene: Scene, grid: tuple[int, int]) -> PillarSample:
+    """Pad the points into pillars, one per occupied cell of the grid over the field.
 
-    Pillars are emitted in (row, col) order; points keep their scene order
-    within a pillar, and pillars holding more than max_points_per_pillar
-    points are truncated first-come. Points on the field's far edge go into
-    the last cell; a non-finite or out-of-field point raises ValueError.
-    """
+    One stable sort by cell orders pillars by (row, col), points by scene order
+    within each; a point at slot MAX_POINTS_PER_PILLAR or later of its cell's run
+    is dropped. The centre is the float32 sum over the zero-padded slots over the
+    float32 count. A far-edge point goes into the last cell; a non-finite or
+    out-of-field point raises ValueError."""
     if not int_pair_at_least(grid, 1):
         raise ValueError(f"grid must be two integers >= 1, got {grid!r}")
-    if not int_at_least(max_points_per_pillar, 1):
-        raise ValueError(f"max_points_per_pillar must be an integer >= 1, got {max_points_per_pillar!r}")
     h, w = grid
     pts = scene.points
     bad = ~np.isfinite(pts).all(axis=1) | (pts[:, :2] < 0).any(axis=1) | (pts[:, :2] > FIELD_SIZE).any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"point {i} {pts[i].tolist()} is not finite or lies outside the field [0, {FIELD_SIZE}]")
-    cell_h = FIELD_SIZE / h
-    cell_w = FIELD_SIZE / w
-    rows = np.minimum((pts[:, 1] / cell_h).astype(np.int64), h - 1)
-    cols = np.minimum((pts[:, 0] / cell_w).astype(np.int64), w - 1)
-    flat = rows * w + cols
-    pillar_ids = np.unique(flat)
-    features = np.zeros((len(pillar_ids), max_points_per_pillar, POINT_FEATURES), np.float32)
-    mask = np.zeros((len(pillar_ids), max_points_per_pillar), bool)
+    cell = (np.minimum((pts[:, 1] / (FIELD_SIZE / h)).astype(np.int64), h - 1) * w
+            + np.minimum((pts[:, 0] / (FIELD_SIZE / w)).astype(np.int64), w - 1))
+    order = np.argsort(cell, kind="stable")
+    pillar_ids, pillar = np.unique(cell[order], return_inverse=True)
+    slot = _slots(pillar)
+    kept = slot < MAX_POINTS_PER_PILLAR
+    pillar, slot, chunk = pillar[kept], slot[kept], pts[order[kept]]
+    features = np.zeros((len(pillar_ids), MAX_POINTS_PER_PILLAR, POINT_FEATURES), np.float32)
+    mask = np.zeros((len(pillar_ids), MAX_POINTS_PER_PILLAR), bool)
+    features[pillar, slot, :3] = chunk
+    mask[pillar, slot] = True
+    center = features[:, :, :2].sum(axis=1) / mask.sum(axis=1, keepdims=True).astype(np.float32)
+    features[pillar, slot, 3:5] = chunk[:, :2] - center[pillar]
     coords = np.stack([pillar_ids // w, pillar_ids % w], axis=1)
-    for p, pid in enumerate(pillar_ids):
-        members = np.nonzero(flat == pid)[0][:max_points_per_pillar]
-        chunk = pts[members]
-        center = chunk[:, :2].mean(axis=0)
-        k = len(members)
-        features[p, :k, 0:2] = chunk[:, :2]
-        features[p, :k, 2] = chunk[:, 2]
-        features[p, :k, 3:5] = chunk[:, :2] - center
-        mask[p, :k] = True
     return PillarSample(features=features, point_mask=mask, coords=coords, grid=grid)

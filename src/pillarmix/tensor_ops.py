@@ -80,7 +80,8 @@ class ConvParams:
 class PillarSample:
     """A batch of pillarized scenes: padded per-pillar point features plus grid coords.
 
-    features: [P, max_points, C] float32, zero-padded past each pillar's count
+    features: [P, max_points, C] float32, zero-padded past each pillar's count;
+        max_points is scenes.MAX_POINTS_PER_PILLAR in a pillarized scene
     point_mask: [P, max_points] bool, True where a real point sits
     coords: [P, 2] int array of (row, col) grid cells, unique per pillar within a scene
     grid: (H, W) pseudo-image extents, shared by every scene

@@ -361,7 +361,7 @@ class TestForward:
 
     def test_a_sample_on_another_grid_is_rejected_naming_the_scatter_and_both_grids(self):
         graph = fold_all_bn(build_toy_detector())
-        sample = pillarize(generate_dataset(DatasetConfig(size=1), seed=0)[0], (8, 8), 8)
+        sample = pillarize(generate_dataset(DatasetConfig(size=1), seed=0)[0], (8, 8))
         want = "scatter layer 'middle_encoder.scatter' has grid (16, 16), but the sample's grid is (8, 8)"
         with pytest.raises(ValueError, match=re.escape(want)):
             forward(graph, sample)

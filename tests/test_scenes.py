@@ -1,4 +1,4 @@
-"""Scenes: pillarize invariants against per-point cell membership, and seeded generation."""
+"""Scenes: pillarize against the per-pillar scan it replaced and per-point cell membership, and seeded generation."""
 
 import hashlib
 import re
@@ -8,6 +8,7 @@ import pytest
 
 from pillarmix.scenes import (
     FIELD_SIZE,
+    MAX_POINTS_PER_PILLAR,
     POINT_FEATURES,
     DatasetConfig,
     Scene,
@@ -15,6 +16,8 @@ from pillarmix.scenes import (
     generate_dataset,
     pillarize,
 )
+
+CAP = MAX_POINTS_PER_PILLAR
 
 
 def point_cells(points, grid):
@@ -25,20 +28,64 @@ def point_cells(points, grid):
     return rows, cols
 
 
-@pytest.mark.parametrize("grid, cap", [((16, 16), 8), ((4, 4), 3), ((8, 4), 1)])
-def test_pillars_partition_the_points_up_to_the_cap(grid, cap):
+def reference_pillarize(scene, grid):
+    """The per-pillar scan that pillarize replaced: one np.nonzero over the
+    cells per pillar, first-come truncation, the centre as the float32 mean."""
+    h, w = grid
+    pts = scene.points
+    rows = np.minimum((pts[:, 1] / (FIELD_SIZE / h)).astype(np.int64), h - 1)
+    cols = np.minimum((pts[:, 0] / (FIELD_SIZE / w)).astype(np.int64), w - 1)
+    flat = rows * w + cols
+    pillar_ids = np.unique(flat)
+    features = np.zeros((len(pillar_ids), CAP, POINT_FEATURES), np.float32)
+    mask = np.zeros((len(pillar_ids), CAP), bool)
+    coords = np.stack([pillar_ids // w, pillar_ids % w], axis=1)
+    for p, pid in enumerate(pillar_ids):
+        members = np.nonzero(flat == pid)[0][:CAP]
+        chunk = pts[members]
+        k = len(members)
+        features[p, :k, 0:3] = chunk
+        features[p, :k, 3:5] = chunk[:, :2] - chunk[:, :2].mean(axis=0)
+        mask[p, :k] = True
+    return features, mask, coords
+
+
+def assert_matches_the_scan(scene, grid):
+    """Features (both offset columns included), mask and coords equal the scan's, bit for bit and dtype."""
+    sample = pillarize(scene, grid)
+    for name, got, want in zip(("features", "point_mask", "coords"),
+                               (sample.features, sample.point_mask, sample.coords), reference_pillarize(scene, grid)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    return sample
+
+
+@pytest.mark.parametrize("rate", [0.02, 0.5])
+@pytest.mark.parametrize("grid", [(16, 16), (8, 8), (32, 32), (5, 7)])
+def test_pillarize_equals_the_per_pillar_scan_bit_for_bit(grid, rate):
+    sizes = []
+    for scene in generate_dataset(DatasetConfig(size=24, outlier_rate=rate), seed=31):
+        sizes += assert_matches_the_scan(scene, grid).point_mask.sum(axis=1).tolist()
+    if grid in ((8, 8), (5, 7)):
+        assert CAP in sizes  # some pillars are full
+    assert max(sizes) <= CAP
+
+
+@pytest.mark.parametrize("grid", [(16, 16), (4, 4), (8, 4)])
+def test_pillars_partition_the_points_up_to_the_cap(grid):
     for scene in generate_dataset(DatasetConfig(size=6), seed=21):
-        sample = pillarize(scene, grid, cap)
+        sample = pillarize(scene, grid)
         rows, cols = point_cells(scene.points, grid)
         coords = [tuple(c) for c in sample.coords.tolist()]
         assert coords == sorted(set(zip(rows.tolist(), cols.tolist())))  # unique, (row, col) order
-        assert sample.features.shape == (len(coords), cap, POINT_FEATURES)
+        assert sample.features.shape == (len(coords), CAP, POINT_FEATURES)
         for p, (r, c) in enumerate(coords):
-            members = np.nonzero((rows == r) & (cols == c))[0][:cap]  # first come, scene order
+            members = np.nonzero((rows == r) & (cols == c))[0][:CAP]  # first come, scene order
             k = len(members)
-            np.testing.assert_array_equal(sample.point_mask[p], np.arange(cap) < k)
+            np.testing.assert_array_equal(sample.point_mask[p], np.arange(CAP) < k)
             np.testing.assert_array_equal(sample.features[p, :k, :3], scene.points[members])
-            np.testing.assert_allclose(sample.features[p, :k, 3:].sum(axis=0), 0.0, atol=1e-5)
+            xy = scene.points[members, :2].astype(np.float64)
+            np.testing.assert_allclose(sample.features[p, :k, 3:], xy - xy.mean(axis=0), rtol=0, atol=1e-5)
             assert not sample.features[p, k:].any()
 
 
@@ -47,18 +94,26 @@ def scene_of(points):
                  classes=np.zeros(0, np.int64), difficulty=np.zeros(0, dtype=object))
 
 
-def test_truncation_keeps_the_first_points_of_a_crowded_pillar():
-    points = np.array([[1.0, 1.0, 0.1], [9.0, 9.0, 0.9], [1.5, 1.2, 0.2], [1.2, 1.8, 0.3]], np.float32)
-    sample = pillarize(scene_of(points), (4, 4), 2)
+@pytest.mark.parametrize("n_crowded", [CAP, CAP + 3])
+def test_a_full_pillar_keeps_its_first_points_in_scene_order(n_crowded):
+    """n_crowded points in cell (0, 0) of a 4x4 grid, interleaved with points
+    of cell (2, 2): the pillar holds the first CAP of them, centred on their mean."""
+    rng = np.random.default_rng(n_crowded)
+    crowded = np.column_stack([rng.uniform(0.0, 4.0, (n_crowded, 2)), rng.uniform(0, 1, n_crowded)])
+    other = np.column_stack([rng.uniform(8.0, 12.0, (n_crowded, 2)), rng.uniform(0, 1, n_crowded)])
+    points = np.stack([crowded, other], axis=1).reshape(-1, 3).astype(np.float32)
+    sample = assert_matches_the_scan(scene_of(points), (4, 4))
     assert sample.coords.tolist() == [[0, 0], [2, 2]]
-    np.testing.assert_array_equal(sample.features[0, :, :3], points[[0, 2]])
-    np.testing.assert_allclose(sample.features[0, :, 3:], [[-0.25, -0.1], [0.25, 0.1]], atol=1e-6)
+    assert sample.point_mask.all()
+    kept = points[0::2][:CAP]
+    np.testing.assert_array_equal(sample.features[0, :, :3], kept)
+    np.testing.assert_allclose(sample.features[0, :, 3:], kept[:, :2] - kept[:, :2].mean(axis=0), atol=1e-6)
 
 
 def test_empty_scene_gives_no_pillars():
-    sample = pillarize(scene_of([]), (16, 16), 8)
-    assert (sample.features.shape, sample.features.dtype) == ((0, 8, POINT_FEATURES), np.float32)
-    assert (sample.point_mask.shape, sample.point_mask.dtype) == ((0, 8), bool)
+    sample = assert_matches_the_scan(scene_of([]), (16, 16))
+    assert (sample.features.shape, sample.features.dtype) == ((0, CAP, POINT_FEATURES), np.float32)
+    assert (sample.point_mask.shape, sample.point_mask.dtype) == ((0, CAP), bool)
     assert (sample.coords.shape, sample.coords.dtype) == ((0, 2), np.int64)
     assert sample.grid == (16, 16) and sample.scene_ids.shape == (0,)
 
@@ -77,21 +132,19 @@ def test_generation_is_deterministic_per_seed():
                                  [40.0, 1.0, 0.1], [-5.0, 1.0, 0.1], [1.0, FIELD_SIZE + 0.01, 0.1]])
 def test_pillarize_rejects_non_finite_and_out_of_field_points(bad):
     edge = [FIELD_SIZE, FIELD_SIZE, 0.5]  # the far edge belongs to the last cell
-    assert pillarize(scene_of([edge]), (4, 16), 8).coords.tolist() == [[3, 15]]
+    assert pillarize(scene_of([edge]), (4, 16)).coords.tolist() == [[3, 15]]
     with pytest.raises(ValueError, match=re.escape(f"point 1 {np.float32(bad).tolist()} ")):
-        pillarize(scene_of([edge, bad]), (4, 16), 8)
+        pillarize(scene_of([edge, bad]), (4, 16))
 
 
-@pytest.mark.parametrize("grid, cap, match", [
-    ((2.5, 4), 8, r"grid must be two integers >= 1, got \(2\.5, 4\)"),
-    ((True, 4), 8, r"grid must be two integers >= 1, got \(True, 4\)"),
-    ((4,), 8, r"grid must be two integers >= 1, got \(4,\)"),
-    ((4, 4), 0, r"max_points_per_pillar must be an integer >= 1, got 0"),
-    ((4, 4), 2.0, r"max_points_per_pillar must be an integer >= 1, got 2\.0"),
+@pytest.mark.parametrize("grid, match", [
+    ((2.5, 4), r"grid must be two integers >= 1, got \(2\.5, 4\)"),
+    ((True, 4), r"grid must be two integers >= 1, got \(True, 4\)"),
+    ((4,), r"grid must be two integers >= 1, got \(4,\)"),
 ])
-def test_pillarize_rejects_a_grid_or_cap_that_is_not_positive_integers(grid, cap, match):
+def test_pillarize_rejects_a_grid_that_is_not_positive_integers(grid, match):
     with pytest.raises(ValueError, match=match):
-        pillarize(scene_of([[1.0, 1.0, 0.1]]), grid, cap)
+        pillarize(scene_of([[1.0, 1.0, 0.1]]), grid)
 
 
 @pytest.mark.parametrize("boxes", [(3, 2), (-1, 2), (1.5, 3), (2,), (True, 2)])
