@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import reprlib
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +41,6 @@ from .tensor_ops import ConvParams, PillarSample, int_at_least, int_pair_at_leas
 __all__ = [
     "DetectorConfig",
     "ModelFormatError",
-    "UnsupportedVersionError",
     "build_toy_detector",
     "decode_and_nms",
     "detect",
@@ -60,11 +60,7 @@ MANIFEST_KEYS = {"format_version", "meta", "weights_sha256"}
 
 
 class ModelFormatError(ValueError):
-    """Malformed or inconsistent model file."""
-
-
-class UnsupportedVersionError(ModelFormatError):
-    """Model file written with an unknown format version."""
+    """Malformed or inconsistent model file, another format version included."""
 
 
 @dataclass(frozen=True)
@@ -117,28 +113,17 @@ class DetectorConfig:
 
     @staticmethod
     def from_meta(meta: dict) -> "DetectorConfig":
-        """The config from the fields a manifest holds; a meta or "detector"
-        entry that is not an object, a meta key other than "detector", a
-        missing "detector" entry or field, or a key that is no field raises
-        ValueError naming it."""
-        if not isinstance(meta, dict):
-            raise ValueError(f"model meta is {type(meta).__name__}, not an object")
-        extra = sorted(set(meta) - {"detector"}, key=str)
-        if extra:
-            raise ValueError(f"model meta has keys {extra} besides 'detector'")
-        try:
-            det = meta["detector"]
-            if not isinstance(det, dict):
-                raise ValueError(f"model meta entry 'detector' is {type(det).__name__}, not an object")
-            names = [f.name for f in dataclasses.fields(DetectorConfig)]
-            unknown = sorted(set(det) - set(names), key=str)
-            if unknown:
-                raise ValueError(f"model meta's detector config has unknown keys {unknown}")
-            return DetectorConfig(**{
-                name: tuple(det[name]) if isinstance(det[name], list) else det[name] for name in names
-            })
-        except KeyError as exc:
-            raise ValueError(f"model meta has no detector config key {exc}") from exc
+        """The config from a manifest's meta, which must be an object whose
+        only key, "detector", holds an object with exactly the config's fields;
+        else ValueError shows the meta, or names the missing and unknown keys."""
+        det = meta.get("detector") if isinstance(meta, dict) else None
+        if not (isinstance(det, dict) and len(meta) == 1):
+            raise ValueError(f"model meta must be {{'detector': <config object>}}, got {reprlib.repr(meta)}")
+        names = {f.name for f in dataclasses.fields(DetectorConfig)}
+        if set(det) != names:
+            raise ValueError(f"model meta's detector config lacks keys {sorted(names - set(det))} "
+                             f"and has unknown keys {sorted(set(det) - names, key=str)}")
+        return DetectorConfig(**{name: tuple(v) if isinstance(v, list) else v for name, v in det.items()})
 
 
 def _layer_chain(cfg: DetectorConfig, meta: dict, make) -> ModelGraph:
@@ -267,8 +252,9 @@ def load_model(path) -> ModelGraph:
     config, a layer's array that is missing, not float32, not finite or not
     the config's shape, an array of no weight layer, and arrays whose digest
     is not "weights_sha256" (e.g. two swapped) raise ModelFormatError naming
-    the file, and the layer where there is one; another version raises
-    UnsupportedVersionError. Every layer loads at FP32: apply a plan first.
+    the file, and the layer where there is one, as does another format
+    version: ModelFormatError is the one error type of a bad model file.
+    Every layer loads at FP32: apply a plan first.
     """
     path = _npz_path(path)
     try:
@@ -284,9 +270,7 @@ def load_model(path) -> ModelGraph:
         raise ModelFormatError(f"{path}: malformed manifest: not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: model format version {version!r} is not supported (expected {FORMAT_VERSION})"
-        )
+        raise ModelFormatError(f"{path}: model format version {version!r} is not supported (expected {FORMAT_VERSION})")
     if set(manifest) != MANIFEST_KEYS:
         raise ModelFormatError(f"{path}: malformed manifest: keys {sorted(manifest)}, not {sorted(MANIFEST_KEYS)}")
     try:

@@ -13,7 +13,8 @@ fake-quantize their input activation and weight, FP16 layers round both
 through binary16, FP32 layers run untouched. ``forward`` maps a batch of
 pillarized scenes to one output per head. Inside it images are channels-last
 ``[B, H, W, C]``, the layout of the ``tensor_ops`` kernels; NCHW appears only
-at its edges: what ``observe_fn`` sees, and the head outputs.
+at its edges: what ``observe_fn`` sees, and the head outputs. Every
+ValueError raised while a layer runs in ``forward`` names that layer.
 
 This module knows no file format: a model file is a detector config plus
 its folded weights, written and read by ``detector.save_model`` and
@@ -309,16 +310,16 @@ class TapeEntry:
 
 
 def _layer_quant(layer: LayerSpec, stats):
+    """An INT8 layer's (act, weight) quant params from stats, which must hold an
+    entry for its index recorded under its name; else a ValueError, which
+    forward prefixes with the layer."""
     if stats is None or layer.index not in stats:
-        raise RuntimeError(
-            f"layer {layer.index} ({layer.name!r}) is tagged int8 but calibration "
-            "stats supply no quant params for it"
-        )
+        raise ValueError("is tagged int8 but calibration stats supply no quant params for it")
     entry = stats[layer.index]
     if entry.name != layer.name:
-        raise RuntimeError(
-            f"layer {layer.index} ({layer.name!r}) is tagged int8 but its calibration "
-            f"stats were recorded for layer {entry.name!r}; stats from another model?"
+        raise ValueError(
+            f"is tagged int8 but its calibration stats were recorded for layer {entry.name!r}; "
+            "stats from another model?"
         )
     return entry.act_qp, entry.weight_qp
 
@@ -335,15 +336,12 @@ def _kernel_inputs(layer: LayerSpec, x: np.ndarray, stats, transformed: dict):
     INT8 (act, weight) quant params, None at FP32 and FP16. transformed holds
     x's transforms by (precision, INT8 act params): a layer takes the one
     another layer reading x made under its key, or makes it and adds it."""
-    try:
-        quant = _layer_quant(layer, stats) if layer.precision is DType.INT8 else None
-        act_qp, weight_qp = quant or (None, None)
-        key = (layer.precision, act_qp)
-        if key not in transformed:
-            transformed[key] = _transform(x, layer.precision, act_qp)
-        return transformed[key], _transform(layer.weight, layer.precision, weight_qp), quant
-    except ValueError as exc:  # NaN at the precision boundary
-        raise ValueError(f"layer {layer.index} ({layer.name!r}): {exc}") from exc
+    quant = _layer_quant(layer, stats) if layer.precision is DType.INT8 else None
+    act_qp, weight_qp = quant or (None, None)
+    key = (layer.precision, act_qp)
+    if key not in transformed:
+        transformed[key] = _transform(x, layer.precision, act_qp)
+    return transformed[key], _transform(layer.weight, layer.precision, weight_qp), quant
 
 
 def forward(
@@ -364,16 +362,20 @@ def forward(
     NCHW exists only at the edges: observe_fn sees a 4-D layer input as an
     NCHW view, and each head output is a C-contiguous [B, C, H, W] array.
 
-    Batch norm is folded before execution (``fold_all_bn``); a layer that
-    still carries BN raises ValueError naming it. stats must cover every
-    INT8-tagged layer under the layer's own name (see calibration).
+    Batch norm is folded before execution (``fold_all_bn``). stats must cover
+    every INT8-tagged layer under the layer's own name (see calibration).
     observe_fn, when given, receives each indexed layer's input activation
     before any precision transform. The heads all read the trunk tensor, and
     they share one transform of it per (dtype, INT8 act scale): at INT8 their
     calibrated ranges are equal, so it is made once, and the heads' tape
     entries may hold one x_used array. tape, when a list, gets one TapeEntry
-    per layer. A NaN reaching an INT8 or FP16 layer's precision transform
-    raises ValueError naming the layer.
+    per layer.
+
+    Every ValueError raised while a layer runs, its kernels' checks included
+    (a layer still carrying BN, an INT8 layer without its stats, a NaN at a
+    precision transform, a bad width, mask, coord or grid), is re-raised
+    prefixed "layer <index> ('<name>'): " or "<kind> layer '<name>': ". Other
+    exceptions, such as observe_fn's RuntimeError, pass through unchanged.
     """
     if not isinstance(sample, PillarSample):
         raise TypeError(
@@ -386,31 +388,31 @@ def forward(
     head_outputs: list[np.ndarray] = []
     for layer in graph.layers:
         x_used = w_used = quant = None
-        if layer.is_weight_layer:
-            if layer.bn is not None:
-                raise ValueError(
-                    f"layer {layer.index} ({layer.name!r}) still carries batch norm; "
-                    "fold it before execution (fold_all_bn)"
-                )
-            if observe_fn is not None:
-                observe_fn(layer, _nchw(current))
-            x_used, w_used, quant = _kernel_inputs(layer, current, stats, transformed)
-            if layer.kind == "linear":
-                out = linear(x_used, w_used, layer.bias)
-            else:
-                out, x_used = conv2d(x_used, w_used, layer.bias, layer.conv)
-            if layer.relu:
-                out = relu(out)
-        elif layer.kind == "maxpool":
-            out = max_over_points(current, sample.point_mask)
-        elif layer.kind == "scatter":
-            if layer.grid != tuple(sample.grid):
-                raise ValueError(
-                    f"scatter layer {layer.name!r} has grid {layer.grid}, but the sample's grid is {sample.grid}"
-                )
-            out = scatter_pillars(current, sample.coords, sample.grid, sample.scene_ids, sample.num_scenes)
-        else:  # upsample2x
-            out = upsample2x(current)
+        try:
+            if layer.is_weight_layer:
+                if layer.bn is not None:
+                    raise ValueError("still carries batch norm; fold it before execution (fold_all_bn)")
+                if observe_fn is not None:
+                    observe_fn(layer, _nchw(current))
+                x_used, w_used, quant = _kernel_inputs(layer, current, stats, transformed)
+                if layer.kind == "linear":
+                    out = linear(x_used, w_used, layer.bias)
+                else:
+                    out, x_used = conv2d(x_used, w_used, layer.bias, layer.conv)
+                if layer.relu:
+                    out = relu(out)
+            elif layer.kind == "maxpool":
+                out = max_over_points(current, sample.point_mask)
+            elif layer.kind == "scatter":
+                if layer.grid != tuple(sample.grid):
+                    raise ValueError(f"has grid {layer.grid}, but the sample's grid is {sample.grid}")
+                out = scatter_pillars(current, sample.coords, sample.grid, sample.scene_ids, sample.num_scenes)
+            else:  # upsample2x
+                out = upsample2x(current)
+        except ValueError as exc:
+            where = (f"layer {layer.index} ({layer.name!r})" if layer.is_weight_layer
+                     else f"{layer.kind} layer {layer.name!r}")
+            raise ValueError(f"{where}: {exc}") from exc
         if tape is not None:
             tape.append(TapeEntry(layer, current, sample, x_used, w_used, quant, out))
         if layer.is_head:  # never becomes current, so every head reads the trunk

@@ -113,7 +113,7 @@ def stack_samples(samples: Sequence[PillarSample]) -> PillarSample:
     return PillarSample(
         features=np.concatenate([s.features for s in samples]),
         point_mask=np.concatenate([s.point_mask for s in samples]),
-        coords=np.concatenate([np.asarray(s.coords, np.int64).reshape(-1, 2) for s in samples]),
+        coords=np.concatenate([np.asarray(s.coords).reshape(-1, 2) for s in samples]),
         grid=samples[0].grid,
         scene_ids=np.concatenate([s.scene_ids + off for s, off in zip(samples, offsets)]),
         num_scenes=int(offsets[-1]),
@@ -211,15 +211,19 @@ def scatter_pillars(
     """Write pillar feature rows [P, C] into a zeroed [num_scenes, H, W, C] grid.
 
     Pillar p lands in scene scene_ids[p] at coords[p]; two pillars may share
-    a cell only in different scenes.
+    a cell only in different scenes. Coords and scene ids must be integer
+    arrays: a float one raises ValueError naming it and its dtype.
     """
     h, w = grid
     features = np.asarray(features, dtype=np.float32)
-    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
+    coords, scenes = np.asarray(coords), np.asarray(scene_ids)
+    for what, arr in (("coords", coords), ("scene ids", scenes)):
+        if arr.dtype.kind not in "iu":  # signed or unsigned integers
+            raise ValueError(f"pillar {what} are {arr.dtype}, not integers")
+    coords, scenes = coords.astype(np.int64, copy=False).reshape(-1, 2), scenes.astype(np.int64, copy=False)
     p, c = features.shape
     if coords.shape[0] != p:
         raise ValueError(f"scatter got {p} pillars but {coords.shape[0]} coords")
-    scenes = np.asarray(scene_ids, dtype=np.int64)
     if scenes.shape != (p,):
         raise ValueError(f"scatter got {p} pillars but scene ids of shape {scenes.shape}")
     out = np.zeros((num_scenes, h, w, c), dtype=np.float32)
@@ -227,7 +231,7 @@ def scatter_pillars(
     bad = (rows < 0) | (rows >= h) | (cols < 0) | (cols >= w)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(f"pillar coord {tuple(coords[i])} outside grid {grid}")
+        raise ValueError(f"pillar coord {tuple(coords[i].tolist())} outside grid {grid}")
     bad = (scenes < 0) | (scenes >= num_scenes)
     if bad.any():
         i = int(np.argmax(bad))
@@ -243,7 +247,10 @@ def max_over_points(features: np.ndarray, point_mask: np.ndarray) -> np.ndarray:
     """Masked max over the points axis: [P, M, C] -> [P, C].
 
     Padding rows are excluded; every pillar must hold at least one real point.
+    point_mask must be [P, M], features.shape[:2]; else ValueError names both shapes.
     """
+    if point_mask.shape != features.shape[:2]:
+        raise ValueError(f"point mask shape {point_mask.shape} != features' (pillars, points) {features.shape[:2]}")
     if not point_mask.any(axis=1).all():
         raise ValueError("pillar with no real points cannot be max-pooled")
     masked = np.where(point_mask[:, :, None], features, np.float32(-np.inf))

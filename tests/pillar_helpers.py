@@ -1,14 +1,16 @@
 """Test helpers: an [N, C] array as a one-scene PillarSample, the only input
-that model.forward, calibration and qat take, and (box, class_id, score)
-rows as one scene's detections, as decode_and_nms gives them and ap40 takes
-them."""
+that model.forward, calibration and qat take, (box, class_id, score) rows as
+one scene's detections, as decode_and_nms gives them and ap40 takes them, and
+TINY, the smallest detector config the tests build."""
 
 import numpy as np
 
+from pillarmix.detector import DetectorConfig
 from pillarmix.metrics import DETECTION
 from pillarmix.tensor_ops import PillarSample
 
 GRID = (16, 16)
+TINY = DetectorConfig(grid=(8, 8), block_channels=(8, 8, 8), convs_per_block=1, pfn_channels=8, neck_channels=8)
 
 
 def one_scene(points) -> PillarSample:

@@ -176,7 +176,9 @@ class TestPerSampleRanges:
         features[0, 0, 0] = np.nan
         broken = list(samples)
         broken[bad] = dataclasses.replace(samples[bad], features=features)
-        with pytest.raises(RuntimeError, match=rf"layer 1 \('voxel_encoder.pfn.linear'\) on calibration sample {bad}$"):
+        # raised in forward's observe_fn, and not a ValueError, so forward does not name the layer again
+        want = rf"^non-finite activation at layer 1 \('voxel_encoder.pfn.linear'\) on calibration sample {bad}$"
+        with pytest.raises(RuntimeError, match=want):
             per_sample_ranges(graph, broken)
 
     def test_a_scene_of_a_point_layer_chain_is_reduced_whole(self):

@@ -19,7 +19,6 @@ from pillarmix.calibration import run_calibration
 from pillarmix.detector import (
     DetectorConfig,
     ModelFormatError,
-    UnsupportedVersionError,
     build_toy_detector,
     decode_and_nms,
     detect,
@@ -45,11 +44,12 @@ from pillarmix.model import (
 from pillarmix.quant import DType
 from pillarmix.scenes import CLASS_NAMES, FIELD_SIZE, DatasetConfig, Scene, generate_dataset
 from pillarmix.tensor_ops import linear, max_over_points, relu, sigmoid, stack_samples
-from pillar_helpers import scene_detections
+from pillar_helpers import TINY, scene_detections
 from test_metrics import reference_table
 
 PLAN_LABELS = ("FP32", "FP16", "INT8", "FP16: 1")
-TINY = DetectorConfig(grid=(8, 8), block_channels=(8, 8, 8), convs_per_block=1, pfn_channels=8, neck_channels=8)
+# from_meta's message for a meta that is not {"detector": {...}}; it ends in the meta
+META_SHAPE = re.escape("model meta must be {'detector': <config object>}, got ")
 
 
 def reference_decode_and_nms(cls_map, reg_map, score_thresh, iou_thresh):
@@ -463,18 +463,19 @@ def test_a_meta_key_that_is_no_config_field_is_rejected(extra_keys, tmp_path):
     """A key the config does not read would ride along in the loaded meta, unchecked."""
     meta = {"detector": {**DetectorConfig().to_meta(), **extra_keys}}
     names = re.escape(str(sorted(extra_keys)))
-    with pytest.raises(ValueError, match=rf"model meta's detector config has unknown keys {names}$"):
+    want = rf"model meta's detector config lacks keys \[\] and has unknown keys {names}$"
+    with pytest.raises(ValueError, match=want):
         DetectorConfig.from_meta(meta)
     path = save_model(fold_all_bn(build_toy_detector()), tmp_path / "toy")
     rewrite(path, lambda doc, arrays: doc["meta"]["detector"].update(extra_keys))
-    with pytest.raises(ModelFormatError, match=rf"toy\.npz: model meta's detector config has unknown keys {names}"):
+    with pytest.raises(ModelFormatError, match=rf"toy\.npz: {want}"):
         load_model(path)
 
 
 def test_a_meta_key_besides_the_config_is_rejected(tmp_path):
     """A top-level key other than "detector" would ride along in the loaded meta, unchecked."""
     meta = {"detector": DetectorConfig().to_meta(), "n_classes": 4}
-    match = r"model meta has keys \['n_classes'\] besides 'detector'$"
+    match = META_SHAPE + r"\{'detector': \{.*\}, 'n_classes': 4\}$"
     with pytest.raises(ValueError, match=match):
         DetectorConfig.from_meta(meta)
     graph = fold_all_bn(build_toy_detector())
@@ -490,18 +491,19 @@ def test_meta_without_the_config_names_the_missing_key():
     """Or the entry that is not an object. evaluate reads no meta: a graph
     without one evaluates given the config and the pillarized scenes."""
     graph = dataclasses.replace(build_toy_detector(), meta={})
-    with pytest.raises(ValueError, match="no detector config key 'detector'$"):
+    with pytest.raises(ValueError, match=META_SHAPE + r"\{\}$"):
         DetectorConfig.from_meta(graph.meta)
     cfg, scenes = DetectorConfig(), generate_dataset(DatasetConfig(size=2), seed=1)
     evaluate(graph, parse_plan_label("FP32"), None, scenes, cfg, pillarize_dataset(scenes, cfg))
     det = cfg.to_meta()
     del det["grid"]
-    with pytest.raises(ValueError, match="no detector config key 'grid'$"):
+    with pytest.raises(ValueError, match=r"lacks keys \['grid'\] and has unknown keys \[\]$"):
         DetectorConfig.from_meta({"detector": det})
-    for meta, what in [(["detector"], "model meta is list"), (None, "model meta is NoneType"),
-                       ({"detector": None}, "model meta entry 'detector' is NoneType"),
-                       ({"detector": [det]}, "model meta entry 'detector' is list")]:
-        with pytest.raises(ValueError, match=f"{what}, not an object$"):
+    with pytest.raises(ValueError, match=r"lacks keys \['grid'\] and has unknown keys \['n_classes'\]$"):
+        DetectorConfig.from_meta({"detector": {**det, "n_classes": 3}})
+    for meta, shown in [(["detector"], r"\['detector'\]"), (None, "None"), ({"detector": None}, r"\{'detector': None\}"),
+                        ({"detector": [det]}, r"\{'detector': \[\{'block_channels': \[16, 24, 32\], .*\}\]\}")]:
+        with pytest.raises(ValueError, match=META_SHAPE + shown + "$"):
             DetectorConfig.from_meta(meta)
 
 
@@ -625,7 +627,7 @@ class TestSerialization:
         """Format 2 stored a precision tag per layer, format 3 a record per layer; format 4 stores neither."""
         path = save_model(self.graph(), tmp_path / "toy")
         rewrite(path, lambda doc, arrays: doc.update(format_version=version))
-        with pytest.raises(UnsupportedVersionError, match=rf"toy\.npz: model format version {version} "):
+        with pytest.raises(ModelFormatError, match=rf"toy\.npz: model format version {version} is not supported "):
             load_model(path)
 
     def test_malformed_manifest(self, tmp_path):
@@ -636,10 +638,10 @@ class TestSerialization:
 
     @pytest.mark.parametrize("edit, text, message", [
         (None, "[]", "malformed manifest: not a JSON object"),
-        (lambda doc, arrays: doc.update(meta=["lin1"]), None, "model meta is list, not an object"),
-        (lambda doc, arrays: doc.update(meta={"detector": None}), None,
-         "model meta entry 'detector' is NoneType, not an object"),
-        (lambda doc, arrays: doc["meta"]["detector"].pop("grid"), None, "model meta has no detector config key 'grid'"),
+        (lambda doc, arrays: doc.update(meta=["lin1"]), None, META_SHAPE + r"\['lin1'\]$"),
+        (lambda doc, arrays: doc.update(meta={"detector": None}), None, META_SHAPE + r"\{'detector': None\}$"),
+        (lambda doc, arrays: doc["meta"]["detector"].pop("grid"), None,
+         r"model meta's detector config lacks keys \['grid'\] and has unknown keys \[\]$"),
         (lambda doc, arrays: doc["meta"]["detector"].update(convs_per_block=0), None,
          "convs_per_block must be an integer of at least 1, got 0"),
         (lambda doc, arrays: doc.update(layers=[]), None,
@@ -759,7 +761,7 @@ class TestSerialization:
          r"layer 'bbox_head\.conv_cls': weight has shape \(4, 24, 1, 1\), but the config builds \(3, 24, 1, 1\)"),
         (fold_all_bn(widen(build_toy_detector(), WIDE_HEADS[1][0])),
          r"layer 'bbox_head\.conv_reg': weight has shape \(5, 24, 1, 1\), but the config builds \(4, 24, 1, 1\)"),
-        (dataclasses.replace(fold_all_bn(build_toy_detector()), meta={}), "no detector config key 'detector'"),
+        (dataclasses.replace(fold_all_bn(build_toy_detector()), meta={}), META_SHAPE + r"\{\}$"),
         (ModelGraph(layers=fold_all_bn(build_toy_detector()).layers[:-1], meta=build_toy_detector().meta),
          r"layer 'bbox_head\.conv_reg': weight is missing \(member '15\.weight'\)"),
     ], ids=["unfolded", "meta_of_other_strides", "wide_cls_head", "wide_reg_head", "no_config", "no_box_head"])

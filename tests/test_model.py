@@ -307,7 +307,8 @@ class TestForward:
     def test_missing_quant_params_names_layer(self):
         g = two_layer_graph(np.random.default_rng(13))
         q = apply_plan(g, PrecisionPlan(default=DType.INT8))
-        with pytest.raises(RuntimeError, match="layer 1 .*'lin1'.* no quant params"):
+        want = "layer 1 ('lin1'): is tagged int8 but calibration stats supply no quant params for it"
+        with pytest.raises(ValueError, match=re.escape(want)):
             forward(q, one_scene(np.zeros((1, 6))))
 
     @pytest.mark.parametrize("precision", [DType.INT8, DType.FP16])
@@ -332,7 +333,7 @@ class TestForward:
             dataclasses.replace(l, name=f"other.{l.name}") for l in g.layers
         ))
         q = apply_plan(other, PrecisionPlan(default=DType.INT8))
-        with pytest.raises(RuntimeError, match="layer 1 .*'other.lin1'.*'lin1'"):
+        with pytest.raises(ValueError, match=r"layer 1 \('other\.lin1'\): .* recorded for layer 'lin1'; stats from"):
             forward(q, one_scene(np.zeros((1, 6))), stats=stats)
         # the same stats drive the graph they were recorded from
         forward(apply_plan(g, PrecisionPlan(default=DType.INT8)), one_scene(np.zeros((1, 6))), stats=stats)
@@ -362,7 +363,7 @@ class TestForward:
     def test_a_sample_on_another_grid_is_rejected_naming_the_scatter_and_both_grids(self):
         graph = fold_all_bn(build_toy_detector())
         sample = pillarize(generate_dataset(DatasetConfig(size=1), seed=0)[0], (8, 8))
-        want = "scatter layer 'middle_encoder.scatter' has grid (16, 16), but the sample's grid is (8, 8)"
+        want = "scatter layer 'middle_encoder.scatter': has grid (16, 16), but the sample's grid is (8, 8)"
         with pytest.raises(ValueError, match=re.escape(want)):
             forward(graph, sample)
 
@@ -501,6 +502,79 @@ class TestHeadsShareTheTrunkTransform:
         heads = forward(planned, batch, stats=stats, tape=tape)
         assert sum(t is tape[-1].x_in for t in calls) == 2
         assert_bit_identical(heads, forward_transforming_per_head(monkeypatch, planned, batch, stats))
+
+
+class TestEveryLayerErrorNamesTheLayer:
+    """forward prefixes each ValueError a layer raises with that layer, once:
+    "layer <index> ('<name>'): " or "<kind> layer '<name>': "."""
+
+    @pytest.mark.parametrize("case", ["four_features", "pillar_without_points", "mask_a_row_short", "coord_off_grid",
+                                      "float_coords", "float_scene_ids"])
+    def test_a_bad_sample_names_the_layer_that_rejects_it(self, default_detector, case):
+        graph, _, batch = default_detector
+        p = len(batch.features)
+        no_points = batch.point_mask.copy()
+        no_points[0] = False
+        off_grid = batch.coords.copy()
+        off_grid[0] = (16, 0)
+        change, want = {
+            "four_features": ({"features": batch.features[..., :4]},
+                              "layer 1 ('voxel_encoder.pfn.linear'): linear input features 4 != weight in-features 5"),
+            "pillar_without_points": ({"point_mask": no_points},
+                                      "maxpool layer 'voxel_encoder.maxpool': pillar with no real points"),
+            "mask_a_row_short": ({"point_mask": batch.point_mask[1:]},
+                                 f"maxpool layer 'voxel_encoder.maxpool': point mask shape ({p - 1}, 8) != "
+                                 f"features' (pillars, points) ({p}, 8)"),
+            "coord_off_grid": ({"coords": off_grid},
+                               "scatter layer 'middle_encoder.scatter': pillar coord (16, 0) outside grid (16, 16)"),
+            # a float coord's cell is its integer part in the forward, but the backward cannot index by it
+            "float_coords": ({"coords": batch.coords + 0.7},
+                             "scatter layer 'middle_encoder.scatter': pillar coords are float64, not integers"),
+            "float_scene_ids": ({"scene_ids": batch.scene_ids.astype(np.float64)},
+                                "scatter layer 'middle_encoder.scatter': pillar scene ids are float64, not integers"),
+        }[case]
+        with pytest.raises(ValueError, match="^" + re.escape(want)):
+            forward(graph, dataclasses.replace(batch, **change))
+
+    @pytest.mark.parametrize("label, boundary", [("FP16 except 1=fp32", "FP16"), ("INT8 except 1=fp32", "INT8")])
+    def test_a_nan_names_the_first_layer_whose_precision_boundary_it_reaches(self, default_detector, label, boundary):
+        graph, stats, batch = default_detector
+        features = batch.features.copy()
+        features[0, 0, 0] = np.nan  # passes the FP32 layer 1, maxpool and scatter as NaN
+        nan_batch = dataclasses.replace(batch, features=features)
+        want = r"^layer 2 \('backbone\.block0\.conv0'\): \d+ NaN value\(s\) .*NaN has no INT8 or FP16 encoding$"
+        with pytest.raises(ValueError, match=want):
+            forward(apply_plan(graph, parse_plan_label(label)), nan_batch, stats=stats)
+
+    def test_a_layer_still_carrying_bn_is_named(self, default_detector):
+        graph, _, batch = default_detector
+        unfolded = {l.name: l for l in build_toy_detector().layers}
+        layers = tuple(unfolded[l.name] if l.name == "neck.conv" else l for l in graph.layers)
+        want = "layer 11 ('neck.conv'): still carries batch norm; fold it before execution (fold_all_bn)"
+        with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
+            forward(ModelGraph(layers=layers, meta=graph.meta), batch)
+
+    def test_missing_stats_and_another_models_stats_are_named(self, default_detector):
+        graph, stats, batch = default_detector
+        planned = apply_plan(graph, PrecisionPlan(default=DType.INT8))
+        missing = CalibrationStats(layers={i: e for i, e in stats.layers.items() if i != 5})
+        want = "layer 5 ('backbone.block1.conv0'): is tagged int8 but calibration stats supply no quant params for it"
+        with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
+            forward(planned, batch, stats=missing)
+        other = CalibrationStats(layers={**stats.layers, 5: dataclasses.replace(stats[5], name="other.conv")})
+        want = ("layer 5 ('backbone.block1.conv0'): is tagged int8 but its calibration stats were recorded for "
+                "layer 'other.conv'; stats from another model?")
+        with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
+            forward(planned, batch, stats=other)
+
+    def test_an_observe_fn_error_that_is_no_value_error_passes_through_unnamed(self, default_detector):
+        graph, _, batch = default_detector
+
+        def observe(layer, x):
+            raise RuntimeError(f"observed {layer.name}")
+
+        with pytest.raises(RuntimeError, match="^observed voxel_encoder.pfn.linear$"):
+            forward(graph, batch, observe_fn=observe)
 
 
 class TestGraphsEqual:

@@ -35,14 +35,12 @@ from pillarmix.quant import (
 from pillarmix.scenes import CLASS_NAMES, DatasetConfig, generate_dataset
 from pillarmix.tensor_ops import linear, stack_samples
 
-from pillar_helpers import one_scene
+from pillar_helpers import TINY, one_scene
 
 # Largest relative error allowed between the analytic gradient and a central
-# difference with step 1e-3 through float32 forwards; the tiny detector below
+# difference with step 1e-3 through float32 forwards; the tiny detector (TINY)
 # reaches 3.7e-3.
 GRADCHECK_MAX_REL = 1e-2
-
-TINY = DetectorConfig(grid=(8, 8), block_channels=(8, 8, 8), convs_per_block=1, pfn_channels=8, neck_channels=8)
 
 
 def clip_range_mask(x, qp):

@@ -18,7 +18,7 @@ from pillarmix.model import PrecisionPlan, apply_plan, fold_all_bn, forward, par
 from pillarmix.qat import TrainConfig, backward, detection_loss, train_qat
 from pillarmix.scenes import DatasetConfig, generate_dataset
 
-TINY = DetectorConfig(grid=(8, 8), block_channels=(8, 8, 8), convs_per_block=1, pfn_channels=8, neck_channels=8)
+from pillar_helpers import TINY
 
 # The batched step sums each weight's gradient over all scenes' rows in one
 # float32 product, the per-sample loop scene by scene, so the tuned weights
@@ -207,7 +207,7 @@ def test_a_non_finite_loss_names_the_epoch_the_batch_and_its_samples():
 
 def test_an_unfolded_graph_is_rejected_naming_its_first_bn_layer():
     data = make_train_examples(generate_dataset(DatasetConfig(size=2), seed=4), DetectorConfig())
-    want = "layer 1 ('voxel_encoder.pfn.linear') still carries batch norm"
+    want = "layer 1 ('voxel_encoder.pfn.linear'): still carries batch norm"
     with pytest.raises(ValueError, match=re.escape(want)):
         train_qat(build_toy_detector(), PrecisionPlan(), None, data, TrainConfig())
 
