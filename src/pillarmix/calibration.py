@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import ModelGraph, PrecisionPlan, apply_plan, eval_chunks, fold_all_bn, forward
-from .quant import DType, PerChannelQuantParams, QuantParams, compute_scale, weight_quant_params
+from .quant import PerChannelQuantParams, QuantParams, compute_scale, weight_quant_params
 from .tensor_ops import PillarSample, int_at_least
 
 __all__ = [
@@ -106,7 +106,7 @@ def per_sample_ranges(
     raises ValueError.
     """
     folded = fold_all_bn(graph)
-    fp32 = apply_plan(folded, PrecisionPlan(default=DType.FP32))
+    fp32 = apply_plan(folded, PrecisionPlan())
     out: list[dict[int, tuple[float, float]]] = []
     for start, batch in eval_chunks(samples):
         ranges: list[dict[int, tuple[float, float]]] = [{} for _ in range(batch.num_scenes)]

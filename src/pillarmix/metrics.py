@@ -185,11 +185,10 @@ def _slice_ap(
     # recall never decreases along the operating points, so the best precision
     # at recall >= r is the running maximum from the first point reaching r
     best_from = np.maximum.accumulate(precision[::-1])[::-1]
+    # positions no point reaches are a suffix, as first never decreases; the
+    # reached ones are summed in recall order, as Python floats
     first = np.searchsorted(recall, RECALL_POSITIONS, side="left")
-    ap = 0.0
-    for i in first:  # summed in recall order, as a Python float
-        ap += float(best_from[i]) if i < len(best_from) else 0.0
-    return ap / N_RECALL_POINTS
+    return sum(best_from[first[first < len(best_from)]].tolist()) / N_RECALL_POINTS
 
 
 @dataclass(frozen=True)

@@ -238,8 +238,7 @@ def parse_plan_label(label: str) -> PrecisionPlan:
 
 def apply_plan(graph: ModelGraph, plan: PrecisionPlan) -> ModelGraph:
     """Retag every indexed layer from the plan; weights are shared untouched."""
-    known = {l.index for l in graph.weight_layers}
-    unknown = sorted(set(plan.overrides) - known)
+    unknown = sorted(i for i in plan.overrides if i > graph.num_indexed)
     if unknown:
         raise ValueError(f"plan overrides unknown layer indices {unknown}")
     layers = [

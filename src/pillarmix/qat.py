@@ -229,6 +229,8 @@ def train_qat(
     if not data:
         raise ValueError("training data is empty")
     g = copy.deepcopy(apply_plan(graph, plan))  # SGD writes the weights in place
+    weight_layers = g.weight_layers
+    lr, mu = np.float32(cfg.learning_rate), np.float32(cfg.momentum)
     velocity: GradState = {}
     history: list[dict] = []
     for epoch in range(cfg.epochs):
@@ -255,9 +257,6 @@ def train_qat(
                 total = math.sqrt(total_sq)
                 if total > cfg.max_grad_norm:
                     inv = np.float32(inv * cfg.max_grad_norm / total)
-            lr = np.float32(cfg.learning_rate)
-            mu = np.float32(cfg.momentum)
-            weight_layers = g.weight_layers
             for index, grad in grads.items():
                 layer = weight_layers[index - 1]
                 steps = tuple(inv * d for d in grad)

@@ -5,9 +5,10 @@ Q_MIN, Q_MAX) * scale (zero point 0) in one float64 buffer, with one scale per
 tensor (fake_quant) or per output channel (fake_quant_per_channel). The clip
 range [Q_MIN * scale, Q_MAX * scale] is written here once: in_clip_range masks
 the values the clamp leaves alone, the clipped STE of QAT (qat.py).
-compute_scale derives the scale from a range, max(|min|, |max|) / 127 (an
-activation's range is its calibrated (min, max), see calibration.py; a
-weight's is its own). FP16 layers are simulated by a binary16 round trip that
+compute_scale derives every scale from a range, max(|min|, |max|) / 127 or 1.0
+when that is 0: an activation's from its calibrated (min, max) (see
+calibration.py), a weight's from its own, per tensor or per output channel
+(weight_quant_params). FP16 layers are simulated by a binary16 round trip that
 saturates at +-65504 instead of overflowing, computed on the float32 bits:
 round half to even at 10 mantissa bits, saturate at FP16_MAX's bits
 0x477FE000, and take the binary16 subnormals (nonzero |x| < 2**-14) through
@@ -52,9 +53,6 @@ class DType(str, Enum):
     FP32 = "fp32"
     FP16 = "fp16"
     INT8 = "int8"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -135,17 +133,16 @@ def weight_quant_params(weight: np.ndarray, per_channel: bool = False):
     """One-shot quant params from a (folded) weight tensor.
 
     Per-tensor by default; per_channel=True yields one scale per output
-    channel (axis 0), the common deployment convention for conv/linear.
+    channel (axis 0), the common deployment convention for conv/linear. Every
+    scale is compute_scale's, from the tensor's or the channel's range.
     """
     w = np.asarray(weight, dtype=np.float64)
     if not np.all(np.isfinite(w)):
         raise ValueError("weight tensor contains non-finite values")
     if not per_channel:
         return compute_scale(float(w.min(initial=0.0)), float(w.max(initial=0.0)))
-    flat = w.reshape(w.shape[0], -1)
-    scales = np.abs(flat).max(axis=1) / Q_MAX
-    scales = np.where(scales > 0.0, scales, 1.0)  # the same fallback as compute_scale
-    return PerChannelQuantParams(scales=scales)
+    max_abs = np.abs(w.reshape(w.shape[0], -1)).max(axis=1)
+    return PerChannelQuantParams(scales=np.array([compute_scale(0.0, m).scale for m in max_abs.tolist()]))
 
 
 def fake_quant_per_channel(weight: np.ndarray, qp: PerChannelQuantParams) -> np.ndarray:

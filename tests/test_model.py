@@ -252,6 +252,10 @@ class TestPrecisionPlan:
         g = two_layer_graph(np.random.default_rng(8))
         with pytest.raises(ValueError, match=r"unknown layer indices \[9\]"):
             apply_plan(g, PrecisionPlan(overrides={9: DType.FP16}))
+        # the graph numbers its weight layers 1..2: 2 is the last known index
+        assert apply_plan(g, PrecisionPlan(overrides={2: DType.FP16})).weight_layers[1].precision is DType.FP16
+        with pytest.raises(ValueError, match=r"unknown layer indices \[3\]"):
+            apply_plan(g, PrecisionPlan(overrides={2: DType.FP16, 3: DType.FP16}))
 
     def test_apply_never_mutates_weights(self):
         g = two_layer_graph(np.random.default_rng(9))
