@@ -77,9 +77,6 @@ class CalibrationStats:
     def __getitem__(self, index: int) -> LayerCalibration:
         return self.layers[index]
 
-    def indices(self) -> list[int]:
-        return sorted(self.layers)
-
 
 def _scene_ranges(x: np.ndarray, pillar_bounds: np.ndarray) -> list[tuple[float, float]]:
     """(min, max) of each scene in a stacked layer input, (0.0, 0.0) for an empty one.
@@ -216,11 +213,9 @@ def calib_size_sweep(
             if missing:
                 for i, ranges in zip(missing, per_sample_ranges(graph, [dataset[i] for i in missing])):
                     cache[i] = ranges
-            stats = stats_from_ranges(
-                graph, [cache[i] for i in indices], seed=seed
-            )
+            stats = stats_from_ranges(graph, [cache[i] for i in indices], seed=seed)
             score = float(evaluator(stats))
-            for index in stats.indices():
+            for index in stats.layers:  # filled in index order 1..L
                 rows.append(
                     {
                         "n": n,

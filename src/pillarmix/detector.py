@@ -14,8 +14,9 @@ class) pair. The kept boxes are one ``metrics.DETECTION`` record array per
 chunk, viewed per scene, and ``evaluate`` scores them with one ``ap40`` call.
 
 ``_layer_chain`` is the one description of the layers: ``build_toy_detector``
-walks it drawing weights, and ``load_model`` walks it reading a model file,
-which holds a detector config and its folded weights (``save_model``).
+walks it drawing weights, and ``load_model`` walks it reading a model file
+(format 5): a manifest whose "detector" entry is the config, plus the folded
+weights. ``load_model`` returns (graph, cfg), the pair ``evaluate`` takes.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ __all__ = [
 
 
 BASE_SIZE = 2.5  # box side that a zero size offset decodes to
-FORMAT_VERSION = 4
-MANIFEST_KEYS = {"format_version", "meta", "weights_sha256"}
+FORMAT_VERSION = 5
+MANIFEST_KEYS = {"format_version", "detector", "weights_sha256"}
 
 
 class ModelFormatError(ValueError):
@@ -108,25 +109,24 @@ class DetectorConfig:
         return tuple(g // down * 2 for g in self.grid)
 
     def to_meta(self) -> dict:
-        """Every field by name, tuples as lists, as the JSON model manifest stores it."""
+        """Every field by name, tuples as lists: a format-5 manifest's "detector" entry."""
         return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(self).items()}
 
     @staticmethod
-    def from_meta(meta: dict) -> "DetectorConfig":
-        """The config from a manifest's meta, which must be an object whose
-        only key, "detector", holds an object with exactly the config's fields;
-        else ValueError shows the meta, or names the missing and unknown keys."""
-        det = meta.get("detector") if isinstance(meta, dict) else None
-        if not (isinstance(det, dict) and len(meta) == 1):
-            raise ValueError(f"model meta must be {{'detector': <config object>}}, got {reprlib.repr(meta)}")
+    def from_meta(det) -> "DetectorConfig":
+        """The config from a format-5 manifest's "detector" entry, an object
+        with exactly the config's fields; else ValueError names the missing
+        and unknown keys (or shows an entry that is no object)."""
+        if not isinstance(det, dict):
+            raise ValueError(f"detector config must be an object, got {reprlib.repr(det)}")
         names = {f.name for f in dataclasses.fields(DetectorConfig)}
         if set(det) != names:
-            raise ValueError(f"model meta's detector config lacks keys {sorted(names - set(det))} "
+            raise ValueError(f"detector config lacks keys {sorted(names - set(det))} "
                              f"and has unknown keys {sorted(set(det) - names, key=str)}")
         return DetectorConfig(**{name: tuple(v) if isinstance(v, list) else v for name, v in det.items()})
 
 
-def _layer_chain(cfg: DetectorConfig, meta: dict, make) -> ModelGraph:
+def _layer_chain(cfg: DetectorConfig, make) -> ModelGraph:
     """The detector's layers in chain order. make(pos, name, shape, head, **init)
     gives each weight layer's (weight, bias, bn) as the walk reaches it, pos
     being its place in the chain; init holds hints only a draw reads."""
@@ -155,7 +155,7 @@ def _layer_chain(cfg: DetectorConfig, meta: dict, make) -> ModelGraph:
     # the class head's bias of -2 is a low-score prior
     weight_layer("bbox_head.conv_cls", (len(CLASS_NAMES), *head_in), ConvParams(), head=True, bias=-2.0)
     weight_layer("bbox_head.conv_reg", (4, *head_in), ConvParams(), head=True)
-    return ModelGraph(layers=tuple(layers), meta=meta)
+    return ModelGraph(layers=tuple(layers))
 
 
 def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) -> ModelGraph:
@@ -181,19 +181,19 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
         )
         return weight, np.full(cout, bias, np.float32), bn
 
-    return _layer_chain(cfg, {"detector": cfg.to_meta()}, draw)
+    return _layer_chain(cfg, draw)
 
 
 # ---------------------------------------------------------------------------
 # Model files: one <name>.npz, a JSON manifest plus each weight layer's weight and bias
 
 
-def _from_arrays(meta: dict, arrays: Mapping[str, np.ndarray]) -> ModelGraph:
-    """The folded detector meta's config describes, holding arrays keyed as in
+def _from_arrays(cfg: DetectorConfig, arrays: Mapping[str, np.ndarray]) -> ModelGraph:
+    """The folded detector cfg describes, holding arrays keyed as in
     param_arrays; nothing is drawn or folded. The chain's walk checks each
     weight layer's arrays as it reaches them: one that is missing, not float32,
     not the layer's shape or not finite raises ValueError naming the layer, as
-    does a malformed config and, after the walk, an array of no weight layer."""
+    does, after the walk, an array of no weight layer."""
     def read(pos, name, shape, head, **init):
         params = []
         for field, want in (("weight", shape), ("bias", shape[:1])):
@@ -212,7 +212,7 @@ def _from_arrays(meta: dict, arrays: Mapping[str, np.ndarray]) -> ModelGraph:
             raise ValueError(f"layer {name!r}: {field} {problem}")
         return (*params, None)
 
-    graph = _layer_chain(DetectorConfig.from_meta(meta), meta, read)
+    graph = _layer_chain(cfg, read)
     extra = sorted(set(arrays) - set(param_arrays(graph)))
     if extra:
         raise ValueError(f"arrays {extra} belong to no weight layer of the folded detector the config builds")
@@ -224,37 +224,38 @@ def _npz_path(path) -> Path:
     return p if p.suffix == ".npz" else p.with_name(p.name + ".npz")
 
 
-def save_model(graph: ModelGraph, path) -> Path:
-    """Write a folded detector as one uncompressed <path>.npz; returns its path.
+def save_model(graph: ModelGraph, cfg: DetectorConfig, path) -> Path:
+    """Write a folded detector and cfg as one uncompressed <path>.npz; returns its path.
 
-    The 'manifest' member is a JSON string with exactly "format_version" (4),
-    "meta" (holding the DetectorConfig) and "weights_sha256" (weights_digest).
-    The other members are param_arrays: '<pos>.weight' and '<pos>.bias' for the
-    weight layer at position pos. A graph that is not the folded detector its
-    meta describes, as load_model reads it, raises ValueError. Precision tags
-    are not saved: a plan is applied at execution.
+    The 'manifest' member is a JSON string with exactly "format_version" (5),
+    "detector" (cfg.to_meta()) and "weights_sha256" (weights_digest). The
+    other members are param_arrays: '<pos>.weight' and '<pos>.bias' for the
+    weight layer at position pos. A graph that is not the folded detector cfg
+    describes, as load_model reads it, raises ValueError. Precision tags are
+    not saved: a plan is applied at execution.
     """
     arrays = param_arrays(graph)
-    if not graphs_equal(_from_arrays(graph.meta, arrays), graph):
-        raise ValueError("the graph's layers are not those of the folded detector its meta's config builds")
+    if not graphs_equal(_from_arrays(cfg, arrays), graph):
+        raise ValueError("the graph's layers are not those of the folded detector the config builds")
     path = _npz_path(path)
-    manifest = {"format_version": FORMAT_VERSION, "meta": graph.meta, "weights_sha256": weights_digest(graph)}
+    manifest = {"format_version": FORMAT_VERSION, "detector": cfg.to_meta(), "weights_sha256": weights_digest(graph)}
     np.savez(path, manifest=np.array(json.dumps(manifest, sort_keys=True)), **arrays)
     return path
 
 
-def load_model(path) -> ModelGraph:
-    """Read a model written by save_model; never unpickles.
+def load_model(path) -> tuple[ModelGraph, DetectorConfig]:
+    """Read a model written by save_model as (graph, cfg); never unpickles.
 
-    The walk along the config's layer chain stops at the first array that
-    disagrees with it, so the work is bounded by the file. An unreadable
-    file (the zip's CRC-32 catches a flipped byte), a malformed manifest or
-    config, a layer's array that is missing, not float32, not finite or not
-    the config's shape, an array of no weight layer, and arrays whose digest
-    is not "weights_sha256" (e.g. two swapped) raise ModelFormatError naming
-    the file, and the layer where there is one, as does another format
-    version: ModelFormatError is the one error type of a bad model file.
-    Every layer loads at FP32: apply a plan first.
+    cfg is the manifest's "detector" entry (from_meta). The walk along its
+    layer chain stops at the first array that disagrees with it, so the work
+    is bounded by the file. An unreadable file (the zip's CRC-32 catches a
+    flipped byte), a malformed manifest or config, a layer's array that is
+    missing, not float32, not finite or not the config's shape, an array of
+    no weight layer, and arrays whose digest is not "weights_sha256" (e.g.
+    two swapped) raise ModelFormatError naming the file, and the layer where
+    there is one, as does another format version, such as 4, which kept the
+    config under "meta": ModelFormatError is the one error type of a bad
+    model file. Every layer loads at FP32: apply a plan first.
     """
     path = _npz_path(path)
     try:
@@ -274,12 +275,13 @@ def load_model(path) -> ModelGraph:
     if set(manifest) != MANIFEST_KEYS:
         raise ModelFormatError(f"{path}: malformed manifest: keys {sorted(manifest)}, not {sorted(MANIFEST_KEYS)}")
     try:
-        graph = _from_arrays(manifest["meta"], arrays)
+        cfg = DetectorConfig.from_meta(manifest["detector"])
+        graph = _from_arrays(cfg, arrays)
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
     if weights_digest(graph) != manifest["weights_sha256"]:  # e.g. two same-shape arrays swapped
         raise ModelFormatError(f"{path}: the arrays' digest is not the manifest's weights_sha256")
-    return graph
+    return graph, cfg
 
 
 def pillarize_dataset(scenes: Sequence[Scene], cfg: DetectorConfig) -> list[PillarSample]:

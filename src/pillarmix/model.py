@@ -16,10 +16,9 @@ pillarized scenes to one output per head. Inside it images are channels-last
 at its edges: what ``observe_fn`` sees, and the head outputs. Every
 ValueError raised while a layer runs in ``forward`` names that layer.
 
-This module knows no file format: a model file is a detector config plus
-its folded weights, written and read by ``detector.save_model`` and
-``detector.load_model``, which rebuild the layer chain from the config. A
-plan is applied at execution (``apply_plan``).
+A graph is its layers alone; this module knows no file format. A model file
+(format 5) holds a detector config and its folded weights, and
+``detector.load_model`` returns both, the layer chain rebuilt from the config.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ import copy
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -133,7 +133,6 @@ class ModelGraph:
     its weight layers 1..L in chain order, each on a copy of the layer given."""
 
     layers: tuple[LayerSpec, ...]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         layers = tuple(copy.copy(l) if l.is_weight_layer else l for l in self.layers)
@@ -183,7 +182,7 @@ def _validate_layers(layers: Sequence[LayerSpec]) -> None:
 
 @dataclass(frozen=True)
 class PrecisionPlan:
-    """Default datatype plus per-layer-index overrides.
+    """Default datatype plus read-only per-layer-index overrides, in the order given.
 
     Each datatype goes through DType(...), so 'int8' means DType.INT8 and an
     unknown name such as 'int4' raises ValueError, as does an override key
@@ -191,14 +190,17 @@ class PrecisionPlan:
     """
 
     default: DType = DType.FP32
-    overrides: dict[int, DType] = field(default_factory=dict)
+    overrides: Mapping[int, DType] = field(default_factory=dict)
 
     def __post_init__(self):
         for index in self.overrides:
             if not int_at_least(index, 1):
                 raise ValueError(f"plan override key {index!r} is not a layer index (an integer >= 1)")
         object.__setattr__(self, "default", DType(self.default))
-        object.__setattr__(self, "overrides", {i: DType(d) for i, d in self.overrides.items()})
+        object.__setattr__(self, "overrides", MappingProxyType({i: DType(d) for i, d in self.overrides.items()}))
+
+    def __reduce__(self):  # a mappingproxy neither pickles nor deep-copies
+        return PrecisionPlan, (self.default, dict(self.overrides))
 
     def resolve(self, index: int) -> DType:
         return self.overrides.get(index, self.default)
@@ -245,7 +247,7 @@ def apply_plan(graph: ModelGraph, plan: PrecisionPlan) -> ModelGraph:
         dataclasses.replace(l, precision=plan.resolve(l.index)) if l.is_weight_layer else l
         for l in graph.layers
     ]
-    return ModelGraph(layers=tuple(layers), meta=graph.meta)
+    return ModelGraph(layers=tuple(layers))
 
 
 def dtype_boundaries(precisions: Sequence[DType]) -> int:
@@ -278,7 +280,7 @@ def fold_bn(layer: LayerSpec) -> LayerSpec:
 
 def fold_all_bn(graph: ModelGraph) -> ModelGraph:
     layers = [fold_bn(l) if l.bn is not None else l for l in graph.layers]
-    return ModelGraph(layers=tuple(layers), meta=graph.meta)
+    return ModelGraph(layers=tuple(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +446,11 @@ def param_arrays(graph: ModelGraph) -> dict[str, np.ndarray]:
 
 
 def graphs_equal(a: ModelGraph, b: ModelGraph) -> bool:
-    """Bit-exact equality of meta, structure and weights; precision tags are not compared."""
+    """Bit-exact equality of structure and weights; precision tags are not compared."""
     def parts(g: ModelGraph):
         layers = [(l.name, l.kind, l.relu, l.is_head, l.conv, l.grid, l.bn.eps if l.bn else None) for l in g.layers]
         arrays = [(key, arr.shape, arr.tobytes()) for key, arr in param_arrays(g).items()]
-        return g.meta, layers, arrays
+        return layers, arrays
 
     return parts(a) == parts(b)
 

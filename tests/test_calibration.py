@@ -79,7 +79,7 @@ class TestRunCalibration:
     def test_every_indexed_layer_covered(self):
         g = chain(np.random.default_rng(1))
         stats = run_calibration(g, [one_scene(np.random.default_rng(2).normal(size=(3, 6)))])
-        assert stats.indices() == [1, 2]
+        assert list(stats.layers) == [1, 2]
 
     def test_sequential_equals_merged(self):
         rng = np.random.default_rng(3)
@@ -89,7 +89,7 @@ class TestRunCalibration:
         both = run_calibration(g, [a, b])
         ranges = per_sample_ranges(g, [a]) + per_sample_ranges(g, [b])
         merged = stats_from_ranges(g, ranges)
-        for i in both.indices():
+        for i in list(both.layers):
             assert (both[i].act_min, both[i].act_max) == (merged[i].act_min, merged[i].act_max)
             assert both[i].act_qp == merged[i].act_qp
 

@@ -1,6 +1,6 @@
 """Detector: batched forward, decode and evaluate against per-scene runs of a greedy
-reference decode and the per-slice reference AP, the config through the model meta, and
-the model file."""
+reference decode and the per-slice reference AP, the config checks, and the model file,
+which hands back the graph and its config."""
 
 import dataclasses
 import json
@@ -48,8 +48,6 @@ from pillar_helpers import TINY, scene_detections
 from test_metrics import reference_table
 
 PLAN_LABELS = ("FP32", "FP16", "INT8", "FP16: 1")
-# from_meta's message for a meta that is not {"detector": {...}}; it ends in the meta
-META_SHAPE = re.escape("model meta must be {'detector': <config object>}, got ")
 
 
 def reference_decode_and_nms(cls_map, reg_map, score_thresh, iou_thresh):
@@ -223,7 +221,7 @@ class TestDecodeAndNms:
         ({"grid": (10, 10)}, r"grid must be two positive integers divisible by 4 .*got \(10, 10\)"),
         ({"grid": (16, 18)}, r"grid .*got \(16, 18\)"),
         ({"grid": (16, 0)}, r"grid .*got \(16, 0\)"),
-        # manifest meta values that from_meta passes through
+        # manifest values that from_meta passes through
         ({"grid": "16"}, r"grid .*got '16'"),
         ({"grid": (16, 16, 16)}, r"grid .*got \(16, 16, 16\)"),
         ({"block_strides": (2, 0, 1)}, r"block_strides must be positive integers, got \(2, 0, 1\)"),
@@ -248,7 +246,7 @@ class TestDecodeAndNms:
         with pytest.raises(ValueError, match=match):
             DetectorConfig(**fields)
         with pytest.raises(ValueError, match=match):  # the same values read back from a model manifest
-            DetectorConfig.from_meta({"detector": {**DetectorConfig().to_meta(), **fields}})
+            DetectorConfig.from_meta({**DetectorConfig().to_meta(), **fields})
 
 
 def test_encode_targets_gives_a_shared_centre_cell_to_the_first_box():
@@ -444,14 +442,26 @@ def test_evaluate_rejects_a_head_of_the_wrong_width(head, shapes):
 
 
 @pytest.mark.parametrize("cfg", [DetectorConfig(), TINY], ids=["cfg0", "cfg1"])
-def test_detector_config_survives_the_model_meta(cfg, tmp_path):
-    meta = {"detector": cfg.to_meta()}
-    assert DetectorConfig.from_meta(meta) == cfg
+def test_a_loaded_model_evaluates_as_the_one_saved(cfg, tmp_path):
+    """load_model hands back the config with the graph, and the pair goes
+    straight into calibration, detect and evaluate: the detections (bit for
+    bit) and the AP tables equal the original's under FP32 and INT8. The
+    untrained toy's AP is 0, so the detections carry the comparison."""
+    assert DetectorConfig.from_meta(cfg.to_meta()) == cfg
     graph = fold_all_bn(build_toy_detector(cfg, seed=0))
-    assert graph.meta == meta
-    loaded = load_model(save_model(graph, tmp_path / "toy"))
-    assert graphs_equal(loaded, graph)
-    assert DetectorConfig.from_meta(loaded.meta) == cfg
+    loaded, loaded_cfg = load_model(save_model(graph, cfg, tmp_path / "toy"))
+    assert loaded_cfg == cfg and graphs_equal(loaded, graph)
+    scenes = generate_dataset(DatasetConfig(size=8), seed=2)
+    runs = []
+    for g, c in ((graph, cfg), (loaded, loaded_cfg)):
+        samples = pillarize_dataset(scenes, c)
+        stats = run_calibration(g, samples[:4])
+        plans = [parse_plan_label(label) for label in ("FP32", "INT8")]
+        runs.append(([[d.tobytes() for d in detect(g, plan, stats, c, samples)] for plan in plans],
+                     [evaluate(g, plan, stats, scenes, c, samples).ap for plan in plans]))
+    (dets, tables), (loaded_dets, loaded_tables) = runs
+    assert sum(len(d) > 0 for d in dets[1]) >= 4 and dets[1] != dets[0]  # INT8 moves some detections
+    assert loaded_dets == dets and loaded_tables == tables
 
 
 @pytest.mark.parametrize("extra_keys", [
@@ -459,52 +469,31 @@ def test_detector_config_survives_the_model_meta(cfg, tmp_path):
     {"n_classes": 3, "base_size": 2.5, "match_iou": 0.5, "max_points_per_pillar": 8},
     {"n_classes": 4},
 ], ids=["pre_constants_meta", "n_classes"])
-def test_a_meta_key_that_is_no_config_field_is_rejected(extra_keys, tmp_path):
-    """A key the config does not read would ride along in the loaded meta, unchecked."""
-    meta = {"detector": {**DetectorConfig().to_meta(), **extra_keys}}
+def test_a_key_that_is_no_config_field_is_rejected(extra_keys, tmp_path):
+    """A key the config does not read would ride along in the file, unchecked."""
+    det = {**DetectorConfig().to_meta(), **extra_keys}
     names = re.escape(str(sorted(extra_keys)))
-    want = rf"model meta's detector config lacks keys \[\] and has unknown keys {names}$"
+    want = rf"detector config lacks keys \[\] and has unknown keys {names}$"
     with pytest.raises(ValueError, match=want):
-        DetectorConfig.from_meta(meta)
-    path = save_model(fold_all_bn(build_toy_detector()), tmp_path / "toy")
-    rewrite(path, lambda doc, arrays: doc["meta"]["detector"].update(extra_keys))
+        DetectorConfig.from_meta(det)
+    path = save_model(fold_all_bn(build_toy_detector()), DetectorConfig(), tmp_path / "toy")
+    rewrite(path, lambda doc, arrays: doc["detector"].update(extra_keys))
     with pytest.raises(ModelFormatError, match=rf"toy\.npz: {want}"):
         load_model(path)
 
 
-def test_a_meta_key_besides_the_config_is_rejected(tmp_path):
-    """A top-level key other than "detector" would ride along in the loaded meta, unchecked."""
-    meta = {"detector": DetectorConfig().to_meta(), "n_classes": 4}
-    match = META_SHAPE + r"\{'detector': \{.*\}, 'n_classes': 4\}$"
-    with pytest.raises(ValueError, match=match):
-        DetectorConfig.from_meta(meta)
-    graph = fold_all_bn(build_toy_detector())
-    with pytest.raises(ValueError, match=match):
-        save_model(dataclasses.replace(graph, meta=meta), tmp_path / "toy")
-    path = save_model(graph, tmp_path / "toy")
-    rewrite(path, lambda doc, arrays: doc["meta"].update(n_classes=4))
-    with pytest.raises(ModelFormatError, match=rf"toy\.npz: {match}"):
-        load_model(path)
-
-
-def test_meta_without_the_config_names_the_missing_key():
-    """Or the entry that is not an object. evaluate reads no meta: a graph
-    without one evaluates given the config and the pillarized scenes."""
-    graph = dataclasses.replace(build_toy_detector(), meta={})
-    with pytest.raises(ValueError, match=META_SHAPE + r"\{\}$"):
-        DetectorConfig.from_meta(graph.meta)
-    cfg, scenes = DetectorConfig(), generate_dataset(DatasetConfig(size=2), seed=1)
-    evaluate(graph, parse_plan_label("FP32"), None, scenes, cfg, pillarize_dataset(scenes, cfg))
-    det = cfg.to_meta()
+def test_a_config_entry_names_its_missing_and_unknown_keys():
+    """Or shows the entry that is not an object."""
+    det = DetectorConfig().to_meta()
     del det["grid"]
-    with pytest.raises(ValueError, match=r"lacks keys \['grid'\] and has unknown keys \[\]$"):
-        DetectorConfig.from_meta({"detector": det})
+    with pytest.raises(ValueError, match=r"^detector config lacks keys \['grid'\] and has unknown keys \[\]$"):
+        DetectorConfig.from_meta(det)
     with pytest.raises(ValueError, match=r"lacks keys \['grid'\] and has unknown keys \['n_classes'\]$"):
-        DetectorConfig.from_meta({"detector": {**det, "n_classes": 3}})
-    for meta, shown in [(["detector"], r"\['detector'\]"), (None, "None"), ({"detector": None}, r"\{'detector': None\}"),
-                        ({"detector": [det]}, r"\{'detector': \[\{'block_channels': \[16, 24, 32\], .*\}\]\}")]:
-        with pytest.raises(ValueError, match=META_SHAPE + shown + "$"):
-            DetectorConfig.from_meta(meta)
+        DetectorConfig.from_meta({**det, "n_classes": 3})
+    for entry, shown in [(["grid"], r"\['grid'\]"), (None, "None"), ("{}", "'{}'"),
+                         ([det], r"\[\{'block_channels': \[16, 24, 32\], .*\}\]")]:
+        with pytest.raises(ValueError, match="^detector config must be an object, got " + shown + "$"):
+            DetectorConfig.from_meta(entry)
 
 
 def test_default_detector_weights_are_pinned():
@@ -569,30 +558,34 @@ def rewrite(path, edit=None, text=None):
 
 
 class TestSerialization:
-    """The model file: a detector config and its folded weights, the layers rebuilt from the config."""
+    """The model file (format 5): a detector config and its folded weights, the layers rebuilt from the config."""
 
     def graph(self):
         return fold_all_bn(build_toy_detector(TINY, seed=0))
+
+    def save(self, path):
+        return save_model(self.graph(), TINY, path)
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("cfg", [DetectorConfig(), TINY, DetectorConfig(block_strides=(2, 1, 1))],
                              ids=["default", "tiny", "strides_211"])
     def test_a_folded_detector_round_trips_through_one_file(self, tmp_path, cfg, seed):
         graph = fold_all_bn(build_toy_detector(cfg, seed=seed))
-        path = save_model(graph, tmp_path / "toy")
+        path = save_model(graph, cfg, tmp_path / "toy")
         assert list(tmp_path.iterdir()) == [path] and path.name == "toy.npz"
-        assert graphs_equal(load_model(path), graph)
+        loaded, loaded_cfg = load_model(path)
+        assert graphs_equal(loaded, graph) and loaded_cfg == cfg
 
     def test_one_file_holds_the_manifest_and_each_weight_layers_weight_and_bias(self, tmp_path):
         g = self.graph()
-        path = save_model(g, tmp_path / "toy")
+        path = save_model(g, TINY, tmp_path / "toy")
         positions = [pos for pos, l in enumerate(g.layers) if l.is_weight_layer]
         assert positions == [0, 3, 4, 5, 7, 8, 9]
         with np.load(path, allow_pickle=False) as npz:
             assert sorted(npz.files) == sorted(["manifest"] + [f"{p}.{f}" for p in positions for f in ("weight", "bias")])
             np.testing.assert_array_equal(npz["3.weight"], g.layers[3].weight)
             doc = json.loads(str(npz["manifest"]))
-        assert doc == {"format_version": 4, "meta": g.meta, "weights_sha256": weights_digest(g)}
+        assert doc == {"format_version": 5, "detector": TINY.to_meta(), "weights_sha256": weights_digest(g)}
 
     def test_missing_blob(self, tmp_path):
         """No model file at the path."""
@@ -601,7 +594,7 @@ class TestSerialization:
 
     def test_truncated_blob(self, tmp_path):
         """A model file cut short."""
-        path = save_model(self.graph(), tmp_path / "toy")
+        path = self.save(tmp_path / "toy")
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ModelFormatError, match=r"toy\.npz: not a readable model file"):
             load_model(path)
@@ -615,7 +608,7 @@ class TestSerialization:
     def test_checksum_mismatch(self, tmp_path):
         """A flipped byte inside an array fails the zip member's CRC-32."""
         g = self.graph()
-        path = save_model(g, tmp_path / "toy")
+        path = save_model(g, TINY, tmp_path / "toy")
         data = bytearray(path.read_bytes())
         data[data.index(g.layers[3].weight.tobytes()) + 5] ^= 0xFF
         path.write_bytes(bytes(data))
@@ -624,33 +617,53 @@ class TestSerialization:
 
     @pytest.mark.parametrize("version", [2, 3, 99])
     def test_unknown_version(self, tmp_path, version):
-        """Format 2 stored a precision tag per layer, format 3 a record per layer; format 4 stores neither."""
-        path = save_model(self.graph(), tmp_path / "toy")
+        """Format 2 stored a precision tag per layer, format 3 a record per
+        layer; format 5 stores neither (format 4: see the next test)."""
+        path = self.save(tmp_path / "toy")
         rewrite(path, lambda doc, arrays: doc.update(format_version=version))
         with pytest.raises(ModelFormatError, match=rf"toy\.npz: model format version {version} is not supported "):
             load_model(path)
 
+    def test_a_format_4_file_is_not_supported(self, tmp_path):
+        """A manifest in format 4's layout, {"format_version": 4, "meta":
+        {"detector": ...}, "weights_sha256": ...}, is rejected by its version."""
+        path = self.save(tmp_path / "toy")
+
+        def to_format_4(doc, arrays):
+            doc.update(format_version=4, meta={"detector": doc.pop("detector")})
+
+        rewrite(path, to_format_4)
+        want = r"toy\.npz: model format version 4 is not supported \(expected 5\)$"
+        with pytest.raises(ModelFormatError, match=want):
+            load_model(path)
+
     def test_malformed_manifest(self, tmp_path):
-        path = save_model(self.graph(), tmp_path / "toy")
+        path = self.save(tmp_path / "toy")
         rewrite(path, text="{not json")
         with pytest.raises(ModelFormatError, match=r"toy\.npz: malformed manifest"):
             load_model(path)
 
     @pytest.mark.parametrize("edit, text, message", [
         (None, "[]", "malformed manifest: not a JSON object"),
-        (lambda doc, arrays: doc.update(meta=["lin1"]), None, META_SHAPE + r"\['lin1'\]$"),
-        (lambda doc, arrays: doc.update(meta={"detector": None}), None, META_SHAPE + r"\{'detector': None\}$"),
-        (lambda doc, arrays: doc["meta"]["detector"].pop("grid"), None,
-         r"model meta's detector config lacks keys \['grid'\] and has unknown keys \[\]$"),
-        (lambda doc, arrays: doc["meta"]["detector"].update(convs_per_block=0), None,
+        (lambda doc, arrays: doc.update(detector=["lin1"]), None,
+         r"detector config must be an object, got \['lin1'\]$"),
+        (lambda doc, arrays: doc.update(detector=None), None, "detector config must be an object, got None$"),
+        (lambda doc, arrays: doc["detector"].pop("grid"), None,
+         r"detector config lacks keys \['grid'\] and has unknown keys \[\]$"),
+        (lambda doc, arrays: doc["detector"].update(convs_per_block=0), None,
          "convs_per_block must be an integer of at least 1, got 0"),
         (lambda doc, arrays: doc.update(layers=[]), None,
-         r"malformed manifest: keys \['format_version', 'layers', 'meta', 'weights_sha256'\], not "),
-        (lambda doc, arrays: doc.pop("weights_sha256"), None, r"malformed manifest: keys \['format_version', 'meta'\]"),
-    ], ids=["not_an_object", "meta_not_an_object", "detector_not_an_object", "config_key_missing", "bad_config",
-            "extra_key", "no_digest"])
+         r"malformed manifest: keys \['detector', 'format_version', 'layers', 'weights_sha256'\], not "),
+        (lambda doc, arrays: doc.update(n_classes=4), None,
+         r"malformed manifest: keys \['detector', 'format_version', 'n_classes', 'weights_sha256'\], not "),
+        (lambda doc, arrays: doc.pop("weights_sha256"), None,
+         r"malformed manifest: keys \['detector', 'format_version'\]"),
+        (lambda doc, arrays: doc.pop("detector"), None,
+         r"malformed manifest: keys \['format_version', 'weights_sha256'\]"),
+    ], ids=["not_an_object", "detector_a_list", "detector_null", "config_key_missing", "bad_config",
+            "extra_key", "n_classes_key", "no_digest", "no_config"])
     def test_manifest_of_the_wrong_shape_names_the_file(self, tmp_path, edit, text, message):
-        path = save_model(self.graph(), tmp_path / "toy")
+        path = self.save(tmp_path / "toy")
         rewrite(path, edit, text)
         with pytest.raises(ModelFormatError, match=rf"toy\.npz: {message}"):
             load_model(path)
@@ -663,7 +676,7 @@ class TestSerialization:
     @pytest.mark.parametrize("pos, field, value", [(3, "weight", np.nan), (0, "bias", -np.inf)])
     def test_non_finite_array_rejected_naming_file_and_layer(self, tmp_path, pos, field, value):
         g = self.graph()
-        path = save_model(g, tmp_path / "toy")
+        path = save_model(g, TINY, tmp_path / "toy")
 
         def poison(doc, arrays):
             arrays[f"{pos}.{field}"].flat[1] = value
@@ -674,7 +687,7 @@ class TestSerialization:
             load_model(path)
         getattr(g.layers[pos], field).flat[1] = value
         with pytest.raises(ValueError, match=want):  # and no such file is written
-            save_model(g, tmp_path / "poisoned")
+            save_model(g, TINY, tmp_path / "poisoned")
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda arrays: arrays.update({"3.bias": arrays["4.bias"], "4.bias": arrays["3.bias"]}),
@@ -695,7 +708,7 @@ class TestSerialization:
     ], ids=["swapped_arrays", "float64_array", "misshapen_array", "missing_array", "glue_layer_array",
             "array_past_the_chain", "extra_array", "pickled_array"])
     def test_corrupt_array_names_the_file(self, tmp_path, corrupt, message):
-        path = save_model(self.graph(), tmp_path / "toy")
+        path = self.save(tmp_path / "toy")
         rewrite(path, lambda doc, arrays: corrupt(arrays))
         with pytest.raises(ModelFormatError, match=rf"toy\.npz: {message}"):
             load_model(path)
@@ -703,8 +716,8 @@ class TestSerialization:
     def test_a_config_of_another_layer_count_fails_before_the_build(self, tmp_path, monkeypatch):
         """The walk along the config's chain stops at the first layer the file
         does not hold as the config describes it; no network is built."""
-        path = save_model(fold_all_bn(build_toy_detector()), tmp_path / "toy")
-        rewrite(path, lambda doc, arrays: doc["meta"]["detector"].update(convs_per_block=100))
+        path = save_model(fold_all_bn(build_toy_detector()), DetectorConfig(), tmp_path / "toy")
+        rewrite(path, lambda doc, arrays: doc["detector"].update(convs_per_block=100))
         monkeypatch.setattr(detector, "build_toy_detector", lambda *args: pytest.fail("built the network"))
         with pytest.raises(ModelFormatError, match=r"toy\.npz: layer 'backbone\.block0\.conv3': weight has shape "
                                                    r"\(24, 16, 3, 3\), but the config builds \(16, 16, 3, 3\)"):
@@ -715,10 +728,10 @@ class TestSerialization:
         ("neck_channels", 20000, "neck.conv", r"\(24, 32, 3, 3\), but the config builds \(20000, 32, 3, 3\)"),
     ], ids=["pfn_16000", "neck_20000"])
     def test_a_failing_load_costs_what_the_file_holds(self, tmp_path, field, value, layer, shapes):
-        """A meta edited to a huge width fails at the first layer it changes,
+        """A config edited to a huge width fails at the first layer it changes,
         without allocating that width (building it peaks at about 30 and 70 MB)."""
-        path = save_model(fold_all_bn(build_toy_detector()), tmp_path / "toy")
-        rewrite(path, lambda doc, arrays: doc["meta"]["detector"].update({field: value}))
+        path = save_model(fold_all_bn(build_toy_detector()), DetectorConfig(), tmp_path / "toy")
+        rewrite(path, lambda doc, arrays: doc["detector"].update({field: value}))
         tracemalloc.start()
         try:
             with pytest.raises(ModelFormatError, match=rf"layer '{re.escape(layer)}': weight has shape {shapes}"):
@@ -730,52 +743,55 @@ class TestSerialization:
 
     def test_a_load_draws_builds_and_folds_nothing(self, tmp_path, monkeypatch):
         graph = fold_all_bn(build_toy_detector())
-        path = save_model(graph, tmp_path / "toy")
+        path = save_model(graph, DetectorConfig(), tmp_path / "toy")
         for module, name in ((detector, "build_toy_detector"), (detector, "fold_all_bn"), (np.random, "default_rng")):
             monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: pytest.fail(f"called {name}"))
-        assert graphs_equal(load_model(path), graph)
-        save_model(graph, tmp_path / "again")  # nor does the save's check
+        assert graphs_equal(load_model(path)[0], graph)
+        save_model(graph, DetectorConfig(), tmp_path / "again")  # nor does the save's check
 
     def test_the_config_is_the_only_description_of_the_layers(self, tmp_path):
-        """A meta edited to another width no longer matches the arrays and fails
+        """A config edited to another width no longer matches the arrays and fails
         on load; one edited to other strides loads as the network it describes."""
-        path = save_model(fold_all_bn(build_toy_detector()), tmp_path / "toy")
-        rewrite(path, lambda doc, arrays: doc["meta"]["detector"].update(pfn_channels=8, block_strides=[2, 1, 1]))
+        path = save_model(fold_all_bn(build_toy_detector()), DetectorConfig(), tmp_path / "toy")
+        rewrite(path, lambda doc, arrays: doc["detector"].update(pfn_channels=8, block_strides=[2, 1, 1]))
         with pytest.raises(ModelFormatError, match=r"toy\.npz: layer 'voxel_encoder\.pfn\.linear': weight has shape "
                                                    r"\(16, 5\), but the config builds \(8, 5\)"):
             load_model(path)
         graph = fold_all_bn(build_toy_detector())
-        path = save_model(graph, tmp_path / "toy")
-        rewrite(path, lambda doc, arrays: doc["meta"]["detector"].update(block_strides=[2, 1, 1]))
-        loaded = load_model(path)
-        strided = build_toy_detector(DetectorConfig(block_strides=(2, 1, 1)))
+        path = save_model(graph, DetectorConfig(), tmp_path / "toy")
+        rewrite(path, lambda doc, arrays: doc["detector"].update(block_strides=[2, 1, 1]))
+        loaded, cfg = load_model(path)
+        assert cfg == DetectorConfig(block_strides=(2, 1, 1))
+        strided = build_toy_detector(cfg)
         assert [l.conv for l in loaded.layers] == [l.conv for l in strided.layers] != [l.conv for l in graph.layers]
         assert weights_digest(loaded) == weights_digest(graph)
 
-    @pytest.mark.parametrize("graph, match", [
-        (build_toy_detector(), r"arrays \['0\.bn\.beta', .*\] belong to no weight layer of the folded detector"),
-        (dataclasses.replace(fold_all_bn(build_toy_detector()),
-                             meta={"detector": DetectorConfig(block_strides=(2, 1, 1)).to_meta()}),
-         "the graph's layers are not those of the folded detector its meta's config builds"),
-        (fold_all_bn(widen(build_toy_detector(), WIDE_HEADS[0][0])),
+    @pytest.mark.parametrize("graph, cfg, match", [
+        (build_toy_detector(), DetectorConfig(),
+         r"arrays \['0\.bn\.beta', .*\] belong to no weight layer of the folded detector"),
+        (fold_all_bn(build_toy_detector()), DetectorConfig(block_strides=(2, 1, 1)),
+         "the graph's layers are not those of the folded detector the config builds"),
+        (fold_all_bn(widen(build_toy_detector(), WIDE_HEADS[0][0])), DetectorConfig(),
          r"layer 'bbox_head\.conv_cls': weight has shape \(4, 24, 1, 1\), but the config builds \(3, 24, 1, 1\)"),
-        (fold_all_bn(widen(build_toy_detector(), WIDE_HEADS[1][0])),
+        (fold_all_bn(widen(build_toy_detector(), WIDE_HEADS[1][0])), DetectorConfig(),
          r"layer 'bbox_head\.conv_reg': weight has shape \(5, 24, 1, 1\), but the config builds \(4, 24, 1, 1\)"),
-        (dataclasses.replace(fold_all_bn(build_toy_detector()), meta={}), META_SHAPE + r"\{\}$"),
-        (ModelGraph(layers=fold_all_bn(build_toy_detector()).layers[:-1], meta=build_toy_detector().meta),
+        (fold_all_bn(build_toy_detector()), TINY,
+         r"layer 'voxel_encoder\.pfn\.linear': weight has shape \(16, 5\), but the config builds \(8, 5\)"),
+        (ModelGraph(layers=fold_all_bn(build_toy_detector()).layers[:-1]), DetectorConfig(),
          r"layer 'bbox_head\.conv_reg': weight is missing \(member '15\.weight'\)"),
-    ], ids=["unfolded", "meta_of_other_strides", "wide_cls_head", "wide_reg_head", "no_config", "no_box_head"])
-    def test_save_rejects_a_graph_its_meta_does_not_build(self, tmp_path, graph, match):
+    ], ids=["unfolded", "config_of_other_strides", "wide_cls_head", "wide_reg_head", "config_of_other_widths",
+            "no_box_head"])
+    def test_save_rejects_a_graph_its_config_does_not_build(self, tmp_path, graph, cfg, match):
         with pytest.raises(ValueError, match=match):
-            save_model(graph, tmp_path / "toy")
+            save_model(graph, cfg, tmp_path / "toy")
         assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_any_small_config_round_trips_and_a_width_edit_fails_at_its_first_layer(self, tmp_path_factory, data):
-        """The file loads to the graph it was saved from; a meta edited to
-        another width fails naming the first layer whose weight it reshapes, or
-        loads unchanged when the width is the same."""
+        """The file loads to the graph and config it was saved from; a config
+        edited to another width fails naming the first layer whose weight it
+        reshapes, or loads unchanged when the width is the same."""
         n_blocks = data.draw(st.integers(1, 3))
         width = st.integers(1, 8)
         strides = data.draw(st.tuples(*[st.integers(1, 2)] * n_blocks))
@@ -785,9 +801,9 @@ class TestSerialization:
             convs_per_block=data.draw(st.integers(1, 2)), block_strides=strides, neck_channels=data.draw(width),
         )
         graph = fold_all_bn(build_toy_detector(cfg, seed=data.draw(st.integers(0, 3))))
-        path = save_model(graph, tmp_path_factory.mktemp("model") / "toy")
-        loaded = load_model(path)
-        assert graphs_equal(loaded, graph) and weights_digest(loaded) == weights_digest(graph)
+        path = save_model(graph, cfg, tmp_path_factory.mktemp("model") / "toy")
+        loaded, loaded_cfg = load_model(path)
+        assert graphs_equal(loaded, graph) and weights_digest(loaded) == weights_digest(graph) and loaded_cfg == cfg
 
         # a width's first weight layer: the PFN, a block's first conv, the neck
         first = {"pfn_channels": "voxel_encoder.pfn.linear", "neck_channels": "neck.conv",
@@ -799,9 +815,9 @@ class TestSerialization:
             channels = list(cfg.block_channels)
             old, channels[field] = channels[field], value
             edited = dataclasses.replace(cfg, block_channels=tuple(channels))
-        rewrite(path, lambda doc, arrays: doc["meta"].update(detector=edited.to_meta()))
+        rewrite(path, lambda doc, arrays: doc.update(detector=edited.to_meta()))
         if value == old:
-            assert graphs_equal(load_model(path), graph)
+            assert graphs_equal(load_model(path)[0], graph)
             return
         with pytest.raises(ModelFormatError, match=rf"toy\.npz: layer '{re.escape(first[field])}': weight has shape"):
             load_model(path)
@@ -809,6 +825,6 @@ class TestSerialization:
     def test_a_plan_is_not_saved(self, tmp_path):
         """The file keeps weights, not the plan a graph was last tagged with."""
         g = apply_plan(self.graph(), PrecisionPlan(default=DType.INT8))
-        loaded = load_model(save_model(g, tmp_path / "tagged"))
+        loaded, _ = load_model(save_model(g, TINY, tmp_path / "tagged"))
         assert graphs_equal(loaded, g)
         assert {l.precision for l in loaded.weight_layers} == {DType.FP32}

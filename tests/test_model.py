@@ -1,6 +1,8 @@
 """Model graph: BN folding, precision plans, forward execution, structure checks, equality."""
 
+import copy
 import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -219,6 +221,21 @@ class TestPrecisionPlan:
     def test_override_keys_must_be_layer_indices(self, key):
         with pytest.raises(ValueError, match=rf"plan override key {re.escape(repr(key))} is not a layer index"):
             PrecisionPlan(overrides={key: DType.FP16})
+
+    def test_overrides_are_read_only_and_plans_copy_and_pickle(self):
+        """An override set after construction would skip the key and DType
+        checks: index 0 would pass apply_plan, and the string 'fp16' would
+        reach LayerSpec.precision and run FP32."""
+        plan = parse_plan_label("FP16: 1,22,3")
+        for key, value in ((0, DType.FP16), (1, "fp16")):
+            with pytest.raises(TypeError):
+                plan.overrides[key] = value
+        with pytest.raises(TypeError):
+            del plan.overrides[1]
+        for again in (copy.deepcopy(plan), pickle.loads(pickle.dumps(plan))):
+            assert again == plan and list(again.overrides) == [1, 22, 3] and again.label() == "FP16: 1,22,3"
+            with pytest.raises(TypeError):
+                again.overrides[1] = DType.FP32
 
     def test_apply_idempotent(self):
         g = two_layer_graph(np.random.default_rng(7))
@@ -556,7 +573,7 @@ class TestEveryLayerErrorNamesTheLayer:
         layers = tuple(unfolded[l.name] if l.name == "neck.conv" else l for l in graph.layers)
         want = "layer 11 ('neck.conv'): still carries batch norm; fold it before execution (fold_all_bn)"
         with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
-            forward(ModelGraph(layers=layers, meta=graph.meta), batch)
+            forward(ModelGraph(layers=layers), batch)
 
     def test_missing_stats_and_another_models_stats_are_named(self, default_detector):
         graph, stats, batch = default_detector
@@ -600,4 +617,6 @@ class TestGraphsEqual:
         assert not graphs_equal(g, with_first(dataclasses.replace(lin, weight=lin.weight.reshape(5, 6))))
         assert not graphs_equal(g, with_first(dataclasses.replace(lin, bn=dataclasses.replace(lin.bn, eps=1e-3))))
         assert not graphs_equal(g, with_first(dataclasses.replace(lin, relu=False)))
-        assert not graphs_equal(g, dataclasses.replace(g, meta={"detector": {}}))
+        # a graph is its layers alone
+        assert [f.name for f in dataclasses.fields(ModelGraph)] == ["layers"]
+        assert graphs_equal(g, ModelGraph(layers=g.layers))
