@@ -8,7 +8,9 @@ layer input is split back into per-scene ranges. A layer keeps one range,
 (act_min, act_max): the smallest per-sample min and the largest per-sample max,
 so subsets of a dataset can be re-calibrated from cached per-sample ranges
 without re-running forwards. The activation scale is always derived from that
-range; weight quant params are computed once from the folded weights.
+range; weight quant params are computed once from the folded weights. The
+stats are a plain dict[int, LayerCalibration], filled in layer-index order
+1..L: the mapping ``model.forward`` reads.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .quant import PerChannelQuantParams, QuantParams, compute_scale, weight_qua
 from .tensor_ops import PillarSample, int_at_least
 
 __all__ = [
-    "CalibrationStats",
     "LayerCalibration",
     "calib_size_sweep",
     "per_sample_ranges",
@@ -62,20 +63,6 @@ class LayerCalibration:
 
     def __post_init__(self):
         object.__setattr__(self, "act_qp", compute_scale(self.act_min, self.act_max))
-
-
-@dataclass(frozen=True)
-class CalibrationStats:
-    """Per-layer calibration results, keyed by layer index, plus the seed that drew the calibration set."""
-
-    layers: dict[int, LayerCalibration] = field(default_factory=dict)
-    seed: int = 0
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.layers
-
-    def __getitem__(self, index: int) -> LayerCalibration:
-        return self.layers[index]
 
 
 def _scene_ranges(x: np.ndarray, pillar_bounds: np.ndarray) -> list[tuple[float, float]]:
@@ -127,10 +114,10 @@ def per_sample_ranges(
 def stats_from_ranges(
     graph: ModelGraph,
     ranges: Sequence[dict[int, tuple[float, float]]],
-    seed: int = 0,
     per_channel_weights: bool = False,
-) -> CalibrationStats:
-    """Each layer's range over the samples (Python min/max in sample order) and its quant params.
+) -> dict[int, LayerCalibration]:
+    """Each layer's range over the samples (Python min/max in sample order) and its quant params,
+    as a dict keyed by layer index and filled in index order 1..L.
 
     A sample whose ranges are not keyed by the layer indices 1..L raises
     ValueError naming its position and the missing or extra indices; a
@@ -147,7 +134,7 @@ def stats_from_ranges(
                 f"calibration sample {pos} has ranges for other layers than the model's 1..{len(indices)}: "
                 f"missing {sorted(indices - keys)}, extra {sorted(keys - indices)}; ranges from another model?"
             )
-    layers: dict[int, LayerCalibration] = {}
+    stats: dict[int, LayerCalibration] = {}
     for layer in folded.weight_layers:
         where = f"layer {layer.index} ({layer.name!r})"
         layer_ranges = [sample_ranges[layer.index] for sample_ranges in ranges]
@@ -161,24 +148,25 @@ def stats_from_ranges(
             weight_qp = weight_quant_params(layer.weight, per_channel=per_channel_weights)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
-        layers[layer.index] = LayerCalibration(
+        stats[layer.index] = LayerCalibration(
             name=layer.name,
             act_min=min(lo for lo, _ in layer_ranges),
             act_max=max(hi for _, hi in layer_ranges),
             weight_qp=weight_qp,
         )
-    return CalibrationStats(layers=layers, seed=seed)
+    return stats
 
 
 def run_calibration(
     graph: ModelGraph,
     samples: Sequence,
-    seed: int = 0,
+    seed: int = 0,  # unused: perfbench/workloads.py passes it
     per_channel_weights: bool = False,
-) -> CalibrationStats:
-    """Calibrate every indexed layer of the (folded) graph on the samples."""
+) -> dict[int, LayerCalibration]:
+    """Calibrate every indexed layer of the (folded) graph on the samples: the
+    stats_from_ranges dict of their per_sample_ranges, keyed 1..L in order."""
     ranges = per_sample_ranges(graph, samples)
-    return stats_from_ranges(graph, ranges, seed=seed, per_channel_weights=per_channel_weights)
+    return stats_from_ranges(graph, ranges, per_channel_weights=per_channel_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +178,15 @@ def calib_size_sweep(
     dataset: Sequence,
     sizes: Sequence[int],
     seeds: Sequence[int],
-    evaluator: Callable[[CalibrationStats], float],
+    evaluator: Callable[[dict[int, LayerCalibration]], float],
     nested: bool = False,
 ) -> list[dict]:
     """Score the model once per (calibration size, seed); sizes ascend strictly.
 
     Returns one row per (n, seed, layer): the layer's observed input max under
     that calibration set, plus the evaluator score for the set (repeated
-    across the set's layers). Per-sample ranges are cached, so the cost is one
+    across the set's layers). The evaluator receives the set's stats, the
+    stats_from_ranges dict. Per-sample ranges are cached, so the cost is one
     evaluation per (n, seed) plus, per set, one stacked forward per chunk of
     up to EVAL_CHUNK samples that no earlier set held.
     """
@@ -213,16 +202,8 @@ def calib_size_sweep(
             if missing:
                 for i, ranges in zip(missing, per_sample_ranges(graph, [dataset[i] for i in missing])):
                     cache[i] = ranges
-            stats = stats_from_ranges(graph, [cache[i] for i in indices], seed=seed)
+            stats = stats_from_ranges(graph, [cache[i] for i in indices])
             score = float(evaluator(stats))
-            for index in stats.layers:  # filled in index order 1..L
-                rows.append(
-                    {
-                        "n": n,
-                        "seed": seed,
-                        "layer": index,
-                        "max_observed": stats[index].act_max,
-                        "score": score,
-                    }
-                )
+            for index, cal in stats.items():  # filled in index order 1..L
+                rows.append({"n": n, "seed": seed, "layer": index, "max_observed": cal.act_max, "score": score})
     return rows

@@ -263,7 +263,7 @@ def load_model(path) -> tuple[ModelGraph, DetectorConfig]:
         with open(path, "rb") as f, np.load(f, allow_pickle=False) as npz:
             arrays = {key: npz[key] for key in npz.files}
         manifest = json.loads(str(arrays.pop("manifest", "")))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ModelFormatError(f"{path}: malformed manifest: {exc}") from exc
     except (OSError, ValueError, EOFError, TypeError, zipfile.BadZipFile) as exc:
         raise ModelFormatError(f"{path}: not a readable model file: {exc}") from exc

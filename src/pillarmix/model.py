@@ -363,8 +363,9 @@ def forward(
     NCHW exists only at the edges: observe_fn sees a 4-D layer input as an
     NCHW view, and each head output is a C-contiguous [B, C, H, W] array.
 
-    Batch norm is folded before execution (``fold_all_bn``). stats must cover
-    every INT8-tagged layer under the layer's own name (see calibration).
+    Batch norm is folded before execution (``fold_all_bn``). stats, the
+    calibration dict[int, LayerCalibration] keyed by layer index (any Mapping
+    indexed alike), must cover every INT8-tagged layer under its own name.
     observe_fn, when given, receives each indexed layer's input activation
     before any precision transform. The heads all read the trunk tensor, and
     they share one transform of it per (dtype, INT8 act scale): at INT8 their

@@ -88,8 +88,10 @@ def compute_scale(x_min: float, x_max: float) -> QuantParams:
 
     A degenerate all-zero range, or one so small that the scale underflows to
     0 (max_abs below about 3.2e-322), falls back to scale 1.0; every value of
-    such a tensor quantizes to 0 regardless of the scale chosen.
+    such a tensor quantizes to 0 regardless of the scale chosen. The scale is
+    a Python float whatever float type the range comes in.
     """
+    x_min, x_max = float(x_min), float(x_max)
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise ValueError(f"non-finite calibration range ({x_min}, {x_max})")
     if x_min > x_max:
@@ -140,7 +142,7 @@ def weight_quant_params(weight: np.ndarray, per_channel: bool = False):
     if not np.all(np.isfinite(w)):
         raise ValueError("weight tensor contains non-finite values")
     if not per_channel:
-        return compute_scale(float(w.min(initial=0.0)), float(w.max(initial=0.0)))
+        return compute_scale(w.min(initial=0.0), w.max(initial=0.0))
     max_abs = np.abs(w.reshape(w.shape[0], -1)).max(axis=1)
     return PerChannelQuantParams(scales=np.array([compute_scale(0.0, m).scale for m in max_abs.tolist()]))
 

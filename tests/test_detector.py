@@ -645,6 +645,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("edit, text, message", [
         (None, "[]", "malformed manifest: not a JSON object"),
+        (None, "[" * 100000 + "]" * 100000, "malformed manifest: maximum recursion depth exceeded"),
         (lambda doc, arrays: doc.update(detector=["lin1"]), None,
          r"detector config must be an object, got \['lin1'\]$"),
         (lambda doc, arrays: doc.update(detector=None), None, "detector config must be an object, got None$"),
@@ -660,8 +661,8 @@ class TestSerialization:
          r"malformed manifest: keys \['detector', 'format_version'\]"),
         (lambda doc, arrays: doc.pop("detector"), None,
          r"malformed manifest: keys \['format_version', 'weights_sha256'\]"),
-    ], ids=["not_an_object", "detector_a_list", "detector_null", "config_key_missing", "bad_config",
-            "extra_key", "n_classes_key", "no_digest", "no_config"])
+    ], ids=["not_an_object", "nested_too_deeply", "detector_a_list", "detector_null", "config_key_missing",
+            "bad_config", "extra_key", "n_classes_key", "no_digest", "no_config"])
     def test_manifest_of_the_wrong_shape_names_the_file(self, tmp_path, edit, text, message):
         path = self.save(tmp_path / "toy")
         rewrite(path, edit, text)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pillarmix import model
-from pillarmix.calibration import CalibrationStats, run_calibration
+from pillarmix.calibration import run_calibration
 from pillarmix.detector import DetectorConfig, build_toy_detector, pillarize_dataset
 from pillarmix.model import (
     BatchNorm,
@@ -516,7 +516,7 @@ class TestHeadsShareTheTrunkTransform:
         first, second = (l.index for l in graph.weight_layers if l.is_head)
         assert stats[first].act_qp == stats[second].act_qp  # calibrated on one tensor
         wider = dataclasses.replace(stats[second], act_max=2 * stats[second].act_max)
-        stats = CalibrationStats(layers={**stats.layers, second: wider})
+        stats = {**stats, second: wider}
         planned = apply_plan(graph, PrecisionPlan(default=DType.INT8))
         calls = record_calls(monkeypatch, "fake_quant")
         tape = []
@@ -578,11 +578,11 @@ class TestEveryLayerErrorNamesTheLayer:
     def test_missing_stats_and_another_models_stats_are_named(self, default_detector):
         graph, stats, batch = default_detector
         planned = apply_plan(graph, PrecisionPlan(default=DType.INT8))
-        missing = CalibrationStats(layers={i: e for i, e in stats.layers.items() if i != 5})
+        missing = {i: e for i, e in stats.items() if i != 5}
         want = "layer 5 ('backbone.block1.conv0'): is tagged int8 but calibration stats supply no quant params for it"
         with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
             forward(planned, batch, stats=missing)
-        other = CalibrationStats(layers={**stats.layers, 5: dataclasses.replace(stats[5], name="other.conv")})
+        other = {**stats, 5: dataclasses.replace(stats[5], name="other.conv")}
         want = ("layer 5 ('backbone.block1.conv0'): is tagged int8 but its calibration stats were recorded for "
                 "layer 'other.conv'; stats from another model?")
         with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):

@@ -10,7 +10,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from pillarmix import qat, tensor_ops
-from pillarmix.calibration import CalibrationStats, run_calibration
+from pillarmix.calibration import run_calibration
 from pillarmix.detector import DetectorConfig, build_toy_detector, make_train_examples
 from pillarmix.model import (
     LayerSpec,
@@ -223,7 +223,7 @@ def test_int8_gradients_are_the_fp32_ones_on_fake_quantized_tensors_inside_the_c
     else:
         weight_qp = QuantParams(scale=0.6 * cal2.weight_qp.scale)
         w_used = fake_quant(lin2.weight, weight_qp)
-    stats = CalibrationStats(layers={1: stats[1], 2: dataclasses.replace(cal2, weight_qp=weight_qp)})
+    stats = {1: stats[1], 2: dataclasses.replace(cal2, weight_qp=weight_qp)}
     d_out = rng.normal(size=(16, 1, 4)).astype(np.float32)
     grads = taped_grads(apply_plan(graph, PrecisionPlan(overrides={2: DType.INT8})), sample, d_out, stats)
 

@@ -33,6 +33,8 @@ class TestComputeScale:
         assert compute_scale(0.0, 5e-324).scale == 1.0  # max_abs / 127 underflows to 0.0
         assert compute_scale(-3e-322, 0.0).scale == 1.0
         assert compute_scale(0.0, 1e-320).scale == 1e-320 / 127.0
+        scale = compute_scale(np.float32(-1.0), np.float32(3.0)).scale  # a float32 range
+        assert type(scale) is float and scale == 3.0 / 127
         per_channel = weight_quant_params(np.array([[0.0], [5e-324], [2.0]]), per_channel=True)
         assert per_channel.scales.tolist() == [1.0, 1.0, 2.0 / 127.0]
 
