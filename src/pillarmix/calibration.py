@@ -7,8 +7,9 @@ scenes run EVAL_CHUNK at a time, one stacked forward per chunk, and each
 layer input is split back into per-scene ranges. A layer keeps one range,
 (act_min, act_max): the smallest per-sample min and the largest per-sample max,
 so subsets of a dataset can be re-calibrated from cached per-sample ranges
-without re-running forwards. The activation scale is always derived from that
-range; weight quant params are computed once from the folded weights. The
+without re-running forwards. The activation scale, one per tensor, is always
+derived from that range; the weight scales, one per output channel, are
+computed once from the folded weights (quant.weight_quant_params). The
 stats are a plain dict[int, LayerCalibration], filled in layer-index order
 1..L: the mapping ``model.forward`` reads.
 """
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import ModelGraph, PrecisionPlan, apply_plan, eval_chunks, fold_all_bn, forward
-from .quant import PerChannelQuantParams, QuantParams, compute_scale, weight_quant_params
+from .quant import QuantParams, compute_scale, weight_quant_params
 from .tensor_ops import PillarSample, int_at_least
 
 __all__ = [
@@ -53,12 +54,15 @@ def select_calib_set(dataset_size: int, n: int = 4, seed: int = 0, nested: bool 
 
 @dataclass(frozen=True)
 class LayerCalibration:
-    """One layer's calibrated input range; act_qp is derived from it (compute_scale)."""
+    """One layer's calibrated input range and quant params: act_qp, one scale
+    derived from the range (compute_scale), and weight_qp, one scale per output
+    channel of the folded weight (weight_quant_params). Equal calibrations
+    compare equal, pickled or deep-copied too."""
 
     name: str
     act_min: float
     act_max: float
-    weight_qp: QuantParams | PerChannelQuantParams
+    weight_qp: QuantParams
     act_qp: QuantParams = field(init=False)
 
     def __post_init__(self):
@@ -114,10 +118,10 @@ def per_sample_ranges(
 def stats_from_ranges(
     graph: ModelGraph,
     ranges: Sequence[dict[int, tuple[float, float]]],
-    per_channel_weights: bool = False,
 ) -> dict[int, LayerCalibration]:
-    """Each layer's range over the samples (Python min/max in sample order) and its quant params,
-    as a dict keyed by layer index and filled in index order 1..L.
+    """Each layer's range over the samples (Python min/max in sample order) and its quant params
+    (activation per tensor, weight per output channel), as a dict keyed by layer index and
+    filled in index order 1..L.
 
     A sample whose ranges are not keyed by the layer indices 1..L raises
     ValueError naming its position and the missing or extra indices; a
@@ -145,7 +149,7 @@ def stats_from_ranges(
                     "a range must be finite with min <= max"
                 )
         try:
-            weight_qp = weight_quant_params(layer.weight, per_channel=per_channel_weights)
+            weight_qp = weight_quant_params(layer.weight)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
         stats[layer.index] = LayerCalibration(
@@ -161,12 +165,11 @@ def run_calibration(
     graph: ModelGraph,
     samples: Sequence,
     seed: int = 0,  # unused: perfbench/workloads.py passes it
-    per_channel_weights: bool = False,
 ) -> dict[int, LayerCalibration]:
     """Calibrate every indexed layer of the (folded) graph on the samples: the
-    stats_from_ranges dict of their per_sample_ranges, keyed 1..L in order."""
-    ranges = per_sample_ranges(graph, samples)
-    return stats_from_ranges(graph, ranges, per_channel_weights=per_channel_weights)
+    stats_from_ranges dict of their per_sample_ranges, keyed 1..L in order,
+    with per-tensor activation and per-output-channel weight scales."""
+    return stats_from_ranges(graph, per_sample_ranges(graph, samples))
 
 
 # ---------------------------------------------------------------------------

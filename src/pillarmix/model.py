@@ -32,16 +32,11 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .quant import (
-    DType,
-    PerChannelQuantParams,
-    QuantParams,
-    fake_quant,
-    fake_quant_per_channel,
-    fp16_roundtrip,
-)
+from .quant import DType, QuantParams, fake_quant, fp16_roundtrip
 from .tensor_ops import (ConvParams, PillarSample, conv2d, int_at_least, int_pair_at_least, linear, max_over_points,
                          relu, scatter_pillars, stack_samples, upsample2x)
+
+fake_quant_per_channel = fake_quant  # unused: perfbench/tracing.py wraps this name, as it wraps qat.im2col
 
 __all__ = [
     "BatchNorm",
@@ -306,7 +301,7 @@ class TapeEntry:
     sample: PillarSample
     x_used: np.ndarray | None
     w_used: np.ndarray | None
-    quant: tuple[QuantParams, QuantParams | PerChannelQuantParams] | None
+    quant: tuple[QuantParams, QuantParams] | None
     out: np.ndarray
 
 
@@ -326,9 +321,10 @@ def _layer_quant(layer: LayerSpec, stats):
 
 
 def _transform(t: np.ndarray, precision: DType, qp):
-    """t under a precision; qp is t's INT8 quant params, per tensor or per channel."""
+    """t under a precision; qp is t's INT8 quant params, an activation's scale
+    per tensor or a weight's per output channel, both applied by fake_quant."""
     if precision is DType.INT8:
-        return fake_quant_per_channel(t, qp) if isinstance(qp, PerChannelQuantParams) else fake_quant(t, qp)
+        return fake_quant(t, qp)
     return fp16_roundtrip(t) if precision is DType.FP16 else t
 
 

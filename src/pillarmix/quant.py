@@ -1,19 +1,20 @@
 """Symmetric INT8 fake quantization and FP16 simulation.
 
 One rounding rule serves every INT8 tensor: clamp(round_half_even(x / scale),
-Q_MIN, Q_MAX) * scale (zero point 0) in one float64 buffer, with one scale per
-tensor (fake_quant) or per output channel (fake_quant_per_channel). The clip
-range [Q_MIN * scale, Q_MAX * scale] is written here once: in_clip_range masks
-the values the clamp leaves alone, the clipped STE of QAT (qat.py).
-compute_scale derives every scale from a range, max(|min|, |max|) / 127 or 1.0
-when that is 0: an activation's from its calibrated (min, max) (see
-calibration.py), a weight's from its own, per tensor or per output channel
-(weight_quant_params). FP16 layers are simulated by a binary16 round trip that
+Q_MIN, Q_MAX) * scale (zero point 0) in one float64 buffer (fake_quant). As
+TensorRT deploys INT8, an activation has one scale per tensor and a weight one
+per output channel (axis 0), an array that broadcasts against the weight
+(weight_quant_params). The clip range [Q_MIN * scale, Q_MAX * scale] is
+written here once: in_clip_range masks the values the clamp leaves alone, the
+clipped STE of QAT (qat.py). One rule derives every scale from a max |x|,
+max|x| / 127 or 1.0 where that is 0: an activation's from its calibrated
+(min, max) (compute_scale, see calibration.py), a weight's from each output
+channel's own. FP16 layers are simulated by a binary16 round trip that
 saturates at +-65504 instead of overflowing, computed on the float32 bits:
 round half to even at 10 mantissa bits, saturate at FP16_MAX's bits
 0x477FE000, and take the binary16 subnormals (nonzero |x| < 2**-14) through
 float32's own rounding at a 2**-24 step (fp16_roundtrip). Infinities saturate
-in both schemes; a NaN has no code in either, so all three transforms raise
+in both schemes; a NaN has no code in either, so both transforms raise
 ValueError.
 """
 
@@ -28,13 +29,11 @@ import numpy as np
 __all__ = [
     "DType",
     "FP16_MAX",
-    "PerChannelQuantParams",
     "Q_MAX",
     "Q_MIN",
     "QuantParams",
     "compute_scale",
     "fake_quant",
-    "fake_quant_per_channel",
     "fp16_roundtrip",
     "in_clip_range",
     "weight_quant_params",
@@ -57,47 +56,63 @@ class DType(str, Enum):
 
 @dataclass(frozen=True)
 class QuantParams:
-    """Symmetric per-tensor quantization parameters: the scale."""
+    """Symmetric quantization parameters: the scale, positive and finite.
 
-    scale: float
+    An activation's scale is a Python float, one per tensor (compute_scale).
+    A weight's is a read-only float64 array shaped (C_out,) + (1,) * (w.ndim - 1),
+    one per output channel, so that it broadcasts against the weight as stored
+    (weight_quant_params). Equality compares the scales' values; the hash is
+    the scale's, so only an activation's params, which key forward's
+    transform cache, are hashable.
+    """
+
+    scale: float | np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.scale) or self.scale <= 0.0:
+        if isinstance(self.scale, np.ndarray):  # kept as a read-only float64 copy
+            scale = np.array(self.scale, dtype=np.float64)
+            scale.flags.writeable = False
+            object.__setattr__(self, "scale", scale)
+        if not (np.isfinite(self.scale) & np.greater(self.scale, 0.0)).all():
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
+    def __eq__(self, other):
+        return isinstance(other, QuantParams) and np.array_equal(self.scale, other.scale)
 
-@dataclass(frozen=True)
-class PerChannelQuantParams:
-    """Per-output-channel weight scales (optional mode; axis 0 is the channel)."""
+    def __hash__(self):
+        return hash(self.scale)
 
-    scales: np.ndarray
+    def __reduce__(self):  # a pickled or deep-copied array comes back writeable
+        return QuantParams, (self.scale,)
 
-    def __post_init__(self):
-        scales = np.asarray(self.scales, dtype=np.float64)
-        if scales.ndim != 1 or not np.all(np.isfinite(scales)) or np.any(scales <= 0):
-            raise ValueError("per-channel scales must be a 1D positive finite array")
-        object.__setattr__(self, "scales", scales)
 
-    def along_axis0(self, ndim: int) -> np.ndarray:
-        """The scales shaped to broadcast along axis 0 of an ndim-dimensional tensor."""
-        return self.scales.reshape((-1,) + (1,) * (ndim - 1))
+def _scale_rule(max_abs):
+    """max_abs / 127, or 1.0 where that is 0: an all-zero range, or one so small
+    (below about 3.2e-322) that the quotient underflows; every value of such a
+    tensor quantizes to 0 regardless of the scale chosen."""
+    scale = np.divide(max_abs, Q_MAX, dtype=np.float64)
+    return np.where(scale > 0.0, scale, 1.0)
 
 
 def compute_scale(x_min: float, x_max: float) -> QuantParams:
-    """Derive the symmetric scale max(|x_min|, |x_max|) / 127.
-
-    A degenerate all-zero range, or one so small that the scale underflows to
-    0 (max_abs below about 3.2e-322), falls back to scale 1.0; every value of
-    such a tensor quantizes to 0 regardless of the scale chosen. The scale is
-    a Python float whatever float type the range comes in.
-    """
+    """An activation's quant params from its range: one scale, the rule's of
+    max(|x_min|, |x_max|), a Python float whatever float type the range comes in."""
     x_min, x_max = float(x_min), float(x_max)
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise ValueError(f"non-finite calibration range ({x_min}, {x_max})")
     if x_min > x_max:
         raise ValueError(f"calibration range has min {x_min} > max {x_max}")
-    scale = max(abs(x_min), abs(x_max)) / Q_MAX
-    return QuantParams(scale=scale if scale > 0.0 else 1.0)
+    return QuantParams(scale=float(_scale_rule(max(abs(x_min), abs(x_max)))))
+
+
+def weight_quant_params(weight: np.ndarray) -> QuantParams:
+    """A (folded) weight's quant params: one scale per output channel (axis 0),
+    the rule's of that channel's max |w|, shaped (C_out,) + (1,) * (w.ndim - 1)."""
+    w = np.asarray(weight)
+    if not np.isfinite(w).all():
+        raise ValueError("weight tensor contains non-finite values")
+    max_abs = np.abs(w).max(axis=tuple(range(1, w.ndim)), keepdims=True, initial=0.0)
+    return QuantParams(scale=_scale_rule(max_abs))
 
 
 def _reject_nan(x: np.ndarray) -> None:
@@ -107,49 +122,22 @@ def _reject_nan(x: np.ndarray) -> None:
                          "NaN has no INT8 or FP16 encoding")
 
 
-def _fake_quant(t: np.ndarray, scale) -> np.ndarray:
-    """clamp(round_half_even(t / scale), Q_MIN, Q_MAX) * scale in one float64
-    buffer, float32 out; scale is a float or an array that broadcasts against t."""
-    x = np.array(t, dtype=np.float64)
-    _reject_nan(x)
-    np.divide(x, scale, out=x)
-    np.rint(x, out=x)
-    np.clip(x, Q_MIN, Q_MAX, out=x)
-    x *= scale
-    return x.astype(np.float32)
-
-
-def in_clip_range(t: np.ndarray, qp: QuantParams | PerChannelQuantParams) -> np.ndarray:
+def in_clip_range(t: np.ndarray, qp: QuantParams) -> np.ndarray:
     """float32 mask, 1 where Q_MIN * s <= t <= Q_MAX * s and 0 elsewhere (NaN
-    included): s is qp's scale, or each channel's along axis 0 if per-channel."""
-    scale = qp.along_axis0(np.ndim(t)) if isinstance(qp, PerChannelQuantParams) else qp.scale
-    return ((t >= Q_MIN * scale) & (t <= Q_MAX * scale)).astype(np.float32)
+    included), s being qp's scale: one per tensor, or a weight's per channel."""
+    return ((t >= Q_MIN * qp.scale) & (t <= Q_MAX * qp.scale)).astype(np.float32)
 
 
 def fake_quant(t: np.ndarray, qp: QuantParams) -> np.ndarray:
-    """Quantize-then-dequantize with one scale; shape preserved, float32 out. NaN raises ValueError."""
-    return _fake_quant(t, qp.scale)
-
-
-def weight_quant_params(weight: np.ndarray, per_channel: bool = False):
-    """One-shot quant params from a (folded) weight tensor.
-
-    Per-tensor by default; per_channel=True yields one scale per output
-    channel (axis 0), the common deployment convention for conv/linear. Every
-    scale is compute_scale's, from the tensor's or the channel's range.
-    """
-    w = np.asarray(weight, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weight tensor contains non-finite values")
-    if not per_channel:
-        return compute_scale(w.min(initial=0.0), w.max(initial=0.0))
-    max_abs = np.abs(w.reshape(w.shape[0], -1)).max(axis=1)
-    return PerChannelQuantParams(scales=np.array([compute_scale(0.0, m).scale for m in max_abs.tolist()]))
-
-
-def fake_quant_per_channel(weight: np.ndarray, qp: PerChannelQuantParams) -> np.ndarray:
-    """fake_quant with one scale per output channel (axis 0); NaN raises ValueError."""
-    return _fake_quant(weight, qp.along_axis0(np.ndim(weight)))
+    """Quantize-then-dequantize under qp's scale, which broadcasts against t;
+    shape preserved, float32 out. NaN raises ValueError."""
+    x = np.array(t, dtype=np.float64)
+    _reject_nan(x)
+    np.divide(x, qp.scale, out=x)
+    np.rint(x, out=x)
+    np.clip(x, Q_MIN, Q_MAX, out=x)
+    x *= qp.scale
+    return x.astype(np.float32)
 
 
 def fp16_roundtrip(t: np.ndarray) -> np.ndarray:

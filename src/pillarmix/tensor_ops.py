@@ -253,8 +253,7 @@ def max_over_points(features: np.ndarray, point_mask: np.ndarray) -> np.ndarray:
         raise ValueError(f"point mask shape {point_mask.shape} != features' (pillars, points) {features.shape[:2]}")
     if not point_mask.any(axis=1).all():
         raise ValueError("pillar with no real points cannot be max-pooled")
-    masked = np.where(point_mask[:, :, None], features, np.float32(-np.inf))
-    return masked.max(axis=1)
+    return features.max(axis=1, where=point_mask[:, :, None], initial=np.float32(-np.inf))
 
 
 def upsample2x(x: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Calibration-set selection, range collection, per-layer stats, and sweep machinery."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -19,11 +21,24 @@ from pillarmix.calibration import (
 )
 from pillarmix.detector import DetectorConfig, build_toy_detector, pillarize_dataset
 from pillarmix.model import EVAL_CHUNK, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
-from pillarmix.quant import PerChannelQuantParams, QuantParams, fake_quant
+from pillarmix.quant import QuantParams, fake_quant
 from pillarmix.scenes import DatasetConfig, Scene, generate_dataset
 from pillarmix.tensor_ops import stack_samples
 
 from pillar_helpers import one_scene
+
+
+def assert_equal_by_value(stats, same):
+    """stats == same, also pickled and deep-copied; and unequal once one
+    channel of the last layer's weight scale differs."""
+    assert stats == same
+    assert pickle.loads(pickle.dumps(stats)) == stats and copy.deepcopy(stats) == stats
+    last = stats[len(stats)]
+    scale = last.weight_qp.scale.copy()
+    scale[-1] *= 2.0
+    changed = dict(stats)
+    changed[len(stats)] = dataclasses.replace(last, weight_qp=QuantParams(scale=scale))
+    assert changed != stats
 
 
 def chain(rng, widths=(6, 6, 4)):
@@ -118,14 +133,23 @@ class TestRunCalibration:
         xs = [one_scene(rng.normal(size=(3, 6))) for _ in range(3)]
         a = run_calibration(g, xs, seed=1)
         b = run_calibration(g, xs, seed=1)
-        assert a == b
+        assert_equal_by_value(a, b)
         assert run_calibration(g, xs, seed=1) == run_calibration(g, xs, seed=7)  # the seed reaches no stat
 
-    def test_per_channel_weight_mode(self):
-        g = chain(np.random.default_rng(8))
-        x = one_scene(np.random.default_rng(9).normal(size=(3, 6)))
-        stats = run_calibration(g, [x], per_channel_weights=True)
-        assert isinstance(stats[1].weight_qp, PerChannelQuantParams)
+    def test_scales_per_tensor_for_activations_per_output_channel_for_weights(self, detector_samples):
+        """The contract of every INT8 consumer: an activation scale is a Python
+        float; a weight scale is a read-only float64 array that broadcasts
+        against the folded weight, one max|w_c| / 127 per output channel."""
+        graph, samples = detector_samples
+        stats = run_calibration(graph, samples[:2])
+        assert_equal_by_value(stats, run_calibration(graph, samples[:2]))
+        for layer in fold_all_bn(graph).weight_layers:
+            w, cal = layer.weight, stats[layer.index]
+            assert type(cal.act_qp.scale) is float
+            scale = cal.weight_qp.scale
+            assert scale.shape == (w.shape[0],) + (1,) * (w.ndim - 1)
+            assert scale.dtype == np.float64 and not scale.flags.writeable
+            assert scale.ravel().tolist() == [float(np.abs(w_c).max()) / 127 for w_c in w]
 
 
 def per_scene_reference(graph, samples):
@@ -257,15 +281,14 @@ class TestStatsFromRanges:
                                              r"missing \[\], extra \[14, 15, 16\]"):
             stats_from_ranges(build_toy_detector(cfg), ranges)
 
-    @pytest.mark.parametrize("per_channel", [False, True])
-    def test_a_non_finite_weight_names_the_layer(self, per_channel):
+    def test_a_non_finite_weight_names_the_layer(self):
         """A NaN in a head weight reaches no observed activation, so only the weight's quant params see it."""
         cfg = DetectorConfig(grid=(8, 8), pfn_channels=4, block_channels=(4, 4, 4), convs_per_block=1, neck_channels=4)
         graph = fold_all_bn(build_toy_detector(cfg))
         graph.layers[-2].weight[1, 0, 0, 0] = np.nan
         samples = pillarize_dataset(generate_dataset(DatasetConfig(size=2), seed=3), cfg)
         with pytest.raises(ValueError, match=r"^layer 6 \('bbox_head\.conv_cls'\): weight tensor contains non-finite"):
-            run_calibration(graph, samples, per_channel_weights=per_channel)
+            run_calibration(graph, samples)
 
     @pytest.mark.parametrize("pos", [0, 1])
     @pytest.mark.parametrize("bad", [(math.nan, 1.0), (0.0, math.inf), (5.0, 1.0)], ids=["nan", "inf", "inverted"])
@@ -302,7 +325,7 @@ class TestStatsFromRanges:
         pairs = np.array([(-1.0, 3.0, 0.0, 0.7), (-0.5, 2.5, 0.0, 1.3)], dtype=np.float32)
         as_float32 = stats_from_ranges(RANGE_GRAPH, per_sample(list(pairs)))
         as_python = stats_from_ranges(RANGE_GRAPH, per_sample(pairs.tolist()))
-        assert as_float32 == as_python
+        assert_equal_by_value(as_float32, as_python)
         assert [type(cal.act_qp.scale) for cal in as_float32.values()] == [float, float]
         x = np.linspace(-1, 3, 100001, dtype=np.float32)
         np.testing.assert_array_equal(fake_quant(x, as_float32[1].act_qp), fake_quant(x, as_python[1].act_qp))

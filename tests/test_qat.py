@@ -24,12 +24,10 @@ from pillarmix.model import (
 from pillarmix.qat import TrainConfig, TrainExample, backward, detection_loss, train_qat
 from pillarmix.quant import (
     DType,
-    PerChannelQuantParams,
     Q_MAX,
     Q_MIN,
     QuantParams,
     fake_quant,
-    fake_quant_per_channel,
     fp16_roundtrip,
 )
 from pillarmix.scenes import CLASS_NAMES, DatasetConfig, generate_dataset
@@ -45,9 +43,9 @@ GRADCHECK_MAX_REL = 1e-2
 
 def clip_range_mask(x, qp):
     """The clipped STE's mask, written from the clip range: 1 where
-    Q_MIN * s <= x <= Q_MAX * s, s along axis 0 for per-channel scales."""
-    s = qp.scales.reshape(-1, *[1] * (x.ndim - 1)) if isinstance(qp, PerChannelQuantParams) else qp.scale
-    return ((Q_MIN * s <= x) & (x <= Q_MAX * s)).astype(np.float32)
+    Q_MIN * s <= x <= Q_MAX * s, s being qp's scale: one per tensor, or a
+    weight's per output channel."""
+    return ((Q_MIN * qp.scale <= x) & (x <= Q_MAX * qp.scale)).astype(np.float32)
 
 
 def tiny_graph():
@@ -206,8 +204,7 @@ def test_backward_rejects_a_head_gradient_of_another_shape_naming_the_head():
         backward(tape, (d_cls, wrong_grid))
 
 
-@pytest.mark.parametrize("per_channel", [False, True])
-def test_int8_gradients_are_the_fp32_ones_on_fake_quantized_tensors_inside_the_clip_range(per_channel):
+def test_int8_gradients_are_the_fp32_ones_on_fake_quantized_tensors_inside_the_clip_range():
     rng = np.random.default_rng(21)
     lin1, lin2 = linear_layer(1, 5, 6, rng), linear_layer(2, 6, 4, rng, head=True)
     graph = ModelGraph(layers=(lin1, lin2))
@@ -215,14 +212,10 @@ def test_int8_gradients_are_the_fp32_ones_on_fake_quantized_tensors_inside_the_c
     x = sample.features  # [16, 1, 5]
     # calibrated on half-size inputs, so some of layer 2's inputs clip; the
     # weight scales are shrunk so that the largest weights clip too
-    stats = run_calibration(graph, [one_scene(0.5 * x[:, 0])], per_channel_weights=per_channel)
+    stats = run_calibration(graph, [one_scene(0.5 * x[:, 0])])
     cal2 = stats[2]
-    if per_channel:
-        weight_qp = PerChannelQuantParams(scales=0.6 * cal2.weight_qp.scales)
-        w_used = fake_quant_per_channel(lin2.weight, weight_qp)
-    else:
-        weight_qp = QuantParams(scale=0.6 * cal2.weight_qp.scale)
-        w_used = fake_quant(lin2.weight, weight_qp)
+    weight_qp = QuantParams(scale=0.6 * cal2.weight_qp.scale)
+    w_used = fake_quant(lin2.weight, weight_qp)
     stats = {1: stats[1], 2: dataclasses.replace(cal2, weight_qp=weight_qp)}
     d_out = rng.normal(size=(16, 1, 4)).astype(np.float32)
     grads = taped_grads(apply_plan(graph, PrecisionPlan(overrides={2: DType.INT8})), sample, d_out, stats)

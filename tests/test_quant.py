@@ -1,6 +1,8 @@
 """Quantization math: scales, the one INT8 rounding rule, clamping, the clip-range mask, FP16 simulation."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,13 +14,11 @@ from pillarmix.calibration import LayerCalibration
 from pillarmix.quant import (
     FP16_MAX,
     DType,
-    PerChannelQuantParams,
     Q_MAX,
     Q_MIN,
     QuantParams,
     compute_scale,
     fake_quant,
-    fake_quant_per_channel,
     fp16_roundtrip,
     in_clip_range,
     weight_quant_params,
@@ -35,8 +35,8 @@ class TestComputeScale:
         assert compute_scale(0.0, 1e-320).scale == 1e-320 / 127.0
         scale = compute_scale(np.float32(-1.0), np.float32(3.0)).scale  # a float32 range
         assert type(scale) is float and scale == 3.0 / 127
-        per_channel = weight_quant_params(np.array([[0.0], [5e-324], [2.0]]), per_channel=True)
-        assert per_channel.scales.tolist() == [1.0, 1.0, 2.0 / 127.0]
+        weight_qp = weight_quant_params(np.array([[0.0], [5e-324], [2.0]]))  # one scale per channel
+        assert weight_qp.scale.tolist() == [[1.0], [1.0], [2.0 / 127.0]]
 
     def test_matches_max_abs_oracle(self):
         rng = np.random.default_rng(42)
@@ -103,20 +103,34 @@ class TestFakeQuant:
         t = k * np.float32(qp.scale)
         np.testing.assert_array_equal(fake_quant(t, qp), t)
 
+    @staticmethod
+    def oracle(x, s):  # Python's round is half to even
+        return np.float32(min(Q_MAX, max(Q_MIN, round(float(x) / s))) * s)
+
     def test_matches_scalar_oracle_and_bound(self):
         rng = np.random.default_rng(13)
         s = float(rng.uniform(0.01, 1.0))
         qp = QuantParams(scale=s)
-
-        def oracle(x):  # Python's round is half to even
-            return np.float32(min(Q_MAX, max(Q_MIN, round(float(x) / s))) * s)
-
         t = rng.uniform(-128 * s, 127 * s, size=256).astype(np.float32)
         fq = fake_quant(t, qp)
-        np.testing.assert_array_equal(fq, [oracle(x) for x in t])
+        np.testing.assert_array_equal(fq, [self.oracle(x, s) for x in t])
         assert np.max(np.abs(fq - t)) <= s / 2
         wide = rng.normal(scale=300 * s, size=256).astype(np.float32)  # saturates too
-        np.testing.assert_array_equal(fake_quant(wide, qp), [oracle(x) for x in wide])
+        np.testing.assert_array_equal(fake_quant(wide, qp), [self.oracle(x, s) for x in wide])
+
+    @pytest.mark.parametrize("shape", [(5, 3, 3, 3), (4, 6), (3,)])
+    def test_a_weight_matches_the_oracle_of_its_channels_own_scales(self, shape):
+        """weight_quant_params gives each output channel max|w_c| / 127; an all-zero channel 1.0."""
+        rng = np.random.default_rng(20)
+        w = (rng.normal(size=shape) * rng.uniform(0.01, 50.0, size=(shape[0],) + (1,) * (len(shape) - 1)))
+        w = w.astype(np.float32)
+        w[1] = 0.0
+        qp = weight_quant_params(w)
+        assert qp.scale.shape == (shape[0],) + (1,) * (len(shape) - 1) and qp.scale.dtype == np.float64
+        scales = [float(np.max(np.abs(w_c.astype(np.float64)))) / 127 or 1.0 for w_c in w]
+        assert qp.scale.ravel().tolist() == scales
+        expected = [[self.oracle(x, s) for x in np.ravel(w_c)] for w_c, s in zip(w, scales)]
+        np.testing.assert_array_equal(fake_quant(w, qp).reshape(shape[0], -1), expected)
 
     def test_idempotent(self):
         rng = np.random.default_rng(14)
@@ -138,18 +152,18 @@ class TestFakeQuant:
             np.abs(fq - outside), [200.0 - 63.5, 100.0 - 64.0], rtol=1e-6
         )
 
-    def test_per_channel_weight_mode(self):
+    def test_a_wild_weight_channel_does_not_coarsen_the_others(self):
         rng = np.random.default_rng(15)
         w = rng.normal(size=(4, 3, 2, 2)).astype(np.float32)
-        w[2] *= 40.0  # one wild output channel should not coarsen the others
-        qp = weight_quant_params(w, per_channel=True)
-        fq = fake_quant_per_channel(w, qp)
-        per_tensor = fake_quant(w, weight_quant_params(w))
+        w[2] *= 40.0
+        qp = weight_quant_params(w)
+        fq = fake_quant(w, qp)
+        per_tensor = fake_quant(w, compute_scale(w.min(), w.max()))  # one scale for the whole weight
         err_pc = np.abs(fq - w)[0].max()
         err_pt = np.abs(per_tensor - w)[0].max()
         assert err_pc < err_pt
         for ch in range(4):
-            assert np.abs(fq[ch] - w[ch]).max() <= qp.scales[ch] / 2
+            assert np.abs(fq[ch] - w[ch]).max() <= qp.scale[ch, 0, 0, 0] / 2
 
 
 class TestInClipRange:
@@ -162,8 +176,8 @@ class TestInClipRange:
         assert mask.dtype == np.float32
         np.testing.assert_array_equal(mask, [0, 1, 1, 1, 0, 0, 0])
 
-    def test_per_channel_uses_each_channels_range(self):
-        qp = PerChannelQuantParams(scales=np.array([1.0, 0.125]))  # [-128, 127] and [-16, 15.875]
+    def test_a_weight_uses_each_channels_range(self):
+        qp = QuantParams(scale=np.array([[1.0], [0.125]]))  # [-128, 127] and [-16, 15.875]
         x = np.array([[127.0, -128.0, 128.0], [15.875, -16.0, 16.0]], dtype=np.float32)
         np.testing.assert_array_equal(in_clip_range(x, qp), [[1, 1, 0], [1, 1, 0]])
 
@@ -276,11 +290,11 @@ class TestNanRejected:
         with pytest.raises(ValueError, match="1 NaN"):
             fake_quant(t, QuantParams(scale=0.1))
 
-    def test_fake_quant_per_channel(self):
+    def test_fake_quant_of_a_weight(self):
         w = np.ones((2, 3), dtype=np.float32)
         w[1, 2] = np.nan
         with pytest.raises(ValueError, match="1 NaN"):
-            fake_quant_per_channel(w, PerChannelQuantParams(scales=np.array([0.1, 0.2])))
+            fake_quant(w, QuantParams(scale=np.array([[0.1], [0.2]])))
 
     def test_fp16_roundtrip(self):
         with pytest.raises(ValueError, match="2 NaN"):
@@ -290,16 +304,43 @@ class TestNanRejected:
         t = np.array([np.inf, -np.inf], dtype=np.float32)
         np.testing.assert_array_equal(fake_quant(t, QuantParams(scale=0.5)), [63.5, -64.0])
         np.testing.assert_array_equal(
-            fake_quant_per_channel(t.reshape(2, 1), PerChannelQuantParams(scales=np.array([0.5, 1.0]))),
+            fake_quant(t.reshape(2, 1), QuantParams(scale=np.array([[0.5], [1.0]]))),
             [[63.5], [-128.0]],
         )
         np.testing.assert_array_equal(fp16_roundtrip(t), [FP16_MAX, -FP16_MAX])
 
 
-@pytest.mark.parametrize("scales", [[[0.1, 0.2]], [0.1, 0.0], [0.1, -0.2], [0.1, np.nan], [np.inf, 0.2]])
-def test_per_channel_scales_must_be_1d_positive_and_finite(scales):
-    with pytest.raises(ValueError, match="per-channel scales must be a 1D positive finite array"):
-        PerChannelQuantParams(scales=np.array(scales))
+class TestQuantParams:
+    """One type: a float scale per tensor, or a read-only float64 array per weight channel."""
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, np.array([[0.1], [0.0]]),
+                                       np.array([[0.1], [-0.2]]), np.array([0.1, np.nan]), np.array([np.inf, 0.2])])
+    def test_scales_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            QuantParams(scale=scale)
+
+    def test_an_array_scale_is_a_read_only_float64_copy(self):
+        given = np.array([[1], [2]], dtype=np.int64)
+        qp = QuantParams(scale=given)
+        assert qp.scale.dtype == np.float64 and not qp.scale.flags.writeable
+        given[0, 0] = 5
+        assert qp.scale.tolist() == [[1.0], [2.0]]
+        for copied in (pickle.loads(pickle.dumps(qp)), copy.deepcopy(qp)):
+            assert copied == qp and not copied.scale.flags.writeable
+
+    def test_equality_compares_the_values(self):
+        qp = QuantParams(scale=np.array([[0.5], [0.25]]))
+        assert qp == QuantParams(scale=np.array([[0.5], [0.25]]))
+        assert qp != QuantParams(scale=np.array([[0.5], [0.125]]))  # one channel differs
+        assert qp != QuantParams(scale=np.array([0.5, 0.25]))  # another shape
+        assert QuantParams(scale=0.5) != QuantParams(scale=np.array([[0.5], [0.5]]))
+        assert QuantParams(scale=0.5) == QuantParams(scale=0.5) and QuantParams(scale=0.5) != 0.5
+
+    def test_only_a_float_scale_hashes(self):
+        assert hash(QuantParams(scale=0.5)) == hash(0.5)
+        assert len({QuantParams(scale=0.5), QuantParams(scale=0.5), QuantParams(scale=0.25)}) == 2
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(QuantParams(scale=np.array([0.5])))
 
 
 class TestMinMaxObserver:
@@ -321,14 +362,14 @@ class TestFakeQuantProperties:
         w = np.resize(t, (4, len(t)))  # four channels, each a copy of t under its own scale
         for fq, s in (
             (fake_quant(t, QuantParams(scale=scale)), scale),
-            (fake_quant_per_channel(w, PerChannelQuantParams(scales=channel_scales)), channel_scales[:, None]),
+            (fake_quant(w, QuantParams(scale=channel_scales[:, None])), channel_scales[:, None]),
         ):
             codes = np.rint(fq.astype(np.float64) / s)
             assert np.all((codes >= Q_MIN) & (codes <= Q_MAX))
             np.testing.assert_array_equal(fq, (codes * s).astype(np.float32))
-        # one rounding rule: every channel at the same scale is per-tensor fake_quant
-        same = PerChannelQuantParams(scales=np.full(4, scale))
-        np.testing.assert_array_equal(fake_quant_per_channel(w, same), fake_quant(w, QuantParams(scale=scale)))
+        # one rounding rule: every channel at the same scale is one scale for the tensor
+        same = QuantParams(scale=np.full((4, 1), scale))
+        np.testing.assert_array_equal(fake_quant(w, same), fake_quant(w, QuantParams(scale=scale)))
 
     @settings(max_examples=50, deadline=None)
     @given(u=arrays(np.float64, st.integers(1, 16), elements=st.floats(Q_MIN, Q_MAX)), scale=scales)

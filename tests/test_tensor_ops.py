@@ -392,6 +392,20 @@ class TestGlueKernels:
         out = max_over_points(feats, mask)
         np.testing.assert_array_equal(out, [[1.0, -5.0], [2.0, 0.5]])
 
+    def test_max_over_points_is_the_max_of_the_masked_copy_bit_for_bit(self):
+        """The one masked reduction equals .max of a copy with -inf at the padding,
+        on ties, signed zeros and one-point pillars."""
+        rng = np.random.default_rng(24)
+        feats = rng.choice(np.array([0.0, -0.0, 1.5, -1.5, 3.0], np.float32), size=(300, 6, 4))
+        feats[::3] = rng.normal(size=(100, 6, 4)).astype(np.float32)
+        mask = rng.random((300, 6)) < 0.5
+        mask[np.arange(300), rng.integers(0, 6, size=300)] = True
+        mask[:50] = np.arange(6) == 2  # one point a pillar, not always the first
+        feats[50:52] = [[[0.0], [-0.0]] * 3, [[-0.0], [0.0]] * 3]  # zeros of both signs tie
+        mask[50:52] = True
+        masked_copy = np.where(mask[:, :, None], feats, np.float32(-np.inf)).max(axis=1)
+        assert max_over_points(feats, mask).tobytes() == masked_copy.tobytes()
+
     def test_max_over_points_of_no_pillars(self):
         out = max_over_points(np.zeros((0, 2, 3), dtype=np.float32), np.zeros((0, 2), bool))
         assert out.shape == (0, 3) and out.dtype == np.float32
