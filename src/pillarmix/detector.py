@@ -10,8 +10,8 @@ offsets per cell). ModelGraph numbers the weight layers 1..L for precision plans
 ``detect`` runs them through the network EVAL_CHUNK at a time and decodes
 each chunk's head maps at once: local peaks, one sort by (scene, class,
 score) and a greedy NMS over one padded IoU, vectorized across every (scene,
-class) pair. The kept boxes are one ``metrics.DETECTION`` record array per
-chunk, viewed per scene, and ``evaluate`` scores them with one ``ap40`` call.
+class) pair. The kept boxes are one ``metrics.DETECTION`` record array, whose
+scene_id indexes the samples, and ``evaluate`` scores it with one ``ap40`` call.
 
 ``_layer_chain`` is the one description of the layers: ``build_toy_detector``
 walks it drawing weights, and ``load_model`` walks it reading a model file
@@ -336,16 +336,16 @@ def _local_peaks(score_maps: np.ndarray) -> np.ndarray:
 
 
 def _decode_batch(cls_maps: np.ndarray, reg_maps: np.ndarray, cfg: DetectorConfig,
-                  first: int = 0) -> list[np.recarray]:
+                  first: int = 0) -> np.recarray:
     """decode_and_nms of each scene of [B, C, H', W'] class and [B, 4, H', W']
     box maps, all scenes and classes at once.
 
     One stable sort orders the peaks by (scene, class, descending score), ties
     in row-major cell order; one padded IoU [B * C, K, K] over each (scene,
     class) group's K candidates serves a greedy pass over rank that runs for
-    all groups together; the kept boxes are one DETECTION record array, split
-    into per-scene views. first is the position of the batch's first scene
-    in its dataset, and a NaN or inf error names the scene by it.
+    all groups together; the kept boxes are one DETECTION record array, scene
+    after scene. Scene b is scene first + b of its dataset: the scene_id of
+    its rows, and the scene a NaN or inf error names.
     """
     if cls_maps.shape[1] != len(CLASS_NAMES) or reg_maps.shape != (len(cls_maps), 4, *cls_maps.shape[2:]):
         raise ValueError(
@@ -383,8 +383,7 @@ def _decode_batch(cls_maps: np.ndarray, reg_maps: np.ndarray, cfg: DetectorConfi
     for k in range(1, kept.shape[1]):
         kept[:, k] &= ~(overlaps[:, k, :k] & kept[:, :k]).any(axis=1)
     keep = kept[group, rank]
-    detections = np.rec.fromarrays([boxes[keep], cls[keep], peak_scores[keep]], dtype=DETECTION)
-    return np.split(detections, np.searchsorted(scene[keep], np.arange(1, n_scenes)))
+    return np.rec.fromarrays([first + scene[keep], boxes[keep], cls[keep], peak_scores[keep]], dtype=DETECTION)
 
 
 def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig) -> np.recarray:
@@ -395,16 +394,16 @@ def decode_and_nms(cls_map: np.ndarray, reg_map: np.ndarray, cfg: DetectorConfig
     Per class, the peaks scoring at least cfg.score_thresh are visited by
     descending score (ties in row-major cell order), and each is kept unless
     its IoU with an already kept box of the class reaches cfg.nms_iou; the
-    kept boxes are one DETECTION record array, class by class. Maps of
-    another shape (not one scene, or not len(CLASS_NAMES) class and 4 box
-    channels on one grid), a NaN in either map or an inf in the box map
+    kept boxes are one DETECTION record array of scene_id 0, class by class.
+    Maps of another shape (not one scene, or not len(CLASS_NAMES) class and 4
+    box channels on one grid), a NaN in either map or an inf in the box map
     raise ValueError; an infinite logit is a legal score of 0 or 1. detect
     decodes a whole batch of scenes this way at once.
     """
     if cls_map.ndim != 4 or len(cls_map) != 1:
         raise ValueError(f"decode_and_nms takes one scene's [1, C, H', W'] maps; "
                          f"got {cls_map.shape} and {reg_map.shape}")
-    return _decode_batch(cls_map, reg_map, cfg)[0]
+    return _decode_batch(cls_map, reg_map, cfg)
 
 
 def detect(
@@ -413,22 +412,21 @@ def detect(
     stats: Mapping | None,
     cfg: DetectorConfig,
     samples: Sequence[PillarSample],
-) -> list[np.recarray]:
-    """Each pillarized scene's detections under the planned model, as decode_and_nms gives them.
+) -> np.recarray:
+    """The pillarized scenes' detections under the planned model, as one DETECTION array in sample order.
 
     samples holds one single-scene sample per scene (pillarize_dataset); a
     sample holding several scenes raises ValueError naming its position. The
     scenes run through batched forwards of EVAL_CHUNK scenes each, and each
-    chunk's head maps are decoded at once; a scene's detections (a view of
-    its chunk's record array) do not depend on the chunking. A NaN or inf
-    that decode_and_nms rejects raises ValueError naming the scene's
-    position in samples and the map.
+    chunk's head maps are decoded at once. A scene's rows, with scene_id its
+    position in samples, are what decode_and_nms gives it, whatever the
+    chunking. A NaN or inf that decode_and_nms rejects raises ValueError
+    naming the scene's position in samples and the map.
     """
     planned = apply_plan(fold_all_bn(graph), plan)
-    dets_per_scene = []
-    for start, batch in eval_chunks(samples):
-        dets_per_scene.extend(_decode_batch(*forward(planned, batch, stats=stats), cfg, first=start))
-    return dets_per_scene
+    chunks = [_decode_batch(*forward(planned, batch, stats=stats), cfg, first=start)
+              for start, batch in eval_chunks(samples)]
+    return np.concatenate([np.zeros(0, DETECTION), *chunks]).view(np.recarray)
 
 
 def evaluate(
@@ -439,10 +437,10 @@ def evaluate(
     cfg: DetectorConfig,
     samples: Sequence[PillarSample],
 ) -> EvalResult:
-    """Full per-class x per-difficulty AP40 table for the planned model on
-    dataset, whose pillarized scenes are samples (another count raises
-    ValueError). One ap40 call scores detect's detections, so the table does
-    not depend on the chunking either; it holds (class name, difficulty) keys.
+    """Per-class x per-difficulty AP40 table, keyed (class name, difficulty),
+    of the planned model on dataset, from one ap40 call on detect's array for
+    samples, its pillarized scenes. Another sample count raises ValueError, as
+    missing samples would score as scenes without detections.
     """
     if len(samples) != len(dataset):
         raise ValueError(f"{len(samples)} pillarized samples for {len(dataset)} scenes")

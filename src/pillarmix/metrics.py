@@ -8,11 +8,11 @@ maximum over recall. Detections that match a ground-truth box of the target
 class but a different difficulty are ignored rather than counted as false
 positives, so a perfect detector scores 1.0 at every difficulty.
 
-A scene's detections are one record array of DETECTION rows (box, class_id,
-score). ``ap40`` matches all (scene, class) groups at once, padded per
-``scene * n_classes + class``: one ``iou_matrix`` call takes every group's
-IoU (it broadcasts over leading dims), and a loop over detection rank claims
-boxes in every group at once. The detector's NMS shares that layout and IoU.
+All scenes' detections are one record array of DETECTION rows, each row's
+scene_id its scene's position. ``ap40`` matches all (scene, class) groups at
+once, padded per ``scene * n_classes + class``: one ``iou_matrix`` call takes
+every group's IoU (it broadcasts over leading dims), and a loop over detection
+rank claims boxes in every group at once, as the detector's NMS does.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ __all__ = [
     "iou_matrix",
 ]
 
-DETECTION = np.dtype([("box", "<f8", (4,)), ("class_id", "<i8"), ("score", "<f8")])
+DETECTION = np.dtype([("scene_id", "<i8"), ("box", "<f8", (4,)), ("class_id", "<i8"), ("score", "<f8")])
 DIFFICULTIES = ("easy", "moderate", "hard")
 MATCH_IOU = 0.5  # a detection hits a ground-truth box at IoU >= MATCH_IOU
 
@@ -72,34 +72,35 @@ def _slots(group: np.ndarray) -> np.ndarray:
 
 
 def ap40(
-    detections_per_scene: Sequence[np.recarray],
+    detections: np.ndarray,
     gt_per_scene: Sequence,
     n_classes: int,
 ) -> dict[tuple[int, str], float | None]:
     """AP over 40 recall positions of every class id in [0, n_classes), at every difficulty.
 
-    detections_per_scene holds one DETECTION record array per scene, and
-    gt_per_scene objects with ``boxes`` [M, 4], ``classes`` [M] and
-    ``difficulty`` [M] (string labels). All (scene, class) groups are matched
-    in one pass: one padded [groups, detections, boxes] IoU, and a loop over
-    detection rank in which each group's detection of that rank, by
-    descending score (ties in the order given), claims the group's unmatched
-    box with the highest IoU >= MATCH_IOU (ties: the first box). Each
-    difficulty then counts its own ground truth and ignores hits on boxes of
-    the other difficulties. Returns {(class_id, difficulty): AP}, with None
-    where the slice has no ground truth, so it can be excluded from means
-    rather than counted as 0. Differing scene counts, a detection or
-    ground-truth box that is not finite with positive extents, a non-finite
-    score, a class id outside [0, n_classes) and a difficulty label not in
-    DIFFICULTIES raise ValueError; all but the first name the scene.
+    detections is one DETECTION array whose scene_id indexes gt_per_scene:
+    objects with ``boxes`` [M, 4], ``classes`` [M] and ``difficulty`` [M]
+    (string labels). All (scene, class) groups are matched in one pass: one
+    padded [groups, detections, boxes] IoU, and a loop over detection rank in
+    which each group's detection of that rank, by descending score (ties in
+    array order), claims the group's unmatched box with the highest IoU >=
+    MATCH_IOU (ties: the first box). Each difficulty then counts its own
+    ground truth and ignores hits on boxes of the other difficulties. Returns
+    {(class_id, difficulty): AP}, with None where the slice has no ground
+    truth, so it is left out of means rather than counted as 0. Anything but
+    a 1-D DETECTION array (named by its dtype), a scene_id outside [0,
+    len(gt_per_scene)), a box that is not finite with positive extents, a
+    non-finite score, a class id outside [0, n_classes) and a difficulty not
+    in DIFFICULTIES raise ValueError naming the value and, from boxes on, the scene.
     """
+    if not (isinstance(detections, np.ndarray) and detections.dtype == DETECTION and detections.ndim == 1):
+        raise ValueError(f"detections must be one 1-D DETECTION array, got {type(detections).__name__} of dtype "
+                         f"{getattr(detections, 'dtype', None)} and shape {getattr(detections, 'shape', None)}")
     n_scenes = len(gt_per_scene)
-    if len(detections_per_scene) != n_scenes:
-        raise ValueError(f"{len(detections_per_scene)} scenes of detections for {n_scenes} scenes of ground truth")
-    # detections and ground truth, flattened scene after scene
-    dets = np.concatenate([np.zeros(0, DETECTION), *detections_per_scene])
-    boxes, det_class, scores = dets["box"], dets["class_id"], dets["score"]
-    det_scene = np.repeat(np.arange(n_scenes), [len(d) for d in detections_per_scene])
+    det_scene, boxes, det_class, scores = (detections[name] for name in DETECTION.names)
+    outside = (det_scene < 0) | (det_scene >= n_scenes)
+    if outside.any():
+        raise ValueError(f"detection scene_id must lie in [0, {n_scenes}), got {det_scene[np.argmax(outside)]}")
     boxes_per_scene = [np.asarray(gt.boxes, dtype=np.float64).reshape(-1, 4) for gt in gt_per_scene]
     gt_scene = np.repeat(np.arange(n_scenes), [len(b) for b in boxes_per_scene])
     gt_boxes = np.concatenate([np.zeros((0, 4)), *boxes_per_scene])
@@ -124,7 +125,7 @@ def ap40(
             i = int(np.argmax(bad))
             raise ValueError(f"{rule}, got {values[i].tolist()!r} in scene {scene[i]}")
     n_groups = n_scenes * n_classes
-    hit_diff = np.full(len(dets), "", dtype=gt_diff.dtype)  # difficulty of the matched box; "" for none
+    hit_diff = np.full(len(detections), "", dtype=gt_diff.dtype)  # difficulty of the matched box; "" for none
     if len(gt_class):
         group = det_scene * n_classes + det_class
         by_rank = np.lexsort((-scores, group))  # within each group, by descending score

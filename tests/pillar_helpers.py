@@ -1,7 +1,8 @@
 """Test helpers: an [N, C] array as a one-scene PillarSample, the only input
 that model.forward, calibration and qat take, (box, class_id, score) rows as
-one scene's detections, as decode_and_nms gives them and ap40 takes them, and
-TINY, the smallest detector config the tests build."""
+one scene's detections, as decode_and_nms gives them, per-scene detections
+joined into the one array that detect gives and ap40 takes, and TINY, the
+smallest detector config the tests build."""
 
 import numpy as np
 
@@ -24,6 +25,14 @@ def one_scene(points) -> PillarSample:
 
 
 def scene_detections(rows=()) -> np.recarray:
-    """(box, class_id, score) rows as one scene's DETECTION record array; no
-    rows is a scene without detections."""
-    return np.rec.fromrecords(list(rows), dtype=DETECTION)
+    """(box, class_id, score) rows as one scene's DETECTION record array, of
+    scene_id 0; no rows is a scene without detections."""
+    return np.rec.fromrecords([(0, *row) for row in rows], dtype=DETECTION)
+
+
+def joined_detections(per_scene) -> np.recarray:
+    """Per-scene DETECTION arrays as one, scene after scene, each scene's rows
+    in their order with scene_id its position in per_scene."""
+    joined = np.concatenate([np.zeros(0, DETECTION), *per_scene]).view(np.recarray)
+    joined.scene_id = np.repeat(np.arange(len(per_scene)), [len(d) for d in per_scene])
+    return joined

@@ -44,7 +44,7 @@ from pillarmix.model import (
 from pillarmix.quant import DType
 from pillarmix.scenes import CLASS_NAMES, FIELD_SIZE, DatasetConfig, Scene, generate_dataset
 from pillarmix.tensor_ops import linear, max_over_points, relu, sigmoid, stack_samples
-from pillar_helpers import TINY, scene_detections
+from pillar_helpers import TINY, joined_detections, scene_detections
 from test_metrics import reference_table
 
 PLAN_LABELS = ("FP32", "FP16", "INT8", "FP16: 1")
@@ -88,7 +88,8 @@ def reference_decode_and_nms(cls_map, reg_map, score_thresh, iou_thresh):
 
 
 def assert_same_detections(got, want):
-    """got is a DETECTION record array whose rows read by attribute, and holds want's rows."""
+    """got is a DETECTION record array whose rows read by attribute, and holds
+    want's boxes, classes and scores, row by row."""
     assert isinstance(got, np.recarray) and got.dtype == DETECTION
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -112,6 +113,7 @@ class TestDecodeAndNms:
             want = reference_decode_and_nms(cls_map, reg_map, score_thresh, iou_thresh)
             got = decode_and_nms(cls_map[None], reg_map[None], cfg)
             assert_same_detections(got, want)
+            assert got.scene_id.tolist() == [0] * len(got)
 
     def test_rejects_a_batch_of_several_scenes(self):
         cls_map = np.zeros((3, 3, 8, 8), np.float32)
@@ -163,11 +165,12 @@ class TestDecodeAndNms:
         for scene in scenes:
             cls_t, reg_t, _, _ = encode_targets(scene, cfg)
             dets.append(decode_and_nms(np.where(cls_t > 0, 8.0, -8.0).astype(np.float32)[None], reg_t[None], cfg))
-        assert {v for v in ap40(dets, scenes, len(CLASS_NAMES)).values() if v is not None} == {1.0}
+        assert {v for v in ap40(joined_detections(dets), scenes, len(CLASS_NAMES)).values() if v is not None} == {1.0}
 
     @pytest.mark.parametrize("score_thresh, nms_iou", [(0.0, 0.0), (0.3, 1.0), (0.1, 0.5)])
     def test_a_batch_decodes_as_its_scenes_do_one_by_one(self, score_thresh, nms_iou):
-        """All scenes and classes of a chunk at once, against the greedy reference per scene."""
+        """All scenes and classes of a chunk at once, against the greedy reference
+        per scene: scene b's rows, scene after scene, with scene_id first + b."""
         rng = np.random.default_rng(5)
         cfg = dataclasses.replace(DetectorConfig(), score_thresh=score_thresh, nms_iou=nms_iou)
         cls_maps = (rng.integers(-12, 4, size=(7, 3, 8, 8)) / 4.0).astype(np.float32)
@@ -179,26 +182,30 @@ class TestDecodeAndNms:
         cls_maps[4, 2] = cls_maps[4, 0]  # and across classes
         reg_maps[5, 2:, 0, 0] = [9.0, -9.0]  # box sizes clipped at exp(+-4)
         cls_maps[6, 1] = -np.inf  # scores of exactly 0, peaks at a threshold of 0
-        got = detector._decode_batch(cls_maps, reg_maps, cfg)
-        assert len(got) == len(cls_maps)
-        for k, dets in enumerate(got):
-            assert_same_detections(dets, reference_decode_and_nms(cls_maps[k], reg_maps[k], score_thresh, nms_iou))
+        first = 5
+        chunk = detector._decode_batch(cls_maps, reg_maps, cfg, first=first)
+        want = [reference_decode_and_nms(cls_maps[k], reg_maps[k], score_thresh, nms_iou) for k in range(len(cls_maps))]
+        assert chunk.scene_id.tolist() == [first + k for k, dets in enumerate(want) for _ in dets]
+        got = [chunk[chunk.scene_id == first + k] for k in range(len(cls_maps))]
+        for dets, ref in zip(got, want):
+            assert_same_detections(dets, ref)
         assert (len(got[1]) > 0, len(got[2]) > 0) == (score_thresh <= 0.1, score_thresh == 0.0)  # sigmoid(-2) = 0.12
         assert_same_detections(got[3], got[0])
 
     def test_box_sides_are_libm_exp_of_the_clipped_size_offsets(self):
         """Each side is BASE_SIZE * math.exp of its offset clipped to [-4, 4], bit
         for bit, for offsets inside, on and beyond the clip; a chunk without a
-        peak decodes to empty record arrays."""
+        peak decodes to an empty record array."""
         rng = np.random.default_rng(6)
         cfg = dataclasses.replace(DetectorConfig(), score_thresh=0.0, nms_iou=1.0)
         cls_maps = np.zeros((2, 3, 8, 8), np.float32)  # every cell a tied peak of every class
         reg_maps = np.zeros((2, 4, 8, 8), np.float32)  # centre offsets 0: a box's centre names its cell
         reg_maps[:, 2:] = rng.uniform(-6.0, 6.0, size=(2, 2, 8, 8))
         reg_maps[:, 2:, 0, :4] = [4.0, -4.0, np.nextafter(np.float32(4.0), np.float32(0)), -0.0]
-        chunk = detector._decode_batch(cls_maps, reg_maps, cfg)
-        assert [len(d) for d in chunk] == [3 * 64] * 2
-        for scene, dets in enumerate(chunk):
+        chunk = detector._decode_batch(cls_maps, reg_maps, cfg, first=3)
+        assert chunk.scene_id.tolist() == [3] * 3 * 64 + [4] * 3 * 64
+        for scene in range(2):
+            dets = chunk[chunk.scene_id == 3 + scene]
             rows = np.rint(dets.box[:, 1] * 8 / FIELD_SIZE - 0.5).astype(int)
             cols = np.rint(dets.box[:, 0] * 8 / FIELD_SIZE - 0.5).astype(int)
             for side, channel in ((2, 2), (3, 3)):
@@ -206,7 +213,7 @@ class TestDecodeAndNms:
                 want = [detector.BASE_SIZE * math.exp(min(4.0, max(-4.0, v))) for v in offsets]
                 assert dets.box[:, side].tolist() == want
         empty = detector._decode_batch(np.full((2, 3, 8, 8), -9.0, np.float32), reg_maps, DetectorConfig())
-        assert [(len(d), d.dtype) for d in empty] == [(0, DETECTION)] * 2
+        assert isinstance(empty, np.recarray) and (len(empty), empty.dtype) == (0, DETECTION)
 
     @pytest.mark.parametrize("field, value", [("score_thresh", -0.1), ("score_thresh", 1.5), ("nms_iou", 2.0)])
     def test_config_rejects_thresholds_outside_unit_interval(self, field, value):
@@ -319,7 +326,9 @@ def test_images_are_nchw_at_the_edges_of_forward(batch_setup):
 @pytest.mark.parametrize("label", PLAN_LABELS)
 def test_chunked_evaluate_equals_per_scene_evaluation(batch_setup, label):
     """detect and evaluate against one forward per scene, the greedy reference
-    decode and the per-slice reference AP."""
+    decode and the per-slice reference AP. detect's one array holds each
+    scene's rows in sample order, with scene_id the sample's position, also
+    across the chunk boundary."""
     cfg, graph, stats, samples = batch_setup
     plan = parse_plan_label(label)
 
@@ -337,10 +346,11 @@ def test_chunked_evaluate_equals_per_scene_evaluation(batch_setup, label):
             classes=np.array([d.class_id for d in dets], dtype=np.int64),
             difficulty=np.array([DIFFICULTIES[(k + j) % 3] for j in range(len(dets))], dtype=object),
         ))
+    assert len(samples) > EVAL_CHUNK
     detected = detect(graph, plan, stats, cfg, samples)
-    assert len(detected) == len(per_scene)
-    for got, want in zip(detected, per_scene):
-        assert_same_detections(got, want)
+    assert detected.scene_id.tolist() == [k for k, dets in enumerate(per_scene) for _ in dets]
+    for k, want in enumerate(per_scene):
+        assert_same_detections(detected[detected.scene_id == k], want)
     result = evaluate(graph, plan, stats, gts, cfg, samples=samples)
     want = {(CLASS_NAMES[c], diff): v for (c, diff), v in reference_table(per_scene, gts, len(CLASS_NAMES)).items()}
     assert list(result.ap.items()) == list(want.items())  # class by class, in CLASS_NAMES order
@@ -457,11 +467,11 @@ def test_a_loaded_model_evaluates_as_the_one_saved(cfg, tmp_path):
         samples = pillarize_dataset(scenes, c)
         stats = run_calibration(g, samples[:4])
         plans = [parse_plan_label(label) for label in ("FP32", "INT8")]
-        runs.append(([[d.tobytes() for d in detect(g, plan, stats, c, samples)] for plan in plans],
+        runs.append(([detect(g, plan, stats, c, samples) for plan in plans],
                      [evaluate(g, plan, stats, scenes, c, samples).ap for plan in plans]))
     (dets, tables), (loaded_dets, loaded_tables) = runs
-    assert sum(len(d) > 0 for d in dets[1]) >= 4 and dets[1] != dets[0]  # INT8 moves some detections
-    assert loaded_dets == dets and loaded_tables == tables
+    assert len(set(dets[1].scene_id)) >= 4 and dets[1].tobytes() != dets[0].tobytes()  # INT8 moves some detections
+    assert [d.tobytes() for d in loaded_dets] == [d.tobytes() for d in dets] and loaded_tables == tables
 
 
 @pytest.mark.parametrize("extra_keys", [

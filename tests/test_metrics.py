@@ -1,5 +1,5 @@
-"""AP40: the one-pass ap40 against a per-scene, per-slice reference; its input checks; IoU;
-EvalResult's means."""
+"""AP40: the one-pass ap40 on one array of all scenes' detections against a per-scene,
+per-slice reference; its input checks; IoU; EvalResult's means."""
 
 import re
 from types import SimpleNamespace
@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pillar_helpers import scene_detections
-from pillarmix.metrics import DIFFICULTIES, MATCH_IOU, RECALL_POSITIONS, EvalResult, ap40, iou_matrix
+from pillar_helpers import joined_detections, scene_detections
+from pillarmix.metrics import DETECTION, DIFFICULTIES, MATCH_IOU, RECALL_POSITIONS, EvalResult, ap40, iou_matrix
 
 N_CLASSES = 3
 
@@ -109,13 +109,20 @@ def random_scenes(rng, n_scenes, n_classes=N_CLASSES):
 class TestAp40:
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_per_slice_reference(self, seed):
+        """Also when whole scenes come in another order, each keeping its
+        scene_id and its rows' order: the rows' scene_id, not their place, names
+        their scene."""
         rng = np.random.default_rng(seed)
         dets, gts = random_scenes(rng, n_scenes=int(rng.integers(1, 25)))
-        got = ap40(dets, gts, N_CLASSES)
+        joined = joined_detections(dets)
+        got = ap40(joined, gts, N_CLASSES)
         want = reference_table(dets, gts)
         assert list(got) == list(want)
         for key in want:
             assert got[key] == want[key], key
+        for order in (np.arange(len(dets))[::-1], rng.permutation(len(dets))):
+            permuted = np.concatenate([joined[joined.scene_id == k] for k in order])
+            assert ap40(permuted, gts, N_CLASSES) == got
 
     @pytest.mark.parametrize("seed", range(4))
     def test_classes_are_matched_apart_in_one_pass(self, seed):
@@ -131,7 +138,7 @@ class TestAp40:
             dets[k] = scene_detections([] if k % 5 == 3 else rows)
             if k % 2:
                 dets[k].score = 0.5
-        got = ap40(dets, gts, N_CLASSES)
+        got = ap40(joined_detections(dets), gts, N_CLASSES)
         assert got == reference_table(dets, gts)
         assert {got[(2, diff)] for diff in DIFFICULTIES} == {None}
         assert {got[(1, diff)] for diff in DIFFICULTIES} <= {0.0, None}
@@ -140,14 +147,14 @@ class TestAp40:
     def test_perfect_detector_scores_one(self):
         _, gts = random_scenes(np.random.default_rng(10), n_scenes=20)
         perfect = [scene_detections((b, c, 0.9) for b, c in zip(gt.boxes, gt.classes)) for gt in gts]
-        for (cls, diff), value in ap40(perfect, gts, N_CLASSES).items():
+        for (cls, diff), value in ap40(joined_detections(perfect), gts, N_CLASSES).items():
             has_gt = any(np.any((gt.classes == cls) & (gt.difficulty == diff)) for gt in gts)
             assert value == (1.0 if has_gt else None)
 
     def test_slice_without_ground_truth_is_none(self):
         gts = [SimpleNamespace(boxes=np.array([[5.0, 5.0, 2.0, 2.0]]), classes=np.array([1]),
                                difficulty=np.array(["easy"], dtype=object))]
-        dets = [scene_detections([([5.0, 5.0, 2.0, 2.0], 0, 0.5)])]
+        dets = scene_detections([([5.0, 5.0, 2.0, 2.0], 0, 0.5)])
         assert ap40(dets, gts, 2) == {(0, "easy"): None, (0, "moderate"): None, (0, "hard"): None,
                                       (1, "easy"): 0.0, (1, "moderate"): None, (1, "hard"): None}
 
@@ -156,15 +163,19 @@ class TestAp40:
         """A box twice as wide as the ground truth and centred on it has IoU 0.5, a wider one less."""
         gts = [SimpleNamespace(boxes=np.array([[5.0, 5.0, 2.0, 2.0]]), classes=np.array([0]),
                                difficulty=np.array(["easy"], dtype=object))]
-        dets = [scene_detections([([5.0, 5.0, width, 2.0], 0, 0.5)])]
+        dets = scene_detections([([5.0, 5.0, width, 2.0], 0, 0.5)])
         assert ap40(dets, gts, 1)[(0, "easy")] == want
 
-    def test_rejects_mismatched_scene_counts(self):
+    @pytest.mark.parametrize("scene_id", [-1, 6])
+    def test_rejects_a_scene_id_outside_the_scenes(self, scene_id):
+        """A row of scene -1 or len(gts) would land in another scene's group,
+        or in none; one of a scene that is there is fine."""
         dets, gts = random_scenes(np.random.default_rng(11), n_scenes=6)
-        with pytest.raises(ValueError, match="4 scenes of detections for 6"):
-            ap40(dets[:4], gts, N_CLASSES)
-        with pytest.raises(ValueError, match="6 scenes of detections for 4"):
-            ap40(dets, gts[:4], N_CLASSES)
+        joined = joined_detections(dets)
+        assert len(joined) > 3 and ap40(joined, gts, N_CLASSES) == reference_table(dets, gts)
+        joined.scene_id[3] = scene_id
+        with pytest.raises(ValueError, match=rf"^detection scene_id must lie in \[0, 6\), got {scene_id}$"):
+            ap40(joined, gts, N_CLASSES)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_scenes_without_ground_truth_count_their_detections_as_false_positives(self, seed):
@@ -175,29 +186,46 @@ class TestAp40:
         extra = random_scenes(np.random.default_rng(40 + seed), n_scenes=6)[0]
         dets = [d for pair in zip(dets[:6], extra) for d in pair] + dets[6:]
         gts = [g for pair in zip(gts[:6], [empty] * 6) for g in pair] + gts[6:]
-        assert ap40(dets, gts, N_CLASSES) == reference_table(dets, gts)
-        assert ap40(extra, [empty] * 6, N_CLASSES) == dict.fromkeys(reference_table([], []))
+        assert ap40(joined_detections(dets), gts, N_CLASSES) == reference_table(dets, gts)
+        assert ap40(joined_detections(extra), [empty] * 6, N_CLASSES) == dict.fromkeys(reference_table([], []))
 
     def test_scenes_without_detections_miss_their_ground_truth(self):
         dets, gts = random_scenes(np.random.default_rng(30), n_scenes=10)
         dets[3:7] = [scene_detections() for _ in range(4)]
-        assert ap40(dets, gts, N_CLASSES) == reference_table(dets, gts)
-        none = ap40([scene_detections() for _ in gts], gts, N_CLASSES)
+        assert ap40(joined_detections(dets), gts, N_CLASSES) == reference_table(dets, gts)
+        none = ap40(scene_detections(), gts, N_CLASSES)
         assert none == reference_table([scene_detections()] * len(gts), gts)
         assert set(none.values()) <= {0.0, None}
-        assert ap40([], [], N_CLASSES) == dict.fromkeys(reference_table([], []))
+        assert ap40(scene_detections(), [], N_CLASSES) == dict.fromkeys(reference_table([], []))
 
 
 class TestAp40Inputs:
     """Outside input is checked once, for every scene: a bad row raises
-    ValueError naming its scene."""
+    ValueError naming its scene, and detections that are not one DETECTION
+    array raise ValueError naming what they are."""
 
     def scenes(self):
         gts = [SimpleNamespace(boxes=np.array([[5.0, 5.0, 2.0, 2.0]] * k), classes=np.arange(k),
                                difficulty=np.array(["easy"] * k, dtype=object)) for k in (2, 3)]
         dets = [scene_detections(((5.0, 5.0, 2.0, 2.0), c, 0.5) for c in range(k)) for k in (2, 3)]
-        assert ap40(dets, gts, N_CLASSES)[(0, "easy")] == 1.0
+        assert ap40(joined_detections(dets), gts, N_CLASSES)[(0, "easy")] == 1.0
         return dets, gts
+
+    @pytest.mark.parametrize("make, what", [
+        (lambda dets: np.zeros(1, [("box", "<f8", (4,)), ("class_id", "<i8")]),
+         "ndarray of dtype [('box', '<f8', (4,)), ('class_id', '<i8')] and shape (1,)"),
+        (lambda dets: np.zeros(5, [("box", "<f8", (4,)), ("class_id", "<i8"), ("score", "<f8")]),
+         "ndarray of dtype [('box', '<f8', (4,)), ('class_id', '<i8'), ('score', '<f8')] and shape (5,)"),
+        (lambda dets: np.zeros((5, 6)), "ndarray of dtype float64 and shape (5, 6)"),
+        (lambda dets: np.stack([joined_detections(dets)] * 2), f"ndarray of dtype {DETECTION} and shape (2, 5)"),
+        (lambda dets: dets, "list of dtype None and shape None"),
+    ], ids=["two_fields", "without_scene_id", "float", "two_dims", "per_scene_list"])
+    def test_rejects_anything_but_one_detection_array(self, make, what):
+        """The layout before scene_id, (box, class_id, score), is another dtype;
+        a list of per-scene arrays is no array."""
+        dets, gts = self.scenes()
+        with pytest.raises(ValueError, match=f"^detections must be one 1-D DETECTION array, got {re.escape(what)}$"):
+            ap40(make(dets), gts, N_CLASSES)
 
     @pytest.mark.parametrize("box", [[np.nan, 1.0, 1.0, 1.0], [1.0, np.inf, 1.0, 1.0], [1.0, 1.0, np.inf, 1.0],
                                      [1.0, 1.0, 1.0, np.nan], [1.0, 1.0, -np.inf, 1.0], [1.0, 1.0, 0.0, 1.0],
@@ -207,7 +235,7 @@ class TestAp40Inputs:
         dets[1].box[2] = box
         with pytest.raises(ValueError, match=r"detection box must be finite \(cx, cy, w, h\) with positive "
                                              r"extents, got .* in scene 1$"):
-            ap40(dets, gts, N_CLASSES)
+            ap40(joined_detections(dets), gts, N_CLASSES)
 
     @pytest.mark.parametrize("box", [[5.0, 5.0, np.nan, 2.0], [5.0, 5.0, 0.0, 2.0], [np.inf, 5.0, 2.0, 2.0],
                                      [5.0, 5.0, 2.0, -1.0]])
@@ -218,14 +246,14 @@ class TestAp40Inputs:
         gts[1].boxes[2] = box
         with pytest.raises(ValueError, match=r"^ground-truth box must be finite \(cx, cy, w, h\) with positive "
                                              r"extents, got .* in scene 1$"):
-            ap40(dets, gts, N_CLASSES)
+            ap40(joined_detections(dets), gts, N_CLASSES)
 
     @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
     def test_rejects_a_non_finite_score(self, score):
         dets, gts = self.scenes()
         dets[1].score[0] = score
         with pytest.raises(ValueError, match=rf"detection score must be finite, got {score} in scene 1$"):
-            ap40(dets, gts, N_CLASSES)
+            ap40(joined_detections(dets), gts, N_CLASSES)
 
     @pytest.mark.parametrize("who", ["detection", "ground-truth"])
     @pytest.mark.parametrize("class_id", [-1, N_CLASSES])
@@ -234,7 +262,7 @@ class TestAp40Inputs:
         dets, gts = self.scenes()
         (dets[1].class_id if who == "detection" else gts[1].classes)[1] = class_id
         with pytest.raises(ValueError, match=rf"^{who} class id must lie in \[0, 3\), got {class_id} in scene 1$"):
-            ap40(dets, gts, N_CLASSES)
+            ap40(joined_detections(dets), gts, N_CLASSES)
 
     @pytest.mark.parametrize("label", ["medum", ""])
     def test_rejects_a_difficulty_label_outside_the_difficulties(self, label):
@@ -245,7 +273,7 @@ class TestAp40Inputs:
         gts[1].difficulty[2] = label
         want = f"ground-truth difficulty must be one of ('easy', 'moderate', 'hard'), got {label!r} in scene 1"
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-            ap40(dets, gts, N_CLASSES)
+            ap40(joined_detections(dets), gts, N_CLASSES)
 
 
 def random_boxes(rng, shape):
