@@ -1,18 +1,18 @@
 """Axis-aligned detection metrics: IoU and AP at 40 recall points.
 
-AP follows the 40-point interpolated convention: detections are greedily
-matched to ground truth by descending score (one match per box, IoU at or
-above MATCH_IOU), precision/recall operating points are formed at every
-distinct score threshold, and precision is interpolated as the running
-maximum over recall. Detections that match a ground-truth box of the target
-class but a different difficulty are ignored rather than counted as false
-positives, so a perfect detector scores 1.0 at every difficulty.
-
 All scenes' detections are one record array of DETECTION rows, each row's
-scene_id its scene's position. ``ap40`` matches all (scene, class) groups at
-once, padded per ``scene * n_classes + class``: one ``iou_matrix`` call takes
-every group's IoU (it broadcasts over leading dims), and a loop over detection
-rank claims boxes in every group at once, as the detector's NMS does.
+scene_id its scene's position. AP is a match, then a reduction. ``_match``
+matches detections to ground truth greedily by descending score (one match
+per box, IoU at or above MATCH_IOU) in all (scene, class) groups at once,
+padded per ``scene * n_classes + class``: one ``iou_matrix`` call takes every
+group's IoU, and a loop over detection rank claims boxes in every group, as
+the detector's NMS does. Detections that match a box of another difficulty
+are ignored rather than counted as false positives, so a perfect detector
+scores 1.0 at every difficulty. ``_slice_ap`` reduces one (class,
+difficulty) slice with scene s counted weights[s] times: operating points at
+every distinct score threshold, precision interpolated as the running
+maximum over recall. A resample or a subset of the scenes is thus one set of
+weights on one matching pass; ``ap40`` counts every scene once.
 """
 
 from __future__ import annotations
@@ -80,19 +80,26 @@ def ap40(
 
     detections is one DETECTION array whose scene_id indexes gt_per_scene:
     objects with ``boxes`` [M, 4], ``classes`` [M] and ``difficulty`` [M]
-    (string labels). All (scene, class) groups are matched in one pass: one
-    padded [groups, detections, boxes] IoU, and a loop over detection rank in
-    which each group's detection of that rank, by descending score (ties in
-    array order), claims the group's unmatched box with the highest IoU >=
-    MATCH_IOU (ties: the first box). Each difficulty then counts its own
-    ground truth and ignores hits on boxes of the other difficulties. Returns
-    {(class_id, difficulty): AP}, with None where the slice has no ground
-    truth, so it is left out of means rather than counted as 0. Anything but
-    a 1-D DETECTION array (named by its dtype), a scene_id outside [0,
-    len(gt_per_scene)), a box that is not finite with positive extents, a
-    non-finite score, a class id outside [0, n_classes) and a difficulty not
-    in DIFFICULTIES raise ValueError naming the value and, from boxes on, the scene.
+    (string labels). ``_match`` matches them once: in each (scene, class)
+    group, each detection by descending score (ties in array order) claims
+    the unmatched box with the highest IoU >= MATCH_IOU (ties: the first
+    box). ``_slice_ap`` then reduces each (class, difficulty) slice with
+    every scene counted once. Returns {(class_id, difficulty): AP}, with None
+    where the slice has no ground truth, so it is left out of means rather
+    than counted as 0. Anything but a 1-D DETECTION array (named by its
+    dtype), a scene_id outside [0, len(gt_per_scene)), a scene whose boxes,
+    classes and difficulty differ in length, a box that is not finite with
+    positive extents, a non-finite score, a class id outside [0, n_classes)
+    and a difficulty not in DIFFICULTIES raise ValueError naming the value
+    and, from lengths on, the scene.
     """
+    ones = np.ones(len(gt_per_scene), np.int64)
+    return {key: _slice_ap(ones, *part) for key, part in _match(detections, gt_per_scene, n_classes).items()}
+
+
+def _match(detections: np.ndarray, gt_per_scene: Sequence, n_classes: int) -> dict[tuple[int, str], tuple]:
+    """ap40's checks and matching pass: per (class_id, difficulty), the counted detections' scene_ids and
+    hit flags by descending score, each score tie's last row, and the slice's ground-truth scene_ids."""
     if not (isinstance(detections, np.ndarray) and detections.dtype == DETECTION and detections.ndim == 1):
         raise ValueError(f"detections must be one 1-D DETECTION array, got {type(detections).__name__} of dtype "
                          f"{getattr(detections, 'dtype', None)} and shape {getattr(detections, 'shape', None)}")
@@ -101,13 +108,14 @@ def ap40(
     outside = (det_scene < 0) | (det_scene >= n_scenes)
     if outside.any():
         raise ValueError(f"detection scene_id must lie in [0, {n_scenes}), got {det_scene[np.argmax(outside)]}")
-    boxes_per_scene = [np.asarray(gt.boxes, dtype=np.float64).reshape(-1, 4) for gt in gt_per_scene]
-    gt_scene = np.repeat(np.arange(n_scenes), [len(b) for b in boxes_per_scene])
-    gt_boxes = np.concatenate([np.zeros((0, 4)), *boxes_per_scene])
-    gt_class = np.concatenate([np.zeros(0, np.int64), *(np.asarray(gt.classes, dtype=np.int64).reshape(-1)
-                                                        for gt in gt_per_scene)])
-    gt_diff = np.concatenate([np.zeros(0, str), *(np.asarray(gt.difficulty, dtype=str).reshape(-1)
-                                                  for gt in gt_per_scene)])
+    per_scene = [(np.asarray(gt.boxes, np.float64).reshape(-1, 4), np.asarray(gt.classes, np.int64).reshape(-1),
+                  np.asarray(gt.difficulty, str).reshape(-1)) for gt in gt_per_scene]
+    for k, sizes in enumerate(tuple(map(len, arrays)) for arrays in per_scene):
+        if len(set(sizes)) > 1:
+            raise ValueError(f"ground-truth boxes, classes and difficulty differ in length, got {sizes} in scene {k}")
+    gt_scene = np.repeat(np.arange(n_scenes), [len(b) for b, _, _ in per_scene])
+    empty = (np.zeros((0, 4)), np.zeros(0, np.int64), np.zeros(0, str))
+    gt_boxes, gt_class, gt_diff = map(np.concatenate, zip(empty, *per_scene))
     # a class id outside [0, n_classes) would land in another (scene, class) group
     for rule, values, bad, scene in (
         *((f"{who} box must be finite (cx, cy, w, h) with positive extents", b,
@@ -149,40 +157,35 @@ def ap40(
             claimed[hit, r] = gt_diffs[groups[hit], best[hit]]
             free[groups[hit], best[hit]] = False
         hit_diff[by_rank] = claimed[group, rank]
-    n_gt = {diff: np.bincount(gt_class[gt_diff == diff], minlength=n_classes) for diff in DIFFICULTIES}
     # one stable sort by class and descending score serves every difficulty:
     # dropping the ignored detections afterwards keeps the order of the rest
     order = np.lexsort((-scores, det_class))
     by_class = np.split(order, np.searchsorted(det_class[order], np.arange(1, n_classes)))
-    return {(c, diff): _slice_ap(scores[rows], hit_diff[rows], diff, int(n_gt[diff][c]))
-            for c, rows in zip(range(n_classes), by_class) for diff in DIFFICULTIES}
+    slices = {}
+    for c, rows in zip(range(n_classes), by_class):
+        for diff in DIFFICULTIES:
+            counted = rows[np.isin(hit_diff[rows], ("", diff))]
+            slices[c, diff] = (det_scene[counted], hit_diff[counted] == diff,
+                               np.flatnonzero(np.diff(scores[counted], append=-np.inf)),
+                               gt_scene[(gt_class == c) & (gt_diff == diff)])
+    return slices
 
 
-def _slice_ap(
-    scores: np.ndarray, hits: np.ndarray, difficulty: str, n_gt: int
-) -> float | None:
-    """AP40 of one difficulty slice.
+def _slice_ap(weights: np.ndarray, scene: np.ndarray, is_tp: np.ndarray, ends: np.ndarray,
+              gt_scene: np.ndarray) -> float | None:
+    """AP40 of one of _match's slices with scene s counted weights[s] (int64) times.
 
-    scores holds every detection of the class by descending score; hits[i]
-    is the difficulty of the box detection i matched, "" for none. Matches
-    of another difficulty are ignored, unmatched detections count as false
-    positives.
+    A leading run of zero-weight rows gives precision 0/0, taken as 0: that
+    point sits at recall 0, which no recall position reads.
     """
+    n_gt = weights[gt_scene].sum()
     if n_gt == 0:
         return None
-    missed = hits == ""
-    counted = missed | (hits == difficulty)
-    if not counted.any():
-        return 0.0
-    scores = scores[counted]
-    is_tp = ~missed[counted]
-    tps = np.cumsum(is_tp)
-    fps = np.cumsum(~is_tp)
-    # operating points at distinct thresholds: last entry of each tie group
-    boundary = np.nonzero(np.diff(scores) != 0)[0]
-    ends = np.concatenate([boundary, [len(scores) - 1]])
-    recall = tps[ends] / n_gt
-    precision = tps[ends] / (tps[ends] + fps[ends])
+    counts = weights[scene]
+    tps = np.cumsum(counts * is_tp)[ends]
+    fps = np.cumsum(counts * ~is_tp)[ends]
+    recall = tps / n_gt
+    precision = tps / np.maximum(tps + fps, 1)
     # recall never decreases along the operating points, so the best precision
     # at recall >= r is the running maximum from the first point reaching r
     best_from = np.maximum.accumulate(precision[::-1])[::-1]

@@ -1,14 +1,16 @@
-"""AP40: the one-pass ap40 on one array of all scenes' detections against a per-scene,
-per-slice reference; its input checks; IoU; EvalResult's means."""
+"""AP40: the one-pass ap40 on one array of all scenes' detections, and its scene-weighted
+reduction, against a per-scene, per-slice reference; its input checks; IoU; EvalResult's means."""
 
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pillar_helpers import joined_detections, scene_detections
-from pillarmix.metrics import DETECTION, DIFFICULTIES, MATCH_IOU, RECALL_POSITIONS, EvalResult, ap40, iou_matrix
+from pillarmix.metrics import (DETECTION, DIFFICULTIES, MATCH_IOU, RECALL_POSITIONS, EvalResult, _match, _slice_ap, ap40,
+                               iou_matrix)
 
 N_CLASSES = 3
 
@@ -198,6 +200,49 @@ class TestAp40:
         assert set(none.values()) <= {0.0, None}
         assert ap40(scene_detections(), [], N_CLASSES) == dict.fromkeys(reference_table([], []))
 
+    @pytest.mark.parametrize("levels", [None, 5, 20], ids=["unrounded", "5_levels", "20_levels"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weighted_reduction_equals_the_reference_on_repeated_scenes(self, seed, levels):
+        """Integer weights on one matching pass count scene s weights[s] times:
+        they give the reference on the scene list with each scene repeated
+        that often, also where scores rounded to a few levels tie within and
+        across scenes."""
+        rng = np.random.default_rng(60 + seed)
+        dets, gts = random_scenes(rng, n_scenes=int(rng.integers(1, 25)))
+        for scene in dets:
+            scene.score = rng.uniform(0.05, 1.0, size=len(scene))
+            if levels:
+                scene.score = np.round(scene.score * levels) / levels
+        parts = _match(joined_detections(dets), gts, N_CLASSES)
+        for _ in range(10):
+            weights = rng.integers(0, 4, size=len(gts))
+            repeated = np.repeat(np.arange(len(gts)), weights)
+            want = reference_table([dets[k] for k in repeated], [gts[k] for k in repeated])
+            assert {key: _slice_ap(weights, *part) for key, part in parts.items()} == want
+
+    def test_zero_weights(self):
+        """Weights of 1 give ap40, a weight of 0 drops its scene, all weights 0
+        leave no ground truth. A zero-weight scene that holds the top-scored
+        detections of a slice puts its operating point at 0/0, which warns
+        nothing."""
+        dets, gts = random_scenes(np.random.default_rng(70), n_scenes=10)
+        dets[0] = scene_detections((box, cls, 1.0) for box, cls in zip(gts[1].boxes, gts[1].classes))
+        joined = joined_detections(dets)
+        parts = _match(joined, gts, N_CLASSES)
+        # scene 0 ranks first in a slice that has ground truth in other scenes
+        assert any(part[0][:1].tolist() == [0] and (part[3] != 0).any() for part in parts.values())
+
+        def weighted(weights):
+            return {key: _slice_ap(np.asarray(weights, np.int64), *part) for key, part in parts.items()}
+
+        assert weighted([1] * 10) == ap40(joined, gts, N_CLASSES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(10):
+                want = reference_table(dets[:k] + dets[k + 1:], gts[:k] + gts[k + 1:])
+                assert weighted(np.arange(10) != k) == want
+        assert weighted([0] * 10) == dict.fromkeys(want)
+
 
 class TestAp40Inputs:
     """Outside input is checked once, for every scene: a bad row raises
@@ -262,6 +307,19 @@ class TestAp40Inputs:
         dets, gts = self.scenes()
         (dets[1].class_id if who == "detection" else gts[1].classes)[1] = class_id
         with pytest.raises(ValueError, match=rf"^{who} class id must lie in \[0, 3\), got {class_id} in scene 1$"):
+            ap40(joined_detections(dets), gts, N_CLASSES)
+
+    @pytest.mark.parametrize("classes, want", [(([0, 1, 2], [0, 1]), "(2, 3, 2) in scene 0"),
+                                               (([0, 1], [0, 1]), "(3, 2, 3) in scene 1")],
+                             ids=["equal_totals", "unequal_totals"])
+    def test_rejects_a_scene_whose_ground_truth_arrays_differ_in_length(self, classes, want):
+        """Concatenated, the labels of 3 classes for 2 boxes would shift into
+        the next scene; with totals that differ, no array would name the scene."""
+        dets, gts = self.scenes()
+        for gt, scene_classes in zip(gts, classes):
+            gt.classes = np.array(scene_classes)
+        with pytest.raises(ValueError, match=rf"^ground-truth boxes, classes and difficulty differ in length, got "
+                                             rf"{re.escape(want)}$"):
             ap40(joined_detections(dets), gts, N_CLASSES)
 
     @pytest.mark.parametrize("label", ["medum", ""])
