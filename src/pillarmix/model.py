@@ -65,14 +65,19 @@ __all__ = [
 EVAL_CHUNK = 16
 
 
-def eval_chunks(samples: Sequence[PillarSample]) -> Iterator[tuple[int, PillarSample]]:
-    """(start, batch) for each run of EVAL_CHUNK samples from position start,
-    stacked. Each sample must hold one scene, so that scene b of a batch is
-    sample start + b; else ValueError names the samples' positions."""
+def _check_one_scene_each(samples: Sequence[PillarSample]) -> None:
+    """ValueError naming the positions and scene counts of samples that do not hold one scene."""
     several = {i: s.num_scenes for i, s in enumerate(samples) if s.num_scenes != 1}
     if several:
         raise ValueError(f"samples at positions {list(several)} hold {list(several.values())} scenes; "
                          "each PillarSample must hold one")
+
+
+def eval_chunks(samples: Sequence[PillarSample]) -> Iterator[tuple[int, PillarSample]]:
+    """(start, batch) for each run of EVAL_CHUNK samples from position start,
+    stacked. Each sample must hold one scene, so that scene b of a batch is
+    sample start + b; else ValueError names the samples' positions."""
+    _check_one_scene_each(samples)
     for start in range(0, len(samples), EVAL_CHUNK):
         yield start, stack_samples(samples[start : start + EVAL_CHUNK])
 
@@ -305,40 +310,22 @@ class TapeEntry:
     out: np.ndarray
 
 
-def _layer_quant(layer: LayerSpec, stats):
-    """An INT8 layer's (act, weight) quant params from stats, which must hold an
-    entry for its index recorded under its name; else a ValueError, which
-    forward prefixes with the layer."""
+def _kernel_inputs(layer: LayerSpec, x: np.ndarray, stats):
+    """The kernel's input and weight under the layer's precision, plus the
+    INT8 (act, weight) quant params, None at FP32 and FP16. An INT8 layer's
+    params come from stats, which must hold an entry for its index recorded
+    under its name; else a ValueError, which forward prefixes with the layer."""
+    if layer.precision is DType.FP32:
+        return x, layer.weight, None
+    if layer.precision is DType.FP16:
+        return fp16_roundtrip(x), fp16_roundtrip(layer.weight), None
     if stats is None or layer.index not in stats:
         raise ValueError("is tagged int8 but calibration stats supply no quant params for it")
     entry = stats[layer.index]
     if entry.name != layer.name:
-        raise ValueError(
-            f"is tagged int8 but its calibration stats were recorded for layer {entry.name!r}; "
-            "stats from another model?"
-        )
-    return entry.act_qp, entry.weight_qp
-
-
-def _transform(t: np.ndarray, precision: DType, qp):
-    """t under a precision; qp is t's INT8 quant params, an activation's scale
-    per tensor or a weight's per output channel, both applied by fake_quant."""
-    if precision is DType.INT8:
-        return fake_quant(t, qp)
-    return fp16_roundtrip(t) if precision is DType.FP16 else t
-
-
-def _kernel_inputs(layer: LayerSpec, x: np.ndarray, stats, transformed: dict):
-    """The kernel's input and weight under the layer's precision, plus the
-    INT8 (act, weight) quant params, None at FP32 and FP16. transformed holds
-    x's transforms by (precision, INT8 act params): a layer takes the one
-    another layer reading x made under its key, or makes it and adds it."""
-    quant = _layer_quant(layer, stats) if layer.precision is DType.INT8 else None
-    act_qp, weight_qp = quant or (None, None)
-    key = (layer.precision, act_qp)
-    if key not in transformed:
-        transformed[key] = _transform(x, layer.precision, act_qp)
-    return transformed[key], _transform(layer.weight, layer.precision, weight_qp), quant
+        raise ValueError(f"is tagged int8 but its calibration stats were recorded for layer {entry.name!r}; "
+                         "stats from another model?")
+    return fake_quant(x, entry.act_qp), fake_quant(layer.weight, entry.weight_qp), (entry.act_qp, entry.weight_qp)
 
 
 def forward(
@@ -363,10 +350,7 @@ def forward(
     calibration dict[int, LayerCalibration] keyed by layer index (any Mapping
     indexed alike), must cover every INT8-tagged layer under its own name.
     observe_fn, when given, receives each indexed layer's input activation
-    before any precision transform. The heads all read the trunk tensor, and
-    they share one transform of it per (dtype, INT8 act scale): at INT8 their
-    calibrated ranges are equal, so it is made once, and the heads' tape
-    entries may hold one x_used array. tape, when a list, gets one TapeEntry
+    before any precision transform. tape, when a list, gets one TapeEntry
     per layer.
 
     Every ValueError raised while a layer runs, its kernels' checks included
@@ -382,7 +366,6 @@ def forward(
     if not any(layer.is_head for layer in graph.layers):
         raise ValueError("the chain has no head layer; forward returns the head outputs")
     current = sample.features
-    transformed: dict = {}  # current's precision transforms, shared by the heads that read it
     head_outputs: list[np.ndarray] = []
     for layer in graph.layers:
         x_used = w_used = quant = None
@@ -392,7 +375,7 @@ def forward(
                     raise ValueError("still carries batch norm; fold it before execution (fold_all_bn)")
                 if observe_fn is not None:
                     observe_fn(layer, _nchw(current))
-                x_used, w_used, quant = _kernel_inputs(layer, current, stats, transformed)
+                x_used, w_used, quant = _kernel_inputs(layer, current, stats)
                 if layer.kind == "linear":
                     out = linear(x_used, w_used, layer.bias)
                 else:
@@ -416,7 +399,7 @@ def forward(
         if layer.is_head:  # never becomes current, so every head reads the trunk
             head_outputs.append(np.ascontiguousarray(_nchw(out)))
         else:
-            current, transformed = out, {}
+            current = out
     return tuple(head_outputs)
 
 

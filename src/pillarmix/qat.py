@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import ModelGraph, PrecisionPlan, TapeEntry, apply_plan, forward
+from .model import ModelGraph, PrecisionPlan, TapeEntry, _check_one_scene_each, apply_plan, forward
 from .quant import in_clip_range
 from .tensor_ops import PillarSample, int_at_least, is_real, sigmoid, stack_samples
 from .tensor_ops import im2col  # noqa: F401  unused: perfbench/tracing.py counts backward patch builds as qat.im2col calls
@@ -218,7 +218,8 @@ def train_qat(
 ) -> tuple[ModelGraph, list[dict]]:
     """Fine-tune weights under the plan's precision; scales stay frozen.
 
-    Each SGD step stacks its batch of one-scene examples and runs one taped
+    Each SGD step stacks its batch of one-scene examples (an example of
+    several scenes raises ValueError naming its position) and runs one taped
     forward, one loss_fn (which, like detection_loss, sums the losses of B
     stacked scenes) and one backward over it. The step descends on the summed
     gradient over len(batch), so a short last batch is scaled by its own size.
@@ -228,6 +229,7 @@ def train_qat(
     """
     if not data:
         raise ValueError("training data is empty")
+    _check_one_scene_each([e.sample for e in data])
     g = copy.deepcopy(apply_plan(graph, plan))  # SGD writes the weights in place
     weight_layers = g.weight_layers
     lr, mu = np.float32(cfg.learning_rate), np.float32(cfg.momentum)

@@ -61,9 +61,7 @@ class QuantParams:
     An activation's scale is a Python float, one per tensor (compute_scale).
     A weight's is a read-only float64 array shaped (C_out,) + (1,) * (w.ndim - 1),
     one per output channel, so that it broadcasts against the weight as stored
-    (weight_quant_params). Equality compares the scales' values; the hash is
-    the scale's, so only an activation's params, which key forward's
-    transform cache, are hashable.
+    (weight_quant_params). Equality compares the scales' values.
     """
 
     scale: float | np.ndarray
@@ -78,9 +76,6 @@ class QuantParams:
 
     def __eq__(self, other):
         return isinstance(other, QuantParams) and np.array_equal(self.scale, other.scale)
-
-    def __hash__(self):
-        return hash(self.scale)
 
     def __reduce__(self):  # a pickled or deep-copied array comes back writeable
         return QuantParams, (self.scale,)

@@ -25,9 +25,9 @@ from pillarmix.model import (
     parse_plan_label,
     weights_digest,
 )
-from pillarmix.quant import DType
+from pillarmix.quant import DType, fake_quant, fp16_roundtrip
 from pillarmix.scenes import DatasetConfig, generate_dataset, pillarize
-from pillarmix.tensor_ops import ConvParams, conv2d, linear, relu, stack_samples
+from pillarmix.tensor_ops import ConvParams, conv2d, im2col, linear, relu, stack_samples
 
 from pillar_helpers import one_scene
 
@@ -455,74 +455,58 @@ def default_detector():
     return graph, stats, batch
 
 
-def record_calls(monkeypatch, name):
-    """Patch model.<name> to record the tensor each call transforms."""
-    calls = []
-    transform = getattr(model, name)
+class TestEachHeadTransformsTheTrunk:
+    """Both heads of the default detector read one trunk tensor; each turns it
+    into its own precision, an INT8 head under its own stats entry."""
 
-    def recorded(t, *args):
-        calls.append(t)
-        return transform(t, *args)
+    @staticmethod
+    def head_inputs(planned, stats, batch):
+        """The trunk and each head's tape entry from one taped forward."""
+        tape = []
+        forward(planned, batch, stats=stats, tape=tape)
+        heads = [e for e in tape if e.layer.is_head]
+        assert len(heads) == 2 and all(e.x_in is heads[0].x_in for e in heads)
+        return heads[0].x_in, heads
 
-    monkeypatch.setattr(model, name, recorded)
-    return calls
-
-
-def forward_transforming_per_head(monkeypatch, graph, batch, stats):
-    """forward with every layer transforming its input afresh, heads included."""
-    kernel_inputs = model._kernel_inputs
-    with monkeypatch.context() as m:
-        m.setattr(model, "_kernel_inputs", lambda layer, x, stats, _: kernel_inputs(layer, x, stats, {}))
-        return forward(graph, batch, stats=stats)
-
-
-def assert_bit_identical(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
-
-
-class TestHeadsShareTheTrunkTransform:
-    """Both heads of the default detector read one trunk tensor; each (dtype,
-    INT8 act scale) among them transforms it once."""
+    @staticmethod
+    def assert_reads(entry, x):
+        """entry's head conv consumed the patch matrix of x, bit for bit."""
+        want = im2col(x, entry.layer.weight.shape[2:], entry.layer.conv)
+        assert entry.x_used.shape == want.shape and entry.x_used.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("label, transform", [("FP16", "fp16_roundtrip"), ("INT8", "fake_quant")])
-    def test_one_transform_serves_both_heads(self, default_detector, monkeypatch, label, transform):
+    def test_each_weight_layer_transforms_its_own_input_and_weight(self, default_detector, monkeypatch, label,
+                                                                  transform):
         graph, stats, batch = default_detector
         planned = apply_plan(graph, parse_plan_label(label))
-        calls = record_calls(monkeypatch, transform)
-        tape = []
-        heads = forward(planned, batch, stats=stats, tape=tape)
-        trunk = tape[-1].x_in
-        assert [e.layer.is_head for e in tape[-3:]] == [False, True, True] and tape[-2].x_in is trunk
-        assert sum(t is trunk for t in calls) == 1
-        assert len(calls) == 2 * graph.num_indexed - 1  # every weight, every input but one
-        assert_bit_identical(heads, forward_transforming_per_head(monkeypatch, planned, batch, stats))
+        calls = []
+        wrapped = getattr(model, transform)
+        monkeypatch.setattr(model, transform, lambda t, *args: calls.append(t) or wrapped(t, *args))
+        trunk, heads = self.head_inputs(planned, stats, batch)
+        assert len(calls) == 2 * graph.num_indexed  # each layer's input, then its weight
+        assert all(w is l.weight for w, l in zip(calls[1::2], planned.weight_layers))
+        assert sum(t is trunk for t in calls) == len(heads)  # no head reuses another's transform
 
-    def test_heads_of_two_dtypes_each_get_their_own(self, default_detector, monkeypatch):
+    def test_heads_of_two_dtypes_each_get_their_own(self, default_detector):
         graph, stats, batch = default_detector
         second = [l.index for l in graph.weight_layers if l.is_head][1]
         planned = apply_plan(graph, parse_plan_label(f"INT8 except {second}=fp16"))
-        int8_calls = record_calls(monkeypatch, "fake_quant")
-        fp16_calls = record_calls(monkeypatch, "fp16_roundtrip")
-        tape = []
-        heads = forward(planned, batch, stats=stats, tape=tape)
-        trunk = tape[-1].x_in
-        assert [sum(t is trunk for t in calls) for calls in (int8_calls, fp16_calls)] == [1, 1]
-        assert_bit_identical(heads, forward_transforming_per_head(monkeypatch, planned, batch, stats))
+        trunk, (int8_head, fp16_head) = self.head_inputs(planned, stats, batch)
+        assert (int8_head.layer.precision, fp16_head.layer.precision) == (DType.INT8, DType.FP16)
+        self.assert_reads(int8_head, fake_quant(trunk, stats[int8_head.layer.index].act_qp))
+        self.assert_reads(fp16_head, fp16_roundtrip(trunk))
 
-    def test_int8_heads_of_two_act_scales_each_get_their_own(self, default_detector, monkeypatch):
+    def test_int8_heads_of_two_act_scales_each_get_their_own(self, default_detector):
         graph, stats, batch = default_detector
         first, second = (l.index for l in graph.weight_layers if l.is_head)
         assert stats[first].act_qp == stats[second].act_qp  # calibrated on one tensor
         wider = dataclasses.replace(stats[second], act_max=2 * stats[second].act_max)
         stats = {**stats, second: wider}
-        planned = apply_plan(graph, PrecisionPlan(default=DType.INT8))
-        calls = record_calls(monkeypatch, "fake_quant")
-        tape = []
-        heads = forward(planned, batch, stats=stats, tape=tape)
-        assert sum(t is tape[-1].x_in for t in calls) == 2
-        assert_bit_identical(heads, forward_transforming_per_head(monkeypatch, planned, batch, stats))
+        trunk, heads = self.head_inputs(apply_plan(graph, PrecisionPlan(default=DType.INT8)), stats, batch)
+        want = [fake_quant(trunk, stats[e.layer.index].act_qp) for e in heads]
+        assert want[0].tobytes() != want[1].tobytes()
+        for entry, x in zip(heads, want):
+            self.assert_reads(entry, x)
 
 
 class TestEveryLayerErrorNamesTheLayer:

@@ -336,12 +336,6 @@ class TestQuantParams:
         assert QuantParams(scale=0.5) != QuantParams(scale=np.array([[0.5], [0.5]]))
         assert QuantParams(scale=0.5) == QuantParams(scale=0.5) and QuantParams(scale=0.5) != 0.5
 
-    def test_only_a_float_scale_hashes(self):
-        assert hash(QuantParams(scale=0.5)) == hash(0.5)
-        assert len({QuantParams(scale=0.5), QuantParams(scale=0.5), QuantParams(scale=0.25)}) == 2
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(QuantParams(scale=np.array([0.5])))
-
 
 class TestMinMaxObserver:
     """The observed min/max range now lives on LayerCalibration, which derives act_qp from it."""

@@ -1,6 +1,6 @@
 """train_qat: batched SGD steps against the per-sample loop, with and without
-momentum, gradient clipping, loss descent, and its failure on empty data, a
-non-finite loss or an unfolded graph."""
+momentum, gradient clipping, loss descent, and its failure on empty data, an
+example of several scenes, a non-finite loss or an unfolded graph."""
 
 import copy
 import dataclasses
@@ -193,6 +193,16 @@ def test_one_fp32_step_lowers_the_loss_on_its_batch():
     before = batch_loss(graph)
     assert history[0]["loss"] == pytest.approx(before, rel=1e-12)
     assert batch_loss(tuned) < before
+
+
+def test_an_example_of_two_scenes_is_rejected_before_any_step(monkeypatch):
+    """Each step is scaled by 1 / len(batch), a count of examples, so an
+    example that stacks two scenes would take a double step."""
+    graph, data, _ = train_setup(3)
+    data = [data[0], qat._stack_examples(data[1:])]
+    monkeypatch.setattr(qat, "forward", lambda *args, **kwargs: pytest.fail("a step ran"))
+    with pytest.raises(ValueError, match=re.escape("samples at positions [1] hold [2] scenes")):
+        train_qat(graph, PrecisionPlan(), None, data, TrainConfig(batch_size=2))
 
 
 def test_a_non_finite_loss_names_the_epoch_the_batch_and_its_samples():
