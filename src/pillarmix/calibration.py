@@ -91,10 +91,9 @@ def per_sample_ranges(
     stacked forward per chunk. A sample's ranges equal, bit for bit, those of
     a forward on it alone. A non-finite range raises RuntimeError naming the
     layer and the sample's position, and a sample holding several scenes
-    raises ValueError.
+    raises ValueError. The graph runs as given: no entry point folds (see ``model``).
     """
-    folded = fold_all_bn(graph)
-    fp32 = apply_plan(folded, PrecisionPlan())
+    fp32 = apply_plan(graph, PrecisionPlan())
     out: list[dict[int, tuple[float, float]]] = []
     for start, batch in eval_chunks(samples):
         ranges: list[dict[int, tuple[float, float]]] = [{} for _ in range(batch.num_scenes)]
@@ -124,14 +123,13 @@ def stats_from_ranges(
     filled in index order 1..L.
 
     A sample whose ranges are not keyed by the layer indices 1..L raises
-    ValueError naming its position and the missing or extra indices; a
-    non-finite or inverted (min > max) range, or a non-finite weight, raises
-    ValueError naming the layer (and the sample's position).
+    ValueError naming its position and the missing or extra indices; a layer
+    still carrying BN (none is folded here; see ``model``), a non-finite or inverted
+    (min > max) range or a non-finite weight raises ValueError naming the layer (and the sample).
     """
     if not ranges:
         raise ValueError("calibration needs at least one sample")
-    folded = fold_all_bn(graph)
-    indices = set(range(1, folded.num_indexed + 1))
+    indices = set(range(1, graph.num_indexed + 1))
     for pos, keys in enumerate(r.keys() for r in ranges):
         if keys != indices:
             raise ValueError(
@@ -139,8 +137,10 @@ def stats_from_ranges(
                 f"missing {sorted(indices - keys)}, extra {sorted(keys - indices)}; ranges from another model?"
             )
     stats: dict[int, LayerCalibration] = {}
-    for layer in folded.weight_layers:
+    for layer in graph.weight_layers:
         where = f"layer {layer.index} ({layer.name!r})"
+        if layer.bn is not None:
+            raise ValueError(f"{where}: still carries batch norm; fold it before calibration (fold_all_bn)")
         layer_ranges = [sample_ranges[layer.index] for sample_ranges in ranges]
         for pos, (lo, hi) in enumerate(layer_ranges):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -166,9 +166,8 @@ def run_calibration(
     samples: Sequence,
     seed: int = 0,  # unused: perfbench/workloads.py passes it
 ) -> dict[int, LayerCalibration]:
-    """Calibrate every indexed layer of the (folded) graph on the samples: the
-    stats_from_ranges dict of their per_sample_ranges, keyed 1..L in order,
-    with per-tensor activation and per-output-channel weight scales."""
+    """Calibrate every indexed layer of the graph, run as given (see ``model``), on the samples:
+    the stats_from_ranges dict of their per_sample_ranges, keyed 1..L in order."""
     return stats_from_ranges(graph, per_sample_ranges(graph, samples))
 
 

@@ -415,17 +415,17 @@ def detect(
 ) -> np.recarray:
     """The pillarized scenes' detections under the planned model, as one DETECTION array in sample order.
 
-    samples holds one single-scene sample per scene (pillarize_dataset); a
-    sample holding several scenes raises ValueError naming its position. The
-    scenes run through batched forwards of EVAL_CHUNK scenes each, and each
-    chunk's head maps are decoded at once. A scene's rows, with scene_id its
-    position in samples, are what decode_and_nms gives it, whatever the
-    chunking. A NaN or inf that decode_and_nms rejects raises ValueError
-    naming the scene's position in samples and the map.
+    graph runs as given (see ``model``). samples holds one single-scene sample
+    per scene (pillarize_dataset); a sample holding several scenes raises
+    ValueError naming its position. The scenes run through batched forwards of
+    EVAL_CHUNK scenes each, and each chunk's head maps are decoded at once. A
+    scene's rows, with scene_id its position in samples, are what decode_and_nms
+    gives it, whatever the chunking. A NaN or inf that decode_and_nms rejects
+    raises ValueError naming the scene's position in samples and the map.
     """
-    planned = apply_plan(fold_all_bn(graph), plan)
+    planned = apply_plan(graph, plan)
     chunks = [_decode_batch(*forward(planned, batch, stats=stats), cfg, first=start)
-              for start, batch in eval_chunks(samples)]
+              for start, batch in eval_chunks(samples)]  # per chunk: one decode of all scenes doubles peak RSS
     return np.concatenate([np.zeros(0, DETECTION), *chunks]).view(np.recarray)
 
 

@@ -126,14 +126,14 @@ def _match(detections: np.ndarray, gt_per_scene: Sequence, n_classes: int) -> di
          (det_class < 0) | (det_class >= n_classes), det_scene),
         (f"ground-truth class id must lie in [0, {n_classes})", gt_class,
          (gt_class < 0) | (gt_class >= n_classes), gt_scene),
-        # "" is also the no-match sentinel of hit_diff and claimed below
         (f"ground-truth difficulty must be one of {DIFFICULTIES}", gt_diff, ~np.isin(gt_diff, DIFFICULTIES), gt_scene),
     ):
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"{rule}, got {values[i].tolist()!r} in scene {scene[i]}")
+    gt_level = np.argmax(gt_diff[:, None] == np.array(DIFFICULTIES), axis=1)  # each box's DIFFICULTIES index
     n_groups = n_scenes * n_classes
-    hit_diff = np.full(len(detections), "", dtype=gt_diff.dtype)  # difficulty of the matched box; "" for none
+    hit_level = np.full(len(detections), -1)  # DIFFICULTIES index of the matched box; -1 for none
     if len(gt_class):
         group = det_scene * n_classes + det_class
         by_rank = np.lexsort((-scores, group))  # within each group, by descending score
@@ -146,28 +146,29 @@ def _match(detections: np.ndarray, gt_per_scene: Sequence, n_classes: int) -> di
         ious = iou_matrix(_padded(boxes[by_rank], group, rank, n_groups, 1.0),
                           _padded(gt_boxes[gt_order], gt_group, gt_slot, n_groups, 1.0))
         free = _padded(np.ones(len(gt_group), bool), gt_group, gt_slot, n_groups, False)
-        gt_diffs = _padded(gt_diff[gt_order], gt_group, gt_slot, n_groups, "")
+        gt_levels = _padded(gt_level[gt_order], gt_group, gt_slot, n_groups, -1)
         present = _padded(np.ones(len(group), bool), group, rank, n_groups, False)
-        claimed = np.full(present.shape, "", dtype=gt_diff.dtype)  # difficulty of the box hit at (group, rank)
+        claimed = np.full(present.shape, -1)  # level of the box hit at (group, rank); -1 for none
         groups = np.arange(n_groups)
         for r in range(present.shape[1]):
             cand = np.where(free, ious[:, r], -1.0)
             best = np.argmax(cand, axis=1)
             hit = present[:, r] & (cand[groups, best] >= MATCH_IOU)
-            claimed[hit, r] = gt_diffs[groups[hit], best[hit]]
+            claimed[hit, r] = gt_levels[groups[hit], best[hit]]
             free[groups[hit], best[hit]] = False
-        hit_diff[by_rank] = claimed[group, rank]
+        hit_level[by_rank] = claimed[group, rank]
     # one stable sort by class and descending score serves every difficulty:
     # dropping the ignored detections afterwards keeps the order of the rest
     order = np.lexsort((-scores, det_class))
     by_class = np.split(order, np.searchsorted(det_class[order], np.arange(1, n_classes)))
     slices = {}
     for c, rows in zip(range(n_classes), by_class):
-        for diff in DIFFICULTIES:
-            counted = rows[np.isin(hit_diff[rows], ("", diff))]
-            slices[c, diff] = (det_scene[counted], hit_diff[counted] == diff,
+        levels = hit_level[rows]
+        for level, diff in enumerate(DIFFICULTIES):
+            counted = rows[(levels < 0) | (levels == level)]
+            slices[c, diff] = (det_scene[counted], hit_level[counted] == level,
                                np.flatnonzero(np.diff(scores[counted], append=-np.inf)),
-                               gt_scene[(gt_class == c) & (gt_diff == diff)])
+                               gt_scene[(gt_class == c) & (gt_level == level)])
     return slices
 
 

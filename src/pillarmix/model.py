@@ -6,9 +6,9 @@ upsample2x) are precision-free. A weight layer's index, which plans,
 calibration stats and gradients are keyed by, is its place among the weight
 layers: ``ModelGraph`` numbers them 1..L in chain order. A layer sets only the
 fields its kind reads (``KIND_FIELDS``). The chain may end in several head
-layers that all consume the same trunk tensor. BN is folded into the
-weights before execution (``fold_all_bn``); ``forward`` rejects a
-layer that still carries it. Execution is precision-aware: INT8 layers
+layers that all consume the same trunk tensor. Every entry point runs the
+graph it is given, and none folds BN: the caller folds it (``fold_all_bn``),
+and a layer still carrying it raises. Execution is precision-aware: INT8 layers
 fake-quantize their input activation and weight, FP16 layers round both
 through binary16, FP32 layers run untouched. ``forward`` maps a batch of
 pillarized scenes to one output per head. Inside it images are channels-last

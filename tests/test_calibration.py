@@ -173,7 +173,7 @@ def detector_samples():
     """Default detector and EVAL_CHUNK + 3 pillarized scenes: an empty one
     ends the first chunk and an outlier scene opens the second."""
     cfg = DetectorConfig()
-    graph = build_toy_detector(cfg, seed=0)
+    graph = fold_all_bn(build_toy_detector(cfg, seed=0))
     scenes = generate_dataset(DatasetConfig(size=EVAL_CHUNK + 1, outlier_rate=0.0), seed=3)
     empty = Scene(points=np.zeros((0, 3), np.float32), boxes=np.zeros((0, 4), np.float32),
                   classes=np.zeros(0, np.int64), difficulty=np.zeros(0, dtype=object))
@@ -276,10 +276,10 @@ class TestStatsFromRanges:
         cfg = DetectorConfig(grid=(8, 8), pfn_channels=4, block_channels=(4, 4, 4), neck_channels=4)
         deeper = dataclasses.replace(cfg, convs_per_block=4)
         ranges = [{i: (0.0, 1.0) for i in range(1, build_toy_detector(deeper).num_indexed + 1)}] * 2
-        stats_from_ranges(build_toy_detector(deeper), ranges)
+        stats_from_ranges(fold_all_bn(build_toy_detector(deeper)), ranges)
         with pytest.raises(ValueError, match=r"sample 0 has ranges for other layers than the model's 1\.\.13: "
                                              r"missing \[\], extra \[14, 15, 16\]"):
-            stats_from_ranges(build_toy_detector(cfg), ranges)
+            stats_from_ranges(fold_all_bn(build_toy_detector(cfg)), ranges)
 
     def test_a_non_finite_weight_names_the_layer(self):
         """A NaN in a head weight reaches no observed activation, so only the weight's quant params see it."""

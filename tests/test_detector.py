@@ -445,7 +445,7 @@ def widen(graph, head):
 def test_evaluate_rejects_a_head_of_the_wrong_width(head, shapes):
     """A fifth channel on either head fails loudly instead of going unscored."""
     cfg = DetectorConfig()
-    wide = widen(build_toy_detector(cfg, seed=0), head)
+    wide = widen(fold_all_bn(build_toy_detector(cfg, seed=0)), head)
     scenes = generate_dataset(DatasetConfig(size=2), seed=1)
     with pytest.raises(ValueError, match=re.escape(f"got maps of shape {shapes}")):
         evaluate(wide, parse_plan_label("FP32"), None, scenes, cfg, pillarize_dataset(scenes, cfg))

@@ -1,4 +1,5 @@
-"""Model graph: BN folding, precision plans, forward execution, structure checks, equality."""
+"""Model graph: BN folding and the rule that no entry point folds, precision plans, forward execution,
+structure checks, equality."""
 
 import copy
 import dataclasses
@@ -8,9 +9,10 @@ import re
 import numpy as np
 import pytest
 
-from pillarmix import model
-from pillarmix.calibration import run_calibration
-from pillarmix.detector import DetectorConfig, build_toy_detector, pillarize_dataset
+from pillarmix import calibration, detector, model
+from pillarmix.calibration import calib_size_sweep, per_sample_ranges, run_calibration, stats_from_ranges
+from pillarmix.detector import (DetectorConfig, build_toy_detector, detect, evaluate, make_evaluator,
+                                make_train_examples, pillarize_dataset)
 from pillarmix.model import (
     BatchNorm,
     LayerSpec,
@@ -25,11 +27,12 @@ from pillarmix.model import (
     parse_plan_label,
     weights_digest,
 )
+from pillarmix.qat import TrainConfig, train_qat
 from pillarmix.quant import DType, fake_quant, fp16_roundtrip
 from pillarmix.scenes import DatasetConfig, generate_dataset, pillarize
 from pillarmix.tensor_ops import ConvParams, conv2d, im2col, linear, relu, stack_samples
 
-from pillar_helpers import one_scene
+from pillar_helpers import TINY, one_scene
 
 
 def linear_layer(index, din, dout, rng, name=None, relu_flag=False, bn=None, head=False):
@@ -137,6 +140,36 @@ class TestFoldBn:
         layer = linear_layer(1, 4, 3, np.random.default_rng(4))
         with pytest.raises(ValueError, match="no batch norm"):
             fold_bn(layer)
+
+
+# each entry point that takes a graph, called as (graph, scenes, their samples, the ranges of their samples)
+ENTRY_POINTS = {
+    "detect": lambda g, scenes, samples, ranges: detect(g, PrecisionPlan(), None, TINY, samples),
+    "evaluate": lambda g, scenes, samples, ranges: evaluate(g, PrecisionPlan(), None, scenes, TINY, samples),
+    "make_evaluator": lambda g, scenes, samples, ranges: make_evaluator(scenes, TINY)(g, PrecisionPlan(), None),
+    "per_sample_ranges": lambda g, scenes, samples, ranges: per_sample_ranges(g, samples),
+    "run_calibration": lambda g, scenes, samples, ranges: run_calibration(g, samples),
+    "calib_size_sweep": lambda g, scenes, samples, ranges: calib_size_sweep(g, samples, [1], [0], lambda stats: 0.0),
+    "stats_from_ranges": lambda g, scenes, samples, ranges: stats_from_ranges(g, ranges),
+    "train_qat": lambda g, scenes, samples, ranges: train_qat(g, PrecisionPlan(), None,
+                                                              make_train_examples(scenes, TINY), TrainConfig(epochs=1)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_runs_the_graph_it_is_given(entry, monkeypatch):
+    """None folds BN: an unfolded graph raises naming its first BN layer, and a
+    folded one runs without another fold."""
+    raw = build_toy_detector(TINY, seed=0)
+    scenes = generate_dataset(DatasetConfig(size=2), seed=4)
+    samples = pillarize_dataset(scenes, TINY)
+    inputs = scenes, samples, per_sample_ranges(fold_all_bn(raw), samples)
+    with pytest.raises(ValueError, match=r"^layer 1 \('voxel_encoder\.pfn\.linear'\): still carries batch norm"):
+        ENTRY_POINTS[entry](raw, *inputs)
+    folded = fold_all_bn(raw)
+    for module in (detector, calibration):
+        monkeypatch.setattr(module, "fold_all_bn", lambda graph: pytest.fail("folded a graph"))
+    ENTRY_POINTS[entry](folded, *inputs)
 
 
 def two_layer_graph(rng):
