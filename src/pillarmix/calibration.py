@@ -54,10 +54,10 @@ def select_calib_set(dataset_size: int, n: int = 4, seed: int = 0, nested: bool 
 
 @dataclass(frozen=True)
 class LayerCalibration:
-    """One layer's calibrated input range and quant params: act_qp, one scale
-    derived from the range (compute_scale), and weight_qp, one scale per output
-    channel of the folded weight (weight_quant_params). Equal calibrations
-    compare equal, pickled or deep-copied too."""
+    """One layer's calibrated input range and quant params: act_qp, one 0-d
+    scale derived from the range (compute_scale), and weight_qp, one scale per
+    output channel of the folded weight (weight_quant_params), all read-only
+    float64. Equal calibrations compare equal, pickled or deep-copied too."""
 
     name: str
     act_min: float
@@ -190,7 +190,7 @@ def calib_size_sweep(
     across the set's layers). The evaluator receives the set's stats, the
     stats_from_ranges dict. Per-sample ranges are cached, so the cost is one
     evaluation per (n, seed) plus, per set, one stacked forward per chunk of
-    up to EVAL_CHUNK samples that no earlier set held.
+    up to EVAL_CHUNK samples that no earlier set held. With no (n, seed) point it returns [] and does no work.
     """
     sizes = list(sizes)
     if sizes != sorted(set(sizes)):

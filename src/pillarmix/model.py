@@ -6,9 +6,9 @@ upsample2x) are precision-free. A weight layer's index, which plans,
 calibration stats and gradients are keyed by, is its place among the weight
 layers: ``ModelGraph`` numbers them 1..L in chain order. A layer sets only the
 fields its kind reads (``KIND_FIELDS``). The chain may end in several head
-layers that all consume the same trunk tensor. Every entry point runs the
-graph it is given, and none folds BN: the caller folds it (``fold_all_bn``),
-and a layer still carrying it raises. Execution is precision-aware: INT8 layers
+layers that all consume the same trunk tensor. No entry point folds BN (the
+caller runs ``fold_all_bn``): ``apply_plan`` rejects a layer still carrying it
+before any sample runs. Execution is precision-aware: INT8 layers
 fake-quantize their input activation and weight, FP16 layers round both
 through binary16, FP32 layers run untouched. ``forward`` maps a batch of
 pillarized scenes to one output per head. Inside it images are channels-last
@@ -239,10 +239,12 @@ def parse_plan_label(label: str) -> PrecisionPlan:
 
 
 def apply_plan(graph: ModelGraph, plan: PrecisionPlan) -> ModelGraph:
-    """Retag every indexed layer from the plan; weights are shared untouched."""
+    """Retag every indexed layer from the plan, sharing the weights; the first layer still carrying BN raises."""
     unknown = sorted(i for i in plan.overrides if i > graph.num_indexed)
     if unknown:
         raise ValueError(f"plan overrides unknown layer indices {unknown}")
+    if unfolded := [f"layer {l.index} ({l.name!r})" for l in graph.weight_layers if l.bn is not None]:
+        raise ValueError(f"{unfolded[0]}: still carries batch norm; fold it before planning (fold_all_bn)")
     layers = [
         dataclasses.replace(l, precision=plan.resolve(l.index)) if l.is_weight_layer else l
         for l in graph.layers

@@ -223,7 +223,7 @@ def train_qat(
     forward, one loss_fn (which, like detection_loss, sums the losses of B
     stacked scenes) and one backward over it. The step descends on the summed
     gradient over len(batch), so a short last batch is scaled by its own size.
-    The graph must be BN-folded: the first forward names a layer that is not.
+    The graph must be BN-folded: apply_plan names a layer that is not.
 
     Returns the tuned graph and a history of per-epoch mean train loss.
     """

@@ -1,21 +1,19 @@
 """Symmetric INT8 fake quantization and FP16 simulation.
 
 One rounding rule serves every INT8 tensor: clamp(round_half_even(x / scale),
-Q_MIN, Q_MAX) * scale (zero point 0) in one float64 buffer (fake_quant). As
-TensorRT deploys INT8, an activation has one scale per tensor and a weight one
-per output channel (axis 0), an array that broadcasts against the weight
-(weight_quant_params). The clip range [Q_MIN * scale, Q_MAX * scale] is
-written here once: in_clip_range masks the values the clamp leaves alone, the
-clipped STE of QAT (qat.py). One rule derives every scale from a max |x|,
-max|x| / 127 or 1.0 where that is 0: an activation's from its calibrated
-(min, max) (compute_scale, see calibration.py), a weight's from each output
-channel's own. FP16 layers are simulated by a binary16 round trip that
-saturates at +-65504 instead of overflowing, computed on the float32 bits:
-round half to even at 10 mantissa bits, saturate at FP16_MAX's bits
-0x477FE000, and take the binary16 subnormals (nonzero |x| < 2**-14) through
-float32's own rounding at a 2**-24 step (fp16_roundtrip). Infinities saturate
-in both schemes; a NaN has no code in either, so both transforms raise
-ValueError.
+Q_MIN, Q_MAX) * scale (zero point 0) in one float64 buffer (fake_quant). A
+scale is a read-only float64 array that broadcasts against its tensor, as
+TensorRT's quantize nodes take it: 0-d for an activation, one per tensor, and
+one per output channel (axis 0) for a weight (weight_quant_params). One rule
+derives every scale from a max |x|, max|x| / 127 or 1.0 where that is 0: an
+activation's from its calibrated (min, max) (compute_scale, see
+calibration.py), a weight's from each output channel's own. The clip range
+[Q_MIN * scale, Q_MAX * scale] is written here once: in_clip_range masks the
+values the clamp leaves alone, the clipped STE of QAT (qat.py), by one rule
+for both kinds of scale. FP16 layers are simulated by a binary16 round trip
+that saturates at +-65504 instead of overflowing, computed on the float32 bits
+(fp16_roundtrip). Infinities saturate in both schemes; a NaN has no code in
+either, so both transforms raise ValueError.
 """
 
 from __future__ import annotations
@@ -56,23 +54,20 @@ class DType(str, Enum):
 
 @dataclass(frozen=True)
 class QuantParams:
-    """Symmetric quantization parameters: the scale, positive and finite.
+    """Symmetric quantization parameters: the scale, positive and finite, kept
+    as a read-only float64 copy, 0-d for an activation (compute_scale) and
+    (C_out,) + (1,) * (w.ndim - 1) for a weight (weight_quant_params). A float32
+    or int scale widens; one that does not cast safely to float64, such as a
+    string or None, raises TypeError. Equality compares the scales' values."""
 
-    An activation's scale is a Python float, one per tensor (compute_scale).
-    A weight's is a read-only float64 array shaped (C_out,) + (1,) * (w.ndim - 1),
-    one per output channel, so that it broadcasts against the weight as stored
-    (weight_quant_params). Equality compares the scales' values.
-    """
-
-    scale: float | np.ndarray
+    scale: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.scale, np.ndarray):  # kept as a read-only float64 copy
-            scale = np.array(self.scale, dtype=np.float64)
-            scale.flags.writeable = False
-            object.__setattr__(self, "scale", scale)
-        if not (np.isfinite(self.scale) & np.greater(self.scale, 0.0)).all():
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        scale = np.asarray(self.scale).astype(np.float64, casting="safe")
+        scale.flags.writeable = False
+        object.__setattr__(self, "scale", scale)
+        if not (np.isfinite(scale) & (scale > 0.0)).all():
+            raise ValueError(f"scale must be positive and finite, got {scale}")
 
     def __eq__(self, other):
         return isinstance(other, QuantParams) and np.array_equal(self.scale, other.scale)
@@ -91,13 +86,13 @@ def _scale_rule(max_abs):
 
 def compute_scale(x_min: float, x_max: float) -> QuantParams:
     """An activation's quant params from its range: one scale, the rule's of
-    max(|x_min|, |x_max|), a Python float whatever float type the range comes in."""
+    max(|x_min|, |x_max|), a 0-d float64 array whatever float type the range comes in."""
     x_min, x_max = float(x_min), float(x_max)
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise ValueError(f"non-finite calibration range ({x_min}, {x_max})")
     if x_min > x_max:
         raise ValueError(f"calibration range has min {x_min} > max {x_max}")
-    return QuantParams(scale=float(_scale_rule(max(abs(x_min), abs(x_max)))))
+    return QuantParams(scale=_scale_rule(max(abs(x_min), abs(x_max))))
 
 
 def weight_quant_params(weight: np.ndarray) -> QuantParams:
@@ -119,8 +114,10 @@ def _reject_nan(x: np.ndarray) -> None:
 
 def in_clip_range(t: np.ndarray, qp: QuantParams) -> np.ndarray:
     """float32 mask, 1 where Q_MIN * s <= t <= Q_MAX * s and 0 elsewhere (NaN
-    included), s being qp's scale: one per tensor, or a weight's per channel."""
-    return ((t >= Q_MIN * qp.scale) & (t <= Q_MAX * qp.scale)).astype(np.float32)
+    included), s being qp's scale, one per tensor or per channel: each bound
+    is rounded once to t's dtype and compared in it, for both kinds of scale."""
+    lo, hi = ((q * qp.scale).astype(t.dtype) for q in (Q_MIN, Q_MAX))
+    return ((t >= lo) & (t <= hi)).astype(np.float32)
 
 
 def fake_quant(t: np.ndarray, qp: QuantParams) -> np.ndarray:
@@ -145,9 +142,10 @@ def fp16_roundtrip(t: np.ndarray) -> np.ndarray:
     above 65504, inf too; the sign is OR'ed back. A nonzero |x| below 2**-14
     is a binary16 subnormal, whose step is 2**-24: (|x| + 0.5) - 0.5 in
     float32 rounds it there, half to even, as float32's step at 0.5 is 2**-24.
-    Zeros take the first rule, which keeps them and their sign. The result is
-    bit for bit that of clipping to +-65504 and casting through np.float16.
-    NaN raises ValueError.
+    Zeros take the first rule, which keeps them and their sign. For float32 t
+    the result is bit for bit that of clipping to +-65504 and casting through
+    np.float16; any other t is cast to float32 first, so a float64 value can
+    round twice. NaN raises ValueError.
     """
     t = np.asarray(t, dtype=np.float32)
     _reject_nan(t)

@@ -137,15 +137,16 @@ class TestRunCalibration:
         assert run_calibration(g, xs, seed=1) == run_calibration(g, xs, seed=7)  # the seed reaches no stat
 
     def test_scales_per_tensor_for_activations_per_output_channel_for_weights(self, detector_samples):
-        """The contract of every INT8 consumer: an activation scale is a Python
-        float; a weight scale is a read-only float64 array that broadcasts
-        against the folded weight, one max|w_c| / 127 per output channel."""
+        """The contract of every INT8 consumer: every scale is a read-only
+        float64 array, 0-d for an activation; a weight's broadcasts against
+        the folded weight, one max|w_c| / 127 per output channel."""
         graph, samples = detector_samples
         stats = run_calibration(graph, samples[:2])
         assert_equal_by_value(stats, run_calibration(graph, samples[:2]))
         for layer in fold_all_bn(graph).weight_layers:
             w, cal = layer.weight, stats[layer.index]
-            assert type(cal.act_qp.scale) is float
+            act = cal.act_qp.scale
+            assert act.shape == () and act.dtype == np.float64 and not act.flags.writeable
             scale = cal.weight_qp.scale
             assert scale.shape == (w.shape[0],) + (1,) * (w.ndim - 1)
             assert scale.dtype == np.float64 and not scale.flags.writeable
@@ -321,12 +322,14 @@ class TestStatsFromRanges:
 
     def test_float32_ranges_give_the_stats_of_their_python_floats(self):
         """numpy reductions yield float32 ranges; the scale must not stay float32, as
-        float32 and float64 scales compare equal yet quantize differently."""
+        float32 and float64 scales compare equal yet quantize differently: it is a
+        0-d read-only float64 array, whatever float type the range comes in."""
         pairs = np.array([(-1.0, 3.0, 0.0, 0.7), (-0.5, 2.5, 0.0, 1.3)], dtype=np.float32)
         as_float32 = stats_from_ranges(RANGE_GRAPH, per_sample(list(pairs)))
         as_python = stats_from_ranges(RANGE_GRAPH, per_sample(pairs.tolist()))
         assert_equal_by_value(as_float32, as_python)
-        assert [type(cal.act_qp.scale) for cal in as_float32.values()] == [float, float]
+        for scale in (cal.act_qp.scale for cal in as_float32.values()):
+            assert scale.shape == () and scale.dtype == np.float64 and not scale.flags.writeable
         x = np.linspace(-1, 3, 100001, dtype=np.float32)
         np.testing.assert_array_equal(fake_quant(x, as_float32[1].act_qp), fake_quant(x, as_python[1].act_qp))
 

@@ -156,16 +156,25 @@ ENTRY_POINTS = {
 }
 
 
+# the entry points that plan the graph (apply_plan) before any sample runs
+PLANNING_ENTRY_POINTS = ("detect", "evaluate", "make_evaluator", "per_sample_ranges", "run_calibration")
+
+
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_every_entry_point_runs_the_graph_it_is_given(entry, monkeypatch):
-    """None folds BN: an unfolded graph raises naming its first BN layer, and a
-    folded one runs without another fold."""
+    """None folds BN: an unfolded graph raises naming its first BN layer, even
+    with no samples where the entry point plans it, and a folded one runs
+    without another fold."""
     raw = build_toy_detector(TINY, seed=0)
     scenes = generate_dataset(DatasetConfig(size=2), seed=4)
     samples = pillarize_dataset(scenes, TINY)
     inputs = scenes, samples, per_sample_ranges(fold_all_bn(raw), samples)
-    with pytest.raises(ValueError, match=r"^layer 1 \('voxel_encoder\.pfn\.linear'\): still carries batch norm"):
+    names_bn = r"^layer 1 \('voxel_encoder\.pfn\.linear'\): still carries batch norm"
+    with pytest.raises(ValueError, match=names_bn):
         ENTRY_POINTS[entry](raw, *inputs)
+    if entry in PLANNING_ENTRY_POINTS:
+        with pytest.raises(ValueError, match=names_bn):
+            ENTRY_POINTS[entry](raw, [], [], [])
     folded = fold_all_bn(raw)
     for module in (detector, calibration):
         monkeypatch.setattr(module, "fold_all_bn", lambda graph: pytest.fail("folded a graph"))

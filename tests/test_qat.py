@@ -44,8 +44,9 @@ GRADCHECK_MAX_REL = 1e-2
 def clip_range_mask(x, qp):
     """The clipped STE's mask, written from the clip range: 1 where
     Q_MIN * s <= x <= Q_MAX * s, s being qp's scale: one per tensor, or a
-    weight's per output channel."""
-    return ((Q_MIN * qp.scale <= x) & (x <= Q_MAX * qp.scale)).astype(np.float32)
+    weight's per output channel; each bound is rounded to x's dtype."""
+    lo, hi = ((q * qp.scale).astype(x.dtype) for q in (Q_MIN, Q_MAX))
+    return ((lo <= x) & (x <= hi)).astype(np.float32)
 
 
 def tiny_graph():

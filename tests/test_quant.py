@@ -34,7 +34,8 @@ class TestComputeScale:
         assert compute_scale(-3e-322, 0.0).scale == 1.0
         assert compute_scale(0.0, 1e-320).scale == 1e-320 / 127.0
         scale = compute_scale(np.float32(-1.0), np.float32(3.0)).scale  # a float32 range
-        assert type(scale) is float and scale == 3.0 / 127
+        assert scale.shape == () and scale.dtype == np.float64 and not scale.flags.writeable
+        assert scale == 3.0 / 127
         weight_qp = weight_quant_params(np.array([[0.0], [5e-324], [2.0]]))  # one scale per channel
         assert weight_qp.scale.tolist() == [[1.0], [1.0], [2.0 / 127.0]]
 
@@ -192,6 +193,17 @@ class TestInClipRange:
         assert np.all(np.abs(fq[inside] - t[inside]) <= qp.scale / 2)
         np.testing.assert_array_equal(fq[~inside], np.where(t[~inside] > 0, Q_MAX, Q_MIN) * qp.scale)
 
+    def test_one_rule_for_a_scale_per_tensor_and_per_channel(self):
+        """Each bound q * s is rounded to float32 once, for both kinds of scale: the
+        float32 bounds themselves are inside, their outer neighbours outside."""
+        for s in np.random.default_rng(34).uniform(1e-3, 10.0, size=2000):
+            lo, hi = np.float32(Q_MIN * s), np.float32(Q_MAX * s)
+            t = np.array([np.nextafter(lo, -np.inf), lo, np.nextafter(lo, np.inf),
+                          np.nextafter(hi, -np.inf), hi, np.nextafter(hi, np.inf)], dtype=np.float32)
+            per_tensor = in_clip_range(t, QuantParams(scale=s))
+            np.testing.assert_array_equal(per_tensor, [0, 1, 1, 1, 1, 0])
+            np.testing.assert_array_equal(in_clip_range(t, QuantParams(scale=np.array([s]))), per_tensor)
+
 
 class TestFp16Roundtrip:
     def test_exact_cases(self):
@@ -214,6 +226,15 @@ class TestFp16Roundtrip:
         out = fp16_roundtrip(t)
         assert np.all(np.isfinite(out))
         np.testing.assert_array_equal(out, [FP16_MAX, -FP16_MAX, FP16_MAX])
+
+    def test_a_float64_input_rounds_as_its_float32_cast(self):
+        """Bit for bit the cast only for float32 input: any other is cast to float32
+        first, so this float64 value rounds twice, to 1.0, where one cast through
+        np.float16 gives 1 + 2**-10."""
+        x = np.array([1 + 2**-11 + 2**-30])
+        np.testing.assert_array_equal(fp16_roundtrip(x), fp16_roundtrip(x.astype(np.float32)))
+        np.testing.assert_array_equal(fp16_roundtrip(x), [1.0])
+        np.testing.assert_array_equal(fp16_oracle(x), [1 + 2**-10])
 
 
 
@@ -311,7 +332,7 @@ class TestNanRejected:
 
 
 class TestQuantParams:
-    """One type: a float scale per tensor, or a read-only float64 array per weight channel."""
+    """One form: every scale is a read-only float64 array, 0-d per tensor, or one per weight channel."""
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, np.array([[0.1], [0.0]]),
                                        np.array([[0.1], [-0.2]]), np.array([0.1, np.nan]), np.array([np.inf, 0.2])])
@@ -327,6 +348,26 @@ class TestQuantParams:
         assert qp.scale.tolist() == [[1.0], [2.0]]
         for copied in (pickle.loads(pickle.dumps(qp)), copy.deepcopy(qp)):
             assert copied == qp and not copied.scale.flags.writeable
+
+    @pytest.mark.parametrize("float_type", [float, np.float32, np.float64])
+    def test_compute_scale_gives_a_read_only_float64_0d_scale(self, float_type):
+        scale = compute_scale(float_type(-1.0), float_type(3.0)).scale
+        assert scale.shape == () and scale.dtype == np.float64 and not scale.flags.writeable
+        assert scale == 3.0 / 127
+
+    def test_a_float32_scale_widens_to_float64(self):
+        qp = QuantParams(scale=np.float32(0.1))
+        assert qp.scale.dtype == np.float64 and qp.scale == np.float64(np.float32(0.1))
+
+    @pytest.mark.parametrize("scale", ["0.5", None])
+    def test_a_scale_that_is_not_a_number_raises(self, scale):
+        with pytest.raises(TypeError):
+            QuantParams(scale=scale)
+
+    def test_a_0d_scale_stays_read_only_through_pickle_and_deepcopy(self):
+        qp = compute_scale(-1.0, 2.0)
+        for copied in (pickle.loads(pickle.dumps(qp)), copy.deepcopy(qp)):
+            assert copied == qp and copied.scale.shape == () and not copied.scale.flags.writeable
 
     def test_equality_compares_the_values(self):
         qp = QuantParams(scale=np.array([[0.5], [0.25]]))
