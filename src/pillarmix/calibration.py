@@ -69,17 +69,21 @@ class LayerCalibration:
         object.__setattr__(self, "act_qp", compute_scale(self.act_min, self.act_max))
 
 
-def _scene_ranges(x: np.ndarray, pillar_bounds: np.ndarray) -> list[tuple[float, float]]:
-    """(min, max) of each scene in a stacked layer input, (0.0, 0.0) for an empty one.
+def _scene_ranges(x: np.ndarray, pillar_bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mins, maxes) of each scene in a stacked layer input, 0.0 for an empty one.
 
     A [B, C, H, W] image is reduced per scene; a point-layer input [P_total, M, C]
-    over each scene's run of pillars, pillar_bounds[b]:pillar_bounds[b + 1].
+    per pillar, then over each scene's run of pillars, pillar_bounds[b]:pillar_bounds[b + 1].
     """
     if x.ndim == 4:
-        flat = x.reshape(len(x), -1)
-        return list(zip(flat.min(axis=1).tolist(), flat.max(axis=1).tolist()))
-    runs = [x[a:b] for a, b in zip(pillar_bounds[:-1], pillar_bounds[1:])]
-    return [(float(r.min()), float(r.max())) if r.size else (0.0, 0.0) for r in runs]
+        return x.min(axis=(1, 2, 3)), x.max(axis=(1, 2, 3))
+    axes = tuple(range(1, x.ndim))
+    starts, ends = pillar_bounds[:-1], pillar_bounds[1:]
+    held = starts < ends  # an empty scene's run is empty; reduceat would read the next pillar
+    lo, hi = np.zeros((2, len(starts)), x.dtype)
+    lo[held] = np.minimum.reduceat(x.min(axis=axes), starts[held])
+    hi[held] = np.maximum.reduceat(x.max(axis=axes), starts[held])
+    return lo, hi
 
 
 def per_sample_ranges(
@@ -101,13 +105,15 @@ def per_sample_ranges(
         pillar_bounds = np.searchsorted(batch.scene_ids, np.arange(batch.num_scenes + 1))
 
         def record(layer, x):
-            for b, (lo, hi) in enumerate(_scene_ranges(x, pillar_bounds)):
-                if not (np.isfinite(lo) and np.isfinite(hi)):
-                    raise RuntimeError(
-                        f"non-finite activation at layer {layer.index} ({layer.name!r}) "
-                        f"on calibration sample {start + b}"
-                    )
-                ranges[b][layer.index] = (lo, hi)
+            lo, hi = _scene_ranges(x, pillar_bounds)
+            bad = ~(np.isfinite(lo) & np.isfinite(hi))
+            if bad.any():
+                raise RuntimeError(
+                    f"non-finite activation at layer {layer.index} ({layer.name!r}) "
+                    f"on calibration sample {start + int(np.argmax(bad))}"
+                )
+            for scene_ranges, pair in zip(ranges, zip(lo.tolist(), hi.tolist())):
+                scene_ranges[layer.index] = pair
 
         forward(fp32, batch, observe_fn=record)
         out.extend(ranges)

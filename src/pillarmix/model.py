@@ -13,8 +13,10 @@ fake-quantize their input activation and weight, FP16 layers round both
 through binary16, FP32 layers run untouched. ``forward`` maps a batch of
 pillarized scenes to one output per head. Inside it images are channels-last
 ``[B, H, W, C]``, the layout of the ``tensor_ops`` kernels; NCHW appears only
-at its edges: what ``observe_fn`` sees, and the head outputs. Every
-ValueError raised while a layer runs in ``forward`` names that layer.
+at its edges: what ``observe_fn`` sees, and the head outputs. The point
+layers before the maxpool run on the real points only, as rows, while
+``observe_fn`` sees their inputs padded. Every ValueError raised while a
+layer runs in ``forward`` names that layer.
 
 A graph is its layers alone; this module knows no file format. A model file
 (format 5) holds a detector config and its folded weights, and
@@ -34,7 +36,7 @@ import numpy as np
 
 from .quant import DType, QuantParams, fake_quant, fp16_roundtrip
 from .tensor_ops import (ConvParams, PillarSample, conv2d, int_at_least, int_pair_at_least, linear, max_over_points,
-                         relu, scatter_pillars, stack_samples, upsample2x)
+                         real_points, relu, scatter_pillars, stack_samples, upsample2x)
 
 fake_quant_per_channel = fake_quant  # unused: perfbench/tracing.py wraps this name, as it wraps qat.im2col
 
@@ -294,13 +296,14 @@ class TapeEntry:
     """One layer's forward record, enough to drive the training backward pass.
 
     Every layer keeps x_in, its input before any precision transform (an
-    image channels-last), the batch's sample (scatter coordinates, maxpool
-    point mask; the maxpool winners are recomputed from x_in) and out, the
-    array the next layer reads (after a weight layer's ReLU, so its positive
-    cells are those of the pre-activation); none of them is a copy. Weight
-    layers also keep what the kernel consumed (x_used, w_used) and the INT8
-    (act, weight) quant params (None at FP32 and FP16). A conv's x_used is the
-    fresh patch matrix its GEMM consumed (``tensor_ops.im2col``).
+    image channels-last; at a point layer and the maxpool the real point rows
+    [N, C], not the padded points), the batch's sample (scatter coordinates,
+    maxpool point mask; the maxpool winners are recomputed from x_in and out)
+    and out, the array the next layer reads (after a weight layer's ReLU, so
+    its positive cells are those of the pre-activation); none of them is a
+    copy. Weight layers also keep what the kernel consumed (x_used, w_used)
+    and the INT8 (act, weight) quant params (None at FP32 and FP16). A conv's
+    x_used is the fresh patch matrix its GEMM consumed (``tensor_ops.im2col``).
     """
 
     layer: LayerSpec
@@ -347,6 +350,12 @@ def forward(
     Images run channels-last, [B, H, W, C], from the scatter to the heads;
     NCHW exists only at the edges: observe_fn sees a 4-D layer input as an
     NCHW view, and each head output is a C-contiguous [B, C, H, W] array.
+    Points run as rows: the first layer to read the padded [P, M, C] point
+    tensor reads its real slots, ``tensor_ops.real_points``, so it and every
+    point layer up to the maxpool run on [N, C] rows, one per real point, and
+    skip the padding (a linear head there returns [N, F]). observe_fn still
+    sees a point layer's input padded: the sample's features themselves at
+    the first, the rows put back into their slots, zeros elsewhere, after it.
 
     Batch norm is folded before execution (``fold_all_bn``). stats, the
     calibration dict[int, LayerCalibration] keyed by layer index (any Mapping
@@ -357,7 +366,8 @@ def forward(
 
     Every ValueError raised while a layer runs, its kernels' checks included
     (a layer still carrying BN, an INT8 layer without its stats, a NaN at a
-    precision transform, a bad width, mask, coord or grid), is re-raised
+    precision transform, a bad width, mask, coord or grid; a point mask that
+    does not fit the features is named at the first point layer), is re-raised
     prefixed "layer <index> ('<name>'): " or "<kind> layer '<name>': ". Other
     exceptions, such as observe_fn's RuntimeError, pass through unchanged.
     """
@@ -368,6 +378,7 @@ def forward(
     if not any(layer.is_head for layer in graph.layers):
         raise ValueError("the chain has no head layer; forward returns the head outputs")
     current = sample.features
+    rows = False  # whether current holds point rows, from the first point layer to the maxpool
     head_outputs: list[np.ndarray] = []
     for layer in graph.layers:
         x_used = w_used = quant = None
@@ -376,7 +387,10 @@ def forward(
                 if layer.bn is not None:
                     raise ValueError("still carries batch norm; fold it before execution (fold_all_bn)")
                 if observe_fn is not None:
-                    observe_fn(layer, _nchw(current))
+                    observe_fn(layer, _observed(current, sample.point_mask, rows))
+            if current.ndim == 3:  # the padded points: this layer and the point layers after it read the real ones
+                current, rows = real_points(current, sample.point_mask), True
+            if layer.is_weight_layer:
                 x_used, w_used, quant = _kernel_inputs(layer, current, stats)
                 if layer.kind == "linear":
                     out = linear(x_used, w_used, layer.bias)
@@ -385,7 +399,7 @@ def forward(
                 if layer.relu:
                     out = relu(out)
             elif layer.kind == "maxpool":
-                out = max_over_points(current, sample.point_mask)
+                out, rows = max_over_points(current, sample.point_mask), False
             elif layer.kind == "scatter":
                 if layer.grid != tuple(sample.grid):
                     raise ValueError(f"has grid {layer.grid}, but the sample's grid is {sample.grid}")
@@ -403,6 +417,16 @@ def forward(
         else:
             current = out
     return tuple(head_outputs)
+
+
+def _observed(x: np.ndarray, point_mask: np.ndarray, rows: bool) -> np.ndarray:
+    """A layer input as observe_fn sees it: point rows back in the padded
+    [P, M, C] slots they came from, zeros in the others; an image NCHW."""
+    if not rows:
+        return _nchw(x)
+    padded = np.zeros(point_mask.shape + x.shape[1:], x.dtype)
+    padded[point_mask] = x
+    return padded
 
 
 def _nchw(x: np.ndarray) -> np.ndarray:

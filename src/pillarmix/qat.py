@@ -13,6 +13,10 @@ The backward runs channels-last, like the forward: the head gradients arrive
 NCHW, as the heads return, and are transposed once. A conv layer's patch rows
 are the patch matrix on its tape entry, and its input gradient adds the patch
 gradients back onto the padded input, so the backward builds no patch matrix.
+The point layers' backward runs on the real point rows, as their forward did:
+the maxpool hands each pillar's gradient, per channel, to its first point at
+the max, the point that an argmax over the padded points picks (for a NaN max,
+the pillar's first point).
 """
 
 from __future__ import annotations
@@ -125,11 +129,12 @@ def _layer_backward(entry: TapeEntry, dout: np.ndarray):
     forms dW and db and, at INT8, applies the clipped STE of both fake-quant
     nodes. FP32 passes through and FP16 is treated as identity."""
     layer = entry.layer
-    if layer.kind == "maxpool":  # the winning point of each pillar and channel takes it all
-        x = entry.x_in
-        winners = np.where(entry.sample.point_mask[:, :, None], x, np.float32(-np.inf)).argmax(axis=1)
+    if layer.kind == "maxpool":  # the first point row reaching its pillar's max takes it all, per channel
+        x, counts = entry.x_in, entry.sample.point_mask.sum(axis=1)
+        row = np.where(x < np.repeat(entry.out, counts, axis=0), len(x), np.arange(len(x))[:, None])
+        winners = np.minimum.reduceat(row, np.cumsum(counts) - counts, axis=0)
         dx = np.zeros_like(x)
-        np.put_along_axis(dx, winners[:, None, :], dout[:, None, :], axis=1)
+        dx[winners, np.arange(x.shape[1])] = dout
         return dx, None
     if layer.kind == "scatter":
         sample = entry.sample

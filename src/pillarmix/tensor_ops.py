@@ -5,9 +5,12 @@ float32. They are small enough to be checked against naive loop oracles but
 fast enough to run the toy detector. Images are channels-last,
 ``[N, H, W, C]``: the scatter, the convolution and the upsample take and
 return that layout, so a convolution's GEMM output rows are already the
-pixels of its output image. Every kernel takes a batch of scenes: a stacked
-``PillarSample`` carries the scene of each pillar, and the scatter turns it
-into a ``[B, H, W, C]`` pseudo-image.
+pixels of its output image. Points run as rows: the pillar encoder's layers
+read only the real slots of the padded ``[P, M, C]`` point tensor,
+``features[point_mask]``, as ``[N, C]`` rows in pillar order, and
+``max_over_points`` pools each pillar's run of rows. Every kernel takes a
+batch of scenes: a stacked ``PillarSample`` carries the scene of each pillar,
+and the scatter turns it into a ``[B, H, W, C]`` pseudo-image.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "is_real",
     "linear",
     "max_over_points",
+    "real_points",
     "relu",
     "scatter_pillars",
     "sigmoid",
@@ -237,23 +241,39 @@ def scatter_pillars(
         i = int(np.argmax(bad))
         raise ValueError(f"pillar scene id {scenes[i]} outside batch of {num_scenes}")
     flat = (scenes * h + rows) * w + cols
-    if len(np.unique(flat)) != p:
+    if np.bincount(flat, minlength=1).max() > 1:
         raise ValueError("duplicate pillar coords")
     out[scenes, rows, cols] = features
     return out
 
 
-def max_over_points(features: np.ndarray, point_mask: np.ndarray) -> np.ndarray:
-    """Masked max over the points axis: [P, M, C] -> [P, C].
-
-    Padding rows are excluded; every pillar must hold at least one real point.
-    point_mask must be [P, M], features.shape[:2]; else ValueError names both shapes.
-    """
+def real_points(features: np.ndarray, point_mask: np.ndarray) -> np.ndarray:
+    """The real slots of a padded point tensor [P, M, C] as rows [N, C],
+    features[point_mask]: pillar by pillar, each pillar's points in slot order.
+    point_mask must be a bool [P, M], features.shape[:2]; else ValueError
+    names both shapes, or the mask's dtype."""
     if point_mask.shape != features.shape[:2]:
         raise ValueError(f"point mask shape {point_mask.shape} != features' (pillars, points) {features.shape[:2]}")
-    if not point_mask.any(axis=1).all():
+    if point_mask.dtype != bool:
+        raise ValueError(f"point mask is {point_mask.dtype}, not bool")
+    return features[point_mask]
+
+
+def max_over_points(points: np.ndarray, point_mask: np.ndarray) -> np.ndarray:
+    """Each pillar's max over its real points: rows [N, C] -> [P, C].
+
+    points are the real slots of a padded [P, M, C] point tensor,
+    features[point_mask], so pillar p's rows follow pillar p - 1's; one
+    np.maximum.reduceat takes every pillar's max. Every pillar must hold at
+    least one real point, and there must be one row per real slot of
+    point_mask [P, M]; else ValueError.
+    """
+    counts = point_mask.sum(axis=1)
+    if len(points) != counts.sum():
+        raise ValueError(f"{len(points)} point rows for a point mask of {counts.sum()} real points")
+    if not counts.all():
         raise ValueError("pillar with no real points cannot be max-pooled")
-    return features.max(axis=1, where=point_mask[:, :, None], initial=np.float32(-np.inf))
+    return np.maximum.reduceat(points, np.cumsum(counts) - counts, axis=0)
 
 
 def upsample2x(x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ TINY = DetectorConfig(grid=(8, 8), block_channels=(8, 8, 8), convs_per_block=1, 
 def one_scene(points) -> PillarSample:
     """points [N, C] as a scene of N pillars holding one point each, in the
     first N cells of a GRID in row-major order. A chain of linear layers maps
-    it to [N, 1, C']; an empty array is a scene without pillars."""
+    it to [N, C'], one row per point; an empty array is a scene without pillars."""
     points = np.asarray(points, dtype=np.float32)
     coords = np.stack(np.divmod(np.arange(len(points)), GRID[1]), axis=1)
     return PillarSample(features=points[:, None], point_mask=np.ones((len(points), 1), bool),

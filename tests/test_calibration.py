@@ -195,6 +195,20 @@ class TestPerSampleRanges:
         assert repr(ranges) == repr(per_scene_reference(graph, samples))
         assert ranges[EVAL_CHUNK - 1][1] == (0.0, 0.0)  # the empty scene's point layer
 
+    def test_layer_1_range_is_that_of_the_padded_features(self, detector_samples):
+        """Layer 1 runs on the real points only, but its range is the min and
+        max of the padded features, zero slots included: a scene whose real
+        features are all positive still has a layer-1 min of 0.0."""
+        graph, samples = detector_samples
+        sample = samples[0]
+        assert not sample.point_mask.all()
+        positive = np.where(sample.point_mask[..., None], np.abs(sample.features) + 1.0, 0.0).astype(np.float32)
+        shifted = dataclasses.replace(sample, features=positive)
+        ranges = per_sample_ranges(graph, [sample, shifted])
+        for s, r in zip((sample, shifted), ranges):
+            assert r[1] == (float(s.features.min()), float(s.features.max()))
+        assert ranges[1][1][0] == 0.0 < positive[shifted.point_mask].min()
+
     def test_non_finite_names_the_global_sample_position(self, detector_samples):
         graph, samples = detector_samples
         bad = EVAL_CHUNK + 1

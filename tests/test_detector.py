@@ -43,7 +43,7 @@ from pillarmix.model import (
 )
 from pillarmix.quant import DType
 from pillarmix.scenes import CLASS_NAMES, FIELD_SIZE, DatasetConfig, Scene, generate_dataset
-from pillarmix.tensor_ops import linear, max_over_points, relu, sigmoid, stack_samples
+from pillarmix.tensor_ops import linear, max_over_points, real_points, relu, sigmoid, stack_samples
 from pillar_helpers import TINY, joined_detections, scene_detections
 from test_metrics import reference_table
 
@@ -305,6 +305,29 @@ def test_stacked_forward_equals_per_sample_forward(batch_setup, label):
             np.testing.assert_array_equal(head[i : i + 1], single)
 
 
+@pytest.mark.parametrize("label", PLAN_LABELS)
+def test_layer_1_gives_each_scene_the_rows_of_a_forward_on_it_alone(batch_setup, label):
+    """Layer 1 runs one GEMM over the real points of all EVAL_CHUNK scenes, whose
+    counts differ; each scene's rows, pillars and head outputs equal those of a
+    forward on that scene alone, bit for bit. Should a BLAS round a row by the
+    rows around it, this fails, and layer 1 needs one GEMM per scene."""
+    cfg, graph, stats, samples = batch_setup
+    samples = samples[:EVAL_CHUNK]
+    assert len({int(s.point_mask.sum()) for s in samples}) > EVAL_CHUNK // 2
+    planned = apply_plan(graph, parse_plan_label(label))
+    batch, tape = stack_samples(samples), []
+    heads = forward(planned, batch, stats=stats, tape=tape)
+    rows, pillars = tape[0].out, tape[1].out
+    assert rows.shape == (batch.point_mask.sum(), cfg.pfn_channels)
+    row_scene = np.repeat(batch.scene_ids, batch.point_mask.sum(axis=1))
+    for b, sample in enumerate(samples):
+        alone = []
+        single = forward(planned, sample, stats=stats, tape=alone)
+        assert rows[row_scene == b].tobytes() == alone[0].out.tobytes()
+        assert pillars[batch.scene_ids == b].tobytes() == alone[1].out.tobytes()
+        assert all(head[b : b + 1].tobytes() == one.tobytes() for head, one in zip(heads, single))
+
+
 def test_images_are_nchw_at_the_edges_of_forward(batch_setup):
     """observe_fn sees every conv input as [B, C, H, W], with each pillar at its
     scene and cell, and the heads come back as C-contiguous [B, F, H', W']."""
@@ -317,7 +340,8 @@ def test_images_are_nchw_at_the_edges_of_forward(batch_setup):
     image = observed[2]
     assert image.shape == (3, cfg.pfn_channels, *cfg.grid)
     pfn = graph.layers[0]
-    pillars = max_over_points(relu(linear(batch.features, pfn.weight, pfn.bias)), batch.point_mask)
+    points = real_points(batch.features, batch.point_mask)
+    pillars = max_over_points(relu(linear(points, pfn.weight, pfn.bias)), batch.point_mask)
     np.testing.assert_array_equal(image[batch.scene_ids, :, batch.coords[:, 0], batch.coords[:, 1]], pillars)
     for head, channels in zip(heads, (len(CLASS_NAMES), 4)):
         assert head.flags.c_contiguous and head.shape == (3, channels, *cfg.out_grid)

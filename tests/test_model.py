@@ -30,7 +30,7 @@ from pillarmix.model import (
 from pillarmix.qat import TrainConfig, train_qat
 from pillarmix.quant import DType, fake_quant, fp16_roundtrip
 from pillarmix.scenes import DatasetConfig, generate_dataset, pillarize
-from pillarmix.tensor_ops import ConvParams, conv2d, im2col, linear, relu, stack_samples
+from pillarmix.tensor_ops import ConvParams, PillarSample, conv2d, im2col, linear, real_points, relu, stack_samples
 
 from pillar_helpers import TINY, one_scene
 
@@ -337,8 +337,29 @@ class TestForward:
         sample = one_scene(rng.normal(size=(3, 6)))
         (got,) = forward(g, sample)
         lin1, lin2 = g.layers
-        want = linear(relu(linear(sample.features, lin1.weight, lin1.bias)), lin2.weight, lin2.bias)
+        points = real_points(sample.features, sample.point_mask)
+        want = linear(relu(linear(points, lin1.weight, lin1.bias)), lin2.weight, lin2.bias)
         np.testing.assert_array_equal(got, want)
+
+    def test_point_layers_run_on_the_real_points_and_are_observed_padded(self):
+        """Both layers of a point chain run on the real points only, so the head
+        returns one row per point; observe_fn sees each layer's input in the
+        padded [P, M, C] slots, the sample's features themselves at layer 1 and
+        zeros in the empty slots at layer 2."""
+        rng = np.random.default_rng(26)
+        g = two_layer_graph(rng)
+        mask = np.array([[True, True, False], [True, False, False]])
+        features = np.where(mask[..., None], rng.normal(size=(2, 3, 6)), 0.0).astype(np.float32)
+        sample = PillarSample(features=features, point_mask=mask, coords=np.array([[0, 0], [0, 1]]), grid=(1, 2))
+        observed = {}
+        (out,) = forward(g, sample, observe_fn=lambda layer, x: observed.__setitem__(layer.index, x))
+        lin1, lin2 = g.layers
+        hidden = relu(linear(features[mask], lin1.weight, lin1.bias))
+        assert out.tobytes() == linear(hidden, lin2.weight, lin2.bias).tobytes() and out.shape == (3, 4)
+        assert observed[1] is features
+        padded = np.zeros((2, 3, 6), np.float32)
+        padded[mask] = hidden
+        assert observed[2].tobytes() == padded.tobytes()
 
     def test_int8_identity_linear_error_bound(self):
         rng = np.random.default_rng(11)
@@ -355,7 +376,7 @@ class TestForward:
         q = apply_plan(g, PrecisionPlan(default=DType.INT8))
         (out,) = forward(q, one_scene(x), stats=stats)
         scale = stats[1].act_qp.scale
-        assert np.max(np.abs(out[:, 0] - x)) <= scale / 2 + 1e-6
+        assert np.max(np.abs(out - x)) <= scale / 2 + 1e-6
 
     def test_fp16_fixed_points_match_fp32(self):
         rng = np.random.default_rng(12)
@@ -570,7 +591,7 @@ class TestEveryLayerErrorNamesTheLayer:
             "pillar_without_points": ({"point_mask": no_points},
                                       "maxpool layer 'voxel_encoder.maxpool': pillar with no real points"),
             "mask_a_row_short": ({"point_mask": batch.point_mask[1:]},
-                                 f"maxpool layer 'voxel_encoder.maxpool': point mask shape ({p - 1}, 8) != "
+                                 f"layer 1 ('voxel_encoder.pfn.linear'): point mask shape ({p - 1}, 8) != "
                                  f"features' (pillars, points) ({p}, 8)"),
             "coord_off_grid": ({"coords": off_grid},
                                "scatter layer 'middle_encoder.scatter': pillar coord (16, 0) outside grid (16, 16)"),

@@ -16,6 +16,7 @@ from pillarmix.model import (
     LayerSpec,
     ModelGraph,
     PrecisionPlan,
+    TapeEntry,
     apply_plan,
     fold_all_bn,
     forward,
@@ -31,7 +32,7 @@ from pillarmix.quant import (
     fp16_roundtrip,
 )
 from pillarmix.scenes import CLASS_NAMES, DatasetConfig, generate_dataset
-from pillarmix.tensor_ops import linear, stack_samples
+from pillarmix.tensor_ops import PillarSample, linear, max_over_points, real_points, stack_samples
 
 from pillar_helpers import TINY, one_scene
 
@@ -161,11 +162,33 @@ def taped_grads(graph, sample, d_out, stats=None):
     return backward(tape, (d_out,))
 
 
+def test_maxpool_backward_routes_each_channel_to_the_first_real_point_at_the_max():
+    """The pool's gradient goes, per pillar and channel, to the point that the
+    argmax over the padded points (padding at -inf) picks: the first real slot
+    among ties, signed zeros included, and the only one in a one-point pillar."""
+    rng = np.random.default_rng(25)
+    features = rng.choice(np.array([0.0, -0.0, 1.5, -1.5, 3.0], np.float32), size=(300, 6, 4))
+    features[::3] = rng.normal(size=(100, 6, 4)).astype(np.float32)
+    mask = rng.random((300, 6)) < 0.5
+    mask[np.arange(300), rng.integers(0, 6, size=300)] = True
+    mask[:50] = np.arange(6) == 2  # one point a pillar, not always the first
+    sample = PillarSample(features=features, point_mask=mask, coords=np.zeros((300, 2), np.int64), grid=(1, 1))
+    points = real_points(features, mask)
+    entry = TapeEntry(LayerSpec(name="pool", kind="maxpool"), points, sample, None, None, None,
+                      max_over_points(points, mask))
+    dout = rng.normal(size=(300, 4)).astype(np.float32)
+    dx, params = qat._layer_backward(entry, dout)
+    winners = np.where(mask[:, :, None], features, np.float32(-np.inf)).argmax(axis=1)
+    padded = np.zeros_like(features)
+    np.put_along_axis(padded, winners[:, None, :], dout[:, None, :], axis=1)
+    assert params is None and dx.tobytes() == padded[mask].tobytes()
+
+
 def test_fp16_gradients_are_the_fp32_ones_on_rounded_tensors():
     rng = np.random.default_rng(20)
     layer = linear_layer(1, 5, 6, rng, relu=True, head=True)
     x = rng.normal(size=(24, 5)).astype(np.float32)
-    d_out = rng.normal(size=(24, 1, 6)).astype(np.float32)
+    d_out = rng.normal(size=(24, 6)).astype(np.float32)
     fp16 = apply_plan(ModelGraph(layers=(layer,)), PrecisionPlan(default=DType.FP16))
     got = taped_grads(fp16, one_scene(x), d_out)[1]
     rounded = ModelGraph(layers=(dataclasses.replace(layer, weight=fp16_roundtrip(layer.weight)),))
@@ -181,12 +204,12 @@ def test_backward_takes_one_gradient_per_head():
     graph = ModelGraph(layers=(linear_layer(1, 5, 6, rng), linear_layer(2, 6, 4, rng, head=True)))
     tape = []
     forward(graph, one_scene(rng.normal(size=(3, 5))), tape=tape)
-    d_out = np.ones((3, 1, 4), np.float32)
+    d_out = np.ones((3, 4), np.float32)
     assert sorted(backward(tape, (d_out,))) == [1, 2]
     with pytest.raises(ValueError, match="2 output gradients for 1 heads"):
         backward(tape, (d_out, d_out))
     with pytest.raises(ValueError, match="1 output gradients for 0 heads"):
-        backward(tape[:1], (np.ones((3, 1, 6), np.float32),))
+        backward(tape[:1], (np.ones((3, 6), np.float32),))
 
 
 def test_backward_rejects_a_head_gradient_of_another_shape_naming_the_head():
@@ -210,15 +233,15 @@ def test_int8_gradients_are_the_fp32_ones_on_fake_quantized_tensors_inside_the_c
     lin1, lin2 = linear_layer(1, 5, 6, rng), linear_layer(2, 6, 4, rng, head=True)
     graph = ModelGraph(layers=(lin1, lin2))
     sample = one_scene(rng.normal(size=(16, 5)))
-    x = sample.features  # [16, 1, 5]
+    x = sample.features[:, 0]  # [16, 5], the rows layer 1 runs on
     # calibrated on half-size inputs, so some of layer 2's inputs clip; the
     # weight scales are shrunk so that the largest weights clip too
-    stats = run_calibration(graph, [one_scene(0.5 * x[:, 0])])
+    stats = run_calibration(graph, [one_scene(0.5 * x)])
     cal2 = stats[2]
     weight_qp = QuantParams(scale=0.6 * cal2.weight_qp.scale)
     w_used = fake_quant(lin2.weight, weight_qp)
     stats = {1: stats[1], 2: dataclasses.replace(cal2, weight_qp=weight_qp)}
-    d_out = rng.normal(size=(16, 1, 4)).astype(np.float32)
+    d_out = rng.normal(size=(16, 4)).astype(np.float32)
     grads = taped_grads(apply_plan(graph, PrecisionPlan(overrides={2: DType.INT8})), sample, d_out, stats)
 
     x2 = linear(x, lin1.weight, lin1.bias)  # layer 2's input, before quantization
@@ -229,13 +252,13 @@ def test_int8_gradients_are_the_fp32_ones_on_fake_quantized_tensors_inside_the_c
     # at the weights outside the clip range
     dw_fp32, db_fp32 = taped_grads(
         ModelGraph(layers=(dataclasses.replace(lin2, weight=w_used),)),
-        one_scene(fake_quant(x2, cal2.act_qp)[:, 0]), d_out,
+        one_scene(fake_quant(x2, cal2.act_qp)), d_out,
     )[1]
     np.testing.assert_array_equal(grads[2][0], dw_fp32 * w_kept)
     np.testing.assert_array_equal(grads[2][1], db_fp32)
     # layer 1 (FP32) sees layer 2's input gradient: d_out through the fake-quantized
     # weight, zero at the inputs outside the clip range
-    np.testing.assert_array_equal(grads[1][0], ((d_out @ w_used) * x2_kept)[:, 0].T @ x[:, 0])
+    np.testing.assert_array_equal(grads[1][0], ((d_out @ w_used) * x2_kept).T @ x)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from pillarmix.tensor_ops import (
     im2col,
     linear,
     max_over_points,
+    real_points,
     relu,
     scatter_pillars,
     sigmoid,
@@ -389,12 +390,14 @@ class TestGlueKernels:
             [[[1.0, -5.0], [9.0, 9.0]], [[2.0, 0.5], [0.0, 0.0]]], dtype=np.float32
         )
         mask = np.array([[True, False], [True, True]])
-        out = max_over_points(feats, mask)
+        points = real_points(feats, mask)
+        np.testing.assert_array_equal(points, [[1.0, -5.0], [2.0, 0.5], [0.0, 0.0]])
+        out = max_over_points(points, mask)
         np.testing.assert_array_equal(out, [[1.0, -5.0], [2.0, 0.5]])
 
     def test_max_over_points_is_the_max_of_the_masked_copy_bit_for_bit(self):
-        """The one masked reduction equals .max of a copy with -inf at the padding,
-        on ties, signed zeros and one-point pillars."""
+        """The per-pillar reduction over the real rows equals .max of a copy with
+        -inf at the padding, on ties, signed zeros and one-point pillars."""
         rng = np.random.default_rng(24)
         feats = rng.choice(np.array([0.0, -0.0, 1.5, -1.5, 3.0], np.float32), size=(300, 6, 4))
         feats[::3] = rng.normal(size=(100, 6, 4)).astype(np.float32)
@@ -404,15 +407,28 @@ class TestGlueKernels:
         feats[50:52] = [[[0.0], [-0.0]] * 3, [[-0.0], [0.0]] * 3]  # zeros of both signs tie
         mask[50:52] = True
         masked_copy = np.where(mask[:, :, None], feats, np.float32(-np.inf)).max(axis=1)
-        assert max_over_points(feats, mask).tobytes() == masked_copy.tobytes()
+        assert max_over_points(real_points(feats, mask), mask).tobytes() == masked_copy.tobytes()
 
     def test_max_over_points_of_no_pillars(self):
-        out = max_over_points(np.zeros((0, 2, 3), dtype=np.float32), np.zeros((0, 2), bool))
+        out = max_over_points(np.zeros((0, 3), dtype=np.float32), np.zeros((0, 2), bool))
         assert out.shape == (0, 3) and out.dtype == np.float32
 
     def test_max_over_points_requires_real_point(self):
         with pytest.raises(ValueError, match="no real points"):
-            max_over_points(np.zeros((1, 2, 3), dtype=np.float32), np.zeros((1, 2), bool))
+            max_over_points(np.zeros((0, 3), dtype=np.float32), np.zeros((1, 2), bool))
+
+    def test_max_over_points_takes_one_row_per_real_point(self):
+        mask = np.array([[True, True], [True, False]])
+        with pytest.raises(ValueError, match=re.escape("2 point rows for a point mask of 3 real points")):
+            max_over_points(np.zeros((2, 3), dtype=np.float32), mask)
+
+    def test_real_points_requires_a_bool_mask_of_the_features_slots(self):
+        feats = np.zeros((2, 3, 4), np.float32)
+        with pytest.raises(ValueError, match=re.escape("point mask shape (1, 3) != features' (pillars, points) (2, 3)")):
+            real_points(feats, np.ones((1, 3), bool))
+        # an integer mask would index rows by number, not select slots
+        with pytest.raises(ValueError, match="point mask is int64, not bool"):
+            real_points(feats, np.ones((2, 3), np.int64))
 
     def test_upsample2x(self):
         x = np.arange(4, dtype=np.float32).reshape(1, 1, 2, 2)
