@@ -36,7 +36,7 @@ from .metrics import DETECTION, EvalResult, _padded, _slots, ap40, iou_matrix
 from .model import (BatchNorm, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, eval_chunks, fold_all_bn, forward,
                     graphs_equal, param_arrays, weights_digest)
 from .qat import TrainExample
-from .scenes import CLASS_NAMES, FIELD_SIZE, POINT_FEATURES, Scene, pillarize
+from .scenes import CLASS_NAMES, FIELD_SIZE, POINT_FEATURES, Scene, pillarize, pillarize_scenes
 from .tensor_ops import ConvParams, PillarSample, int_at_least, int_pair_at_least, is_real, sigmoid
 
 __all__ = [
@@ -285,7 +285,10 @@ def load_model(path) -> tuple[ModelGraph, DetectorConfig]:
 
 
 def pillarize_dataset(scenes: Sequence[Scene], cfg: DetectorConfig) -> list[PillarSample]:
-    return [pillarize(s, cfg.grid) for s in scenes]
+    """The scenes on the config's grid, one single-scene sample per scene in
+    order, as ``detect`` and ``evaluate`` take them; one ``pillarize_scenes``
+    call pillarizes the whole list."""
+    return pillarize_scenes(scenes, cfg.grid)
 
 
 def encode_targets(scene: Scene, cfg: DetectorConfig):

@@ -8,10 +8,13 @@ spike (OUTLIER_MAGNITUDE times the base scale), so tiny calibration
 samples rarely see a spike while large ones almost surely do. A box's
 difficulty follows from its area and point count by the EASY_*/HARD_* rule.
 
-``pillarize`` puts each cell's first MAX_POINTS_PER_PILLAR points, by one stable
-sort, into features (x, y, intensity, dx, dy), dx, dy the offsets to the pillar's
-mean; coordinates and offsets deliberately live on very different scales, which
-makes the first weight layer fragile under per-tensor INT8 quantization.
+``pillarize_scenes`` pillarizes a list of scenes with one stable sort of all
+their points, read as float32, by (scene, cell). It puts each cell's first
+MAX_POINTS_PER_PILLAR points into features (x, y, intensity, dx, dy), dx, dy the
+offsets to the pillar's mean, and returns one sample per scene; a bad point
+raises naming its scene. ``pillarize`` is that call on one scene. Coordinates
+and offsets deliberately live on very different scales, which makes the first
+weight layer fragile under per-tensor INT8 quantization.
 
 Scenes are not stored: ``generate_dataset`` regenerates the same scenes from
 a (DatasetConfig, seed) pair, so there is no dataset file format.
@@ -20,10 +23,10 @@ a (DatasetConfig, seed) pair, so there is no dataset file format.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .metrics import _slots
 from .tensor_ops import PillarSample, int_at_least, int_pair_at_least, is_real
 
 __all__ = [
@@ -35,6 +38,7 @@ __all__ = [
     "assign_difficulty",
     "generate_dataset",
     "pillarize",
+    "pillarize_scenes",
 ]
 
 POINT_FEATURES = 5  # x, y, intensity, dx-to-pillar-mean, dy-to-pillar-mean
@@ -159,34 +163,65 @@ def generate_dataset(cfg: DatasetConfig, seed: int = 0) -> list[Scene]:
     return [_generate_scene(rng, cfg) for _ in range(cfg.size)]
 
 
-def pillarize(scene: Scene, grid: tuple[int, int]) -> PillarSample:
-    """Pad the points into pillars, one per occupied cell of the grid over the field.
+def _kept_points(scenes: Sequence[Scene], h: int, w: int):
+    """The points pillarize_scenes keeps, as float32 rows sorted by (scene, cell)
+    and scene order, with each row's pillar and slot, and each pillar's point
+    count and key (scene * h + row) * w + col. The sort's index arrays die here,
+    before the features are allocated."""
+    counts = [len(s.points) for s in scenes]
+    pts = np.concatenate([s.points for s in scenes], dtype=np.float32)
+    x, y = pts[:, 0], pts[:, 1]
+    if not (np.isfinite(pts).all()
+            and all(c.min(initial=0.0) >= 0 and c.max(initial=0.0) <= FIELD_SIZE for c in (x, y))):
+        i = int(np.argmax(~np.isfinite(pts).all(axis=1) | (pts[:, :2] < 0).any(axis=1)
+                          | (pts[:, :2] > FIELD_SIZE).any(axis=1)))
+        s = int(np.searchsorted(np.cumsum(counts), i, side="right"))
+        raise ValueError(f"scene {s}: point {i - sum(counts[:s])} {pts[i].tolist()} is not finite "
+                         f"or lies outside the field [0, {FIELD_SIZE}]")
+    key = ((np.repeat(np.arange(len(scenes)), counts) * h
+            + np.minimum((y / (FIELD_SIZE / h)).astype(np.int64), h - 1)) * w
+           + np.minimum((x / (FIELD_SIZE / w)).astype(np.int64), w - 1))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1) != 0)  # each pillar's first point
+    count = np.minimum(np.diff(first, append=len(key)), MAX_POINTS_PER_PILLAR)
+    pillar = np.repeat(np.arange(len(first)), count)
+    slot = np.arange(len(pillar)) - np.repeat(np.cumsum(count) - count, count)
+    return pts[order[first[pillar] + slot]], pillar, slot, count, key[first]
 
-    One stable sort by cell orders pillars by (row, col), points by scene order
-    within each; a point at slot MAX_POINTS_PER_PILLAR or later of its cell's run
-    is dropped. The centre is the float32 sum over the zero-padded slots over the
-    float32 count. A far-edge point goes into the last cell; a non-finite or
-    out-of-field point raises ValueError."""
+
+def pillarize_scenes(scenes: Sequence[Scene], grid: tuple[int, int]) -> list[PillarSample]:
+    """Pad every scene's points into pillars, one per occupied cell of the grid
+    over the field; returns one single-scene sample per scene, in list order.
+
+    Every scene's points are read as float32, the dtype the features hold, and
+    concatenated once, so a scene's pillars never depend on the other scenes of
+    the list. One stable sort by (scene, cell) orders each scene's pillars by
+    (row, col) and the points by scene order within each; a point at slot
+    MAX_POINTS_PER_PILLAR or later of its cell's run is dropped. The centre is
+    the float32 sum over the zero-padded slots over the float32 count. Each
+    sample's arrays are disjoint slices of the batch's arrays. A far-edge point
+    goes into the last cell; a non-finite or out-of-field point raises
+    ValueError naming its scene's position in the list and its index in that
+    scene. No scenes give no samples."""
     if not int_pair_at_least(grid, 1):
         raise ValueError(f"grid must be two integers >= 1, got {grid!r}")
+    if not scenes:
+        return []
     h, w = grid
-    pts = scene.points
-    bad = ~np.isfinite(pts).all(axis=1) | (pts[:, :2] < 0).any(axis=1) | (pts[:, :2] > FIELD_SIZE).any(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"point {i} {pts[i].tolist()} is not finite or lies outside the field [0, {FIELD_SIZE}]")
-    cell = (np.minimum((pts[:, 1] / (FIELD_SIZE / h)).astype(np.int64), h - 1) * w
-            + np.minimum((pts[:, 0] / (FIELD_SIZE / w)).astype(np.int64), w - 1))
-    order = np.argsort(cell, kind="stable")
-    pillar_ids, pillar = np.unique(cell[order], return_inverse=True)
-    slot = _slots(pillar)
-    kept = slot < MAX_POINTS_PER_PILLAR
-    pillar, slot, chunk = pillar[kept], slot[kept], pts[order[kept]]
-    features = np.zeros((len(pillar_ids), MAX_POINTS_PER_PILLAR, POINT_FEATURES), np.float32)
-    mask = np.zeros((len(pillar_ids), MAX_POINTS_PER_PILLAR), bool)
+    chunk, pillar, slot, count, pillar_key = _kept_points(scenes, h, w)
+    features = np.zeros((len(count), MAX_POINTS_PER_PILLAR, POINT_FEATURES), np.float32)
     features[pillar, slot, :3] = chunk
-    mask[pillar, slot] = True
-    center = features[:, :, :2].sum(axis=1) / mask.sum(axis=1, keepdims=True).astype(np.float32)
+    center = features[:, :, :2].sum(axis=1) / count.astype(np.float32)[:, None]
     features[pillar, slot, 3:5] = chunk[:, :2] - center[pillar]
-    coords = np.stack([pillar_ids // w, pillar_ids % w], axis=1)
-    return PillarSample(features=features, point_mask=mask, coords=coords, grid=grid)
+    cell = pillar_key % (h * w)
+    coords = np.stack([cell // w, cell % w], axis=1)
+    bounds = np.searchsorted(pillar_key, np.arange(len(scenes) + 1) * (h * w)).tolist()
+    mask = np.arange(MAX_POINTS_PER_PILLAR) < count[:, None]
+    return [PillarSample(features=features[a:b], point_mask=mask[a:b], coords=coords[a:b], grid=grid)
+            for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def pillarize(scene: Scene, grid: tuple[int, int]) -> PillarSample:
+    """One scene's pillars: ``pillarize_scenes([scene], grid)[0]``, the one code path."""
+    return pillarize_scenes([scene], grid)[0]

@@ -418,11 +418,12 @@ def test_make_evaluator_pillarizes_once_and_returns_the_map(batch_setup, monkeyp
             difficulty=np.full(len(dets), "moderate", dtype=object),
         ))
     calls = []
-    real_pillarize = detector.pillarize
-    monkeypatch.setattr(detector, "pillarize", lambda *args: calls.append(args) or real_pillarize(*args))
+    real_pillarize_scenes = detector.pillarize_scenes
+    monkeypatch.setattr(detector, "pillarize_scenes", lambda *args: calls.append(args) or real_pillarize_scenes(*args))
     evaluator = make_evaluator(scenes, cfg)
+    assert [(s is scenes, grid) for s, grid in calls] == [(True, cfg.grid)]  # the whole list in one call
     got = {label: evaluator(graph, parse_plan_label(label), stats) for label in ("FP32", "INT8")}
-    assert len(calls) == len(scenes)
+    assert len(calls) == 1  # the evaluator's calls pillarize nothing
     monkeypatch.undo()
     samples = pillarize_dataset(scenes, cfg)
     assert got == {label: evaluate(graph, parse_plan_label(label), stats, scenes, cfg, samples).map for label in got}

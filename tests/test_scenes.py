@@ -1,4 +1,5 @@
-"""Scenes: pillarize against the per-pillar scan it replaced and per-point cell membership, and seeded generation."""
+"""Scenes: pillarize and the batched pillarize_scenes against the per-pillar scan
+they replaced and per-point cell membership, and seeded generation."""
 
 import hashlib
 import re
@@ -15,6 +16,7 @@ from pillarmix.scenes import (
     assign_difficulty,
     generate_dataset,
     pillarize,
+    pillarize_scenes,
 )
 
 CAP = MAX_POINTS_PER_PILLAR
@@ -50,13 +52,18 @@ def reference_pillarize(scene, grid):
     return features, mask, coords
 
 
-def assert_matches_the_scan(scene, grid):
-    """Features (both offset columns included), mask and coords equal the scan's, bit for bit and dtype."""
-    sample = pillarize(scene, grid)
-    for name, got, want in zip(("features", "point_mask", "coords"),
-                               (sample.features, sample.point_mask, sample.coords), reference_pillarize(scene, grid)):
-        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-        assert got.tobytes() == want.tobytes(), name
+def assert_same_arrays(got, want):
+    """Equal arrays, bit for bit in dtype, shape and bytes, named by position."""
+    for i, (a, b) in enumerate(zip(got, want, strict=True)):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), i
+        assert a.tobytes() == b.tobytes(), i
+
+
+def assert_matches_the_scan(scene, grid, sample=None):
+    """Features (both offset columns included), mask and coords equal the scan's,
+    bit for bit and dtype; sample defaults to pillarize(scene, grid)."""
+    sample = pillarize(scene, grid) if sample is None else sample
+    assert_same_arrays((sample.features, sample.point_mask, sample.coords), reference_pillarize(scene, grid))
     return sample
 
 
@@ -110,6 +117,50 @@ def test_a_full_pillar_keeps_its_first_points_in_scene_order(n_crowded):
     np.testing.assert_allclose(sample.features[0, :, 3:], kept[:, :2] - kept[:, :2].mean(axis=0), atol=1e-6)
 
 
+def crowded_scene():
+    """CAP + 3 points in the first cell of any grid, in scene order."""
+    return scene_of(np.column_stack([np.linspace(0.01, 0.5, CAP + 3), np.full(CAP + 3, 0.2), np.arange(CAP + 3) / 10]))
+
+
+@pytest.mark.parametrize("rate", [0.02, 0.5])
+@pytest.mark.parametrize("grid", [(16, 16), (8, 8), (5, 7), (1, 1)])
+def test_pillarize_scenes_gives_each_scene_the_scan_of_that_scene_alone(grid, rate):
+    """One batch with an empty scene and a crowded one mid-list: every sample is
+    the scan of its scene, a single scene on the grid."""
+    scenes = generate_dataset(DatasetConfig(size=16, outlier_rate=rate), seed=41)
+    scenes[5:5] = [scene_of([]), crowded_scene()]
+    samples = pillarize_scenes(scenes, grid)
+    assert len(samples) == len(scenes)
+    for scene, sample in zip(scenes, samples):
+        assert_matches_the_scan(scene, grid, sample)
+        assert (sample.grid, sample.num_scenes) == (grid, 1)
+        assert_same_arrays([sample.scene_ids], [np.zeros(len(sample.features), np.int64)])
+    assert len(samples[5].features) == 0 and samples[6].point_mask[0].all()
+
+
+def test_pillarize_scenes_samples_do_not_share_memory():
+    scenes = generate_dataset(DatasetConfig(size=3), seed=2)
+    samples = pillarize_scenes(scenes, (16, 16))
+    before = [s.features.copy() for s in samples]
+    samples[1].features[:] = -1.0
+    assert_same_arrays([samples[0].features, samples[2].features], [before[0], before[2]])
+
+
+def test_pillarize_scenes_reads_every_scene_as_float32():
+    """A float64 scene among float32 ones gets the pillars of its float32 copy."""
+    scenes = generate_dataset(DatasetConfig(size=4), seed=6)
+    wide = np.clip(scenes[2].points.astype(np.float64) + 1e-9, 0.0, FIELD_SIZE)  # not float32 values
+    narrow = scene_of(wide.astype(np.float32))
+    scenes[2] = Scene(points=wide, boxes=narrow.boxes, classes=narrow.classes, difficulty=narrow.difficulty)
+    samples = pillarize_scenes(scenes, (8, 8))
+    for scene, sample in zip([*scenes[:2], narrow, scenes[3]], samples, strict=True):
+        assert_matches_the_scan(scene, (8, 8), sample)
+
+
+def test_pillarize_scenes_of_no_scenes_is_empty():
+    assert pillarize_scenes([], (16, 16)) == []
+
+
 def test_empty_scene_gives_no_pillars():
     sample = assert_matches_the_scan(scene_of([]), (16, 16))
     assert (sample.features.shape, sample.features.dtype) == ((0, CAP, POINT_FEATURES), np.float32)
@@ -135,6 +186,18 @@ def test_pillarize_rejects_non_finite_and_out_of_field_points(bad):
     assert pillarize(scene_of([edge]), (4, 16)).coords.tolist() == [[3, 15]]
     with pytest.raises(ValueError, match=re.escape(f"point 1 {np.float32(bad).tolist()} ")):
         pillarize(scene_of([edge, bad]), (4, 16))
+
+
+@pytest.mark.parametrize("at", [0, 2])
+@pytest.mark.parametrize("bad", [[np.nan, 1.0, 0.1], [1.0, 1.0, -np.inf], [-5.0, 1.0, 0.1]])
+def test_pillarize_scenes_names_the_scene_and_the_point_of_the_first_bad_point(bad, at):
+    good = [1.0, 2.0, 0.5]
+    points = [good, good, good]
+    points.insert(at, bad)
+    scenes = [scene_of([good]), scene_of([]), scene_of(points), scene_of([bad])]
+    want = f"scene 2: point {at} {np.float32(bad).tolist()} is not finite or lies outside the field [0, {FIELD_SIZE}]"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        pillarize_scenes(scenes, (4, 4))
 
 
 @pytest.mark.parametrize("grid, match", [
