@@ -10,7 +10,8 @@ layers that all consume the same trunk tensor. No entry point folds BN (the
 caller runs ``fold_all_bn``): ``apply_plan`` rejects a layer still carrying it
 before any sample runs. Execution is precision-aware: INT8 layers
 fake-quantize their input activation and weight, FP16 layers round both
-through binary16, FP32 layers run untouched. ``forward`` maps a batch of
+through binary16, and both transforms return float32; FP32 layers run
+untouched, in the dtype of their input and weights. ``forward`` maps a batch of
 pillarized scenes to one output per head. Inside it images are channels-last
 ``[B, H, W, C]``, the layout of the ``tensor_ops`` kernels; NCHW appears only
 at its edges: what ``observe_fn`` sees, and the head outputs. The point

@@ -7,7 +7,9 @@ walks the tape in reverse and treats the FP16 round trip as identity. The
 clipped STE is one mask (``quant.in_clip_range``) on both gradients of an INT8
 layer, so weights are quantized once per step. Quant scales stay frozen at
 their calibrated values throughout; the loss weights are CLS_WEIGHT and
-REG_WEIGHT.
+REG_WEIGHT. Every gradient follows the dtype of the head outputs, float32 in
+training; a float64 graph on float64 points, at FP32, is backpropagated in
+float64 throughout, which a gradient check needs.
 
 The backward runs channels-last, like the forward: the head gradients arrive
 NCHW, as the heads return, and are transposed once. A conv layer's patch rows
@@ -94,7 +96,8 @@ def detection_loss(outputs, example: TrainExample, cfg: TrainConfig):
     same leading batch axis. Both terms of a scene are normalized by its own
     number of positive cells, so the per-object gradient does not vanish as
     the map grows. The loss is the sum over scenes, and scene b's slice of the
-    output gradients is that of the loss on scene b alone.
+    output gradients is that of the loss on scene b alone. The loss is computed
+    in float64, and each output gradient is cast to its output's dtype.
     """
     cls_map, reg_map = outputs
     t, reg_t, pos, ignore = example.cls_target, example.reg_target, example.pos_mask, example.ignore_mask
@@ -108,12 +111,12 @@ def detection_loss(outputs, example: TrainExample, cfg: TrainConfig):
     w = np.where(t > 0, cfg.pos_weight, 1.0) * ~ignore[:, None]
     bce = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     cls_loss = (w * bce).sum(axis=(1, 2, 3), keepdims=True) / n_pos
-    d_cls = (CLS_WEIGHT * w * (sigmoid(z) - t) / n_pos).astype(np.float32)
+    d_cls = (CLS_WEIGHT * w * (sigmoid(z) - t) / n_pos).astype(cls_map.dtype)
 
     r = reg_map.astype(np.float64)
     diff = (r - reg_t) * pos[:, None]
     reg_loss = (diff**2).sum(axis=(1, 2, 3), keepdims=True) / (4.0 * n_pos)
-    d_reg = (REG_WEIGHT * 2.0 * diff / (4.0 * n_pos)).astype(np.float32)
+    d_reg = (REG_WEIGHT * 2.0 * diff / (4.0 * n_pos)).astype(reg_map.dtype)
 
     loss = float((CLS_WEIGHT * cls_loss + REG_WEIGHT * reg_loss).sum())
     return loss, (d_cls, d_reg)
@@ -158,7 +161,7 @@ def _layer_backward(entry: TapeEntry, dout: np.ndarray):
         f, _, kh, kw = w.shape
         ho, wo = dout.shape[1], dout.shape[2]
         dcols = (do2 @ w.reshape(f, -1)).reshape(n, ho, wo, c, kh, kw)
-        dxp = np.zeros((n, h + 2 * ph, wd + 2 * pw, c), dtype=np.float32)
+        dxp = np.zeros((n, h + 2 * ph, wd + 2 * pw, c), dtype=dcols.dtype)
         for ki in range(kh):
             for kj in range(kw):
                 dxp[:, ki : ki + sh * ho : sh, kj : kj + sw * wo : sw] += dcols[..., ki, kj]
@@ -168,7 +171,7 @@ def _layer_backward(entry: TapeEntry, dout: np.ndarray):
         act_qp, weight_qp = entry.quant
         dx = dx * in_clip_range(entry.x_in, act_qp)
         dw = dw * in_clip_range(layer.weight, weight_qp)
-    return dx, (dw.astype(np.float32), do2.sum(axis=0).astype(np.float32))
+    return dx, (dw, do2.sum(axis=0))
 
 
 def backward(tape: list[TapeEntry], d_outputs: Sequence[np.ndarray]) -> GradState:

@@ -1,8 +1,11 @@
-"""Dense float32 tensor kernels: linear, 2D convolution, ReLU, pillar scatter.
+"""Dense tensor kernels: linear, 2D convolution, ReLU, pillar scatter.
 
-All kernels are pure functions over float32 ndarrays and accumulate in
-float32. They are small enough to be checked against naive loop oracles but
-fast enough to run the toy detector. Images are channels-last,
+All kernels are pure functions over ndarrays, and each computes in the dtype
+of its input: float32 in every pipeline, as pillarize, the weights and the
+FP16/INT8 transforms make it; float64 only for checks, such as a gradient
+check whose float32 rounding would hide a small error. They are small
+enough to be checked against naive loop oracles but fast enough to run the
+toy detector. Images are channels-last,
 ``[N, H, W, C]``: the scatter, the convolution and the upsample take and
 return that layout, so a convolution's GEMM output rows are already the
 pixels of its output image. Points run as rows: the pillar encoder's layers
@@ -126,7 +129,6 @@ def stack_samples(samples: Sequence[PillarSample]) -> PillarSample:
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """x[..., Din] @ weight[Dout, Din].T + bias[Dout]."""
-    x = np.asarray(x, dtype=np.float32)
     if x.shape[-1] != weight.shape[1]:
         raise ValueError(
             f"linear input features {x.shape[-1]} != weight in-features {weight.shape[1]}"
@@ -180,7 +182,6 @@ def conv2d(
     depends on M, so one flattened [N*H'*W', K] GEMM would make an image's
     output depend on the batch it was run in.
     """
-    x = np.asarray(x, dtype=np.float32)
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError(f"conv2d expects 4D input/weight, got {x.shape} and {weight.shape}")
     n, h, w, c = x.shape
@@ -196,7 +197,7 @@ def conv2d(
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, np.float32(0.0))
+    return np.maximum(x, 0.0)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -219,7 +220,6 @@ def scatter_pillars(
     arrays: a float one raises ValueError naming it and its dtype.
     """
     h, w = grid
-    features = np.asarray(features, dtype=np.float32)
     coords, scenes = np.asarray(coords), np.asarray(scene_ids)
     for what, arr in (("coords", coords), ("scene ids", scenes)):
         if arr.dtype.kind not in "iu":  # signed or unsigned integers
@@ -230,7 +230,7 @@ def scatter_pillars(
         raise ValueError(f"scatter got {p} pillars but {coords.shape[0]} coords")
     if scenes.shape != (p,):
         raise ValueError(f"scatter got {p} pillars but scene ids of shape {scenes.shape}")
-    out = np.zeros((num_scenes, h, w, c), dtype=np.float32)
+    out = np.zeros((num_scenes, h, w, c), dtype=features.dtype)
     rows, cols = coords[:, 0], coords[:, 1]
     bad = (rows < 0) | (rows >= h) | (cols < 0) | (cols >= w)
     if bad.any():

@@ -1,13 +1,17 @@
 """Test helpers: an [N, C] array as a one-scene PillarSample, the only input
 that model.forward, calibration and qat take, (box, class_id, score) rows as
 one scene's detections, as decode_and_nms gives them, per-scene detections
-joined into the one array that detect gives and ap40 takes, and TINY, the
-smallest detector config the tests build."""
+joined into the one array that detect gives and ap40 takes, TINY, the
+smallest detector config the tests build, and a graph and sample cast to
+another dtype, which every kernel and the backward then compute in."""
+
+import dataclasses
 
 import numpy as np
 
 from pillarmix.detector import DetectorConfig
 from pillarmix.metrics import DETECTION
+from pillarmix.model import ModelGraph
 from pillarmix.tensor_ops import PillarSample
 
 GRID = (16, 16)
@@ -36,3 +40,11 @@ def joined_detections(per_scene) -> np.recarray:
     joined = np.concatenate([np.zeros(0, DETECTION), *per_scene]).view(np.recarray)
     joined.scene_id = np.repeat(np.arange(len(per_scene)), [len(d) for d in per_scene])
     return joined
+
+
+def cast_graph_and_sample(graph: ModelGraph, sample: PillarSample, dtype) -> tuple[ModelGraph, PillarSample]:
+    """Copies of graph, every weight and bias cast to dtype (precision tags
+    kept), and of sample, its point features cast to dtype."""
+    layers = [dataclasses.replace(l, weight=l.weight.astype(dtype), bias=l.bias.astype(dtype))
+              if l.is_weight_layer else l for l in graph.layers]
+    return ModelGraph(tuple(layers)), dataclasses.replace(sample, features=sample.features.astype(dtype))

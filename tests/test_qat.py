@@ -34,12 +34,16 @@ from pillarmix.quant import (
 from pillarmix.scenes import CLASS_NAMES, DatasetConfig, generate_dataset
 from pillarmix.tensor_ops import PillarSample, linear, max_over_points, real_points, stack_samples
 
-from pillar_helpers import TINY, one_scene
+from pillar_helpers import TINY, cast_graph_and_sample, one_scene
 
 # Largest relative error allowed between the analytic gradient and a central
 # difference with step 1e-3 through float32 forwards; the tiny detector (TINY)
 # reaches 3.7e-3.
 GRADCHECK_MAX_REL = 1e-2
+# The bound with step 1e-5 through float64 forwards and backwards, where the
+# tiny detector reaches its floor, 1.8e-8. Scaling every dW by 1.005 reads
+# 5e-3 here and fails, but 8.6e-3 in float32, under GRADCHECK_MAX_REL.
+GRADCHECK_MAX_REL_FLOAT64 = 1e-6
 
 
 def clip_range_mask(x, qp):
@@ -54,10 +58,16 @@ def tiny_graph():
     return apply_plan(fold_all_bn(build_toy_detector(TINY, seed=3)), PrecisionPlan())
 
 
-def test_backward_matches_central_differences():
+def central_difference_check(dtype, eps):
+    """The largest relative error between backward's gradients and central
+    differences with step eps, at one random entry of every weight and bias of
+    the tiny detector, its graph and sample cast to dtype; also the tape and
+    the gradients that backward computed. The plan is FP32: the clipped STE of
+    an INT8 layer is not the loss's derivative, so no step size checks it."""
     scenes = generate_dataset(DatasetConfig(size=1, boxes_per_scene=(2, 2)), seed=1)
-    graph = tiny_graph()
     example = make_train_examples(scenes, TINY)[0]
+    graph, sample = cast_graph_and_sample(tiny_graph(), example.sample, dtype)
+    example = dataclasses.replace(example, sample=sample)
     cfg = TrainConfig(learning_rate=1e-3)
 
     def loss_at():
@@ -67,7 +77,6 @@ def test_backward_matches_central_differences():
     outputs = forward(graph, example.sample, tape=tape)
     grads = backward(tape, detection_loss(outputs, example, cfg)[1])
     rng = np.random.default_rng(0)
-    eps = 1e-3
     worst = 0.0
     for layer in graph.weight_layers:
         dw, db = grads[layer.index]
@@ -82,7 +91,20 @@ def test_backward_matches_central_differences():
             fd = (plus - minus) / (2 * eps)
             an = float(grad[idx])
             worst = max(worst, abs(fd - an) / max(1e-8, abs(fd), abs(an)))
-    assert worst <= GRADCHECK_MAX_REL
+    return worst, tape, grads
+
+
+@pytest.mark.parametrize("dtype, eps, max_rel", [
+    pytest.param(np.float32, 1e-3, GRADCHECK_MAX_REL, id="float32"),
+    pytest.param(np.float64, 1e-5, GRADCHECK_MAX_REL_FLOAT64, id="float64"),
+])
+def test_backward_matches_central_differences(dtype, eps, max_rel):
+    """Every tape array and gradient is in the graph's dtype, so a float64
+    check is not float32 rounding noise narrowed back inside a kernel."""
+    worst, tape, grads = central_difference_check(dtype, eps)
+    arrays = [a for e in tape for a in (e.out, e.x_used) if a is not None] + [g for dg in grads.values() for g in dg]
+    assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+    assert worst <= max_rel
 
 
 def test_batched_tape_gradient_is_the_sum_over_scenes():

@@ -51,6 +51,11 @@ def naive_conv2d(x, w, b, stride=(1, 1), padding=(0, 0)):
     return out
 
 
+# (dtype, bound on the max abs error against a float64 oracle): each kernel
+# computes in its input's dtype, float32 in every pipeline, float64 for checks.
+ORACLE_DTYPES = [pytest.param(np.float32, 1e-6, id="float32"), pytest.param(np.float64, 1e-12, id="float64")]
+
+
 def nhwc(x):
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
 
@@ -164,8 +169,9 @@ class TestConv2d:
         out = conv2d_nchw(x, w, b)
         np.testing.assert_array_equal(out[0, 0], [[12.0, 16.0], [24.0, 28.0]])
 
+    @pytest.mark.parametrize("dtype, tol", ORACLE_DTYPES)
     @pytest.mark.parametrize("case", range(12))
-    def test_random_against_naive_oracle(self, case):
+    def test_random_against_naive_oracle(self, case, dtype, tol):
         rng = np.random.default_rng(100 + case)
         c = int(rng.integers(1, 5))
         f = int(rng.integers(1, 5))
@@ -173,13 +179,15 @@ class TestConv2d:
         kh, kw = int(rng.integers(1, min(4, h) + 1)), int(rng.integers(1, min(4, w) + 1))
         stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
         padding = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-        x = rng.normal(scale=0.4, size=(2, c, h, w)).astype(np.float32)
-        wt = rng.normal(scale=0.4, size=(f, c, kh, kw)).astype(np.float32)
-        b = rng.normal(size=f).astype(np.float32)
-        got = conv2d_nchw(x, wt, b, ConvParams(stride=stride, padding=padding))
+        x = rng.normal(scale=0.4, size=(2, c, h, w)).astype(dtype)
+        wt = rng.normal(scale=0.4, size=(f, c, kh, kw)).astype(dtype)
+        b = rng.normal(size=f).astype(dtype)
+        out, cols = conv2d(nhwc(x), wt, b, ConvParams(stride=stride, padding=padding))
+        got = nchw(out)
         want = naive_conv2d(x, wt, b, stride=stride, padding=padding)
         assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) < 1e-6
+        assert np.max(np.abs(got - want)) < tol
+        assert out.dtype == cols.dtype == dtype
 
     @pytest.mark.parametrize("shape", [(16, 16, 16, 3, 1), (16, 16, 8, 3, 2), (24, 32, 4, 3, 1), (5, 24, 8, 1, 1)])
     def test_batch_equals_per_image_bit_for_bit(self, shape):
@@ -231,13 +239,16 @@ class TestLinear:
         )
         assert out[0, 0] == np.float32(16.0)
 
+    @pytest.mark.parametrize("dtype, tol", ORACLE_DTYPES)
     @pytest.mark.parametrize("case", range(8))
-    def test_random_against_naive_oracle(self, case):
+    def test_random_against_naive_oracle(self, case, dtype, tol):
         rng = np.random.default_rng(200 + case)
-        x = rng.normal(size=(4, 8)).astype(np.float32)
-        w = rng.normal(size=(6, 8)).astype(np.float32)
-        b = rng.normal(size=6).astype(np.float32)
-        assert np.max(np.abs(linear(x, w, b) - naive_linear(x, w, b))) < 1e-6
+        x = rng.normal(size=(4, 8)).astype(dtype)
+        w = rng.normal(size=(6, 8)).astype(dtype)
+        b = rng.normal(size=6).astype(dtype)
+        got = linear(x, w, b)
+        assert np.max(np.abs(got - naive_linear(x, w, b))) < tol
+        assert got.dtype == dtype
 
     def test_batched_last_axis(self):
         rng = np.random.default_rng(3)
@@ -300,13 +311,15 @@ class TestScatterPillars:
                                    np.zeros(1, np.int64), 1)
         np.testing.assert_array_equal(out[0, 0], [[7.0, 0.0], [0.0, 0.0]])
 
-    def test_conserves_sum(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conserves_sum(self, dtype):
         rng = np.random.default_rng(5)
-        feats = rng.normal(size=(10, 6)).astype(np.float32)
+        feats = rng.normal(size=(10, 6)).astype(dtype)
         cells = rng.choice(8 * 8, size=10, replace=False)
         coords = np.stack([cells // 8, cells % 8], axis=1)
         out = scatter_pillars_nchw(feats, coords, (8, 8), np.zeros(10, np.int64), 1)
         np.testing.assert_allclose(out.sum(), feats.sum(), rtol=1e-6)
+        assert out.dtype == dtype
 
     def test_out_of_range_and_duplicate(self):
         feats = np.ones((1, 2), dtype=np.float32)
