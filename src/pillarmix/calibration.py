@@ -95,7 +95,7 @@ def per_sample_ranges(
     stacked forward per chunk. A sample's ranges equal, bit for bit, those of
     a forward on it alone. A non-finite range raises RuntimeError naming the
     layer and the sample's position, and a sample holding several scenes
-    raises ValueError. The graph runs as given: no entry point folds (see ``model``).
+    raises ValueError. The graph runs as given (see ``model``).
     """
     fp32 = apply_plan(graph, PrecisionPlan())
     out: list[dict[int, tuple[float, float]]] = []
@@ -129,9 +129,9 @@ def stats_from_ranges(
     filled in index order 1..L.
 
     A sample whose ranges are not keyed by the layer indices 1..L raises
-    ValueError naming its position and the missing or extra indices; a layer
-    still carrying BN (none is folded here; see ``model``), a non-finite or inverted
-    (min > max) range or a non-finite weight raises ValueError naming the layer (and the sample).
+    ValueError naming its position and the missing or extra indices; a
+    non-finite or inverted (min > max) range or a non-finite weight raises
+    ValueError naming the layer (and the sample).
     """
     if not ranges:
         raise ValueError("calibration needs at least one sample")
@@ -145,8 +145,6 @@ def stats_from_ranges(
     stats: dict[int, LayerCalibration] = {}
     for layer in graph.weight_layers:
         where = f"layer {layer.index} ({layer.name!r})"
-        if layer.bn is not None:
-            raise ValueError(f"{where}: still carries batch norm; fold it before calibration (fold_all_bn)")
         layer_ranges = [sample_ranges[layer.index] for sample_ranges in ranges]
         for pos, (lo, hi) in enumerate(layer_ranges):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):

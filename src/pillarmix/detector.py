@@ -33,8 +33,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .metrics import DETECTION, EvalResult, _padded, _slots, ap40, iou_matrix
-from .model import (BatchNorm, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, eval_chunks, fold_all_bn, forward,
-                    graphs_equal, param_arrays, weights_digest)
+from .model import (LayerSpec, ModelGraph, PrecisionPlan, apply_plan, eval_chunks, fold_all_bn, forward, graphs_equal,
+                    param_arrays, weights_digest)
 from .qat import TrainExample
 from .scenes import CLASS_NAMES, FIELD_SIZE, POINT_FEATURES, Scene, pillarize, pillarize_scenes
 from .tensor_ops import ConvParams, PillarSample, int_at_least, int_pair_at_least, is_real, sigmoid
@@ -128,14 +128,14 @@ class DetectorConfig:
 
 def _layer_chain(cfg: DetectorConfig, make) -> ModelGraph:
     """The detector's layers in chain order. make(pos, name, shape, head, **init)
-    gives each weight layer's (weight, bias, bn) as the walk reaches it, pos
+    gives each weight layer's folded (weight, bias) as the walk reaches it, pos
     being its place in the chain; init holds hints only a draw reads."""
     layers: list[LayerSpec] = []
 
     def weight_layer(name, shape, conv=None, head=False, **init):
-        weight, bias, bn = make(len(layers), name, shape, head, **init)
+        weight, bias = make(len(layers), name, shape, head, **init)
         layers.append(LayerSpec(name=name, kind="linear" if conv is None else "conv2d", weight=weight, bias=bias,
-                                bn=bn, relu=not head, conv=conv, is_head=head))
+                                relu=not head, conv=conv, is_head=head))
 
     # balance the init against the very unequal raw feature ranges; the raw
     # inputs themselves stay unnormalized (that is the whole point of the task)
@@ -159,13 +159,17 @@ def _layer_chain(cfg: DetectorConfig, make) -> ModelGraph:
 
 
 def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) -> ModelGraph:
-    """Fresh detector with He-initialized weights and plausible BN stats.
+    """Fresh detector with He-initialized weights, plausible BN stats folded in.
 
     The layer chain asks for each weight layer in turn, and draw takes from
     the seeded generator: its weight (He, or std 0.1 for the two heads), then
     its BN gamma, beta, mean and var (the heads have no BN). That fixed draw
     order is what keeps a (cfg, seed) pair's weights, and so the pinned
-    weights_digest values, the same. ModelGraph numbers the weight layers 1..L.
+    weights_digest values, the same. draw folds the BN at once, as TensorRT
+    fuses it into the conv it follows: weight * f and (bias - mean) * f + beta,
+    f = gamma / sqrt(var + 1e-5) per output channel, taken in float64 from the
+    float32 stats and stored as float32, the products float32. ModelGraph
+    numbers the weight layers 1..L.
     """
     rng = np.random.default_rng(seed)
 
@@ -173,13 +177,14 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
         cout = shape[0]
         std = 0.1 if head else math.sqrt(2.0 / math.prod(shape[1:]))
         weight = rng.normal(scale=std, size=shape).astype(np.float32) / input_scale
-        bn = None if head else BatchNorm(
-            gamma=rng.uniform(0.8, 1.2, size=cout).astype(np.float32),
-            beta=rng.normal(scale=0.05, size=cout).astype(np.float32),
-            mean=rng.normal(scale=0.1, size=cout).astype(np.float32),
-            var=rng.uniform(0.8, 1.4, size=cout).astype(np.float32),
-        )
-        return weight, np.full(cout, bias, np.float32), bn
+        bias = np.full(cout, bias, np.float32)
+        if head:
+            return weight, bias
+        gamma, beta, mean, var = (stat.astype(np.float32) for stat in (
+            rng.uniform(0.8, 1.2, size=cout), rng.normal(scale=0.05, size=cout),
+            rng.normal(scale=0.1, size=cout), rng.uniform(0.8, 1.4, size=cout)))
+        factor = (gamma.astype(np.float64) / np.sqrt(var.astype(np.float64) + 1e-5)).astype(np.float32)
+        return weight * factor.reshape((-1,) + (1,) * (weight.ndim - 1)), (bias - mean) * factor + beta
 
     return _layer_chain(cfg, draw)
 
@@ -190,7 +195,7 @@ def build_toy_detector(cfg: DetectorConfig = DetectorConfig(), seed: int = 0) ->
 
 def _from_arrays(cfg: DetectorConfig, arrays: Mapping[str, np.ndarray]) -> ModelGraph:
     """The folded detector cfg describes, holding arrays keyed as in
-    param_arrays; nothing is drawn or folded. The chain's walk checks each
+    param_arrays; nothing is drawn. The chain's walk checks each
     weight layer's arrays as it reaches them: one that is missing, not float32,
     not the layer's shape or not finite raises ValueError naming the layer, as
     does, after the walk, an array of no weight layer."""
@@ -210,7 +215,7 @@ def _from_arrays(cfg: DetectorConfig, arrays: Mapping[str, np.ndarray]) -> Model
                 params.append(arr)
                 continue
             raise ValueError(f"layer {name!r}: {field} {problem}")
-        return (*params, None)
+        return params
 
     graph = _layer_chain(cfg, read)
     extra = sorted(set(arrays) - set(param_arrays(graph)))
@@ -231,12 +236,12 @@ def save_model(graph: ModelGraph, cfg: DetectorConfig, path) -> Path:
     "detector" (cfg.to_meta()) and "weights_sha256" (weights_digest). The
     other members are param_arrays: '<pos>.weight' and '<pos>.bias' for the
     weight layer at position pos. A graph that is not the folded detector cfg
-    describes, as load_model reads it, raises ValueError. Precision tags are
-    not saved: a plan is applied at execution.
+    describes, as load_model reads it, in float32, raises ValueError.
+    Precision tags are not saved: a plan is applied at execution.
     """
     arrays = param_arrays(graph)
     if not graphs_equal(_from_arrays(cfg, arrays), graph):
-        raise ValueError("the graph's layers are not those of the folded detector the config builds")
+        raise ValueError("the graph's layers are not those of the folded detector the config builds, in float32")
     path = _npz_path(path)
     manifest = {"format_version": FORMAT_VERSION, "detector": cfg.to_meta(), "weights_sha256": weights_digest(graph)}
     np.savez(path, manifest=np.array(json.dumps(manifest, sort_keys=True)), **arrays)

@@ -1,23 +1,23 @@
 """Layer-chain model representation with per-layer precision tags.
 
 A model is an ordered list of layers: weight layers (linear, conv2d) carry
-an optional ReLU and optional BN statistics; glue layers (scatter, maxpool,
-upsample2x) are precision-free. A weight layer's index, which plans,
-calibration stats and gradients are keyed by, is its place among the weight
-layers: ``ModelGraph`` numbers them 1..L in chain order. A layer sets only the
-fields its kind reads (``KIND_FIELDS``). The chain may end in several head
-layers that all consume the same trunk tensor. No entry point folds BN (the
-caller runs ``fold_all_bn``): ``apply_plan`` rejects a layer still carrying it
-before any sample runs. Execution is precision-aware: INT8 layers
-fake-quantize their input activation and weight, FP16 layers round both
-through binary16, and both transforms return float32; FP32 layers run
-untouched, in the dtype of their input and weights. ``forward`` maps a batch of
-pillarized scenes to one output per head. Inside it images are channels-last
-``[B, H, W, C]``, the layout of the ``tensor_ops`` kernels; NCHW appears only
-at its edges: what ``observe_fn`` sees, and the head outputs. The point
-layers before the maxpool run on the real points only, as rows, while
-``observe_fn`` sees their inputs padded. Every ValueError raised while a
-layer runs in ``forward`` names that layer.
+an optional ReLU; glue layers (scatter, maxpool, upsample2x) are
+precision-free. A weight layer's index, which plans, calibration stats and
+gradients are keyed by, is its place among the weight layers: ``ModelGraph``
+numbers them 1..L in chain order. A layer sets only the fields its kind reads
+(``KIND_FIELDS``). The chain may end in several head layers that all consume
+the same trunk tensor. A graph knows no batch norm: its weights are folded,
+as TensorRT fuses a BN into the conv it follows, and
+``detector.build_toy_detector`` folds each BN as it draws it. Execution is
+precision-aware: INT8 layers fake-quantize their input activation and weight,
+FP16 layers round both through binary16, and both transforms return float32;
+FP32 layers run untouched, in the dtype of their input and weights.
+``forward`` maps a batch of pillarized scenes to one output per head. Inside
+it images are channels-last ``[B, H, W, C]``, the layout of the
+``tensor_ops`` kernels; NCHW appears only at its edges: what ``observe_fn``
+sees, and the head outputs. The point layers before the maxpool run on the
+real points only, as rows, while ``observe_fn`` sees their inputs padded.
+Every ValueError raised while a layer runs in ``forward`` names that layer.
 
 A graph is its layers alone; this module knows no file format. A model file
 (format 5) holds a detector config and its folded weights, and
@@ -42,7 +42,6 @@ from .tensor_ops import (ConvParams, PillarSample, conv2d, int_at_least, int_pai
 fake_quant_per_channel = fake_quant  # unused: perfbench/tracing.py wraps this name, as it wraps qat.im2col
 
 __all__ = [
-    "BatchNorm",
     "EVAL_CHUNK",
     "LayerSpec",
     "ModelGraph",
@@ -52,7 +51,6 @@ __all__ = [
     "dtype_boundaries",
     "eval_chunks",
     "fold_all_bn",
-    "fold_bn",
     "forward",
     "graphs_equal",
     "param_arrays",
@@ -88,7 +86,7 @@ def eval_chunks(samples: Sequence[PillarSample]) -> Iterator[tuple[int, PillarSa
 WEIGHT_KINDS = ("linear", "conv2d")
 # The LayerSpec fields besides name and kind that each kind reads; a layer
 # leaves the others at their defaults (see _validate_layers).
-_WEIGHT_FIELDS = ("weight", "bias", "bn", "relu", "is_head", "precision")
+_WEIGHT_FIELDS = ("weight", "bias", "relu", "is_head", "precision")
 KIND_FIELDS = {
     "linear": _WEIGHT_FIELDS,
     "conv2d": _WEIGHT_FIELDS + ("conv",),
@@ -97,33 +95,25 @@ KIND_FIELDS = {
     "upsample2x": (),
 }
 
-@dataclass(frozen=True)
-class BatchNorm:
-    """Per-output-channel batch norm statistics attached to a weight layer."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    mean: np.ndarray
-    var: np.ndarray
-    eps: float = 1e-5
-
 
 @dataclass(frozen=True)
 class LayerSpec:
     """One layer. index is derived: a ModelGraph numbers its weight layers, and
-    a layer outside a graph (e.g. what fold_bn returns) or a glue layer has None."""
+    a layer outside a graph or a glue layer has None. A weight layer's weight
+    and bias are folded: a layer holds no batch norm."""
 
     name: str
     kind: str
     index: int | None = field(default=None, init=False)
     weight: np.ndarray | None = None
     bias: np.ndarray | None = None
-    bn: BatchNorm | None = None
     relu: bool = False
     conv: ConvParams | None = None
     grid: tuple[int, int] | None = None
     is_head: bool = False
     precision: DType = DType.FP32
+    # not a field, so LayerSpec(bn=...) raises TypeError; only perfbench/reference.py reads it
+    bn = None
 
     @property
     def is_weight_layer(self) -> bool:
@@ -242,12 +232,10 @@ def parse_plan_label(label: str) -> PrecisionPlan:
 
 
 def apply_plan(graph: ModelGraph, plan: PrecisionPlan) -> ModelGraph:
-    """Retag every indexed layer from the plan, sharing the weights; the first layer still carrying BN raises."""
+    """Retag every indexed layer from the plan, sharing the weights."""
     unknown = sorted(i for i in plan.overrides if i > graph.num_indexed)
     if unknown:
         raise ValueError(f"plan overrides unknown layer indices {unknown}")
-    if unfolded := [f"layer {l.index} ({l.name!r})" for l in graph.weight_layers if l.bn is not None]:
-        raise ValueError(f"{unfolded[0]}: still carries batch norm; fold it before planning (fold_all_bn)")
     layers = [
         dataclasses.replace(l, precision=plan.resolve(l.index)) if l.is_weight_layer else l
         for l in graph.layers
@@ -260,32 +248,10 @@ def dtype_boundaries(precisions: Sequence[DType]) -> int:
     return sum(1 for a, b in zip(precisions, precisions[1:]) if a is not b)
 
 
-# ---------------------------------------------------------------------------
-# BN folding
-
-
-def fold_bn(layer: LayerSpec) -> LayerSpec:
-    """Fold batch norm into the layer's weight and bias.
-
-    weight' = weight * gamma / sqrt(var + eps) per output channel,
-    bias'   = (bias - mean) * gamma / sqrt(var + eps) + beta.
-    """
-    if layer.bn is None:
-        raise ValueError(f"layer {layer.name!r} has no batch norm to fold")
-    bn = layer.bn
-    denom_sq = bn.var.astype(np.float64) + bn.eps
-    if not np.all(denom_sq > 0):  # also catches a NaN var
-        raise ValueError(f"layer {layer.name!r} has non-positive or NaN var + eps")
-    factor = (bn.gamma.astype(np.float64) / np.sqrt(denom_sq)).astype(np.float32)
-    shape = (-1,) + (1,) * (layer.weight.ndim - 1)
-    weight = (layer.weight * factor.reshape(shape)).astype(np.float32)
-    bias = ((layer.bias - bn.mean) * factor + bn.beta).astype(np.float32)
-    return dataclasses.replace(layer, weight=weight, bias=bias, bn=None)
-
-
 def fold_all_bn(graph: ModelGraph) -> ModelGraph:
-    layers = [fold_bn(l) if l.bn is not None else l for l in graph.layers]
-    return ModelGraph(layers=tuple(layers))
+    """graph itself, whose weights are folded already. Only perfbench calls it,
+    and perfbench/tracing.py counts the calls through detector and calibration."""
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +324,17 @@ def forward(
     sees a point layer's input padded: the sample's features themselves at
     the first, the rows put back into their slots, zeros elsewhere, after it.
 
-    Batch norm is folded before execution (``fold_all_bn``). stats, the
-    calibration dict[int, LayerCalibration] keyed by layer index (any Mapping
-    indexed alike), must cover every INT8-tagged layer under its own name.
+    stats, the calibration dict[int, LayerCalibration] keyed by layer index
+    (any Mapping indexed alike), must cover every INT8-tagged layer under its
+    own name.
     observe_fn, when given, receives each indexed layer's input activation
     before any precision transform. tape, when a list, gets one TapeEntry
     per layer.
 
     Every ValueError raised while a layer runs, its kernels' checks included
-    (a layer still carrying BN, an INT8 layer without its stats, a NaN at a
-    precision transform, a bad width, mask, coord or grid; a point mask that
-    does not fit the features is named at the first point layer), is re-raised
+    (an INT8 layer without its stats, a NaN at a precision transform, a bad
+    width, mask, coord or grid; a point mask that does not fit the features
+    is named at the first point layer), is re-raised
     prefixed "layer <index> ('<name>'): " or "<kind> layer '<name>': ". Other
     exceptions, such as observe_fn's RuntimeError, pass through unchanged.
     """
@@ -385,8 +351,6 @@ def forward(
         x_used = w_used = quant = None
         try:
             if layer.is_weight_layer:
-                if layer.bn is not None:
-                    raise ValueError("still carries batch norm; fold it before execution (fold_all_bn)")
                 if observe_fn is not None:
                     observe_fn(layer, _observed(current, sample.point_mask, rows))
             if current.ndim == 3:  # the padded points: this layer and the point layers after it read the real ones
@@ -438,33 +402,27 @@ def _nchw(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Parameter arrays, equality and digest (detector.save_model writes the arrays as a file)
 
-_BN_FIELDS = ("gamma", "beta", "mean", "var")
-
-
 def param_arrays(graph: ModelGraph) -> dict[str, np.ndarray]:
-    """Every parameter array as little-endian float32, keyed '<layer position>.<field>',
-    in layer order: weight, bias, then BN gamma, beta, mean, var (e.g. '0.bn.gamma')."""
-    fields = {}
-    for pos, l in enumerate(graph.layers):
-        fields.update({f"{pos}.weight": l.weight, f"{pos}.bias": l.bias})
-        if l.bn is not None:
-            fields.update({f"{pos}.bn.{f}": getattr(l.bn, f) for f in _BN_FIELDS})
-    return {key: np.ascontiguousarray(a, dtype="<f4") for key, a in fields.items() if a is not None}
+    """Every weight layer's weight and bias as little-endian float32, keyed
+    '<layer position>.weight' and '<layer position>.bias', in layer order."""
+    return {f"{pos}.{name}": np.ascontiguousarray(getattr(l, name), dtype="<f4")
+            for pos, l in enumerate(graph.layers) if l.is_weight_layer for name in ("weight", "bias")}
 
 
 def graphs_equal(a: ModelGraph, b: ModelGraph) -> bool:
-    """Bit-exact equality of structure and weights; precision tags are not compared."""
+    """Bit-exact equality of structure and weights, each weight and bias of
+    one dtype, shape and bytes in both; precision tags are not compared."""
     def parts(g: ModelGraph):
-        layers = [(l.name, l.kind, l.relu, l.is_head, l.conv, l.grid, l.bn.eps if l.bn else None) for l in g.layers]
-        arrays = [(key, arr.shape, arr.tobytes()) for key, arr in param_arrays(g).items()]
-        return layers, arrays
+        return [(l.name, l.kind, l.relu, l.is_head, l.conv, l.grid,
+                 [(arr.dtype, arr.shape, arr.tobytes()) for arr in (l.weight, l.bias) if arr is not None])
+                for l in g.layers]
 
     return parts(a) == parts(b)
 
 
 def weights_digest(graph: ModelGraph) -> str:
-    """sha256 over all parameter arrays' little-endian float32 bytes, in layer
-    order: weight, bias, then BN gamma, beta, mean, var."""
+    """sha256 over param_arrays' little-endian float32 bytes, in layer order:
+    each weight layer's weight, then its bias."""
     digest = hashlib.sha256()
     for arr in param_arrays(graph).values():
         digest.update(arr.tobytes())

@@ -1,7 +1,7 @@
 """Quantization-aware fine-tuning with a clipped straight-through estimator.
 
 Each SGD step makes one pass over its stacked batch of scenes: one forward
-through the same precision-aware executor as inference on a BN-folded graph,
+through the same precision-aware executor as inference, on the folded weights,
 recording one ``model.TapeEntry`` per layer, one loss, and one backward that
 walks the tape in reverse and treats the FP16 round trip as identity. The
 clipped STE is one mask (``quant.in_clip_range``) on both gradients of an INT8
@@ -231,7 +231,6 @@ def train_qat(
     forward, one loss_fn (which, like detection_loss, sums the losses of B
     stacked scenes) and one backward over it. The step descends on the summed
     gradient over len(batch), so a short last batch is scaled by its own size.
-    The graph must be BN-folded: apply_plan names a layer that is not.
 
     Returns the tuned graph and a history of per-epoch mean train loss.
     """

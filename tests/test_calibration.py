@@ -20,7 +20,7 @@ from pillarmix.calibration import (
     stats_from_ranges,
 )
 from pillarmix.detector import DetectorConfig, build_toy_detector, pillarize_dataset
-from pillarmix.model import EVAL_CHUNK, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, fold_all_bn, forward
+from pillarmix.model import EVAL_CHUNK, LayerSpec, ModelGraph, PrecisionPlan, apply_plan, forward
 from pillarmix.quant import QuantParams, fake_quant
 from pillarmix.scenes import DatasetConfig, Scene, generate_dataset
 from pillarmix.tensor_ops import stack_samples
@@ -143,7 +143,7 @@ class TestRunCalibration:
         graph, samples = detector_samples
         stats = run_calibration(graph, samples[:2])
         assert_equal_by_value(stats, run_calibration(graph, samples[:2]))
-        for layer in fold_all_bn(graph).weight_layers:
+        for layer in graph.weight_layers:
             w, cal = layer.weight, stats[layer.index]
             act = cal.act_qp.scale
             assert act.shape == () and act.dtype == np.float64 and not act.flags.writeable
@@ -156,7 +156,7 @@ class TestRunCalibration:
 def per_scene_reference(graph, samples):
     """One FP32 forward per sample, each layer input reduced whole: the loop
     that per_sample_ranges ran before it stacked scenes."""
-    fp32 = apply_plan(fold_all_bn(graph), PrecisionPlan())
+    fp32 = apply_plan(graph, PrecisionPlan())
     out = []
     for sample in samples:
         ranges = {}
@@ -174,7 +174,7 @@ def detector_samples():
     """Default detector and EVAL_CHUNK + 3 pillarized scenes: an empty one
     ends the first chunk and an outlier scene opens the second."""
     cfg = DetectorConfig()
-    graph = fold_all_bn(build_toy_detector(cfg, seed=0))
+    graph = build_toy_detector(cfg, seed=0)
     scenes = generate_dataset(DatasetConfig(size=EVAL_CHUNK + 1, outlier_rate=0.0), seed=3)
     empty = Scene(points=np.zeros((0, 3), np.float32), boxes=np.zeros((0, 4), np.float32),
                   classes=np.zeros(0, np.int64), difficulty=np.zeros(0, dtype=object))
@@ -291,15 +291,15 @@ class TestStatsFromRanges:
         cfg = DetectorConfig(grid=(8, 8), pfn_channels=4, block_channels=(4, 4, 4), neck_channels=4)
         deeper = dataclasses.replace(cfg, convs_per_block=4)
         ranges = [{i: (0.0, 1.0) for i in range(1, build_toy_detector(deeper).num_indexed + 1)}] * 2
-        stats_from_ranges(fold_all_bn(build_toy_detector(deeper)), ranges)
+        stats_from_ranges(build_toy_detector(deeper), ranges)
         with pytest.raises(ValueError, match=r"sample 0 has ranges for other layers than the model's 1\.\.13: "
                                              r"missing \[\], extra \[14, 15, 16\]"):
-            stats_from_ranges(fold_all_bn(build_toy_detector(cfg)), ranges)
+            stats_from_ranges(build_toy_detector(cfg), ranges)
 
     def test_a_non_finite_weight_names_the_layer(self):
         """A NaN in a head weight reaches no observed activation, so only the weight's quant params see it."""
         cfg = DetectorConfig(grid=(8, 8), pfn_channels=4, block_channels=(4, 4, 4), convs_per_block=1, neck_channels=4)
-        graph = fold_all_bn(build_toy_detector(cfg))
+        graph = build_toy_detector(cfg)
         graph.layers[-2].weight[1, 0, 0, 0] = np.nan
         samples = pillarize_dataset(generate_dataset(DatasetConfig(size=2), seed=3), cfg)
         with pytest.raises(ValueError, match=r"^layer 6 \('bbox_head\.conv_cls'\): weight tensor contains non-finite"):

@@ -35,7 +35,6 @@ from pillarmix.model import (
     ModelGraph,
     PrecisionPlan,
     apply_plan,
-    fold_all_bn,
     forward,
     graphs_equal,
     parse_plan_label,
@@ -282,7 +281,7 @@ def test_encode_targets_gives_a_shared_centre_cell_to_the_first_box():
 def batch_setup():
     """Default detector, calibration, and EVAL_CHUNK + 3 scenes, one of them empty."""
     cfg = DetectorConfig()
-    graph = fold_all_bn(build_toy_detector(cfg, seed=0))
+    graph = build_toy_detector(cfg, seed=0)
     stats = run_calibration(graph, pillarize_dataset(generate_dataset(DatasetConfig(size=4), seed=7), cfg))
     scenes = generate_dataset(DatasetConfig(size=EVAL_CHUNK + 2), seed=8)
     empty = Scene(points=np.zeros((0, 3), np.float32), boxes=np.zeros((0, 4), np.float32),
@@ -470,7 +469,7 @@ def widen(graph, head):
 def test_evaluate_rejects_a_head_of_the_wrong_width(head, shapes):
     """A fifth channel on either head fails loudly instead of going unscored."""
     cfg = DetectorConfig()
-    wide = widen(fold_all_bn(build_toy_detector(cfg, seed=0)), head)
+    wide = widen(build_toy_detector(cfg, seed=0), head)
     scenes = generate_dataset(DatasetConfig(size=2), seed=1)
     with pytest.raises(ValueError, match=re.escape(f"got maps of shape {shapes}")):
         evaluate(wide, parse_plan_label("FP32"), None, scenes, cfg, pillarize_dataset(scenes, cfg))
@@ -483,7 +482,7 @@ def test_a_loaded_model_evaluates_as_the_one_saved(cfg, tmp_path):
     bit) and the AP tables equal the original's under FP32 and INT8. The
     untrained toy's AP is 0, so the detections carry the comparison."""
     assert DetectorConfig.from_meta(cfg.to_meta()) == cfg
-    graph = fold_all_bn(build_toy_detector(cfg, seed=0))
+    graph = build_toy_detector(cfg, seed=0)
     loaded, loaded_cfg = load_model(save_model(graph, cfg, tmp_path / "toy"))
     assert loaded_cfg == cfg and graphs_equal(loaded, graph)
     scenes = generate_dataset(DatasetConfig(size=8), seed=2)
@@ -511,7 +510,7 @@ def test_a_key_that_is_no_config_field_is_rejected(extra_keys, tmp_path):
     want = rf"detector config lacks keys \[\] and has unknown keys {names}$"
     with pytest.raises(ValueError, match=want):
         DetectorConfig.from_meta(det)
-    path = save_model(fold_all_bn(build_toy_detector()), DetectorConfig(), tmp_path / "toy")
+    path = save_model(build_toy_detector(), DetectorConfig(), tmp_path / "toy")
     rewrite(path, lambda doc, arrays: doc["detector"].update(extra_keys))
     with pytest.raises(ModelFormatError, match=rf"toy\.npz: {want}"):
         load_model(path)
@@ -532,19 +531,42 @@ def test_a_config_entry_names_its_missing_and_unknown_keys():
 
 
 def test_default_detector_weights_are_pinned():
-    """Raw and folded digests of the default and the tiny config; a change in
-    the builder's draw order or layer numbering changes them."""
+    """The built, folded weights' digests of the default and the tiny config; a
+    change in the builder's draw order, its fold or the layer numbering changes them."""
     pins = [
-        (DetectorConfig(), 0, "9bae18fa093b8e8f75da3144c96ab125d47497be9ff8aa712a9fac24773bbe05",
-         "f7ea26e53f3f12f7407203a7913d71811f0c74120ab5b3713298d5763ac2d8ad"),
-        (TINY, 0, "62398272897ad181a87e593b29379ef4bd9745f22a290a34290651107e069204",
-         "a0697501599173af163af45b21fc0e0522573c760d2718d0b75d6f3d77cb41ac"),
-        (TINY, 3, "81cbd3fa4246c2d2bed1763be55729f503c796071920c8febdd3e40ae6cd37fd",
-         "dcbed2eb359260c65e7676a9bde97c99b9ec7421d2ff6eda0030ce4ed9000d16"),
+        (DetectorConfig(), 0, "f7ea26e53f3f12f7407203a7913d71811f0c74120ab5b3713298d5763ac2d8ad"),
+        (TINY, 0, "a0697501599173af163af45b21fc0e0522573c760d2718d0b75d6f3d77cb41ac"),
+        (TINY, 3, "dcbed2eb359260c65e7676a9bde97c99b9ec7421d2ff6eda0030ce4ed9000d16"),
     ]
-    for cfg, seed, raw, folded in pins:
-        graph = build_toy_detector(cfg, seed=seed)
-        assert (weights_digest(graph), weights_digest(fold_all_bn(graph))) == (raw, folded), (cfg, seed)
+    for cfg, seed, digest in pins:
+        assert weights_digest(build_toy_detector(cfg, seed=seed)) == digest, (cfg, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+@pytest.mark.parametrize("cfg", [DetectorConfig(), DetectorConfig(block_strides=(2, 1, 1)), TINY],
+                         ids=["default", "strides_211", "tiny"])
+def test_the_builder_folds_each_bn_as_it_draws_it(cfg, seed):
+    """Re-drawn in the documented order, each weight layer's weight and, but at
+    the heads, its BN gamma, beta, mean and var, folded with a per-channel
+    factor gamma / sqrt(var + 1e-5) taken in float64 and stored as float32,
+    give the built weight and bias bit for bit."""
+    rng = np.random.default_rng(seed)
+    feature_scale = np.array([FIELD_SIZE / 2, FIELD_SIZE / 2, 0.5, 0.5, 0.5], np.float32)
+    for layer in build_toy_detector(cfg, seed=seed).weight_layers:
+        shape, cout = layer.weight.shape, len(layer.weight)
+        std = 0.1 if layer.is_head else math.sqrt(2.0 / math.prod(shape[1:]))
+        weight = rng.normal(scale=std, size=shape).astype(np.float32) / (feature_scale if layer.index == 1 else 1.0)
+        bias = np.full(cout, -2.0 if layer.name == "bbox_head.conv_cls" else 0.0, np.float32)
+        if not layer.is_head:
+            stats = (rng.uniform(0.8, 1.2, cout), rng.normal(0.0, 0.05, cout),
+                     rng.normal(0.0, 0.1, cout), rng.uniform(0.8, 1.4, cout))
+            gamma, beta, mean, var = (s.astype(np.float32).astype(np.float64) for s in stats)
+            factor = (gamma / np.sqrt(var + 1e-5)).astype(np.float32).astype(np.float64)
+            # the float64 product of two float32 values (and 0 - mean) is exact: rounded once, it is float32's
+            weight = (weight * factor.reshape((-1,) + (1,) * (len(shape) - 1))).astype(np.float32)
+            bias = ((bias - mean).astype(np.float32) * factor).astype(np.float32) + beta.astype(np.float32)
+        for got, want in ((layer.weight, weight), (layer.bias, bias)):
+            assert (got.dtype, got.shape, got.tobytes()) == (np.float32, want.shape, want.tobytes()), layer.name
 
 
 def test_tiny_detector_layer_table_is_pinned():
@@ -596,7 +618,7 @@ class TestSerialization:
     """The model file (format 5): a detector config and its folded weights, the layers rebuilt from the config."""
 
     def graph(self):
-        return fold_all_bn(build_toy_detector(TINY, seed=0))
+        return build_toy_detector(TINY, seed=0)
 
     def save(self, path):
         return save_model(self.graph(), TINY, path)
@@ -605,7 +627,7 @@ class TestSerialization:
     @pytest.mark.parametrize("cfg", [DetectorConfig(), TINY, DetectorConfig(block_strides=(2, 1, 1))],
                              ids=["default", "tiny", "strides_211"])
     def test_a_folded_detector_round_trips_through_one_file(self, tmp_path, cfg, seed):
-        graph = fold_all_bn(build_toy_detector(cfg, seed=seed))
+        graph = build_toy_detector(cfg, seed=seed)
         path = save_model(graph, cfg, tmp_path / "toy")
         assert list(tmp_path.iterdir()) == [path] and path.name == "toy.npz"
         loaded, loaded_cfg = load_model(path)
@@ -752,7 +774,7 @@ class TestSerialization:
     def test_a_config_of_another_layer_count_fails_before_the_build(self, tmp_path, monkeypatch):
         """The walk along the config's chain stops at the first layer the file
         does not hold as the config describes it; no network is built."""
-        path = save_model(fold_all_bn(build_toy_detector()), DetectorConfig(), tmp_path / "toy")
+        path = save_model(build_toy_detector(), DetectorConfig(), tmp_path / "toy")
         rewrite(path, lambda doc, arrays: doc["detector"].update(convs_per_block=100))
         monkeypatch.setattr(detector, "build_toy_detector", lambda *args: pytest.fail("built the network"))
         with pytest.raises(ModelFormatError, match=r"toy\.npz: layer 'backbone\.block0\.conv3': weight has shape "
@@ -766,7 +788,7 @@ class TestSerialization:
     def test_a_failing_load_costs_what_the_file_holds(self, tmp_path, field, value, layer, shapes):
         """A config edited to a huge width fails at the first layer it changes,
         without allocating that width (building it peaks at about 30 and 70 MB)."""
-        path = save_model(fold_all_bn(build_toy_detector()), DetectorConfig(), tmp_path / "toy")
+        path = save_model(build_toy_detector(), DetectorConfig(), tmp_path / "toy")
         rewrite(path, lambda doc, arrays: doc["detector"].update({field: value}))
         tracemalloc.start()
         try:
@@ -778,9 +800,9 @@ class TestSerialization:
         assert peak < 2 * 2**20
 
     def test_a_load_draws_builds_and_folds_nothing(self, tmp_path, monkeypatch):
-        graph = fold_all_bn(build_toy_detector())
+        graph = build_toy_detector()
         path = save_model(graph, DetectorConfig(), tmp_path / "toy")
-        for module, name in ((detector, "build_toy_detector"), (detector, "fold_all_bn"), (np.random, "default_rng")):
+        for module, name in ((detector, "build_toy_detector"), (np.random, "default_rng")):
             monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: pytest.fail(f"called {name}"))
         assert graphs_equal(load_model(path)[0], graph)
         save_model(graph, DetectorConfig(), tmp_path / "again")  # nor does the save's check
@@ -788,12 +810,12 @@ class TestSerialization:
     def test_the_config_is_the_only_description_of_the_layers(self, tmp_path):
         """A config edited to another width no longer matches the arrays and fails
         on load; one edited to other strides loads as the network it describes."""
-        path = save_model(fold_all_bn(build_toy_detector()), DetectorConfig(), tmp_path / "toy")
+        path = save_model(build_toy_detector(), DetectorConfig(), tmp_path / "toy")
         rewrite(path, lambda doc, arrays: doc["detector"].update(pfn_channels=8, block_strides=[2, 1, 1]))
         with pytest.raises(ModelFormatError, match=r"toy\.npz: layer 'voxel_encoder\.pfn\.linear': weight has shape "
                                                    r"\(16, 5\), but the config builds \(8, 5\)"):
             load_model(path)
-        graph = fold_all_bn(build_toy_detector())
+        graph = build_toy_detector()
         path = save_model(graph, DetectorConfig(), tmp_path / "toy")
         rewrite(path, lambda doc, arrays: doc["detector"].update(block_strides=[2, 1, 1]))
         loaded, cfg = load_model(path)
@@ -803,19 +825,20 @@ class TestSerialization:
         assert weights_digest(loaded) == weights_digest(graph)
 
     @pytest.mark.parametrize("graph, cfg, match", [
-        (build_toy_detector(), DetectorConfig(),
-         r"arrays \['0\.bn\.beta', .*\] belong to no weight layer of the folded detector"),
-        (fold_all_bn(build_toy_detector()), DetectorConfig(block_strides=(2, 1, 1)),
+        (ModelGraph(layers=tuple(dataclasses.replace(l, weight=l.weight.astype(np.float64)) if l.is_weight_layer
+                                 else l for l in build_toy_detector().layers)), DetectorConfig(),
+         "the graph's layers are not those of the folded detector the config builds, in float32"),
+        (build_toy_detector(), DetectorConfig(block_strides=(2, 1, 1)),
          "the graph's layers are not those of the folded detector the config builds"),
-        (fold_all_bn(widen(build_toy_detector(), WIDE_HEADS[0][0])), DetectorConfig(),
+        (widen(build_toy_detector(), WIDE_HEADS[0][0]), DetectorConfig(),
          r"layer 'bbox_head\.conv_cls': weight has shape \(4, 24, 1, 1\), but the config builds \(3, 24, 1, 1\)"),
-        (fold_all_bn(widen(build_toy_detector(), WIDE_HEADS[1][0])), DetectorConfig(),
+        (widen(build_toy_detector(), WIDE_HEADS[1][0]), DetectorConfig(),
          r"layer 'bbox_head\.conv_reg': weight has shape \(5, 24, 1, 1\), but the config builds \(4, 24, 1, 1\)"),
-        (fold_all_bn(build_toy_detector()), TINY,
+        (build_toy_detector(), TINY,
          r"layer 'voxel_encoder\.pfn\.linear': weight has shape \(16, 5\), but the config builds \(8, 5\)"),
-        (ModelGraph(layers=fold_all_bn(build_toy_detector()).layers[:-1]), DetectorConfig(),
+        (ModelGraph(layers=build_toy_detector().layers[:-1]), DetectorConfig(),
          r"layer 'bbox_head\.conv_reg': weight is missing \(member '15\.weight'\)"),
-    ], ids=["unfolded", "config_of_other_strides", "wide_cls_head", "wide_reg_head", "config_of_other_widths",
+    ], ids=["float64", "config_of_other_strides", "wide_cls_head", "wide_reg_head", "config_of_other_widths",
             "no_box_head"])
     def test_save_rejects_a_graph_its_config_does_not_build(self, tmp_path, graph, cfg, match):
         with pytest.raises(ValueError, match=match):
@@ -836,7 +859,7 @@ class TestSerialization:
             pfn_channels=data.draw(width), block_channels=data.draw(st.tuples(*[width] * n_blocks)),
             convs_per_block=data.draw(st.integers(1, 2)), block_strides=strides, neck_channels=data.draw(width),
         )
-        graph = fold_all_bn(build_toy_detector(cfg, seed=data.draw(st.integers(0, 3))))
+        graph = build_toy_detector(cfg, seed=data.draw(st.integers(0, 3)))
         path = save_model(graph, cfg, tmp_path_factory.mktemp("model") / "toy")
         loaded, loaded_cfg = load_model(path)
         assert graphs_equal(loaded, graph) and weights_digest(loaded) == weights_digest(graph) and loaded_cfg == cfg

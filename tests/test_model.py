@@ -1,4 +1,4 @@
-"""Model graph: BN folding and the rule that no entry point folds, precision plans, forward execution,
+"""Model graph: every entry point runs the graph it is given, precision plans, forward execution,
 structure checks, equality."""
 
 import copy
@@ -14,14 +14,11 @@ from pillarmix.calibration import calib_size_sweep, per_sample_ranges, run_calib
 from pillarmix.detector import (DetectorConfig, build_toy_detector, detect, evaluate, make_evaluator,
                                 make_train_examples, pillarize_dataset)
 from pillarmix.model import (
-    BatchNorm,
     LayerSpec,
     ModelGraph,
     PrecisionPlan,
     apply_plan,
     dtype_boundaries,
-    fold_all_bn,
-    fold_bn,
     forward,
     graphs_equal,
     parse_plan_label,
@@ -30,24 +27,23 @@ from pillarmix.model import (
 from pillarmix.qat import TrainConfig, train_qat
 from pillarmix.quant import DType, fake_quant, fp16_roundtrip
 from pillarmix.scenes import DatasetConfig, generate_dataset, pillarize
-from pillarmix.tensor_ops import ConvParams, PillarSample, conv2d, im2col, linear, real_points, relu, stack_samples
+from pillarmix.tensor_ops import ConvParams, PillarSample, im2col, linear, real_points, relu, stack_samples
 
 from pillar_helpers import TINY, one_scene
 
 
-def linear_layer(index, din, dout, rng, name=None, relu_flag=False, bn=None, head=False):
+def linear_layer(index, din, dout, rng, name=None, relu_flag=False, head=False):
     return LayerSpec(
         name=name or f"lin{index}",
         kind="linear",
         weight=rng.normal(scale=0.5, size=(dout, din)).astype(np.float32),
         bias=rng.normal(scale=0.1, size=dout).astype(np.float32),
         relu=relu_flag,
-        bn=bn,
         is_head=head,
     )
 
 
-def conv_layer(index, cin, cout, k, rng, stride=(1, 1), padding=(0, 0), relu_flag=False, bn=None):
+def conv_layer(index, cin, cout, k, rng, stride=(1, 1), padding=(0, 0), relu_flag=False):
     return LayerSpec(
         name=f"conv{index}",
         kind="conv2d",
@@ -55,91 +51,7 @@ def conv_layer(index, cin, cout, k, rng, stride=(1, 1), padding=(0, 0), relu_fla
         bias=rng.normal(scale=0.1, size=cout).astype(np.float32),
         conv=ConvParams(stride=stride, padding=padding),
         relu=relu_flag,
-        bn=bn,
     )
-
-
-def random_bn(channels, rng, eps=1e-5):
-    return BatchNorm(
-        gamma=rng.uniform(0.5, 1.5, size=channels).astype(np.float32),
-        beta=rng.normal(scale=0.2, size=channels).astype(np.float32),
-        mean=rng.normal(scale=0.3, size=channels).astype(np.float32),
-        var=rng.uniform(0.5, 2.0, size=channels).astype(np.float32),
-        eps=eps,
-    )
-
-
-class TestFoldBn:
-    def test_identity_bn_is_noop(self):
-        rng = np.random.default_rng(0)
-        bn = BatchNorm(
-            gamma=np.ones(3, np.float32),
-            beta=np.zeros(3, np.float32),
-            mean=np.zeros(3, np.float32),
-            var=np.ones(3, np.float32),
-            eps=0.0,
-        )
-        layer = linear_layer(1, 4, 3, rng, bn=bn)
-        folded = fold_bn(layer)
-        np.testing.assert_array_equal(folded.weight, layer.weight)
-        np.testing.assert_array_equal(folded.bias, layer.bias)
-        assert folded.bn is None
-
-    def test_scale_shift_bn(self):
-        rng = np.random.default_rng(1)
-        w = rng.normal(size=(2, 4)).astype(np.float32)
-        bn = BatchNorm(
-            gamma=np.full(2, 2.0, np.float32),
-            beta=np.full(2, 3.0, np.float32),
-            mean=np.zeros(2, np.float32),
-            var=np.ones(2, np.float32),
-            eps=0.0,
-        )
-        layer = LayerSpec(
-            name="l", kind="linear", weight=w, bias=np.zeros(2, np.float32), bn=bn
-        )
-        folded = fold_bn(layer)
-        np.testing.assert_allclose(folded.weight, 2.0 * w, rtol=1e-7)
-        np.testing.assert_allclose(folded.bias, [3.0, 3.0], rtol=1e-7)
-
-    @pytest.mark.parametrize("kind", ["linear", "conv2d"])
-    def test_folded_matches_two_step_oracle(self, kind):
-        rng = np.random.default_rng(2)
-        for case in range(20):
-            bn = random_bn(3, rng)
-            if kind == "linear":
-                layer = linear_layer(1, 5, 3, rng, bn=bn)
-                x = rng.normal(size=(4, 5)).astype(np.float32)
-                raw = linear(x, layer.weight, layer.bias)
-                shape = (1, -1)
-            else:
-                layer = conv_layer(1, 2, 3, 3, rng, padding=(1, 1), bn=bn)
-                x = rng.normal(size=(1, 6, 6, 2)).astype(np.float32)  # channels-last
-                raw, _ = conv2d(x, layer.weight, layer.bias, layer.conv)
-                shape = (1, 1, 1, -1)
-            two_step = (raw - bn.mean.reshape(shape)) * (
-                bn.gamma.reshape(shape) / np.sqrt(bn.var.reshape(shape) + bn.eps)
-            ) + bn.beta.reshape(shape)
-            folded = fold_bn(layer)
-            if kind == "linear":
-                got = linear(x, folded.weight, folded.bias)
-            else:
-                got, _ = conv2d(x, folded.weight, folded.bias, folded.conv)
-            assert np.max(np.abs(got - two_step)) < 1e-5
-
-    @pytest.mark.parametrize("bad_var", [-1.0, np.nan])
-    def test_rejects_bad_variance(self, bad_var):
-        rng = np.random.default_rng(3)
-        bn = random_bn(3, rng, eps=0.0)
-        bn = dataclasses.replace(bn, var=np.array([bad_var, 1.0, 1.0], np.float32))
-        layer = linear_layer(1, 4, 3, rng, bn=bn)
-        with pytest.raises(ValueError, match=f"layer {layer.name!r} has non-positive"):
-            fold_bn(layer)
-
-    def test_rejects_missing_bn(self):
-        layer = linear_layer(1, 4, 3, np.random.default_rng(4))
-        with pytest.raises(ValueError, match="no batch norm"):
-            fold_bn(layer)
 
 
 # each entry point that takes a graph, called as (graph, scenes, their samples, the ranges of their samples)
@@ -156,29 +68,33 @@ ENTRY_POINTS = {
 }
 
 
-# the entry points that plan the graph (apply_plan) before any sample runs
-PLANNING_ENTRY_POINTS = ("detect", "evaluate", "make_evaluator", "per_sample_ranges", "run_calibration")
-
-
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_every_entry_point_runs_the_graph_it_is_given(entry, monkeypatch):
-    """None folds BN: an unfolded graph raises naming its first BN layer, even
-    with no samples where the entry point plans it, and a folded one runs
-    without another fold."""
-    raw = build_toy_detector(TINY, seed=0)
+    """The built graph runs as it is: its weights are folded, and no entry
+    point calls fold_all_bn, the identity kept for the benchmark."""
+    graph = build_toy_detector(TINY, seed=0)
     scenes = generate_dataset(DatasetConfig(size=2), seed=4)
     samples = pillarize_dataset(scenes, TINY)
-    inputs = scenes, samples, per_sample_ranges(fold_all_bn(raw), samples)
-    names_bn = r"^layer 1 \('voxel_encoder\.pfn\.linear'\): still carries batch norm"
-    with pytest.raises(ValueError, match=names_bn):
-        ENTRY_POINTS[entry](raw, *inputs)
-    if entry in PLANNING_ENTRY_POINTS:
-        with pytest.raises(ValueError, match=names_bn):
-            ENTRY_POINTS[entry](raw, [], [], [])
-    folded = fold_all_bn(raw)
-    for module in (detector, calibration):
-        monkeypatch.setattr(module, "fold_all_bn", lambda graph: pytest.fail("folded a graph"))
-    ENTRY_POINTS[entry](folded, *inputs)
+    inputs = scenes, samples, per_sample_ranges(graph, samples)
+    for module in (model, detector, calibration):
+        monkeypatch.setattr(module, "fold_all_bn", lambda graph: pytest.fail("called fold_all_bn"))
+    ENTRY_POINTS[entry](graph, *inputs)
+
+
+class TestNamesKeptForTheBenchmark:
+    """perfbench still calls fold_all_bn through model, detector and
+    calibration, and its reference forward reads layer.bn: both stay as no-ops."""
+
+    def test_fold_all_bn_returns_the_graph_it_is_given(self):
+        graph = build_toy_detector(TINY, seed=0)
+        for module in (model, detector, calibration):
+            assert module.fold_all_bn(graph) is graph, module.__name__
+
+    def test_every_layer_reads_bn_as_none_without_a_bn_field(self):
+        graph = build_toy_detector(TINY, seed=0)
+        assert "bn" not in {f.name for f in dataclasses.fields(LayerSpec)}
+        for layer in graph.layers:
+            assert layer.bn is None and dataclasses.replace(layer).bn is None, layer.name
 
 
 def two_layer_graph(rng):
@@ -204,12 +120,12 @@ class TestLayerIndex:
 
     def test_the_index_is_not_settable(self):
         rng = np.random.default_rng(31)
-        layer = linear_layer(1, 4, 4, rng, bn=random_bn(4, rng))
+        layer = linear_layer(1, 4, 4, rng)
         with pytest.raises(TypeError, match="index"):
             LayerSpec(name="l", kind="linear", index=1, weight=layer.weight, bias=layer.bias)
         with pytest.raises(ValueError, match="index"):
             dataclasses.replace(layer, index=1)
-        assert fold_bn(ModelGraph(layers=(layer,)).layers[0]).index is None  # outside a graph
+        assert dataclasses.replace(ModelGraph(layers=(layer,)).layers[0], relu=True).index is None  # outside a graph
 
 
 class TestPrecisionPlan:
@@ -422,14 +338,6 @@ class TestForward:
         # the same stats drive the graph they were recorded from
         forward(apply_plan(g, PrecisionPlan(default=DType.INT8)), one_scene(np.zeros((1, 6))), stats=stats)
 
-    def test_unfolded_batch_norm_rejected_naming_the_layer(self):
-        rng = np.random.default_rng(18)
-        g = ModelGraph(layers=(linear_layer(1, 6, 6, rng),
-                               linear_layer(2, 6, 4, rng, bn=random_bn(4, rng), head=True)))
-        with pytest.raises(ValueError, match="layer 2 .*'lin2'.* batch norm"):
-            forward(g, one_scene(np.zeros((1, 6))))
-        forward(fold_all_bn(g), one_scene(np.zeros((1, 6))))
-
     def test_quantizing_all_zero_input_layer_changes_nothing(self):
         rng = np.random.default_rng(14)
         g = two_layer_graph(rng)
@@ -445,14 +353,14 @@ class TestForward:
             forward(g, one_scene(np.zeros((1, 6))))
 
     def test_a_sample_on_another_grid_is_rejected_naming_the_scatter_and_both_grids(self):
-        graph = fold_all_bn(build_toy_detector())
+        graph = build_toy_detector()
         sample = pillarize(generate_dataset(DatasetConfig(size=1), seed=0)[0], (8, 8))
         want = "scatter layer 'middle_encoder.scatter': has grid (16, 16), but the sample's grid is (8, 8)"
         with pytest.raises(ValueError, match=re.escape(want)):
             forward(graph, sample)
 
     def test_an_image_instead_of_a_pillar_sample_is_rejected_naming_both(self):
-        graph = fold_all_bn(build_toy_detector())
+        graph = build_toy_detector()
         with pytest.raises(TypeError, match=r"takes a PillarSample \(a batch of pillarized scenes\), got ndarray"):
             forward(graph, np.zeros((1, 16, 16, 16), np.float32))
 
@@ -474,6 +382,8 @@ class TestForward:
                 ModelGraph(layers=(LayerSpec(name="scatter", kind="scatter", grid=grid),))
         with pytest.raises(ValueError, match="layer name 5 is not a string"):
             ModelGraph(layers=(dataclasses.replace(tail, name=5),))
+        with pytest.raises(TypeError, match="unexpected keyword argument 'bn'"):  # a layer holds folded weights
+            LayerSpec(name="l", kind="linear", weight=tail.weight, bias=tail.bias, bn=None)
 
     @pytest.mark.parametrize("kind, change, want", [
         ("linear", {"weight": None}, "weight layer {!r} is missing weight or bias"),
@@ -490,7 +400,6 @@ class TestForward:
     @pytest.mark.parametrize("name, change, field", [
         ("voxel_encoder.maxpool", {"weight": np.ones(3, np.float32)}, "weight"),
         ("voxel_encoder.maxpool", {"relu": True}, "relu"),
-        ("voxel_encoder.maxpool", {"bn": random_bn(3, np.random.default_rng(0))}, "bn"),
         ("voxel_encoder.maxpool", {"precision": DType.FP16}, "precision"),
         ("middle_encoder.scatter", {"bias": np.zeros(3, np.float32)}, "bias"),
         ("middle_encoder.scatter", {"conv": ConvParams()}, "conv"),
@@ -512,7 +421,7 @@ class TestForward:
 def default_detector():
     """The default detector, calibrated on 4 scenes, and a batch of 3 others."""
     cfg = DetectorConfig()
-    graph = fold_all_bn(build_toy_detector(cfg, seed=0))
+    graph = build_toy_detector(cfg, seed=0)
     stats = run_calibration(graph, pillarize_dataset(generate_dataset(DatasetConfig(size=4), seed=7), cfg))
     batch = stack_samples(pillarize_dataset(generate_dataset(DatasetConfig(size=3), seed=8), cfg))
     return graph, stats, batch
@@ -614,14 +523,6 @@ class TestEveryLayerErrorNamesTheLayer:
         with pytest.raises(ValueError, match=want):
             forward(apply_plan(graph, parse_plan_label(label)), nan_batch, stats=stats)
 
-    def test_a_layer_still_carrying_bn_is_named(self, default_detector):
-        graph, _, batch = default_detector
-        unfolded = {l.name: l for l in build_toy_detector().layers}
-        layers = tuple(unfolded[l.name] if l.name == "neck.conv" else l for l in graph.layers)
-        want = "layer 11 ('neck.conv'): still carries batch norm; fold it before execution (fold_all_bn)"
-        with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
-            forward(ModelGraph(layers=layers), batch)
-
     def test_missing_stats_and_another_models_stats_are_named(self, default_detector):
         graph, stats, batch = default_detector
         planned = apply_plan(graph, PrecisionPlan(default=DType.INT8))
@@ -648,7 +549,7 @@ class TestEveryLayerErrorNamesTheLayer:
 class TestGraphsEqual:
     def test_equality_is_bit_exact(self):
         rng = np.random.default_rng(16)
-        g = ModelGraph(layers=(linear_layer(1, 5, 6, rng, relu_flag=True, bn=random_bn(6, rng)),
+        g = ModelGraph(layers=(linear_layer(1, 5, 6, rng, relu_flag=True),
                                conv_layer(2, 1, 2, 3, rng, stride=(2, 2), padding=(1, 1))))
         lin = g.layers[0]
 
@@ -658,11 +559,11 @@ class TestGraphsEqual:
         zero = np.zeros_like(lin.bias)
         assert not graphs_equal(with_first(dataclasses.replace(lin, bias=zero)),
                                 with_first(dataclasses.replace(lin, bias=-zero)))
-        nan_bn = dataclasses.replace(lin.bn, mean=np.full_like(lin.bn.mean, np.nan))
-        with_nan = with_first(dataclasses.replace(lin, bn=nan_bn))
-        assert graphs_equal(with_nan, with_nan)
+        with_nan = with_first(dataclasses.replace(lin, weight=np.full_like(lin.weight, np.nan)))
+        assert graphs_equal(with_nan, copy.deepcopy(with_nan))
         assert not graphs_equal(g, with_first(dataclasses.replace(lin, weight=lin.weight.reshape(5, 6))))
-        assert not graphs_equal(g, with_first(dataclasses.replace(lin, bn=dataclasses.replace(lin.bn, eps=1e-3))))
+        # the same values, widened exactly: the dtype is part of the weights
+        assert not graphs_equal(g, with_first(dataclasses.replace(lin, weight=lin.weight.astype(np.float64))))
         assert not graphs_equal(g, with_first(dataclasses.replace(lin, relu=False)))
         # a graph is its layers alone
         assert [f.name for f in dataclasses.fields(ModelGraph)] == ["layers"]

@@ -150,8 +150,8 @@ def test_each_module_loads_only_what_it_uses():
 # (module or test file, name) imports that the file itself never uses, each with its reason
 UNUSED_IMPORTS_ALLOWED = {
     ("qat", "im2col"): "perfbench/tracing.py wraps qat.im2col to count backward patch builds",
-    ("detector", "fold_all_bn"): "perfbench/tracing.py wraps detector.fold_all_bn to count folds",
-    ("calibration", "fold_all_bn"): "perfbench/tracing.py wraps calibration.fold_all_bn to count folds",
+    ("detector", "fold_all_bn"): "perfbench/tracing.py counts calls to detector.fold_all_bn, now an identity",
+    ("calibration", "fold_all_bn"): "perfbench/tracing.py counts calls to calibration.fold_all_bn, now an identity",
     ("detector", "pillarize"): "perfbench/tracing.py wraps detector.pillarize to time pillarization",
 }
 

@@ -18,7 +18,6 @@ from pillarmix.model import (
     PrecisionPlan,
     TapeEntry,
     apply_plan,
-    fold_all_bn,
     forward,
     parse_plan_label,
 )
@@ -55,7 +54,7 @@ def clip_range_mask(x, qp):
 
 
 def tiny_graph():
-    return apply_plan(fold_all_bn(build_toy_detector(TINY, seed=3)), PrecisionPlan())
+    return apply_plan(build_toy_detector(TINY, seed=3), PrecisionPlan())
 
 
 def central_difference_check(dtype, eps):
@@ -361,7 +360,7 @@ def nchw_backward(tape, d_outputs):
 def default_batch():
     """Default detector, its calibration and a stacked 3-scene training batch."""
     cfg = DetectorConfig()
-    graph = fold_all_bn(build_toy_detector(cfg, seed=0))
+    graph = build_toy_detector(cfg, seed=0)
     examples = make_train_examples(generate_dataset(DatasetConfig(size=5), seed=12), cfg)
     stats = run_calibration(graph, [e.sample for e in examples[3:]])
     return graph, stats, examples[:3]

@@ -13,8 +13,8 @@ import pytest
 
 from pillarmix import qat
 from pillarmix.calibration import run_calibration
-from pillarmix.detector import DetectorConfig, build_toy_detector, make_train_examples
-from pillarmix.model import PrecisionPlan, apply_plan, fold_all_bn, forward, parse_plan_label, weights_digest
+from pillarmix.detector import build_toy_detector, make_train_examples
+from pillarmix.model import PrecisionPlan, apply_plan, forward, parse_plan_label, weights_digest
 from pillarmix.qat import TrainConfig, backward, detection_loss, train_qat
 from pillarmix.scenes import DatasetConfig, generate_dataset
 
@@ -30,7 +30,7 @@ STEP_ATOL = 1e-6
 
 
 def train_setup(n_scenes):
-    graph = fold_all_bn(build_toy_detector(TINY, seed=3))
+    graph = build_toy_detector(TINY, seed=3)
     data = make_train_examples(generate_dataset(DatasetConfig(size=n_scenes), seed=4), TINY)
     stats = run_calibration(graph, [e.sample for e in data[:2]], seed=0)
     return graph, data, stats
@@ -213,13 +213,6 @@ def test_a_non_finite_loss_names_the_epoch_the_batch_and_its_samples():
     want = f"epoch {epoch}, batch {k}, samples {batch.tolist()}"
     with pytest.raises(RuntimeError, match=re.escape(want)):
         train_qat(graph, PrecisionPlan(), None, data, cfg)
-
-
-def test_an_unfolded_graph_is_rejected_naming_its_first_bn_layer():
-    data = make_train_examples(generate_dataset(DatasetConfig(size=2), seed=4), DetectorConfig())
-    want = "layer 1 ('voxel_encoder.pfn.linear'): still carries batch norm"
-    with pytest.raises(ValueError, match=re.escape(want)):
-        train_qat(build_toy_detector(), PrecisionPlan(), None, data, TrainConfig())
 
 
 @pytest.mark.parametrize("field, value", [
