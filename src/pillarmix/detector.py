@@ -9,9 +9,10 @@ offsets per cell). ModelGraph numbers the weight layers 1..L for precision plans
 ``detect`` and ``evaluate`` take the detector config and pillarized scenes.
 ``detect`` runs them through the network EVAL_CHUNK at a time and decodes
 each chunk's head maps at once: local peaks, one sort by (scene, class,
-score) and a greedy NMS over one padded IoU, vectorized across every (scene,
-class) pair. The kept boxes are one ``metrics.DETECTION`` record array, whose
-scene_id indexes the samples, and ``evaluate`` scores it with one ``ap40`` call.
+score), and a greedy NMS over the flat list of each (scene, class) group's
+overlapping candidate pairs, in whole-array rounds. The kept boxes are one
+``metrics.DETECTION`` record array, whose scene_id indexes the samples, and
+``evaluate`` scores it with one ``ap40`` call.
 
 ``_layer_chain`` is the one description of the layers: ``build_toy_detector``
 walks it drawing weights, and ``load_model`` walks it reading a model file
@@ -32,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import DETECTION, EvalResult, _padded, _slots, ap40, iou_matrix
+from .metrics import DETECTION, EvalResult, _pairs, ap40, iou_matrix
 from .model import (LayerSpec, ModelGraph, PrecisionPlan, apply_plan, eval_chunks, fold_all_bn, forward, graphs_equal,
                     param_arrays, weights_digest)
 from .qat import TrainExample
@@ -332,15 +333,12 @@ def encode_targets(scene: Scene, cfg: DetectorConfig):
 
 def _local_peaks(score_maps: np.ndarray) -> np.ndarray:
     """Cells of each [H, W] map in [..., H, W] that are the maximum of their 3x3
-    neighborhood within that map (ties keep both)."""
+    neighborhood within that map (ties keep both): the max of 3 rows, then of 3 columns."""
     *lead, h, w = score_maps.shape
     padded = np.full((*lead, h + 2, w + 2), -np.inf)
     padded[..., 1:-1, 1:-1] = score_maps
-    neighborhood = padded[..., :h, :w].copy()
-    for di in range(3):
-        for dj in range(3):
-            np.maximum(neighborhood, padded[..., di : di + h, dj : dj + w], out=neighborhood)
-    return score_maps >= neighborhood
+    rows = np.maximum(np.maximum(padded[..., :h, :], padded[..., 1:-1, :]), padded[..., 2:, :])
+    return score_maps >= np.maximum(np.maximum(rows[..., :w], rows[..., 1:-1]), rows[..., 2:])
 
 
 def _decode_batch(cls_maps: np.ndarray, reg_maps: np.ndarray, cfg: DetectorConfig,
@@ -349,9 +347,11 @@ def _decode_batch(cls_maps: np.ndarray, reg_maps: np.ndarray, cfg: DetectorConfi
     box maps, all scenes and classes at once.
 
     One stable sort orders the peaks by (scene, class, descending score), ties
-    in row-major cell order; one padded IoU [B * C, K, K] over each (scene,
-    class) group's K candidates serves a greedy pass over rank that runs for
-    all groups together; the kept boxes are one DETECTION record array, scene
+    in row-major cell order. One iou_matrix call on [P, 1, 4] arrays takes the
+    IoU of every pair of a candidate and an earlier one of its (scene, class)
+    group, and NMS repeats "keep each candidate that no kept earlier one
+    overlaps" over the overlapping pairs, for all groups together, until the
+    mask stops changing. The kept boxes are one DETECTION record array, scene
     after scene. Scene b is scene first + b of its dataset: the scene_id of
     its rows, and the scene a NaN or inf error names.
     """
@@ -366,14 +366,14 @@ def _decode_batch(cls_maps: np.ndarray, reg_maps: np.ndarray, cfg: DetectorConfi
         bad = bad.any(axis=(1, 2, 3))
         if bad.any():
             raise ValueError(f"decode_and_nms got {what} map of scene {first + int(np.argmax(bad))}")
-    n_scenes, n_classes, oh, ow = cls_maps.shape
+    _, n_classes, oh, ow = cls_maps.shape
     cell_h = FIELD_SIZE / oh
     cell_w = FIELD_SIZE / ow
     scores = sigmoid(cls_maps.astype(np.float64))
     scene, cls, rows, cols = np.nonzero(_local_peaks(scores) & (scores >= cfg.score_thresh))
-    peak_scores = scores[scene, cls, rows, cols]
-    order = np.lexsort((-peak_scores, cls, scene))  # stable: ties keep row-major cell order
-    scene, cls, rows, cols, peak_scores = scene[order], cls[order], rows[order], cols[order], peak_scores[order]
+    peak_scores, group = scores[scene, cls, rows, cols], scene * n_classes + cls
+    order = np.lexsort((-peak_scores, group))  # stable: ties keep row-major cell order
+    scene, cls, rows, cols, peak_scores, group = (a[order] for a in (scene, cls, rows, cols, peak_scores, group))
     dx, dy, dw, dh = reg_maps[scene, :, rows, cols].T.astype(np.float64)
     # math.exp (libm), not np.exp: the two differ in the last ulp for some
     # inputs, and the box sizes are libm's
@@ -382,15 +382,17 @@ def _decode_batch(cls_maps: np.ndarray, reg_maps: np.ndarray, cfg: DetectorConfi
         (rows + 0.5 + dy) * cell_h,
         *(BASE_SIZE * np.fromiter(map(math.exp, np.clip(d, -4.0, 4.0).tolist()), np.float64, len(d)) for d in (dw, dh)),
     ], axis=1).reshape(-1, 4)
-    group = scene * n_classes + cls
-    rank = _slots(group)
-    n_groups = n_scenes * n_classes
-    padded = _padded(boxes, group, rank, n_groups, 1.0)
-    overlaps = iou_matrix(padded, padded) >= cfg.nms_iou
-    kept = _padded(np.ones(len(group), bool), group, rank, n_groups, False)  # candidates, then survivors
-    for k in range(1, kept.shape[1]):
-        kept[:, k] &= ~(overlaps[:, k, :k] & kept[:, :k]).any(axis=1)
-    keep = kept[group, rank]
+    later, earlier = _pairs(np.searchsorted(group, group), np.arange(len(group)))  # with each earlier one of its group
+    # np.take, as indexing the rows of a 2-D array takes about 10x longer
+    overlaps = iou_matrix(*(np.take(boxes, i, axis=0)[:, None] for i in (later, earlier)))[:, 0, 0] >= cfg.nms_iou
+    later, earlier = later[overlaps], earlier[overlaps]
+    # keep = no kept earlier candidate overlaps, until the mask stops changing:
+    # greedy NMS is its one fixed point, and rank r is settled after r + 1 rounds
+    keep, settled = np.ones(len(group), bool), False
+    while not settled:
+        now = np.ones_like(keep)
+        now[later[keep[earlier]]] = False
+        keep, settled = now, np.array_equal(now, keep)
     return np.rec.fromarrays([first + scene[keep], boxes[keep], cls[keep], peak_scores[keep]], dtype=DETECTION)
 
 
@@ -433,7 +435,7 @@ def detect(
     """
     planned = apply_plan(graph, plan)
     chunks = [_decode_batch(*forward(planned, batch, stats=stats), cfg, first=start)
-              for start, batch in eval_chunks(samples)]  # per chunk: one decode of all scenes doubles peak RSS
+              for start, batch in eval_chunks(samples)]  # per chunk: the decode's memory is one chunk's
     return np.concatenate([np.zeros(0, DETECTION), *chunks]).view(np.recarray)
 
 

@@ -3,10 +3,11 @@
 All scenes' detections are one record array of DETECTION rows, each row's
 scene_id its scene's position. AP is a match, then a reduction. ``_match``
 matches detections to ground truth greedily by descending score (one match
-per box, IoU at or above MATCH_IOU) in all (scene, class) groups at once,
-padded per ``scene * n_classes + class``: one ``iou_matrix`` call takes every
-group's IoU, and a loop over detection rank claims boxes in every group, as
-the detector's NMS does. Detections that match a box of another difficulty
+per box, IoU at or above MATCH_IOU) in all (scene, class) groups at once, on
+one flat list of each group's (detection, box) pairs: one ``iou_matrix`` call
+on [P, 1, 4] arrays takes every pair's IoU, and each whole-array round makes
+one claim in every group, so the rounds are bounded by the boxes per group,
+not by the detections. Detections that match a box of another difficulty
 are ignored rather than counted as false positives, so a perfect detector
 scores 1.0 at every difficulty. ``_slice_ap`` reduces one (class,
 difficulty) slice with scene s counted weights[s] times: operating points at
@@ -33,6 +34,7 @@ __all__ = [
 
 DETECTION = np.dtype([("scene_id", "<i8"), ("box", "<f8", (4,)), ("class_id", "<i8"), ("score", "<f8")])
 DIFFICULTIES = ("easy", "moderate", "hard")
+LEVELS = {diff: level for level, diff in enumerate(DIFFICULTIES)}
 MATCH_IOU = 0.5  # a detection hits a ground-truth box at IoU >= MATCH_IOU
 
 N_RECALL_POINTS = 40
@@ -58,17 +60,11 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     return np.where(union > 0, inter / union, 0.0)
 
 
-def _padded(values: np.ndarray, group: np.ndarray, slot: np.ndarray, n_groups: int, fill) -> np.ndarray:
-    """values [N, ...] laid out as [n_groups, max slot + 1, ...]: value i at
-    (group[i], slot[i]), fill elsewhere."""
-    out = np.full((n_groups, int(slot.max(initial=-1)) + 1, *values.shape[1:]), fill, dtype=values.dtype)
-    out[group, slot] = values
-    return out
-
-
-def _slots(group: np.ndarray) -> np.ndarray:
-    """Each entry's place within its run of equal values of the sorted group."""
-    return np.arange(len(group)) - np.searchsorted(group, group)
+def _pairs(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index pairs (i, j) with j in [first[i], stop[i]), by i and then j."""
+    count = stop - first
+    i = np.repeat(np.arange(len(count)), count)
+    return i, np.arange(len(i)) + np.repeat(first - np.cumsum(count) + count, count)
 
 
 def ap40(
@@ -108,14 +104,20 @@ def _match(detections: np.ndarray, gt_per_scene: Sequence, n_classes: int) -> di
     outside = (det_scene < 0) | (det_scene >= n_scenes)
     if outside.any():
         raise ValueError(f"detection scene_id must lie in [0, {n_scenes}), got {det_scene[np.argmax(outside)]}")
-    per_scene = [(np.asarray(gt.boxes, np.float64).reshape(-1, 4), np.asarray(gt.classes, np.int64).reshape(-1),
-                  np.asarray(gt.difficulty, str).reshape(-1)) for gt in gt_per_scene]
-    for k, sizes in enumerate(tuple(map(len, arrays)) for arrays in per_scene):
-        if len(set(sizes)) > 1:
-            raise ValueError(f"ground-truth boxes, classes and difficulty differ in length, got {sizes} in scene {k}")
-    gt_scene = np.repeat(np.arange(n_scenes), [len(b) for b, _, _ in per_scene])
-    empty = (np.zeros((0, 4)), np.zeros(0, np.int64), np.zeros(0, str))
-    gt_boxes, gt_class, gt_diff = map(np.concatenate, zip(empty, *per_scene))
+    shapes = [tuple(map(np.shape, (gt.boxes, gt.classes, gt.difficulty))) for gt in gt_per_scene]
+    for k, (box, cls, diff) in enumerate(shapes):
+        if len(box) != 2 or box[1] != 4 or len(cls) != 1 or len(diff) != 1:
+            raise ValueError(f"ground-truth boxes, classes and difficulty must be [M, 4], [M] and [M], "
+                             f"got shapes {box}, {cls} and {diff} in scene {k}")
+        if not box[0] == cls[0] == diff[0]:
+            raise ValueError(f"ground-truth boxes, classes and difficulty differ in length, "
+                             f"got {(box[0], cls[0], diff[0])} in scene {k}")
+    gt_scene = np.repeat(np.arange(n_scenes), [box[0] for box, _, _ in shapes])
+    gt_boxes, gt_class, gt_diff = (np.concatenate([empty, *(getattr(gt, name) for gt in gt_per_scene)],
+                                                  dtype=empty.dtype, casting="unsafe")
+                                   for name, empty in (("boxes", np.zeros((0, 4))), ("classes", np.zeros(0, np.int64)),
+                                                       ("difficulty", np.zeros(0, object))))
+    gt_level = np.array([LEVELS.get(d, -1) for d in gt_diff.tolist()], np.int64)  # -1: not a difficulty
     # a class id outside [0, n_classes) would land in another (scene, class) group
     for rule, values, bad, scene in (
         *((f"{who} box must be finite (cx, cy, w, h) with positive extents", b,
@@ -126,37 +128,34 @@ def _match(detections: np.ndarray, gt_per_scene: Sequence, n_classes: int) -> di
          (det_class < 0) | (det_class >= n_classes), det_scene),
         (f"ground-truth class id must lie in [0, {n_classes})", gt_class,
          (gt_class < 0) | (gt_class >= n_classes), gt_scene),
-        (f"ground-truth difficulty must be one of {DIFFICULTIES}", gt_diff, ~np.isin(gt_diff, DIFFICULTIES), gt_scene),
+        (f"ground-truth difficulty must be one of {DIFFICULTIES}", gt_diff, gt_level < 0, gt_scene),
     ):
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(f"{rule}, got {values[i].tolist()!r} in scene {scene[i]}")
-    gt_level = np.argmax(gt_diff[:, None] == np.array(DIFFICULTIES), axis=1)  # each box's DIFFICULTIES index
-    n_groups = n_scenes * n_classes
+            raise ValueError(f"{rule}, got {np.asarray(values[i]).tolist()!r} in scene {scene[i]}")
+    # every (detection, box) pair of a (scene, class) group at IoU >= MATCH_IOU, by
+    # the detection's rank, then descending IoU, ties in box order
+    group = det_scene * n_classes + det_class
+    by_rank = np.lexsort((-scores, group))  # within each group, by descending score
+    group = group[by_rank]
+    gt_group = gt_scene * n_classes + gt_class
+    gt_order = np.argsort(gt_group, kind="stable")  # ties keep the given order
+    rank, box = _pairs(*(np.searchsorted(gt_group[gt_order], group, side) for side in ("left", "right")))
+    det, box = by_rank[rank], gt_order[box]
+    iou = iou_matrix(np.take(boxes, det, axis=0)[:, None], np.take(gt_boxes, box, axis=0)[:, None])[:, 0, 0]
+    near = np.flatnonzero(iou >= MATCH_IOU)
+    near = near[np.lexsort((-iou[near], rank[near]))]
+    pair_group, det, box = group[rank[near]], det[near], box[near]
+    # one claim per group a round: the group's first pair left, as the detections
+    # before it had no free box when greedy reached them and the free boxes only shrink
     hit_level = np.full(len(detections), -1)  # DIFFICULTIES index of the matched box; -1 for none
-    if len(gt_class):
-        group = det_scene * n_classes + det_class
-        by_rank = np.lexsort((-scores, group))  # within each group, by descending score
-        group = group[by_rank]
-        rank = _slots(group)
-        gt_group = gt_scene * n_classes + gt_class
-        gt_order = np.argsort(gt_group, kind="stable")  # ties keep the given order
-        gt_group = gt_group[gt_order]
-        gt_slot = _slots(gt_group)
-        ious = iou_matrix(_padded(boxes[by_rank], group, rank, n_groups, 1.0),
-                          _padded(gt_boxes[gt_order], gt_group, gt_slot, n_groups, 1.0))
-        free = _padded(np.ones(len(gt_group), bool), gt_group, gt_slot, n_groups, False)
-        gt_levels = _padded(gt_level[gt_order], gt_group, gt_slot, n_groups, -1)
-        present = _padded(np.ones(len(group), bool), group, rank, n_groups, False)
-        claimed = np.full(present.shape, -1)  # level of the box hit at (group, rank); -1 for none
-        groups = np.arange(n_groups)
-        for r in range(present.shape[1]):
-            cand = np.where(free, ious[:, r], -1.0)
-            best = np.argmax(cand, axis=1)
-            hit = present[:, r] & (cand[groups, best] >= MATCH_IOU)
-            claimed[hit, r] = gt_levels[groups[hit], best[hit]]
-            free[groups[hit], best[hit]] = False
-        hit_level[by_rank] = claimed[group, rank]
+    taken = np.zeros(len(gt_boxes), bool)
+    while len(det):
+        claim = np.flatnonzero(np.diff(pair_group, prepend=-1))
+        hit_level[det[claim]] = gt_level[box[claim]]
+        taken[box[claim]] = True
+        left = ~taken[box] & (hit_level[det] < 0)
+        pair_group, det, box = pair_group[left], det[left], box[left]
     # one stable sort by class and descending score serves every difficulty:
     # dropping the ignored detections afterwards keeps the order of the rest
     order = np.lexsort((-scores, det_class))
@@ -164,11 +163,15 @@ def _match(detections: np.ndarray, gt_per_scene: Sequence, n_classes: int) -> di
     slices = {}
     for c, rows in zip(range(n_classes), by_class):
         levels = hit_level[rows]
+        in_class = gt_class == c
+        class_gt_scene, class_gt_level = gt_scene[in_class], gt_level[in_class]
         for level, diff in enumerate(DIFFICULTIES):
-            counted = rows[(levels < 0) | (levels == level)]
-            slices[c, diff] = (det_scene[counted], hit_level[counted] == level,
-                               np.flatnonzero(np.diff(scores[counted], append=-np.inf)),
-                               gt_scene[(gt_class == c) & (gt_level == level)])
+            counted = (levels < 0) | (levels == level)
+            ranked = scores[rows[counted]]
+            ends = np.ones(len(ranked), bool)  # each score tie's last row
+            np.not_equal(ranked[1:], ranked[:-1], out=ends[:-1])
+            slices[c, diff] = (det_scene[rows[counted]], levels[counted] == level, np.flatnonzero(ends),
+                               class_gt_scene[class_gt_level == level])
     return slices
 
 

@@ -134,11 +134,10 @@ def _layer_backward(entry: TapeEntry, dout: np.ndarray):
     layer = entry.layer
     if layer.kind == "maxpool":  # the first point row reaching its pillar's max takes it all, per channel
         x, counts = entry.x_in, entry.sample.point_mask.sum(axis=1)
-        row = np.where(x < np.repeat(entry.out, counts, axis=0), len(x), np.arange(len(x))[:, None])
-        winners = np.minimum.reduceat(row, np.cumsum(counts) - counts, axis=0)
-        dx = np.zeros_like(x)
-        dx[winners, np.arange(x.shape[1])] = dout
-        return dx, None
+        at_max = ~(x < np.repeat(entry.out, counts, axis=0))
+        before = np.cumsum(at_max, axis=0, dtype=np.int32) - at_max  # at-max rows above each row, per channel
+        first = at_max & (before == np.repeat(before[np.cumsum(counts) - counts], counts, axis=0))
+        return np.where(first, np.repeat(dout, counts, axis=0), 0), None
     if layer.kind == "scatter":
         sample = entry.sample
         return dout[sample.scene_ids, sample.coords[:, 0], sample.coords[:, 1]], None

@@ -35,6 +35,7 @@ from pillarmix.model import (
     ModelGraph,
     PrecisionPlan,
     apply_plan,
+    eval_chunks,
     forward,
     graphs_equal,
     parse_plan_label,
@@ -190,6 +191,23 @@ class TestDecodeAndNms:
             assert_same_detections(dets, ref)
         assert (len(got[1]) > 0, len(got[2]) > 0) == (score_thresh <= 0.1, score_thresh == 0.0)  # sigmoid(-2) = 0.12
         assert_same_detections(got[3], got[0])
+
+    @pytest.mark.parametrize("spacing, tied", [(2, False), (1, True)], ids=["descending", "tied"])
+    def test_a_suppression_chain_keeps_every_other_box(self, spacing, tied):
+        """13 peaks of one class in a row, each box overlapping only its two
+        neighbours (IoU 0.9 / 2.9 against nms_iou 0.3): greedy keeps ranks 0, 2,
+        ..., 12, and rank r is settled only once rank r - 1 is. With tied scores
+        every cell of the row is a peak, ranked in cell order."""
+        n_links, ow = 13, 32
+        cfg = dataclasses.replace(DetectorConfig(), nms_iou=0.3)
+        cls_map = np.full((3, 1, ow), -8.0, np.float32)
+        reg_map = np.zeros((4, 1, ow), np.float32)
+        cols = np.arange(n_links) * spacing
+        cls_map[0, 0, cols] = 3.0 if tied else 3.0 - 0.1 * np.arange(n_links)
+        reg_map[2, 0, cols] = math.log(1.9 * spacing * FIELD_SIZE / ow / detector.BASE_SIZE)  # side 1.9 centre gaps
+        got = decode_and_nms(cls_map[None], reg_map[None], cfg)
+        assert_same_detections(got, reference_decode_and_nms(cls_map, reg_map, cfg.score_thresh, cfg.nms_iou))
+        np.testing.assert_array_equal(got.box[:, 0], (cols[::2] + 0.5) * FIELD_SIZE / ow)
 
     def test_box_sides_are_libm_exp_of_the_clipped_size_offsets(self):
         """Each side is BASE_SIZE * math.exp of its offset clipped to [-4, 4], bit
@@ -379,6 +397,28 @@ def test_chunked_evaluate_equals_per_scene_evaluation(batch_setup, label):
     assert list(result.ap.items()) == list(want.items())  # class by class, in CLASS_NAMES order
     if label == "FP32":
         assert set(want.values()) == {1.0}
+
+
+@pytest.mark.parametrize("label", PLAN_LABELS)
+def test_detect_decodes_chunk_by_chunk_as_one_decode_of_every_chunk_would(batch_setup, label, monkeypatch):
+    """More than EVAL_CHUNK scenes: detect decodes each chunk once, from its
+    start, and the joined rows are one _decode_batch over every chunk's head
+    maps, byte for byte; no scenes give no rows."""
+    cfg, graph, stats, samples = batch_setup
+    plan = parse_plan_label(label)
+    planned = apply_plan(graph, plan)
+    heads = [forward(planned, batch, stats=stats) for _, batch in eval_chunks(samples)]
+    want = detector._decode_batch(*map(np.concatenate, zip(*heads)), cfg)
+    assert len(heads) == 2 and len(samples) > EVAL_CHUNK
+    calls = []
+    real_decode = detector._decode_batch
+    monkeypatch.setattr(detector, "_decode_batch",
+                        lambda *args, first: calls.append((len(args[0]), first)) or real_decode(*args, first=first))
+    got = detect(graph, plan, stats, cfg, samples)
+    assert calls == [(EVAL_CHUNK, 0), (len(samples) - EVAL_CHUNK, EVAL_CHUNK)]
+    assert isinstance(got, np.recarray) and got.tobytes() == want.tobytes()
+    none = detect(graph, plan, stats, cfg, [])
+    assert isinstance(none, np.recarray) and none.dtype == DETECTION and len(none) == 0
 
 
 @pytest.mark.parametrize("head, value, what", [

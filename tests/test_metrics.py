@@ -168,6 +168,49 @@ class TestAp40:
         dets = scene_detections([([5.0, 5.0, width, 2.0], 0, 0.5)])
         assert ap40(dets, gts, 1)[(0, "easy")] == want
 
+    @staticmethod
+    def two_boxes(first, second, labels=("easy", "hard")):
+        """One scene of two class-0 boxes of 2 x 2 centred at (first, 5) and (second, 5)."""
+        return [SimpleNamespace(boxes=np.array([[first, 5.0, 2.0, 2.0], [second, 5.0, 2.0, 2.0]]),
+                                classes=np.array([0, 0]), difficulty=np.array(labels, dtype=object))]
+
+    def test_a_detection_whose_best_box_is_claimed_takes_its_second(self):
+        """The first detection claims box 0; the second's best box is box 0 too
+        (IoU 0.82), so it claims box 1 (IoU 0.67); the third finds both taken."""
+        gts = self.two_boxes(5.0, 5.6)
+        dets = scene_detections([([5.0, 5.0, 2.0, 2.0], 0, 0.9), ([5.2, 5.0, 2.0, 2.0], 0, 0.8),
+                                 ([5.1, 5.0, 2.0, 2.0], 0, 0.7)])
+        np.testing.assert_allclose(iou_matrix(dets.box[1:2], gts[0].boxes), [[1.8 / 2.2, 1.6 / 2.4]])
+        parts = _match(dets, gts, 1)
+        assert [parts[0, diff][1].tolist() for diff in ("easy", "hard")] == [[True, False], [True, False]]
+        got = ap40(dets, gts, 1)
+        assert got == reference_table([dets], gts, 1)
+        assert (got[0, "easy"], got[0, "hard"]) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("labels", [("easy", "hard"), ("hard", "easy")])
+    def test_equal_ious_go_to_the_first_box(self, labels):
+        """A detection centred between two boxes has IoU 0.6 with each, bit for
+        bit; it claims the first, and the second's slice misses its box."""
+        gts = self.two_boxes(4.5, 5.5, labels)
+        dets = scene_detections([([5.0, 5.0, 2.0, 2.0], 0, 0.9)])
+        ious = iou_matrix(dets.box, gts[0].boxes)[0]
+        assert ious[0] == ious[1] == pytest.approx(0.6)
+        got = ap40(dets, gts, 1)
+        assert got == reference_table([dets], gts, 1)
+        assert (got[0, labels[0]], got[0, labels[1]]) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_of_tied_detections_the_first_in_the_array_claims(self, order):
+        """Two detections of one score on one box: the first row claims it and
+        the other is a false positive, whichever of the two comes first."""
+        gts = [SimpleNamespace(boxes=np.array([[5.0, 5.0, 2.0, 2.0]]), classes=np.array([0]),
+                               difficulty=np.array(["easy"], dtype=object))]
+        rows = [([5.0, 5.0, 2.0, 2.0], 0, 0.5), ([5.3, 5.0, 2.0, 2.0], 0, 0.5)]
+        dets = scene_detections([rows[k] for k in order])
+        scene, is_tp, ends, _ = _match(dets, gts, 1)[0, "easy"]
+        assert (is_tp.tolist(), ends.tolist()) == ([True, False], [1])
+        assert ap40(dets, gts, 1) == reference_table([dets], gts, 1)
+
     @pytest.mark.parametrize("scene_id", [-1, 6])
     def test_rejects_a_scene_id_outside_the_scenes(self, scene_id):
         """A row of scene -1 or len(gts) would land in another scene's group,
@@ -320,6 +363,20 @@ class TestAp40Inputs:
             gt.classes = np.array(scene_classes)
         with pytest.raises(ValueError, match=rf"^ground-truth boxes, classes and difficulty differ in length, got "
                                              rf"{re.escape(want)}$"):
+            ap40(joined_detections(dets), gts, N_CLASSES)
+
+    @pytest.mark.parametrize("field, value, want", [
+        ("boxes", np.zeros(0), "(0,), (3,) and (3,)"), ("boxes", np.zeros((3, 5)), "(3, 5), (3,) and (3,)"),
+        ("classes", np.zeros((3, 1), np.int64), "(3, 4), (3, 1) and (3,)"),
+        ("difficulty", np.array([["easy"] * 3]), "(3, 4), (3,) and (1, 3)"),
+    ], ids=["boxes_1d", "boxes_5_wide", "classes_2d", "difficulty_2d"])
+    def test_rejects_a_scene_whose_ground_truth_arrays_have_another_shape(self, field, value, want):
+        """Concatenated, a [3, 5] box array or a 2-D label array would fail
+        without naming its scene, or stand for other boxes."""
+        dets, gts = self.scenes()
+        setattr(gts[1], field, value)
+        with pytest.raises(ValueError, match=rf"^ground-truth boxes, classes and difficulty must be \[M, 4\], \[M\] "
+                                             rf"and \[M\], got shapes {re.escape(want)} in scene 1$"):
             ap40(joined_detections(dets), gts, N_CLASSES)
 
     @pytest.mark.parametrize("label", ["medum", ""])
